@@ -30,7 +30,7 @@ from .ir import (
     validate,
 )
 from .reach import ReachResult, Verdict, check_safety, reach
-from .sets import Box, TemplatePolytope, Zonotope, matrix_exponential
+from .sets import Box, Zonotope, matrix_exponential
 from .simulate import Integrator, SimOptions, Trajectory, sample_initial, simulate
 from .spaceex import emit_spaceex, parse_spaceex
 
@@ -53,7 +53,6 @@ __all__ = [
     "ReachSettings",
     "ResetMap",
     "SimOptions",
-    "TemplatePolytope",
     "Trajectory",
     "Transition",
     "VariableTable",

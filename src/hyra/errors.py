@@ -79,5 +79,9 @@ class StepTooLarge(EngineError):
     """Discretization bloating dwarfs the propagated set; reduce the step."""
 
 
+class NonFiniteFlowpipe(EngineError):
+    """Flowpipe bounds left the floating-point range (diverging dynamics)."""
+
+
 class MaxEventsExceeded(EngineError):
     """Simulation hit the event cap without Zeno accumulation."""

@@ -369,6 +369,16 @@ def format_number(x: float) -> str:
     return text
 
 
+def format_numbers(values) -> list:
+    """``format_number`` of every entry of an array, in C order."""
+    flat = np.asarray(values, dtype=float).ravel() + 0.0  # + 0.0 turns -0.0 into 0.0
+    texts = list(map(repr, flat.tolist()))
+    # repr ends in ".0" exactly for integral values below 1e16
+    for i in np.flatnonzero((flat == np.trunc(flat)) & (np.abs(flat) < 1e16)).tolist():
+        texts[i] = texts[i][:-2]
+    return texts
+
+
 def _append_term(parts: list, scalar_text: str, sign: float):
     if not parts:
         parts.append(scalar_text if sign >= 0 else f"-{scalar_text}")

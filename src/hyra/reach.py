@@ -2,19 +2,30 @@
 
 Per location, the continuous flow is discretized in the classic way: a
 first-interval enclosure Omega0 covering [0, step] (chord hull of the set
-and its one-step image, bloated for curvature and inputs), then the
-recurrence Omega_{k+1} = e^(A step) Omega_k (+) V where V is the one-step
-input contribution. The drift part of V is the exact integral
+and its one-step image, bloated for curvature and inputs) and a one-step
+input set V, so that Omega_k = Phi^k Omega0 (+) Phi^(k-1) V (+) ... (+) V
+with Phi = e^(A step). The drift part of V is the exact integral
 (int_0^step e^(A s) ds) u_c, so autonomous models with pure drift propagate
 without per-step bloat. For stiff dynamics the Omega0 construction
 sub-steps internally so the curvature term stays meaningful.
 
-Emitted segments store the invariant-clamped box hull of each interval set
-(as a degenerate zonotope); propagation continues on the raw zonotope.
-Successor flowpipes spawned from a guard-crossing window of width W widen
-each emitted segment with the preceding ceil(W/step) segments, so a
-trajectory jumping anywhere in the window stays covered by the segment
-whose time interval contains the query time.
+Propagation is wrapping-free (Girard, Le Guernic & Maler, HSCC 2006; the
+box-template case of the support-function scheme of Le Guernic & Girard).
+Only the box hull of each Omega_k is ever used, so instead of re-reducing a
+growing zonotope every step the engine carries Phi^k applied to the fixed
+Omega0 generators plus a running sum of the row sums of |Phi^j W|, W being
+the generators of V; their sum is the exact box radius of Omega_k, and the
+center follows the affine recurrence c_(k+1) = Phi c_k + c_V. No order
+reduction happens after ``discretize``. Steps run in chunks of _CHUNK using
+precomputed powers of Phi and stop at the first chunk whose invariant clamp
+empties.
+
+Segments are stored as arrays (``Segments``): time bounds, box center and
+radius per row, location and jump depth. Successor flowpipes spawned from a
+guard-crossing window of width W widen each emitted segment with the
+preceding ceil(W/step) segments, so a trajectory jumping anywhere in the
+window stays covered by the segment whose time interval contains the query
+time.
 """
 
 from __future__ import annotations
@@ -26,14 +37,15 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import HyraError, InitOutsideInvariant, StepTooLarge
-from .expressions import format_number
+from .errors import HyraError, InitOutsideInvariant, NonFiniteFlowpipe, StepTooLarge
+from .expressions import format_number, format_numbers
 from .ir import Condition, LinearConstraint, ModelBundle, validate
 from .sets import (
     Box,
     DEFAULT_ORDER_CAP,
     Zonotope,
     box_hull,
+    clamp_boxes,
     exp_with_integral,
     hull_zonotope,
     intersect_condition,
@@ -45,6 +57,7 @@ from .sets import (
 
 _MAX_SUBSTEPS = 1 << 16
 _CONTAIN_SLACK = 1e-9
+_CHUNK = 64  # propagation steps per batch of Phi powers
 
 
 class Verdict(str, Enum):
@@ -54,16 +67,86 @@ class Verdict(str, Enum):
     FIXPOINT_REACHED = "FixpointReached"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowpipeSegment:
+    """One row of a ``Segments`` table: a time interval and a box."""
+
     time_lo: float
     time_hi: float
-    set: Zonotope
+    center: np.ndarray
+    radius: np.ndarray
     location: str
     jump_depth: int
 
     def box(self) -> Box:
-        return box_hull(self.set)
+        return Box(self.center - self.radius, self.center + self.radius)
+
+    @property
+    def set(self) -> Zonotope:
+        """The box as a degenerate zonotope, one generator per non-flat axis."""
+        return Zonotope(self.center, np.diag(self.radius)[:, self.radius > 0])
+
+
+class Segments:
+    """Flowpipe segments as a table: one row per segment.
+
+    ``time_lo``/``time_hi`` are (K,), ``center``/``radius`` are (K, n) box
+    centers and radii, ``location`` (str objects) and ``depth`` (int) are
+    (K,). Boxes read back as center -/+ radius, which is what a box turned
+    into a zonotope and hulled back gives. Indexing and iteration yield
+    ``FlowpipeSegment`` rows, built on first use.
+    """
+
+    def __init__(self, time_lo, time_hi, center, radius, location, depth):
+        self.time_lo = time_lo
+        self.time_hi = time_hi
+        self.center = center
+        self.radius = radius
+        self.location = location
+        self.depth = depth
+        self._rows = None
+
+    @classmethod
+    def from_bounds(cls, time_lo, time_hi, lo, hi, location: str, depth: int) -> "Segments":
+        """Rows of one flowpipe from box bounds, centered as ``Box`` does."""
+        count = lo.shape[0]
+        return cls(time_lo, time_hi, 0.5 * (lo + hi), 0.5 * (hi - lo),
+                   np.full(count, location, dtype=object), np.full(count, depth))
+
+    @classmethod
+    def empty(cls, dim: int) -> "Segments":
+        none = np.empty(0)
+        return cls(none, none, np.empty((0, dim)), np.empty((0, dim)),
+                   np.empty(0, dtype=object), np.empty(0, dtype=int))
+
+    @classmethod
+    def concat(cls, parts: list) -> "Segments":
+        return cls(*(np.concatenate([getattr(p, f) for p in parts]) for f in
+                     ("time_lo", "time_hi", "center", "radius", "location", "depth")))
+
+    @property
+    def lo(self) -> np.ndarray:
+        return self.center - self.radius
+
+    @property
+    def hi(self) -> np.ndarray:
+        return self.center + self.radius
+
+    def rows(self) -> list:
+        if self._rows is None:
+            self._rows = list(map(FlowpipeSegment, self.time_lo.tolist(), self.time_hi.tolist(),
+                                  self.center, self.radius, self.location.tolist(),
+                                  self.depth.tolist()))
+        return self._rows
+
+    def __len__(self) -> int:
+        return self.time_lo.shape[0]
+
+    def __getitem__(self, index: int) -> FlowpipeSegment:
+        return self.rows()[index]
+
+    def __iter__(self):
+        return iter(self.rows())
 
 
 @dataclass
@@ -79,7 +162,7 @@ class ReachStats:
 
 @dataclass
 class ReachResult:
-    segments: list
+    segments: Segments
     verdict: Verdict
     stats: ReachStats
     first_violation: int | None = None  # index into segments
@@ -218,9 +301,78 @@ class FlowpipeResult:
     the entry skew accounted for in the successor's window width instead.
     """
 
-    segments: list
-    raw: list
+    segments: Segments
+    raw: Segments
     alpha: float
+
+
+def _require_finite(location, time: float, *arrays) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise NonFiniteFlowpipe(
+            f"flowpipe of location {location.name!r} left the floating-point range "
+            f"before t={time:g}; the dynamics diverge over the horizon"
+        )
+
+
+def _propagate(location, omega0: Zonotope, v_set: Zonotope, phi, steps: int,
+               entry_time: float, step: float):
+    """Invariant-clamped boxes of Omega_0 .. Omega_(steps-1), wrapping-free.
+
+    Returns (lo, hi, last): (K, n) bounds of the boxes up to the first one
+    whose clamp empties, and the zonotope Omega_steps when all ``steps``
+    boxes stayed inside the invariant (None otherwise).
+    """
+    n = phi.shape[0]
+    gens = omega0.generators  # Phi^k G0
+    inputs = v_set.generators  # Phi^k W
+    input_radius = np.zeros(n)  # row sums of |Phi^j W| over j < k
+    center = omega0.center
+    v_center = v_set.center
+    los, his = [], []
+    k = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = np.empty((_CHUNK + 1, n, n))
+        powers[0] = np.eye(n)
+        for j in range(_CHUNK):
+            powers[j + 1] = phi @ powers[j]
+        while k < steps:
+            size = min(_CHUNK, steps - k)
+            centers = np.empty((size, n))
+            for j in range(size):
+                centers[j] = center
+                center = phi @ center + v_center
+            radius = np.abs(powers[:size] @ gens).sum(axis=2)
+            if inputs.shape[1]:
+                running = input_radius + np.cumsum(np.abs(powers[:size] @ inputs).sum(axis=2), axis=0)
+                radius += np.vstack([input_radius, running[:-1]])
+                input_radius = running[-1]
+                inputs = powers[size] @ inputs
+            gens = powers[size] @ gens
+            _require_finite(location, entry_time + (k + size) * step, centers, radius)
+            lo, hi, ok = clamp_boxes(centers - radius, centers + radius, location.invariant)
+            if not ok.all():
+                cut = int(np.argmin(ok))
+                los.append(lo[:cut])
+                his.append(hi[:cut])
+                return np.concatenate(los), np.concatenate(his), None
+            los.append(lo)
+            his.append(hi)
+            k += size
+    _require_finite(location, entry_time + steps * step, center, gens, input_radius)
+    last = Zonotope(center, np.hstack([gens, np.diag(input_radius)[:, input_radius > 0]]))
+    return np.concatenate(los), np.concatenate(his), last
+
+
+def _sliding_hull(lo, hi, m: int, count: int):
+    """Row k hulls rows max(0, k-m) .. min(k, K-1) of (K, n) bounds, k < count."""
+    pad = max(count - lo.shape[0], 0)
+    out_lo = np.vstack([lo[:count], np.full((pad, lo.shape[1]), np.inf)])
+    out_hi = np.vstack([hi[:count], np.full((pad, hi.shape[1]), -np.inf)])
+    src_lo, src_hi = out_lo.copy(), out_hi.copy()
+    for d in range(1, min(m, count - 1) + 1):
+        np.minimum(out_lo[d:], src_lo[:-d], out=out_lo[d:])
+        np.maximum(out_hi[d:], src_hi[:-d], out=out_hi[d:])
+    return out_lo, out_hi
 
 
 def flowpipe(location, init: Zonotope, input_box: Box | None, step: float, horizon: float,
@@ -234,6 +386,7 @@ def flowpipe(location, init: Zonotope, input_box: Box | None, step: float, horiz
     """
     dyn = location.dynamics
     invariant = location.invariant
+    n = init.dim
     init_box = box_hull(init)
     if not _box_inside_condition(init_box, invariant):
         raise InitOutsideInvariant(
@@ -241,122 +394,79 @@ def flowpipe(location, init: Zonotope, input_box: Box | None, step: float, horiz
         )
     remaining = horizon - entry_time
     if remaining <= 1e-12:
-        return FlowpipeResult([], [], 0.0)
+        return FlowpipeResult(Segments.empty(n), Segments.empty(n), 0.0)
 
     full_steps = int(math.floor(remaining / step + 1e-9))
     leftover = remaining - full_steps * step
     if leftover < 1e-9 * max(1.0, step):
         leftover = 0.0
 
-    raw_boxes: list = []
     alpha_max = 0.0
+    lo = hi = np.empty((0, n))
+    last = init
     if full_steps > 0:
         omega, v_set, phi, alpha = discretize(dyn, init, input_box, step, order_cap)
         alpha_max = max(alpha_max, alpha)
-        current = omega
-        for _ in range(full_steps):
-            clamped = intersect_condition(box_hull(current), invariant)
-            if clamped is None:
-                break
-            raw_boxes.append(clamped)
-            current = reduce_order(
-                minkowski_sum(linear_map(phi, current), v_set), order_cap
-            )
-        else:
-            if leftover > 0.0:
-                # partial tail segment from the set covering the last interval
-                omega_tail, _, _, alpha = discretize(dyn, current, input_box, leftover, order_cap)
-                alpha_max = max(alpha_max, alpha)
-                clamped = intersect_condition(box_hull(omega_tail), invariant)
-                if clamped is not None:
-                    raw_boxes.append(clamped)
-    else:
-        omega, _, _, alpha = discretize(dyn, init, input_box, leftover, order_cap)
+        lo, hi, last = _propagate(location, omega, v_set, phi, full_steps, entry_time, step)
+    if last is not None and (leftover > 0.0 or full_steps == 0):
+        # partial tail segment from the set covering the last interval
+        omega_tail, _, _, alpha = discretize(dyn, last, input_box, leftover, order_cap)
         alpha_max = max(alpha_max, alpha)
-        clamped = intersect_condition(box_hull(omega), invariant)
-        if clamped is not None:
-            raw_boxes.append(clamped)
+        tail = box_hull(omega_tail)
+        tail_lo, tail_hi, ok = clamp_boxes(tail.lo[None, :], tail.hi[None, :], invariant)
+        if ok[0]:
+            lo, hi = np.vstack([lo, tail_lo]), np.vstack([hi, tail_hi])
 
+    raw_count = lo.shape[0]
+    if raw_count == 0:
+        return FlowpipeResult(Segments.empty(n), Segments.empty(n), alpha_max)
     total_steps = full_steps + (1 if leftover > 0.0 else 0)
     m = int(math.ceil(window / step - 1e-9)) if window > 0 else 0
-    raw_count = len(raw_boxes)
-    if raw_count == 0:
-        return FlowpipeResult([], [], alpha_max)
-    raw_segments = []
-    for k, raw in enumerate(raw_boxes):
-        t_lo = entry_time + k * step
-        t_hi = horizon if k == full_steps else min(entry_time + (k + 1) * step, horizon)
-        raw_segments.append(FlowpipeSegment(t_lo, t_hi, raw.to_zonotope(), location.name, jump_depth))
 
+    def times(count):
+        k = np.arange(count)
+        t_hi = np.minimum(entry_time + (k + 1) * step, horizon)
+        t_hi[k == full_steps] = horizon
+        return entry_time + k * step, t_hi
+
+    raw = Segments.from_bounds(*times(raw_count), lo, hi, location.name, jump_depth)
+    if m == 0:
+        return FlowpipeResult(raw, raw, alpha_max)
     # Emitted segment k hulls raw boxes over elapsed [k-m, k]: a trajectory
     # that entered up to `window` later than the pipe start is elapsed-wise
     # behind by up to m segments. For the same reason the emission runs up
     # to m segments past the raw pipe's death.
-    prefix = []
-    running = None
-    for raw in raw_boxes:
-        running = raw if running is None else running.hull(raw)
-        prefix.append(running)
-    segments = []
-    emit_count = raw_count if m == 0 else min(raw_count + m, total_steps)
-    for k in range(emit_count):
-        lo_idx = max(0, k - m)
-        hi_idx = min(k, raw_count - 1)
-        if lo_idx == 0:
-            merged = prefix[hi_idx]
-        else:
-            merged = raw_boxes[hi_idx]
-            for j in range(lo_idx, hi_idx):
-                merged = merged.hull(raw_boxes[j])
-        if m > 0:
-            reclamped = intersect_condition(merged, invariant)
-            if reclamped is not None:
-                merged = reclamped
-        t_lo = entry_time + k * step
-        t_hi = horizon if k == full_steps else min(entry_time + (k + 1) * step, horizon)
-        segments.append(
-            FlowpipeSegment(t_lo, t_hi, merged.to_zonotope(), location.name, jump_depth)
-        )
-    return FlowpipeResult(segments, raw_segments, alpha_max)
+    emit_count = min(raw_count + m, total_steps)
+    merged_lo, merged_hi = _sliding_hull(lo, hi, m, emit_count)
+    clamped_lo, clamped_hi, ok = clamp_boxes(merged_lo, merged_hi, invariant)
+    merged_lo = np.where(ok[:, None], clamped_lo, merged_lo)
+    merged_hi = np.where(ok[:, None], clamped_hi, merged_hi)
+    segments = Segments.from_bounds(*times(emit_count), merged_lo, merged_hi, location.name, jump_depth)
+    return FlowpipeResult(segments, raw, alpha_max)
 
 
 # ---------------------------------------------------------------------------
 # Discrete successors
 
 
-def jump_successors(segments, transition):
-    """Aggregated successors of one transition over a segment list.
+def jump_successors(segments: Segments, transition):
+    """Aggregated successors of one transition over a segment table.
 
     Consecutive segments whose boxes meet the guard form one crossing
     window; the guard-clamped boxes hull into a single set, the reset maps
     it, and the result is reported with the window's start time and width.
     Returns a list of (init_zonotope_pre_invariant, entry_time, window_width).
     """
-    hits = []
-    for idx, seg in enumerate(segments):
-        clamped = intersect_condition(seg.box(), transition.guard)
-        if clamped is not None:
-            hits.append((idx, clamped))
-    windows = []
-    group: list = []
-    prev_idx = None
-    for idx, clamped in hits:
-        if prev_idx is not None and idx != prev_idx + 1:
-            windows.append(group)
-            group = []
-        group.append((idx, clamped))
-        prev_idx = idx
-    if group:
-        windows.append(group)
-
+    lo, hi, hit = clamp_boxes(segments.lo, segments.hi, transition.guard)
+    hits = np.flatnonzero(hit)
+    if hits.size == 0:
+        return []
+    reset = transition.reset
     out = []
-    for group in windows:
-        agg = group[0][1]
-        for _, clamped in group[1:]:
-            agg = agg.hull(clamped)
-        entry_time = segments[group[0][0]].time_lo
-        window_width = segments[group[-1][0]].time_hi - entry_time
-        reset = transition.reset
+    for run in np.split(hits, np.flatnonzero(np.diff(hits) > 1) + 1):
+        agg = Box(lo[run].min(axis=0), hi[run].max(axis=0))
+        entry_time = float(segments.time_lo[run[0]])
+        window_width = float(segments.time_hi[run[-1]]) - entry_time
         succ = translate(linear_map(reset.r_matrix, agg.to_zonotope()), reset.r_offset)
         out.append((succ, entry_time, window_width))
     return out
@@ -382,21 +492,17 @@ def check_safety(segments, forbidden: Condition | None, eq_slack: float = 1e-9):
 
     Equality constraints are widened to a slab of half-width ``eq_slack``
     (exact-equality intersection of an over-approximation is ill-posed).
-    Returns (verdict, index of the earliest offending segment or None).
+    Returns (verdict, index of the earliest offending segment or None);
+    among offenders with equal ``time_lo`` the lowest index wins.
     """
-    if forbidden is None:
+    if forbidden is None or len(segments) == 0:
         return Verdict.SAFE_PROVED, None
     widened = _widen_equalities(forbidden, max(eq_slack, 1e-9))
-    offender = None
-    offender_time = math.inf
-    for idx, seg in enumerate(segments):
-        if intersect_condition(seg.box(), widened) is not None:
-            if seg.time_lo < offender_time:
-                offender = idx
-                offender_time = seg.time_lo
-    if offender is None:
+    _, _, hit = clamp_boxes(segments.lo, segments.hi, widened)
+    offenders = np.flatnonzero(hit)
+    if offenders.size == 0:
         return Verdict.SAFE_PROVED, None
-    return Verdict.POSSIBLY_UNSAFE, offender
+    return Verdict.POSSIBLY_UNSAFE, int(offenders[np.argmin(segments.time_lo[offenders])])
 
 
 def _box_contained(inner_lo, inner_hi, outer_lo, outer_hi, slack) -> bool:
@@ -517,7 +623,7 @@ def reach(bundle: ModelBundle, order_cap: int = DEFAULT_ORDER_CAP) -> ReachResul
     locations = {loc.name: loc for loc in automaton.locations}
 
     stats = ReachStats()
-    segments_all: list = []
+    parts: list = []
     alpha_max = 0.0
     jump_bound_cut = False
     any_discard = False
@@ -542,8 +648,8 @@ def reach(bundle: ModelBundle, order_cap: int = DEFAULT_ORDER_CAP) -> ReachResul
             alpha_max = max(alpha_max, pipe.alpha)
             stats.flowpipes += 1
             stats.max_depth = max(stats.max_depth, depth)
-            segments_all.extend(pipe.segments)
-            if not pipe.raw:
+            parts.append(pipe.segments)
+            if len(pipe.raw) == 0:
                 continue
             for transition in automaton.transitions_from(task.location):
                 successors = jump_successors(pipe.raw, transition)
@@ -562,28 +668,33 @@ def reach(bundle: ModelBundle, order_cap: int = DEFAULT_ORDER_CAP) -> ReachResul
         level = _merge_level(next_level, settings.step)
         depth += 1
 
-    verdict, first_violation = check_safety(segments_all, settings.forbidden, max(1e-9, alpha_max))
-    stats.segments = len(segments_all)
-    stats.covered_time = max((s.time_hi for s in segments_all), default=0.0)
+    segments = Segments.concat(parts)
+    verdict, first_violation = check_safety(segments, settings.forbidden, max(1e-9, alpha_max))
+    stats.segments = len(segments)
+    stats.covered_time = float(segments.time_hi.max()) if len(segments) else 0.0
     if jump_bound_cut:
         stats.termination = Verdict.JUMP_BOUND_HIT
     elif any_discard:
         stats.termination = Verdict.FIXPOINT_REACHED
     stats.wall_time = time.perf_counter() - started
-    return ReachResult(segments_all, verdict, stats, first_violation)
+    return ReachResult(segments, verdict, stats, first_violation)
 
 
 def segments_to_csv(result: ReachResult, state_vars) -> str:
+    segments = result.segments
     header = ["time_lo", "time_hi", "location", "jump_depth"]
     for var in state_vars:
         header.append(f"lo_{var}")
         header.append(f"hi_{var}")
+    bounds = np.empty((len(segments), 2 * len(state_vars)))
+    bounds[:, 0::2] = segments.lo
+    bounds[:, 1::2] = segments.hi
+    width = bounds.shape[1]
+    cells = format_numbers(bounds)
     lines = [",".join(header)]
-    for seg in result.segments:
-        box = seg.box()
-        row = [format_number(seg.time_lo), format_number(seg.time_hi), seg.location, str(seg.jump_depth)]
-        for i in range(box.dim):
-            row.append(format_number(box.lo[i]))
-            row.append(format_number(box.hi[i]))
-        lines.append(",".join(row))
+    for i, (t_lo, t_hi, loc, depth) in enumerate(zip(
+        format_numbers(segments.time_lo), format_numbers(segments.time_hi),
+        segments.location.tolist(), segments.depth.tolist(),
+    )):
+        lines.append(",".join([t_lo, t_hi, loc, str(depth), *cells[i * width:(i + 1) * width]]))
     return "\n".join(lines) + "\n"

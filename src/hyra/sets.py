@@ -1,9 +1,10 @@
 """Continuous set representations and the matrix-exponential kernel.
 
-Boxes are axis-aligned interval vectors, zonotopes are center + generator
-matrices, and template polytopes bound sets in a fixed direction family.
-Everything here is a pure value: operations return new objects and never
-mutate their inputs.
+Boxes are axis-aligned interval vectors and zonotopes are center +
+generator matrices. Everything here is a pure value: operations return new
+objects and never mutate their inputs. ``clamp_boxes`` is the array form of
+box-by-condition intersection that the flowpipe engine runs over whole
+segment tables.
 """
 
 from __future__ import annotations
@@ -252,16 +253,19 @@ def reduce_order(z: Zonotope, max_order: int = DEFAULT_ORDER_CAP) -> Zonotope:
     return Zonotope(z.center, np.hstack([z.generators[:, keep], box_gens]))
 
 
-def intersect_condition(box: Box, condition) -> Box | None:
-    """Clamp a box against a conjunction of linear constraints.
+def clamp_boxes(lo, hi, condition):
+    """Clamp every row of (K, n) bound arrays against a linear conjunction.
 
     Axis-aligned constraints clamp their interval directly; general rows
     tighten each coordinate by interval propagation (exact for a single
     halfspace, sound for the conjunction). Strict relations are treated as
-    their closed counterparts. Returns None when any interval empties.
+    their closed counterparts. Returns (lo, hi, ok): new bound arrays and a
+    per-row flag that is False where some interval emptied. Rows are
+    independent; the bounds of a row whose flag is False are meaningless.
     """
-    lo = box.lo.copy()
-    hi = box.hi.copy()
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    ok = np.ones(lo.shape[0], dtype=bool)
     for con in condition.constraints:
         rows = [(np.asarray(con.coeffs, dtype=float), con.bound)]
         if con.relation in (">=", ">"):
@@ -269,61 +273,21 @@ def intersect_condition(box: Box, condition) -> Box | None:
         elif con.relation == "==":
             rows = [(rows[0][0], rows[0][1]), (-rows[0][0], -rows[0][1])]
         for coeffs, bound in rows:
-            # min of coeffs . x over the current box, per-term
+            # min of coeffs . x over each box, per term
             terms_min = np.where(coeffs >= 0, coeffs * lo, coeffs * hi)
-            total_min = terms_min.sum()
-            if total_min > bound:
-                return None
+            total_min = terms_min.sum(axis=1)
+            ok &= total_min <= bound
             for i in np.flatnonzero(coeffs):
-                rest = total_min - terms_min[i]
-                limit = (bound - rest) / coeffs[i]
+                limit = (bound - (total_min - terms_min[:, i])) / coeffs[i]
                 if coeffs[i] > 0:
-                    hi[i] = min(hi[i], limit)
+                    hi[:, i] = np.minimum(hi[:, i], limit)
                 else:
-                    lo[i] = max(lo[i], limit)
-                if lo[i] > hi[i]:
-                    return None
-    return Box(lo, hi)
+                    lo[:, i] = np.maximum(lo[:, i], limit)
+                ok &= lo[:, i] <= hi[:, i]
+    return lo, hi, ok
 
 
-@dataclass(frozen=True)
-class TemplatePolytope:
-    """Directions (k x n) with offsets: the set {x : D x <= o} row-wise."""
-
-    directions: np.ndarray
-    offsets: np.ndarray
-
-    def __post_init__(self):
-        d = _as_float_array(self.directions, "directions")
-        o = _as_float_array(self.offsets, "offsets")
-        if d.ndim != 2 or o.ndim != 1 or d.shape[0] != o.shape[0]:
-            raise DimensionMismatch("template shape mismatch")
-        d.flags.writeable = False
-        o.flags.writeable = False
-        object.__setattr__(self, "directions", d)
-        object.__setattr__(self, "offsets", o)
-
-    @classmethod
-    def from_zonotope(cls, z: Zonotope, directions) -> "TemplatePolytope":
-        d = np.asarray(directions, dtype=float)
-        offs = np.array([support(z, row) for row in d])
-        return cls(d, offs)
-
-    def contains(self, point, slack: float = 0.0) -> bool:
-        p = np.asarray(point, dtype=float)
-        return bool(np.all(self.directions @ p <= self.offsets + slack))
-
-
-def box_octagon_directions(n: int) -> np.ndarray:
-    """+-e_i plus all +-e_i +- e_j rows: the box+octagon template family."""
-    rows = []
-    eye = np.eye(n)
-    for i in range(n):
-        rows.append(eye[i])
-        rows.append(-eye[i])
-    for i in range(n):
-        for j in range(i + 1, n):
-            for si in (1.0, -1.0):
-                for sj in (1.0, -1.0):
-                    rows.append(si * eye[i] + sj * eye[j])
-    return np.array(rows)
+def intersect_condition(box: Box, condition) -> Box | None:
+    """One-row ``clamp_boxes``: the clamped box, or None when it is empty."""
+    lo, hi, ok = clamp_boxes(box.lo[None, :], box.hi[None, :], condition)
+    return Box(lo[0], hi[0]) if ok[0] else None

@@ -175,6 +175,18 @@ def test_engine_error_maps_to_exit_3(tmp_path, capsys):
     assert "reduce the step" in err
 
 
+def test_diverging_flowpipe_is_an_engine_error(tmp_path, capsys):
+    cfg = (CORPUS_DIR / "platoon6" / "config.cfg").read_text()
+    assert "time-horizon = 12\n" in cfg
+    path = tmp_path / "long.cfg"
+    path.write_text(cfg.replace("time-horizon = 12\n", "time-horizon = 200\n"))
+    code, out, err = run(capsys, "reach", str(CORPUS_DIR / "platoon6" / "model.xml"), str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("engine error: ") and "floating-point range" in err
+    assert "Traceback" not in err
+
+
 def test_invalid_step_override_is_an_input_error(capsys):
     code, _, err = run(
         capsys, "check", str(CORPUS_DIR / "tank3" / "model.xml"), "--step", "100"

@@ -5,10 +5,9 @@ from hyra.errors import DimensionMismatch, MatrixOverflow
 from hyra.ir import Condition, LinearConstraint
 from hyra.sets import (
     Box,
-    TemplatePolytope,
     Zonotope,
     box_hull,
-    box_octagon_directions,
+    clamp_boxes,
     exp_with_integral,
     hull_zonotope,
     intersect_condition,
@@ -30,6 +29,21 @@ def taylor_expm(a, t, terms=60):
         term = term @ a / k
         acc = acc + term
     return acc
+
+
+def box_octagon_directions(n: int) -> np.ndarray:
+    """+-e_i plus all +-e_i +- e_j rows: the box+octagon template family."""
+    rows = []
+    eye = np.eye(n)
+    for i in range(n):
+        rows.append(eye[i])
+        rows.append(-eye[i])
+    for i in range(n):
+        for j in range(i + 1, n):
+            for si in (1.0, -1.0):
+                for sj in (1.0, -1.0):
+                    rows.append(si * eye[i] + sj * eye[j])
+    return np.array(rows)
 
 
 def unit_square():
@@ -216,11 +230,50 @@ def test_strict_relations_treated_as_closed():
     assert lt.hi[0] == 1.0
 
 
-def test_template_polytope_from_zonotope():
-    z = unit_square()
-    directions = box_octagon_directions(2)
-    assert directions.shape[0] >= 2 * z.dim
-    poly = TemplatePolytope.from_zonotope(z, directions)
-    for point in z.sample(200, seed=1):
-        assert poly.contains(point, slack=1e-12)
-    assert not poly.contains([3.0, 0.0])
+def scalar_clamp(lo, hi, condition):
+    """One box, one constraint row at a time: the oracle for clamp_boxes."""
+    lo, hi = lo.copy(), hi.copy()
+    for con in condition.constraints:
+        sign_rows = {"<=": [1.0], "<": [1.0], ">=": [-1.0], ">": [-1.0], "==": [1.0, -1.0]}
+        for sign in sign_rows[con.relation]:
+            coeffs, bound = sign * con.coeffs, sign * con.bound
+            terms_min = [c * lo[i] if c >= 0 else c * hi[i] for i, c in enumerate(coeffs)]
+            total_min = np.sum(terms_min)
+            if total_min > bound:
+                return None
+            for i in np.flatnonzero(coeffs):
+                limit = (bound - (total_min - terms_min[i])) / coeffs[i]
+                if coeffs[i] > 0:
+                    hi[i] = min(hi[i], limit)
+                else:
+                    lo[i] = max(lo[i], limit)
+                if lo[i] > hi[i]:
+                    return None
+    return lo, hi
+
+
+@pytest.mark.parametrize("relations", [("<=", ">="), ("==", "<="), ("<", ">"), ("==", "==")])
+def test_clamp_boxes_matches_intersect_condition_row_by_row(relations):
+    rng = np.random.default_rng(97)
+    n = 3
+    kept = emptied = 0
+    for _ in range(20):
+        center = rng.normal(size=(40, n))
+        radius = rng.uniform(0.0, 1.5, size=(40, n))
+        lo, hi = center - radius, center + radius
+        constraints = []
+        for relation in relations:
+            coeffs = rng.normal(size=n) * (rng.uniform(size=n) < 0.6)
+            constraints.append(LinearConstraint(coeffs, relation, float(rng.normal())))
+        cond = Condition(tuple(constraints))
+        out_lo, out_hi, ok = clamp_boxes(lo, hi, cond)
+        for k in range(len(lo)):
+            single = intersect_condition(Box(lo[k], hi[k]), cond)
+            oracle = scalar_clamp(lo[k], hi[k], cond)
+            assert ok[k] == (single is not None) == (oracle is not None)
+            if ok[k]:
+                assert np.array_equal(out_lo[k], single.lo) and np.array_equal(out_hi[k], single.hi)
+                assert np.array_equal(out_lo[k], oracle[0]) and np.array_equal(out_hi[k], oracle[1])
+        kept += int(ok.sum())
+        emptied += int((~ok).sum())
+    assert kept > 0 and emptied > 0
