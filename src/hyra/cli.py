@@ -2,15 +2,12 @@
 
 Exit codes (stable contract): 0 success / SafeProved, 1 PossiblyUnsafe,
 2 input or parse error, 3 engine error. stdout carries machine-parseable
-results only; human-oriented diagnostics go to stderr. HYRA_THREADS caps
-the internal worker count; the engine is sequential today, so the variable
-is accepted and validated but results never depend on it.
+results only; human-oriented diagnostics go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -29,17 +26,6 @@ EXIT_OK = 0
 EXIT_UNSAFE = 1
 EXIT_INPUT = 2
 EXIT_ENGINE = 3
-
-
-def _threads() -> int:
-    raw = os.environ.get("HYRA_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ModelFormatError(f"HYRA_THREADS must be an integer, got {raw!r}")
-    return max(1, count)
 
 
 def _read_text(path: str) -> str:
@@ -150,11 +136,10 @@ def cmd_check(args) -> int:
     return EXIT_OK if result.verdict == Verdict.SAFE_PROVED else EXIT_UNSAFE
 
 
-def cmd_simulate(args) -> int:
-    bundle = _load_bundle(args.model, args.cfg, None)
+def _simulate_runs(bundle: ModelBundle, args, step: float | None) -> int:
+    """Seeded runs: one RUN line each on stdout, all samples to ``--out`` as CSV."""
     kind = Integrator.EULER if args.integrator == "euler" else Integrator.HEUN
-    step = args.step if args.step is not None else bundle.settings.step / 10.0
-    options = SimOptions(step=step)
+    options = SimOptions(step=step if step is not None else bundle.settings.step / 10.0)
     points = sample_initial(bundle.initial.box, args.seeds, args.seed)
     state_vars = bundle.automaton.vars.state_vars
     chunks = []
@@ -171,6 +156,10 @@ def cmd_simulate(args) -> int:
     if args.out:
         Path(args.out).write_text("\n".join(chunks) + "\n")
     return EXIT_OK
+
+
+def cmd_simulate(args) -> int:
+    return _simulate_runs(_load_bundle(args.model, args.cfg, None), args, args.step)
 
 
 def cmd_plot(args) -> int:
@@ -223,23 +212,7 @@ def cmd_bench(args) -> int:
         _write_output(text, args.out)
         return EXIT_OK
     if sub == "simulate":
-        kind = Integrator.EULER if args.integrator == "euler" else Integrator.HEUN
-        options = SimOptions(step=bundle.settings.step / 10.0)
-        points = sample_initial(bundle.initial.box, args.seeds, args.seed)
-        chunks = []
-        for run, x0 in enumerate(points):
-            traj = simulate(bundle, x0, kind, options)
-            print(
-                f"RUN {run} samples={traj.sample_count} events={len(traj.events)} "
-                f"zeno={'true' if traj.zeno else 'false'}"
-            )
-            body = trajectory_to_csv(traj, bundle.automaton.vars.state_vars).splitlines()
-            if run == 0:
-                chunks.append("run," + body[0])
-            chunks.extend(f"{run},{line}" for line in body[1:])
-        if args.out:
-            Path(args.out).write_text("\n".join(chunks) + "\n")
-        return EXIT_OK
+        return _simulate_runs(bundle, args, None)
     raise ModelFormatError(f"unknown bench subcommand {sub!r}")
 
 
@@ -319,7 +292,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _threads()
         return args.func(args)
     except ModelFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

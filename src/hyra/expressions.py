@@ -228,7 +228,7 @@ class SymScalar:
     __slots__ = ("base", "terms")
 
     def __init__(self, base: float = 0.0, terms: dict | None = None):
-        self.base = float(base)
+        self.base = float(base) + 0.0  # + 0.0 turns -0.0 (from negating 0) into 0.0
         self.terms = {k: v for k, v in (terms or {}).items() if v != 0.0}
 
     @property

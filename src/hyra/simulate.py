@@ -6,6 +6,19 @@ integration re-anchors at the crossing time. A run halts early with
 ``zeno=True`` once enough consecutive inter-event gaps fall below the dwell
 threshold, recording a geometric estimate of the accumulation time.
 
+Dynamics are affine, so one Euler or Heun step is exactly x -> M x + e. Per
+location, ``simulate`` reads M and e off ``step`` (stepping the zero vector
+and the unit vectors), stacks M^1..M^K with their offsets for a chunk of
+K = 128 steps, and computes the next K states with one product. One more
+product evaluates every outgoing guard and the invariant on all of them.
+The chunk's leading steps are recorded as they are. The first step where a
+guard may cross, the invariant fails, the step is shortened by the horizon,
+or a constraint value lies too close to its threshold to be decided safely
+under rounding runs through the per-step path: ``detect_event`` on every
+outgoing transition, then ``step`` and the invariant check. A crossing
+between two recorded samples is therefore never skipped: the sign test of a
+chunk runs on exactly the states it records.
+
 Transition guards fire on a crossing: a guard already satisfied when a
 location is entered does not auto-fire (trivially-true "spontaneous"
 transitions are therefore never taken by the simulator; the reachability
@@ -21,12 +34,17 @@ from enum import Enum
 import numpy as np
 
 from .errors import InitOutsideInvariant, MaxEventsExceeded
-from .expressions import format_number
+from .expressions import format_numbers
 from .ir import AffineDynamics, Condition, ModelBundle, Transition
 from .sets import Box
 
 _GUARD_SLACK = 1e-9
 _EVENT_CHECK_SLACK = 1e-6
+_CHUNK = 128  # steps per chunk; a power of two, since the powers of M are built by doubling
+# A chunk hands a step to the per-step path when a constraint value lies
+# within this fraction of its magnitude of the threshold, so that the
+# chunk's product and the per-step dot products cannot decide differently.
+_ROUNDING = 1e-12
 
 
 class Integrator(str, Enum):
@@ -69,19 +87,18 @@ class Trajectory:
         return len(self.times)
 
 
+def _drive(dyn: AffineDynamics, u) -> np.ndarray:
+    """The constant part B u + c of the flow."""
+    return dyn.c if dyn.m == 0 else dyn.b @ np.asarray(u, dtype=float) + dyn.c
+
+
 def step(dyn: AffineDynamics, x, u, h: float, kind: Integrator) -> np.ndarray:
     """One integration step of x' = A x + B u + c.
 
     Euler: x + h f(x). Heun: x + (h/2)(f(x) + f(x + h f(x))); exact for
     constant-acceleration motion.
     """
-    x = np.asarray(x, dtype=float)
-    drive = dyn.c if dyn.m == 0 else dyn.b @ np.asarray(u, dtype=float) + dyn.c
-    f0 = dyn.a @ x + drive
-    if kind == Integrator.EULER:
-        return x + h * f0
-    f1 = dyn.a @ (x + h * f0) + drive
-    return x + 0.5 * h * (f0 + f1)
+    return _substep(dyn.a, _drive(dyn, u), np.asarray(x, dtype=float), h, kind)
 
 
 def _substep(a_mat, drive, x, tau: float, kind: Integrator) -> np.ndarray:
@@ -123,7 +140,7 @@ def detect_event(dyn: AffineDynamics, transition: Transition, x_before, t: float
         return None
     x0 = np.asarray(x_before, dtype=float)
     a_mat = dyn.a
-    drive = dyn.c if dyn.m == 0 else dyn.b @ np.asarray(u, dtype=float) + dyn.c
+    drive = _drive(dyn, u)
     x1 = _substep(a_mat, drive, x0, h, kind)
     tol = 1e-9 * max(1.0, t)
     eqs, ineqs = _split_guard(guard)
@@ -168,6 +185,88 @@ def detect_event(dyn: AffineDynamics, transition: Transition, x_before, t: float
         else:
             a = mid
     return b, xb
+
+
+class _Chunk:
+    """One location's chunked stepper for a fixed step length h.
+
+    Every constraint the per-step path would test is a column with a margin
+    that is >= 0 exactly when the test passes: the invariant constraints and
+    the ``_GUARD_SLACK`` rows of inequality-only guards as slack -/+ (c.x - b),
+    and the first equality of each crossing guard as its plain sign c.x - b.
+    """
+
+    def __init__(self, dyn: AffineDynamics, invariant: Condition, transitions, u, h: float,
+                 kind: Integrator):
+        n = dyn.n
+        offset = step(dyn, np.zeros(n), u, h, kind)
+        m_mat = np.array([step(dyn, unit, u, h, kind) - offset for unit in np.eye(n)]).T
+        powers, offsets = m_mat[None], offset[None]
+        while len(powers) < _CHUNK:  # M^(j+k) = M^j M^k, o_(j+k) = M^k o_j + o_k
+            top = powers[-1]
+            offsets = np.concatenate((offsets, offsets @ top.T + offsets[-1]))
+            powers = np.concatenate((powers, powers @ top))
+        self.h = h
+        self.powers = powers.reshape(_CHUNK * n, n)
+        self.offsets = offsets
+        self.steps = np.full(_CHUNK + 1, h)
+
+        columns = []  # (constraint, sign, slack, absolute)
+
+        def tested(constraints) -> list:
+            """Columns for constraints the per-step path checks with ``_GUARD_SLACK``."""
+            start = len(columns)
+            for con in constraints:
+                sign = 1.0 if con.relation in (">=", ">") else -1.0
+                columns.append((con, sign, _GUARD_SLACK, con.relation == "=="))
+            return list(range(start, len(columns)))
+
+        self.invariant = tested(invariant.constraints)
+        self.crossings = []
+        self.switches = []
+        for trans in transitions:
+            eqs, ineqs = _split_guard(trans.guard)
+            if eqs:
+                self.crossings.append(len(columns))
+                columns.append((eqs[0], 1.0, 0.0, False))
+            elif ineqs:
+                self.switches.append(tested(ineqs))
+        self.coeffs = np.array([c.coeffs for c, *_ in columns]).reshape(-1, n).T
+        self.abs_coeffs = np.abs(self.coeffs)
+        self.bounds = np.array([c.bound for c, *_ in columns])
+        self.sign = np.array([s for _, s, _, _ in columns])
+        self.slack = np.array([s for _, _, s, _ in columns])
+        self.absolute = np.array([a for *_, a in columns], dtype=bool)
+        self.scale = np.abs(self.bounds) + self.slack
+
+    def advance(self, x, t: float, last_time: float, horizon: float) -> tuple:
+        """(k, times, states) of the leading steps from (t, x) with nothing to decide.
+
+        Such a step is a full step of length h, its recorded time advances,
+        no guard may cross on it, it stays inside the invariant, and no
+        tested value at either end is within rounding of its threshold.
+        """
+        states = (self.powers @ x).reshape(_CHUNK, -1) + self.offsets
+        self.steps[0] = t
+        times = np.cumsum(self.steps)  # the same sums as t += h, one step at a time
+        plain = (times[:-1] < horizon - 1e-12) & (horizon - times[:-1] >= self.h)
+        plain &= times[1:] > np.concatenate(([last_time], times[1:-1]))
+        if len(self.bounds):
+            path = np.concatenate((x[None], states))
+            g = path @ self.coeffs - self.bounds
+            margin = np.where(self.absolute, self.slack - np.abs(g), self.sign * g + self.slack)
+            band = _ROUNDING * (np.abs(path) @ self.abs_coeffs + self.scale)
+            clear = ~(np.abs(margin) <= band).any(axis=1)
+            ok = margin >= 0.0
+            plain &= clear[:-1] & clear[1:] & ok[1:, self.invariant].all(axis=1)
+            for cols in self.switches:
+                holds = ok[:, cols].all(axis=1)
+                plain &= holds[:-1] | ~holds[1:]
+            if self.crossings:
+                above = ok[:, self.crossings]
+                plain &= (above[:-1] == above[1:]).all(axis=1)
+        k = _CHUNK if plain.all() else int(np.argmin(plain))
+        return k, times[1:k + 1], states[:k]
 
 
 def _zeno_estimate(events: list) -> float:
@@ -217,9 +316,10 @@ def simulate(bundle: ModelBundle, x0, kind: Integrator = Integrator.HEUN,
     horizon = options.horizon if options.horizon is not None else bundle.settings.horizon
     h = options.step
 
-    times = [0.0]
+    # samples are kept as blocks: times (k,), states (k, n)
+    times = [np.zeros(1)]
     locs = [loc.name]
-    states = [x.copy()]
+    states = [x[None]]
     events: list = []
     zeno = False
     zeno_time = None
@@ -228,8 +328,22 @@ def simulate(bundle: ModelBundle, x0, kind: Integrator = Integrator.HEUN,
     t = 0.0
 
     outgoing = {l.name: automaton.transitions_from(l.name) for l in automaton.locations}
+    chunks: dict = {}
 
     while t < horizon - 1e-12:
+        chunk = chunks.get(loc.name)
+        if chunk is None:
+            chunk = chunks[loc.name] = _Chunk(loc.dynamics, loc.invariant, outgoing[loc.name], u, h, kind)
+        k, block_times, block_states = chunk.advance(x, t, times[-1][-1], horizon)
+        if k:
+            times.append(block_times)
+            states.append(block_states)
+            locs.extend([loc.name] * k)
+            t, x = float(block_times[-1]), block_states[-1]
+            if k == _CHUNK or not t < horizon - 1e-12:
+                continue
+
+        # the per-step path, for the one step the chunk could not take plainly
         step_h = min(h, horizon - t)
         best = None
         for trans in outgoing[loc.name]:
@@ -277,21 +391,21 @@ def simulate(bundle: ModelBundle, x0, kind: Integrator = Integrator.HEUN,
         x = x_next
         _append_sample(times, locs, states, t, loc.name, x)
 
-    return Trajectory(np.array(times), locs, np.array(states), events, zeno, zeno_time, truncated)
+    return Trajectory(np.concatenate(times), locs, np.concatenate(states), events, zeno, zeno_time, truncated)
 
 
 def _append_sample(times, locs, states, t, loc_name, x):
-    if times and t <= times[-1]:
-        t = math.nextafter(times[-1], math.inf)
-    times.append(t)
+    if t <= times[-1][-1]:
+        t = math.nextafter(times[-1][-1], math.inf)
+    times.append(np.array([t]))
     locs.append(loc_name)
-    states.append(np.asarray(x, dtype=float).copy())
+    states.append(np.array(x, dtype=float, ndmin=2))
 
 
 def _invariant_exit(dyn, invariant, x, h, kind, u):
     """Last time in [0, h] still (weakly) inside the invariant."""
     a_mat = dyn.a
-    drive = dyn.c if dyn.m == 0 else dyn.b @ np.asarray(u, dtype=float) + dyn.c
+    drive = _drive(dyn, u)
     a, b = 0.0, h
     xa = np.asarray(x, dtype=float)
     while b - a > 1e-12 * max(1.0, h):
@@ -322,20 +436,28 @@ def sample_initial(box: Box, k: int, seed: int) -> list:
     return points[:k]
 
 
+def _csv_lines(heads: list, values) -> list:
+    """Each head followed by the formatted entries of the matching row of ``values``."""
+    values = np.asarray(values, dtype=float)
+    cells = np.array(format_numbers(values), dtype=object).reshape(values.shape)
+    return [head + ",".join(row) for head, row in zip(heads, cells)]
+
+
 def trajectory_to_csv(traj: Trajectory, state_vars) -> str:
-    lines = ["time,location," + ",".join(state_vars)]
-    for t, loc, row in zip(traj.times, traj.locations, traj.states):
-        values = ",".join(format_number(v) for v in row)
-        lines.append(f"{format_number(t)},{loc},{values}")
+    heads = [f"{t},{loc}," for t, loc in zip(format_numbers(traj.times), traj.locations)]
+    lines = ["time,location," + ",".join(state_vars)] + _csv_lines(heads, traj.states)
     return "\n".join(lines) + "\n"
 
 
 def events_to_csv(traj: Trajectory, state_vars) -> str:
     pre = ",".join(f"pre_{v}" for v in state_vars)
     post = ",".join(f"post_{v}" for v in state_vars)
-    lines = [f"time,label,source,target,{pre},{post}"]
-    for e in traj.events:
-        pre_vals = ",".join(format_number(v) for v in e.pre_state)
-        post_vals = ",".join(format_number(v) for v in e.post_state)
-        lines.append(f"{format_number(e.time)},{e.label or ''},{e.source},{e.target},{pre_vals},{post_vals}")
+    events = traj.events
+    heads = [
+        f"{t},{e.label or ''},{e.source},{e.target},"
+        for t, e in zip(format_numbers([e.time for e in events]), events)
+    ]
+    rows = np.reshape([np.concatenate((e.pre_state, e.post_state)) for e in events],
+                      (len(events), 2 * len(state_vars)))
+    lines = [f"time,label,source,target,{pre},{post}"] + _csv_lines(heads, rows)
     return "\n".join(lines) + "\n"

@@ -33,6 +33,25 @@ class SegmentIndex:
         )
         return bool(np.any(time_ok & inside))
 
+    def covered(self, times, states, slack: float = 1e-6) -> np.ndarray:
+        """``covers`` for every sample at once: the same time window and slack."""
+        times = np.asarray(times, dtype=float)
+        states = np.asarray(states, dtype=float)
+        right = np.searchsorted(self.time_lo, times + 1e-12, side="right")
+        left = np.searchsorted(self.time_lo, times - self.max_span - 1e-12, side="left")
+        out = np.zeros(len(times), dtype=bool)
+        # the k-th candidate segment of every sample not yet covered, k = 0, 1, ...
+        for k in range(int(np.max(right - left, initial=0))):
+            rows = np.flatnonzero((left + k < right) & ~out)
+            seg = left[rows] + k
+            x = states[rows]
+            out[rows] = (
+                (self.time_hi[seg] >= times[rows] - 1e-12)
+                & np.all(x >= self.lo[seg] - slack, axis=1)
+                & np.all(x <= self.hi[seg] + slack, axis=1)
+            )
+        return out
+
 
 def simulation_inside_flowpipe(bundle, result, n_sims: int, seed: int, slack: float = 1e-6):
     """Count containment violations of seeded simulations against a reach result.
@@ -50,16 +69,12 @@ def simulation_inside_flowpipe(bundle, result, n_sims: int, seed: int, slack: fl
     first = None
     for x0 in points:
         traj = simulate(bundle, x0, Integrator.HEUN, options)
-        event_times = [e.time for e in traj.events]
-        next_event = 0
-        for t, state in zip(traj.times, traj.states):
-            while next_event < len(event_times) and event_times[next_event] <= t:
-                next_event += 1
-            if next_event > bundle.settings.max_jumps:
-                break
-            checked += 1
-            if not index.covers(t, state, slack):
-                violations += 1
-                if first is None:
-                    first = (float(t), state.copy())
+        # events at or before each sample; it never decreases, so the checked samples are a prefix
+        jumps = np.searchsorted([e.time for e in traj.events], traj.times, side="right")
+        count = int(np.count_nonzero(jumps <= bundle.settings.max_jumps))
+        checked += count
+        outside = np.flatnonzero(~index.covered(traj.times[:count], traj.states[:count], slack))
+        violations += len(outside)
+        if first is None and len(outside):
+            first = (float(traj.times[outside[0]]), traj.states[outside[0]].copy())
     return checked, violations, first

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from hyra.cli import main
 
 from support import CORPUS_DIR
@@ -79,6 +81,27 @@ def test_simulate_writes_runs(tmp_path, capsys):
     lines = out_csv.read_text().splitlines()
     assert lines[0] == "run,time,location,x1,x2,x3"
     assert {line.split(",")[0] for line in lines[1:]} == {"0", "1", "2"}
+
+
+def test_bench_simulate_matches_simulate_on_the_bundle_file(tmp_path, capsys):
+    outputs = []
+    for argv in (
+        ("bench", "tank3", "simulate"),
+        ("simulate", str(CORPUS_DIR / "tank3" / "bundle.json")),
+    ):
+        out_csv = tmp_path / f"{argv[0]}.csv"
+        code, out, _ = run(capsys, *argv, "--seeds", "2", "--seed", "7", "--out", str(out_csv))
+        assert code == 0
+        outputs.append((out, out_csv.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0].count("RUN ") == 2
+
+
+@pytest.mark.parametrize("model", ["bouncing-ball", "linswitch4", "platoon6", "tank3"])
+def test_translate_xml_to_json_matches_the_bundle_bytes(model, capsys):
+    code, out, _ = run(capsys, "translate", str(CORPUS_DIR / model / "model.xml"), "--to", "json")
+    assert code == 0
+    assert out == (CORPUS_DIR / model / "bundle.json").read_text()
 
 
 def test_plot_svg_is_deterministic(tmp_path, capsys):
@@ -193,13 +216,3 @@ def test_invalid_step_override_is_an_input_error(capsys):
     )
     assert code == 2
     assert "--step" in err
-
-
-def test_threads_env_is_validated(monkeypatch, capsys):
-    monkeypatch.setenv("HYRA_THREADS", "not-a-number")
-    code, _, err = run(capsys, "bench", "tank3", "check")
-    assert code == 2
-    assert "HYRA_THREADS" in err
-    monkeypatch.setenv("HYRA_THREADS", "4")
-    code, out, _ = run(capsys, "bench", "tank3", "check")
-    assert code == 0

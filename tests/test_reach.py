@@ -446,3 +446,23 @@ def test_segment_csv_formats_every_value_like_format_number():
             cells += [format_number(lo), format_number(hi)]
         assert line == ",".join(cells)
     assert lines[1] == "0,1,a,0,0,0,1e+22,1e+22,5e-324,5e-324,3,3"
+
+
+@pytest.mark.parametrize("build", [build_bouncing_ball, build_tank, build_linswitch, build_platoon])
+def test_batched_flowpipe_index_agrees_with_the_scalar_query(build):
+    from hyra.simulate import Integrator, SimOptions, sample_initial, simulate
+
+    from support import SegmentIndex
+
+    bundle = build()
+    index = SegmentIndex(reach(bundle).segments)
+    x0 = sample_initial(bundle.initial.box, 1, seed=0)[0]
+    traj = simulate(bundle, x0, Integrator.HEUN, SimOptions(step=bundle.settings.step / 10.0))
+    # the run itself and copies pushed off it, so that both answers occur
+    answers = []
+    for push in (0.0, 0.05, 1e100):  # platoon boxes reach about 1e78
+        states = traj.states + push * (1.0 + np.abs(traj.states))
+        batched = index.covered(traj.times, states)
+        assert batched.tolist() == [index.covers(t, x) for t, x in zip(traj.times, states)]
+        answers += batched.tolist()
+    assert set(answers) == {True, False}

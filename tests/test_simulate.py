@@ -4,12 +4,30 @@ import numpy as np
 import pytest
 
 from hyra.corpus import build_bouncing_ball, build_linswitch, build_platoon, build_tank
-from hyra.errors import InitOutsideInvariant
-from hyra.ir import AffineDynamics
+from hyra.errors import InitOutsideInvariant, MaxEventsExceeded
+from hyra.expressions import format_number
+from hyra.ir import (
+    AffineDynamics,
+    Condition,
+    HybridAutomaton,
+    InitialCondition,
+    LinearConstraint,
+    Location,
+    ModelBundle,
+    ReachSettings,
+    ResetMap,
+    Transition,
+    VariableTable,
+)
 from hyra.sets import Box
 from hyra.simulate import (
     Integrator,
+    SimEvent,
     SimOptions,
+    Trajectory,
+    _Chunk,
+    _invariant_exit,
+    _zeno_estimate,
     detect_event,
     events_to_csv,
     sample_initial,
@@ -91,8 +109,6 @@ def test_no_crossing_means_no_event():
 
 def test_crossing_at_step_boundary_is_detected():
     # x' = -1 from 0.1 with guard x <= 0: the crossing sits exactly at tau = 0.1
-    from hyra.ir import Condition, LinearConstraint, ResetMap, Transition
-
     dyn = AffineDynamics([[0.0]], np.zeros((1, 0)), [-1.0])
     trans = Transition("a", "a", Condition((LinearConstraint([1.0], "<=", 0.0),)), ResetMap.identity(1))
     hit = detect_event(dyn, trans, np.array([0.1]), 0.0, 0.1, Integrator.HEUN, ())
@@ -104,8 +120,6 @@ def test_crossing_at_step_boundary_is_detected():
 
 def test_upward_guard_crossing_does_not_fire():
     # guard x == 0 & v <= 0 must not fire while moving up through zero
-    from hyra.ir import Condition, LinearConstraint, ResetMap, Transition
-
     rising = np.array([-0.001, 5.0])
     dyn = AffineDynamics([[0.0, 1.0], [0.0, 0.0]], np.zeros((2, 0)), [0.0, -GRAVITY])
     guard = Condition((LinearConstraint([1.0, 0.0], "==", 0.0), LinearConstraint([0.0, 1.0], "<=", 0.0)))
@@ -144,16 +158,6 @@ def test_constant_model_never_zeno():
 
 
 def test_frozen_dynamics_give_constant_samples():
-    from hyra.ir import (
-        Condition,
-        HybridAutomaton,
-        InitialCondition,
-        Location,
-        ModelBundle,
-        ReachSettings,
-        VariableTable,
-    )
-
     automaton = HybridAutomaton(
         "still",
         VariableTable(("x", "y")),
@@ -223,8 +227,6 @@ def test_start_outside_invariant_rejected():
 
 
 def test_event_cap_raises_when_zeno_detection_is_off():
-    from hyra.errors import MaxEventsExceeded
-
     bundle = build_bouncing_ball()
     options = SimOptions(step=1e-3, zeno_dwell=0.0, max_events=5)
     with pytest.raises(MaxEventsExceeded):
@@ -270,3 +272,170 @@ def test_csv_exports():
     events = events_to_csv(traj, table)
     assert events.splitlines()[0].startswith("time,label,source,target,pre_x1")
     assert len(events.splitlines()) == 1 + len(traj.events)
+
+
+def test_csv_exports_format_every_value_like_format_number():
+    pre = np.array([-0.0, 1e22, 3.0])
+    post = np.array([2.0, -7.0, 0.1])
+    states = np.array([[-0.0, 1e22, 3.0], [2.0, -1e-300, 5e-324]])
+    event = SimEvent(1e22, None, "a", "b", pre, post)
+    traj = Trajectory(np.array([0.0, 1.0]), ["a", "b"], states, [event])
+    names = ("x", "y", "z")
+    lines = trajectory_to_csv(traj, names).splitlines()
+    for line, t, loc, row in zip(lines[1:], traj.times, traj.locations, states):
+        assert line == ",".join([format_number(t), loc] + [format_number(v) for v in row])
+    assert lines[1] == "0,a,0,1e+22,3"
+    rows = events_to_csv(traj, names).splitlines()
+    assert rows[1] == ",".join(["1e+22", "", "a", "b"] + [format_number(v) for v in [*pre, *post]])
+    assert rows[1] == "1e+22,,a,b,0,1e+22,3,2,-7,0.1"
+    traj.events = []
+    assert events_to_csv(traj, names) == "time,label,source,target,pre_x,pre_y,pre_z,post_x,post_y,post_z\n"
+
+
+# ---------------------------------------------------------------------------
+# invariant exit and the per-step reference
+
+
+def _ramp_bundle():
+    """x' = 1 under the invariant x <= 1 with no transitions."""
+    automaton = HybridAutomaton(
+        "ramp",
+        VariableTable(("x",)),
+        (Location("up", Condition((LinearConstraint([1.0], "<=", 1.0),)),
+                  AffineDynamics([[0.0]], np.zeros((1, 0)), [1.0])),),
+        (),
+    )
+    return ModelBundle(
+        automaton,
+        ReachSettings(2.0, 0.1, 0, None, None, False),
+        InitialCondition("up", Box([0.25], [0.25])),
+    )
+
+
+@pytest.mark.parametrize("kind", list(Integrator))
+def test_leaving_the_invariant_truncates_at_its_boundary(kind):
+    x0 = 0.25
+    traj = simulate(_ramp_bundle(), [x0], kind, SimOptions(step=0.01))
+    assert traj.truncated is not None and "invariant" in traj.truncated
+    assert not traj.events
+    assert abs(traj.states[-1, 0] - 1.0) <= 1e-9
+    assert traj.times[-1] == pytest.approx(1.0 - x0, abs=1e-9)
+    assert np.all(np.diff(traj.times) > 0.0)
+
+
+def reference_simulate(bundle, x0, kind, options):
+    """The plain per-step loop: detect_event on every transition, then step()."""
+    automaton = bundle.automaton.resolved()
+    loc = automaton.location(bundle.initial.location)
+    x = np.asarray(x0, dtype=float)
+    u = np.zeros(0) if not automaton.vars.m else automaton.input_box().center
+    horizon = options.horizon if options.horizon is not None else bundle.settings.horizon
+    times, locs, states, events = [0.0], [loc.name], [x], []
+    zeno, truncated, streak, t = False, None, 0, 0.0
+
+    def record(t, x):
+        times.append(t if t > times[-1] else math.nextafter(times[-1], math.inf))
+        locs.append(loc.name)
+        states.append(x)
+
+    while t < horizon - 1e-12:
+        step_h = min(options.step, horizon - t)
+        best = None
+        for trans in automaton.transitions_from(loc.name):
+            hit = detect_event(loc.dynamics, trans, x, t, step_h, kind, u)
+            if hit is not None and (best is None or hit[0] < best[0]):
+                best = (hit[0], trans, hit[1])
+        if best is not None:
+            tau, trans, x_cross = best
+            t_event = t + tau
+            if events and t_event <= events[-1].time:
+                t_event = math.nextafter(events[-1].time, math.inf)
+            x = trans.reset.apply(x_cross)
+            events.append(SimEvent(t_event, trans.label, trans.source, trans.target, x_cross, x))
+            if len(events) > options.max_events:
+                raise MaxEventsExceeded("event cap")
+            loc, t = automaton.location(trans.target), t_event
+            record(t, x)
+            if not loc.invariant.satisfied(x, 1e-7):
+                truncated = "reset"
+                break
+            gap = t_event - events[-2].time if len(events) >= 2 else math.inf
+            streak = streak + 1 if gap < options.zeno_dwell else 0
+            if streak >= options.zeno_count:
+                zeno = True
+                break
+            continue
+        x_next = step(loc.dynamics, x, u, step_h, kind)
+        if not loc.invariant.satisfied(x_next, 1e-9):
+            tau, x = _invariant_exit(loc.dynamics, loc.invariant, x, step_h, kind, u)
+            t += tau
+            record(t, x)
+            truncated = "invariant"
+            break
+        t += step_h
+        x = x_next
+        record(t, x)
+    zeno_time = _zeno_estimate(events) if zeno else None
+    return Trajectory(np.array(times), locs, np.array(states), events, zeno, zeno_time, truncated)
+
+
+def _sawtooth_bundle():
+    """x' = -1 from [0.9, 0.95], x := 0.987 on x == 0: a crossing guard and no invariant."""
+    automaton = HybridAutomaton(
+        "saw",
+        VariableTable(("x",)),
+        (Location("down", Condition(), AffineDynamics([[0.0]], np.zeros((1, 0)), [-1.0])),),
+        (Transition("down", "down", Condition((LinearConstraint([1.0], "==", 0.0),)),
+                    ResetMap([[0.0]], [0.987]), "wrap"),),
+    )
+    return ModelBundle(
+        automaton,
+        ReachSettings(3.5, 0.1, 3, None, None, False),
+        InitialCondition("down", Box([0.9], [0.95])),
+    )
+
+
+def test_crossing_guard_inside_the_invariant_fires():
+    traj = simulate(_sawtooth_bundle(), [0.9437], Integrator.HEUN, SimOptions(step=0.01))
+    assert [e.time for e in traj.events] == pytest.approx([0.9437, 1.9307, 2.9177], abs=1e-8)
+    assert traj.truncated is None and traj.times[-1] == pytest.approx(3.5)
+
+
+def test_values_within_rounding_of_a_threshold_go_to_the_per_step_path():
+    # frozen state 1e-15 off the surface x1 == x2: no sign change, but too
+    # close to call for a product whose rounding may differ from a dot product
+    dyn = AffineDynamics.zero(2)
+    guard = Condition((LinearConstraint([1.0, -1.0], "==", 0.0),))
+    chunk = _Chunk(dyn, Condition(), (Transition("a", "a", guard, ResetMap.identity(2)),), (), 0.1,
+                   Integrator.HEUN)
+    assert chunk.advance(np.array([1.0, 1.0 + 1e-9]), 0.0, 0.0, 100.0)[0] > 0
+    assert chunk.advance(np.array([1.0, 1.0 + 1e-15]), 0.0, 0.0, 100.0)[0] == 0
+
+
+@pytest.mark.parametrize(
+    "build", [build_bouncing_ball, build_tank, build_linswitch, build_platoon, _sawtooth_bundle]
+)
+def test_chunked_simulate_matches_the_per_step_loop(build):
+    bundle = build()
+    x0 = sample_initial(bundle.initial.box, 1, seed=0)[0]
+    options = SimOptions(step=bundle.settings.step / 10.0)
+    got = simulate(bundle, x0, Integrator.HEUN, options)
+    want = reference_simulate(bundle, x0, Integrator.HEUN, options)
+    assert got.sample_count == want.sample_count
+    assert got.locations == want.locations
+    assert (got.zeno, got.truncated is None) == (want.zeno, want.truncated is None)
+    key = [(e.source, e.target, e.label) for e in got.events]
+    assert key == [(e.source, e.target, e.label) for e in want.events]
+    # The chunk's states differ from the stepped ones in the last bits. That
+    # can move a bisection by a few brackets of its tolerance 1e-9 max(1, t)
+    # (the ball's Zeno tail), after which the runs differ by that shift.
+    shifted = math.inf
+    for a, b in zip(got.events, want.events):
+        assert abs(a.time - b.time) <= 4e-9 * max(1.0, b.time)
+        if a.time != b.time:
+            shifted = min(shifted, b.time)
+    same = want.times < shifted
+    assert np.array_equal(got.times[same], want.times[same])
+    # relative per sample: the platoon runs diverge to about 1e23
+    err = np.linalg.norm(got.states[same] - want.states[same], axis=1)
+    assert np.all(err <= 1e-9 * np.linalg.norm(want.states[same], axis=1))
