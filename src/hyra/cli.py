@@ -8,6 +8,7 @@ results only; human-oriented diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -90,9 +91,10 @@ def _verdict_line(result) -> str:
 # Commands
 
 
-def cmd_validate(args) -> int:
-    path = Path(args.model)
-    if path.suffix == ".json":
+def cmd_validate(args, bundle: ModelBundle | None = None) -> int:
+    if bundle is not None:
+        automaton = bundle.automaton
+    elif Path(args.model).suffix == ".json":
         automaton = read_json(_read_text(args.model)).automaton
     else:
         automaton = parse_spaceex(_read_text(args.model), validated=False)
@@ -105,8 +107,8 @@ def cmd_validate(args) -> int:
     return EXIT_INPUT
 
 
-def cmd_translate(args) -> int:
-    bundle = _load_bundle(args.model, args.cfg, None)
+def cmd_translate(args, bundle: ModelBundle | None = None) -> int:
+    bundle = bundle or _load_bundle(args.model, args.cfg, None)
     if args.to == "flowstar":
         text = emit_flowstar(bundle)
     elif args.to == "spaceex":
@@ -117,8 +119,8 @@ def cmd_translate(args) -> int:
     return EXIT_OK
 
 
-def cmd_reach(args) -> int:
-    bundle = _load_bundle(args.model, args.cfg, args.step)
+def cmd_reach(args, bundle: ModelBundle | None = None) -> int:
+    bundle = bundle or _load_bundle(args.model, args.cfg, args.step)
     result = reach(bundle)
     print(_verdict_line(result))
     if result.stats.termination is not None:
@@ -129,17 +131,18 @@ def cmd_reach(args) -> int:
     return EXIT_OK if result.verdict == Verdict.SAFE_PROVED else EXIT_UNSAFE
 
 
-def cmd_check(args) -> int:
-    bundle = _load_bundle(args.model, args.cfg, args.step)
+def cmd_check(args, bundle: ModelBundle | None = None) -> int:
+    bundle = bundle or _load_bundle(args.model, args.cfg, args.step)
     result = reach(bundle)
     print(_verdict_line(result))
     return EXIT_OK if result.verdict == Verdict.SAFE_PROVED else EXIT_UNSAFE
 
 
-def _simulate_runs(bundle: ModelBundle, args, step: float | None) -> int:
+def cmd_simulate(args, bundle: ModelBundle | None = None) -> int:
     """Seeded runs: one RUN line each on stdout, all samples to ``--out`` as CSV."""
+    bundle = bundle or _load_bundle(args.model, args.cfg, None)
     kind = Integrator.EULER if args.integrator == "euler" else Integrator.HEUN
-    options = SimOptions(step=step if step is not None else bundle.settings.step / 10.0)
+    options = SimOptions(step=args.step if args.step is not None else bundle.settings.step / 10.0)
     points = sample_initial(bundle.initial.box, args.seeds, args.seed)
     state_vars = bundle.automaton.vars.state_vars
     chunks = []
@@ -158,68 +161,38 @@ def _simulate_runs(bundle: ModelBundle, args, step: float | None) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    return _simulate_runs(_load_bundle(args.model, args.cfg, None), args, args.step)
-
-
-def cmd_plot(args) -> int:
-    proj = project_csv(_read_text(args.csv), args.x, args.y)
+def cmd_plot(args, bundle: ModelBundle | None = None) -> int:
+    """Project a CSV export; with a bundle, project its own reach result."""
+    if bundle is None:
+        proj = project_csv(_read_text(args.csv), args.x, args.y)
+    else:
+        csv_text = segments_to_csv(reach(bundle), bundle.automaton.vars.state_vars)
+        x_name, y_name = bundle.settings.output_vars or bundle.automaton.vars.state_vars[:2]
+        proj = project_csv(csv_text, args.x or x_name, args.y or y_name)
     text = projection_to_svg(proj) if args.format == "svg" else projection_to_csv(proj)
     _write_output(text, args.out)
     return EXIT_OK
 
 
+_FILE_COMMANDS = {"check": cmd_check, "reach": cmd_reach, "validate": cmd_validate,
+                  "translate": cmd_translate, "simulate": cmd_simulate, "plot": cmd_plot}
+
+
 def cmd_bench(args) -> int:
+    """Run a file command on a built-in benchmark's bundle instead of a file."""
     try:
         bench = corpus.benchmark_from_name(args.name)
     except KeyError as exc:
         raise ModelFormatError(str(exc.args[0])) from exc
-    bundle = corpus.build(bench)
-    sub = args.subcommand
-    if sub == "check":
-        result = reach(bundle)
-        print(_verdict_line(result))
-        return EXIT_OK if result.verdict == Verdict.SAFE_PROVED else EXIT_UNSAFE
-    if sub == "reach":
-        result = reach(bundle)
-        print(_verdict_line(result))
-        if args.out:
-            Path(args.out).write_text(segments_to_csv(result, bundle.automaton.vars.state_vars))
-        return EXIT_OK if result.verdict == Verdict.SAFE_PROVED else EXIT_UNSAFE
-    if sub == "validate":
-        report = validate(bundle.automaton)
-        if report.ok:
-            print("OK")
-            return EXIT_OK
-        for defect in report:
-            print(f"DEFECT {defect.code} {defect.message}")
-        return EXIT_INPUT
-    if sub == "translate":
-        if args.to == "flowstar":
-            text = emit_flowstar(bundle)
-        elif args.to == "spaceex":
-            text = emit_spaceex(bundle.automaton)
-        else:
-            text = write_json(bundle)
-        _write_output(text, args.out)
-        return EXIT_OK
-    if sub == "plot":
-        result = reach(bundle)
-        csv_text = segments_to_csv(result, bundle.automaton.vars.state_vars)
-        x_name, y_name = bundle.settings.output_vars or bundle.automaton.vars.state_vars[:2]
-        proj = project_csv(csv_text, args.x or x_name, args.y or y_name)
-        text = projection_to_svg(proj) if args.format == "svg" else projection_to_csv(proj)
-        _write_output(text, args.out)
-        return EXIT_OK
-    if sub == "simulate":
-        return _simulate_runs(bundle, args, None)
-    raise ModelFormatError(f"unknown bench subcommand {sub!r}")
+    return _FILE_COMMANDS[args.subcommand](args, corpus.build(bench))
 
 
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="hyra",
         description="Affine hybrid automata: translate models, compute flowpipes, simulate runs.",
@@ -273,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name")
     p.add_argument(
         "subcommand",
-        choices=("check", "reach", "validate", "translate", "simulate", "plot"),
+        choices=tuple(_FILE_COMMANDS),
     )
     p.add_argument("--to", choices=("flowstar", "spaceex", "json"), default="flowstar")
     p.add_argument("--integrator", choices=("euler", "heun"), default="heun")
@@ -283,14 +256,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", default=None)
     p.add_argument("--format", choices=("svg", "csv"), default="svg")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_bench)
+    p.set_defaults(func=cmd_bench, step=None)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ModelFormatError as exc:

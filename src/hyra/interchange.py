@@ -4,11 +4,17 @@
 round-trip floats via json); ``read_json`` validates against the shipped
 schema (data/bundle.schema.json) before building IR objects, so malformed
 documents fail with SchemaViolation instead of deep attribute errors.
+Values the schema admits but the IR rejects (non-finite or empty initial
+boxes, a NaN step, an initial location the model lacks) fail the same way.
+The shipped schema itself is checked against its meta-schema once per
+process, on the first read; every read then validates with the validator
+built at that point.
 write_json(read_json(s)) == s holds for any canonical s.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from importlib import resources
 
@@ -32,15 +38,28 @@ from .ir import (
 )
 from .sets import Box
 
-_schema_cache = None
 
-
+@functools.cache
 def _schema() -> dict:
-    global _schema_cache
-    if _schema_cache is None:
-        text = resources.files("hyra.data").joinpath("bundle.schema.json").read_text()
-        _schema_cache = json.loads(text)
-    return _schema_cache
+    return json.loads(resources.files("hyra.data").joinpath("bundle.schema.json").read_text())
+
+
+class _ShippedSchema:
+    """``cls`` for ``jsonschema.validate``: the first ``check_schema`` runs the
+    meta-schema check and builds the validator for the schema's draft; later
+    calls skip both, and the constructor hands back that one validator."""
+
+    validator = None
+
+    @classmethod
+    def check_schema(cls, schema: dict) -> None:
+        if cls.validator is None:
+            kind = jsonschema.validators.validator_for(schema)
+            kind.check_schema(schema)
+            cls.validator = kind(schema)
+
+    def __new__(cls, schema: dict):
+        return cls.validator
 
 
 def _terms_out(terms: dict) -> dict:
@@ -155,10 +174,16 @@ def _condition_in(data: list) -> Condition:
 
 def bundle_from_dict(data: dict) -> ModelBundle:
     try:
-        jsonschema.validate(data, _schema())
+        jsonschema.validate(data, _schema(), cls=_ShippedSchema)
     except jsonschema.ValidationError as exc:
         raise SchemaViolation(f"bundle document rejected: {exc.message}") from exc
+    try:
+        return _build_bundle(data)
+    except ValueError as exc:
+        raise SchemaViolation(f"bundle document rejected: {exc}") from exc
 
+
+def _build_bundle(data: dict) -> ModelBundle:
     variables = data["variables"]
     table = VariableTable(
         tuple(variables["state"]), tuple(variables["input"]), dict(variables["constants"])
@@ -207,6 +232,8 @@ def bundle_from_dict(data: dict) -> ModelBundle:
         s["fixpoint"],
     )
     init = data["initial"]
+    if init["location"] not in automaton.location_names():
+        raise SchemaViolation(f"initial location {init['location']!r} not in model")
     missing = [v for v in table.state_vars if v not in init["box"]]
     if missing:
         raise SchemaViolation(f"initial box misses variables: {', '.join(missing)}")

@@ -383,6 +383,8 @@ class ReachSettings:
     def __post_init__(self):
         if not (0 < self.step <= self.horizon):
             raise ValueError("need 0 < step <= horizon")
+        if not np.isfinite(self.horizon):
+            raise ValueError("horizon must be finite")
         if self.max_jumps < 0:
             raise ValueError("max_jumps must be >= 0")
         if self.output_vars is not None:

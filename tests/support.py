@@ -1,11 +1,29 @@
 """Shared helpers for the test suite."""
 
+import json
 from pathlib import Path
 
 import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CORPUS_DIR = REPO_ROOT / "corpus"
+SCHEMA_PATH = REPO_ROOT / "src" / "hyra" / "data" / "bundle.schema.json"
+
+# Values the bundle schema admits but the IR rejects, applied to the ball's bundle.
+BAD_VALUES = {
+    "infinite-bound": lambda d: d["initial"]["box"]["x"].__setitem__(1, float("inf")),
+    "empty-box": lambda d: d["initial"]["box"].update(x=[10.2, 10.0]),
+    "nan-step": lambda d: d["settings"].update(step=float("nan")),
+    "infinite-horizon": lambda d: d["settings"].update(horizon=float("inf")),
+    "unknown-location": lambda d: d["initial"].update(location="nowhere"),
+}
+
+
+def bad_value_document(case: str) -> str:
+    """The ball's bundle.json with one value changed as ``BAD_VALUES[case]`` says."""
+    data = json.loads((CORPUS_DIR / "bouncing-ball" / "bundle.json").read_text())
+    BAD_VALUES[case](data)
+    return json.dumps(data, indent=2)
 
 
 class SegmentIndex:

@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from hyra.cli import main
+from hyra.cli import build_parser, main
+from hyra.corpus import benchmark_from_name, build
 
-from support import CORPUS_DIR
+from support import BAD_VALUES, CORPUS_DIR, bad_value_document
 
 
 def run(capsys, *argv):
@@ -216,3 +217,76 @@ def test_invalid_step_override_is_an_input_error(capsys):
     )
     assert code == 2
     assert "--step" in err
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VALUES))
+@pytest.mark.parametrize(
+    "command", [("validate",), ("translate", "--to", "flowstar"), ("check",)], ids=lambda c: c[0]
+)
+def test_bad_json_values_are_input_errors(case, command, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(bad_value_document(case))
+    code, out, err = run(capsys, command[0], str(path), *command[1:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("model", ["bouncing-ball", "linswitch4", "platoon6", "tank3"])
+def test_bench_commands_match_the_file_commands(model, tmp_path, capsys):
+    xml = str(CORPUS_DIR / model / "model.xml")
+    bench = build(benchmark_from_name(model))
+    x_name, y_name = bench.settings.output_vars or bench.automaton.vars.state_vars[:2]
+    csv_path = tmp_path / "file-reach.csv"
+    pairs = [
+        (["check"], ["check", xml]),
+        (["validate"], ["validate", xml]),
+        (["reach", "--out", "{out}"], ["reach", xml, "--out", "{out}"]),
+        (["plot"], ["plot", str(csv_path), "--x", x_name, "--y", y_name]),
+        (["plot", "--format", "csv", "--out", "{out}"],
+         ["plot", str(csv_path), "--x", x_name, "--y", y_name, "--format", "csv", "--out", "{out}"]),
+    ]
+    for to in ("flowstar", "spaceex", "json"):
+        pairs.append((["translate", "--to", to], ["translate", xml, "--to", to]))
+    pairs.append((["translate", "--to", "json", "--out", "{out}"],
+                  ["translate", xml, "--to", "json", "--out", "{out}"]))
+    run(capsys, "reach", xml, "--out", str(csv_path))
+    for bench_args, file_args in pairs:
+        results = []
+        for side, argv in (("bench", ["bench", model, *bench_args]), ("file", file_args)):
+            out_path = tmp_path / f"{side}.out"
+            code, out, _ = run(capsys, *(a.replace("{out}", str(out_path)) for a in argv))
+            results.append((code, out, out_path.read_bytes() if out_path.exists() else None))
+        assert results[0] == results[1], bench_args
+        assert results[0][1] or results[0][2], bench_args
+
+
+def test_in_process_calls_match_fresh_parsers(tmp_path, capsys):
+    xml = str(CORPUS_DIR / "tank3" / "model.xml")
+    out_path = tmp_path / "tank3.model"
+    sequence = [
+        ["translate", xml, "--to", "flowstar"],
+        ["translate", xml, "--to", "pdf"],
+        ["translate", xml, "--to", "json", "--out", str(out_path)],
+        ["translate", xml, "--to", "json"],
+        ["validate", xml],
+    ]
+
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    build_parser.cache_clear()
+    reused = [call(argv) for argv in sequence]
+    fresh = []
+    for argv in sequence:
+        build_parser.cache_clear()
+        fresh.append(call(argv))
+    assert reused == fresh
+    assert reused[1][0] == ("exit", 2)
+    assert reused[3][1] == (CORPUS_DIR / "tank3" / "bundle.json").read_text()
+    assert out_path.read_text() == reused[3][1]

@@ -32,6 +32,12 @@ def test_missing_horizon_is_an_error():
         parse_config("sampling-time = 0.1", TABLE)
 
 
+@pytest.mark.parametrize("text", ["time-horizon = inf", "time-horizon = inf\nsampling-time = 0.1"])
+def test_infinite_horizon_is_an_error(text):
+    with pytest.raises(ConfigError, match="horizon must be finite"):
+        parse_config(text, TABLE)
+
+
 def test_unknown_key_rejected():
     with pytest.raises(UnknownKey):
         parse_config("time-horizon = 1\nwibble = 3", TABLE)

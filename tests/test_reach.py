@@ -391,6 +391,8 @@ def test_random_affine_systems_contain_their_simulations():
     # sample must land in the segment covering its time
     from hyra.simulate import Integrator, SimOptions, sample_initial, simulate
 
+    from support import SegmentIndex
+
     rng = np.random.default_rng(2718)
     for trial in range(8):
         n = int(rng.integers(1, 4))
@@ -411,15 +413,13 @@ def test_random_affine_systems_contain_their_simulations():
             InitialCondition("flow", Box(center - radius, center + radius)),
         )
         result = reach(bundle)
-        segments = result.segments
-        assert segments[-1].time_hi == pytest.approx(1.0)
+        assert result.segments[-1].time_hi == pytest.approx(1.0)
+        index = SegmentIndex(result.segments)
         for x0 in sample_initial(bundle.initial.box, 10, seed=trial):
             traj = simulate(bundle, x0, Integrator.HEUN, SimOptions(step=0.001))
-            for t, state in zip(traj.times, traj.states):
-                candidates = [s for s in segments if s.time_lo - 1e-12 <= t <= s.time_hi + 1e-12]
-                assert any(s.box().contains(state, 1e-6) for s in candidates), (
-                    f"trial {trial}: escape at t={t}"
-                )
+            times = np.asarray(traj.times)
+            inside = index.covered(times, traj.states, 1e-6)
+            assert inside.all(), f"trial {trial}: escape at t={times[~inside][0]}"
 
 
 def test_segment_csv_has_per_variable_bounds():
