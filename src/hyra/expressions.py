@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
+import orjson
 
 from .errors import ExpressionSyntaxError, NonlinearUnsupported, UnknownIdentifier
 from .ir import Condition, LinearConstraint, VariableTable
@@ -369,14 +370,39 @@ def format_number(x: float) -> str:
     return text
 
 
-def format_numbers(values) -> list:
-    """``format_number`` of every entry of an array, in C order."""
-    flat = np.asarray(values, dtype=float).ravel() + 0.0  # + 0.0 turns -0.0 into 0.0
-    texts = list(map(repr, flat.tolist()))
-    # repr ends in ".0" exactly for integral values below 1e16
-    for i in np.flatnonzero((flat == np.trunc(flat)) & (np.abs(flat) < 1e16)).tolist():
-        texts[i] = texts[i][:-2]
-    return texts
+def format_rows(values) -> list:
+    """The CSV row texts of a 2-d array: each row's ``format_number`` cells joined by ``,``.
+
+    One ``orjson.dumps`` call writes every value as its shortest round-trip
+    digits, the same digits ``repr`` picks. Whole-text fix-ups then turn
+    orjson's notation into ``format_number``'s, each run only when a mask
+    shows a value that needs it: integral values lose ``.0``, and positive
+    exponents gain their ``+``. Cells whose text differs in more than that
+    are written as ``null`` and filled in with ``format_number``:
+    non-finite values, and 1e-9 <= |x| < 1e-4, where orjson writes
+    ``0.000015`` or ``1.5e-7`` and ``repr`` ``1.5e-05`` or ``1.5e-07``.
+    """
+    a = np.ascontiguousarray(values, dtype=np.float64) + 0.0  # + 0.0 turns -0.0 into 0.0
+    mag = np.abs(a)
+    finite = np.isfinite(a)
+    special = ~finite | ((mag >= 1e-9) & (mag < 1e-4))
+    fills = [format_number(v) for v in a[special].tolist()]
+    a[special] = np.nan
+    integral = (a == np.trunc(a)) & (mag < 1e16)
+    text = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)
+    if integral[:, :-1].any():
+        text = text.replace(b".0,", b",")
+    if integral[:, -1:].any():
+        text = text.replace(b".0]", b"]")
+    if np.any(finite & (mag >= 1e16)):
+        text = text.replace(b"e", b"e+")
+        if np.any((mag > 0.0) & (mag < 1e-9)):
+            text = text.replace(b"e+-", b"e-")
+    text = text.decode()
+    if fills:
+        parts = text.split("null")
+        text = "".join([s for pair in zip(parts, fills) for s in pair]) + parts[-1]
+    return text[2:-2].split("],[") if len(a) else []
 
 
 def _append_term(parts: list, scalar_text: str, sign: float):

@@ -344,7 +344,15 @@ class HybridAutomaton:
         return Box(lo, hi)
 
     def resolved(self) -> "HybridAutomaton":
-        """Fold symbolic constant references into plain numbers."""
+        """Fold symbolic constant references into plain numbers.
+
+        The automaton is frozen, so the fold runs once and is kept; the
+        result resolves to itself. ``bind_constant`` returns a new automaton,
+        which resolves afresh.
+        """
+        cached = self.__dict__.get("_resolved")
+        if cached is not None:
+            return cached
         consts = self.vars.constants
         locations = tuple(
             Location(l.name, l.invariant.resolve(consts), l.dynamics.resolve(consts))
@@ -354,7 +362,10 @@ class HybridAutomaton:
             Transition(t.source, t.target, t.guard.resolve(consts), t.reset.resolve(consts), t.label)
             for t in self.transitions
         )
-        return HybridAutomaton(self.name, self.vars, locations, transitions, self.input_range)
+        result = HybridAutomaton(self.name, self.vars, locations, transitions, self.input_range)
+        object.__setattr__(result, "_resolved", result)
+        object.__setattr__(self, "_resolved", result)
+        return result
 
 
 @dataclass(frozen=True, eq=False)

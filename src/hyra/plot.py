@@ -9,8 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ModelFormatError
-from .expressions import format_number
+from .expressions import format_number, format_rows
 
 _CANVAS_W = 800.0
 _CANVAS_H = 600.0
@@ -70,16 +72,12 @@ def project_csv(text: str, x_name: str, y_name: str) -> Projection:
 
 def projection_to_csv(proj: Projection) -> str:
     if proj.kind == "flowpipe":
-        lines = [f"lo_{proj.x_name},hi_{proj.x_name},lo_{proj.y_name},hi_{proj.y_name}"]
-        for xl, xh, yl, yh in proj.rects:
-            lines.append(",".join(format_number(v) for v in (xl, xh, yl, yh)))
+        header = f"lo_{proj.x_name},hi_{proj.x_name},lo_{proj.y_name},hi_{proj.y_name}"
+        values = np.reshape(proj.rects, (-1, 4))
     else:
-        lines = [f"{proj.x_name},{proj.y_name}"]
-        for point in proj.points:
-            if point is None:
-                continue
-            lines.append(f"{format_number(point[0])},{format_number(point[1])}")
-    return "\n".join(lines) + "\n"
+        header = f"{proj.x_name},{proj.y_name}"
+        values = np.reshape([p for p in proj.points if p is not None], (-1, 2))
+    return "\n".join([header, *format_rows(values)]) + "\n"
 
 
 def _fmt(v: float) -> str:

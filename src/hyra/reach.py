@@ -38,7 +38,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import HyraError, InitOutsideInvariant, NonFiniteFlowpipe, StepTooLarge
-from .expressions import format_number, format_numbers
+from .expressions import format_number, format_rows
 from .ir import Condition, LinearConstraint, ModelBundle, validate
 from .sets import (
     Box,
@@ -689,12 +689,10 @@ def segments_to_csv(result: ReachResult, state_vars) -> str:
     bounds = np.empty((len(segments), 2 * len(state_vars)))
     bounds[:, 0::2] = segments.lo
     bounds[:, 1::2] = segments.hi
-    width = bounds.shape[1]
-    cells = format_numbers(bounds)
-    lines = [",".join(header)]
-    for i, (t_lo, t_hi, loc, depth) in enumerate(zip(
-        format_numbers(segments.time_lo), format_numbers(segments.time_hi),
-        segments.location.tolist(), segments.depth.tolist(),
-    )):
-        lines.append(",".join([t_lo, t_hi, loc, str(depth), *cells[i * width:(i + 1) * width]]))
+    times = format_rows(np.column_stack((segments.time_lo, segments.time_hi)))
+    lines = [",".join(header)] + [
+        f"{t},{loc},{depth},{b}" for t, loc, depth, b in zip(
+            times, segments.location.tolist(), segments.depth.tolist(), format_rows(bounds)
+        )
+    ]
     return "\n".join(lines) + "\n"

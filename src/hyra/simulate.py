@@ -34,7 +34,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InitOutsideInvariant, MaxEventsExceeded
-from .expressions import format_numbers
+from .expressions import format_rows
 from .ir import AffineDynamics, Condition, ModelBundle, Transition
 from .sets import Box
 
@@ -436,16 +436,11 @@ def sample_initial(box: Box, k: int, seed: int) -> list:
     return points[:k]
 
 
-def _csv_lines(heads: list, values) -> list:
-    """Each head followed by the formatted entries of the matching row of ``values``."""
-    values = np.asarray(values, dtype=float)
-    cells = np.array(format_numbers(values), dtype=object).reshape(values.shape)
-    return [head + ",".join(row) for head, row in zip(heads, cells)]
-
-
 def trajectory_to_csv(traj: Trajectory, state_vars) -> str:
-    heads = [f"{t},{loc}," for t, loc in zip(format_numbers(traj.times), traj.locations)]
-    lines = ["time,location," + ",".join(state_vars)] + _csv_lines(heads, traj.states)
+    times = format_rows(np.reshape(traj.times, (-1, 1)))
+    lines = ["time,location," + ",".join(state_vars)] + [
+        f"{t},{loc},{row}" for t, loc, row in zip(times, traj.locations, format_rows(traj.states))
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -453,11 +448,10 @@ def events_to_csv(traj: Trajectory, state_vars) -> str:
     pre = ",".join(f"pre_{v}" for v in state_vars)
     post = ",".join(f"post_{v}" for v in state_vars)
     events = traj.events
-    heads = [
-        f"{t},{e.label or ''},{e.source},{e.target},"
-        for t, e in zip(format_numbers([e.time for e in events]), events)
+    times = format_rows(np.reshape([e.time for e in events], (-1, 1)))
+    rows = format_rows(np.reshape([np.concatenate((e.pre_state, e.post_state)) for e in events],
+                                  (len(events), 2 * len(state_vars))))
+    lines = [f"time,label,source,target,{pre},{post}"] + [
+        f"{t},{e.label or ''},{e.source},{e.target},{row}" for t, e, row in zip(times, events, rows)
     ]
-    rows = np.reshape([np.concatenate((e.pre_state, e.post_state)) for e in events],
-                      (len(events), 2 * len(state_vars)))
-    lines = [f"time,label,source,target,{pre},{post}"] + _csv_lines(heads, rows)
     return "\n".join(lines) + "\n"

@@ -7,6 +7,7 @@ from hyra.expressions import (
     format_condition,
     format_linear,
     format_number,
+    format_rows,
     linear_form,
     parse_condition,
     parse_expression,
@@ -101,6 +102,59 @@ def test_format_number_shortest_roundtrip():
     assert format_number(-9.81) == "-9.81"
     assert format_number(-0.0) == "0"
     assert float(format_number(0.1 + 0.2)) == 0.1 + 0.2
+
+
+def _reference_rows(values):
+    return [",".join(format_number(v) for v in row) for row in values]
+
+
+def test_format_rows_matches_format_number_on_random_bit_patterns():
+    rng = np.random.default_rng(20181)
+    bits = rng.integers(0, 2**64, size=(40_000, 5), dtype=np.uint64)
+    with np.errstate(invalid="ignore"):  # some patterns are signalling NaNs
+        values = bits.view(np.float64)
+        assert format_rows(values) == _reference_rows(values)
+
+
+def test_format_rows_matches_format_number_on_decimal_like_values():
+    rng = np.random.default_rng(20182)
+    digits = rng.integers(1, 18, 60_000)
+    mantissas = [int(rng.integers(1, 10 ** int(k))) for k in digits]
+    exponents = rng.integers(-9, 23, 60_000) - digits + 1  # leading digit in 1e-9..1e22
+    signs = rng.choice(["", "-"], 60_000)
+    values = np.array(
+        [f"{s}{m}e{e}" for s, m, e in zip(signs, mantissas, exponents)], dtype=float
+    ).reshape(-1, 6)
+    assert format_rows(values) == _reference_rows(values)
+
+
+EDGE_VALUES = [
+    0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e-10, 1e-9, 1.5e-9, 9.99e-9,
+    1e-5, 1.5e-5, 9.99e-5, 1e-4, 1.5e-4, 0.1, 1.0, 3.0, 12.0, 1234567.0, 1e15,
+    9007199254740993.0, 9999999999999998.0, 1e16, 1.5e16, 1e22, 1e23, 1.7976931348623157e308,
+    float("nan"), float("inf"),
+]
+
+
+def test_format_rows_edge_values():
+    values = np.array(EDGE_VALUES + [-v for v in EDGE_VALUES])
+    near = [np.nextafter(b, side) for b in (1e-9, 1e-5, 1e-4, 1e16) for side in (0.0, np.inf)]
+    values = np.concatenate([values, near, np.negative(near)])
+    for shaped in (values.reshape(-1, 1), values.reshape(1, -1), values.reshape(-1, 2)):
+        assert format_rows(shaped) == _reference_rows(shaped)
+    for v in values:  # alone or next to one large value, so that no other value switches a fix-up on
+        for row in ([v], [v, 1e22], [1e22, v]):
+            assert format_rows([row]) == _reference_rows([row])
+    assert format_rows([[-0.0, 1e22, 1.5e-5, 2.0, float("-inf"), float("nan")]]) == [
+        "0,1e+22,1.5e-05,2,-inf,nan"
+    ]
+
+
+def test_format_rows_empty_and_single_column():
+    assert format_rows(np.zeros((0, 3))) == []
+    assert format_rows(np.zeros((0, 1))) == []
+    assert format_rows(np.zeros((2, 0))) == ["", ""]
+    assert format_rows(np.array([[7.0], [0.5], [1e-7]])) == ["7", "0.5", "1e-07"]
 
 
 def test_format_linear_readable_rows():

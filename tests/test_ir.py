@@ -103,6 +103,19 @@ def test_bind_constant_revalues_symbolic_reset():
     assert bundle.automaton.resolved().transitions[0].reset.r_matrix[1, 1] == -0.75
 
 
+def test_resolved_is_computed_once_and_rebinding_resolves_afresh():
+    ball = build_bouncing_ball().automaton
+    resolved = ball.resolved()
+    assert ball.resolved() is resolved
+    assert resolved.resolved() is resolved
+    fresh = HybridAutomaton(ball.name, ball.vars, ball.locations, ball.transitions, ball.input_range)
+    assert fresh.resolved() is not resolved and fresh.resolved() == resolved
+    rebound = bind_constant(ball, "c", 0.9)
+    assert rebound.resolved() is not resolved
+    assert rebound.resolved().transitions[0].reset.r_matrix[1, 1] == -0.9
+    assert ball.resolved().transitions[0].reset.r_matrix[1, 1] == -0.75
+
+
 def test_bind_unknown_symbol_raises():
     with pytest.raises(UnknownSymbol):
         bind_constant(build_bouncing_ball().automaton, "z", 1.0)

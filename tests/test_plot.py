@@ -2,7 +2,8 @@ import pytest
 
 from hyra.corpus import build_tank
 from hyra.errors import ModelFormatError
-from hyra.plot import project_csv, projection_to_csv, projection_to_svg
+from hyra.expressions import format_number
+from hyra.plot import Projection, project_csv, projection_to_csv, projection_to_svg
 from hyra.reach import reach, segments_to_csv
 from hyra.simulate import Integrator, SimOptions, simulate, trajectory_to_csv
 
@@ -27,6 +28,19 @@ def test_flowpipe_projection_to_rectangles():
     csv = projection_to_csv(proj)
     assert csv.splitlines()[0] == "lo_x2,hi_x2,lo_x3,hi_x3"
     assert len(csv.splitlines()) == 1 + len(proj.rects)
+
+
+def test_projection_csv_formats_every_value_like_format_number():
+    values = [-0.0, 1e22, 1.5e-5, 3.0, float("nan"), float("-inf"), 0.1, 5e-324]
+    rects = [tuple(values[:4]), tuple(values[4:])]
+    proj = Projection("flowpipe", "x", "y", rects, [])
+    expected = ["lo_x,hi_x,lo_y,hi_y"] + [",".join(format_number(v) for v in r) for r in rects]
+    assert projection_to_csv(proj) == "\n".join(expected) + "\n"
+    assert expected[1:] == ["0,1e+22,1.5e-05,3", "nan,-inf,0.1,5e-324"]
+    points = [(1e-7, 2.0), None, (-1e16, 0.5)]
+    proj = Projection("trajectory", "x", "y", [], points)
+    assert projection_to_csv(proj) == "x,y\n1e-07,2\n-1e+16,0.5\n"
+    assert projection_to_csv(Projection("trajectory", "x", "y", [], [None])) == "x,y\n"
 
 
 def test_trajectory_projection_to_polyline():

@@ -430,22 +430,59 @@ def test_segment_csv_has_per_variable_bounds():
     assert len(lines) == 1 + len(result.segments)
 
 
-def test_segment_csv_formats_every_value_like_format_number():
-    values = np.array([[-0.0, 1e22, 5e-324, 3.0], [2.0, -7.0, 0.1, -1e-300]])
-    segments = Segments(
-        np.array([0.0, 1.0]), np.array([1.0, 1e22]), values, np.zeros_like(values),
-        np.array(["a", "b"], dtype=object), np.array([0, 2]),
-    )
-    result = ReachResult(segments, Verdict.SAFE_PROVED, ReachStats())
-    lines = segments_to_csv(result, ("w", "x", "y", "z")).splitlines()
-    assert len(lines) == 3
-    for line, seg in zip(lines[1:], segments):
+def _csv_by_format_number(segments, state_vars) -> str:
+    """The flowpipe CSV written one ``format_number`` call per value."""
+    header = ["time_lo", "time_hi", "location", "jump_depth"]
+    header += [f"{side}_{var}" for var in state_vars for side in ("lo", "hi")]
+    lines = [",".join(header)]
+    for seg in segments:
         box = seg.box()
         cells = [format_number(seg.time_lo), format_number(seg.time_hi), seg.location, str(seg.jump_depth)]
         for lo, hi in zip(box.lo, box.hi):
             cells += [format_number(lo), format_number(hi)]
-        assert line == ",".join(cells)
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def _hand_made_result():
+    values = np.array([[-0.0, 1e22, 5e-324, 3.0], [2.0, -7.0, 0.1, -1e-300], [1.5e-5, -2e-7, 1e16, 1e-4]])
+    segments = Segments(
+        np.array([0.0, 1.0, 2.5e-5]), np.array([1.0, 1e22, 3.0]), values, np.zeros_like(values),
+        np.array(["a", "b", "c"], dtype=object), np.array([0, 2, 1]),
+    )
+    return ReachResult(segments, Verdict.SAFE_PROVED, ReachStats()), ("w", "x", "y", "z")
+
+
+def _empty_result():
+    empty = np.zeros((0, 2))
+    segments = Segments(np.zeros(0), np.zeros(0), empty, empty, np.array([], dtype=object), np.zeros(0, dtype=int))
+    return ReachResult(segments, Verdict.SAFE_PROVED, ReachStats()), ("x", "v")
+
+
+def _corpus_result(build):
+    def make():
+        bundle = build()
+        return reach(bundle), bundle.automaton.vars.state_vars
+    return make
+
+
+@pytest.mark.parametrize("make", [
+    _hand_made_result, _empty_result,
+    *(_corpus_result(b) for b in (build_bouncing_ball, build_tank, build_linswitch, build_platoon)),
+], ids=["hand-made", "empty", "bouncing-ball", "tank3", "linswitch4", "platoon6"])
+def test_segment_csv_formats_every_value_like_format_number(make):
+    result, state_vars = make()
+    text = segments_to_csv(result, state_vars)
+    assert text == _csv_by_format_number(result.segments, state_vars)
+    assert len(text.splitlines()) == 1 + len(result.segments)
+
+
+def test_segment_csv_hand_made_rows():
+    result, state_vars = _hand_made_result()
+    lines = segments_to_csv(result, state_vars).splitlines()
     assert lines[1] == "0,1,a,0,0,0,1e+22,1e+22,5e-324,5e-324,3,3"
+    assert lines[3] == "2.5e-05,3,c,1,1.5e-05,1.5e-05,-2e-07,-2e-07,1e+16,1e+16,0.0001,0.0001"
+    assert segments_to_csv(*_empty_result()) == "time_lo,time_hi,location,jump_depth,lo_x,hi_x,lo_v,hi_v\n"
 
 
 @pytest.mark.parametrize("build", [build_bouncing_ball, build_tank, build_linswitch, build_platoon])

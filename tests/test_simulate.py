@@ -274,19 +274,50 @@ def test_csv_exports():
     assert len(events.splitlines()) == 1 + len(traj.events)
 
 
-def test_csv_exports_format_every_value_like_format_number():
+def _trajectory_csv_by_format_number(traj, names) -> tuple:
+    """Both simulation CSVs written one ``format_number`` call per value."""
+    lines = ["time,location," + ",".join(names)]
+    for t, loc, row in zip(traj.times, traj.locations, traj.states):
+        lines.append(",".join([format_number(t), loc] + [format_number(v) for v in row]))
+    events = [",".join(["time,label,source,target"] + [f"pre_{v}" for v in names] + [f"post_{v}" for v in names])]
+    for e in traj.events:
+        values = [*e.pre_state, *e.post_state]
+        events.append(",".join([format_number(e.time), e.label or "", e.source, e.target] + [format_number(v) for v in values]))
+    return "\n".join(lines) + "\n", "\n".join(events) + "\n"
+
+
+def _hand_made_trajectory():
     pre = np.array([-0.0, 1e22, 3.0])
     post = np.array([2.0, -7.0, 0.1])
-    states = np.array([[-0.0, 1e22, 3.0], [2.0, -1e-300, 5e-324]])
+    states = np.array([[-0.0, 1e22, 3.0], [2.0, -1e-300, 5e-324], [math.nan, math.inf, -math.inf]])
     event = SimEvent(1e22, None, "a", "b", pre, post)
-    traj = Trajectory(np.array([0.0, 1.0]), ["a", "b"], states, [event])
-    names = ("x", "y", "z")
+    return Trajectory(np.array([0.0, 1.0, 1.5e-5]), ["a", "b", "b"], states, [event]), ("x", "y", "z")
+
+
+def _corpus_trajectory(build):
+    def make():
+        bundle = build()
+        x0 = sample_initial(bundle.initial.box, 1, seed=3)[0]
+        traj = simulate(bundle, x0, Integrator.HEUN, SimOptions(step=bundle.settings.step / 10.0))
+        return traj, bundle.automaton.vars.state_vars
+    return make
+
+
+@pytest.mark.parametrize("make", [
+    _hand_made_trajectory,
+    *(_corpus_trajectory(b) for b in (build_bouncing_ball, build_tank, build_linswitch, build_platoon)),
+], ids=["hand-made", "bouncing-ball", "tank3", "linswitch4", "platoon6"])
+def test_csv_exports_format_every_value_like_format_number(make):
+    traj, names = make()
+    assert (trajectory_to_csv(traj, names), events_to_csv(traj, names)) == _trajectory_csv_by_format_number(traj, names)
+
+
+def test_csv_exports_hand_made_rows():
+    traj, names = _hand_made_trajectory()
     lines = trajectory_to_csv(traj, names).splitlines()
-    for line, t, loc, row in zip(lines[1:], traj.times, traj.locations, states):
-        assert line == ",".join([format_number(t), loc] + [format_number(v) for v in row])
     assert lines[1] == "0,a,0,1e+22,3"
+    assert lines[3] == "1.5e-05,b,nan,inf,-inf"
     rows = events_to_csv(traj, names).splitlines()
-    assert rows[1] == ",".join(["1e+22", "", "a", "b"] + [format_number(v) for v in [*pre, *post]])
     assert rows[1] == "1e+22,,a,b,0,1e+22,3,2,-7,0.1"
     traj.events = []
     assert events_to_csv(traj, names) == "time,label,source,target,pre_x,pre_y,pre_z,post_x,post_y,post_z\n"
