@@ -10,7 +10,7 @@ current constant values. All values are immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -36,6 +36,38 @@ def _terms_equal(t1: dict, t2: dict) -> bool:
     return all(np.array_equal(t1[k], t2[k]) for k in t1)
 
 
+def _terms_field():
+    """A dict of symbolic-term arrays, compared entry by entry."""
+    return field(default_factory=dict, metadata={"terms": True})
+
+
+def _fields_equal(self, other) -> bool:
+    """Field-wise equality of two IR values of the same class.
+
+    Arrays compare with ``np.array_equal``, symbolic-term dicts with
+    ``_terms_equal``, boxes by their bounds and everything else with ``==``;
+    fields declared with ``compare=False`` are skipped. A class that sets
+    ``__eq__`` to this and no ``__hash__`` is unhashable, like its arrays.
+    """
+    if not isinstance(other, type(self)):
+        return False
+    for f in fields(self):
+        if not f.compare:
+            continue
+        mine, theirs = getattr(self, f.name), getattr(other, f.name)
+        if isinstance(mine, np.ndarray):
+            same = np.array_equal(mine, theirs)
+        elif f.metadata.get("terms"):
+            same = _terms_equal(mine, theirs)
+        elif isinstance(mine, Box):
+            same = np.array_equal(mine.lo, theirs.lo) and np.array_equal(mine.hi, theirs.hi)
+        else:
+            same = mine == theirs
+        if not same:
+            return False
+    return True
+
+
 def _apply_terms(base: np.ndarray, terms: dict, constants: dict) -> np.ndarray:
     out = np.array(base, dtype=float)
     for name, mult in terms.items():
@@ -56,13 +88,7 @@ class VariableTable:
         object.__setattr__(self, "input_vars", tuple(self.input_vars))
         object.__setattr__(self, "constants", dict(self.constants))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, VariableTable)
-            and self.state_vars == other.state_vars
-            and self.input_vars == other.input_vars
-            and self.constants == other.constants
-        )
+    __eq__ = _fields_equal
 
     @property
     def n(self) -> int:
@@ -86,7 +112,7 @@ class LinearConstraint:
     coeffs: np.ndarray
     relation: str
     bound: float
-    coeff_terms: dict = field(default_factory=dict)
+    coeff_terms: dict = _terms_field()
     bound_terms: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -97,15 +123,7 @@ class LinearConstraint:
         object.__setattr__(self, "coeff_terms", _freeze_terms(self.coeff_terms))
         object.__setattr__(self, "bound_terms", dict(sorted(self.bound_terms.items())))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, LinearConstraint)
-            and np.array_equal(self.coeffs, other.coeffs)
-            and self.relation == other.relation
-            and self.bound == other.bound
-            and _terms_equal(self.coeff_terms, other.coeff_terms)
-            and self.bound_terms == other.bound_terms
-        )
+    __eq__ = _fields_equal
 
     @property
     def symbols(self) -> set:
@@ -134,8 +152,7 @@ class Condition:
     def __post_init__(self):
         object.__setattr__(self, "constraints", tuple(self.constraints))
 
-    def __eq__(self, other):
-        return isinstance(other, Condition) and self.constraints == other.constraints
+    __eq__ = _fields_equal
 
     @property
     def is_true(self) -> bool:
@@ -165,9 +182,9 @@ class AffineDynamics:
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    a_terms: dict = field(default_factory=dict)
-    b_terms: dict = field(default_factory=dict)
-    c_terms: dict = field(default_factory=dict)
+    a_terms: dict = _terms_field()
+    b_terms: dict = _terms_field()
+    c_terms: dict = _terms_field()
 
     def __post_init__(self):
         object.__setattr__(self, "a", _freeze(self.a))
@@ -177,16 +194,7 @@ class AffineDynamics:
         object.__setattr__(self, "b_terms", _freeze_terms(self.b_terms))
         object.__setattr__(self, "c_terms", _freeze_terms(self.c_terms))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, AffineDynamics)
-            and np.array_equal(self.a, other.a)
-            and np.array_equal(self.b, other.b)
-            and np.array_equal(self.c, other.c)
-            and _terms_equal(self.a_terms, other.a_terms)
-            and _terms_equal(self.b_terms, other.b_terms)
-            and _terms_equal(self.c_terms, other.c_terms)
-        )
+    __eq__ = _fields_equal
 
     @classmethod
     def zero(cls, n: int, m: int = 0) -> "AffineDynamics":
@@ -218,8 +226,8 @@ class ResetMap:
 
     r_matrix: np.ndarray
     r_offset: np.ndarray
-    matrix_terms: dict = field(default_factory=dict)
-    offset_terms: dict = field(default_factory=dict)
+    matrix_terms: dict = _terms_field()
+    offset_terms: dict = _terms_field()
 
     def __post_init__(self):
         object.__setattr__(self, "r_matrix", _freeze(self.r_matrix))
@@ -227,14 +235,7 @@ class ResetMap:
         object.__setattr__(self, "matrix_terms", _freeze_terms(self.matrix_terms))
         object.__setattr__(self, "offset_terms", _freeze_terms(self.offset_terms))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ResetMap)
-            and np.array_equal(self.r_matrix, other.r_matrix)
-            and np.array_equal(self.r_offset, other.r_offset)
-            and _terms_equal(self.matrix_terms, other.matrix_terms)
-            and _terms_equal(self.offset_terms, other.offset_terms)
-        )
+    __eq__ = _fields_equal
 
     @classmethod
     def identity(cls, n: int) -> "ResetMap":
@@ -269,13 +270,7 @@ class Location:
     invariant: Condition
     dynamics: AffineDynamics
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Location)
-            and self.name == other.name
-            and self.invariant == other.invariant
-            and self.dynamics == other.dynamics
-        )
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,15 +281,7 @@ class Transition:
     reset: ResetMap
     label: str | None = None
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Transition)
-            and self.source == other.source
-            and self.target == other.target
-            and self.guard == other.guard
-            and self.reset == other.reset
-            and self.label == other.label
-        )
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,15 +301,7 @@ class HybridAutomaton:
             {k: (float(v[0]), float(v[1])) for k, v in dict(self.input_range).items()},
         )
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, HybridAutomaton)
-            and self.name == other.name
-            and self.vars == other.vars
-            and self.locations == other.locations
-            and self.transitions == other.transitions
-            and self.input_range == other.input_range
-        )
+    __eq__ = _fields_equal
 
     def location(self, name: str) -> Location:
         for loc in self.locations:
@@ -373,13 +352,7 @@ class InitialCondition:
     location: str
     box: Box
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, InitialCondition)
-            and self.location == other.location
-            and np.array_equal(self.box.lo, other.box.lo)
-            and np.array_equal(self.box.hi, other.box.hi)
-        )
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True, eq=False)
@@ -401,16 +374,7 @@ class ReachSettings:
         if self.output_vars is not None:
             object.__setattr__(self, "output_vars", tuple(self.output_vars))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ReachSettings)
-            and self.horizon == other.horizon
-            and self.step == other.step
-            and self.max_jumps == other.max_jumps
-            and self.forbidden == other.forbidden
-            and self.output_vars == other.output_vars
-            and self.fixpoint_check == other.fixpoint_check
-        )
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True, eq=False)
@@ -420,15 +384,9 @@ class ModelBundle:
     automaton: HybridAutomaton
     settings: ReachSettings
     initial: InitialCondition
-    source_format: str = "builder"
+    source_format: str = field(default="builder", compare=False)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ModelBundle)
-            and self.automaton == other.automaton
-            and self.settings == other.settings
-            and self.initial == other.initial
-        )
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True)

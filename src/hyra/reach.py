@@ -217,54 +217,66 @@ def discretize(dyn, x0: Zonotope, input_box: Box | None, step: float,
         )
 
     phi, phi1 = exp_with_integral(a, step)
-    v_center = phi1 @ u_c
     if mu0 == 0.0:
         beta = 0.0
     elif delta > 0.0:
         beta = math.expm1(step * delta) / delta * mu0
     else:
         beta = step * mu0
-    v_gens = np.diag(np.full(n, beta))[:, np.full(n, beta) > 0]
-    v_set = Zonotope(v_center, v_gens)
     if substeps == 1:
         phi_tau, phi1_tau = phi, phi1
     else:
         phi_tau, phi1_tau = exp_with_integral(a, tau)
     drift_tau = phi1_tau @ u_c
+    curvature = 2.0 * _curvature(delta, tau)
     if delta > 0.0:
         beta_tau = math.expm1(tau * delta) / delta * mu0
-        drift_curv = 2.0 * _curvature(delta, tau) / delta * float(np.max(np.abs(u_c)))
+        drift_curv = curvature / delta * float(np.max(np.abs(u_c)))
     else:
         beta_tau = tau * mu0
         drift_curv = 0.0
 
-    x0_box = box_hull(x0)
-    radius0 = float(np.max(x0_box.radius))
-    alpha0 = 2.0 * _curvature(delta, tau) * x0_box.sup_norm() + drift_curv
-    # sanity abort: bloat dwarfing the set makes the flowpipe meaningless;
-    # degenerate (point-like) sets compare against 1% of their magnitude
-    floor = max(radius0, 0.01 * max(1.0, x0_box.sup_norm()))
-    if alpha0 + beta_tau > 10.0 * floor:
-        raise StepTooLarge(
-            f"bloating radius {alpha0 + beta_tau:g} exceeds 10x the initial-set radius "
-            f"{radius0:g}; reduce the step"
-        )
-
+    # The sets below are built without re-checks: an overflow or an invalid
+    # value ends the computation at once, and the infinities that the
+    # Python-float bloat radii can reach are caught after it.
     omega = None
-    current = x0
-    for _ in range(substeps):
-        cur_box = box_hull(current)
-        alpha = 2.0 * _curvature(delta, tau) * cur_box.sup_norm() + drift_curv
-        nxt = translate(linear_map(phi_tau, current), drift_tau)
-        if beta_tau > 0.0:
-            nxt = minkowski_sum(nxt, Box(np.full(n, -beta_tau), np.full(n, beta_tau)).to_zonotope())
-        chord = hull_zonotope(current, nxt)
-        bloat = alpha + beta_tau
-        if bloat > 0.0:
-            chord = minkowski_sum(chord, Box(np.full(n, -bloat), np.full(n, bloat)).to_zonotope())
-        omega = chord if omega is None else hull_zonotope(omega, chord)
-        omega = reduce_order(omega, order_cap)
-        current = reduce_order(nxt, order_cap)
+    origin = np.zeros(n)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            v_set = Zonotope._trusted(phi1 @ u_c, np.diag(np.full(n, beta))[:, np.full(n, beta) > 0])
+            x0_box = box_hull(x0)
+            radius0 = float(np.max(x0_box.radius))
+            alpha0 = curvature * x0_box.sup_norm() + drift_curv
+            # sanity abort: bloat dwarfing the set makes the flowpipe meaningless;
+            # degenerate (point-like) sets compare against 1% of their magnitude
+            floor = max(radius0, 0.01 * max(1.0, x0_box.sup_norm()))
+            if alpha0 + beta_tau > 10.0 * floor:
+                raise StepTooLarge(
+                    f"bloating radius {alpha0 + beta_tau:g} exceeds 10x the initial-set radius "
+                    f"{radius0:g}; reduce the step"
+                )
+            input_set = Zonotope._trusted(origin, np.diag(np.full(n, beta_tau)))
+            current = x0
+            for _ in range(substeps):
+                alpha = curvature * box_hull(current).sup_norm() + drift_curv
+                nxt = translate(linear_map(phi_tau, current), drift_tau)
+                if beta_tau > 0.0:
+                    nxt = minkowski_sum(nxt, input_set)
+                chord = hull_zonotope(current, nxt)
+                bloat = alpha + beta_tau
+                if bloat > 0.0:
+                    chord = minkowski_sum(chord, Zonotope._trusted(origin, np.diag(np.full(n, bloat))))
+                omega = chord if omega is None else hull_zonotope(omega, chord)
+                omega = reduce_order(omega, order_cap)
+                current = reduce_order(nxt, order_cap)
+    except FloatingPointError:
+        omega = None
+    if omega is None or not all(np.isfinite(arr).all() for arr in (
+            omega.center, omega.generators, v_set.center, v_set.generators)):
+        raise NonFiniteFlowpipe(
+            f"the first-interval enclosure over a step of {format_number(step)} left the "
+            "floating-point range; the initial set or the dynamics are too large"
+        )
     return omega, v_set, phi, alpha0 + beta_tau
 
 
@@ -364,14 +376,28 @@ def _propagate(location, omega0: Zonotope, v_set: Zonotope, phi, steps: int,
 
 
 def _sliding_hull(lo, hi, m: int, count: int):
-    """Row k hulls rows max(0, k-m) .. min(k, K-1) of (K, n) bounds, k < count."""
+    """Row k hulls rows max(0, k-m) .. min(k, K-1) of (K, n) bounds, k < count.
+
+    Spans double instead of sliding one row at a time: once row k hulls the
+    w rows ending at k, hulling it with row k-w gives the 2w rows ending at
+    k. The window of m+1 rows is then the union of two overlapping spans of
+    the largest such w. Min and max are exact and every step passes the
+    later rows first, as a row-by-row scan does, so even the signs of zeros
+    come out the same.
+    """
     pad = max(count - lo.shape[0], 0)
     out_lo = np.vstack([lo[:count], np.full((pad, lo.shape[1]), np.inf)])
     out_hi = np.vstack([hi[:count], np.full((pad, hi.shape[1]), -np.inf)])
-    src_lo, src_hi = out_lo.copy(), out_hi.copy()
-    for d in range(1, min(m, count - 1) + 1):
-        np.minimum(out_lo[d:], src_lo[:-d], out=out_lo[d:])
-        np.maximum(out_hi[d:], src_hi[:-d], out=out_hi[d:])
+    rows = min(m, count - 1) + 1
+    width = 1
+    while 2 * width <= rows:
+        out_lo[width:] = np.minimum(out_lo[width:], out_lo[:-width])
+        out_hi[width:] = np.maximum(out_hi[width:], out_hi[:-width])
+        width *= 2
+    shift = rows - width
+    if shift:
+        out_lo[shift:] = np.minimum(out_lo[shift:], out_lo[:-shift])
+        out_hi[shift:] = np.maximum(out_hi[shift:], out_hi[:-shift])
     return out_lo, out_hi
 
 

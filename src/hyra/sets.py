@@ -2,9 +2,16 @@
 
 Boxes are axis-aligned interval vectors and zonotopes are center +
 generator matrices. Everything here is a pure value: operations return new
-objects and never mutate their inputs. ``clamp_boxes`` is the array form of
-box-by-condition intersection that the flowpipe engine runs over whole
-segment tables.
+objects and never mutate their inputs, and every array a set holds is
+read-only. ``clamp_boxes`` is the array form of box-by-condition
+intersection that the flowpipe engine runs over whole segment tables.
+
+Sets are checked where they enter: the public ``Box(...)`` and
+``Zonotope(...)`` constructors convert to float and reject non-finite
+entries, ``lo > hi`` and shape mismatches. The set operations build their
+results with ``_trusted``, which only freezes the arrays they just computed;
+finite operands can still overflow, so the engine checks finiteness where
+it matters (``reach.discretize`` and the propagation loop).
 """
 
 from __future__ import annotations
@@ -52,6 +59,15 @@ class Box:
         hi.flags.writeable = False
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
+
+    @classmethod
+    def _trusted(cls, lo: np.ndarray, hi: np.ndarray) -> "Box":
+        """Box of float vectors an operation just computed: frozen, not re-checked."""
+        lo.setflags(write=False)
+        hi.setflags(write=False)
+        box = object.__new__(cls)
+        box.__dict__.update(lo=lo, hi=hi)
+        return box
 
     @property
     def dim(self) -> int:
@@ -106,6 +122,15 @@ class Zonotope:
         g.flags.writeable = False
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "generators", g)
+
+    @classmethod
+    def _trusted(cls, center: np.ndarray, generators: np.ndarray) -> "Zonotope":
+        """Zonotope of float arrays an operation just computed: frozen, not re-checked."""
+        center.setflags(write=False)
+        generators.setflags(write=False)
+        z = object.__new__(cls)
+        z.__dict__.update(center=center, generators=generators)
+        return z
 
     @property
     def dim(self) -> int:
@@ -182,20 +207,20 @@ def linear_map(matrix, z: Zonotope) -> Zonotope:
     m = _as_float_array(matrix, "matrix")
     if m.ndim != 2 or m.shape[1] != z.dim:
         raise DimensionMismatch("linear_map dimension mismatch")
-    return Zonotope(m @ z.center, m @ z.generators)
+    return Zonotope._trusted(m @ z.center, m @ z.generators)
 
 
 def translate(z: Zonotope, offset) -> Zonotope:
     off = np.asarray(offset, dtype=float)
     if off.shape != z.center.shape:
         raise DimensionMismatch("translate offset dimension mismatch")
-    return Zonotope(z.center + off, z.generators)
+    return Zonotope._trusted(z.center + off, z.generators)
 
 
 def minkowski_sum(z1: Zonotope, z2: Zonotope) -> Zonotope:
     if z1.dim != z2.dim:
         raise DimensionMismatch("minkowski_sum dimension mismatch")
-    return Zonotope(z1.center + z2.center, np.hstack([z1.generators, z2.generators]))
+    return Zonotope._trusted(z1.center + z2.center, np.hstack([z1.generators, z2.generators]))
 
 
 def support(z: Zonotope, direction) -> float:
@@ -208,7 +233,7 @@ def support(z: Zonotope, direction) -> float:
 
 def box_hull(z: Zonotope) -> Box:
     r = np.abs(z.generators).sum(axis=1)
-    return Box(z.center - r, z.center + r)
+    return Box._trusted(z.center - r, z.center + r)
 
 
 def hull_zonotope(z1: Zonotope, z2: Zonotope) -> Zonotope:
@@ -222,15 +247,23 @@ def hull_zonotope(z1: Zonotope, z2: Zonotope) -> Zonotope:
     if z1.dim != z2.dim:
         raise DimensionMismatch("hull dimension mismatch")
     p = max(z1.order, z2.order)
-    g1 = np.hstack([z1.generators, np.zeros((z1.dim, p - z1.order))])
-    g2 = np.hstack([z2.generators, np.zeros((z2.dim, p - z2.order))])
-    center = 0.5 * (z1.center + z2.center)
-    mid = 0.5 * (g1 + g2)
-    shift = 0.5 * (z1.center - z2.center)
-    diff = 0.5 * (g1 - g2)
-    gens = np.hstack([mid, shift[:, None], diff])
+    g1, g2 = _pad_columns(z1.generators, p), _pad_columns(z2.generators, p)
+    gens = np.empty((z1.dim, 2 * p + 1))  # [mid | shift | diff], halved in place
+    np.add(g1, g2, out=gens[:, :p])
+    np.subtract(z1.center, z2.center, out=gens[:, p])
+    np.subtract(g1, g2, out=gens[:, p + 1:])
+    gens *= 0.5
     keep = np.abs(gens).sum(axis=0) > 0.0
-    return Zonotope(center, gens[:, keep])
+    return Zonotope._trusted(0.5 * (z1.center + z2.center), gens[:, keep])
+
+
+def _pad_columns(g: np.ndarray, p: int) -> np.ndarray:
+    """``g`` widened to ``p`` columns with zero columns."""
+    if g.shape[1] == p:
+        return g
+    out = np.zeros((g.shape[0], p))
+    out[:, :g.shape[1]] = g
+    return out
 
 
 def reduce_order(z: Zonotope, max_order: int = DEFAULT_ORDER_CAP) -> Zonotope:
@@ -250,7 +283,7 @@ def reduce_order(z: Zonotope, max_order: int = DEFAULT_ORDER_CAP) -> Zonotope:
     drop = np.sort(order_idx[keep_count:])
     box_radius = np.abs(z.generators[:, drop]).sum(axis=1)
     box_gens = np.diag(box_radius)[:, box_radius > 0]
-    return Zonotope(z.center, np.hstack([z.generators[:, keep], box_gens]))
+    return Zonotope._trusted(z.center, np.hstack([z.generators[:, keep], box_gens]))
 
 
 def clamp_boxes(lo, hi, condition):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -205,6 +206,20 @@ def test_diverging_flowpipe_is_an_engine_error(tmp_path, capsys):
     path = tmp_path / "long.cfg"
     path.write_text(cfg.replace("time-horizon = 12\n", "time-horizon = 200\n"))
     code, out, err = run(capsys, "reach", str(CORPUS_DIR / "platoon6" / "model.xml"), str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("engine error: ") and "floating-point range" in err
+    assert "Traceback" not in err
+
+
+def test_overflowing_first_interval_is_an_engine_error(tmp_path, capsys):
+    cfg = (CORPUS_DIR / "platoon6" / "config.cfg").read_text()
+    assert cfg.count(">= 0.9 ") == 18 and cfg.count("<= 1.1") == 18
+    path = tmp_path / "huge.cfg"
+    path.write_text(cfg.replace(">= 0.9 ", ">= 1e306 ").replace("<= 1.1", "<= 5e306"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning on the way
+        code, out, err = run(capsys, "reach", str(CORPUS_DIR / "platoon6" / "model.xml"), str(path))
     assert code == 3
     assert out == ""
     assert err.startswith("engine error: ") and "floating-point range" in err

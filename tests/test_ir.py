@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,14 +9,18 @@ from hyra.ir import (
     AffineDynamics,
     Condition,
     HybridAutomaton,
+    InitialCondition,
     LinearConstraint,
     Location,
+    ModelBundle,
+    ReachSettings,
     ResetMap,
     Transition,
     VariableTable,
     bind_constant,
     validate,
 )
+from hyra.sets import Box
 
 
 def _codes(report):
@@ -138,3 +144,72 @@ def test_ir_values_are_immutable():
     automaton = build_bouncing_ball().automaton
     with pytest.raises(ValueError):
         automaton.locations[0].dynamics.a[0, 0] = 5.0
+
+
+def ir_values():
+    """One value of each IR class, built afresh on every call (no shared arrays)."""
+    table = VariableTable(("x", "v"), ("u",), {"k": 0.5})
+    con = LinearConstraint([1.0, 0.0], "<=", 1.0, {"k": [0.0, 1.0]}, {"k": 2.0})
+    cond = Condition((con,))
+    dyn = AffineDynamics([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], [0.0, -9.81], {"k": np.eye(2)})
+    reset = ResetMap([[1.0, 0.0], [0.0, -0.75]], [0.0, 0.0], {"k": np.eye(2)}, {"k": [1.0, 0.0]})
+    loc = Location("fall", cond, dyn)
+    tr = Transition("fall", "fall", cond, reset, "bounce")
+    automaton = HybridAutomaton("ball", table, (loc,), (tr,), {"u": (0.0, 1.0)})
+    initial = InitialCondition("fall", Box([1.0, 0.0], [2.0, 0.0]))
+    settings = ReachSettings(4.0, 0.01, 2, cond, ("x",), True)
+    bundle = ModelBundle(automaton, settings, initial, "json")
+    return [table, con, cond, dyn, reset, loc, tr, automaton, initial, settings, bundle]
+
+
+# every compared field of every IR class, with a value that differs from ir_values()
+CHANGED_FIELDS = {
+    VariableTable: {"state_vars": ("x", "w"), "input_vars": (), "constants": {"k": 0.25}},
+    LinearConstraint: {"coeffs": [1.0, 1e-300], "relation": "<", "bound": 1.5,
+                       "coeff_terms": {"k": [0.0, 2.0]}, "bound_terms": {"k": 3.0}},
+    Condition: {"constraints": ()},
+    AffineDynamics: {"a": np.zeros((2, 2)), "b": np.zeros((2, 1)), "c": [0.0, -9.8],
+                     "a_terms": {}, "b_terms": {"k": np.ones((2, 1))}, "c_terms": {"j": np.ones(2)}},
+    ResetMap: {"r_matrix": np.eye(2), "r_offset": [0.0, 1.0], "matrix_terms": {"k": np.zeros((2, 2))},
+               "offset_terms": {}},
+    Location: {"name": "rise", "invariant": Condition(), "dynamics": AffineDynamics.zero(2, 1)},
+    Transition: {"source": "rise", "target": "rise", "guard": Condition(),
+                 "reset": ResetMap.identity(2), "label": None},
+    HybridAutomaton: {"name": "ball2", "vars": VariableTable(("x", "v")), "locations": (),
+                      "transitions": (), "input_range": {"u": (0.0, 2.0)}},
+    InitialCondition: {"location": "rise", "box": Box([1.0, 0.0], [2.5, 0.0])},
+    ReachSettings: {"horizon": 5.0, "step": 0.02, "max_jumps": 3, "forbidden": None,
+                    "output_vars": ("v",), "fixpoint_check": False},
+    ModelBundle: {"automaton": HybridAutomaton("other", VariableTable(("x",)), (), ()),
+                  "settings": ReachSettings(1.0, 0.1), "initial": InitialCondition("fall", Box([0.0], [0.0]))},
+}
+
+
+@pytest.mark.parametrize("index", range(11), ids=[c.__name__ for c in CHANGED_FIELDS])
+def test_ir_values_compare_field_by_field_and_stay_unhashable(index):
+    value, fresh = ir_values()[index], ir_values()[index]
+    cls = type(value)
+    assert value == fresh and fresh == value and not value != fresh
+    assert value != object() and value != None  # noqa: E711
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(value)
+    changed = CHANGED_FIELDS[cls]
+    compared = {f.name for f in dataclasses.fields(cls)} - ({"source_format"} if cls is ModelBundle else set())
+    assert set(changed) == compared
+    for name, other in changed.items():
+        altered = dataclasses.replace(fresh, **{name: other})
+        assert value != altered and altered != value, name
+
+
+def test_model_bundle_equality_ignores_the_source_format():
+    bundle = ir_values()[-1]
+    assert bundle == dataclasses.replace(bundle, source_format="builder")
+
+
+def test_equal_term_arrays_need_equal_shapes_and_entries():
+    dyn = AffineDynamics.zero(2)
+    assert dataclasses.replace(dyn, a_terms={"k": np.zeros((2, 2))}) == \
+        dataclasses.replace(dyn, a_terms={"k": [[0.0, -0.0], [0.0, 0.0]]})
+    assert dataclasses.replace(dyn, a_terms={"k": np.zeros((2, 2))}) != \
+        dataclasses.replace(dyn, a_terms={"k": np.zeros((1, 2, 2))})
+    assert dataclasses.replace(dyn, a=np.full((2, 2), np.nan)) != dataclasses.replace(dyn, a=np.full((2, 2), np.nan))

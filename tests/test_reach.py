@@ -1,5 +1,7 @@
 import dataclasses
+import importlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -34,11 +36,16 @@ from hyra.sets import (
     Box,
     Zonotope,
     box_hull,
+    exp_with_integral,
+    hull_zonotope,
     intersect_condition,
     linear_map,
     minkowski_sum,
     reduce_order,
+    translate,
 )
+
+reach_module = importlib.import_module("hyra.reach")
 
 GRAVITY = 9.81
 
@@ -95,6 +102,142 @@ def test_discretize_step_too_large():
     dyn = AffineDynamics([[0.0, 1e5], [-1e5, 0.0]], np.zeros((2, 0)), [0.0, 0.0])
     with pytest.raises(StepTooLarge):
         discretize(dyn, Zonotope.point([1.0, 0.0]), None, 1.0)
+
+
+def discretize_with_checked_boxes(dyn, x0, input_box, step, order_cap=20):
+    """The sub-step loop with every bloat and input box built as a public ``Box``.
+
+    The reference for ``discretize``: same arithmetic, but each per-step box
+    goes through ``Box(...).to_zonotope()`` and its checks.
+    """
+    a = dyn.a
+    delta = float(np.linalg.norm(a, np.inf))
+    u_c, mu0 = reach_module._input_decomposition(dyn, input_box)
+    n = a.shape[0]
+    substeps = 1
+    while substeps < 1 << 16 and (step / substeps) * delta > 0.5:
+        substeps *= 2
+    tau = step / substeps
+    phi, phi1 = exp_with_integral(a, step)
+    v_center = phi1 @ u_c
+    if mu0 == 0.0:
+        beta = 0.0
+    elif delta > 0.0:
+        beta = math.expm1(step * delta) / delta * mu0
+    else:
+        beta = step * mu0
+    v_set = Zonotope(v_center, np.diag(np.full(n, beta))[:, np.full(n, beta) > 0])
+    phi_tau, phi1_tau = (phi, phi1) if substeps == 1 else exp_with_integral(a, tau)
+    drift_tau = phi1_tau @ u_c
+    curvature = math.expm1(tau * delta) - tau * delta
+    if delta > 0.0:
+        beta_tau = math.expm1(tau * delta) / delta * mu0
+        drift_curv = 2.0 * curvature / delta * float(np.max(np.abs(u_c)))
+    else:
+        beta_tau = tau * mu0
+        drift_curv = 0.0
+    alpha0 = 2.0 * curvature * box_hull(x0).sup_norm() + drift_curv
+    omega = None
+    current = x0
+    for _ in range(substeps):
+        alpha = 2.0 * curvature * box_hull(current).sup_norm() + drift_curv
+        nxt = translate(linear_map(phi_tau, current), drift_tau)
+        if beta_tau > 0.0:
+            nxt = minkowski_sum(nxt, Box(np.full(n, -beta_tau), np.full(n, beta_tau)).to_zonotope())
+        chord = hull_zonotope(current, nxt)
+        bloat = alpha + beta_tau
+        if bloat > 0.0:
+            chord = minkowski_sum(chord, Box(np.full(n, -bloat), np.full(n, bloat)).to_zonotope())
+        omega = chord if omega is None else hull_zonotope(omega, chord)
+        omega = reduce_order(omega, order_cap)
+        current = reduce_order(nxt, order_cap)
+    return omega, v_set, phi, alpha0 + beta_tau, substeps
+
+
+def assert_discretize_matches_reference(dyn, x0, input_box, step, order_cap=20):
+    omega, v_set, phi, alpha = discretize(dyn, x0, input_box, step, order_cap)
+    ref_omega, ref_v, ref_phi, ref_alpha, substeps = discretize_with_checked_boxes(
+        dyn, x0, input_box, step, order_cap)
+    for got, want in ((omega.center, ref_omega.center), (omega.generators, ref_omega.generators),
+                      (v_set.center, ref_v.center), (v_set.generators, ref_v.generators),
+                      (phi, ref_phi)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert np.float64(alpha).tobytes() == np.float64(ref_alpha).tobytes()
+    return substeps
+
+
+CORPUS_BUILDS = (build_bouncing_ball, build_tank, build_linswitch, build_platoon)
+
+
+def recorded_calls(name: str, build, tail: float = 0.0) -> list:
+    """Arguments of every call to ``reach.<name>`` while reaching a corpus model.
+
+    With ``tail`` > 0 the horizon ends that fraction of a step past a step
+    boundary, so every flowpipe that lives to the horizon has a leftover tail.
+    """
+    bundle = build()
+    if tail:
+        settings = bundle.settings
+        horizon = (math.floor(settings.horizon / settings.step) - 1 + tail) * settings.step
+        bundle = ModelBundle(bundle.automaton, dataclasses.replace(settings, horizon=horizon),
+                             bundle.initial)
+    calls = []
+    original = getattr(reach_module, name)
+
+    def recorder(*args):
+        calls.append(args)
+        return original(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reach_module, name, recorder)
+        reach(bundle)
+    return calls
+
+
+@pytest.mark.parametrize("tail", [0.0, 0.37], ids=["shipped", "leftover-tail"])
+@pytest.mark.parametrize("build", CORPUS_BUILDS, ids=lambda b: b.__name__[6:])
+def test_discretize_equals_the_checked_box_loop_on_every_corpus_call(build, tail):
+    calls = recorded_calls("discretize", build, tail)
+    substeps = [assert_discretize_matches_reference(*args) for args in calls]
+    assert len(calls) > 1  # the initial set and successor inits
+    if build is build_platoon:
+        assert max(substeps) > 1
+    # every ball flowpipe ends at the ground before the horizon, so it has no tail
+    step = build().settings.step
+    assert any(args[3] != step for args in calls) == (tail > 0.0 and build is not build_bouncing_ball)
+
+
+def test_discretize_equals_the_checked_box_loop_on_random_systems_with_inputs():
+    rng = np.random.default_rng(8128)
+    compared = 0
+    while compared < 12:
+        n, m = int(rng.integers(1, 5)), int(rng.integers(1, 3))
+        a = rng.uniform(-3.0, 3.0, size=(n, n))
+        dyn = AffineDynamics(a, rng.uniform(-1.0, 1.0, size=(n, m)), rng.uniform(-1.0, 1.0, size=n))
+        u_lo = rng.uniform(-0.2, 0.0, size=m)
+        input_box = Box(u_lo, u_lo + rng.uniform(0.0, 0.05, size=m))
+        center = rng.uniform(-1.0, 1.0, size=n)
+        x0 = Zonotope(center, rng.uniform(-0.5, 0.5, size=(n, int(rng.integers(1, 30)))))
+        step = float(rng.uniform(0.6, 2.0)) / np.linalg.norm(a, np.inf)
+        try:
+            substeps = assert_discretize_matches_reference(dyn, x0, input_box, step, order_cap=8)
+        except StepTooLarge:
+            continue
+        assert substeps > 1 and reach_module._input_decomposition(dyn, input_box)[1] > 0.0
+        compared += 1
+
+
+def platoon_location_and_huge_box():
+    location = build_platoon().automaton.resolved().locations[0]
+    return location, Box(np.full(18, 1e306), np.full(18, 5e306))
+
+
+def test_discretize_overflow_is_a_non_finite_flowpipe():
+    location, box = platoon_location_and_huge_box()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteFlowpipe, match="floating-point range"):
+            discretize(location.dynamics, box.to_zonotope(), None, 0.02)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +335,48 @@ def test_wrapping_free_boxes_equal_the_recurrence_bitwise_without_dynamics():
     assert len(ref_lo) > 0
     assert np.array_equal(raw.lo[:len(ref_lo)], ref_lo)
     assert np.array_equal(raw.hi[:len(ref_hi)], ref_hi)
+
+
+def sliding_hull_by_offsets(lo, hi, m, count):
+    """The reference for ``_sliding_hull``: one min/max pass per row offset."""
+    pad = max(count - lo.shape[0], 0)
+    out_lo = np.vstack([lo[:count], np.full((pad, lo.shape[1]), np.inf)])
+    out_hi = np.vstack([hi[:count], np.full((pad, hi.shape[1]), -np.inf)])
+    src_lo, src_hi = out_lo.copy(), out_hi.copy()
+    for d in range(1, min(m, count - 1) + 1):
+        np.minimum(out_lo[d:], src_lo[:-d], out=out_lo[d:])
+        np.maximum(out_hi[d:], src_hi[:-d], out=out_hi[d:])
+    return out_lo, out_hi
+
+
+def assert_sliding_hull_matches_reference(lo, hi, m, count):
+    got = reach_module._sliding_hull(lo, hi, m, count)
+    want = sliding_hull_by_offsets(lo, hi, m, count)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape == (count, lo.shape[1]) and g.tobytes() == w.tobytes()
+
+
+def test_sliding_hull_equals_the_offset_loop_on_random_shapes():
+    rng = np.random.default_rng(4099)
+    shapes = [(1, 1, 1), (1, 5, 1), (7, 1, 7), (7, 1, 3), (5, 9, 12), (40, 40, 40), (40, 64, 41)]
+    shapes += [(int(rng.integers(1, 80)), int(rng.integers(1, 100)), 0) for _ in range(300)]
+    for k, m, count in shapes:
+        count = count or int(rng.integers(1, k + m + 1))  # count > K pads, m >= count clips
+        n = int(rng.integers(1, 4))
+        if rng.uniform() < 0.5:
+            lo = rng.normal(size=(k, n))
+        else:  # ties between equal values and signed zeros
+            lo = rng.choice([-1.0, -0.0, 0.0, 2.0], size=(k, n))
+        hi = lo + rng.choice([0.0, 0.5], size=(k, n))
+        assert_sliding_hull_matches_reference(lo, hi, m, count)
+
+
+@pytest.mark.parametrize("build", CORPUS_BUILDS, ids=lambda b: b.__name__[6:])
+def test_sliding_hull_equals_the_offset_loop_on_every_corpus_call(build):
+    calls = recorded_calls("_sliding_hull", build)
+    assert calls
+    for args in calls:
+        assert_sliding_hull_matches_reference(*args)
 
 
 def test_diverging_flowpipe_raises_named_engine_error():

@@ -16,6 +16,7 @@ from hyra.sets import (
     minkowski_sum,
     reduce_order,
     support,
+    translate,
 )
 
 
@@ -98,6 +99,102 @@ def test_exp_with_integral_matches_quadrature():
     vals = np.array([taylor_expm(a, s) for s in grid])
     quad = np.trapezoid(vals, grid, axis=0)
     assert np.max(np.abs(integral - quad)) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# set objects: checked when built from outside, frozen always
+
+
+def random_zonotope(rng, n, p):
+    return Zonotope(rng.normal(size=n), rng.normal(size=(n, p)))
+
+
+def hull_by_hstack(z1, z2):
+    """``hull_zonotope`` with padded copies and three stacked blocks."""
+    p = max(z1.order, z2.order)
+    g1 = np.hstack([z1.generators, np.zeros((z1.dim, p - z1.order))])
+    g2 = np.hstack([z2.generators, np.zeros((z2.dim, p - z2.order))])
+    gens = np.hstack([0.5 * (g1 + g2), 0.5 * (z1.center - z2.center)[:, None], 0.5 * (g1 - g2)])
+    keep = np.abs(gens).sum(axis=0) > 0.0
+    return Zonotope(0.5 * (z1.center + z2.center), gens[:, keep])
+
+
+def set_operation_results(rng):
+    z1, z2 = random_zonotope(rng, 3, 4), random_zonotope(rng, 3, 7)
+    return {
+        "linear_map": linear_map(rng.normal(size=(2, 3)), z1),
+        "translate": translate(z1, rng.normal(size=3)),
+        "minkowski_sum": minkowski_sum(z1, z2),
+        "hull_zonotope": hull_zonotope(z2, z1),
+        "reduce_order": reduce_order(random_zonotope(rng, 3, 12), 5),
+        "box_hull": box_hull(z2),
+    }
+
+
+@pytest.mark.parametrize("operation", ["linear_map", "translate", "minkowski_sum", "hull_zonotope",
+                                       "reduce_order", "box_hull"])
+def test_set_operation_results_are_frozen_and_equal_the_checked_construction(operation):
+    rng = np.random.default_rng(61)
+    for _ in range(20):
+        result = set_operation_results(rng)[operation]
+        arrays = (result.lo, result.hi) if isinstance(result, Box) else (result.center, result.generators)
+        checked = type(result)(*(a.copy() for a in arrays))
+        checked_arrays = (checked.lo, checked.hi) if isinstance(result, Box) else (checked.center, checked.generators)
+        for got, want in zip(arrays, checked_arrays):
+            assert not got.flags.writeable
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            with pytest.raises(ValueError):
+                got[...] = 0.0
+
+
+def test_hull_zonotope_equals_the_stacked_blocks_bitwise():
+    rng = np.random.default_rng(67)
+    for p1, p2 in [(0, 0), (0, 3), (3, 0), (4, 4), (2, 7), (7, 2)]:
+        z1, z2 = random_zonotope(rng, 3, p1), random_zonotope(rng, 3, p2)
+        # signed zeros and shared columns: x + 0.0 and -0.0 + 0.0 must stay as written
+        z1 = Zonotope(z1.center, np.where(rng.uniform(size=(3, p1)) < 0.3, -0.0, z1.generators))
+        for a, b in [(z1, z2), (z2, z1), (z1, z1)]:
+            got, want = hull_zonotope(a, b), hull_by_hstack(a, b)
+            assert got.center.tobytes() == want.center.tobytes()
+            assert got.generators.shape == want.generators.shape
+            assert got.generators.tobytes() == want.generators.tobytes()
+
+
+@pytest.mark.parametrize("lo, hi, error", [
+    ([0.0, np.nan], [1.0, 1.0], ValueError),
+    ([0.0, 0.0], [1.0, np.inf], ValueError),
+    ([0.0, 2.0], [1.0, 1.0], ValueError),
+    ([0.0, 0.0], [1.0], DimensionMismatch),
+    ([[0.0]], [[1.0]], DimensionMismatch),
+])
+def test_public_box_constructor_rejects_bad_bounds(lo, hi, error):
+    with pytest.raises(error):
+        Box(lo, hi)
+
+
+@pytest.mark.parametrize("center, generators, error", [
+    ([0.0, np.inf], np.eye(2), ValueError),
+    ([0.0, 0.0], [[1.0, np.nan], [0.0, 1.0]], ValueError),
+    ([[0.0, 0.0]], np.eye(2), DimensionMismatch),
+    ([0.0, 0.0], np.eye(3), DimensionMismatch),
+    ([0.0, 0.0], [1.0, 1.0], DimensionMismatch),
+])
+def test_public_zonotope_constructor_rejects_bad_arrays(center, generators, error):
+    with pytest.raises(error):
+        Zonotope(center, generators)
+
+
+def test_public_constructors_hold_read_only_float_arrays():
+    box = Box([0, 1], [2, 3])
+    z = Zonotope([1, 2], [[1], [0]])
+    for array in (box.lo, box.hi, z.center, z.generators):
+        assert array.dtype == np.float64 and not array.flags.writeable
+
+
+def test_linear_map_rejects_a_non_finite_matrix():
+    with pytest.raises(ValueError, match="finite"):
+        linear_map([[1.0, 0.0], [np.inf, 1.0]], unit_square())
 
 
 # ---------------------------------------------------------------------------
