@@ -227,13 +227,9 @@ def test_discretize_equals_the_checked_box_loop_on_random_systems_with_inputs():
         compared += 1
 
 
-def platoon_location_and_huge_box():
-    location = build_platoon().automaton.resolved().locations[0]
-    return location, Box(np.full(18, 1e306), np.full(18, 5e306))
-
-
 def test_discretize_overflow_is_a_non_finite_flowpipe():
-    location, box = platoon_location_and_huge_box()
+    location = build_platoon().automaton.resolved().locations[0]
+    box = Box(np.full(18, 1e306), np.full(18, 5e306))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteFlowpipe, match="floating-point range"):
@@ -364,10 +360,9 @@ def test_sliding_hull_equals_the_offset_loop_on_random_shapes():
         count = count or int(rng.integers(1, k + m + 1))  # count > K pads, m >= count clips
         n = int(rng.integers(1, 4))
         if rng.uniform() < 0.5:
-            lo = rng.normal(size=(k, n))
+            lo, hi = rng.normal(size=(k, n)), rng.normal(size=(k, n))
         else:  # ties between equal values and signed zeros
-            lo = rng.choice([-1.0, -0.0, 0.0, 2.0], size=(k, n))
-        hi = lo + rng.choice([0.0, 0.5], size=(k, n))
+            lo, hi = rng.choice([-1.0, -0.0, 0.0, 2.0], size=(2, k, n))
         assert_sliding_hull_matches_reference(lo, hi, m, count)
 
 
