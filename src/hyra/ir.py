@@ -36,18 +36,14 @@ def _terms_equal(t1: dict, t2: dict) -> bool:
     return all(np.array_equal(t1[k], t2[k]) for k in t1)
 
 
-def _terms_field():
-    """A dict of symbolic-term arrays, compared entry by entry."""
-    return field(default_factory=dict, metadata={"terms": True})
-
-
 def _fields_equal(self, other) -> bool:
     """Field-wise equality of two IR values of the same class.
 
-    Arrays compare with ``np.array_equal``, symbolic-term dicts with
-    ``_terms_equal``, boxes by their bounds and everything else with ``==``;
-    fields declared with ``compare=False`` are skipped. A class that sets
-    ``__eq__`` to this and no ``__hash__`` is unhashable, like its arrays.
+    Arrays compare with ``np.array_equal``, dicts (symbolic terms, constants,
+    input ranges) entry by entry with ``_terms_equal``, boxes by their bounds
+    and everything else with ``==``; fields declared with ``compare=False``
+    are skipped. A class that sets ``__eq__`` to this and no ``__hash__`` is
+    unhashable, like its arrays.
     """
     if not isinstance(other, type(self)):
         return False
@@ -57,7 +53,7 @@ def _fields_equal(self, other) -> bool:
         mine, theirs = getattr(self, f.name), getattr(other, f.name)
         if isinstance(mine, np.ndarray):
             same = np.array_equal(mine, theirs)
-        elif f.metadata.get("terms"):
+        elif isinstance(mine, dict):
             same = _terms_equal(mine, theirs)
         elif isinstance(mine, Box):
             same = np.array_equal(mine.lo, theirs.lo) and np.array_equal(mine.hi, theirs.hi)
@@ -112,7 +108,7 @@ class LinearConstraint:
     coeffs: np.ndarray
     relation: str
     bound: float
-    coeff_terms: dict = _terms_field()
+    coeff_terms: dict = field(default_factory=dict)
     bound_terms: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -182,9 +178,9 @@ class AffineDynamics:
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    a_terms: dict = _terms_field()
-    b_terms: dict = _terms_field()
-    c_terms: dict = _terms_field()
+    a_terms: dict = field(default_factory=dict)
+    b_terms: dict = field(default_factory=dict)
+    c_terms: dict = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "a", _freeze(self.a))
@@ -226,8 +222,8 @@ class ResetMap:
 
     r_matrix: np.ndarray
     r_offset: np.ndarray
-    matrix_terms: dict = _terms_field()
-    offset_terms: dict = _terms_field()
+    matrix_terms: dict = field(default_factory=dict)
+    offset_terms: dict = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "r_matrix", _freeze(self.r_matrix))

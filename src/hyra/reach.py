@@ -326,6 +326,14 @@ def _require_finite(location, time: float, *arrays) -> None:
         )
 
 
+def _require_finite_successor(transition, time: float, *arrays) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise NonFiniteFlowpipe(
+            f"successor of the jump {transition.source!r} -> {transition.target!r} at t={time:g} "
+            "left the floating-point range; the reset maps the guard set out of range"
+        )
+
+
 def _propagate(location, omega0: Zonotope, v_set: Zonotope, phi, steps: int,
                entry_time: float, step: float):
     """Invariant-clamped boxes of Omega_0 .. Omega_(steps-1), wrapping-free.
@@ -360,8 +368,11 @@ def _propagate(location, omega0: Zonotope, v_set: Zonotope, phi, steps: int,
                 input_radius = running[-1]
                 inputs = powers[size] @ inputs
             gens = powers[size] @ gens
-            _require_finite(location, entry_time + (k + size) * step, centers, radius)
-            lo, hi, ok = clamp_boxes(centers - radius, centers + radius, location.invariant)
+            lo, hi = centers - radius, centers + radius
+            # finite centers and radii can still sum out of range; the clamp
+            # would read those infinities as an empty box and cut the pipe
+            _require_finite(location, entry_time + (k + size) * step, lo, hi)
+            lo, hi, ok = clamp_boxes(lo, hi, location.invariant)
             if not ok.all():
                 cut = int(np.argmin(ok))
                 los.append(lo[:cut])
@@ -438,7 +449,9 @@ def flowpipe(location, init: Zonotope, input_box: Box | None, step: float, horiz
         # partial tail segment from the set covering the last interval
         omega_tail, _, _, alpha = discretize(dyn, last, input_box, leftover, order_cap)
         alpha_max = max(alpha_max, alpha)
-        tail = box_hull(omega_tail)
+        with np.errstate(over="ignore", invalid="ignore"):
+            tail = box_hull(omega_tail)
+        _require_finite(location, horizon, tail.lo, tail.hi)
         tail_lo, tail_hi, ok = clamp_boxes(tail.lo[None, :], tail.hi[None, :], invariant)
         if ok[0]:
             lo, hi = np.vstack([lo, tail_lo]), np.vstack([hi, tail_hi])
@@ -482,6 +495,8 @@ def jump_successors(segments: Segments, transition):
     window; the guard-clamped boxes hull into a single set, the reset maps
     it, and the result is reported with the window's start time and width.
     Returns a list of (init_zonotope_pre_invariant, entry_time, window_width).
+    A reset that maps the window out of the floating-point range raises
+    ``NonFiniteFlowpipe``.
     """
     lo, hi, hit = clamp_boxes(segments.lo, segments.hi, transition.guard)
     hits = np.flatnonzero(hit)
@@ -493,7 +508,9 @@ def jump_successors(segments: Segments, transition):
         agg = Box(lo[run].min(axis=0), hi[run].max(axis=0))
         entry_time = float(segments.time_lo[run[0]])
         window_width = float(segments.time_hi[run[-1]]) - entry_time
-        succ = translate(linear_map(reset.r_matrix, agg.to_zonotope()), reset.r_offset)
+        with np.errstate(over="ignore", invalid="ignore"):
+            succ = translate(linear_map(reset.r_matrix, agg.to_zonotope()), reset.r_offset)
+        _require_finite_successor(transition, entry_time, succ.center, succ.generators)
         out.append((succ, entry_time, window_width))
     return out
 
@@ -686,7 +703,12 @@ def reach(bundle: ModelBundle, order_cap: int = DEFAULT_ORDER_CAP) -> ReachResul
                     continue
                 target = locations[transition.target]
                 for succ, t_entry, w in successors:
-                    clamped = intersect_condition(box_hull(succ), target.invariant)
+                    # a finite successor can still have a hull out of range; the
+                    # clamp would read its infinities as an empty set
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        succ_box = box_hull(succ)
+                    _require_finite_successor(transition, t_entry, succ_box.lo, succ_box.hi)
+                    clamped = intersect_condition(succ_box, target.invariant)
                     if clamped is None:
                         continue
                     # late jumpers inherit the parent's entry skew

@@ -10,8 +10,10 @@ Sets are checked where they enter: the public ``Box(...)`` and
 ``Zonotope(...)`` constructors convert to float and reject non-finite
 entries, ``lo > hi`` and shape mismatches. The set operations build their
 results with ``_trusted``, which only freezes the arrays they just computed;
-finite operands can still overflow, so the engine checks finiteness where
-it matters (``reach.discretize`` and the propagation loop).
+finite operands can still overflow, so the engine checks finiteness wherever
+a result goes on: ``reach.discretize``, the propagation loop and tail segment
+of ``reach.flowpipe``, and each successor of ``reach.jump_successors`` and its
+hull in ``reach.reach``.
 """
 
 from __future__ import annotations

@@ -381,6 +381,20 @@ def test_diverging_flowpipe_raises_named_engine_error():
         reach(ModelBundle(bundle.automaton, settings, bundle.initial))
 
 
+def test_box_bounds_out_of_range_raise_instead_of_cutting_the_flowpipe():
+    # x' = x from [1, 3]: by t = 709 the center 2e^t and radius e^t are still
+    # finite, their sum is not; the clamp against x >= 0 would read it as empty
+    table = VariableTable(("x",))
+    positive = Condition((LinearConstraint([1.0], ">=", 0.0),))
+    location = Location("grow", positive, AffineDynamics([[1.0]], np.zeros((1, 0)), [0.0]))
+    automaton = HybridAutomaton("grow", table, (location,), ())
+    settings = ReachSettings(709.0, 0.1, 0, Condition((LinearConstraint([1.0], "<=", -1.0),)), None, False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteFlowpipe, match="location 'grow' left the floating-point range"):
+            reach(ModelBundle(automaton, settings, InitialCondition("grow", Box([1.0], [3.0]))))
+
+
 def test_tank_guard_windows_on_invariant_boundaries_are_pinned():
     """Shipped tank3, jump bound 16, horizon 10 s: 23 flowpipes, 775 segments.
 
@@ -463,6 +477,53 @@ def test_identity_reset_returns_the_clamped_window():
     assert agg is not None
     assert np.array_equal(box_hull(succ).lo, agg.lo)
     assert np.array_equal(box_hull(succ).hi, agg.hi)
+
+
+def reset_jump_bundle(lo: float, hi: float, scale: float) -> ModelBundle:
+    """Frozen x in [lo, hi] jumps at once through x' = scale * x into x >= 0."""
+    from hyra.ir import ResetMap, Transition
+
+    table = VariableTable(("x",))
+    positive = Condition((LinearConstraint([1.0], ">=", 0.0),))
+    locations = (Location("a", Condition(), AffineDynamics.zero(1)),
+                 Location("b", positive, AffineDynamics.zero(1)))
+    jump = Transition("a", "b", Condition(), ResetMap([[scale]], [0.0]))
+    automaton = HybridAutomaton("blowup", table, locations, (jump,))
+    settings = ReachSettings(0.3, 0.1, 1, None, None, False)
+    return ModelBundle(automaton, settings, InitialCondition("a", Box([lo], [hi])))
+
+
+def test_reset_out_of_range_raises_from_jump_successors():
+    bundle = reset_jump_bundle(1e307, 2e307, 20.0)
+    pipe = flowpipe(bundle.automaton.locations[0], bundle.initial.box.to_zonotope(), None, 0.1, 0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteFlowpipe, match="jump 'a' -> 'b' at t=0 left the floating-point range"):
+            jump_successors(pipe.raw, bundle.automaton.transitions[0])
+
+
+@pytest.mark.parametrize("lo, hi, scale", [
+    (1e307, 2e307, 20.0),  # the reset overflows the successor's center
+    (1e307, 2e307, 10.0),  # the successor is finite, its hull is not
+])
+def test_reach_raises_on_a_successor_out_of_range_instead_of_dropping_it(lo, hi, scale):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteFlowpipe, match="left the floating-point range"):
+            reach(reset_jump_bundle(lo, hi, scale))
+
+
+def test_tail_segment_out_of_range_raises_instead_of_being_dropped():
+    # a finite first-interval enclosure whose box hull overflows: the x0
+    # generators sum to 0.48 * max, the input bloat adds 2e308
+    big = np.finfo(float).max
+    location = Location("t", Condition((LinearConstraint([1.0], ">=", -big),)),
+                        AffineDynamics(np.zeros((1, 1)), np.full((1, 1), 1e10), np.zeros(1)))
+    init = Zonotope(np.zeros(1), np.full((1, 2), 0.24 * big))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteFlowpipe, match="location 't' left the floating-point range"):
+            flowpipe(location, init, Box([-1e298], [1e298]), 1.0, 0.5)
 
 
 # ---------------------------------------------------------------------------
