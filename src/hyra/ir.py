@@ -21,7 +21,7 @@ RELATIONS = ("<=", "<", "==", ">=", ">")
 
 
 def _freeze(a) -> np.ndarray:
-    out = np.asarray(a, dtype=float)
+    out = np.array(a, dtype=float)  # a copy: freezing must not reach the caller's array
     out.flags.writeable = False
     return out
 

@@ -37,6 +37,21 @@ def _parse_csv(text: str) -> tuple:
     return header, rows
 
 
+def _malformed(text: str, columns) -> ModelFormatError:
+    """The error naming the first row whose cells in ``columns`` are not all numbers."""
+    numbered = [(number, line) for number, line in enumerate(text.splitlines(), 1) if line.strip()]
+    for number, line in numbered[1:]:
+        row = line.split(",")
+        if len(row) <= max(columns):
+            return ModelFormatError(f"CSV line {number} has {len(row)} cells, too few for its header")
+        for col in columns:
+            try:
+                float(row[col])
+            except ValueError:
+                return ModelFormatError(f"CSV line {number}: cell {col + 1} is not a number: {row[col]!r}")
+    return ModelFormatError("malformed CSV input")
+
+
 def project_csv(text: str, x_name: str, y_name: str) -> Projection:
     header, rows = _parse_csv(text)
     if header[:4] == ["time_lo", "time_hi", "location", "jump_depth"]:
@@ -47,9 +62,12 @@ def project_csv(text: str, x_name: str, y_name: str) -> Projection:
             yhi = header.index(f"hi_{y_name}")
         except ValueError as exc:
             raise ModelFormatError(f"variable not present in flowpipe CSV: {exc}") from exc
-        rects = [
-            (float(r[xlo]), float(r[xhi]), float(r[ylo]), float(r[yhi])) for r in rows
-        ]
+        try:
+            rects = [
+                (float(r[xlo]), float(r[xhi]), float(r[ylo]), float(r[yhi])) for r in rows
+            ]
+        except (ValueError, IndexError):
+            raise _malformed(text, (xlo, xhi, ylo, yhi)) from None
         return Projection("flowpipe", x_name, y_name, rects, [])
     if header[:2] == ["time", "location"] or header[:3] == ["run", "time", "location"]:
         try:
@@ -60,12 +78,15 @@ def project_csv(text: str, x_name: str, y_name: str) -> Projection:
         # multi-run exports break the polyline between runs
         points = []
         last_run = None
-        for r in rows:
-            if header[0] == "run" and r[0] != last_run:
-                if last_run is not None:
-                    points.append(None)
-                last_run = r[0]
-            points.append((float(r[xi]), float(r[yi])))
+        try:
+            for r in rows:
+                if header[0] == "run" and r[0] != last_run:
+                    if last_run is not None:
+                        points.append(None)
+                    last_run = r[0]
+                points.append((float(r[xi]), float(r[yi])))
+        except (ValueError, IndexError):
+            raise _malformed(text, (xi, yi)) from None
         return Projection("trajectory", x_name, y_name, [], points)
     raise ModelFormatError("unrecognized CSV header; expected a flowpipe or trajectory export")
 

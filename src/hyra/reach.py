@@ -108,9 +108,21 @@ class Segments:
 
     @classmethod
     def from_bounds(cls, time_lo, time_hi, lo, hi, location: str, depth: int) -> "Segments":
-        """Rows of one flowpipe from box bounds, centered as ``Box`` does."""
+        """Rows of one flowpipe from box bounds, centered as ``Box`` does.
+
+        A box too wide for its center or radius to be a float raises
+        ``NonFiniteFlowpipe``.
+        """
         count = lo.shape[0]
-        return cls(time_lo, time_hi, 0.5 * (lo + hi), 0.5 * (hi - lo),
+        with np.errstate(over="ignore", invalid="ignore"):
+            center, radius = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        if not (np.isfinite(center).all() and np.isfinite(radius).all()):
+            first = np.argmin(np.isfinite(center).all(axis=1) & np.isfinite(radius).all(axis=1))
+            raise NonFiniteFlowpipe(
+                f"flowpipe of location {location!r} left the floating-point range before "
+                f"t={float(time_hi[first]):g}: a box is too wide to store as center and radius"
+            )
+        return cls(time_lo, time_hi, center, radius,
                    np.full(count, location, dtype=object), np.full(count, depth))
 
     @classmethod
@@ -188,6 +200,18 @@ def _curvature(delta: float, tau: float) -> float:
     return math.expm1(tau * delta) - tau * delta
 
 
+def _input_radius(delta: float, mu0: float, tau: float) -> float:
+    """(e^(tau delta) - 1) / delta * mu0, the input bloat over tau; inf past the float range."""
+    if mu0 == 0.0:
+        return 0.0
+    if delta == 0.0:
+        return tau * mu0
+    try:
+        return math.expm1(tau * delta) / delta * mu0
+    except OverflowError:
+        return math.inf
+
+
 def discretize(dyn, x0: Zonotope, input_box: Box | None, step: float,
                order_cap: int = DEFAULT_ORDER_CAP):
     """First-interval enclosure and one-step input set for one location.
@@ -217,24 +241,20 @@ def discretize(dyn, x0: Zonotope, input_box: Box | None, step: float,
         )
 
     phi, phi1 = exp_with_integral(a, step)
-    if mu0 == 0.0:
-        beta = 0.0
-    elif delta > 0.0:
-        beta = math.expm1(step * delta) / delta * mu0
-    else:
-        beta = step * mu0
+    beta = _input_radius(delta, mu0, step)
     if substeps == 1:
         phi_tau, phi1_tau = phi, phi1
     else:
         phi_tau, phi1_tau = exp_with_integral(a, tau)
     drift_tau = phi1_tau @ u_c
     curvature = 2.0 * _curvature(delta, tau)
-    if delta > 0.0:
-        beta_tau = math.expm1(tau * delta) / delta * mu0
-        drift_curv = curvature / delta * float(np.max(np.abs(u_c)))
-    else:
-        beta_tau = tau * mu0
-        drift_curv = 0.0
+    beta_tau = _input_radius(delta, mu0, tau)
+    if not (math.isfinite(beta) and math.isfinite(beta_tau)):
+        raise NonFiniteFlowpipe(
+            f"the input bound over a step of {format_number(step)} left the floating-point "
+            "range; the input set or the dynamics are too large"
+        )
+    drift_curv = curvature / delta * float(np.max(np.abs(u_c))) if delta > 0.0 else 0.0
 
     # The sets below are built without re-checks: an overflow or an invalid
     # value ends the computation at once, and the infinities that the

@@ -37,7 +37,7 @@ DEFAULT_ORDER_CAP = 20
 
 
 def _as_float_array(a, name):
-    out = np.asarray(a, dtype=float)
+    out = np.array(a, dtype=float)  # a copy: the set freezes it, not the caller's array
     if not np.all(np.isfinite(out)):
         raise ValueError(f"{name} must have finite entries")
     return out

@@ -2,7 +2,9 @@
 
 Fixed-step integration (forward Euler or Heun) inside a location; guard
 crossings are located by bisection over the step, the reset is applied, and
-integration re-anchors at the crossing time. A run halts early with
+integration re-anchors at the crossing time. The bisection starts from the
+bracket that the closed-form root of a constraint's value along the step
+gives (``_seed``). A run halts early with
 ``zeno=True`` once enough consecutive inter-event gaps fall below the dwell
 threshold, recording a geometric estimate of the accumulation time.
 
@@ -123,14 +125,90 @@ def _guard_holds(guard: Condition, x, eq_slack: float) -> bool:
     return True
 
 
+def _first_root(g0: float, d1: float, d2: float, h: float) -> float | None:
+    """First root in [0, h] of g(tau) = g0 + d1 tau + (d2 / 2) tau^2, or None.
+
+    For a guard row c.x - b, g0 = c.x - b, d1 = c.f(x) and d2 = c.A f(x)
+    give the row's value along a Heun sub-step ``x + tau f + (tau^2/2) A f``
+    (d2 = 0 for Euler's ``x + tau f``). The quadratic's roots are taken in
+    the cancellation-free form q = -(d1 + sign(d1) sqrt(disc)) / 2, roots
+    q / (d2/2) and g0 / q. A constant row has no root.
+    """
+    half = 0.5 * d2
+    if half == 0.0:
+        if d1 == 0.0:
+            return None
+        roots = (-g0 / d1,)
+    else:
+        disc = d1 * d1 - 4.0 * half * g0
+        if not disc >= 0.0:
+            return None
+        q = -0.5 * (d1 + math.copysign(math.sqrt(disc), d1))
+        roots = (q / half, g0 / q) if q != 0.0 else (0.0,)  # q == 0: a double root at 0
+    inside = [r for r in roots if 0.0 <= r <= h]
+    return min(inside) if inside else None
+
+
+def _seed(a_mat, drive, x0, kind: Integrator, rows, h: float, tol: float, switches) -> tuple | None:
+    """The final bracket of a bisection over [0, h], found from closed-form roots.
+
+    ``rows`` are (coeffs, level) pairs: the values of c.x at which the
+    caller's bisection predicate may change. Each row's first root r in
+    [0, h] is a candidate, earliest first. For a candidate, the caller's
+    halving of [0, h] down to width ``tol`` runs with ``mid < r`` deciding
+    each midpoint in place of a ``_substep``, so it reaches the cell of the
+    bisection's own grid that holds r, with the same edges. The cell is kept
+    only if ``switches(x_lo, x_hi)`` holds on the ``_substep`` states at its
+    edges, which is the invariant of the caller's bisection; where the
+    predicate changes once over the step, the bisection would have reached
+    that same cell. Returns (lo, hi, x_lo, x_hi), or None when no candidate
+    is confirmed (tangency, rounding, a predicate that changes more than once).
+    """
+    f0 = a_mat @ x0 + drive
+    curve = a_mat @ f0 if kind == Integrator.HEUN else np.zeros_like(f0)
+    roots = []
+    for coeffs, level in rows:
+        r = _first_root(float(coeffs @ x0) - level, float(coeffs @ f0), float(coeffs @ curve), h)
+        if r is not None:
+            roots.append(r)
+    for r in sorted(roots):
+        lo, hi = 0.0, h
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if mid < r:
+                lo = mid
+            else:
+                hi = mid
+        x_lo = x0 if lo == 0.0 else _substep(a_mat, drive, x0, lo, kind)
+        x_hi = _substep(a_mat, drive, x0, hi, kind)
+        if switches(x_lo, x_hi):
+            return lo, hi, x_lo, x_hi
+    return None
+
+
+def _levels(constraints, slack: float) -> list:
+    """(coeffs, level) rows at which ``con.satisfied(x, slack)`` may switch."""
+    rows = []
+    for con in constraints:
+        if con.relation in ("<=", "<"):
+            rows.append((con.coeffs, con.bound + slack))
+        elif con.relation in (">=", ">"):
+            rows.append((con.coeffs, con.bound - slack))
+        else:
+            rows += [(con.coeffs, con.bound - slack), (con.coeffs, con.bound + slack)]
+    return rows
+
+
 def detect_event(dyn: AffineDynamics, transition: Transition, x_before, t: float, h: float,
                  kind: Integrator, u) -> tuple | None:
     """Earliest guard crossing inside the step [t, t+h], if any.
 
-    Equality constraints are crossing surfaces: the first one is root-found
-    by bisection (to time tolerance 1e-9 * max(1, t)), then the whole
-    conjunction is checked at the crossing. Pure-inequality guards bisect on
-    the earliest point where the conjunction switches from false to true.
+    Equality constraints are crossing surfaces: the first one is located to
+    time tolerance 1e-9 * max(1, t), then the whole conjunction is checked at
+    the crossing. Pure-inequality guards are located at the earliest point
+    where the conjunction switches from false to true. Both bisections start
+    from the final bracket that a constraint's closed-form root gives
+    (``_seed``) and halve [0, h] only when that bracket is not confirmed.
     Returns (tau, crossing_state) with tau relative to the step start, or
     None when the guard is not crossed. A guard already satisfied at the
     step start does not fire.
@@ -153,14 +231,23 @@ def detect_event(dyn: AffineDynamics, transition: Transition, x_before, t: float
             return None
         if g0 == 0.0 and g1 == 0.0:
             return None  # sliding along the surface, not a crossing
+
+        def before(xm) -> bool:
+            """Strictly on the side of the surface where the step starts."""
+            gm = float(con.coeffs @ xm) - con.bound
+            return (gm > 0.0) == (g0 > 0.0) and gm != 0.0
+
         # keep bracket [a, b] with sign(g(a)) matching sign at the step start
         a, b = 0.0, h
         xa = x0
+        seed = _seed(a_mat, drive, x0, kind, [(con.coeffs, con.bound)], h, tol,
+                     lambda x_lo, x_hi: before(x_lo) and not before(x_hi))
+        if seed is not None:
+            a, b, xa, _ = seed
         while b - a > tol:
             mid = 0.5 * (a + b)
             xm = _substep(a_mat, drive, x0, mid, kind)
-            gm = float(con.coeffs @ xm) - con.bound
-            if (gm > 0.0) == (g0 > 0.0) and gm != 0.0:
+            if before(xm):
                 a, xa = mid, xm
             else:
                 b = mid
@@ -170,13 +257,18 @@ def detect_event(dyn: AffineDynamics, transition: Transition, x_before, t: float
             return a, xa
         return None
 
-    # inequality-only guard: bisect the false->true switch
+    # inequality-only guard: the false->true switch
     if _guard_holds(guard, x0, _GUARD_SLACK):
         return None
     if not _guard_holds(guard, x1, _GUARD_SLACK):
         return None
     a, b = 0.0, h
     xb = x1
+    seed = _seed(a_mat, drive, x0, kind, _levels(ineqs, _GUARD_SLACK), h, tol,
+                 lambda x_lo, x_hi: (not _guard_holds(guard, x_lo, _GUARD_SLACK)
+                                     and _guard_holds(guard, x_hi, _GUARD_SLACK)))
+    if seed is not None:
+        a, b, _, xb = seed
     while b - a > tol:
         mid = 0.5 * (a + b)
         xm = _substep(a_mat, drive, x0, mid, kind)
@@ -403,12 +495,23 @@ def _append_sample(times, locs, states, t, loc_name, x):
 
 
 def _invariant_exit(dyn, invariant, x, h, kind, u):
-    """Last time in [0, h] still (weakly) inside the invariant."""
+    """Last time in [0, h] still (weakly) inside the invariant.
+
+    Seeded like ``detect_event``: a constraint's closed-form first root
+    narrows the bracket when the ``_substep`` states at its edges go from
+    inside to outside.
+    """
     a_mat = dyn.a
     drive = _drive(dyn, u)
+    tol = 1e-12 * max(1.0, h)
     a, b = 0.0, h
     xa = np.asarray(x, dtype=float)
-    while b - a > 1e-12 * max(1.0, h):
+    seed = _seed(a_mat, drive, xa, kind, _levels(invariant.constraints, _GUARD_SLACK), h, tol,
+                 lambda x_lo, x_hi: (invariant.satisfied(x_lo, _GUARD_SLACK)
+                                     and not invariant.satisfied(x_hi, _GUARD_SLACK)))
+    if seed is not None:
+        a, b, xa, _ = seed
+    while b - a > tol:
         mid = 0.5 * (a + b)
         xm = _substep(a_mat, drive, x, mid, kind)
         if invariant.satisfied(xm, _GUARD_SLACK):

@@ -130,6 +130,31 @@ def test_plot_csv_projection(tmp_path, capsys):
     assert out.splitlines()[0] == "lo_x2,hi_x2,lo_x3,hi_x3"
 
 
+@pytest.mark.parametrize("kind, edit, message", [
+    pytest.param("flowpipe", {4: "abc"}, "CSV line 3: cell 5 is not a number: 'abc'", id="flowpipe-text"),
+    pytest.param("flowpipe", 5, "CSV line 3 has 5 cells", id="flowpipe-short"),
+    pytest.param("trajectory", {4: "1.5e"}, "CSV line 3: cell 5 is not a number: '1.5e'", id="trajectory-text"),
+    pytest.param("trajectory", 4, "CSV line 3 has 4 cells", id="trajectory-short"),
+])
+def test_plot_on_a_malformed_csv_is_an_input_error(tmp_path, capsys, kind, edit, message):
+    """A non-numeric cell or a short row: replace cells {index: text}, or keep the first n."""
+    csv_path = tmp_path / "export.csv"
+    model = str(CORPUS_DIR / "bouncing-ball" / "model.xml")
+    command = "reach" if kind == "flowpipe" else "simulate"
+    assert run(capsys, command, model, "--out", str(csv_path))[0] == 0
+    lines = csv_path.read_text().splitlines()
+    cells = lines[2].split(",")
+    if isinstance(edit, dict):
+        cells = [edit.get(i, cell) for i, cell in enumerate(cells)]
+    else:
+        cells = cells[:edit]
+    lines[2] = ",".join(cells)
+    csv_path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "plot", str(csv_path), "--x", "x", "--y", "v")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
+
+
 def test_validate_reports_defects_with_nonzero_exit(tmp_path, capsys):
     bad = (CORPUS_DIR / "bouncing-ball" / "model.xml").read_text().replace(
         '<transition source="1" target="1">', '<transition source="1" target="9">', 1

@@ -122,6 +122,16 @@ def test_resolved_is_computed_once_and_rebinding_resolves_afresh():
     assert ball.resolved().transitions[0].reset.r_matrix[1, 1] == -0.75
 
 
+def test_ir_constructors_leave_the_callers_arrays_writable():
+    coeffs, a, b, c = np.array([1.0, 2.0]), np.eye(2), np.zeros((2, 1)), np.ones(2)
+    con = LinearConstraint(coeffs, "<=", 1.0)
+    dyn = AffineDynamics(a, b, c)
+    coeffs[0], a[0, 0], b[0, 0], c[0] = 5.0, 7.0, 9.0, 11.0
+    assert con.coeffs.tolist() == [1.0, 2.0] and not con.coeffs.flags.writeable
+    assert dyn.a.tolist() == np.eye(2).tolist() and dyn.b.tolist() == [[0.0], [0.0]]
+    assert dyn.c.tolist() == [1.0, 1.0] and not dyn.a.flags.writeable
+
+
 def test_bind_unknown_symbol_raises():
     with pytest.raises(UnknownSymbol):
         bind_constant(build_bouncing_ball().automaton, "z", 1.0)

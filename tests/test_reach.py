@@ -236,6 +236,16 @@ def test_discretize_overflow_is_a_non_finite_flowpipe():
             discretize(location.dynamics, box.to_zonotope(), None, 0.02)
 
 
+
+def test_input_bound_overflow_is_a_non_finite_flowpipe():
+    # (e^(step ||A||) - 1) / ||A|| for ||A|| = 1000 over a step of 1 is past
+    # the float range; sub-stepping bounds only tau ||A||
+    dyn = AffineDynamics(-1000.0 * np.eye(1), [[1.0]], [0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteFlowpipe, match="input bound over a step of 1 left the floating-point"):
+            discretize(dyn, Zonotope.point([1.0]), Box([0.0], [0.1]), 1.0)
+
 # ---------------------------------------------------------------------------
 # flowpipe
 
@@ -525,6 +535,19 @@ def test_tail_segment_out_of_range_raises_instead_of_being_dropped():
         with pytest.raises(NonFiniteFlowpipe, match="location 't' left the floating-point range"):
             flowpipe(location, init, Box([-1e298], [1e298]), 1.0, 0.5)
 
+
+
+def test_segment_box_wider_than_the_float_range_raises():
+    # the tail box [-1.36e308, 1.36e308] has finite bounds, but its radius
+    # 0.5 (hi - lo) is not a float
+    big = np.finfo(float).max
+    location = Location("t", Condition((LinearConstraint([1.0], ">=", -big),)),
+                        AffineDynamics(np.zeros((1, 1)), np.full((1, 1), 1e10), np.zeros(1)))
+    init = Zonotope(np.zeros(1), np.full((1, 2), 0.24 * big))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteFlowpipe, match="location 't' left the floating-point range"):
+            flowpipe(location, init, Box([-0.5e298], [0.5e298]), 1.0, 0.5)
 
 # ---------------------------------------------------------------------------
 # reach + check_safety

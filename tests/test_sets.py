@@ -192,6 +192,20 @@ def test_public_constructors_hold_read_only_float_arrays():
         assert array.dtype == np.float64 and not array.flags.writeable
 
 
+def test_box_constructor_leaves_the_callers_arrays_writable():
+    lo, hi = np.zeros(2), np.ones(2)
+    box = Box(lo, hi)
+    lo[0], hi[0] = 0.5, 2.0
+    assert box.lo.tolist() == [0.0, 0.0] and box.hi.tolist() == [1.0, 1.0]
+
+
+def test_zonotope_constructor_leaves_the_callers_arrays_writable():
+    center, generators = np.zeros(2), np.eye(2)
+    z = Zonotope(center, generators)
+    center[0], generators[0, 0] = 0.5, 3.0
+    assert z.center.tolist() == [0.0, 0.0] and z.generators.tolist() == np.eye(2).tolist()
+
+
 def test_linear_map_rejects_a_non_finite_matrix():
     with pytest.raises(ValueError, match="finite"):
         linear_map([[1.0, 0.0], [np.inf, 1.0]], unit_square())

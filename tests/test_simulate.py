@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -21,12 +22,19 @@ from hyra.ir import (
 )
 from hyra.sets import Box
 from hyra.simulate import (
+    _EVENT_CHECK_SLACK,
+    _GUARD_SLACK,
     Integrator,
     SimEvent,
     SimOptions,
     Trajectory,
     _Chunk,
+    _drive,
+    _first_root,
+    _guard_holds,
     _invariant_exit,
+    _split_guard,
+    _substep,
     _zeno_estimate,
     detect_event,
     events_to_csv,
@@ -36,10 +44,13 @@ from hyra.simulate import (
     trajectory_to_csv,
 )
 
+simulate_module = importlib.import_module("hyra.simulate")
+
 GRAVITY = 9.81
 
 DECAY = AffineDynamics([[-1.0]], np.zeros((1, 0)), [0.0])
 FALL = AffineDynamics([[0.0, 1.0], [0.0, 0.0]], np.zeros((2, 0)), [0.0, -GRAVITY])
+RISE = AffineDynamics([[0.0, 1.0], [0.0, 0.0]], np.zeros((2, 0)), [0.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +138,239 @@ def test_upward_guard_crossing_does_not_fire():
     hit = detect_event(dyn, trans, rising, 0.0, 0.01, Integrator.HEUN, ())
     assert hit is None
 
+
+# ---------------------------------------------------------------------------
+# closed-form event times against the plain bisection
+
+
+def bisect_event(dyn, transition, x_before, t, h, kind, u):
+    """``detect_event`` as a plain bisection over [0, h], with no closed-form seed."""
+    guard = transition.guard
+    if guard.is_true:
+        return None
+    x0 = np.asarray(x_before, dtype=float)
+    drive = _drive(dyn, u)
+    x1 = _substep(dyn.a, drive, x0, h, kind)
+    tol = 1e-9 * max(1.0, t)
+    eqs, _ = _split_guard(guard)
+    if eqs:
+        con = eqs[0]
+        g0 = float(con.coeffs @ x0) - con.bound
+        g1 = float(con.coeffs @ x1) - con.bound
+        if g0 * g1 > 0.0 or (g0 == 0.0 and g1 == 0.0):
+            return None
+        a, b, xa = 0.0, h, x0
+        while b - a > tol:
+            mid = 0.5 * (a + b)
+            xm = _substep(dyn.a, drive, x0, mid, kind)
+            gm = float(con.coeffs @ xm) - con.bound
+            if (gm > 0.0) == (g0 > 0.0) and gm != 0.0:
+                a, xa = mid, xm
+            else:
+                b = mid
+        return (a, xa) if _guard_holds(guard, xa, _EVENT_CHECK_SLACK) else None
+    if _guard_holds(guard, x0, _GUARD_SLACK) or not _guard_holds(guard, x1, _GUARD_SLACK):
+        return None
+    a, b, xb = 0.0, h, x1
+    while b - a > tol:
+        mid = 0.5 * (a + b)
+        xm = _substep(dyn.a, drive, x0, mid, kind)
+        if _guard_holds(guard, xm, _GUARD_SLACK):
+            b, xb = mid, xm
+        else:
+            a = mid
+    return b, xb
+
+
+def bisect_invariant_exit(dyn, invariant, x, h, kind, u):
+    """``_invariant_exit`` as a plain bisection over [0, h], with no closed-form seed."""
+    drive = _drive(dyn, u)
+    a, b, xa = 0.0, h, np.asarray(x, dtype=float)
+    while b - a > 1e-12 * max(1.0, h):
+        mid = 0.5 * (a + b)
+        xm = _substep(dyn.a, drive, x, mid, kind)
+        if invariant.satisfied(xm, _GUARD_SLACK):
+            a, xa = mid, xm
+        else:
+            b = mid
+    return a, xa
+
+
+def _random_system(rng):
+    """A 1-3-d affine system, a start state, a step length and a start time."""
+    n = int(rng.integers(1, 4))
+    a = rng.normal(size=(n, n)) * rng.choice([0.0, 0.5, 3.0])
+    dyn = AffineDynamics(a, np.zeros((n, 0)), rng.normal(size=n) * 2.0)
+    return dyn, rng.normal(size=n), float(rng.choice([1e-3, 0.05, 0.5])), float(rng.choice([0.0, 3.7, 120.0]))
+
+
+def _row_through(rng, dyn, x0, h, kind):
+    """A random row c and the level b that c.x takes at a random time of the step (or off it)."""
+    c = rng.normal(size=dyn.n)
+    tau = rng.uniform(-0.2 * h, 1.2 * h)
+    return c, float(c @ _substep(dyn.a, dyn.c, x0, tau, kind))
+
+
+def _assert_same_time(got, want, tol) -> bool:
+    """Both find the crossing or neither, within tol; True when they agree bit for bit."""
+    assert (got is None) == (want is None)
+    if got is None:
+        return False
+    assert abs(got[0] - want[0]) <= tol
+    return got[0] == want[0] and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("kind", list(Integrator))
+def test_equality_guard_crossings_match_the_plain_bisection(kind):
+    rng = np.random.default_rng(41)
+    hits = same = 0
+    for _ in range(300):
+        dyn, x0, h, t = _random_system(rng)
+        c, b = _row_through(rng, dyn, x0, h, kind)
+        constraints = [LinearConstraint(c, "==", b)]
+        if rng.random() < 0.5:
+            c2, b2 = _row_through(rng, dyn, x0, h, kind)
+            constraints.append(LinearConstraint(c2, rng.choice(["<=", ">="]), b2))
+        trans = Transition("a", "a", Condition(tuple(constraints)), ResetMap.identity(dyn.n))
+        got = detect_event(dyn, trans, x0, t, h, kind, ())
+        same += _assert_same_time(got, bisect_event(dyn, trans, x0, t, h, kind, ()), 1e-9 * max(1.0, t))
+        if got is not None:
+            hits += 1
+            tau, state = got
+            assert state is x0 if tau == 0.0 else np.array_equal(state, _substep(dyn.a, dyn.c, x0, tau, kind))
+            # the state lies on the side of the surface where the step starts,
+            # inside the source invariant that the guard bounds
+            g0 = float(c @ x0) - b
+            source = Condition((LinearConstraint(c, ">=" if g0 > 0.0 else "<=", b),))
+            assert source.satisfied(state) and float(c @ state) != b
+    # the seed is the bisection's own final bracket, so the results agree exactly
+    # unless a midpoint falls within rounding of the root
+    assert hits > 50 and same >= 0.95 * hits
+
+
+@pytest.mark.parametrize("kind", list(Integrator))
+def test_inequality_guard_switches_match_the_plain_bisection(kind):
+    rng = np.random.default_rng(42)
+    hits = same = 0
+    for _ in range(300):
+        dyn, x0, h, t = _random_system(rng)
+        constraints = []
+        for _ in range(int(rng.integers(1, 4))):
+            c, b = _row_through(rng, dyn, x0, h, kind)
+            constraints.append(LinearConstraint(c, ">=" if float(c @ x0) < b else "<=", b))
+        guard = Condition(tuple(constraints))
+        trans = Transition("a", "a", guard, ResetMap.identity(dyn.n))
+        got = detect_event(dyn, trans, x0, t, h, kind, ())
+        same += _assert_same_time(got, bisect_event(dyn, trans, x0, t, h, kind, ()), 1e-9 * max(1.0, t))
+        if got is not None:
+            hits += 1
+            tau, state = got
+            assert np.array_equal(state, _substep(dyn.a, dyn.c, x0, tau, kind))
+            assert _guard_holds(guard, state, _GUARD_SLACK)
+    assert hits > 50 and same >= 0.95 * hits
+
+
+@pytest.mark.parametrize("kind", list(Integrator))
+def test_invariant_exits_match_the_plain_bisection(kind):
+    rng = np.random.default_rng(43)
+    exits = earlier = 0
+    for _ in range(300):
+        dyn, x0, h, _ = _random_system(rng)
+        constraints = []
+        for _ in range(int(rng.integers(1, 4))):
+            c, b = _row_through(rng, dyn, x0, h, kind)
+            constraints.append(LinearConstraint(c, "<=" if float(c @ x0) < b else ">=", b))
+        invariant = Condition(tuple(constraints))
+        if invariant.satisfied(_substep(dyn.a, dyn.c, x0, h, kind), _GUARD_SLACK):
+            continue  # the simulator asks only when the full step leaves the invariant
+        exits += 1
+        tol = 1e-12 * max(1.0, h)
+        tau, state = _invariant_exit(dyn, invariant, x0, h, kind, ())
+        want_tau, _ = bisect_invariant_exit(dyn, invariant, x0, h, kind, ())
+        assert invariant.satisfied(state, _GUARD_SLACK)
+        if abs(tau - want_tau) > tol:
+            # the run leaves, comes back and leaves again within the step: the
+            # bisection settles on a later exit, the closed form on the first
+            assert tau < want_tau
+            assert not invariant.satisfied(_substep(dyn.a, dyn.c, x0, tau + tol, kind), _GUARD_SLACK)
+            earlier += 1
+    assert exits > 50 and earlier <= exits // 20
+
+
+def _line(slope):
+    """x' = slope in one dimension."""
+    return AffineDynamics([[0.0]], np.zeros((1, 0)), [slope])
+
+
+def _crossing(relation, bound, n=1):
+    row = [1.0] + [0.0] * (n - 1)
+    return Transition("a", "a", Condition((LinearConstraint(row, relation, bound),)), ResetMap.identity(n))
+
+
+@pytest.mark.parametrize("kind", list(Integrator))
+@pytest.mark.parametrize("dyn, x0, trans, h", [
+    pytest.param(_line(-1.0), [0.0], _crossing("==", 0.0), 0.5, id="root-at-0"),
+    pytest.param(_line(-1.0), [0.5], _crossing("==", 0.0), 0.5, id="root-at-h"),
+    pytest.param(_line(-1.0), [0.5], _crossing("<=", 0.0), 0.5, id="switch-at-h"),
+    # x(tau) = (tau - 0.5)^2 / 2 under Heun: a double root at tau = h
+    pytest.param(RISE, [0.125, -0.5], _crossing("==", 0.0, 2), 0.5, id="tangent-at-h"),
+    # the same parabola touching zero mid-step: no crossing
+    pytest.param(RISE, [0.125, -0.5], _crossing("==", 0.0, 2), 1.0, id="tangent-mid-step"),
+    pytest.param(_line(0.0), [0.0], _crossing("==", 0.0), 0.5, id="constant-on-surface"),
+    pytest.param(_line(0.0), [1.0], _crossing("<=", 0.0), 0.5, id="constant-off-guard"),
+])
+def test_edge_cases_match_the_plain_bisection(kind, dyn, x0, trans, h):
+    got = detect_event(dyn, trans, np.array(x0), 2.0, h, kind, ())
+    want = bisect_event(dyn, trans, np.array(x0), 2.0, h, kind, ())
+    _assert_same_time(got, want, 2e-9)
+    if got is not None:
+        assert np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("x0", [-_GUARD_SLACK, 0.0])
+def test_invariant_exit_at_the_step_start(x0):
+    # x' = -1 under x >= 0, from its slack edge (last inside time 0) and from 0
+    invariant = Condition((LinearConstraint([1.0], ">=", 0.0),))
+    got = _invariant_exit(_line(-1.0), invariant, np.array([x0]), 0.1, Integrator.HEUN, ())
+    want = bisect_invariant_exit(_line(-1.0), invariant, np.array([x0]), 0.1, Integrator.HEUN, ())
+    assert got[0] == want[0] and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("g0, d1, d2, h, root", [
+    (0.0, -1.0, 0.0, 1.0, 0.0),  # on the surface at the start
+    (1.0, -1.0, 0.0, 1.0, 1.0),  # linear (d2 == 0), root at h
+    (1.0, -1.0, 0.0, 0.5, None),  # linear, root past h
+    (0.5, -1.0, 1.0, 2.0, 1.0),  # (tau - 1)^2 / 2: a double root
+    (0.5, -1.0, 0.5, 4.0, 2.0 - math.sqrt(2.0)),  # first of two roots
+    (1.0, 0.0, 0.0, 1.0, None),  # constant (d1 == d2 == 0), off the surface
+    (0.0, 0.0, 0.0, 1.0, None),  # constant on the surface: sliding, not a crossing
+    (1.0, 0.0, 1.0, 1.0, None),  # no real root
+    (-1.0, 1e8, 1.0, 1.0, 1e-8 - 5e-25),  # no cancellation in the small root
+])
+def test_first_root(g0, d1, d2, h, root):
+    got = _first_root(g0, d1, d2, h)
+    if root is None:
+        assert got is None
+    else:
+        assert got == pytest.approx(root, rel=1e-15, abs=1e-300)
+
+
+def test_a_confirmed_seed_leaves_the_bisection_nothing_to_halve(monkeypatch):
+    # the ball's impact step: the full step and the two bracket edges, no midpoints
+    calls = []
+
+    def counted(*args):
+        calls.append(args[3])
+        return _substep(*args)
+
+    monkeypatch.setattr(simulate_module, "_substep", counted)
+    automaton = build_bouncing_ball().automaton.resolved()
+    dyn, trans = automaton.location("always").dynamics, automaton.transitions[0]
+    x0 = np.array([0.004, -9.0, 5.0, 0.0])  # lands at about tau = 4.4e-4
+    hit = detect_event(dyn, trans, x0, 12.0, 1e-3, Integrator.HEUN, ())
+    want = bisect_event(dyn, trans, x0, 12.0, 1e-3, Integrator.HEUN, ())
+    assert hit[0] == want[0] and np.array_equal(hit[1], want[1])
+    assert len(calls) == 3 and calls[0] == 1e-3
 
 # ---------------------------------------------------------------------------
 # whole runs
