@@ -29,7 +29,7 @@ from .ir import (
     bind_constant,
     validate,
 )
-from .reach import ReachResult, Verdict, check_safety, reach
+from .reach import ReachResult, Termination, Verdict, check_safety, reach
 from .sets import Box, Zonotope, matrix_exponential
 from .simulate import Integrator, SimOptions, Trajectory, sample_initial, simulate
 from .spaceex import emit_spaceex, parse_spaceex
@@ -53,6 +53,7 @@ __all__ = [
     "ReachSettings",
     "ResetMap",
     "SimOptions",
+    "Termination",
     "Trajectory",
     "Transition",
     "VariableTable",

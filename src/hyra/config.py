@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, MissingKey, UnknownKey
-from .expressions import format_number, parse_condition
+from .expressions import format_number, parse_condition, split_conjuncts
 from .ir import Condition, InitialCondition, ReachSettings, VariableTable
 from .sets import Box
 
@@ -47,34 +47,11 @@ def _strip_quotes(value: str) -> str:
     return value
 
 
-def _split_conjuncts(text: str) -> list:
-    parts = []
-    depth = 0
-    current = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "&" and depth == 0:
-            parts.append("".join(current))
-            current = []
-            if i + 1 < len(text) and text[i + 1] == "&":
-                i += 1
-        else:
-            current.append(ch)
-        i += 1
-    parts.append("".join(current))
-    return [p for p in (part.strip() for part in parts) if p]
-
-
 def _parse_initially(text: str, table: VariableTable) -> InitialCondition:
     location = None
     lo = np.full(table.n, -math.inf)
     hi = np.full(table.n, math.inf)
-    for conjunct in _split_conjuncts(text):
+    for conjunct in split_conjuncts(text):
         head = conjunct.replace(" ", "")
         if head.startswith("loc(") :
             close = head.find(")")

@@ -356,6 +356,23 @@ def parse_condition(text: str, table: VariableTable) -> Condition:
     return condition_from_ast(parse_expression(text, table), table)
 
 
+def split_conjuncts(text: str) -> list:
+    """The non-empty parts of ``text`` between & / && outside parentheses, stripped."""
+    parts, current, depth = [], [], 0
+    for ch in text:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        if ch == "&" and depth == 0:
+            parts.append("".join(current))
+            current = []
+        else:
+            current.append(ch)
+    parts.append("".join(current))
+    return [p for p in (part.strip() for part in parts) if p]
+
+
 # ---------------------------------------------------------------------------
 # Deterministic formatting (shortest decimal that round-trips binary64)
 

@@ -86,11 +86,7 @@ def emit_flowstar(bundle: ModelBundle) -> str:
     lines.append(" {")
     for tr in automaton.transitions:
         lines.append(f"  {tr.source} -> {tr.target}")
-        guard_terms = []
-        for con in tr.guard.constraints:
-            lhs = format_linear(names, con.coeffs)
-            relation = "=" if con.relation == "==" else con.relation
-            guard_terms.append(f"{lhs} {relation} {format_number(con.bound)}")
+        guard_terms = _constraint_lines(tr.guard, names, "")
         lines.append(f"  guard {{ {'   '.join(guard_terms)} }}" if guard_terms else "  guard { }")
         reset_terms = []
         eye = np.eye(table.n)

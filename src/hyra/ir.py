@@ -168,9 +168,6 @@ class Condition:
         return all(c.satisfied(x, slack) for c in self.constraints)
 
 
-TRUE_CONDITION = Condition()
-
-
 @dataclass(frozen=True, eq=False)
 class AffineDynamics:
     """x' = A x + B u + c with optional symbolic-constant overlays."""

@@ -42,7 +42,6 @@ from .expressions import format_number, format_rows
 from .ir import Condition, LinearConstraint, ModelBundle, validate
 from .sets import (
     Box,
-    DEFAULT_ORDER_CAP,
     Zonotope,
     box_hull,
     clamp_boxes,
@@ -63,6 +62,9 @@ _CHUNK = 64  # propagation steps per batch of Phi powers
 class Verdict(str, Enum):
     SAFE_PROVED = "SafeProved"
     POSSIBLY_UNSAFE = "PossiblyUnsafe"
+
+
+class Termination(str, Enum):
     JUMP_BOUND_HIT = "JumpBoundHit"
     FIXPOINT_REACHED = "FixpointReached"
 
@@ -169,7 +171,7 @@ class ReachStats:
     max_depth: int = 0
     wall_time: float = 0.0
     covered_time: float = 0.0
-    termination: Verdict | None = None  # JumpBoundHit / FixpointReached, None = horizon
+    termination: Termination | None = None  # None: neither the jump bound nor containment cut exploration
 
 
 @dataclass
@@ -212,8 +214,7 @@ def _input_radius(delta: float, mu0: float, tau: float) -> float:
         return math.inf
 
 
-def discretize(dyn, x0: Zonotope, input_box: Box | None, step: float,
-               order_cap: int = DEFAULT_ORDER_CAP):
+def discretize(dyn, x0: Zonotope, input_box: Box | None, step: float):
     """First-interval enclosure and one-step input set for one location.
 
     Returns (omega0, v_set, phi, alpha) where omega0 covers all trajectories
@@ -287,8 +288,8 @@ def discretize(dyn, x0: Zonotope, input_box: Box | None, step: float,
                 if bloat > 0.0:
                     chord = minkowski_sum(chord, Zonotope._trusted(origin, np.diag(np.full(n, bloat))))
                 omega = chord if omega is None else hull_zonotope(omega, chord)
-                omega = reduce_order(omega, order_cap)
-                current = reduce_order(nxt, order_cap)
+                omega = reduce_order(omega)
+                current = reduce_order(nxt)
     except FloatingPointError:
         omega = None
     if omega is None or not all(np.isfinite(arr).all() for arr in (
@@ -433,8 +434,7 @@ def _sliding_hull(lo, hi, m: int, count: int):
 
 
 def flowpipe(location, init: Zonotope, input_box: Box | None, step: float, horizon: float,
-             entry_time: float = 0.0, jump_depth: int = 0, window: float = 0.0,
-             order_cap: int = DEFAULT_ORDER_CAP) -> "FlowpipeResult":
+             entry_time: float = 0.0, jump_depth: int = 0, window: float = 0.0) -> "FlowpipeResult":
     """Segments covering [entry_time, horizon] inside one location.
 
     Stops early when a segment's intersection with the invariant is empty.
@@ -462,12 +462,12 @@ def flowpipe(location, init: Zonotope, input_box: Box | None, step: float, horiz
     lo = hi = np.empty((0, n))
     last = init
     if full_steps > 0:
-        omega, v_set, phi, alpha = discretize(dyn, init, input_box, step, order_cap)
+        omega, v_set, phi, alpha = discretize(dyn, init, input_box, step)
         alpha_max = max(alpha_max, alpha)
         lo, hi, last = _propagate(location, omega, v_set, phi, full_steps, entry_time, step)
     if last is not None and (leftover > 0.0 or full_steps == 0):
         # partial tail segment from the set covering the last interval
-        omega_tail, _, _, alpha = discretize(dyn, last, input_box, leftover, order_cap)
+        omega_tail, _, _, alpha = discretize(dyn, last, input_box, leftover)
         alpha_max = max(alpha_max, alpha)
         with np.errstate(over="ignore", invalid="ignore"):
             tail = box_hull(omega_tail)
@@ -669,7 +669,7 @@ def _merge_level(tasks: list, step: float) -> list:
     return merged
 
 
-def reach(bundle: ModelBundle, order_cap: int = DEFAULT_ORDER_CAP) -> ReachResult:
+def reach(bundle: ModelBundle) -> ReachResult:
     """Bounded-jump breadth-first flowpipe exploration with safety verdict.
 
     The verdict is the safety answer (SafeProved / PossiblyUnsafe); when the
@@ -706,7 +706,7 @@ def reach(bundle: ModelBundle, order_cap: int = DEFAULT_ORDER_CAP) -> ReachResul
             processed[task.location].append((init_box.lo, init_box.hi))
             pipe = flowpipe(
                 location, task.init, input_box, settings.step, settings.horizon,
-                task.entry_time, depth, task.window, order_cap,
+                task.entry_time, depth, task.window,
             )
             alpha_max = max(alpha_max, pipe.alpha)
             stats.flowpipes += 1
@@ -741,9 +741,9 @@ def reach(bundle: ModelBundle, order_cap: int = DEFAULT_ORDER_CAP) -> ReachResul
     stats.segments = len(segments)
     stats.covered_time = float(segments.time_hi.max()) if len(segments) else 0.0
     if jump_bound_cut:
-        stats.termination = Verdict.JUMP_BOUND_HIT
+        stats.termination = Termination.JUMP_BOUND_HIT
     elif any_discard:
-        stats.termination = Verdict.FIXPOINT_REACHED
+        stats.termination = Termination.FIXPOINT_REACHED
     stats.wall_time = time.perf_counter() - started
     return ReachResult(segments, verdict, stats, first_violation)
 

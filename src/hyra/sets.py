@@ -92,10 +92,6 @@ class Box:
             raise DimensionMismatch("box hull dimension mismatch")
         return Box(np.minimum(self.lo, other.lo), np.maximum(self.hi, other.hi))
 
-    def widen(self, margin) -> "Box":
-        m = np.broadcast_to(np.asarray(margin, dtype=float), self.lo.shape)
-        return Box(self.lo - m, self.hi + m)
-
     def to_zonotope(self) -> "Zonotope":
         r = self.radius
         gens = np.diag(r)[:, r > 0]

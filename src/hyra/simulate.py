@@ -2,11 +2,13 @@
 
 Fixed-step integration (forward Euler or Heun) inside a location; guard
 crossings are located by bisection over the step, the reset is applied, and
-integration re-anchors at the crossing time. The bisection starts from the
-bracket that the closed-form root of a constraint's value along the step
-gives (``_seed``). A run halts early with
-``zeno=True`` once enough consecutive inter-event gaps fall below the dwell
-threshold, recording a geometric estimate of the accumulation time.
+integration re-anchors at the crossing time. One locator, ``_locate``,
+serves guard crossings, guard switches and invariant exits: it first tries
+the bisection cell that holds the closed-form root of a constraint's value
+along the step, and halves the step only when that cell is not confirmed.
+A run halts early with ``zeno=True`` once enough consecutive inter-event
+gaps fall below the dwell threshold, recording a geometric estimate of the
+accumulation time.
 
 Dynamics are affine, so one Euler or Heun step is exactly x -> M x + e. Per
 location, ``simulate`` reads M and e off ``step`` (stepping the zero vector
@@ -16,8 +18,9 @@ product evaluates every outgoing guard and the invariant on all of them.
 The chunk's leading steps are recorded as they are. The first step where a
 guard may cross, the invariant fails, the step is shortened by the horizon,
 or a constraint value lies too close to its threshold to be decided safely
-under rounding runs through the per-step path: ``detect_event`` on every
-outgoing transition, then ``step`` and the invariant check. A crossing
+under rounding runs through the per-step path: one ``step``, then
+``detect_event`` on every outgoing transition and the invariant check, both
+given that step's end state. A crossing
 between two recorded samples is therefore never skipped: the sign test of a
 chunk runs on exactly the states it records.
 
@@ -149,41 +152,39 @@ def _first_root(g0: float, d1: float, d2: float, h: float) -> float | None:
     return min(inside) if inside else None
 
 
-def _seed(a_mat, drive, x0, kind: Integrator, rows, h: float, tol: float, switches) -> tuple | None:
-    """The final bracket of a bisection over [0, h], found from closed-form roots.
+def _locate(a_mat, drive, x0, x1, kind: Integrator, h: float, tol: float, rows, inside) -> tuple:
+    """Bracket [a, b] of width <= tol where ``inside`` goes from true to false.
 
-    ``rows`` are (coeffs, level) pairs: the values of c.x at which the
-    caller's bisection predicate may change. Each row's first root r in
-    [0, h] is a candidate, earliest first. For a candidate, the caller's
-    halving of [0, h] down to width ``tol`` runs with ``mid < r`` deciding
-    each midpoint in place of a ``_substep``, so it reaches the cell of the
-    bisection's own grid that holds r, with the same edges. The cell is kept
-    only if ``switches(x_lo, x_hi)`` holds on the ``_substep`` states at its
-    edges, which is the invariant of the caller's bisection; where the
-    predicate changes once over the step, the bisection would have reached
-    that same cell. Returns (lo, hi, x_lo, x_hi), or None when no candidate
-    is confirmed (tangency, rounding, a predicate that changes more than once).
+    ``x0`` and ``x1`` are the states at the ends of the step [0, h].
+    ``rows`` are (coeffs, level) pairs: the values of c.x at which
+    ``inside`` may change. Each row's first root r in [0, h] is tried,
+    earliest first: the halving of [0, h] runs with ``mid < r`` deciding
+    each midpoint, so it reaches the cell of the bisection's own grid that
+    holds r, and the cell is kept when ``inside`` holds at its lower edge
+    and fails at its upper one. Where the predicate changes once over the
+    step, the bisection would have reached that same cell. Without a
+    confirmed root (tangency, rounding, a predicate that changes more than
+    once) the halving evaluates ``inside`` on the ``_substep`` state at
+    each midpoint. Returns (a, x_a, b, x_b).
     """
     f0 = a_mat @ x0 + drive
     curve = a_mat @ f0 if kind == Integrator.HEUN else np.zeros_like(f0)
-    roots = []
-    for coeffs, level in rows:
-        r = _first_root(float(coeffs @ x0) - level, float(coeffs @ f0), float(coeffs @ curve), h)
-        if r is not None:
-            roots.append(r)
-    for r in sorted(roots):
-        lo, hi = 0.0, h
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if mid < r:
-                lo = mid
+    roots = (_first_root(float(c @ x0) - level, float(c @ f0), float(c @ curve), h) for c, level in rows)
+    for r in sorted(r for r in roots if r is not None) + [None]:
+        a, b, x_a, x_b = 0.0, h, x0, x1
+        while b - a > tol:
+            mid = 0.5 * (a + b)
+            x_mid = None if r is not None else _substep(a_mat, drive, x0, mid, kind)
+            if (mid < r) if r is not None else inside(x_mid):
+                a, x_a = mid, x_mid
             else:
-                hi = mid
-        x_lo = x0 if lo == 0.0 else _substep(a_mat, drive, x0, lo, kind)
-        x_hi = _substep(a_mat, drive, x0, hi, kind)
-        if switches(x_lo, x_hi):
-            return lo, hi, x_lo, x_hi
-    return None
+                b, x_b = mid, x_mid
+        if r is None:
+            return a, x_a, b, x_b
+        x_a = x0 if a == 0.0 else _substep(a_mat, drive, x0, a, kind)
+        x_b = x1 if b == h else _substep(a_mat, drive, x0, b, kind)
+        if inside(x_a) and not inside(x_b):
+            return a, x_a, b, x_b
 
 
 def _levels(constraints, slack: float) -> list:
@@ -200,33 +201,30 @@ def _levels(constraints, slack: float) -> list:
 
 
 def detect_event(dyn: AffineDynamics, transition: Transition, x_before, t: float, h: float,
-                 kind: Integrator, u) -> tuple | None:
+                 kind: Integrator, u, x_after) -> tuple | None:
     """Earliest guard crossing inside the step [t, t+h], if any.
 
+    ``x_after`` is the state that ``step`` reaches at the end of the step.
     Equality constraints are crossing surfaces: the first one is located to
     time tolerance 1e-9 * max(1, t), then the whole conjunction is checked at
     the crossing. Pure-inequality guards are located at the earliest point
-    where the conjunction switches from false to true. Both bisections start
-    from the final bracket that a constraint's closed-form root gives
-    (``_seed``) and halve [0, h] only when that bracket is not confirmed.
-    Returns (tau, crossing_state) with tau relative to the step start, or
-    None when the guard is not crossed. A guard already satisfied at the
-    step start does not fire.
+    where the conjunction switches from false to true. Both are located by
+    ``_locate``. Returns (tau, crossing_state) with tau relative to the step
+    start, or None when the guard is not crossed. A guard already satisfied
+    at the step start does not fire.
     """
     guard = transition.guard
     if guard.is_true:
         return None
     x0 = np.asarray(x_before, dtype=float)
-    a_mat = dyn.a
     drive = _drive(dyn, u)
-    x1 = _substep(a_mat, drive, x0, h, kind)
     tol = 1e-9 * max(1.0, t)
     eqs, ineqs = _split_guard(guard)
 
     if eqs:
         con = eqs[0]
         g0 = float(con.coeffs @ x0) - con.bound
-        g1 = float(con.coeffs @ x1) - con.bound
+        g1 = float(con.coeffs @ x_after) - con.bound
         if g0 * g1 > 0.0:
             return None
         if g0 == 0.0 and g1 == 0.0:
@@ -237,20 +235,7 @@ def detect_event(dyn: AffineDynamics, transition: Transition, x_before, t: float
             gm = float(con.coeffs @ xm) - con.bound
             return (gm > 0.0) == (g0 > 0.0) and gm != 0.0
 
-        # keep bracket [a, b] with sign(g(a)) matching sign at the step start
-        a, b = 0.0, h
-        xa = x0
-        seed = _seed(a_mat, drive, x0, kind, [(con.coeffs, con.bound)], h, tol,
-                     lambda x_lo, x_hi: before(x_lo) and not before(x_hi))
-        if seed is not None:
-            a, b, xa, _ = seed
-        while b - a > tol:
-            mid = 0.5 * (a + b)
-            xm = _substep(a_mat, drive, x0, mid, kind)
-            if before(xm):
-                a, xa = mid, xm
-            else:
-                b = mid
+        a, xa, _, _ = _locate(dyn.a, drive, x0, x_after, kind, h, tol, [(con.coeffs, con.bound)], before)
         # report the bracket edge on the pre-crossing side: the state there
         # still satisfies the source invariant (e.g. x >= 0 for the ball)
         if _guard_holds(guard, xa, _EVENT_CHECK_SLACK):
@@ -258,24 +243,10 @@ def detect_event(dyn: AffineDynamics, transition: Transition, x_before, t: float
         return None
 
     # inequality-only guard: the false->true switch
-    if _guard_holds(guard, x0, _GUARD_SLACK):
+    if _guard_holds(guard, x0, _GUARD_SLACK) or not _guard_holds(guard, x_after, _GUARD_SLACK):
         return None
-    if not _guard_holds(guard, x1, _GUARD_SLACK):
-        return None
-    a, b = 0.0, h
-    xb = x1
-    seed = _seed(a_mat, drive, x0, kind, _levels(ineqs, _GUARD_SLACK), h, tol,
-                 lambda x_lo, x_hi: (not _guard_holds(guard, x_lo, _GUARD_SLACK)
-                                     and _guard_holds(guard, x_hi, _GUARD_SLACK)))
-    if seed is not None:
-        a, b, _, xb = seed
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        xm = _substep(a_mat, drive, x0, mid, kind)
-        if _guard_holds(guard, xm, _GUARD_SLACK):
-            b, xb = mid, xm
-        else:
-            a = mid
+    _, _, b, xb = _locate(dyn.a, drive, x0, x_after, kind, h, tol, _levels(ineqs, _GUARD_SLACK),
+                          lambda x: not _guard_holds(guard, x, _GUARD_SLACK))
     return b, xb
 
 
@@ -437,9 +408,10 @@ def simulate(bundle: ModelBundle, x0, kind: Integrator = Integrator.HEUN,
 
         # the per-step path, for the one step the chunk could not take plainly
         step_h = min(h, horizon - t)
+        x_next = step(loc.dynamics, x, u, step_h, kind)
         best = None
         for trans in outgoing[loc.name]:
-            hit = detect_event(loc.dynamics, trans, x, t, step_h, kind, u)
+            hit = detect_event(loc.dynamics, trans, x, t, step_h, kind, u, x_next)
             if hit is not None and (best is None or hit[0] < best[0]):
                 best = (hit[0], trans, hit[1])
         if best is not None:
@@ -448,32 +420,24 @@ def simulate(bundle: ModelBundle, x0, kind: Integrator = Integrator.HEUN,
             if events and t_event <= events[-1].time:
                 t_event = math.nextafter(events[-1].time, math.inf)
             x_post = trans.reset.apply(x_cross)
-            target = automaton.location(trans.target)
             events.append(SimEvent(t_event, trans.label, trans.source, trans.target,
                                    x_cross.copy(), x_post.copy()))
             if len(events) > options.max_events:
                 raise MaxEventsExceeded(f"more than {options.max_events} events without Zeno accumulation")
-            if not target.invariant.satisfied(x_post, 1e-7):
-                truncated = f"reset lands outside invariant of {target.name!r}"
-                t = t_event
-                loc = target
-                x = x_post
-                _append_sample(times, locs, states, t, loc.name, x)
+            loc, x, t = automaton.location(trans.target), x_post, t_event
+            _append_sample(times, locs, states, t, loc.name, x)
+            if not loc.invariant.satisfied(x, 1e-7):
+                truncated = f"reset lands outside invariant of {loc.name!r}"
                 break
             gap = t_event - events[-2].time if len(events) >= 2 else math.inf
             streak = streak + 1 if gap < options.zeno_dwell else 0
-            loc = target
-            x = x_post
-            t = t_event
-            _append_sample(times, locs, states, t, loc.name, x)
             if streak >= options.zeno_count:
                 zeno = True
                 zeno_time = _zeno_estimate(events)
                 break
             continue
-        x_next = step(loc.dynamics, x, u, step_h, kind)
         if not loc.invariant.satisfied(x_next, _GUARD_SLACK):
-            tau, x_edge = _invariant_exit(loc.dynamics, loc.invariant, x, step_h, kind, u)
+            tau, x_edge = _invariant_exit(loc.dynamics, loc.invariant, x, step_h, kind, u, x_next)
             t += tau
             x = x_edge
             _append_sample(times, locs, states, t, loc.name, x)
@@ -494,30 +458,14 @@ def _append_sample(times, locs, states, t, loc_name, x):
     states.append(np.array(x, dtype=float, ndmin=2))
 
 
-def _invariant_exit(dyn, invariant, x, h, kind, u):
-    """Last time in [0, h] still (weakly) inside the invariant.
+def _invariant_exit(dyn, invariant, x, h, kind, u, x_after):
+    """Last time in [0, h] still (weakly) inside the invariant, located by ``_locate``.
 
-    Seeded like ``detect_event``: a constraint's closed-form first root
-    narrows the bracket when the ``_substep`` states at its edges go from
-    inside to outside.
+    ``x_after``, the state ``step`` reaches at h, lies outside.
     """
-    a_mat = dyn.a
-    drive = _drive(dyn, u)
-    tol = 1e-12 * max(1.0, h)
-    a, b = 0.0, h
-    xa = np.asarray(x, dtype=float)
-    seed = _seed(a_mat, drive, xa, kind, _levels(invariant.constraints, _GUARD_SLACK), h, tol,
-                 lambda x_lo, x_hi: (invariant.satisfied(x_lo, _GUARD_SLACK)
-                                     and not invariant.satisfied(x_hi, _GUARD_SLACK)))
-    if seed is not None:
-        a, b, xa, _ = seed
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        xm = _substep(a_mat, drive, x, mid, kind)
-        if invariant.satisfied(xm, _GUARD_SLACK):
-            a, xa = mid, xm
-        else:
-            b = mid
+    a, xa, _, _ = _locate(dyn.a, _drive(dyn, u), np.asarray(x, dtype=float), x_after, kind, h,
+                          1e-12 * max(1.0, h), _levels(invariant.constraints, _GUARD_SLACK),
+                          lambda xm: invariant.satisfied(xm, _GUARD_SLACK))
     return a, xa
 
 

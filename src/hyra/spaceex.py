@@ -25,6 +25,7 @@ from .expressions import (
     format_number,
     linear_form,
     parse_expression,
+    split_conjuncts,
 )
 from .ir import (
     AffineDynamics,
@@ -208,30 +209,6 @@ def _parse_flow(text: str, table: VariableTable) -> AffineDynamics:
     return AffineDynamics(dyn_a, dyn_b, dyn_c, a_terms, b_terms, c_terms)
 
 
-def _split_top_level(text: str) -> list:
-    """Split on & / && outside parentheses."""
-    parts = []
-    depth = 0
-    current = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "&" and depth == 0:
-            parts.append("".join(current))
-            current = []
-            if i + 1 < len(text) and text[i + 1] == "&":
-                i += 1
-        else:
-            current.append(ch)
-        i += 1
-    parts.append("".join(current))
-    return [p for p in (part.strip() for part in parts) if p]
-
-
 def _parse_assignment(text: str, table: VariableTable) -> ResetMap:
     """Assignment text: ``x := expr`` statements joined by &; default identity."""
     n = table.n
@@ -239,7 +216,7 @@ def _parse_assignment(text: str, table: VariableTable) -> ResetMap:
     reset_r = np.zeros(n)
     m_terms: dict = {}
     r_terms: dict = {}
-    for stmt in _split_top_level(text):
+    for stmt in split_conjuncts(text):
         if ":=" not in stmt:
             raise XmlMalformed(f"assignment {stmt!r} is not of the form x := expr")
         lhs_text, rhs_text = stmt.split(":=", 1)

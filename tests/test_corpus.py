@@ -217,9 +217,15 @@ def test_recorded_verdicts_match_a_fresh_run(bench):
     bundle = build(bench)
     expected = json.loads((CORPUS_DIR / bench.value / "expected.json").read_text())
     result = reach(bundle)
-    assert result.verdict.value == expected["verdict"]
-    assert result.stats.max_depth == expected["max_depth"]
-    assert result.stats.segments == expected["segments"]
+    stats, violation = result.stats, result.first_violation
+    assert {
+        "verdict": result.verdict.value,
+        "termination": None if stats.termination is None else stats.termination.value,
+        "max_depth": stats.max_depth,
+        "segments": stats.segments,
+        "covered_time": stats.covered_time,
+        "first_violation_time": None if violation is None else result.segments[violation].time_lo,
+    } == expected
 
 
 def test_benchmark_aliases():

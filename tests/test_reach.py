@@ -24,6 +24,7 @@ from hyra.reach import (
     ReachResult,
     ReachStats,
     Segments,
+    Termination,
     Verdict,
     check_safety,
     discretize,
@@ -104,7 +105,7 @@ def test_discretize_step_too_large():
         discretize(dyn, Zonotope.point([1.0, 0.0]), None, 1.0)
 
 
-def discretize_with_checked_boxes(dyn, x0, input_box, step, order_cap=20):
+def discretize_with_checked_boxes(dyn, x0, input_box, step):
     """The sub-step loop with every bloat and input box built as a public ``Box``.
 
     The reference for ``discretize``: same arithmetic, but each per-step box
@@ -149,15 +150,14 @@ def discretize_with_checked_boxes(dyn, x0, input_box, step, order_cap=20):
         if bloat > 0.0:
             chord = minkowski_sum(chord, Box(np.full(n, -bloat), np.full(n, bloat)).to_zonotope())
         omega = chord if omega is None else hull_zonotope(omega, chord)
-        omega = reduce_order(omega, order_cap)
-        current = reduce_order(nxt, order_cap)
+        omega = reduce_order(omega)
+        current = reduce_order(nxt)
     return omega, v_set, phi, alpha0 + beta_tau, substeps
 
 
-def assert_discretize_matches_reference(dyn, x0, input_box, step, order_cap=20):
-    omega, v_set, phi, alpha = discretize(dyn, x0, input_box, step, order_cap)
-    ref_omega, ref_v, ref_phi, ref_alpha, substeps = discretize_with_checked_boxes(
-        dyn, x0, input_box, step, order_cap)
+def assert_discretize_matches_reference(dyn, x0, input_box, step):
+    omega, v_set, phi, alpha = discretize(dyn, x0, input_box, step)
+    ref_omega, ref_v, ref_phi, ref_alpha, substeps = discretize_with_checked_boxes(dyn, x0, input_box, step)
     for got, want in ((omega.center, ref_omega.center), (omega.generators, ref_omega.generators),
                       (v_set.center, ref_v.center), (v_set.generators, ref_v.generators),
                       (phi, ref_phi)):
@@ -220,7 +220,7 @@ def test_discretize_equals_the_checked_box_loop_on_random_systems_with_inputs():
         x0 = Zonotope(center, rng.uniform(-0.5, 0.5, size=(n, int(rng.integers(1, 30)))))
         step = float(rng.uniform(0.6, 2.0)) / np.linalg.norm(a, np.inf)
         try:
-            substeps = assert_discretize_matches_reference(dyn, x0, input_box, step, order_cap=8)
+            substeps = assert_discretize_matches_reference(dyn, x0, input_box, step)
         except StepTooLarge:
             continue
         assert substeps > 1 and reach_module._input_decomposition(dyn, input_box)[1] > 0.0
@@ -556,7 +556,7 @@ def test_segment_box_wider_than_the_float_range_raises():
 def test_ball_reach_is_safe_for_the_stated_bad_set():
     result = reach(build_bouncing_ball())
     assert result.verdict == Verdict.SAFE_PROVED
-    assert result.stats.termination == Verdict.JUMP_BOUND_HIT
+    assert result.stats.termination == Termination.JUMP_BOUND_HIT
 
 
 def test_ball_reach_cannot_prove_tighter_threshold():
@@ -576,7 +576,7 @@ def test_ball_reach_cannot_prove_tighter_threshold():
 def test_platoon_exploration_stops_at_the_jump_bound():
     result = reach(build_platoon())
     assert result.stats.max_depth == 2
-    assert result.stats.termination == Verdict.JUMP_BOUND_HIT
+    assert result.stats.termination == Termination.JUMP_BOUND_HIT
     assert result.stats.covered_time == pytest.approx(12.0)
 
 

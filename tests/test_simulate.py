@@ -1,5 +1,6 @@
 import importlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -114,7 +115,8 @@ def test_no_crossing_means_no_event():
     automaton = bundle.automaton.resolved()
     dyn = automaton.location("always").dynamics
     trans = automaton.transitions[0]
-    hit = detect_event(dyn, trans, np.array([10.0, 0.0, 10.0, 0.0]), 0.0, 0.01, Integrator.HEUN, ())
+    x0 = np.array([10.0, 0.0, 10.0, 0.0])
+    hit = detect_event(dyn, trans, x0, 0.0, 0.01, Integrator.HEUN, (), step(dyn, x0, (), 0.01, Integrator.HEUN))
     assert hit is None
 
 
@@ -122,7 +124,8 @@ def test_crossing_at_step_boundary_is_detected():
     # x' = -1 from 0.1 with guard x <= 0: the crossing sits exactly at tau = 0.1
     dyn = AffineDynamics([[0.0]], np.zeros((1, 0)), [-1.0])
     trans = Transition("a", "a", Condition((LinearConstraint([1.0], "<=", 0.0),)), ResetMap.identity(1))
-    hit = detect_event(dyn, trans, np.array([0.1]), 0.0, 0.1, Integrator.HEUN, ())
+    x0 = np.array([0.1])
+    hit = detect_event(dyn, trans, x0, 0.0, 0.1, Integrator.HEUN, (), step(dyn, x0, (), 0.1, Integrator.HEUN))
     assert hit is not None
     tau, state = hit
     assert tau == pytest.approx(0.1, abs=1e-9)
@@ -135,7 +138,8 @@ def test_upward_guard_crossing_does_not_fire():
     dyn = AffineDynamics([[0.0, 1.0], [0.0, 0.0]], np.zeros((2, 0)), [0.0, -GRAVITY])
     guard = Condition((LinearConstraint([1.0, 0.0], "==", 0.0), LinearConstraint([0.0, 1.0], "<=", 0.0)))
     trans = Transition("a", "a", guard, ResetMap.identity(2))
-    hit = detect_event(dyn, trans, rising, 0.0, 0.01, Integrator.HEUN, ())
+    x_after = step(dyn, rising, (), 0.01, Integrator.HEUN)
+    hit = detect_event(dyn, trans, rising, 0.0, 0.01, Integrator.HEUN, (), x_after)
     assert hit is None
 
 
@@ -232,7 +236,7 @@ def test_equality_guard_crossings_match_the_plain_bisection(kind):
             c2, b2 = _row_through(rng, dyn, x0, h, kind)
             constraints.append(LinearConstraint(c2, rng.choice(["<=", ">="]), b2))
         trans = Transition("a", "a", Condition(tuple(constraints)), ResetMap.identity(dyn.n))
-        got = detect_event(dyn, trans, x0, t, h, kind, ())
+        got = detect_event(dyn, trans, x0, t, h, kind, (), step(dyn, x0, (), h, kind))
         same += _assert_same_time(got, bisect_event(dyn, trans, x0, t, h, kind, ()), 1e-9 * max(1.0, t))
         if got is not None:
             hits += 1
@@ -260,7 +264,7 @@ def test_inequality_guard_switches_match_the_plain_bisection(kind):
             constraints.append(LinearConstraint(c, ">=" if float(c @ x0) < b else "<=", b))
         guard = Condition(tuple(constraints))
         trans = Transition("a", "a", guard, ResetMap.identity(dyn.n))
-        got = detect_event(dyn, trans, x0, t, h, kind, ())
+        got = detect_event(dyn, trans, x0, t, h, kind, (), step(dyn, x0, (), h, kind))
         same += _assert_same_time(got, bisect_event(dyn, trans, x0, t, h, kind, ()), 1e-9 * max(1.0, t))
         if got is not None:
             hits += 1
@@ -285,7 +289,7 @@ def test_invariant_exits_match_the_plain_bisection(kind):
             continue  # the simulator asks only when the full step leaves the invariant
         exits += 1
         tol = 1e-12 * max(1.0, h)
-        tau, state = _invariant_exit(dyn, invariant, x0, h, kind, ())
+        tau, state = _invariant_exit(dyn, invariant, x0, h, kind, (), step(dyn, x0, (), h, kind))
         want_tau, _ = bisect_invariant_exit(dyn, invariant, x0, h, kind, ())
         assert invariant.satisfied(state, _GUARD_SLACK)
         if abs(tau - want_tau) > tol:
@@ -320,7 +324,7 @@ def _crossing(relation, bound, n=1):
     pytest.param(_line(0.0), [1.0], _crossing("<=", 0.0), 0.5, id="constant-off-guard"),
 ])
 def test_edge_cases_match_the_plain_bisection(kind, dyn, x0, trans, h):
-    got = detect_event(dyn, trans, np.array(x0), 2.0, h, kind, ())
+    got = detect_event(dyn, trans, np.array(x0), 2.0, h, kind, (), step(dyn, x0, (), h, kind))
     want = bisect_event(dyn, trans, np.array(x0), 2.0, h, kind, ())
     _assert_same_time(got, want, 2e-9)
     if got is not None:
@@ -331,7 +335,8 @@ def test_edge_cases_match_the_plain_bisection(kind, dyn, x0, trans, h):
 def test_invariant_exit_at_the_step_start(x0):
     # x' = -1 under x >= 0, from its slack edge (last inside time 0) and from 0
     invariant = Condition((LinearConstraint([1.0], ">=", 0.0),))
-    got = _invariant_exit(_line(-1.0), invariant, np.array([x0]), 0.1, Integrator.HEUN, ())
+    x_after = step(_line(-1.0), [x0], (), 0.1, Integrator.HEUN)
+    got = _invariant_exit(_line(-1.0), invariant, np.array([x0]), 0.1, Integrator.HEUN, (), x_after)
     want = bisect_invariant_exit(_line(-1.0), invariant, np.array([x0]), 0.1, Integrator.HEUN, ())
     assert got[0] == want[0] and np.array_equal(got[1], want[1])
 
@@ -356,7 +361,12 @@ def test_first_root(g0, d1, d2, h, root):
 
 
 def test_a_confirmed_seed_leaves_the_bisection_nothing_to_halve(monkeypatch):
-    # the ball's impact step: the full step and the two bracket edges, no midpoints
+    # the ball's impact step: the two bracket edges, no midpoints; the full
+    # step comes from the caller
+    automaton = build_bouncing_ball().automaton.resolved()
+    dyn, trans = automaton.location("always").dynamics, automaton.transitions[0]
+    x0 = np.array([0.004, -9.0, 5.0, 0.0])  # lands at about tau = 4.4e-4
+    x_after = step(dyn, x0, (), 1e-3, Integrator.HEUN)
     calls = []
 
     def counted(*args):
@@ -364,13 +374,37 @@ def test_a_confirmed_seed_leaves_the_bisection_nothing_to_halve(monkeypatch):
         return _substep(*args)
 
     monkeypatch.setattr(simulate_module, "_substep", counted)
-    automaton = build_bouncing_ball().automaton.resolved()
-    dyn, trans = automaton.location("always").dynamics, automaton.transitions[0]
-    x0 = np.array([0.004, -9.0, 5.0, 0.0])  # lands at about tau = 4.4e-4
-    hit = detect_event(dyn, trans, x0, 12.0, 1e-3, Integrator.HEUN, ())
+    hit = detect_event(dyn, trans, x0, 12.0, 1e-3, Integrator.HEUN, (), x_after)
+    assert len(calls) == 2 and calls[0] == hit[0] and 1e-3 not in calls
     want = bisect_event(dyn, trans, x0, 12.0, 1e-3, Integrator.HEUN, ())
     assert hit[0] == want[0] and np.array_equal(hit[1], want[1])
-    assert len(calls) == 3 and calls[0] == 1e-3
+
+
+def test_each_per_step_path_step_runs_one_full_step(monkeypatch):
+    # the per-step path steps once and hands the end state to detect_event,
+    # which then runs no full-length _substep of its own
+    full, starts = [], []
+
+    def counted(a_mat, drive, x, tau, kind):
+        full.append((x.tobytes(), tau))
+        return _substep(a_mat, drive, x, tau, kind)
+
+    def traced(dyn, transition, x_before, t, h, *rest):
+        starts.append((np.asarray(x_before, dtype=float).tobytes(), h))
+        return detect_event(dyn, transition, x_before, t, h, *rest)
+
+    monkeypatch.setattr(simulate_module, "_substep", counted)
+    monkeypatch.setattr(simulate_module, "detect_event", traced)
+    bundle = build_bouncing_ball()
+    options = SimOptions(step=bundle.settings.step / 10.0)
+    for x0 in sample_initial(bundle.initial.box, 3, seed=12):
+        starts.clear()
+        full.clear()
+        traj = simulate(bundle, x0, Integrator.HEUN, options)
+        steps = set(starts)  # each per-step-path step tests both balls' transitions
+        assert traj.events and len(steps) >= len(traj.events)
+        calls = Counter(full)
+        assert all(calls[key] == 1 for key in steps)
 
 # ---------------------------------------------------------------------------
 # whole runs
@@ -599,7 +633,7 @@ def test_leaving_the_invariant_truncates_at_its_boundary(kind):
 
 
 def reference_simulate(bundle, x0, kind, options):
-    """The plain per-step loop: detect_event on every transition, then step()."""
+    """The plain per-step loop: step(), then detect_event on every transition."""
     automaton = bundle.automaton.resolved()
     loc = automaton.location(bundle.initial.location)
     x = np.asarray(x0, dtype=float)
@@ -615,9 +649,10 @@ def reference_simulate(bundle, x0, kind, options):
 
     while t < horizon - 1e-12:
         step_h = min(options.step, horizon - t)
+        x_next = step(loc.dynamics, x, u, step_h, kind)
         best = None
         for trans in automaton.transitions_from(loc.name):
-            hit = detect_event(loc.dynamics, trans, x, t, step_h, kind, u)
+            hit = detect_event(loc.dynamics, trans, x, t, step_h, kind, u, x_next)
             if hit is not None and (best is None or hit[0] < best[0]):
                 best = (hit[0], trans, hit[1])
         if best is not None:
@@ -640,9 +675,8 @@ def reference_simulate(bundle, x0, kind, options):
                 zeno = True
                 break
             continue
-        x_next = step(loc.dynamics, x, u, step_h, kind)
         if not loc.invariant.satisfied(x_next, 1e-9):
-            tau, x = _invariant_exit(loc.dynamics, loc.invariant, x, step_h, kind, u)
+            tau, x = _invariant_exit(loc.dynamics, loc.invariant, x, step_h, kind, u, x_next)
             t += tau
             record(t, x)
             truncated = "invariant"
