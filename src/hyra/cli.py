@@ -80,9 +80,8 @@ def _write_output(text: str, out: str | None):
 
 
 def _verdict_line(result) -> str:
-    verdict = "SafeProved" if result.verdict == Verdict.SAFE_PROVED else "PossiblyUnsafe"
     return (
-        f"VERDICT {verdict} jumps={result.stats.max_depth} "
+        f"VERDICT {result.verdict.value} jumps={result.stats.max_depth} "
         f"segments={result.stats.segments} time={result.stats.covered_time:g}"
     )
 

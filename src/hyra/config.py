@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, MissingKey, UnknownKey
-from .expressions import format_number, parse_condition, split_conjuncts
+from .expressions import format_condition, format_number, parse_condition, split_conjuncts
 from .ir import Condition, InitialCondition, ReachSettings, VariableTable
 from .sets import Box
 
@@ -62,22 +62,16 @@ def _parse_initially(text: str, table: VariableTable) -> InitialCondition:
         cond = parse_condition(conjunct, table)
         if len(cond.constraints) != 1:
             raise ConfigError(f"initially term {conjunct!r} must be a single constraint")
-        con = cond.constraints[0]
-        nz = np.flatnonzero(con.coeffs)
-        if con.coeff_terms or con.bound_terms or len(nz) != 1:
+        nz = np.flatnonzero(cond.constraints[0].coeffs)
+        if cond.symbols or len(nz) != 1:
             raise ConfigError(f"initially term {conjunct!r} is not an interval bound on one variable")
         i = int(nz[0])
-        bound = con.bound / con.coeffs[i]
-        relation = con.relation
-        if con.coeffs[i] < 0:
-            relation = {"<=": ">=", "<": ">", ">=": "<=", ">": "<", "==": "=="}[relation]
-        if relation in ("<=", "<"):
-            hi[i] = min(hi[i], bound)
-        elif relation in (">=", ">"):
-            lo[i] = max(lo[i], bound)
-        else:
-            lo[i] = max(lo[i], bound)
-            hi[i] = min(hi[i], bound)
+        rows = cond.halfspaces()
+        for c, d in zip(rows.coeffs[:, i], rows.bounds):
+            if c > 0:
+                hi[i] = min(hi[i], d / c)
+            else:
+                lo[i] = max(lo[i], d / c)
     if location is None:
         raise ConfigError("initially must name a location via loc() == <name>")
     unbounded = [table.state_vars[i] for i in range(table.n) if not (math.isfinite(lo[i]) and math.isfinite(hi[i]))]
@@ -164,8 +158,6 @@ def parse_config(text: str, table: VariableTable) -> ParsedConfig:
 
 def emit_config(settings: ReachSettings, initial: InitialCondition, table: VariableTable, system: str) -> str:
     """Deterministic configuration text matching parse_config."""
-    from .expressions import format_condition  # local import avoids cycle at module load
-
     lines = [
         f"system = {system}",
         f"time-horizon = {format_number(settings.horizon)}",

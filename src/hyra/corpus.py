@@ -82,18 +82,16 @@ def _axis_constraint(n: int, index: int, relation: str, bound: float) -> LinearC
 # Two bouncing balls
 
 
-def build_bouncing_ball(restitution: float = 0.75, height_range=(10.0, 10.2)) -> ModelBundle:
+def build_bouncing_ball(restitution: float = 0.75) -> ModelBundle:
     """Two independent identical balls in one 4-d automaton (x, v, x1, v1).
 
     One location with invariant x >= 0 and x1 >= 0; one transition per ball
     with guard "height zero, moving down" and reset v := -c*v where c stays
-    a symbolic constant bound to ``restitution``.
+    a symbolic constant bound to ``restitution``. Both balls start at rest
+    from heights in [10, 10.2].
     """
     if not 0.0 <= restitution <= 1.0:
         raise ValueError("restitution must lie in [0, 1]")
-    lo, hi = float(height_range[0]), float(height_range[1])
-    if lo > hi or lo < 0.0:
-        raise ValueError("height range must be a nonempty interval above ground")
 
     table = VariableTable(("x", "v", "x1", "v1"), (), {"c": restitution})
     n = 4
@@ -143,7 +141,7 @@ def build_bouncing_ball(restitution: float = 0.75, height_range=(10.0, 10.2)) ->
         output_vars=("x", "v"),
         fixpoint_check=True,
     )
-    initial = InitialCondition("always", Box([lo, 0.0, lo, 0.0], [hi, 0.0, hi, 0.0]))
+    initial = InitialCondition("always", Box([10.0, 0.0, 10.0, 0.0], [10.2, 0.0, 10.2, 0.0]))
     return ModelBundle(automaton, settings, initial)
 
 

@@ -339,13 +339,6 @@ def _constraint_from_compare(cmp: Compare, table: VariableTable) -> LinearConstr
     return LinearConstraint(coeffs, cmp.relation, bound.base, coeff_terms, dict(bound.terms))
 
 
-def condition_from_ast(ast, table: VariableTable) -> Condition:
-    """Interpret a parsed AST as a conjunction of linear constraints."""
-    if isinstance(ast, Conjunction):
-        return Condition(tuple(_constraint_from_compare(_as_compare(p), table) for p in ast.parts))
-    return Condition((_constraint_from_compare(_as_compare(ast), table),))
-
-
 def _as_compare(node) -> Compare:
     if not isinstance(node, Compare):
         raise NonlinearUnsupported("expected a comparison, found a bare arithmetic expression")
@@ -353,7 +346,10 @@ def _as_compare(node) -> Compare:
 
 
 def parse_condition(text: str, table: VariableTable) -> Condition:
-    return condition_from_ast(parse_expression(text, table), table)
+    """Parse condition text as a conjunction of linear constraints."""
+    ast = parse_expression(text, table)
+    parts = ast.parts if isinstance(ast, Conjunction) else (ast,)
+    return Condition(tuple(_constraint_from_compare(_as_compare(p), table) for p in parts))
 
 
 def split_conjuncts(text: str) -> list:
@@ -483,5 +479,5 @@ def format_constraint(con: LinearConstraint, names) -> str:
     return f"{lhs} {con.relation} {rhs}"
 
 
-def format_condition(cond: Condition, names, joiner: str = " & ") -> str:
-    return joiner.join(format_constraint(c, names) for c in cond.constraints)
+def format_condition(cond: Condition, names) -> str:
+    return " & ".join(format_constraint(c, names) for c in cond.constraints)

@@ -37,7 +37,8 @@ def _constraint_lines(cond: Condition, names, indent: str) -> list:
 
 
 def emit_flowstar(bundle: ModelBundle) -> str:
-    automaton = bundle.automaton.resolved()
+    bundle = bundle.resolved()
+    automaton = bundle.automaton
     table = automaton.vars
     settings = bundle.settings
     names = table.state_vars

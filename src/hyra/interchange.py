@@ -223,11 +223,15 @@ def _build_bundle(data: dict) -> ModelBundle:
         raise SchemaViolation("bundle does not validate: " + "; ".join(str(d) for d in report))
 
     s = data["settings"]
+    forbidden = None if s["forbidden"] is None else _condition_in(s["forbidden"])
+    if forbidden is not None and not forbidden.symbols <= set(table.constants):
+        unknown = sorted(forbidden.symbols - set(table.constants))
+        raise SchemaViolation(f"forbidden references undeclared constants: {unknown}")
     settings = ReachSettings(
         s["horizon"],
         s["step"],
         s["max_jumps"],
-        None if s["forbidden"] is None else _condition_in(s["forbidden"]),
+        forbidden,
         None if s.get("output_vars") is None else tuple(s["output_vars"]),
         s["fixpoint"],
     )

@@ -10,18 +10,22 @@ current constant values. All values are immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import UnknownSymbol
 from .sets import Box
 
-RELATIONS = ("<=", "<", "==", ">=", ">")
+# The halfspace rows c . x <= d of each relation, as signs applied to
+# (coeffs, bound): strict relations read as closed, and an equality is its
+# row followed by the negation.
+_ROW_SIGNS = {"<=": (1.0,), "<": (1.0,), "==": (1.0, -1.0), ">=": (-1.0,), ">": (-1.0,)}
 
 
-def _freeze(a) -> np.ndarray:
-    out = np.array(a, dtype=float)  # a copy: freezing must not reach the caller's array
+def _freeze(a, dtype=float) -> np.ndarray:
+    out = np.array(a, dtype=dtype)  # a copy: freezing must not reach the caller's array
     out.flags.writeable = False
     return out
 
@@ -112,7 +116,7 @@ class LinearConstraint:
     bound_terms: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.relation not in RELATIONS:
+        if self.relation not in _ROW_SIGNS:
             raise ValueError(f"unknown relation {self.relation!r}")
         object.__setattr__(self, "coeffs", _freeze(self.coeffs))
         object.__setattr__(self, "bound", float(self.bound))
@@ -137,6 +141,18 @@ class LinearConstraint:
         if self.relation in (">=", ">"):
             return value >= self.bound - slack
         return abs(value - self.bound) <= slack
+
+
+class Halfspaces(NamedTuple):
+    """A condition as rows ``coeffs[i] . x <= bounds[i]`` (``equality`` marks the rows of ``==``)."""
+
+    coeffs: np.ndarray  # (rows, n)
+    bounds: np.ndarray  # (rows,)
+    equality: np.ndarray  # (rows,) bool
+
+    def widened(self, slack: float) -> "Halfspaces":
+        """The rows with each equality read as a slab of half-width ``slack``."""
+        return self._replace(bounds=np.where(self.equality, self.bounds + slack, self.bounds))
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,6 +182,24 @@ class Condition:
 
     def satisfied(self, x, slack: float = 0.0) -> bool:
         return all(c.satisfied(x, slack) for c in self.constraints)
+
+    def halfspaces(self) -> Halfspaces:
+        """The rows c . x <= d of the constraints in order (see ``_ROW_SIGNS``), built once.
+
+        A condition with symbolic terms has no numeric rows: it raises ``ValueError``.
+        """
+        cached = self.__dict__.get("_halfspaces")
+        if cached is not None:
+            return cached
+        if self.symbols:
+            raise ValueError(f"condition references constants {sorted(self.symbols)}; resolve it first")
+        rows = [(con, sign) for con in self.constraints for sign in _ROW_SIGNS[con.relation]]
+        n = self.constraints[0].coeffs.shape[0] if self.constraints else 0
+        form = Halfspaces(_freeze(np.reshape([sign * con.coeffs for con, sign in rows], (len(rows), n))),
+                          _freeze([sign * con.bound for con, sign in rows]),
+                          _freeze([con.relation == "==" for con, _ in rows], bool))
+        object.__setattr__(self, "_halfspaces", form)
+        return form
 
 
 @dataclass(frozen=True, eq=False)
@@ -380,6 +414,20 @@ class ModelBundle:
     source_format: str = field(default="builder", compare=False)
 
     __eq__ = _fields_equal
+
+    def resolved(self) -> "ModelBundle":
+        """The bundle with its automaton and forbidden set resolved by the same constants, built once."""
+        cached = self.__dict__.get("_resolved")
+        if cached is not None:
+            return cached
+        automaton = self.automaton.resolved()
+        settings = self.settings
+        if settings.forbidden is not None:
+            settings = replace(settings, forbidden=settings.forbidden.resolve(automaton.vars.constants))
+        result = ModelBundle(automaton, settings, self.initial, self.source_format)
+        object.__setattr__(result, "_resolved", result)
+        object.__setattr__(self, "_resolved", result)
+        return result
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import HyraError, InitOutsideInvariant, NonFiniteFlowpipe, StepTooLarge
 from .expressions import format_number, format_rows
-from .ir import Condition, LinearConstraint, ModelBundle, validate
+from .ir import Condition, ModelBundle, validate
 from .sets import (
     Box,
     Zonotope,
@@ -190,7 +190,7 @@ def _input_decomposition(dyn, input_box):
     """Constant part u_c = B u_center + c and symmetric radius bound mu0."""
     if dyn.m and input_box is not None:
         u_c = dyn.b @ input_box.center + dyn.c
-        mu0 = float(np.max(np.abs(dyn.b) @ input_box.radius)) if dyn.m else 0.0
+        mu0 = float(np.max(np.abs(dyn.b) @ input_box.radius))
     else:
         u_c = dyn.c.copy()
         mu0 = 0.0
@@ -306,20 +306,10 @@ def discretize(dyn, x0: Zonotope, input_box: Box | None, step: float):
 
 
 def _box_inside_condition(box: Box, cond: Condition, slack: float = _CONTAIN_SLACK) -> bool:
-    for con in cond.constraints:
-        coeffs = con.coeffs
-        max_val = float(np.where(coeffs >= 0, coeffs * box.hi, coeffs * box.lo).sum())
-        min_val = float(np.where(coeffs >= 0, coeffs * box.lo, coeffs * box.hi).sum())
-        if con.relation in ("<=", "<"):
-            if max_val > con.bound + slack:
-                return False
-        elif con.relation in (">=", ">"):
-            if min_val < con.bound - slack:
-                return False
-        else:
-            if max_val > con.bound + slack or min_val < con.bound - slack:
-                return False
-    return True
+    """Whether max over the box of c . x <= d + slack holds on every halfspace row."""
+    rows = cond.halfspaces()
+    return all(np.where(c >= 0, c * box.hi, c * box.lo).sum() <= d + slack
+               for c, d in zip(rows.coeffs, rows.bounds))
 
 
 @dataclass
@@ -393,7 +383,7 @@ def _propagate(location, omega0: Zonotope, v_set: Zonotope, phi, steps: int,
             # finite centers and radii can still sum out of range; the clamp
             # would read those infinities as an empty box and cut the pipe
             _require_finite(location, entry_time + (k + size) * step, lo, hi)
-            lo, hi, ok = clamp_boxes(lo, hi, location.invariant)
+            lo, hi, ok = clamp_boxes(lo, hi, location.invariant.halfspaces())
             if not ok.all():
                 cut = int(np.argmin(ok))
                 los.append(lo[:cut])
@@ -472,7 +462,7 @@ def flowpipe(location, init: Zonotope, input_box: Box | None, step: float, horiz
         with np.errstate(over="ignore", invalid="ignore"):
             tail = box_hull(omega_tail)
         _require_finite(location, horizon, tail.lo, tail.hi)
-        tail_lo, tail_hi, ok = clamp_boxes(tail.lo[None, :], tail.hi[None, :], invariant)
+        tail_lo, tail_hi, ok = clamp_boxes(tail.lo[None, :], tail.hi[None, :], invariant.halfspaces())
         if ok[0]:
             lo, hi = np.vstack([lo, tail_lo]), np.vstack([hi, tail_hi])
 
@@ -497,7 +487,7 @@ def flowpipe(location, init: Zonotope, input_box: Box | None, step: float, horiz
     # to m segments past the raw pipe's death.
     emit_count = min(raw_count + m, total_steps)
     merged_lo, merged_hi = _sliding_hull(lo, hi, m, emit_count)
-    clamped_lo, clamped_hi, ok = clamp_boxes(merged_lo, merged_hi, invariant)
+    clamped_lo, clamped_hi, ok = clamp_boxes(merged_lo, merged_hi, invariant.halfspaces())
     merged_lo = np.where(ok[:, None], clamped_lo, merged_lo)
     merged_hi = np.where(ok[:, None], clamped_hi, merged_hi)
     segments = Segments.from_bounds(*times(emit_count), merged_lo, merged_hi, location.name, jump_depth)
@@ -518,7 +508,7 @@ def jump_successors(segments: Segments, transition):
     A reset that maps the window out of the floating-point range raises
     ``NonFiniteFlowpipe``.
     """
-    lo, hi, hit = clamp_boxes(segments.lo, segments.hi, transition.guard)
+    lo, hi, hit = clamp_boxes(segments.lo, segments.hi, transition.guard.halfspaces())
     hits = np.flatnonzero(hit)
     if hits.size == 0:
         return []
@@ -539,29 +529,19 @@ def jump_successors(segments: Segments, transition):
 # Safety and fixpoint machinery
 
 
-def _widen_equalities(cond: Condition, slack: float) -> Condition:
-    out = []
-    for con in cond.constraints:
-        if con.relation == "==" and slack > 0.0:
-            out.append(LinearConstraint(con.coeffs, "<=", con.bound + slack))
-            out.append(LinearConstraint(con.coeffs, ">=", con.bound - slack))
-        else:
-            out.append(con)
-    return Condition(tuple(out))
-
-
 def check_safety(segments, forbidden: Condition | None, eq_slack: float = 1e-9):
     """SafeProved iff no segment box meets the forbidden condition.
 
     Equality constraints are widened to a slab of half-width ``eq_slack``
-    (exact-equality intersection of an over-approximation is ill-posed).
-    Returns (verdict, index of the earliest offending segment or None);
-    among offenders with equal ``time_lo`` the lowest index wins.
+    (exact-equality intersection of an over-approximation is ill-posed):
+    the bounds of both rows of an equality grow by it. Returns (verdict,
+    index of the earliest offending segment or None); among offenders with
+    equal ``time_lo`` the lowest index wins.
     """
     if forbidden is None or len(segments) == 0:
         return Verdict.SAFE_PROVED, None
-    widened = _widen_equalities(forbidden, max(eq_slack, 1e-9))
-    _, _, hit = clamp_boxes(segments.lo, segments.hi, widened)
+    rows = forbidden.halfspaces().widened(max(eq_slack, 1e-9))
+    _, _, hit = clamp_boxes(segments.lo, segments.hi, rows)
     offenders = np.flatnonzero(hit)
     if offenders.size == 0:
         return Verdict.SAFE_PROVED, None
@@ -677,7 +657,8 @@ def reach(bundle: ModelBundle) -> ReachResult:
     that is recorded in stats.termination.
     """
     started = time.perf_counter()
-    automaton = bundle.automaton.resolved()
+    bundle = bundle.resolved()
+    automaton = bundle.automaton
     report = validate(automaton)
     if not report.ok:
         raise HyraError("bundle does not validate: " + "; ".join(str(d) for d in report))

@@ -5,6 +5,9 @@ generator matrices. Everything here is a pure value: operations return new
 objects and never mutate their inputs, and every array a set holds is
 read-only. ``clamp_boxes`` is the array form of box-by-condition
 intersection that the flowpipe engine runs over whole segment tables.
+Conditions are evaluated through one halfspace form, the rows c . x <= d of
+``Condition.halfspaces()``: invariant and guard clamps, containment, the
+safety check and the simulator's chunk margins all read those rows.
 
 Sets are checked where they enter: the public ``Box(...)`` and
 ``Zonotope(...)`` constructors convert to float and reject non-finite
@@ -284,41 +287,35 @@ def reduce_order(z: Zonotope, max_order: int = DEFAULT_ORDER_CAP) -> Zonotope:
     return Zonotope._trusted(z.center, np.hstack([z.generators[:, keep], box_gens]))
 
 
-def clamp_boxes(lo, hi, condition):
-    """Clamp every row of (K, n) bound arrays against a linear conjunction.
+def clamp_boxes(lo, hi, rows):
+    """Clamp every row of (K, n) bound arrays against halfspace rows.
 
-    Axis-aligned constraints clamp their interval directly; general rows
-    tighten each coordinate by interval propagation (exact for a single
-    halfspace, sound for the conjunction). Strict relations are treated as
-    their closed counterparts. Returns (lo, hi, ok): new bound arrays and a
+    ``rows`` is a condition's halfspace form (``Condition.halfspaces()``):
+    rows c . x <= d, each tightening every coordinate with a nonzero
+    coefficient by interval propagation (exact for a single halfspace, sound
+    for the conjunction). Returns (lo, hi, ok): new bound arrays and a
     per-row flag that is False where some interval emptied. Rows are
     independent; the bounds of a row whose flag is False are meaningless.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
     ok = np.ones(lo.shape[0], dtype=bool)
-    for con in condition.constraints:
-        rows = [(np.asarray(con.coeffs, dtype=float), con.bound)]
-        if con.relation in (">=", ">"):
-            rows = [(-rows[0][0], -rows[0][1])]
-        elif con.relation == "==":
-            rows = [(rows[0][0], rows[0][1]), (-rows[0][0], -rows[0][1])]
-        for coeffs, bound in rows:
-            # min of coeffs . x over each box, per term
-            terms_min = np.where(coeffs >= 0, coeffs * lo, coeffs * hi)
-            total_min = terms_min.sum(axis=1)
-            ok &= total_min <= bound
-            for i in np.flatnonzero(coeffs):
-                limit = (bound - (total_min - terms_min[:, i])) / coeffs[i]
-                if coeffs[i] > 0:
-                    hi[:, i] = np.minimum(hi[:, i], limit)
-                else:
-                    lo[:, i] = np.maximum(lo[:, i], limit)
-                ok &= lo[:, i] <= hi[:, i]
+    for coeffs, bound in zip(rows.coeffs, rows.bounds):
+        # min of coeffs . x over each box, per term
+        terms_min = np.where(coeffs >= 0, coeffs * lo, coeffs * hi)
+        total_min = terms_min.sum(axis=1)
+        ok &= total_min <= bound
+        for i in np.flatnonzero(coeffs):
+            limit = (bound - (total_min - terms_min[:, i])) / coeffs[i]
+            if coeffs[i] > 0:
+                hi[:, i] = np.minimum(hi[:, i], limit)
+            else:
+                lo[:, i] = np.maximum(lo[:, i], limit)
+            ok &= lo[:, i] <= hi[:, i]
     return lo, hi, ok
 
 
 def intersect_condition(box: Box, condition) -> Box | None:
-    """One-row ``clamp_boxes``: the clamped box, or None when it is empty."""
-    lo, hi, ok = clamp_boxes(box.lo[None, :], box.hi[None, :], condition)
+    """One-row ``clamp_boxes`` against a condition: the clamped box, or None when it is empty."""
+    lo, hi, ok = clamp_boxes(box.lo[None, :], box.hi[None, :], condition.halfspaces())
     return Box(lo[0], hi[0]) if ok[0] else None

@@ -64,7 +64,6 @@ class SimOptions:
     zeno_count: int = 10
     max_events: int = 10_000
     horizon: float | None = None
-    input_value: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -187,17 +186,10 @@ def _locate(a_mat, drive, x0, x1, kind: Integrator, h: float, tol: float, rows, 
             return a, x_a, b, x_b
 
 
-def _levels(constraints, slack: float) -> list:
-    """(coeffs, level) rows at which ``con.satisfied(x, slack)`` may switch."""
-    rows = []
-    for con in constraints:
-        if con.relation in ("<=", "<"):
-            rows.append((con.coeffs, con.bound + slack))
-        elif con.relation in (">=", ">"):
-            rows.append((con.coeffs, con.bound - slack))
-        else:
-            rows += [(con.coeffs, con.bound - slack), (con.coeffs, con.bound + slack)]
-    return rows
+def _levels(cond: Condition, slack: float) -> list:
+    """(coeffs, level) rows at which ``cond.satisfied(x, slack)`` may switch: (c, d + slack)."""
+    rows = cond.halfspaces()
+    return list(zip(rows.coeffs, rows.bounds + slack))
 
 
 def detect_event(dyn: AffineDynamics, transition: Transition, x_before, t: float, h: float,
@@ -219,7 +211,7 @@ def detect_event(dyn: AffineDynamics, transition: Transition, x_before, t: float
     x0 = np.asarray(x_before, dtype=float)
     drive = _drive(dyn, u)
     tol = 1e-9 * max(1.0, t)
-    eqs, ineqs = _split_guard(guard)
+    eqs, _ = _split_guard(guard)
 
     if eqs:
         con = eqs[0]
@@ -245,7 +237,7 @@ def detect_event(dyn: AffineDynamics, transition: Transition, x_before, t: float
     # inequality-only guard: the false->true switch
     if _guard_holds(guard, x0, _GUARD_SLACK) or not _guard_holds(guard, x_after, _GUARD_SLACK):
         return None
-    _, _, b, xb = _locate(dyn.a, drive, x0, x_after, kind, h, tol, _levels(ineqs, _GUARD_SLACK),
+    _, _, b, xb = _locate(dyn.a, drive, x0, x_after, kind, h, tol, _levels(guard, _GUARD_SLACK),
                           lambda x: not _guard_holds(guard, x, _GUARD_SLACK))
     return b, xb
 
@@ -253,10 +245,11 @@ def detect_event(dyn: AffineDynamics, transition: Transition, x_before, t: float
 class _Chunk:
     """One location's chunked stepper for a fixed step length h.
 
-    Every constraint the per-step path would test is a column with a margin
-    that is >= 0 exactly when the test passes: the invariant constraints and
-    the ``_GUARD_SLACK`` rows of inequality-only guards as slack -/+ (c.x - b),
-    and the first equality of each crossing guard as its plain sign c.x - b.
+    Every constraint the per-step path would test is a column c, d with a
+    margin slack - (c.x - d) that is >= 0 exactly when the test passes: the
+    halfspace rows of the invariant and of inequality-only guards with slack
+    ``_GUARD_SLACK``, and the first equality c.x == b of each crossing guard
+    as the row (-c, -b) with slack 0, whose margin is its plain sign c.x - b.
     """
 
     def __init__(self, dyn: AffineDynamics, invariant: Condition, transitions, u, h: float,
@@ -274,32 +267,29 @@ class _Chunk:
         self.offsets = offsets
         self.steps = np.full(_CHUNK + 1, h)
 
-        columns = []  # (constraint, sign, slack, absolute)
+        columns = []  # (coeffs, bound, slack)
 
-        def tested(constraints) -> list:
-            """Columns for constraints the per-step path checks with ``_GUARD_SLACK``."""
+        def tested(cond: Condition) -> list:
+            """Columns for the rows of a condition the per-step path checks with ``_GUARD_SLACK``."""
+            rows = cond.halfspaces()
             start = len(columns)
-            for con in constraints:
-                sign = 1.0 if con.relation in (">=", ">") else -1.0
-                columns.append((con, sign, _GUARD_SLACK, con.relation == "=="))
+            columns.extend((c, d, _GUARD_SLACK) for c, d in zip(rows.coeffs, rows.bounds))
             return list(range(start, len(columns)))
 
-        self.invariant = tested(invariant.constraints)
+        self.invariant = tested(invariant)
         self.crossings = []
         self.switches = []
         for trans in transitions:
-            eqs, ineqs = _split_guard(trans.guard)
+            eqs, _ = _split_guard(trans.guard)
             if eqs:
                 self.crossings.append(len(columns))
-                columns.append((eqs[0], 1.0, 0.0, False))
-            elif ineqs:
-                self.switches.append(tested(ineqs))
-        self.coeffs = np.array([c.coeffs for c, *_ in columns]).reshape(-1, n).T
+                columns.append((-eqs[0].coeffs, -eqs[0].bound, 0.0))
+            elif not trans.guard.is_true:
+                self.switches.append(tested(trans.guard))
+        self.coeffs = np.array([c for c, _, _ in columns]).reshape(-1, n).T
         self.abs_coeffs = np.abs(self.coeffs)
-        self.bounds = np.array([c.bound for c, *_ in columns])
-        self.sign = np.array([s for _, s, _, _ in columns])
-        self.slack = np.array([s for _, _, s, _ in columns])
-        self.absolute = np.array([a for *_, a in columns], dtype=bool)
+        self.bounds = np.array([d for _, d, _ in columns])
+        self.slack = np.array([s for _, _, s in columns])
         self.scale = np.abs(self.bounds) + self.slack
 
     def advance(self, x, t: float, last_time: float, horizon: float) -> tuple:
@@ -316,8 +306,7 @@ class _Chunk:
         plain &= times[1:] > np.concatenate(([last_time], times[1:-1]))
         if len(self.bounds):
             path = np.concatenate((x[None], states))
-            g = path @ self.coeffs - self.bounds
-            margin = np.where(self.absolute, self.slack - np.abs(g), self.sign * g + self.slack)
+            margin = self.slack - (path @ self.coeffs - self.bounds)
             band = _ROUNDING * (np.abs(path) @ self.abs_coeffs + self.scale)
             clear = ~(np.abs(margin) <= band).any(axis=1)
             ok = margin >= 0.0
@@ -368,13 +357,7 @@ def simulate(bundle: ModelBundle, x0, kind: Integrator = Integrator.HEUN,
     if not loc.invariant.satisfied(x, _GUARD_SLACK):
         raise InitOutsideInvariant(f"x0 violates invariant of {loc.name!r}")
 
-    if options.input_value is not None:
-        u = np.asarray(options.input_value, dtype=float)
-    elif table.m:
-        box = automaton.input_box()
-        u = box.center
-    else:
-        u = np.zeros(0)
+    u = automaton.input_box().center if table.m else np.zeros(0)
 
     horizon = options.horizon if options.horizon is not None else bundle.settings.horizon
     h = options.step
@@ -464,7 +447,7 @@ def _invariant_exit(dyn, invariant, x, h, kind, u, x_after):
     ``x_after``, the state ``step`` reaches at h, lies outside.
     """
     a, xa, _, _ = _locate(dyn.a, _drive(dyn, u), np.asarray(x, dtype=float), x_after, kind, h,
-                          1e-12 * max(1.0, h), _levels(invariant.constraints, _GUARD_SLACK),
+                          1e-12 * max(1.0, h), _levels(invariant, _GUARD_SLACK),
                           lambda xm: invariant.satisfied(xm, _GUARD_SLACK))
     return a, xa
 

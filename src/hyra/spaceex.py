@@ -19,17 +19,16 @@ from .expressions import (
     Compare,
     Conjunction,
     Ident,
-    condition_from_ast,
     format_condition,
     format_linear,
     format_number,
     linear_form,
+    parse_condition,
     parse_expression,
     split_conjuncts,
 )
 from .ir import (
     AffineDynamics,
-    Condition,
     HybridAutomaton,
     Location,
     ResetMap,
@@ -118,7 +117,7 @@ def parse_spaceex(xml_text: str, validated: bool = True) -> HybridAutomaton:
         id_to_name[loc_id] = loc_name
         id_to_name[loc_name] = loc_name
         try:
-            invariant = _parse_condition_text(_text(loc_elem, "invariant") or "", table)
+            invariant = parse_condition(_text(loc_elem, "invariant") or "", table)
             dynamics = _parse_flow(_text(loc_elem, "flow") or "", table)
         except XmlMalformed:
             raise
@@ -135,7 +134,7 @@ def parse_spaceex(xml_text: str, validated: bool = True) -> HybridAutomaton:
         label = _text(tr_elem, "label")
         label = label.strip() if label else None
         try:
-            guard = _parse_condition_text(_text(tr_elem, "guard") or "", table)
+            guard = parse_condition(_text(tr_elem, "guard") or "", table)
             reset = _parse_assignment(_text(tr_elem, "assignment") or "", table)
         except XmlMalformed:
             raise
@@ -152,10 +151,6 @@ def parse_spaceex(xml_text: str, validated: bool = True) -> HybridAutomaton:
             details = "; ".join(str(d) for d in report)
             raise XmlMalformed(f"model does not validate: {details}")
     return automaton
-
-
-def _parse_condition_text(text: str, table: VariableTable) -> Condition:
-    return condition_from_ast(parse_expression(text, table), table)
 
 
 def _flow_parts(ast):

@@ -1,5 +1,7 @@
 from hyra.corpus import build_bouncing_ball, build_linswitch, build_tank
+from hyra.expressions import parse_condition
 from hyra.flowstar import emit_flowstar
+from hyra.ir import ModelBundle, ReachSettings
 
 
 def test_ball_mode_block_has_the_ode_rows():
@@ -43,3 +45,17 @@ def test_symbolic_constants_are_resolved():
     text = emit_flowstar(build_bouncing_ball())
     assert "v' := -0.75*v" in text
     assert "c*" not in text.split("\n jumps\n")[1].split("\n init\n")[0]
+
+
+def test_unsafe_block_writes_the_forbidden_set_with_constants_resolved():
+    ball = build_bouncing_ball()  # c = 0.75
+    s = ball.settings
+    forbidden = parse_condition("v >= 20 - 12.4*c", ball.automaton.vars)
+
+    def emitted(condition):
+        settings = ReachSettings(s.horizon, s.step, s.max_jumps, condition, s.output_vars, s.fixpoint_check)
+        return emit_flowstar(ModelBundle(ball.automaton, settings, ball.initial))
+
+    text = emitted(forbidden)
+    assert "v >= 20\n" not in text
+    assert text == emitted(forbidden.resolve(ball.automaton.vars.constants))

@@ -55,6 +55,13 @@ def test_inconsistent_dimensions_rejected_after_schema():
         read_json(json.dumps(data))
 
 
+def test_forbidden_set_with_an_undeclared_constant_is_rejected():
+    data = bundle_to_dict(build_bouncing_ball())
+    data["settings"]["forbidden"][0]["bound_terms"] = {"zz": 1.0}
+    with pytest.raises(SchemaViolation, match="zz"):
+        read_json(json.dumps(data))
+
+
 def _invalid_documents():
     def edit(change):
         data = bundle_to_dict(build_bouncing_ball())

@@ -223,3 +223,57 @@ def test_equal_term_arrays_need_equal_shapes_and_entries():
     assert dataclasses.replace(dyn, a_terms={"k": np.zeros((2, 2))}) != \
         dataclasses.replace(dyn, a_terms={"k": np.zeros((1, 2, 2))})
     assert dataclasses.replace(dyn, a=np.full((2, 2), np.nan)) != dataclasses.replace(dyn, a=np.full((2, 2), np.nan))
+
+
+def box_inside_reference(box, cond, slack):
+    """Per constraint, from the relation: the box's max/min of c . x against the bound."""
+    for con in cond.constraints:
+        c = con.coeffs
+        top = float(np.where(c >= 0, c * box.hi, c * box.lo).sum())
+        bottom = float(np.where(c >= 0, c * box.lo, c * box.hi).sum())
+        below = top <= con.bound + slack
+        above = bottom >= con.bound - slack
+        if not {"<=": below, "<": below, ">=": above, ">": above, "==": below and above}[con.relation]:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("relation", ["<=", "<", "==", ">=", ">"])
+def test_halfspace_rows_agree_with_the_relations(relation):
+    from hyra.reach import _box_inside_condition
+
+    rng = np.random.default_rng(5)
+    slack = 0.5
+    agreed = {True: 0, False: 0}
+    for _ in range(200):
+        n = int(rng.integers(1, 4))
+        constraints = [LinearConstraint(rng.normal(size=n) * (rng.uniform(size=n) < 0.7), rel, float(rng.normal()))
+                       for rel in (relation, rng.choice(["<=", ">=", "=="]))]
+        cond = Condition(constraints)
+        rows = cond.halfspaces()
+        assert rows.coeffs.shape == (len(rows.bounds), n)
+        assert rows.equality.sum() == 2 * sum(c.relation == "==" for c in constraints)
+        x = rng.normal(size=n) * 2.0
+        levels = [float(c.coeffs @ x) - c.bound for c in constraints]
+        if all(abs(abs(g) - slack) > 1e-6 for g in levels):  # away from every boundary |g| = slack
+            holds = bool(np.all(rows.coeffs @ x <= rows.bounds + slack))
+            assert holds == cond.satisfied(x, slack)
+            agreed[holds] += 1
+        center, radius = rng.normal(size=n), rng.uniform(0.0, 1.0, size=n)
+        box = Box(center - radius, center + radius)
+        assert _box_inside_condition(box, cond, slack) == box_inside_reference(box, cond, slack)
+    assert agreed[True] > 0 and agreed[False] > 0
+
+
+def test_halfspace_form_of_a_symbolic_condition_raises():
+    from hyra.reach import check_safety, reach
+
+    ball = build_bouncing_ball()
+    v_row = np.array([0.0, 1.0, 0.0, 0.0])
+    symbolic = Condition((LinearConstraint(v_row, ">=", 14.0, bound_terms={"c": -8.0}),))
+    with pytest.raises(ValueError, match="resolve"):
+        symbolic.halfspaces()
+    with pytest.raises(ValueError, match="resolve"):
+        check_safety(reach(ball).segments, symbolic)
+    resolved = symbolic.resolve(ball.automaton.vars.constants)
+    assert np.array_equal(resolved.halfspaces().coeffs, [-v_row]) and resolved.halfspaces().bounds[0] == -8.0

@@ -8,7 +8,7 @@ import pytest
 
 from hyra.corpus import build_bouncing_ball, build_linswitch, build_platoon, build_tank
 from hyra.errors import InitOutsideInvariant, NonFiniteFlowpipe, StepTooLarge
-from hyra.expressions import format_number
+from hyra.expressions import format_number, parse_condition
 from hyra.ir import (
     AffineDynamics,
     Condition,
@@ -571,6 +571,22 @@ def test_ball_reach_cannot_prove_tighter_threshold():
     result = reach(ModelBundle(bundle.automaton, tighter, bundle.initial))
     assert result.verdict == Verdict.POSSIBLY_UNSAFE
     assert result.first_violation is not None
+
+
+def with_forbidden(bundle, text):
+    s = bundle.settings
+    forbidden = parse_condition(text, bundle.automaton.vars)
+    settings = ReachSettings(s.horizon, s.step, s.max_jumps, forbidden, s.output_vars, s.fixpoint_check)
+    return ModelBundle(bundle.automaton, settings, bundle.initial)
+
+
+def test_forbidden_set_is_resolved_with_the_automaton_constants():
+    ball = build_bouncing_ball()  # c = 0.75, so 14 - 8*c is 8
+    symbolic = reach(with_forbidden(ball, "v >= 14 - 8*c"))
+    plain = reach(with_forbidden(ball, "v >= 8"))
+    assert plain.verdict == Verdict.POSSIBLY_UNSAFE
+    assert symbolic.verdict == plain.verdict
+    assert symbolic.first_violation == plain.first_violation
 
 
 def test_platoon_exploration_stops_at_the_jump_bound():

@@ -341,13 +341,18 @@ def test_strict_relations_treated_as_closed():
     assert lt.hi[0] == 1.0
 
 
-def scalar_clamp(lo, hi, condition):
-    """One box, one constraint row at a time: the oracle for clamp_boxes."""
+def scalar_clamp(lo, hi, condition, eq_slack=0.0):
+    """One box, one constraint row at a time: the oracle for clamp_boxes.
+
+    An equality constraint is read as the slab |c . x - b| <= eq_slack.
+    """
     lo, hi = lo.copy(), hi.copy()
     for con in condition.constraints:
         sign_rows = {"<=": [1.0], "<": [1.0], ">=": [-1.0], ">": [-1.0], "==": [1.0, -1.0]}
         for sign in sign_rows[con.relation]:
             coeffs, bound = sign * con.coeffs, sign * con.bound
+            if con.relation == "==":
+                bound += eq_slack
             terms_min = [c * lo[i] if c >= 0 else c * hi[i] for i, c in enumerate(coeffs)]
             total_min = np.sum(terms_min)
             if total_min > bound:
@@ -367,7 +372,7 @@ def scalar_clamp(lo, hi, condition):
 def test_clamp_boxes_matches_intersect_condition_row_by_row(relations):
     rng = np.random.default_rng(97)
     n = 3
-    kept = emptied = 0
+    kept = emptied = widened_kept = 0
     for _ in range(20):
         center = rng.normal(size=(40, n))
         radius = rng.uniform(0.0, 1.5, size=(40, n))
@@ -377,7 +382,9 @@ def test_clamp_boxes_matches_intersect_condition_row_by_row(relations):
             coeffs = rng.normal(size=n) * (rng.uniform(size=n) < 0.6)
             constraints.append(LinearConstraint(coeffs, relation, float(rng.normal())))
         cond = Condition(tuple(constraints))
-        out_lo, out_hi, ok = clamp_boxes(lo, hi, cond)
+        out_lo, out_hi, ok = clamp_boxes(lo, hi, cond.halfspaces())
+        # the equality-slack case: the rows check_safety clamps against
+        wide_lo, wide_hi, wide_ok = clamp_boxes(lo, hi, cond.halfspaces().widened(0.3))
         for k in range(len(lo)):
             single = intersect_condition(Box(lo[k], hi[k]), cond)
             oracle = scalar_clamp(lo[k], hi[k], cond)
@@ -385,6 +392,13 @@ def test_clamp_boxes_matches_intersect_condition_row_by_row(relations):
             if ok[k]:
                 assert np.array_equal(out_lo[k], single.lo) and np.array_equal(out_hi[k], single.hi)
                 assert np.array_equal(out_lo[k], oracle[0]) and np.array_equal(out_hi[k], oracle[1])
+            wide = scalar_clamp(lo[k], hi[k], cond, eq_slack=0.3)
+            assert wide_ok[k] == (wide is not None)
+            if wide_ok[k]:
+                assert np.array_equal(wide_lo[k], wide[0]) and np.array_equal(wide_hi[k], wide[1])
         kept += int(ok.sum())
         emptied += int((~ok).sum())
+        widened_kept += int(wide_ok.sum())
     assert kept > 0 and emptied > 0
+    if "==" in relations:
+        assert widened_kept > kept
