@@ -4,10 +4,24 @@
 round-trip floats via json); ``read_json`` validates against the shipped
 schema (data/bundle.schema.json) before building IR objects, so malformed
 documents fail with SchemaViolation instead of deep attribute errors.
+
+A read checks the document once. ``jsonschema`` walks it against an
+envelope of the shipped schema, derived in code when the validator is
+built: the ``vector``, ``matrix``, ``vectorTerms`` and ``matrixTerms``
+definitions become bare arrays and objects, so the schema walks the
+structure and not every matrix entry. One pass over the number arrays
+then checks what those definitions asked: each vector a list of ints and
+floats (no booleans), each matrix a list of such lists. A document that
+fails either check is validated once more with the full shipped schema,
+and its message is the full schema's, so the accepted documents and every
+rejection message are those of plain ``jsonschema.validate``.
+
 Values the schema admits but the IR rejects (non-finite or empty initial
-boxes, a NaN step, an initial location the model lacks) fail the same way.
+boxes, a NaN step, an initial location the model lacks, a forbidden set
+over the wrong number of variables, output variables that are not state
+variables, an integer too large for a float) fail the same way.
 The shipped schema itself is checked against its meta-schema once per
-process, on the first read; every read then validates with the validator
+process, on the first read; every read then validates with the validators
 built at that point.
 write_json(read_json(s)) == s holds for any canonical s.
 """
@@ -17,6 +31,7 @@ from __future__ import annotations
 import functools
 import json
 from importlib import resources
+from itertools import chain
 
 import jsonschema
 import numpy as np
@@ -44,22 +59,82 @@ def _schema() -> dict:
     return json.loads(resources.files("hyra.data").joinpath("bundle.schema.json").read_text())
 
 
+# The number-array definitions of the shipped schema, relaxed in the envelope.
+_RELAXED = {"vector": "array", "matrix": "array", "vectorTerms": "object", "matrixTerms": "object"}
+
+
+def _envelope(schema: dict) -> dict:
+    """The shipped schema with its number-array definitions reduced to their
+    outer type and every ``$ref`` replaced by the definition it names, which
+    spares the validator a reference lookup per object."""
+    defs = {**schema["$defs"], **{name: {"type": kind} for name, kind in _RELAXED.items()}}
+
+    def inline(node):
+        if isinstance(node, dict):
+            if "$ref" in node:
+                return inline(defs[node["$ref"].removeprefix("#/$defs/")])
+            return {key: inline(value) for key, value in node.items() if key != "$defs"}
+        if isinstance(node, list):
+            return [inline(value) for value in node]
+        return node
+
+    return inline(schema)
+
+
 class _ShippedSchema:
     """``cls`` for ``jsonschema.validate``: the first ``check_schema`` runs the
-    meta-schema check and builds the validator for the schema's draft; later
-    calls skip both, and the constructor hands back that one validator."""
+    meta-schema check and builds the validators of the envelope and of the
+    full schema for the schema's draft; later calls skip both, and the
+    constructor hands back the envelope validator."""
 
     validator = None
+    full = None
 
     @classmethod
     def check_schema(cls, schema: dict) -> None:
         if cls.validator is None:
             kind = jsonschema.validators.validator_for(schema)
             kind.check_schema(schema)
-            cls.validator = kind(schema)
+            cls.full = kind(schema)
+            cls.validator = kind(_envelope(schema))
 
     def __new__(cls, schema: dict):
         return cls.validator
+
+
+# (array key, terms key, dimensions) of the number arrays in each object kind.
+_FLOW = (("a", "a_terms", 2), ("b", "b_terms", 2), ("c", "c_terms", 1))
+_RESET = (("matrix", "matrix_terms", 2), ("offset", "offset_terms", 1))
+_CONSTRAINT = (("coeffs", "coeff_terms", 1),)
+
+
+def _plain_numbers(data: dict) -> bool:
+    """Whether every number array of a document the envelope accepted is what
+    the full schema asks: a vector is a list of ints and floats, a matrix a
+    list of vectors."""
+    vectors, matrices = [], []
+
+    def collect(obj: dict, spec: tuple) -> None:
+        for key, terms_key, ndim in spec:
+            out = vectors if ndim == 1 else matrices
+            out.append(obj[key])
+            out.extend(obj.get(terms_key, {}).values())
+
+    conditions = [data["settings"]["forbidden"] or []]
+    for loc in data["locations"]:
+        collect(loc["flow"], _FLOW)
+        conditions.append(loc["invariant"])
+    for tr in data["transitions"]:
+        collect(tr["reset"], _RESET)
+        conditions.append(tr["guard"])
+    for con in chain.from_iterable(conditions):
+        collect(con, _CONSTRAINT)
+    # outer lists first: a terms entry the envelope let through may be no list at all
+    if not set(map(type, chain(vectors, matrices))) <= {list}:
+        return False
+    rows = list(chain.from_iterable(matrices))
+    numbers = chain.from_iterable(vectors + rows)
+    return set(map(type, rows)) <= {list} and set(map(type, numbers)) <= {int, float}
 
 
 def _terms_out(terms: dict) -> dict:
@@ -175,11 +250,16 @@ def _condition_in(data: list) -> Condition:
 def bundle_from_dict(data: dict) -> ModelBundle:
     try:
         jsonschema.validate(data, _schema(), cls=_ShippedSchema)
-    except jsonschema.ValidationError as exc:
-        raise SchemaViolation(f"bundle document rejected: {exc.message}") from exc
+        plain = _plain_numbers(data)
+    except jsonschema.ValidationError:
+        plain = False
+    if not plain:
+        error = jsonschema.exceptions.best_match(_ShippedSchema.full.iter_errors(data))
+        if error is not None:
+            raise SchemaViolation(f"bundle document rejected: {error.message}") from error
     try:
         return _build_bundle(data)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise SchemaViolation(f"bundle document rejected: {exc}") from exc
 
 
@@ -227,6 +307,12 @@ def _build_bundle(data: dict) -> ModelBundle:
     if forbidden is not None and not forbidden.symbols <= set(table.constants):
         unknown = sorted(forbidden.symbols - set(table.constants))
         raise SchemaViolation(f"forbidden references undeclared constants: {unknown}")
+    for con in () if forbidden is None else forbidden.constraints:
+        if con.coeffs.shape != (table.n,):
+            raise SchemaViolation(f"forbidden: constraint over {con.coeffs.size} variables, expected {table.n}")
+    for name in s.get("output_vars") or ():
+        if name not in table.state_vars:
+            raise SchemaViolation(f"output_vars: {name!r} is not a state variable")
     settings = ReachSettings(
         s["horizon"],
         s["step"],

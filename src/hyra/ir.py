@@ -86,7 +86,7 @@ class VariableTable:
     def __post_init__(self):
         object.__setattr__(self, "state_vars", tuple(self.state_vars))
         object.__setattr__(self, "input_vars", tuple(self.input_vars))
-        object.__setattr__(self, "constants", dict(self.constants))
+        object.__setattr__(self, "constants", {name: float(v) for name, v in self.constants.items()})
 
     __eq__ = _fields_equal
 
@@ -121,7 +121,7 @@ class LinearConstraint:
         object.__setattr__(self, "coeffs", _freeze(self.coeffs))
         object.__setattr__(self, "bound", float(self.bound))
         object.__setattr__(self, "coeff_terms", _freeze_terms(self.coeff_terms))
-        object.__setattr__(self, "bound_terms", dict(sorted(self.bound_terms.items())))
+        object.__setattr__(self, "bound_terms", {name: float(v) for name, v in sorted(self.bound_terms.items())})
 
     __eq__ = _fields_equal
 
@@ -392,6 +392,8 @@ class ReachSettings:
     fixpoint_check: bool = True
 
     def __post_init__(self):
+        object.__setattr__(self, "horizon", float(self.horizon))
+        object.__setattr__(self, "step", float(self.step))
         if not (0 < self.step <= self.horizon):
             raise ValueError("need 0 < step <= horizon")
         if not np.isfinite(self.horizon):

@@ -8,6 +8,8 @@ pure function of the input bytes: no timestamps, no generated ids.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -29,12 +31,21 @@ class Projection:
 
 
 def _parse_csv(text: str) -> tuple:
+    """The header cells and the data lines of a CSV text; blank lines are skipped."""
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ModelFormatError("empty CSV input")
-    header = lines[0].split(",")
-    rows = [line.split(",") for line in lines[1:]]
-    return header, rows
+    return lines[0].split(","), lines[1:]
+
+
+def _cells(rows: list, columns) -> list:
+    """The text of each of ``columns`` over the data rows, one list per column.
+
+    Each row is split only up to the last of the columns; a row too short
+    for one of them raises IndexError.
+    """
+    split = list(map(str.split, rows, repeat(","), repeat(max(columns) + 1)))
+    return [list(map(itemgetter(col), split)) for col in columns]
 
 
 def _malformed(text: str, columns) -> ModelFormatError:
@@ -56,18 +67,18 @@ def project_csv(text: str, x_name: str, y_name: str) -> Projection:
     header, rows = _parse_csv(text)
     if header[:4] == ["time_lo", "time_hi", "location", "jump_depth"]:
         try:
-            xlo = header.index(f"lo_{x_name}")
-            xhi = header.index(f"hi_{x_name}")
-            ylo = header.index(f"lo_{y_name}")
-            yhi = header.index(f"hi_{y_name}")
+            columns = (
+                header.index(f"lo_{x_name}"),
+                header.index(f"hi_{x_name}"),
+                header.index(f"lo_{y_name}"),
+                header.index(f"hi_{y_name}"),
+            )
         except ValueError as exc:
             raise ModelFormatError(f"variable not present in flowpipe CSV: {exc}") from exc
         try:
-            rects = [
-                (float(r[xlo]), float(r[xhi]), float(r[ylo]), float(r[yhi])) for r in rows
-            ]
+            rects = list(zip(*(map(float, cells) for cells in _cells(rows, columns))))
         except (ValueError, IndexError):
-            raise _malformed(text, (xlo, xhi, ylo, yhi)) from None
+            raise _malformed(text, columns) from None
         return Projection("flowpipe", x_name, y_name, rects, [])
     if header[:2] == ["time", "location"] or header[:3] == ["run", "time", "location"]:
         try:
@@ -75,18 +86,22 @@ def project_csv(text: str, x_name: str, y_name: str) -> Projection:
             yi = header.index(y_name)
         except ValueError as exc:
             raise ModelFormatError(f"variable not present in trajectory CSV: {exc}") from exc
-        # multi-run exports break the polyline between runs
-        points = []
-        last_run = None
         try:
-            for r in rows:
-                if header[0] == "run" and r[0] != last_run:
-                    if last_run is not None:
-                        points.append(None)
-                    last_run = r[0]
-                points.append((float(r[xi]), float(r[yi])))
+            runs, xs, ys = _cells(rows, (0, xi, yi))
+            pairs = list(zip(map(float, xs), map(float, ys)))
         except (ValueError, IndexError):
             raise _malformed(text, (xi, yi)) from None
+        if header[0] != "run":
+            return Projection("trajectory", x_name, y_name, [], pairs)
+        # multi-run exports break the polyline between runs
+        points: list = []
+        start = 0
+        for _, run in groupby(runs):
+            end = start + len(list(run))
+            if start:
+                points.append(None)
+            points.extend(pairs[start:end])
+            start = end
         return Projection("trajectory", x_name, y_name, [], points)
     raise ModelFormatError("unrecognized CSV header; expected a flowpipe or trajectory export")
 

@@ -272,6 +272,23 @@ def test_bad_json_values_are_input_errors(case, command, tmp_path, capsys):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("field, value, command, message", [
+    ("forbidden", [{"coeffs": [0, 1], "relation": ">=", "bound": 10.7}], ("check",),
+     "forbidden: constraint over 2 variables, expected 4"),
+    ("output_vars", ["x", "nope"], ("translate", "--to", "flowstar"),
+     "output_vars: 'nope' is not a state variable"),
+], ids=["forbidden", "output_vars"])
+def test_json_settings_that_do_not_fit_the_model_are_input_errors(field, value, command, message,
+                                                                   tmp_path, capsys):
+    data = json.loads((CORPUS_DIR / "bouncing-ball" / "bundle.json").read_text())
+    data["settings"][field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, command[0], str(path), *command[1:])
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("model", ["bouncing-ball", "linswitch4", "platoon6", "tank3"])
 def test_bench_commands_match_the_file_commands(model, tmp_path, capsys):
     xml = str(CORPUS_DIR / model / "model.xml")

@@ -1,4 +1,6 @@
 import json
+import math
+import random
 import re
 
 import jsonschema
@@ -9,7 +11,7 @@ from hyra.corpus import all_benchmarks, build, build_bouncing_ball
 from hyra.errors import SchemaViolation
 from hyra.interchange import bundle_to_dict, read_json, write_json
 
-from support import CORPUS_DIR, SCHEMA_PATH, bad_value_document
+from support import BAD_VALUES, CORPUS_DIR, SCHEMA_PATH, bad_value_document
 
 
 @pytest.mark.parametrize("bench", all_benchmarks(), ids=lambda b: b.value)
@@ -129,3 +131,141 @@ def test_meta_schema_check_runs_once_and_every_read_validates(monkeypatch):
 def test_values_the_ir_rejects_are_schema_violations(case, message):
     with pytest.raises(SchemaViolation, match=re.escape(message)):
         read_json(bad_value_document(case))
+
+
+def _ball_data() -> dict:
+    return json.loads((CORPUS_DIR / "bouncing-ball" / "bundle.json").read_text())
+
+
+def test_integers_read_as_floats():
+    data = _ball_data()
+    data["settings"].update(horizon=2**70, step=1)
+    data["variables"]["constants"]["c"] = 2**70
+    data["settings"]["forbidden"][0]["bound_terms"] = {"c": 3}
+    bundle = read_json(json.dumps(data))
+    scalars = (bundle.settings.horizon, bundle.settings.step, bundle.automaton.vars.constants["c"],
+               bundle.settings.forbidden.constraints[0].bound_terms["c"])
+    assert scalars == (2**70, 1, 2**70, 3)
+    assert {type(v) for v in scalars} == {float}
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d["settings"].update(horizon=10**400),
+    lambda d: d["variables"]["constants"].update(c=10**400),
+    lambda d: d["settings"]["forbidden"][0].update(bound_terms={"c": 10**400}),
+], ids=["horizon", "constant", "bound-term"])
+def test_an_integer_too_large_for_a_float_is_rejected(edit):
+    data = _ball_data()
+    edit(data)
+    with pytest.raises(SchemaViolation, match="int too large to convert to float"):
+        read_json(json.dumps(data))
+
+
+# -- read_json against plain jsonschema.validate plus _build_bundle ----------
+
+_SHIPPED = json.loads(SCHEMA_PATH.read_text())
+# jsonschema.validate(data, _SHIPPED) without its meta-schema check on every call
+_FULL = jsonschema.validators.validator_for(_SHIPPED)(_SHIPPED)
+_SWAPS = ["text", None, True, False, 0, 2.5, -1, {}, [], [1.0], [[1.0]], {"k": [1.0]}]
+
+
+def _plain_read(text: str) -> str:
+    """What reading ``text`` gives with the full shipped schema walked by jsonschema:
+    the canonical text of the bundle, or the rejection message."""
+    data = json.loads(text)
+    error = jsonschema.exceptions.best_match(_FULL.iter_errors(data))
+    if error is not None:
+        return "bundle document rejected: " + error.message
+    try:
+        return write_json(interchange._build_bundle(data))
+    except SchemaViolation as exc:
+        return str(exc)
+    except (ValueError, OverflowError) as exc:
+        return f"bundle document rejected: {exc}"
+
+
+def _ours(text: str) -> str:
+    try:
+        return write_json(read_json(text))
+    except SchemaViolation as exc:
+        return str(exc)
+
+
+def _nodes(value, out):
+    """Every (container, key) slot under ``value``, depth first."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in items:
+        out.append((value, key))
+        if isinstance(child, (dict, list)):
+            _nodes(child, out)
+    return out
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _mutate(data: dict, rng: random.Random) -> None:
+    """One seeded single-field edit: a type swap, a boolean or out-of-range
+    number in a number array, a ragged row, extra nesting, or an empty list."""
+    slots = _nodes(data, [])
+    numbers = [(c, k) for c, k in slots if isinstance(c, list) and _is_number(c[k])]
+    rows = [(c, k) for c, k in slots if isinstance(c[k], list) and c[k] and _is_number(c[k][0])]
+    kind = rng.choice(["swap", "swap", "bool", "mixed", "ragged", "nest", "empty", "huge", "nan"])
+    if kind in ("bool", "huge", "nan"):
+        container, key = rng.choice(numbers)
+        container[key] = {"bool": rng.choice([True, False]), "huge": 2**70, "nan": math.nan}[kind]
+    elif kind == "mixed":
+        container, key = rng.choice(rows)
+        container[key] = [*container[key], True]
+    elif kind == "ragged":
+        container, key = rng.choice(rows)
+        container[key] = container[key][:-1] if rng.random() < 0.5 else [*container[key], 1.0]
+    else:
+        container, key = rng.choice(slots)
+        old = container[key]
+        container[key] = {"swap": rng.choice(_SWAPS), "nest": [old], "empty": []}[kind]
+
+
+# Edits of the ball's bundle at the number arrays' edges, pinned beside the seeded ones.
+_EDGES = [
+    lambda d: d["transitions"][0]["reset"]["matrix_terms"].update(c=2.5),
+    lambda d: d["transitions"][0]["reset"]["matrix_terms"].update(c=[1.0, 0.0]),
+    lambda d: d["locations"][0]["flow"]["a"].__setitem__(0, [0.0, 1.0, 0.0, True]),
+    lambda d: d["locations"][0]["flow"]["a"].__setitem__(1, {"0": 1.0}),
+    lambda d: d["locations"][0]["flow"]["a"][2].pop(),
+    lambda d: d["locations"][0]["flow"].update(b=[]),
+    lambda d: d["locations"][0]["flow"].update(c=[0.0, 2**70, 0.0, -(2**70)]),
+    lambda d: d["settings"]["forbidden"][0].update(coeff_terms={"c": [False, 0, 0, 0]}),
+]
+
+
+def _documents():
+    yield from (bad_value_document(case) for case in sorted(BAD_VALUES))
+    for edit in _EDGES:
+        data = _ball_data()
+        edit(data)
+        yield json.dumps(data)
+    rng = random.Random(11)
+    for model, count in (("bouncing-ball", 150), ("linswitch4", 100), ("tank3", 10), ("platoon6", 10)):
+        text = (CORPUS_DIR / model / "bundle.json").read_text()
+        yield text
+        for _ in range(count):
+            data = json.loads(text)
+            _mutate(data, rng)
+            yield json.dumps(data)
+
+
+def test_read_json_matches_the_full_schema_on_mutated_bundles():
+    accepted = set()
+    for text in _documents():
+        want = _plain_read(text)
+        assert _ours(text) == want, text
+        accepted.add(want.startswith("{"))
+    assert accepted == {True, False}
+
+
+@pytest.mark.parametrize("model", ["bouncing-ball", "linswitch4", "platoon6", "tank3"])
+def test_corpus_number_arrays_pass_the_plain_number_check(model):
+    data = json.loads((CORPUS_DIR / model / "bundle.json").read_text())
+    assert interchange._plain_numbers(data)

@@ -75,3 +75,50 @@ def test_unknown_variable_rejected():
 def test_unrecognized_header_rejected():
     with pytest.raises(ModelFormatError):
         project_csv("a,b,c\n1,2,3\n", "a", "b")
+
+
+def _projection_by_rows(text, x_name, y_name):
+    """The row-by-row parse ``project_csv`` replaced, kept as its reference."""
+    lines = [line for line in text.splitlines() if line.strip()]
+    header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
+    if header[0] == "time_lo":
+        cols = [header.index(f"{end}_{name}") for name in (x_name, y_name) for end in ("lo", "hi")]
+        return Projection("flowpipe", x_name, y_name, [tuple(float(r[c]) for c in cols) for r in rows], [])
+    xi, yi = header.index(x_name), header.index(y_name)
+    points, last_run = [], None
+    for r in rows:
+        if header[0] == "run" and r[0] != last_run:
+            if last_run is not None:
+                points.append(None)
+            last_run = r[0]
+        points.append((float(r[xi]), float(r[yi])))
+    return Projection("trajectory", x_name, y_name, [], points)
+
+
+def _ragged(text):
+    """The CSV with blank lines and rows of more, or fewer but enough, cells than the header."""
+    lines = text.splitlines()
+    lines[2] += ",extra,cells"
+    lines[3] = ",".join(lines[3].split(",")[:-1])
+    lines.insert(4, "  ")
+    return "\n".join(lines) + "\n"
+
+
+def _runs(text):
+    body = text.splitlines()
+    return "\n".join(["run," + body[0]] + [f"{run},{line}" for run in (0, 1, 1.0) for line in body[1:]]) + "\n"
+
+
+@pytest.mark.parametrize("make, x, y", [
+    (flowpipe_csv, "x2", "x3"),
+    (lambda: _ragged(flowpipe_csv()), "x1", "x2"),
+    (trajectory_csv, "x3", "x1"),
+    (lambda: _ragged(trajectory_csv()), "x1", "x2"),
+    (lambda: _runs(trajectory_csv()), "x2", "x3"),
+], ids=["flowpipe", "flowpipe-ragged", "trajectory", "trajectory-ragged", "trajectory-runs"])
+def test_projection_matches_the_row_by_row_parse(make, x, y):
+    text = make()
+    proj, want = project_csv(text, x, y), _projection_by_rows(text, x, y)
+    assert proj == want
+    assert projection_to_svg(proj) == projection_to_svg(want)
+    assert projection_to_csv(proj) == projection_to_csv(want)

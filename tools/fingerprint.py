@@ -5,8 +5,11 @@ The lines cover the reach CSV (with the verdict) at the shipped settings
 and at the deeper jump bounds of the reach-deep benchmark (ball at 3 and 5
 jumps, tank3 at 16 and 24 jumps over 10 and 15 s), and the trajectory and
 event CSVs of three seeded ``simulate`` runs with Heun and Euler at the
-shipped step and at step/10. Two source trees print the same lines exactly
-when all of these outputs are byte-identical:
+shipped step and at step/10. Reader lines cover ``write_json`` and
+``emit_flowstar`` of ``read_json`` on each corpus ``bundle.json`` and the
+rejection message of each ``BAD_VALUES`` document of the test suite. Two
+source trees print the same lines exactly when all of these outputs are
+byte-identical:
 
     PYTHONPATH=src python3 tools/fingerprint.py > after.txt
     PYTHONPATH=/path/to/other/src python3 tools/fingerprint.py > before.txt
@@ -15,11 +18,17 @@ when all of these outputs are byte-identical:
 
 import hashlib
 import sys
+from pathlib import Path
 
 from hyra import corpus
+from hyra.errors import SchemaViolation
+from hyra.flowstar import emit_flowstar
+from hyra.interchange import read_json, write_json
 from hyra.ir import ModelBundle, ReachSettings
 from hyra.reach import reach, segments_to_csv
 from hyra.simulate import Integrator, SimOptions, events_to_csv, sample_initial, simulate, trajectory_to_csv
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 DEEP = {
     "bouncing-ball": [(3, None), (5, None)],
@@ -54,6 +63,31 @@ def simulate_text(bundle, kind, step) -> str:
     return "".join(parts)
 
 
+def rejection(text: str) -> str:
+    try:
+        read_json(text)
+    except SchemaViolation as exc:
+        return str(exc)
+    return "accepted"
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def reader_lines():
+    sys.path.insert(0, str(REPO_ROOT / "tests"))
+    from support import BAD_VALUES, bad_value_document
+
+    for bench in corpus.all_benchmarks():
+        model = bench.value
+        text = (REPO_ROOT / "corpus" / model / "bundle.json").read_text()
+        yield f"{digest(write_json(read_json(text)))}  {model} read_json write_json"
+        yield f"{digest(emit_flowstar(read_json(text)))}  {model} read_json emit_flowstar"
+    for case in sorted(BAD_VALUES):
+        yield f"{digest(rejection(bad_value_document(case)))}  bouncing-ball read_json {case}"
+
+
 def lines():
     for bench in corpus.all_benchmarks():
         model = bench.value
@@ -67,7 +101,8 @@ def lines():
                 configs.append((f"simulate {kind.value} step={step:g}",
                                 lambda b=bundle, k=kind, h=step: simulate_text(b, k, h)))
         for label, make in configs:
-            yield f"{hashlib.sha256(make().encode()).hexdigest()}  {model} {label}"
+            yield f"{digest(make())}  {model} {label}"
+    yield from reader_lines()
 
 
 def main() -> int:
