@@ -470,12 +470,12 @@ def _check_condition(defects, cond: Condition, n: int, known_consts, where: str)
                 defects.append(Defect("unknown-symbol", f"{where}: references undeclared constant {sym!r}"))
 
 
-def validate(automaton: HybridAutomaton) -> ValidationReport:
+def validate(automaton: HybridAutomaton, forbidden: Condition | None = None) -> ValidationReport:
     """Collect structural defects; an empty report means well-formed.
 
     Defects are data, not exceptions: dimension mismatches, dangling
     location names, duplicate names, non-finite entries, and references to
-    undeclared constants all land in the report.
+    undeclared constants all land in the report, also for a ``forbidden`` set.
     """
     defects = []
     vt = automaton.vars
@@ -534,6 +534,8 @@ def validate(automaton: HybridAutomaton) -> ValidationReport:
             if sym not in consts:
                 defects.append(Defect("unknown-symbol", f"{where}: reset references undeclared constant {sym!r}"))
         _check_condition(defects, tr.guard, n, consts, f"{where} guard")
+    if forbidden is not None:
+        _check_condition(defects, forbidden, n, consts, "forbidden set")
 
     return ValidationReport(tuple(defects))
 

@@ -1,24 +1,27 @@
 """Flowpipe reachability over affine hybrid automata.
 
 Per location, the continuous flow is discretized in the classic way: a
-first-interval enclosure Omega0 covering [0, step] (chord hull of the set
-and its one-step image, bloated for curvature and inputs) and a one-step
-input set V, so that Omega_k = Phi^k Omega0 (+) Phi^(k-1) V (+) ... (+) V
-with Phi = e^(A step). The drift part of V is the exact integral
+first-interval enclosure Omega0 covering [0, step] and a one-step input set
+V, so that Omega_k = Phi^k Omega0 (+) Phi^(k-1) V (+) ... (+) V with
+Phi = e^(A step). The drift part of V is the exact integral
 (int_0^step e^(A s) ds) u_c, so autonomous models with pure drift propagate
-without per-step bloat. For stiff dynamics the Omega0 construction
-sub-steps internally so the curvature term stays meaningful.
+without per-step bloat.
 
-Propagation is wrapping-free (Girard, Le Guernic & Maler, HSCC 2006; the
-box-template case of the support-function scheme of Le Guernic & Girard).
-Only the box hull of each Omega_k is ever used, so instead of re-reducing a
-growing zonotope every step the engine carries Phi^k applied to the fixed
-Omega0 generators plus a running sum of the row sums of |Phi^j W|, W being
-the generators of V; their sum is the exact box radius of Omega_k, and the
-center follows the affine recurrence c_(k+1) = Phi c_k + c_V. No order
-reduction happens after ``discretize``. Steps run in chunks of _CHUNK using
-precomputed powers of Phi and stop at the first chunk whose invariant clamp
-empties.
+Boxes of such a recurrence come from one wrapping-free kernel,
+``_box_chunks`` (Girard, Le Guernic & Maler, HSCC 2006; the box-template
+case of the support-function scheme of Le Guernic & Girard). Instead of
+re-reducing a growing zonotope every step it carries Phi^k applied to the
+fixed generators of the first set plus a running sum of the row sums of
+|Phi^j W|, W being the generators of V; their sum is the exact box radius,
+and the center follows c_(k+1) = Phi c_k + c_V. It runs in chunks of _CHUNK
+steps on precomputed powers of Phi. Propagation stops at the first chunk
+whose invariant clamp empties; no order reduction happens after it.
+
+Omega0 has two forms. With one sub-step it is the chord zonotope: the hull
+of the set and its one-step image, bloated for curvature and inputs. Stiff
+dynamics take more sub-steps so the curvature term stays meaningful, and
+Omega0 is the hull of the kernel's boxes of the exact sub-step sets, each
+widened by the bloat of the sub-steps it bounds (the sub-step chords' box).
 
 Segments are stored as arrays (``Segments``): time bounds, box center and
 radius per row, location and jump depth. Successor flowpipes spawned from a
@@ -197,11 +200,6 @@ def _input_decomposition(dyn, input_box):
     return u_c, mu0
 
 
-def _curvature(delta: float, tau: float) -> float:
-    """e^(tau delta) - 1 - tau delta, the chord curvature factor."""
-    return math.expm1(tau * delta) - tau * delta
-
-
 def _input_radius(delta: float, mu0: float, tau: float) -> float:
     """(e^(tau delta) - 1) / delta * mu0, the input bloat over tau; inf past the float range."""
     if mu0 == 0.0:
@@ -222,10 +220,11 @@ def discretize(dyn, x0: Zonotope, input_box: Box | None, step: float):
     recurrence, phi = e^(A step), and alpha is the curvature bloat radius
     used (reported for the forbidden-equality slack).
 
-    The enclosure sub-steps internally whenever step * ||A||_inf exceeds the
-    matrix-exponential scaling threshold, keeping the curvature term
-    (e^(tau d) - 1 - tau d) * sup||X|| meaningful for stiff dynamics; the
-    sanity abort compares that term against the initial-set radius.
+    The enclosure sub-steps whenever step * ||A||_inf exceeds 0.5, keeping the
+    curvature term (e^(tau d) - 1 - tau d) * sup||X|| meaningful for stiff
+    dynamics. One sub-step gives the chord zonotope, more give the box hull of
+    the sub-step boxes (see the module docstring). The sanity abort compares
+    the first sub-step's bloat against the initial-set radius.
     """
     a = dyn.a
     delta = float(np.linalg.norm(a, np.inf))
@@ -242,14 +241,10 @@ def discretize(dyn, x0: Zonotope, input_box: Box | None, step: float):
         )
 
     phi, phi1 = exp_with_integral(a, step)
-    beta = _input_radius(delta, mu0, step)
-    if substeps == 1:
-        phi_tau, phi1_tau = phi, phi1
-    else:
-        phi_tau, phi1_tau = exp_with_integral(a, tau)
+    phi_tau, phi1_tau = (phi, phi1) if substeps == 1 else exp_with_integral(a, tau)
     drift_tau = phi1_tau @ u_c
-    curvature = 2.0 * _curvature(delta, tau)
-    beta_tau = _input_radius(delta, mu0, tau)
+    curvature = 2.0 * (math.expm1(tau * delta) - tau * delta)  # the chord curvature factor, doubled
+    beta, beta_tau = _input_radius(delta, mu0, step), _input_radius(delta, mu0, tau)
     if not (math.isfinite(beta) and math.isfinite(beta_tau)):
         raise NonFiniteFlowpipe(
             f"the input bound over a step of {format_number(step)} left the floating-point "
@@ -260,36 +255,38 @@ def discretize(dyn, x0: Zonotope, input_box: Box | None, step: float):
     # The sets below are built without re-checks: an overflow or an invalid
     # value ends the computation at once, and the infinities that the
     # Python-float bloat radii can reach are caught after it.
-    omega = None
-    origin = np.zeros(n)
     try:
         with np.errstate(over="raise", invalid="raise"):
             v_set = Zonotope._trusted(phi1 @ u_c, np.diag(np.full(n, beta))[:, np.full(n, beta) > 0])
             x0_box = box_hull(x0)
             radius0 = float(np.max(x0_box.radius))
-            alpha0 = curvature * x0_box.sup_norm() + drift_curv
+            bloat = curvature * x0_box.sup_norm() + drift_curv + beta_tau
             # sanity abort: bloat dwarfing the set makes the flowpipe meaningless;
             # degenerate (point-like) sets compare against 1% of their magnitude
             floor = max(radius0, 0.01 * max(1.0, x0_box.sup_norm()))
-            if alpha0 + beta_tau > 10.0 * floor:
+            if bloat > 10.0 * floor:
                 raise StepTooLarge(
-                    f"bloating radius {alpha0 + beta_tau:g} exceeds 10x the initial-set radius "
+                    f"bloating radius {bloat:g} exceeds 10x the initial-set radius "
                     f"{radius0:g}; reduce the step"
                 )
-            input_set = Zonotope._trusted(origin, np.diag(np.full(n, beta_tau)))
-            current = x0
-            for _ in range(substeps):
-                alpha = curvature * box_hull(current).sup_norm() + drift_curv
-                nxt = translate(linear_map(phi_tau, current), drift_tau)
+            if substeps == 1:
+                nxt = translate(linear_map(phi, x0), drift_tau)
                 if beta_tau > 0.0:
-                    nxt = minkowski_sum(nxt, input_set)
-                chord = hull_zonotope(current, nxt)
-                bloat = alpha + beta_tau
+                    nxt = minkowski_sum(nxt, Zonotope._trusted(np.zeros(n), np.diag(np.full(n, beta_tau))))
+                omega = hull_zonotope(x0, nxt)
                 if bloat > 0.0:
-                    chord = minkowski_sum(chord, Zonotope._trusted(origin, np.diag(np.full(n, bloat))))
-                omega = chord if omega is None else hull_zonotope(omega, chord)
+                    omega = minkowski_sum(omega, Zonotope._trusted(np.zeros(n), np.diag(np.full(n, bloat))))
                 omega = reduce_order(omega)
-                current = reduce_order(nxt)
+            else:
+                # box(conv(X_j u X_(j+1)) (+) B(b_j)) = hull(box X_j, box X_(j+1)) (+) B(b_j) with
+                # b_j = alpha_j + beta_tau: each exact box(X_j) widens by the larger b of its two
+                inputs = Zonotope._trusted(drift_tau, np.diag(np.full(n, beta_tau))[:, np.full(n, beta_tau) > 0])
+                lo, hi = (np.concatenate(side) for side in zip(
+                    *(chunk[:2] for chunk in _box_chunks(phi_tau, x0, inputs, substeps + 1))))
+                bloats = curvature * np.maximum(np.abs(lo[:-1]), np.abs(hi[:-1])).max(axis=1) + drift_curv + beta_tau
+                widen = np.maximum(np.append(bloats, bloats[-1]), np.insert(bloats, 0, bloats[0]))[:, None]
+                lo, hi = (lo - widen).min(axis=0), (hi + widen).max(axis=0)
+                omega = Zonotope._trusted(0.5 * (lo + hi), np.diag(0.5 * (hi - lo)))
     except FloatingPointError:
         omega = None
     if omega is None or not all(np.isfinite(arr).all() for arr in (
@@ -298,7 +295,7 @@ def discretize(dyn, x0: Zonotope, input_box: Box | None, step: float):
             f"the first-interval enclosure over a step of {format_number(step)} left the "
             "floating-point range; the initial set or the dynamics are too large"
         )
-    return omega, v_set, phi, alpha0 + beta_tau
+    return omega, v_set, phi, bloat
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +342,34 @@ def _require_finite_successor(transition, time: float, *arrays) -> None:
         )
 
 
+def _box_chunks(phi, z0: Zonotope, v_set: Zonotope, steps: int):
+    """Box bounds of Z_k = Phi^k Z_0 (+) Phi^(k-1) V (+) ... (+) V for k < steps.
+
+    Yields (lo, hi, after) for each _CHUNK values of k; ``after`` is (center,
+    Phi^k G0, input radius) of the Z_k that follows the chunk."""
+    n = phi.shape[0]
+    center, gens, inputs = z0.center, z0.generators, v_set.generators  # Phi^k G0, Phi^k W
+    input_radius = np.zeros(n)  # row sums of |Phi^j W| over j < k
+    powers = np.empty((_CHUNK + 1, n, n))
+    powers[0] = np.eye(n)
+    for j in range(_CHUNK):
+        powers[j + 1] = phi @ powers[j]
+    for k in range(0, steps, _CHUNK):
+        size = min(_CHUNK, steps - k)
+        centers = np.empty((size, n))
+        for j in range(size):
+            centers[j] = center
+            center = phi @ center + v_set.center
+        radius = np.abs(powers[:size] @ gens).sum(axis=2)
+        if inputs.shape[1]:
+            running = input_radius + np.cumsum(np.abs(powers[:size] @ inputs).sum(axis=2), axis=0)
+            radius += np.vstack([input_radius, running[:-1]])
+            input_radius = running[-1]
+            inputs = powers[size] @ inputs
+        gens = powers[size] @ gens
+        yield centers - radius, centers + radius, (center, gens, input_radius)
+
+
 def _propagate(location, omega0: Zonotope, v_set: Zonotope, phi, steps: int,
                entry_time: float, step: float):
     """Invariant-clamped boxes of Omega_0 .. Omega_(steps-1), wrapping-free.
@@ -353,45 +378,19 @@ def _propagate(location, omega0: Zonotope, v_set: Zonotope, phi, steps: int,
     whose clamp empties, and the zonotope Omega_steps when all ``steps``
     boxes stayed inside the invariant (None otherwise).
     """
-    n = phi.shape[0]
-    gens = omega0.generators  # Phi^k G0
-    inputs = v_set.generators  # Phi^k W
-    input_radius = np.zeros(n)  # row sums of |Phi^j W| over j < k
-    center = omega0.center
-    v_center = v_set.center
     los, his = [], []
-    k = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        powers = np.empty((_CHUNK + 1, n, n))
-        powers[0] = np.eye(n)
-        for j in range(_CHUNK):
-            powers[j + 1] = phi @ powers[j]
-        while k < steps:
-            size = min(_CHUNK, steps - k)
-            centers = np.empty((size, n))
-            for j in range(size):
-                centers[j] = center
-                center = phi @ center + v_center
-            radius = np.abs(powers[:size] @ gens).sum(axis=2)
-            if inputs.shape[1]:
-                running = input_radius + np.cumsum(np.abs(powers[:size] @ inputs).sum(axis=2), axis=0)
-                radius += np.vstack([input_radius, running[:-1]])
-                input_radius = running[-1]
-                inputs = powers[size] @ inputs
-            gens = powers[size] @ gens
-            lo, hi = centers - radius, centers + radius
+        for chunk, (lo, hi, after) in enumerate(_box_chunks(phi, omega0, v_set, steps)):
             # finite centers and radii can still sum out of range; the clamp
             # would read those infinities as an empty box and cut the pipe
-            _require_finite(location, entry_time + (k + size) * step, lo, hi)
+            _require_finite(location, entry_time + min((chunk + 1) * _CHUNK, steps) * step, lo, hi)
             lo, hi, ok = clamp_boxes(lo, hi, location.invariant.halfspaces())
-            if not ok.all():
-                cut = int(np.argmin(ok))
-                los.append(lo[:cut])
-                his.append(hi[:cut])
+            cut = lo.shape[0] if ok.all() else int(np.argmin(ok))
+            los.append(lo[:cut])
+            his.append(hi[:cut])
+            if cut < lo.shape[0]:
                 return np.concatenate(los), np.concatenate(his), None
-            los.append(lo)
-            his.append(hi)
-            k += size
+    center, gens, input_radius = after
     _require_finite(location, entry_time + steps * step, center, gens, input_radius)
     last = Zonotope(center, np.hstack([gens, np.diag(input_radius)[:, input_radius > 0]]))
     return np.concatenate(los), np.concatenate(his), last
@@ -548,10 +547,6 @@ def check_safety(segments, forbidden: Condition | None, eq_slack: float = 1e-9):
     return Verdict.POSSIBLY_UNSAFE, int(offenders[np.argmin(segments.time_lo[offenders])])
 
 
-def _box_contained(inner_lo, inner_hi, outer_lo, outer_hi, slack) -> bool:
-    return bool(np.all(outer_lo - slack <= inner_lo) and np.all(inner_hi <= outer_hi + slack))
-
-
 def _contained_in_union(lo, hi, pool, budget, slack) -> bool:
     """Exact-enough cover test of a box by a finite union of boxes.
 
@@ -560,7 +555,7 @@ def _contained_in_union(lo, hi, pool, budget, slack) -> bool:
     split budget runs out.
     """
     for plo, phi in pool:
-        if _box_contained(lo, hi, plo, phi, slack):
+        if np.all(plo - slack <= lo) and np.all(hi <= phi + slack):
             return True
     if budget[0] <= 0:
         return False
@@ -581,9 +576,10 @@ def _contained_in_union(lo, hi, pool, budget, slack) -> bool:
     return False
 
 
-def _fixpoint_covered(box: Box, pool: list) -> bool:
-    if not pool:
-        return False
+def _fixpoint_covered(box: Box, task: _Task, pool: list) -> bool:
+    """Whether the union of the (lo, hi, entry, end) tasks in ``pool`` whose entry window
+    holds the task's covers ``box``: a task that entered later has less horizon left."""
+    pool = [(lo, hi) for lo, hi, entry, end in pool if entry <= task.entry_time and task.end_time <= end]
     scale = max(1.0, float(np.max(np.abs(box.lo))), float(np.max(np.abs(box.hi))))
     slack = _CONTAIN_SLACK * scale
     return _contained_in_union(box.lo.copy(), box.hi.copy(), pool, [256], slack)
@@ -659,10 +655,10 @@ def reach(bundle: ModelBundle) -> ReachResult:
     started = time.perf_counter()
     bundle = bundle.resolved()
     automaton = bundle.automaton
-    report = validate(automaton)
+    settings = bundle.settings
+    report = validate(automaton, settings.forbidden)
     if not report.ok:
         raise HyraError("bundle does not validate: " + "; ".join(str(d) for d in report))
-    settings = bundle.settings
     input_box = automaton.input_box()
     locations = {loc.name: loc for loc in automaton.locations}
 
@@ -680,11 +676,11 @@ def reach(bundle: ModelBundle) -> ReachResult:
         for task in level:
             location = locations[task.location]
             init_box = box_hull(task.init)
-            if settings.fixpoint_check and _fixpoint_covered(init_box, processed[task.location]):
+            if settings.fixpoint_check and _fixpoint_covered(init_box, task, processed[task.location]):
                 stats.discarded += 1
                 any_discard = True
                 continue
-            processed[task.location].append((init_box.lo, init_box.hi))
+            processed[task.location].append((init_box.lo, init_box.hi, task.entry_time, task.end_time))
             pipe = flowpipe(
                 location, task.init, input_box, settings.step, settings.horizon,
                 task.entry_time, depth, task.window,

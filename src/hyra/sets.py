@@ -14,9 +14,11 @@ Sets are checked where they enter: the public ``Box(...)`` and
 entries, ``lo > hi`` and shape mismatches. The set operations build their
 results with ``_trusted``, which only freezes the arrays they just computed;
 finite operands can still overflow, so the engine checks finiteness wherever
-a result goes on: ``reach.discretize``, the propagation loop and tail segment
-of ``reach.flowpipe``, and each successor of ``reach.jump_successors`` and its
-hull in ``reach.reach``.
+a result goes on: both Omega0 forms of ``reach.discretize`` (the chord
+zonotope and the sub-step box hull, whose boxes come from the propagation
+kernel ``reach._box_chunks``), each chunk of that kernel in
+``reach._propagate``, the tail segment of ``reach.flowpipe``, and each
+successor of ``reach.jump_successors`` and its hull in ``reach.reach``.
 """
 
 from __future__ import annotations
