@@ -5,17 +5,21 @@ first-interval enclosure Omega0 covering [0, step] and a one-step input set
 V, so that Omega_k = Phi^k Omega0 (+) Phi^(k-1) V (+) ... (+) V with
 Phi = e^(A step). The drift part of V is the exact integral
 (int_0^step e^(A s) ds) u_c, so autonomous models with pure drift propagate
-without per-step bloat.
+without per-step bloat. All but Omega0 depends on the location alone
+(``Discretization``): ``reach`` builds it once per location and call, and
+every flowpipe through the location reuses it.
 
 Boxes of such a recurrence come from one wrapping-free kernel,
 ``_box_chunks`` (Girard, Le Guernic & Maler, HSCC 2006; the box-template
 case of the support-function scheme of Le Guernic & Girard). Instead of
 re-reducing a growing zonotope every step it carries Phi^k applied to the
 fixed generators of the first set plus a running sum of the row sums of
-|Phi^j W|, W being the generators of V; their sum is the exact box radius,
-and the center follows c_(k+1) = Phi c_k + c_V. It runs in chunks of _CHUNK
-steps on precomputed powers of Phi. Propagation stops at the first chunk
-whose invariant clamp empties; no order reduction happens after it.
+|Phi^j W|, W being the generators of V; their sum is the exact box radius.
+It runs in chunks of _CHUNK steps on the location's powers P_j of Phi, and
+sums a chunk's centers from its differences c_j - c_(j-1), which is the
+recurrence c_(k+1) = Phi c_k + c_V bit for bit only at Phi = I. Propagation
+stops at the first chunk whose invariant clamp empties; no order reduction
+happens after it.
 
 Omega0 has two forms. With one sub-step it is the chord zonotope: the hull
 of the set and its one-step image, bloated for curvature and inputs. Stiff
@@ -37,6 +41,7 @@ import math
 import time
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -189,17 +194,6 @@ class ReachResult:
 # Discretization
 
 
-def _input_decomposition(dyn, input_box):
-    """Constant part u_c = B u_center + c and symmetric radius bound mu0."""
-    if dyn.m and input_box is not None:
-        u_c = dyn.b @ input_box.center + dyn.c
-        mu0 = float(np.max(np.abs(dyn.b) @ input_box.radius))
-    else:
-        u_c = dyn.c.copy()
-        mu0 = 0.0
-    return u_c, mu0
-
-
 def _input_radius(delta: float, mu0: float, tau: float) -> float:
     """(e^(tau delta) - 1) / delta * mu0, the input bloat over tau; inf past the float range."""
     if mu0 == 0.0:
@@ -212,52 +206,77 @@ def _input_radius(delta: float, mu0: float, tau: float) -> float:
         return math.inf
 
 
-def discretize(dyn, x0: Zonotope, input_box: Box | None, step: float):
-    """First-interval enclosure and one-step input set for one location.
+def _kernel(phi, v_set: Zonotope):
+    """``_box_chunks``' tables for Z_(k+1) = Phi Z_k (+) V: P_j = Phi^j (j <= _CHUNK),
+    P_(j+1) - P_j and P_j c_V (j < _CHUNK), and V's generators W."""
+    n = phi.shape[0]
+    powers = np.empty((_CHUNK + 1, n, n))
+    powers[0] = np.eye(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(_CHUNK):
+            powers[j + 1] = phi @ powers[j]
+        return powers, powers[1:] - powers[:-1], powers[:-1] @ v_set.center, v_set.generators
 
-    Returns (omega0, v_set, phi, alpha) where omega0 covers all trajectories
-    over [0, step] from x0, v_set is the per-step input contribution for the
-    recurrence, phi = e^(A step), and alpha is the curvature bloat radius
-    used (reported for the forbidden-equality slack).
 
-    The enclosure sub-steps whenever step * ||A||_inf exceeds 0.5, keeping the
-    curvature term (e^(tau d) - 1 - tau d) * sup||X|| meaningful for stiff
-    dynamics. One sub-step gives the chord zonotope, more give the box hull of
-    the sub-step boxes (see the module docstring). The sanity abort compares
-    the first sub-step's bloat against the initial-set radius.
+class Discretization:
+    """A location's discrete-time data for one step: all that ``discretize`` and
+    ``_propagate`` need besides the set (see the module docstring). ``kernel``,
+    the ``_box_chunks`` tables of (Phi, V), is built on first use."""
+
+    def __init__(self, dyn, input_box: Box | None, step: float):
+        self.dyn, self.input_box, self.step = dyn, input_box, step
+        a, n = dyn.a, dyn.a.shape[0]
+        self.delta = delta = float(np.linalg.norm(a, np.inf))
+        u_c, mu0 = dyn.c.copy(), 0.0  # the constant drift B u_center + c, the input radius bound
+        if dyn.m and input_box is not None:
+            u_c, mu0 = dyn.b @ input_box.center + dyn.c, float(np.max(np.abs(dyn.b) @ input_box.radius))
+        self.u_c, self.mu0 = u_c, mu0
+        substeps = 1
+        while substeps < _MAX_SUBSTEPS and (step / substeps) * delta > 0.5:
+            substeps *= 2
+        self.substeps = substeps
+        self.tau = tau = step / substeps
+        if tau * delta > 0.5:
+            raise StepTooLarge(
+                f"step {format_number(step)} with ||A|| = {delta:g} cannot be discretized; reduce the step"
+            )
+        self.phi, self.phi1 = phi, phi1 = exp_with_integral(a, step)
+        self.phi_tau, self.phi1_tau = phi_tau, phi1_tau = (phi, phi1) if substeps == 1 else exp_with_integral(a, tau)
+        self.curvature = curvature = 2.0 * (math.expm1(tau * delta) - tau * delta)  # chord factor, doubled
+        self.beta, self.beta_tau = beta, beta_tau = _input_radius(delta, mu0, step), _input_radius(delta, mu0, tau)
+        if not (math.isfinite(beta) and math.isfinite(beta_tau)):
+            raise NonFiniteFlowpipe(
+                f"the input bound over a step of {format_number(step)} left the floating-point "
+                "range; the input set or the dynamics are too large"
+            )
+        self.drift_curv = curvature / delta * float(np.max(np.abs(u_c))) if delta > 0.0 else 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.drift_tau = phi1_tau @ u_c
+            self.v_set = Zonotope._trusted(phi1 @ u_c, np.diag(np.full(n, beta))[:, np.full(n, beta) > 0])
+        self.substep_kernel = None if substeps == 1 else _kernel(phi_tau, Zonotope._trusted(
+            self.drift_tau, np.diag(np.full(n, beta_tau))[:, np.full(n, beta_tau) > 0]))
+
+    @cached_property
+    def kernel(self):
+        return _kernel(self.phi, self.v_set)
+
+
+def discretize(disc: Discretization, x0: Zonotope):
+    """First-interval enclosure of the flow from x0 over [0, disc.step].
+
+    Returns (omega0, alpha): omega0 covers the trajectories from x0 over
+    [0, step], alpha is the curvature bloat radius used (the forbidden-equality
+    slack). One sub-step gives the chord zonotope, more the box hull of the
+    sub-step boxes (see the module docstring). The sanity abort compares the
+    first sub-step's bloat against the initial-set radius.
     """
-    a = dyn.a
-    delta = float(np.linalg.norm(a, np.inf))
-    u_c, mu0 = _input_decomposition(dyn, input_box)
-    n = a.shape[0]
-
-    substeps = 1
-    while substeps < _MAX_SUBSTEPS and (step / substeps) * delta > 0.5:
-        substeps *= 2
-    tau = step / substeps
-    if tau * delta > 0.5:
-        raise StepTooLarge(
-            f"step {format_number(step)} with ||A|| = {delta:g} cannot be discretized; reduce the step"
-        )
-
-    phi, phi1 = exp_with_integral(a, step)
-    phi_tau, phi1_tau = (phi, phi1) if substeps == 1 else exp_with_integral(a, tau)
-    drift_tau = phi1_tau @ u_c
-    curvature = 2.0 * (math.expm1(tau * delta) - tau * delta)  # the chord curvature factor, doubled
-    beta, beta_tau = _input_radius(delta, mu0, step), _input_radius(delta, mu0, tau)
-    if not (math.isfinite(beta) and math.isfinite(beta_tau)):
-        raise NonFiniteFlowpipe(
-            f"the input bound over a step of {format_number(step)} left the floating-point "
-            "range; the input set or the dynamics are too large"
-        )
-    drift_curv = curvature / delta * float(np.max(np.abs(u_c))) if delta > 0.0 else 0.0
-
+    n = x0.dim
+    curvature, drift_curv, beta_tau = disc.curvature, disc.drift_curv, disc.beta_tau
     # The sets below are built without re-checks: an overflow or an invalid
     # value ends the computation at once, and the infinities that the
     # Python-float bloat radii can reach are caught after it.
     try:
         with np.errstate(over="raise", invalid="raise"):
-            v_set = Zonotope._trusted(phi1 @ u_c, np.diag(np.full(n, beta))[:, np.full(n, beta) > 0])
             x0_box = box_hull(x0)
             radius0 = float(np.max(x0_box.radius))
             bloat = curvature * x0_box.sup_norm() + drift_curv + beta_tau
@@ -269,8 +288,8 @@ def discretize(dyn, x0: Zonotope, input_box: Box | None, step: float):
                     f"bloating radius {bloat:g} exceeds 10x the initial-set radius "
                     f"{radius0:g}; reduce the step"
                 )
-            if substeps == 1:
-                nxt = translate(linear_map(phi, x0), drift_tau)
+            if disc.substeps == 1:
+                nxt = translate(linear_map(disc.phi, x0), disc.drift_tau)
                 if beta_tau > 0.0:
                     nxt = minkowski_sum(nxt, Zonotope._trusted(np.zeros(n), np.diag(np.full(n, beta_tau))))
                 omega = hull_zonotope(x0, nxt)
@@ -280,9 +299,8 @@ def discretize(dyn, x0: Zonotope, input_box: Box | None, step: float):
             else:
                 # box(conv(X_j u X_(j+1)) (+) B(b_j)) = hull(box X_j, box X_(j+1)) (+) B(b_j) with
                 # b_j = alpha_j + beta_tau: each exact box(X_j) widens by the larger b of its two
-                inputs = Zonotope._trusted(drift_tau, np.diag(np.full(n, beta_tau))[:, np.full(n, beta_tau) > 0])
                 lo, hi = (np.concatenate(side) for side in zip(
-                    *(chunk[:2] for chunk in _box_chunks(phi_tau, x0, inputs, substeps + 1))))
+                    *(chunk[:2] for chunk in _box_chunks(disc.substep_kernel, x0, disc.substeps + 1))))
                 bloats = curvature * np.maximum(np.abs(lo[:-1]), np.abs(hi[:-1])).max(axis=1) + drift_curv + beta_tau
                 widen = np.maximum(np.append(bloats, bloats[-1]), np.insert(bloats, 0, bloats[0]))[:, None]
                 lo, hi = (lo - widen).min(axis=0), (hi + widen).max(axis=0)
@@ -290,12 +308,12 @@ def discretize(dyn, x0: Zonotope, input_box: Box | None, step: float):
     except FloatingPointError:
         omega = None
     if omega is None or not all(np.isfinite(arr).all() for arr in (
-            omega.center, omega.generators, v_set.center, v_set.generators)):
+            omega.center, omega.generators, disc.v_set.center, disc.v_set.generators)):
         raise NonFiniteFlowpipe(
-            f"the first-interval enclosure over a step of {format_number(step)} left the "
+            f"the first-interval enclosure over a step of {format_number(disc.step)} left the "
             "floating-point range; the initial set or the dynamics are too large"
         )
-    return omega, v_set, phi, bloat
+    return omega, bloat
 
 
 # ---------------------------------------------------------------------------
@@ -342,24 +360,20 @@ def _require_finite_successor(transition, time: float, *arrays) -> None:
         )
 
 
-def _box_chunks(phi, z0: Zonotope, v_set: Zonotope, steps: int):
+def _box_chunks(kernel, z0: Zonotope, steps: int):
     """Box bounds of Z_k = Phi^k Z_0 (+) Phi^(k-1) V (+) ... (+) V for k < steps.
 
     Yields (lo, hi, after) for each _CHUNK values of k; ``after`` is (center,
-    Phi^k G0, input radius) of the Z_k that follows the chunk."""
-    n = phi.shape[0]
-    center, gens, inputs = z0.center, z0.generators, v_set.generators  # Phi^k G0, Phi^k W
-    input_radius = np.zeros(n)  # row sums of |Phi^j W| over j < k
-    powers = np.empty((_CHUNK + 1, n, n))
-    powers[0] = np.eye(n)
-    for j in range(_CHUNK):
-        powers[j + 1] = phi @ powers[j]
+    Phi^k G0, input radius) of the Z_k that follows the chunk. A chunk's
+    centers are the cumulative sum of c_0 and d_j = (P_j - P_(j-1)) c_0 +
+    P_(j-1) c_V; at Phi = I each d_j is c_V exactly."""
+    powers, diffs, drift, inputs = kernel
+    center, gens = z0.center, z0.generators  # Phi^k G0, and inputs holds Phi^k W
+    input_radius = np.zeros(z0.dim)  # row sums of |Phi^j W| over j < k
     for k in range(0, steps, _CHUNK):
         size = min(_CHUNK, steps - k)
-        centers = np.empty((size, n))
-        for j in range(size):
-            centers[j] = center
-            center = phi @ center + v_set.center
+        centers = np.cumsum(np.vstack([center, diffs[:size] @ center + drift[:size]]), axis=0)
+        center, centers = centers[size], centers[:size]
         radius = np.abs(powers[:size] @ gens).sum(axis=2)
         if inputs.shape[1]:
             running = input_radius + np.cumsum(np.abs(powers[:size] @ inputs).sum(axis=2), axis=0)
@@ -370,8 +384,7 @@ def _box_chunks(phi, z0: Zonotope, v_set: Zonotope, steps: int):
         yield centers - radius, centers + radius, (center, gens, input_radius)
 
 
-def _propagate(location, omega0: Zonotope, v_set: Zonotope, phi, steps: int,
-               entry_time: float, step: float):
+def _propagate(location, omega0: Zonotope, kernel, steps: int, entry_time: float, step: float):
     """Invariant-clamped boxes of Omega_0 .. Omega_(steps-1), wrapping-free.
 
     Returns (lo, hi, last): (K, n) bounds of the boxes up to the first one
@@ -380,7 +393,7 @@ def _propagate(location, omega0: Zonotope, v_set: Zonotope, phi, steps: int,
     """
     los, his = [], []
     with np.errstate(over="ignore", invalid="ignore"):
-        for chunk, (lo, hi, after) in enumerate(_box_chunks(phi, omega0, v_set, steps)):
+        for chunk, (lo, hi, after) in enumerate(_box_chunks(kernel, omega0, steps)):
             # finite centers and radii can still sum out of range; the clamp
             # would read those infinities as an empty box and cut the pipe
             _require_finite(location, entry_time + min((chunk + 1) * _CHUNK, steps) * step, lo, hi)
@@ -423,12 +436,14 @@ def _sliding_hull(lo, hi, m: int, count: int):
 
 
 def flowpipe(location, init: Zonotope, input_box: Box | None, step: float, horizon: float,
-             entry_time: float = 0.0, jump_depth: int = 0, window: float = 0.0) -> "FlowpipeResult":
+             entry_time: float = 0.0, jump_depth: int = 0, window: float = 0.0, *,
+             discretized: dict) -> "FlowpipeResult":
     """Segments covering [entry_time, horizon] inside one location.
 
     Stops early when a segment's intersection with the invariant is empty.
     ``window`` is the width of the guard-crossing window that produced
-    ``init`` (zero for the model's initial set).
+    ``init`` (zero for the model's initial set). ``discretized`` maps location
+    names to their ``Discretization`` for ``step``; a missing one is added.
     """
     dyn = location.dynamics
     invariant = location.invariant
@@ -451,12 +466,14 @@ def flowpipe(location, init: Zonotope, input_box: Box | None, step: float, horiz
     lo = hi = np.empty((0, n))
     last = init
     if full_steps > 0:
-        omega, v_set, phi, alpha = discretize(dyn, init, input_box, step)
+        if location.name not in discretized:
+            discretized[location.name] = Discretization(dyn, input_box, step)
+        omega, alpha = discretize(disc := discretized[location.name], init)
         alpha_max = max(alpha_max, alpha)
-        lo, hi, last = _propagate(location, omega, v_set, phi, full_steps, entry_time, step)
+        lo, hi, last = _propagate(location, omega, disc.kernel, full_steps, entry_time, step)
     if last is not None and (leftover > 0.0 or full_steps == 0):
         # partial tail segment from the set covering the last interval
-        omega_tail, _, _, alpha = discretize(dyn, last, input_box, leftover)
+        omega_tail, alpha = discretize(Discretization(dyn, input_box, leftover), last)
         alpha_max = max(alpha_max, alpha)
         with np.errstate(over="ignore", invalid="ignore"):
             tail = box_hull(omega_tail)
@@ -668,6 +685,7 @@ def reach(bundle: ModelBundle) -> ReachResult:
     jump_bound_cut = False
     any_discard = False
     processed: dict = {name: [] for name in locations}
+    discretized: dict = {}  # location name -> Discretization, shared by its flowpipes
 
     level = [_Task(bundle.initial.location, bundle.initial.box.to_zonotope(), 0.0, 0.0)]
     depth = 0
@@ -683,7 +701,7 @@ def reach(bundle: ModelBundle) -> ReachResult:
             processed[task.location].append((init_box.lo, init_box.hi, task.entry_time, task.end_time))
             pipe = flowpipe(
                 location, task.init, input_box, settings.step, settings.horizon,
-                task.entry_time, depth, task.window,
+                task.entry_time, depth, task.window, discretized=discretized,
             )
             alpha_max = max(alpha_max, pipe.alpha)
             stats.flowpipes += 1

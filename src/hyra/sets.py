@@ -88,10 +88,6 @@ class Box:
     def radius(self) -> np.ndarray:
         return 0.5 * (self.hi - self.lo)
 
-    def contains(self, point, slack: float = 0.0) -> bool:
-        p = np.asarray(point, dtype=float)
-        return bool(np.all(p >= self.lo - slack) and np.all(p <= self.hi + slack))
-
     def hull(self, other: "Box") -> "Box":
         if other.dim != self.dim:
             raise DimensionMismatch("box hull dimension mismatch")
@@ -147,12 +143,6 @@ class Zonotope:
     def point(cls, x) -> "Zonotope":
         x = np.asarray(x, dtype=float)
         return cls(x, np.zeros((x.shape[0], 0)))
-
-    def sample(self, count: int, seed: int) -> np.ndarray:
-        """Deterministic interior points, rows = samples."""
-        rng = np.random.default_rng(seed)
-        coeffs = rng.uniform(-1.0, 1.0, size=(count, self.order))
-        return self.center + coeffs @ self.generators.T
 
 
 def matrix_exponential(a, t: float = 1.0) -> np.ndarray:
@@ -224,14 +214,6 @@ def minkowski_sum(z1: Zonotope, z2: Zonotope) -> Zonotope:
     if z1.dim != z2.dim:
         raise DimensionMismatch("minkowski_sum dimension mismatch")
     return Zonotope._trusted(z1.center + z2.center, np.hstack([z1.generators, z2.generators]))
-
-
-def support(z: Zonotope, direction) -> float:
-    """max over the zonotope of direction . x."""
-    d = np.asarray(direction, dtype=float)
-    if d.shape != z.center.shape:
-        raise DimensionMismatch("support direction dimension mismatch")
-    return float(d @ z.center + np.abs(d @ z.generators).sum())
 
 
 def box_hull(z: Zonotope) -> Box:

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 
+from hyra.errors import DimensionMismatch
+
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CORPUS_DIR = REPO_ROOT / "corpus"
 SCHEMA_PATH = REPO_ROOT / "src" / "hyra" / "data" / "bundle.schema.json"
@@ -96,3 +98,24 @@ def simulation_inside_flowpipe(bundle, result, n_sims: int, seed: int, slack: fl
         if first is None and len(outside):
             first = (float(traj.times[outside[0]]), traj.states[outside[0]].copy())
     return checked, violations, first
+
+
+def support_function(z, direction) -> float:
+    """max over the zonotope ``z`` of direction . x."""
+    d = np.asarray(direction, dtype=float)
+    if d.shape != z.center.shape:
+        raise DimensionMismatch("support direction dimension mismatch")
+    return float(d @ z.center + np.abs(d @ z.generators).sum())
+
+
+def box_contains(box, point, slack: float = 0.0) -> bool:
+    """Whether ``point`` lies in ``box`` widened by ``slack`` on every side."""
+    p = np.asarray(point, dtype=float)
+    return bool(np.all(p >= box.lo - slack) and np.all(p <= box.hi + slack))
+
+
+def sample_zonotope(z, count: int, seed: int) -> np.ndarray:
+    """Deterministic interior points of the zonotope ``z``, rows = samples."""
+    rng = np.random.default_rng(seed)
+    coeffs = rng.uniform(-1.0, 1.0, size=(count, z.order))
+    return z.center + coeffs @ z.generators.T

@@ -21,6 +21,7 @@ from hyra.ir import (
     VariableTable,
 )
 from hyra.reach import (
+    Discretization,
     ReachResult,
     ReachStats,
     Segments,
@@ -45,6 +46,7 @@ from hyra.sets import (
     reduce_order,
     translate,
 )
+from support import box_contains, sample_zonotope
 
 reach_module = importlib.import_module("hyra.reach")
 
@@ -69,7 +71,9 @@ def frozen_location(n: int = 2) -> Location:
 
 def test_discretize_frozen_dynamics_is_exact():
     x0 = Box([0.0, 1.0], [1.0, 2.0]).to_zonotope()
-    omega, v_set, phi, alpha = discretize(AffineDynamics.zero(2), x0, None, 0.1)
+    disc = Discretization(AffineDynamics.zero(2), None, 0.1)
+    omega, alpha = discretize(disc, x0)
+    v_set, phi = disc.v_set, disc.phi
     assert np.array_equal(box_hull(omega).lo, [0.0, 1.0])
     assert np.array_equal(box_hull(omega).hi, [1.0, 2.0])
     assert not v_set.center.any() and v_set.order == 0
@@ -80,7 +84,7 @@ def test_discretize_frozen_dynamics_is_exact():
 @pytest.mark.parametrize("step", [0.1, 0.01])
 def test_discretize_decay_encloses_first_interval(step):
     dyn = AffineDynamics([[-1.0]], np.zeros((1, 0)), [0.0])
-    omega, _, _, _ = discretize(dyn, Zonotope.point([1.0]), None, step)
+    omega, _ = discretize(Discretization(dyn, None, step), Zonotope.point([1.0]))
     box = box_hull(omega)
     assert box.lo[0] <= math.exp(-step)
     assert box.hi[0] >= 1.0
@@ -91,18 +95,18 @@ def test_discretize_free_fall_contains_analytic_states():
     dyn = AffineDynamics([[0.0, 1.0], [0.0, 0.0]], np.zeros((2, 0)), [0.0, -GRAVITY])
     step = 0.01
     x0 = 10.1
-    omega, _, _, _ = discretize(dyn, Zonotope.point([x0, 0.0]), None, step)
+    omega, _ = discretize(Discretization(dyn, None, step), Zonotope.point([x0, 0.0]))
     box = box_hull(omega)
     for t in (0.0, step / 2.0, step):
         state = np.array([x0 - 0.5 * GRAVITY * t * t, -GRAVITY * t])
-        assert box.contains(state, slack=1e-12)
+        assert box_contains(box, state, slack=1e-12)
 
 
 def test_discretize_step_too_large():
     # ||A|| so extreme that even maximal sub-stepping cannot discretize it
     dyn = AffineDynamics([[0.0, 1e5], [-1e5, 0.0]], np.zeros((2, 0)), [0.0, 0.0])
     with pytest.raises(StepTooLarge):
-        discretize(dyn, Zonotope.point([1.0, 0.0]), None, 1.0)
+        discretize(Discretization(dyn, None, 1.0), Zonotope.point([1.0, 0.0]))
 
 
 def discretize_with_checked_boxes(dyn, x0, input_box, step):
@@ -113,7 +117,9 @@ def discretize_with_checked_boxes(dyn, x0, input_box, step):
     """
     a = dyn.a
     delta = float(np.linalg.norm(a, np.inf))
-    u_c, mu0 = reach_module._input_decomposition(dyn, input_box)
+    u_c, mu0 = dyn.c, 0.0  # the constant drift B u_center + c, the input radius bound
+    if dyn.m and input_box is not None:
+        u_c, mu0 = dyn.b @ input_box.center + dyn.c, float(np.max(np.abs(dyn.b) @ input_box.radius))
     n = a.shape[0]
     substeps = 1
     while substeps < 1 << 16 and (step / substeps) * delta > 0.5:
@@ -155,14 +161,16 @@ def discretize_with_checked_boxes(dyn, x0, input_box, step):
     return omega, v_set, phi, alpha0 + beta_tau, substeps
 
 
-def compare_discretize_with_reference(dyn, x0, input_box, step):
+def compare_discretize_with_reference(disc, x0):
     """``discretize`` against the checked-box loop; returns (omega, ref_omega, substeps).
 
     V, Phi and alpha must match byte for byte on every call, and so must
     Omega0 when one sub-step suffices.
     """
-    omega, v_set, phi, alpha = discretize(dyn, x0, input_box, step)
-    ref_omega, ref_v, ref_phi, ref_alpha, substeps = discretize_with_checked_boxes(dyn, x0, input_box, step)
+    omega, alpha = discretize(disc, x0)
+    v_set, phi = disc.v_set, disc.phi
+    ref_omega, ref_v, ref_phi, ref_alpha, substeps = discretize_with_checked_boxes(
+        disc.dyn, x0, disc.input_box, disc.step)
     pairs = [(v_set.center, ref_v.center), (v_set.generators, ref_v.generators), (phi, ref_phi)]
     if substeps == 1:
         pairs += [(omega.center, ref_omega.center), (omega.generators, ref_omega.generators)]
@@ -191,18 +199,18 @@ def exact_states(dyn, x0: Zonotope, input_box, step: float, seed: int) -> np.nda
         phi_t, phi1_t = exp_with_integral(dyn.a, float(t))
         signs = np.sign(phi_t @ x0.generators)
         starts = np.vstack([x0.center + signs @ x0.generators.T, x0.center - signs @ x0.generators.T,
-                            x0.sample(8, int(rng.integers(1 << 30)))])
+                            sample_zonotope(x0, 8, int(rng.integers(1 << 30)))])
         states.append(((starts @ phi_t.T)[:, None, :] + (drives @ phi1_t.T)[None, :, :]).reshape(-1, dyn.a.shape[0]))
     return np.vstack(states)
 
 
-def assert_discretize_encloses_the_flow_inside_the_reference(dyn, x0, input_box, step, seed):
+def assert_discretize_encloses_the_flow_inside_the_reference(disc, x0, seed):
     """Sub-stepped ``discretize``: box(Omega0) inside the checked loop's, exact states inside Omega0."""
-    omega, ref_omega, substeps = compare_discretize_with_reference(dyn, x0, input_box, step)
+    omega, ref_omega, substeps = compare_discretize_with_reference(disc, x0)
     assert substeps > 1
     box, ref_box = box_hull(omega), box_hull(ref_omega)
     assert np.all(ref_box.lo <= box.lo) and np.all(box.hi <= ref_box.hi)
-    states = exact_states(dyn, x0, input_box, step, seed)
+    states = exact_states(disc.dyn, x0, disc.input_box, disc.step, seed)
     slack = 1e-9 * np.maximum(1.0, np.abs(states))
     assert np.all(box.lo - slack <= states) and np.all(states <= box.hi + slack)
 
@@ -243,16 +251,16 @@ def test_discretize_equals_the_checked_box_loop_on_every_corpus_call(build, tail
     assert all(compare_discretize_with_reference(*args)[2] == 1 for args in calls)
     # every ball flowpipe ends at the ground before the horizon, so it has no tail
     step = build().settings.step
-    assert any(args[3] != step for args in calls) == (tail > 0.0 and build is not build_bouncing_ball)
+    assert any(disc.step != step for disc, _ in calls) == (tail > 0.0 and build is not build_bouncing_ball)
 
 
 @pytest.mark.parametrize("tail", [0.0, 0.37], ids=["shipped", "leftover-tail"])
 def test_sub_stepped_discretize_encloses_the_flow_on_platoon_calls(tail):
     calls = recorded_calls("discretize", build_platoon, tail)
     assert len(calls) > 1
-    for seed, args in enumerate(calls):
-        assert_discretize_encloses_the_flow_inside_the_reference(*args, seed)
-    assert any(args[3] != build_platoon().settings.step for args in calls) == (tail > 0.0)
+    for seed, (disc, x0) in enumerate(calls):
+        assert_discretize_encloses_the_flow_inside_the_reference(disc, x0, seed)
+    assert any(disc.step != build_platoon().settings.step for disc, _ in calls) == (tail > 0.0)
 
 
 def test_sub_stepped_discretize_encloses_the_flow_on_random_systems_with_inputs():
@@ -268,10 +276,11 @@ def test_sub_stepped_discretize_encloses_the_flow_on_random_systems_with_inputs(
         x0 = Zonotope(center, rng.uniform(-0.5, 0.5, size=(n, int(rng.integers(1, 30)))))
         step = float(rng.uniform(0.6, 2.0)) / np.linalg.norm(a, np.inf)
         try:
-            assert_discretize_encloses_the_flow_inside_the_reference(dyn, x0, input_box, step, compared)
+            disc = Discretization(dyn, input_box, step)
+            assert_discretize_encloses_the_flow_inside_the_reference(disc, x0, compared)
         except StepTooLarge:
             continue
-        assert reach_module._input_decomposition(dyn, input_box)[1] > 0.0
+        assert disc.mu0 > 0.0
         compared += 1
 
 
@@ -280,14 +289,19 @@ def test_sub_stepped_discretize_encloses_the_flow_its_inputs_push_across_sub_ste
     # radius 0.02 stay below what the inputs add up to over the step (0.245)
     dyn = AffineDynamics([[-4.0]], [[1.0]], [0.0])
     assert_discretize_encloses_the_flow_inside_the_reference(
-        dyn, Box([-0.02], [0.02]).to_zonotope(), Box([-1.0], [1.0]), 1.0, 0)
+        Discretization(dyn, Box([-1.0], [1.0]), 1.0), Box([-0.02], [0.02]).to_zonotope(), 0)
 
 
 def test_platoon_flowpipe_is_nowhere_wider_than_with_the_checked_box_loop():
     bundle = build_platoon()
     new = reach(bundle)
+
+    def checked_discretize(disc, x0):
+        omega, _, _, alpha, _ = discretize_with_checked_boxes(disc.dyn, x0, disc.input_box, disc.step)
+        return omega, alpha
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(reach_module, "discretize", lambda *args: discretize_with_checked_boxes(*args)[:4])
+        patch.setattr(reach_module, "discretize", checked_discretize)
         ref = reach(bundle)
     assert np.array_equal(new.segments.time_lo, ref.segments.time_lo)
     assert np.array_equal(new.segments.time_hi, ref.segments.time_hi)
@@ -301,7 +315,7 @@ def test_discretize_overflow_is_a_non_finite_flowpipe():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteFlowpipe, match="floating-point range"):
-            discretize(location.dynamics, box.to_zonotope(), None, 0.02)
+            discretize(Discretization(location.dynamics, None, 0.02), box.to_zonotope())
 
 
 
@@ -312,7 +326,7 @@ def test_input_bound_overflow_is_a_non_finite_flowpipe():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteFlowpipe, match="input bound over a step of 1 left the floating-point"):
-            discretize(dyn, Zonotope.point([1.0]), Box([0.0], [0.1]), 1.0)
+            discretize(Discretization(dyn, Box([0.0], [0.1]), 1.0), Zonotope.point([1.0]))
 
 # ---------------------------------------------------------------------------
 # flowpipe
@@ -320,7 +334,7 @@ def test_input_bound_overflow_is_a_non_finite_flowpipe():
 
 def test_flowpipe_frozen_dynamics_identical_segments():
     init = Box([0.0, 0.0], [1.0, 1.0]).to_zonotope()
-    pipe = flowpipe(frozen_location(), init, None, 0.1, 1.0)
+    pipe = flowpipe(frozen_location(), init, None, 0.1, 1.0, discretized={})
     assert len(pipe.segments) == 10
     first = pipe.segments[0].box()
     for seg in pipe.segments:
@@ -343,7 +357,7 @@ def test_flowpipe_truncates_at_invariant_exit():
     bundle = build_bouncing_ball()
     automaton = bundle.automaton.resolved()
     pipe = flowpipe(
-        automaton.location("always"), bundle.initial.box.to_zonotope(), None, 0.01, 40.0
+        automaton.location("always"), bundle.initial.box.to_zonotope(), None, 0.01, 40.0, discretized={}
     )
     # no retained segment lies entirely below ground
     for seg in pipe.segments:
@@ -359,7 +373,7 @@ def test_flowpipe_rejects_init_outside_invariant():
     automaton = bundle.automaton.resolved()
     below_ground = Box([-1.0, 0.0, 5.0, 0.0], [-0.5, 0.0, 5.0, 0.0]).to_zonotope()
     with pytest.raises(InitOutsideInvariant):
-        flowpipe(automaton.location("always"), below_ground, None, 0.01, 1.0)
+        flowpipe(automaton.location("always"), below_ground, None, 0.01, 1.0, discretized={})
 
 
 def first_flowpipe_and_reference(bundle):
@@ -374,8 +388,10 @@ def first_flowpipe_and_reference(bundle):
     s = bundle.settings
     init = bundle.initial.box.to_zonotope()
     input_box = automaton.input_box()
-    pipe = flowpipe(location, init, input_box, s.step, s.horizon)
-    omega, v_set, phi, _ = discretize(location.dynamics, init, input_box, s.step)
+    pipe = flowpipe(location, init, input_box, s.step, s.horizon, discretized={})
+    disc = Discretization(location.dynamics, input_box, s.step)
+    omega, _ = discretize(disc, init)
+    v_set, phi = disc.v_set, disc.phi
     ref_lo, ref_hi = [], []
     current = omega
     for _ in range(int(math.floor(s.horizon / s.step + 1e-9))):
@@ -409,6 +425,112 @@ def test_wrapping_free_boxes_equal_the_recurrence_bitwise_without_dynamics():
     assert len(ref_lo) > 0
     assert np.array_equal(raw.lo[:len(ref_lo)], ref_lo)
     assert np.array_equal(raw.hi[:len(ref_hi)], ref_hi)
+
+
+def box_chunks_by_recurrence(phi, z0: Zonotope, v_set: Zonotope, steps: int):
+    """The reference for ``_box_chunks``: centers by c_(k+1) = Phi c_k + c_V, one step at a time.
+
+    Returns (centers, radii, after) over all ``steps``; the radii are the
+    power products of the kernel, in its order.
+    """
+    n = phi.shape[0]
+    center, gens, inputs = z0.center, z0.generators, v_set.generators
+    input_radius = np.zeros(n)
+    powers = np.empty((reach_module._CHUNK + 1, n, n))
+    powers[0] = np.eye(n)
+    for j in range(reach_module._CHUNK):
+        powers[j + 1] = phi @ powers[j]
+    centers, radii = [], []
+    for k in range(0, steps, reach_module._CHUNK):
+        size = min(reach_module._CHUNK, steps - k)
+        for j in range(size):
+            centers.append(center)
+            center = phi @ center + v_set.center
+        radius = np.abs(powers[:size] @ gens).sum(axis=2)
+        if inputs.shape[1]:
+            running = input_radius + np.cumsum(np.abs(powers[:size] @ inputs).sum(axis=2), axis=0)
+            radius += np.vstack([input_radius, running[:-1]])
+            input_radius = running[-1]
+            inputs = powers[size] @ inputs
+        gens = powers[size] @ gens
+        radii.append(radius)
+    return np.array(centers), np.vstack(radii), (center, gens, input_radius)
+
+
+def box_chunks(phi, z0: Zonotope, v_set: Zonotope, steps: int):
+    """``_box_chunks`` on the tables of (phi, v_set): (lo, hi, after) over all ``steps``."""
+    chunks = list(reach_module._box_chunks(reach_module._kernel(phi, v_set), z0, steps))
+    return np.concatenate([c[0] for c in chunks]), np.concatenate([c[1] for c in chunks]), chunks[-1][2]
+
+
+def random_recurrence(rng, n: int, identity: bool):
+    """(Phi, Z_0, V) of a seeded system x' = A x + B u + c with u in a box, over a seeded step."""
+    a = np.zeros((n, n)) if identity else rng.uniform(-1.0, 1.0, size=(n, n))
+    dyn = AffineDynamics(a, rng.uniform(-1.0, 1.0, size=(n, 2)), rng.uniform(-1.0, 1.0, size=n))
+    u_lo = rng.uniform(-0.2, 0.0, size=2)
+    disc = Discretization(dyn, Box(u_lo, u_lo + 0.05), float(rng.uniform(0.001, 0.05)))
+    z0 = Zonotope(rng.uniform(-2.0, 2.0, size=n), rng.uniform(-0.1, 0.1, size=(n, int(rng.integers(1, 6)))))
+    return disc.phi, z0, disc.v_set
+
+
+@pytest.mark.parametrize("steps", [1, 64, 65, 200])
+def test_box_chunks_equal_the_recurrence_bitwise_at_the_identity(steps):
+    rng = np.random.default_rng(steps)
+    for n in (1, 3, 5):
+        phi, z0, v_set = random_recurrence(rng, n, identity=True)
+        assert np.array_equal(phi, np.eye(n))
+        lo, hi, after = box_chunks(phi, z0, v_set, steps)
+        centers, radii, want_after = box_chunks_by_recurrence(phi, z0, v_set, steps)
+        for got, want in [(lo, centers - radii), (hi, centers + radii), *zip(after, want_after)]:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_box_chunks_sum_the_centers_of_the_recurrence_and_keep_its_radii():
+    # two runs per system: from a point without input generators the boxes
+    # are the centers; with the centers at zero they are the radii
+    rng = np.random.default_rng(6007)
+    for _ in range(40):
+        n, steps = int(rng.integers(1, 7)), int(rng.integers(1, 300))
+        phi, z0, v_set = random_recurrence(rng, n, identity=False)
+        centers, radii, _ = box_chunks_by_recurrence(phi, z0, v_set, steps)
+        lo, hi, _ = box_chunks(phi, Zonotope.point(z0.center), Zonotope.point(v_set.center), steps)
+        assert lo.tobytes() == hi.tobytes()
+        assert np.all(np.abs(lo - centers) <= 1e-13 * np.abs(centers).max())  # relative to the run's scale
+        zero = np.zeros(n)
+        lo, hi, _ = box_chunks(phi, Zonotope(zero, z0.generators), Zonotope(zero, v_set.generators), steps)
+        assert hi.tobytes() == radii.tobytes() and (-lo).tobytes() == radii.tobytes()
+
+
+def test_each_location_is_discretized_once_per_reach_call():
+    bundle = build_tank()
+    settings = dataclasses.replace(bundle.settings, horizon=15.0, max_jumps=24)
+    bundle = ModelBundle(bundle.automaton, settings, bundle.initial)
+    calls = {"exp_with_integral": 0, "discretize": []}
+
+    def count_exp(*args):
+        calls["exp_with_integral"] += 1
+        return exp_with_integral(*args)
+
+    def record_discretize(disc, x0):
+        calls["discretize"].append(disc)
+        return discretize(disc, x0)
+
+    records = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reach_module, "exp_with_integral", count_exp)
+        patch.setattr(reach_module, "discretize", record_discretize)
+        for _ in range(2):  # nothing outlives a call: the second discretizes afresh
+            calls.update(exp_with_integral=0, discretize=[])
+            result = reach(bundle)
+            full = {id(d): d for d in calls["discretize"] if d.step == settings.step}
+            tails = [d for d in calls["discretize"] if d.step != settings.step]
+            # A = 0 in every tank location: one sub-step, so one exp_with_integral per record
+            assert all(d.substeps == 1 for d in calls["discretize"])
+            assert len(full) == len(set(result.segments.location)) > 1
+            assert result.stats.flowpipes > len(full)
+            assert calls["exp_with_integral"] == len(full) + len(tails)
+            records.append(full)
+    assert not set(records[0]) & set(records[1])
 
 
 def sliding_hull_by_offsets(lo, hi, m, count):
@@ -501,7 +623,7 @@ def ball_pipe_and_transitions():
     bundle = build_bouncing_ball()
     automaton = bundle.automaton.resolved()
     pipe = flowpipe(
-        automaton.location("always"), bundle.initial.box.to_zonotope(), None, 0.01, 40.0
+        automaton.location("always"), bundle.initial.box.to_zonotope(), None, 0.01, 40.0, discretized={}
     )
     return pipe, automaton.transitions
 
@@ -573,7 +695,8 @@ def reset_jump_bundle(lo: float, hi: float, scale: float) -> ModelBundle:
 
 def test_reset_out_of_range_raises_from_jump_successors():
     bundle = reset_jump_bundle(1e307, 2e307, 20.0)
-    pipe = flowpipe(bundle.automaton.locations[0], bundle.initial.box.to_zonotope(), None, 0.1, 0.3)
+    pipe = flowpipe(bundle.automaton.locations[0], bundle.initial.box.to_zonotope(), None, 0.1, 0.3,
+                    discretized={})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteFlowpipe, match="jump 'a' -> 'b' at t=0 left the floating-point range"):
@@ -601,7 +724,7 @@ def test_tail_segment_out_of_range_raises_instead_of_being_dropped():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteFlowpipe, match="location 't' left the floating-point range"):
-            flowpipe(location, init, Box([-1e298], [1e298]), 1.0, 0.5)
+            flowpipe(location, init, Box([-1e298], [1e298]), 1.0, 0.5, discretized={})
 
 
 
@@ -615,7 +738,7 @@ def test_segment_box_wider_than_the_float_range_raises():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteFlowpipe, match="location 't' left the floating-point range"):
-            flowpipe(location, init, Box([-0.5e298], [0.5e298]), 1.0, 0.5)
+            flowpipe(location, init, Box([-0.5e298], [0.5e298]), 1.0, 0.5, discretized={})
 
 # ---------------------------------------------------------------------------
 # reach + check_safety

@@ -15,9 +15,9 @@ from hyra.sets import (
     matrix_exponential,
     minkowski_sum,
     reduce_order,
-    support,
     translate,
 )
+from support import box_contains, sample_zonotope, support_function
 
 
 def taylor_expm(a, t, terms=60):
@@ -229,8 +229,8 @@ def test_linear_map_sampling_oracle():
     z = Zonotope(rng.normal(size=3), rng.normal(size=(3, 5)))
     m = rng.normal(size=(2, 3))
     mapped_box = box_hull(linear_map(m, z))
-    for point in z.sample(1000, seed=99):
-        assert mapped_box.contains(m @ point, slack=1e-9)
+    for point in sample_zonotope(z, 1000, seed=99):
+        assert box_contains(mapped_box, m @ point, slack=1e-9)
 
 
 def test_linear_map_dimension_mismatch():
@@ -260,19 +260,19 @@ def test_minkowski_support_additivity():
     total = minkowski_sum(z1, z2)
     for _ in range(100):
         d = rng.normal(size=3)
-        assert support(total, d) == pytest.approx(support(z1, d) + support(z2, d), abs=1e-12)
+        assert support_function(total, d) == pytest.approx(support_function(z1, d) + support_function(z2, d), abs=1e-12)
 
 
 def test_support_of_unit_square():
-    assert support(unit_square(), [1.0, 0.0]) == 1.0
+    assert support_function(unit_square(), [1.0, 0.0]) == 1.0
 
 
 def test_box_hull_contains_samples_exactly():
     rng = np.random.default_rng(17)
     z = Zonotope(rng.normal(size=4), rng.normal(size=(4, 7)))
     box = box_hull(z)
-    for point in z.sample(1000, seed=23):
-        assert box.contains(point)  # no tolerance: interval arithmetic is exact here
+    for point in sample_zonotope(z, 1000, seed=23):
+        assert box_contains(box, point)  # no tolerance: interval arithmetic is exact here
 
 
 def test_hull_zonotope_contains_both_operands():
@@ -282,8 +282,8 @@ def test_hull_zonotope_contains_both_operands():
     hull = hull_zonotope(z1, z2)
     dirs = box_octagon_directions(2)
     for d in dirs:
-        assert support(hull, d) >= support(z1, d) - 1e-12
-        assert support(hull, d) >= support(z2, d) - 1e-12
+        assert support_function(hull, d) >= support_function(z1, d) - 1e-12
+        assert support_function(hull, d) >= support_function(z2, d) - 1e-12
 
 
 def test_reduce_order_noop_when_within_cap():
@@ -299,7 +299,7 @@ def test_reduce_order_containment_oracle():
         reduced = reduce_order(z, 4)
         assert reduced.order <= max(4, 3)
         for d in directions:
-            assert support(reduced, d) >= support(z, d) - 1e-12
+            assert support_function(reduced, d) >= support_function(z, d) - 1e-12
 
 
 def test_intersect_axis_aligned_clamp():
@@ -325,7 +325,7 @@ def test_intersect_general_row_tightens_soundly():
     rng = np.random.default_rng(2)
     pts = rng.uniform(0.0, 2.0, size=(500, 2))
     for p in pts[pts.sum(axis=1) <= 1.0]:
-        assert clamped.contains(p)
+        assert box_contains(clamped, p)
 
 
 def test_intersect_equality_is_two_sided():

@@ -44,6 +44,14 @@ def with_bound(bundle, max_jumps, horizon):
     return ModelBundle(bundle.automaton, settings, bundle.initial)
 
 
+def reach_configs(model: str, bundle):
+    """(label, bundle) of each reach configuration of a corpus model."""
+    yield "reach shipped", bundle
+    for jumps, horizon in DEEP.get(model, []):
+        label = f"reach jumps={jumps}" + (f" horizon={horizon:g}" if horizon else "")
+        yield label, with_bound(bundle, jumps, horizon)
+
+
 def reach_text(bundle) -> str:
     result = reach(bundle)
     head = f"{result.verdict.value} {result.first_violation}\n"
@@ -92,10 +100,7 @@ def lines():
     for bench in corpus.all_benchmarks():
         model = bench.value
         bundle = corpus.build(bench)
-        configs = [("reach shipped", lambda b=bundle: reach_text(b))]
-        for jumps, horizon in DEEP.get(model, []):
-            label = f"reach jumps={jumps}" + (f" horizon={horizon:g}" if horizon else "")
-            configs.append((label, lambda b=with_bound(bundle, jumps, horizon): reach_text(b)))
+        configs = [(label, lambda b=b: reach_text(b)) for label, b in reach_configs(model, bundle)]
         for kind in (Integrator.HEUN, Integrator.EULER):
             for step in (bundle.settings.step, bundle.settings.step / 10.0):
                 configs.append((f"simulate {kind.value} step={step:g}",
