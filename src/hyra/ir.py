@@ -144,11 +144,18 @@ class LinearConstraint:
 
 
 class Halfspaces(NamedTuple):
-    """A condition as rows ``coeffs[i] . x <= bounds[i]`` (``equality`` marks the rows of ``==``)."""
+    """A condition as rows ``coeffs[i] . x <= bounds[i]`` (``equality`` marks the rows of ``==``).
+
+    ``axis[i]`` is the column of row i's single nonzero coefficient, or -1
+    when the row has none or several: ``clamp_boxes`` clamps a one-variable
+    row on that column alone. Every field is required, so no row can be
+    dropped by a shorter construction.
+    """
 
     coeffs: np.ndarray  # (rows, n)
     bounds: np.ndarray  # (rows,)
     equality: np.ndarray  # (rows,) bool
+    axis: np.ndarray  # (rows,) int, -1 unless the row has exactly one nonzero
 
     def widened(self, slack: float) -> "Halfspaces":
         """The rows with each equality read as a slab of half-width ``slack``."""
@@ -195,9 +202,11 @@ class Condition:
             raise ValueError(f"condition references constants {sorted(self.symbols)}; resolve it first")
         rows = [(con, sign) for con in self.constraints for sign in _ROW_SIGNS[con.relation]]
         n = self.constraints[0].coeffs.shape[0] if self.constraints else 0
-        form = Halfspaces(_freeze(np.reshape([sign * con.coeffs for con, sign in rows], (len(rows), n))),
-                          _freeze([sign * con.bound for con, sign in rows]),
-                          _freeze([con.relation == "==" for con, _ in rows], bool))
+        coeffs = _freeze(np.reshape([sign * con.coeffs for con, sign in rows], (len(rows), n)))
+        nonzero = [np.flatnonzero(row) for row in coeffs]
+        form = Halfspaces(coeffs, _freeze([sign * con.bound for con, sign in rows]),
+                          _freeze([con.relation == "==" for con, _ in rows], bool),
+                          _freeze([cols[0] if cols.size == 1 else -1 for cols in nonzero], int))
         object.__setattr__(self, "_halfspaces", form)
         return form
 

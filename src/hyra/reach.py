@@ -146,11 +146,11 @@ class Segments:
         return cls(*(np.concatenate([getattr(p, f) for p in parts]) for f in
                      ("time_lo", "time_hi", "center", "radius", "location", "depth")))
 
-    @property
+    @cached_property
     def lo(self) -> np.ndarray:
         return self.center - self.radius
 
-    @property
+    @cached_property
     def hi(self) -> np.ndarray:
         return self.center + self.radius
 
@@ -323,8 +323,10 @@ def discretize(disc: Discretization, x0: Zonotope):
 def _box_inside_condition(box: Box, cond: Condition, slack: float = _CONTAIN_SLACK) -> bool:
     """Whether max over the box of c . x <= d + slack holds on every halfspace row."""
     rows = cond.halfspaces()
-    return all(np.where(c >= 0, c * box.hi, c * box.lo).sum() <= d + slack
-               for c, d in zip(rows.coeffs, rows.bounds))
+    if rows.bounds.size == 0:
+        return True
+    c = rows.coeffs
+    return bool((np.where(c >= 0, c * box.hi, c * box.lo).sum(axis=1) <= rows.bounds + slack).all())
 
 
 @dataclass
@@ -358,6 +360,16 @@ def _require_finite_successor(transition, time: float, *arrays) -> None:
             f"successor of the jump {transition.source!r} -> {transition.target!r} at t={time:g} "
             "left the floating-point range; the reset maps the guard set out of range"
         )
+
+
+def _box_zonotope(box: Box, what: str) -> Zonotope:
+    """``box.to_zonotope()``; a box too wide for its radius is a ``NonFiniteFlowpipe`` naming ``what``."""
+    try:
+        return box.to_zonotope()
+    except ValueError:
+        raise NonFiniteFlowpipe(
+            f"{what} is too wide for the floating-point range: its center or radius overflows"
+        ) from None
 
 
 def _box_chunks(kernel, z0: Zonotope, steps: int):
@@ -531,11 +543,14 @@ def jump_successors(segments: Segments, transition):
     reset = transition.reset
     out = []
     for run in np.split(hits, np.flatnonzero(np.diff(hits) > 1) + 1):
-        agg = Box(lo[run].min(axis=0), hi[run].max(axis=0))
         entry_time = float(segments.time_lo[run[0]])
         window_width = float(segments.time_hi[run[-1]]) - entry_time
+        # the window hulls clamped rows of a finite table: no re-check
+        window = _box_zonotope(Box._trusted(lo[run].min(axis=0), hi[run].max(axis=0)),
+                               f"the guard window of the jump {transition.source!r} -> "
+                               f"{transition.target!r} at t={entry_time:g}")
         with np.errstate(over="ignore", invalid="ignore"):
-            succ = translate(linear_map(reset.r_matrix, agg.to_zonotope()), reset.r_offset)
+            succ = translate(linear_map(reset.r_matrix, window), reset.r_offset)
         _require_finite_successor(transition, entry_time, succ.center, succ.generators)
         out.append((succ, entry_time, window_width))
     return out
@@ -687,7 +702,8 @@ def reach(bundle: ModelBundle) -> ReachResult:
     processed: dict = {name: [] for name in locations}
     discretized: dict = {}  # location name -> Discretization, shared by its flowpipes
 
-    level = [_Task(bundle.initial.location, bundle.initial.box.to_zonotope(), 0.0, 0.0)]
+    init = _box_zonotope(bundle.initial.box, f"the initial set of location {bundle.initial.location!r}")
+    level = [_Task(bundle.initial.location, init, 0.0, 0.0)]
     depth = 0
     while level and depth <= settings.max_jumps:
         next_level: list = []
@@ -727,7 +743,9 @@ def reach(bundle: ModelBundle) -> ReachResult:
                     if clamped is None:
                         continue
                     # late jumpers inherit the parent's entry skew
-                    next_level.append(_Task(transition.target, clamped.to_zonotope(), t_entry, w + task.window))
+                    succ_init = _box_zonotope(clamped, f"the successor of the jump {transition.source!r} -> "
+                                                       f"{transition.target!r} at t={t_entry:g}")
+                    next_level.append(_Task(transition.target, succ_init, t_entry, w + task.window))
         level = _merge_level(next_level, settings.step)
         depth += 1
 

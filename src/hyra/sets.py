@@ -7,14 +7,22 @@ read-only. ``clamp_boxes`` is the array form of box-by-condition
 intersection that the flowpipe engine runs over whole segment tables.
 Conditions are evaluated through one halfspace form, the rows c . x <= d of
 ``Condition.halfspaces()``: invariant and guard clamps, containment, the
-safety check and the simulator's chunk margins all read those rows.
+safety check and the simulator's chunk margins all read those rows. A row
+with a single nonzero coefficient (every row of the shipped models) is
+clamped on its one column, which for finite bounds is the general
+interval-propagation formula bit for bit (see ``clamp_boxes``). Every
+caller passes finite bounds: the propagation chunks and the tail segment
+after ``reach._require_finite``, emission windows over real rows, stored
+segment tables and checked boxes.
 
 Sets are checked where they enter: the public ``Box(...)`` and
 ``Zonotope(...)`` constructors convert to float and reject non-finite
 entries, ``lo > hi`` and shape mismatches. The set operations build their
-results with ``_trusted``, which only freezes the arrays they just computed;
-finite operands can still overflow, so the engine checks finiteness wherever
-a result goes on: both Omega0 forms of ``reach.discretize`` (the chord
+results with ``_trusted``, which only freezes the arrays they just computed
+(``Box.to_zonotope`` after one test that the box's center and radius are
+finite, and ``reach.jump_successors`` for its guard windows, which hull
+clamped rows of a finite segment table); finite operands can still
+overflow, so the engine checks finiteness wherever a result goes on: both Omega0 forms of ``reach.discretize`` (the chord
 zonotope and the sub-step box hull, whose boxes come from the propagation
 kernel ``reach._box_chunks``), each chunk of that kernel in
 ``reach._propagate``, the tail segment of ``reach.flowpipe``, and each
@@ -94,9 +102,16 @@ class Box:
         return Box(np.minimum(self.lo, other.lo), np.maximum(self.hi, other.hi))
 
     def to_zonotope(self) -> "Zonotope":
-        r = self.radius
-        gens = np.diag(r)[:, r > 0]
-        return Zonotope(self.center, gens)
+        """The box as a zonotope, one generator per non-flat axis.
+
+        A box too wide for its center or radius to be a float raises
+        ``ValueError``.
+        """
+        with np.errstate(over="ignore"):
+            c, r = self.center, self.radius
+        if not (np.isfinite(c).all() and np.isfinite(r).all()):
+            raise ValueError("box is too wide for its center and radius to be finite")
+        return Zonotope._trusted(c, np.diag(r)[:, r > 0])
 
     def sup_norm(self) -> float:
         """Largest infinity-norm over points of the box."""
@@ -280,11 +295,29 @@ def clamp_boxes(lo, hi, rows):
     for the conjunction). Returns (lo, hi, ok): new bound arrays and a
     per-row flag that is False where some interval emptied. Rows are
     independent; the bounds of a row whose flag is False are meaningless.
+
+    A row with one nonzero coefficient c, on column i (``rows.axis``), is
+    clamped on that column alone: the box meets it iff min(c x_i) <= d, and
+    x_i's bound becomes d / c. For finite bounds this is the general formula
+    bit for bit (the other terms are signed zeros, so the row minimum is
+    c x_i, the rest of the row sums to +0 and the limit is d / c exactly);
+    every caller passes finite bounds. The two differ only where c x_i
+    overflows to -inf: the general formula reads inf - inf and empties the box.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
     ok = np.ones(lo.shape[0], dtype=bool)
-    for coeffs, bound in zip(rows.coeffs, rows.bounds):
+    for coeffs, bound, axis in zip(rows.coeffs, rows.bounds.tolist(), rows.axis.tolist()):
+        if axis >= 0:
+            c, col_lo, col_hi = float(coeffs[axis]), lo[:, axis], hi[:, axis]  # views into lo, hi
+            if c > 0:
+                ok &= c * col_lo <= bound
+                np.minimum(col_hi, bound / c, out=col_hi)
+            else:
+                ok &= c * col_hi <= bound
+                np.maximum(col_lo, bound / c, out=col_lo)
+            ok &= col_lo <= col_hi
+            continue
         # min of coeffs . x over each box, per term
         terms_min = np.where(coeffs >= 0, coeffs * lo, coeffs * hi)
         total_min = terms_min.sum(axis=1)

@@ -38,7 +38,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InitOutsideInvariant, MaxEventsExceeded
+from .errors import EngineError, InitOutsideInvariant, MaxEventsExceeded
 from .expressions import format_rows
 from .ir import AffineDynamics, Condition, ModelBundle, Transition
 from .sets import Box
@@ -464,6 +464,9 @@ def sample_initial(box: Box, k: int, seed: int) -> list:
                 [(idx >> d) & 1 for d in range(n)], box.hi, box.lo
             ).astype(float)
             points.append(corner)
+    with np.errstate(over="ignore"):
+        if len(points) < k and not np.isfinite(box.hi - box.lo).all():
+            raise EngineError("cannot sample the initial set: its width leaves the floating-point range")
     rng = np.random.default_rng(seed)
     while len(points) < k:
         points.append(rng.uniform(box.lo, box.hi))

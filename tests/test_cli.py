@@ -251,6 +251,32 @@ def test_overflowing_first_interval_is_an_engine_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def wide_tank_files(tmp_path, capsys):
+    """A tank3 cfg whose x1 spans [-1e308, 1e308], a finite box whose radius overflows, and its JSON bundle."""
+    cfg = (CORPUS_DIR / "tank3" / "config.cfg").read_text()
+    assert cfg.count("x1 >= 0.48 & x1 <= 0.52") == 1
+    path = tmp_path / "wide.cfg"
+    path.write_text(cfg.replace("x1 >= 0.48 & x1 <= 0.52", "x1 >= -1e308 & x1 <= 1e308"))
+    bundle = tmp_path / "wide.json"
+    code, _, _ = run(capsys, "translate", str(CORPUS_DIR / "tank3" / "model.xml"), str(path),
+                     "--to", "json", "--out", str(bundle))
+    assert code == 0
+    return [str(CORPUS_DIR / "tank3" / "model.xml"), str(path)], [str(bundle)]
+
+
+@pytest.mark.parametrize("source", ["cfg", "json"])
+@pytest.mark.parametrize("command", ["reach", "check", "simulate"])
+def test_initial_box_too_wide_for_its_radius_is_an_engine_error(command, source, tmp_path, capsys):
+    from_cfg, from_json = wide_tank_files(tmp_path, capsys)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, command, *(from_cfg if source == "cfg" else from_json))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("engine error: ") and "initial set" in err
+    assert "Traceback" not in err
+
+
 def test_invalid_step_override_is_an_input_error(capsys):
     code, _, err = run(
         capsys, "check", str(CORPUS_DIR / "tank3" / "model.xml"), "--step", "100"

@@ -38,6 +38,7 @@ from hyra.sets import (
     Box,
     Zonotope,
     box_hull,
+    clamp_boxes,
     exp_with_integral,
     hull_zonotope,
     intersect_condition,
@@ -677,6 +678,68 @@ def test_identity_reset_returns_the_clamped_window():
     assert agg is not None
     assert np.array_equal(box_hull(succ).lo, agg.lo)
     assert np.array_equal(box_hull(succ).hi, agg.hi)
+
+
+def reference_successors(segments, transition):
+    """``jump_successors`` through the public constructors and the n-column clamp formula."""
+    rows = transition.guard.halfspaces()
+    lo, hi, hit = clamp_boxes(segments.center - segments.radius, segments.center + segments.radius,
+                              rows._replace(axis=np.full(len(rows.bounds), -1)))
+    hits = np.flatnonzero(hit)
+    out = []
+    for run in np.split(hits, np.flatnonzero(np.diff(hits) > 1) + 1) if hits.size else []:
+        window = Box(lo[run].min(axis=0), hi[run].max(axis=0))
+        zonotope = Zonotope(window.center, np.diag(window.radius)[:, window.radius > 0])
+        succ = translate(linear_map(transition.reset.r_matrix, zonotope), transition.reset.r_offset)
+        entry = float(segments.time_lo[run[0]])
+        out.append((succ, entry, float(segments.time_hi[run[-1]]) - entry))
+    return out
+
+
+@pytest.mark.parametrize("build", CORPUS_BUILDS, ids=lambda b: b.__name__[6:])
+def test_jump_successors_equal_the_checked_reference_on_every_corpus_call(build):
+    calls = recorded_calls("jump_successors", build)
+    found = 0
+    for segments, transition in calls:
+        got, want = jump_successors(segments, transition), reference_successors(segments, transition)
+        assert len(got) == len(want)
+        for (succ, entry, width), (ref, ref_entry, ref_width) in zip(got, want):
+            assert (entry, width) == (ref_entry, ref_width)
+            assert np.array_equal(succ.center, ref.center) and np.array_equal(succ.generators, ref.generators)
+            assert np.array_equal(np.signbit(succ.center), np.signbit(ref.center))
+        found += len(got)
+    assert found > 0
+
+
+def test_segment_bounds_are_computed_once_per_table():
+    pipe, _ = ball_pipe_and_transitions()
+    assert pipe.raw.lo is pipe.raw.lo and pipe.raw.hi is pipe.raw.hi
+    assert np.array_equal(pipe.raw.lo, pipe.raw.center - pipe.raw.radius)
+    assert np.array_equal(pipe.raw.hi, pipe.raw.center + pipe.raw.radius)
+
+
+def test_every_box_is_inside_the_condition_true():
+    assert reach_module._box_inside_condition(Box([-1e300, 0.0], [1e300, 0.0]), Condition())
+
+
+@pytest.mark.parametrize("case, message", [
+    ("initial", "the initial set of location 'a' is too wide"),
+    # each drifting segment is 1.76e308 wide; the window of all five of them is wider than the float range
+    ("window", "the guard window of the jump 'a' -> 'b' at t=0 is too wide"),
+    # the reset widens a finite window to finite bounds 1.9e308 apart
+    ("successor", "the successor of the jump 'a' -> 'b' at t=0 is too wide"),
+])
+def test_box_too_wide_for_its_radius_is_a_named_engine_error(case, message):
+    lo, hi, scale, drift = {"initial": (-1e308, 1e308, 1.0, 0.0), "window": (-0.9e308, 0.85e308, 1.0, 1e307),
+                            "successor": (-0.9e308, 0.85e308, 1.1, 0.0)}[case]
+    bundle = reset_jump_bundle(lo, hi, scale)
+    source = Location("a", Condition(), AffineDynamics([[0.0]], np.zeros((1, 0)), [drift]))
+    automaton = dataclasses.replace(bundle.automaton, locations=(source, Location("b", Condition(), source.dynamics)))
+    settings = dataclasses.replace(bundle.settings, horizon=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteFlowpipe, match=message):
+            reach(ModelBundle(automaton, settings, bundle.initial))
 
 
 def reset_jump_bundle(lo: float, hi: float, scale: float) -> ModelBundle:

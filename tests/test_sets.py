@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from hyra.errors import DimensionMismatch, MatrixOverflow
-from hyra.ir import Condition, LinearConstraint
+from hyra.ir import Condition, Halfspaces, LinearConstraint
 from hyra.sets import (
     Box,
     Zonotope,
@@ -267,6 +269,18 @@ def test_support_of_unit_square():
     assert support_function(unit_square(), [1.0, 0.0]) == 1.0
 
 
+def test_to_zonotope_rejects_a_box_too_wide_for_its_radius_or_center():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lo, hi in (([-1e308, 0.0], [1e308, 1.0]), ([1e308, 0.0], [1.7e308, 0.0])):
+            with pytest.raises(ValueError, match="too wide"):
+                Box(lo, hi).to_zonotope()
+        z = Box([-1.0, 2.0, 0.5], [1.0, 2.0, 0.75]).to_zonotope()
+    assert np.array_equal(z.center, [0.0, 2.0, 0.625])
+    assert np.array_equal(z.generators, [[1.0, 0.0], [0.0, 0.0], [0.0, 0.125]])
+    assert not (z.center.flags.writeable or z.generators.flags.writeable)
+
+
 def test_box_hull_contains_samples_exactly():
     rng = np.random.default_rng(17)
     z = Zonotope(rng.normal(size=4), rng.normal(size=(4, 7)))
@@ -345,6 +359,8 @@ def scalar_clamp(lo, hi, condition, eq_slack=0.0):
     """One box, one constraint row at a time: the oracle for clamp_boxes.
 
     An equality constraint is read as the slab |c . x - b| <= eq_slack.
+    Bounds tighten through numpy's scalar minimum and maximum, whose choice
+    between two equal zeros of opposite sign is the one ``clamp_boxes`` makes.
     """
     lo, hi = lo.copy(), hi.copy()
     for con in condition.constraints:
@@ -360,9 +376,9 @@ def scalar_clamp(lo, hi, condition, eq_slack=0.0):
             for i in np.flatnonzero(coeffs):
                 limit = (bound - (total_min - terms_min[i])) / coeffs[i]
                 if coeffs[i] > 0:
-                    hi[i] = min(hi[i], limit)
+                    hi[i] = np.minimum(hi[i], limit)
                 else:
-                    lo[i] = max(lo[i], limit)
+                    lo[i] = np.maximum(lo[i], limit)
                 if lo[i] > hi[i]:
                     return None
     return lo, hi
@@ -402,3 +418,123 @@ def test_clamp_boxes_matches_intersect_condition_row_by_row(relations):
     assert kept > 0 and emptied > 0
     if "==" in relations:
         assert widened_kept > kept
+
+
+def same_bits(a, b) -> bool:
+    """Equal float arrays down to the sign of zero."""
+    return np.array_equal(np.asarray(a, dtype=float).view(np.uint64), np.asarray(b, dtype=float).view(np.uint64))
+
+
+def general_rows(rows):
+    """The same rows with no axis recorded: ``clamp_boxes`` runs the n-column formula on each."""
+    return rows._replace(axis=np.full(len(rows.bounds), -1))
+
+
+def rows_of(*constraints):
+    return Condition(tuple(LinearConstraint(c, rel, b) for c, rel, b in constraints))
+
+
+# Conditions on (x, y, z), each with at least one row of one nonzero coefficient.
+COLUMN_CASES = {
+    "non-unit-both-signs": rows_of(([3.0, 0.0, 0.0], "<=", 1.0), ([0.0, -2.5, 0.0], "<=", 0.7),
+                                   ([0.0, 0.0, 0.3], ">=", -0.2)),
+    "two-rows-one-variable": rows_of(([0.0, 4.0, 0.0], ">=", -1.0), ([0.0, 0.7, 0.0], "<=", 0.45)),
+    "equality": rows_of(([0.0, 1.5, 0.0], "==", 0.25), ([-3.0, 0.0, 0.0], "==", 0.6)),
+    "zero-bounds": rows_of(([1.0, 0.0, 0.0], "<=", 0.0), ([0.0, 1.0, 0.0], ">=", -0.0),
+                           ([0.0, 0.0, 2.0], "<=", -0.0), ([0.0, 0.0, -1.0], "<", 0.0)),
+    "all-zero-rows": rows_of(([0.0, 0.0, 0.0], "<=", 1.0), ([0.0, 2.0, 0.0], "<=", 0.5),
+                             ([0.0, 0.0, 0.0], ">=", -0.0)),
+    "mixed": rows_of(([0.5, 0.0, 0.0], "<=", 0.4), ([1.0, 1.0, 0.0], "<=", 0.3),
+                     ([0.0, -1.0, 0.0], "<=", 0.2), ([-1.0, 0.0, 2.0], "<=", 1.0),
+                     ([0.0, 0.0, 1.0], "<=", 0.6)),
+}
+
+
+def column_case_boxes(cond, rng, count: int = 400):
+    """Boxes whose bounds are drawn from each column's limits d / c, signed zeros and random values,
+    so boxes touch the limits exactly, are flat (lo == hi) and straddle zero."""
+    rows = cond.halfspaces()
+    values = []
+    for col in range(3):
+        on_col = rows.axis == col
+        limits = (rows.bounds[on_col] / rows.coeffs[on_col, col]).tolist()
+        limits += (np.asarray(limits) + 0.3).tolist() if limits else []
+        values.append(np.array(limits + [0.0, -0.0, 0.1, -0.1] + rng.uniform(-1.5, 1.5, 6).tolist()))
+    lo, hi = np.empty((count, 3)), np.empty((count, 3))
+    for col, vals in enumerate(values):
+        a, b = rng.choice(vals, count), rng.choice(vals, count)
+        flat = rng.uniform(size=count) < 0.2
+        b[flat] = a[flat]
+        lo[:, col], hi[:, col] = np.where(a <= b, a, b), np.where(a <= b, b, a)
+    return lo, hi
+
+
+@pytest.mark.parametrize("case", sorted(COLUMN_CASES))
+@pytest.mark.parametrize("slack", [None, 0.25], ids=["plain", "widened"])
+def test_column_clamp_equals_the_general_formula_and_the_scalar_oracle_bitwise(case, slack):
+    cond = COLUMN_CASES[case]
+    rows = cond.halfspaces() if slack is None else cond.halfspaces().widened(slack)
+    assert (rows.axis >= 0).any()
+    lo, hi = column_case_boxes(cond, np.random.default_rng(sorted(COLUMN_CASES).index(case)))
+    out_lo, out_hi, ok = clamp_boxes(lo, hi, rows)
+    ref_lo, ref_hi, ref_ok = clamp_boxes(lo, hi, general_rows(rows))
+    assert np.array_equal(ok, ref_ok) and same_bits(out_lo, ref_lo) and same_bits(out_hi, ref_hi)
+    for k in range(len(lo)):
+        oracle = scalar_clamp(lo[k], hi[k], cond, eq_slack=slack or 0.0)
+        assert ok[k] == (oracle is not None)
+        if ok[k]:
+            assert same_bits(out_lo[k], oracle[0]) and same_bits(out_hi[k], oracle[1])
+    assert 0 < ok.sum() < len(ok)
+    # the cases reach the exact limits and the zeros of both signs
+    touched = (out_hi == hi) & (hi != lo)
+    assert touched.any() and (np.signbit(out_lo) & (out_lo == 0.0)).any()
+
+
+def test_column_clamp_keeps_a_box_at_the_exact_limit_and_zero_signs():
+    rows = rows_of(([3.0], "<=", 1.0), ([-2.0], "<=", -0.0)).halfspaces()
+    lo = np.array([[1.0 / 3.0], [-0.0], [0.0], [0.0], [0.2]])
+    hi = np.array([[1.0 / 3.0], [0.0], [0.0], [1.0], [0.3]])
+    out_lo, out_hi, ok = clamp_boxes(lo, hi, rows)
+    ref_lo, ref_hi, ref_ok = clamp_boxes(lo, hi, general_rows(rows))
+    assert ok.all() and np.array_equal(ok, ref_ok)
+    assert same_bits(out_lo, ref_lo) and same_bits(out_hi, ref_hi)
+    assert out_hi[0, 0] == 1.0 / 3.0 and out_hi[3, 0] == 1.0 / 3.0 and out_hi[4, 0] == 0.3
+    for k in range(len(lo)):
+        oracle = scalar_clamp(lo[k], hi[k], rows_of(([3.0], "<=", 1.0), ([-2.0], "<=", -0.0)))
+        assert same_bits(out_lo[k], oracle[0]) and same_bits(out_hi[k], oracle[1])
+
+
+def test_halfspace_axis_marks_the_rows_with_one_nonzero_coefficient():
+    rng = np.random.default_rng(5)
+    seen = set()
+    for _ in range(60):
+        n = int(rng.integers(1, 5))
+        constraints = []
+        for _ in range(int(rng.integers(1, 5))):
+            coeffs = rng.normal(size=n) * (rng.uniform(size=n) < 0.4)
+            coeffs[rng.uniform(size=n) < 0.2] = -0.0
+            constraints.append(LinearConstraint(coeffs, str(rng.choice(["<=", ">=", "==", "<"])), rng.normal()))
+        rows = Condition(tuple(constraints)).halfspaces()
+        assert rows.axis.shape == rows.bounds.shape
+        nonzero = rows.coeffs != 0.0
+        single = nonzero.sum(axis=1) == 1
+        assert np.array_equal(rows.axis == -1, ~single)
+        assert np.array_equal(rows.axis[single], nonzero[single].argmax(axis=1))
+        assert np.array_equal(rows.widened(0.5).axis, rows.axis)
+        seen |= set(nonzero.sum(axis=1).tolist())
+    assert {0, 1, 2} <= seen
+    assert Condition().halfspaces().axis.shape == (0,)
+
+
+def test_halfspaces_need_every_field():
+    rows = rows_of(([1.0, 0.0], "<=", 1.0)).halfspaces()
+    with pytest.raises(TypeError):
+        Halfspaces(rows.coeffs, rows.bounds, rows.equality)
+
+
+def test_column_clamp_does_not_empty_a_box_whose_row_minimum_overflows():
+    # 3 x <= 1 over x in [-1e308, 0]: the n-column formula reads inf - inf there
+    rows = rows_of(([3.0, 0.0], "<=", 1.0)).halfspaces()
+    with np.errstate(over="ignore"):
+        lo, hi, ok = clamp_boxes(np.array([[-1e308, 0.0]]), np.array([[0.0, 1.0]]), rows)
+    assert ok[0] and lo[0, 0] == -1e308 and hi[0, 0] == 0.0

@@ -1,12 +1,13 @@
 import importlib
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from hyra.corpus import build_bouncing_ball, build_linswitch, build_platoon, build_tank
-from hyra.errors import InitOutsideInvariant, MaxEventsExceeded
+from hyra.errors import EngineError, InitOutsideInvariant, MaxEventsExceeded
 from hyra.expressions import format_number
 from hyra.ir import (
     AffineDynamics,
@@ -528,6 +529,26 @@ def test_four_samples_on_a_square_are_the_corners():
     points = sample_initial(box, 4, seed=0)
     got = {tuple(p) for p in points}
     assert got == {(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)}
+
+
+def test_samples_of_a_box_are_the_corners_then_uniform_draws():
+    box = Box([0.0, -1.0, 2.0], [1.0, 1.0, 2.5])
+    rng = np.random.default_rng(7)
+    want = [rng.uniform(box.lo, box.hi) for _ in range(5)]
+    assert all(np.array_equal(x, y) for x, y in zip(sample_initial(box, 5, seed=7), want))
+    corners = sample_initial(box, 10, seed=7)
+    assert {tuple(p) for p in corners[:8]} == {(x, y, z) for x in (0.0, 1.0) for y in (-1.0, 1.0) for z in (2.0, 2.5)}
+    rng = np.random.default_rng(7)
+    assert all(np.array_equal(x, rng.uniform(box.lo, box.hi)) for x in corners[8:])
+
+
+def test_sampling_a_box_wider_than_the_float_range_is_an_engine_error():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EngineError, match="initial set"):
+            sample_initial(Box([-1e308, 0.0], [1e308, 1.0]), 5, seed=0)
+        # the corners alone need no draw
+        assert len(sample_initial(Box([-1e308], [1e308]), 2, seed=0)) == 2
 
 
 def test_sampling_is_seed_deterministic():
