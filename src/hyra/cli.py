@@ -8,6 +8,7 @@ results only; human-oriented diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ from .config import parse_config
 from .errors import EngineError, HyraError, ModelFormatError
 from .flowstar import emit_flowstar
 from .interchange import read_json, write_json
-from .ir import ModelBundle, ReachSettings, validate
+from .ir import ModelBundle, validate
 from .plot import project_csv, projection_to_csv, projection_to_svg
 from .reach import Verdict, reach, segments_to_csv
 from .simulate import Integrator, SimOptions, sample_initial, simulate, trajectory_to_csv
@@ -59,16 +60,13 @@ def _load_bundle(model_path: str, cfg_path: str | None, step_override: float | N
             )
         if parsed.initial.location not in automaton.location_names():
             raise ModelFormatError(f"initial location {parsed.initial.location!r} not in model")
-        bundle = ModelBundle(automaton, parsed.settings, parsed.initial, source_format=path.suffix.lstrip("."))
+        bundle = ModelBundle(automaton, parsed.settings, parsed.initial)
     if step_override is not None:
-        s = bundle.settings
         try:
-            settings = ReachSettings(
-                s.horizon, step_override, s.max_jumps, s.forbidden, s.output_vars, s.fixpoint_check
-            )
+            settings = dataclasses.replace(bundle.settings, step=step_override)
         except ValueError as exc:
             raise ModelFormatError(f"--step: {exc}") from exc
-        bundle = ModelBundle(bundle.automaton, settings, bundle.initial, bundle.source_format)
+        bundle = dataclasses.replace(bundle, settings=settings)
     return bundle
 
 

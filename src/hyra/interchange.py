@@ -330,7 +330,7 @@ def _build_bundle(data: dict) -> ModelBundle:
     lo = np.array([init["box"][v][0] for v in table.state_vars], dtype=float)
     hi = np.array([init["box"][v][1] for v in table.state_vars], dtype=float)
     initial = InitialCondition(init["location"], Box(lo, hi))
-    return ModelBundle(automaton, settings, initial, source_format="json")
+    return ModelBundle(automaton, settings, initial)
 
 
 def read_json(text: str) -> ModelBundle:

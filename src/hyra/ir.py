@@ -45,15 +45,12 @@ def _fields_equal(self, other) -> bool:
 
     Arrays compare with ``np.array_equal``, dicts (symbolic terms, constants,
     input ranges) entry by entry with ``_terms_equal``, boxes by their bounds
-    and everything else with ``==``; fields declared with ``compare=False``
-    are skipped. A class that sets ``__eq__`` to this and no ``__hash__`` is
-    unhashable, like its arrays.
+    and everything else with ``==``. A class that sets ``__eq__`` to this and
+    no ``__hash__`` is unhashable, like its arrays.
     """
     if not isinstance(other, type(self)):
         return False
     for f in fields(self):
-        if not f.compare:
-            continue
         mine, theirs = getattr(self, f.name), getattr(other, f.name)
         if isinstance(mine, np.ndarray):
             same = np.array_equal(mine, theirs)
@@ -422,7 +419,6 @@ class ModelBundle:
     automaton: HybridAutomaton
     settings: ReachSettings
     initial: InitialCondition
-    source_format: str = field(default="builder", compare=False)
 
     __eq__ = _fields_equal
 
@@ -435,7 +431,7 @@ class ModelBundle:
         settings = self.settings
         if settings.forbidden is not None:
             settings = replace(settings, forbidden=settings.forbidden.resolve(automaton.vars.constants))
-        result = ModelBundle(automaton, settings, self.initial, self.source_format)
+        result = ModelBundle(automaton, settings, self.initial)
         object.__setattr__(result, "_resolved", result)
         object.__setattr__(self, "_resolved", result)
         return result

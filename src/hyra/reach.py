@@ -33,6 +33,10 @@ guard-crossing window of width W widen each emitted segment with the
 preceding ceil(W/step) segments, so a trajectory jumping anywhere in the
 window stays covered by the segment whose time interval contains the query
 time.
+
+``reach`` explores jumps breadth-first. A task's start set is one box (the
+initial set, a reset guard window clamped to the target's invariant, or a
+merged hull) until ``flowpipe`` builds the zonotope ``discretize`` reads.
 """
 
 from __future__ import annotations
@@ -179,7 +183,7 @@ class ReachStats:
     max_depth: int = 0
     wall_time: float = 0.0
     covered_time: float = 0.0
-    termination: Termination | None = None  # None: neither the jump bound nor containment cut exploration
+    termination: Termination | None = None  # None: neither the jump bound nor the fixpoint check cut it
 
 
 @dataclass
@@ -362,14 +366,12 @@ def _require_finite_successor(transition, time: float, *arrays) -> None:
         )
 
 
-def _box_zonotope(box: Box, what: str) -> Zonotope:
-    """``box.to_zonotope()``; a box too wide for its radius is a ``NonFiniteFlowpipe`` naming ``what``."""
-    try:
-        return box.to_zonotope()
-    except ValueError:
-        raise NonFiniteFlowpipe(
-            f"{what} is too wide for the floating-point range: its center or radius overflows"
-        ) from None
+def _checked_box(box: Box, what: str) -> Box:
+    """``box``, whose center and radius must be floats; else a ``NonFiniteFlowpipe`` naming ``what``."""
+    with np.errstate(over="ignore"):
+        if np.isfinite(box.center).all() and np.isfinite(box.radius).all():
+            return box
+    raise NonFiniteFlowpipe(f"{what} is too wide for the floating-point range: its center or radius overflows")
 
 
 def _box_chunks(kernel, z0: Zonotope, steps: int):
@@ -447,12 +449,13 @@ def _sliding_hull(lo, hi, m: int, count: int):
     return out_lo, out_hi
 
 
-def flowpipe(location, init: Zonotope, input_box: Box | None, step: float, horizon: float,
+def flowpipe(location, init: Box, input_box: Box | None, step: float, horizon: float,
              entry_time: float = 0.0, jump_depth: int = 0, window: float = 0.0, *,
              discretized: dict) -> "FlowpipeResult":
     """Segments covering [entry_time, horizon] inside one location.
 
     Stops early when a segment's intersection with the invariant is empty.
+    ``init`` is a checked box (``_checked_box``); ``discretize`` reads its zonotope.
     ``window`` is the width of the guard-crossing window that produced
     ``init`` (zero for the model's initial set). ``discretized`` maps location
     names to their ``Discretization`` for ``step``; a missing one is added.
@@ -460,8 +463,7 @@ def flowpipe(location, init: Zonotope, input_box: Box | None, step: float, horiz
     dyn = location.dynamics
     invariant = location.invariant
     n = init.dim
-    init_box = box_hull(init)
-    if not _box_inside_condition(init_box, invariant):
+    if not _box_inside_condition(init, invariant):
         raise InitOutsideInvariant(
             f"initial set of location {location.name!r} is not inside its invariant"
         )
@@ -476,11 +478,11 @@ def flowpipe(location, init: Zonotope, input_box: Box | None, step: float, horiz
 
     alpha_max = 0.0
     lo = hi = np.empty((0, n))
-    last = init
+    last = init.to_zonotope()
     if full_steps > 0:
         if location.name not in discretized:
             discretized[location.name] = Discretization(dyn, input_box, step)
-        omega, alpha = discretize(disc := discretized[location.name], init)
+        omega, alpha = discretize(disc := discretized[location.name], last)
         alpha_max = max(alpha_max, alpha)
         lo, hi, last = _propagate(location, omega, disc.kernel, full_steps, entry_time, step)
     if last is not None and (leftover > 0.0 or full_steps == 0):
@@ -530,11 +532,12 @@ def jump_successors(segments: Segments, transition):
     """Aggregated successors of one transition over a segment table.
 
     Consecutive segments whose boxes meet the guard form one crossing
-    window; the guard-clamped boxes hull into a single set, the reset maps
-    it, and the result is reported with the window's start time and width.
-    Returns a list of (init_zonotope_pre_invariant, entry_time, window_width).
-    A reset that maps the window out of the floating-point range raises
-    ``NonFiniteFlowpipe``.
+    window; the guard-clamped boxes hull into a single box, the reset maps
+    its zonotope, and the box of the image is reported with the window's
+    start time and width. Returns a list of (box_pre_invariant, entry_time,
+    window_width), each box with finite bounds. A window too wide for its
+    center or radius, or a reset that maps it out of the floating-point
+    range, raises ``NonFiniteFlowpipe``.
     """
     lo, hi, hit = clamp_boxes(segments.lo, segments.hi, transition.guard.halfspaces())
     hits = np.flatnonzero(hit)
@@ -546,12 +549,13 @@ def jump_successors(segments: Segments, transition):
         entry_time = float(segments.time_lo[run[0]])
         window_width = float(segments.time_hi[run[-1]]) - entry_time
         # the window hulls clamped rows of a finite table: no re-check
-        window = _box_zonotope(Box._trusted(lo[run].min(axis=0), hi[run].max(axis=0)),
-                               f"the guard window of the jump {transition.source!r} -> "
-                               f"{transition.target!r} at t={entry_time:g}")
+        window = _checked_box(Box._trusted(lo[run].min(axis=0), hi[run].max(axis=0)),
+                              f"the guard window of the jump {transition.source!r} -> "
+                              f"{transition.target!r} at t={entry_time:g}")
         with np.errstate(over="ignore", invalid="ignore"):
-            succ = translate(linear_map(reset.r_matrix, window), reset.r_offset)
-        _require_finite_successor(transition, entry_time, succ.center, succ.generators)
+            succ = box_hull(translate(linear_map(reset.r_matrix, window.to_zonotope()), reset.r_offset))
+        # the clamp that follows would read infinities as an empty box
+        _require_finite_successor(transition, entry_time, succ.lo, succ.hi)
         out.append((succ, entry_time, window_width))
     return out
 
@@ -579,42 +583,14 @@ def check_safety(segments, forbidden: Condition | None, eq_slack: float = 1e-9):
     return Verdict.POSSIBLY_UNSAFE, int(offenders[np.argmin(segments.time_lo[offenders])])
 
 
-def _contained_in_union(lo, hi, pool, budget, slack) -> bool:
-    """Exact-enough cover test of a box by a finite union of boxes.
-
-    Splits along pool-box faces until each piece sits in a single pool box;
-    gives up (returns False, which is sound for fixpoint use) when the
-    split budget runs out.
-    """
-    for plo, phi in pool:
-        if np.all(plo - slack <= lo) and np.all(hi <= phi + slack):
-            return True
-    if budget[0] <= 0:
-        return False
-    for plo, phi in pool:
-        if np.any(np.maximum(plo, lo) > np.minimum(phi, hi) + slack):
-            continue
-        for d in range(len(lo)):
-            for v in (plo[d], phi[d]):
-                if lo[d] + slack < v < hi[d] - slack:
-                    budget[0] -= 1
-                    hi_left = hi.copy()
-                    hi_left[d] = v
-                    lo_right = lo.copy()
-                    lo_right[d] = v
-                    return _contained_in_union(lo, hi_left, pool, budget, slack) and _contained_in_union(
-                        lo_right, hi, pool, budget, slack
-                    )
-    return False
-
-
-def _fixpoint_covered(box: Box, task: _Task, pool: list) -> bool:
-    """Whether the union of the (lo, hi, entry, end) tasks in ``pool`` whose entry window
-    holds the task's covers ``box``: a task that entered later has less horizon left."""
-    pool = [(lo, hi) for lo, hi, entry, end in pool if entry <= task.entry_time and task.end_time <= end]
-    scale = max(1.0, float(np.max(np.abs(box.lo))), float(np.max(np.abs(box.hi))))
-    slack = _CONTAIN_SLACK * scale
-    return _contained_in_union(box.lo.copy(), box.hi.copy(), pool, [256], slack)
+def _fixpoint_covered(task: _Task, pool: list) -> bool:
+    """Whether one earlier ``_Task`` in ``pool`` covers ``task``: its entry window holds the
+    task's and its box the task's box. A task that entered later has less horizon left."""
+    box = task.box
+    slack = _CONTAIN_SLACK * max(1.0, box.sup_norm())
+    return any(other.entry_time <= task.entry_time and task.end_time <= other.end_time
+               and np.all(other.box.lo - slack <= box.lo) and np.all(box.hi <= other.box.hi + slack)
+               for other in pool)
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +600,7 @@ def _fixpoint_covered(box: Box, task: _Task, pool: list) -> bool:
 @dataclass
 class _Task:
     location: str
-    init: Zonotope
+    box: Box  # the start set, with float center and radius
     entry_time: float
     window: float
 
@@ -642,9 +618,11 @@ def _boxes_close(b1: Box, b2: Box) -> bool:
     """
     hull_lo = np.minimum(b1.lo, b2.lo)
     hull_hi = np.maximum(b1.hi, b2.hi)
-    width = np.maximum(b1.hi - b1.lo, b2.hi - b2.lo)
     scale = np.maximum(np.maximum(np.abs(hull_lo), np.abs(hull_hi)), 1.0)
-    return bool(np.all(hull_hi - hull_lo <= 1.5 * width + 1e-9 * scale))
+    # widths past the float range compare inf <= inf; the merged hull's check names them
+    with np.errstate(over="ignore", invalid="ignore"):
+        width = np.maximum(b1.hi - b1.lo, b2.hi - b2.lo)
+        return bool(np.all(hull_hi - hull_lo <= 1.5 * width + 1e-9 * scale))
 
 
 def _merge_level(tasks: list, step: float) -> list:
@@ -663,13 +641,13 @@ def _merge_level(tasks: list, step: float) -> list:
                 continue
             if task.entry_time > other.end_time + 0.5 * step or other.entry_time > task.end_time + 0.5 * step:
                 continue
-            b1, b2 = box_hull(other.init), box_hull(task.init)
-            if not _boxes_close(b1, b2):
+            if not _boxes_close(other.box, task.box):
                 continue
-            box = b1.hull(b2)
             entry = min(other.entry_time, task.entry_time)
             end = max(other.end_time, task.end_time)
-            merged[i] = _Task(task.location, box.to_zonotope(), entry, end - entry)
+            box = _checked_box(other.box.hull(task.box),
+                               f"the hull of the merged successors of location {task.location!r} at t={entry:g}")
+            merged[i] = _Task(task.location, box, entry, end - entry)
             absorbed = True
             break
         if not absorbed:
@@ -681,8 +659,8 @@ def reach(bundle: ModelBundle) -> ReachResult:
     """Bounded-jump breadth-first flowpipe exploration with safety verdict.
 
     The verdict is the safety answer (SafeProved / PossiblyUnsafe); when the
-    jump bound cut exploration or fixpoint containment drained the worklist,
-    that is recorded in stats.termination.
+    jump bound cut exploration or the fixpoint check discarded a task, that
+    is recorded in stats.termination (the jump bound first).
     """
     started = time.perf_counter()
     bundle = bundle.resolved()
@@ -698,25 +676,21 @@ def reach(bundle: ModelBundle) -> ReachResult:
     parts: list = []
     alpha_max = 0.0
     jump_bound_cut = False
-    any_discard = False
-    processed: dict = {name: [] for name in locations}
+    processed: dict = {name: [] for name in locations}  # the tasks that ran, per location
     discretized: dict = {}  # location name -> Discretization, shared by its flowpipes
 
-    init = _box_zonotope(bundle.initial.box, f"the initial set of location {bundle.initial.location!r}")
+    init = _checked_box(bundle.initial.box, f"the initial set of location {bundle.initial.location!r}")
     level = [_Task(bundle.initial.location, init, 0.0, 0.0)]
     depth = 0
     while level and depth <= settings.max_jumps:
         next_level: list = []
         for task in level:
-            location = locations[task.location]
-            init_box = box_hull(task.init)
-            if settings.fixpoint_check and _fixpoint_covered(init_box, task, processed[task.location]):
+            if settings.fixpoint_check and _fixpoint_covered(task, processed[task.location]):
                 stats.discarded += 1
-                any_discard = True
                 continue
-            processed[task.location].append((init_box.lo, init_box.hi, task.entry_time, task.end_time))
+            processed[task.location].append(task)
             pipe = flowpipe(
-                location, task.init, input_box, settings.step, settings.horizon,
+                locations[task.location], task.box, input_box, settings.step, settings.horizon,
                 task.entry_time, depth, task.window, discretized=discretized,
             )
             alpha_max = max(alpha_max, pipe.alpha)
@@ -732,20 +706,14 @@ def reach(bundle: ModelBundle) -> ReachResult:
                 if depth >= settings.max_jumps:
                     jump_bound_cut = True
                     continue
-                target = locations[transition.target]
                 for succ, t_entry, w in successors:
-                    # a finite successor can still have a hull out of range; the
-                    # clamp would read its infinities as an empty set
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        succ_box = box_hull(succ)
-                    _require_finite_successor(transition, t_entry, succ_box.lo, succ_box.hi)
-                    clamped = intersect_condition(succ_box, target.invariant)
+                    clamped = intersect_condition(succ, locations[transition.target].invariant)
                     if clamped is None:
                         continue
+                    box = _checked_box(clamped, f"the successor of the jump {transition.source!r} -> "
+                                                f"{transition.target!r} at t={t_entry:g}")
                     # late jumpers inherit the parent's entry skew
-                    succ_init = _box_zonotope(clamped, f"the successor of the jump {transition.source!r} -> "
-                                                       f"{transition.target!r} at t={t_entry:g}")
-                    next_level.append(_Task(transition.target, succ_init, t_entry, w + task.window))
+                    next_level.append(_Task(transition.target, box, t_entry, w + task.window))
         level = _merge_level(next_level, settings.step)
         depth += 1
 
@@ -755,7 +723,7 @@ def reach(bundle: ModelBundle) -> ReachResult:
     stats.covered_time = float(segments.time_hi.max()) if len(segments) else 0.0
     if jump_bound_cut:
         stats.termination = Termination.JUMP_BOUND_HIT
-    elif any_discard:
+    elif stats.discarded:
         stats.termination = Termination.FIXPOINT_REACHED
     stats.wall_time = time.perf_counter() - started
     return ReachResult(segments, verdict, stats, first_violation)

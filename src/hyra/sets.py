@@ -20,13 +20,16 @@ Sets are checked where they enter: the public ``Box(...)`` and
 entries, ``lo > hi`` and shape mismatches. The set operations build their
 results with ``_trusted``, which only freezes the arrays they just computed
 (``Box.to_zonotope`` after one test that the box's center and radius are
-finite, and ``reach.jump_successors`` for its guard windows, which hull
-clamped rows of a finite segment table); finite operands can still
-overflow, so the engine checks finiteness wherever a result goes on: both Omega0 forms of ``reach.discretize`` (the chord
-zonotope and the sub-step box hull, whose boxes come from the propagation
-kernel ``reach._box_chunks``), each chunk of that kernel in
-``reach._propagate``, the tail segment of ``reach.flowpipe``, and each
-successor of ``reach.jump_successors`` and its hull in ``reach.reach``.
+finite, ``intersect_condition``, whose clamp of a finite box is finite
+with lo <= hi, and ``reach.jump_successors`` for its guard windows, which
+hull clamped rows of a finite segment table); finite operands can still
+overflow, so the engine checks finiteness wherever a result goes on: both
+Omega0 forms of ``reach.discretize`` (the chord zonotope and the sub-step
+box hull, whose boxes come from the propagation kernel
+``reach._box_chunks``), each chunk of that kernel in ``reach._propagate``,
+the tail segment of ``reach.flowpipe``, and each successor box of
+``reach.jump_successors``. ``reach._checked_box`` tests the center and
+radius of each guard window and of each box a task starts from.
 """
 
 from __future__ import annotations
@@ -335,4 +338,4 @@ def clamp_boxes(lo, hi, rows):
 def intersect_condition(box: Box, condition) -> Box | None:
     """One-row ``clamp_boxes`` against a condition: the clamped box, or None when it is empty."""
     lo, hi, ok = clamp_boxes(box.lo[None, :], box.hi[None, :], condition.halfspaces())
-    return Box(lo[0], hi[0]) if ok[0] else None
+    return Box._trusted(lo[0], hi[0]) if ok[0] else None

@@ -6,6 +6,20 @@ from pathlib import Path
 import numpy as np
 
 from hyra.errors import DimensionMismatch
+from hyra.ir import (
+    AffineDynamics,
+    Condition,
+    HybridAutomaton,
+    InitialCondition,
+    LinearConstraint,
+    Location,
+    ModelBundle,
+    ReachSettings,
+    ResetMap,
+    Transition,
+    VariableTable,
+)
+from hyra.sets import Box
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CORPUS_DIR = REPO_ROOT / "corpus"
@@ -26,6 +40,64 @@ def bad_value_document(case: str) -> str:
     data = json.loads((CORPUS_DIR / "bouncing-ball" / "bundle.json").read_text())
     BAD_VALUES[case](data)
     return json.dumps(data, indent=2)
+
+
+def late_entry_bundle(fixpoint: bool = True) -> ModelBundle:
+    """L1 is entered at t in [7.9, 10] from L0 and, through L2, at t = 0 with y = 9."""
+    table = VariableTable(("x", "y"))
+    y_at_most = lambda bound: Condition((LinearConstraint([0.0, 1.0], "<=", bound),))
+    wait = AffineDynamics(np.zeros((2, 2)), np.zeros((2, 0)), [0.0, 1.0])
+    locations = (Location("L0", y_at_most(10.0), wait),
+                 Location("L1", Condition(), AffineDynamics(np.zeros((2, 2)), np.zeros((2, 0)), [1.0, 1.0])),
+                 Location("L2", y_at_most(10.0), wait))
+    transitions = (
+        Transition("L0", "L1", Condition((LinearConstraint([0.0, 1.0], ">=", 8.0),)), ResetMap.identity(2)),
+        Transition("L0", "L2", y_at_most(1.0), ResetMap.identity(2)),
+        Transition("L2", "L1", y_at_most(1.0), ResetMap(np.diag([1.0, 0.0]), [0.0, 9.0])),
+    )
+    forbidden = Condition((LinearConstraint([1.0, 0.0], ">=", 5.0),))
+    settings = ReachSettings(10.0, 0.1, 2, forbidden, None, fixpoint)
+    automaton = HybridAutomaton("late-entry", table, locations, transitions)
+    return ModelBundle(automaton, settings, InitialCondition("L0", Box([0.0, 0.0], [0.1, 0.0])))
+
+
+def revisit_bundle(fixpoint: bool = True) -> ModelBundle:
+    """L1 is entered from L0 over t in [0, 10] and, through L2, again at t in [5.5, 5.6].
+
+    The second entry's box and entry window lie inside the first one's, so
+    the fixpoint check discards it.
+    """
+    table = VariableTable(("x", "t"))
+    t_rows = lambda *rows: Condition(tuple(LinearConstraint([0.0, 1.0], rel, bound) for rel, bound in rows))
+    clock = AffineDynamics(np.zeros((2, 2)), np.zeros((2, 0)), [0.0, 1.0])
+    locations = (Location("L0", t_rows(("<=", 10.0)), clock),
+                 Location("L1", Condition(), clock),
+                 Location("L2", t_rows(("<=", 5.6)), clock))
+    transitions = (
+        Transition("L0", "L1", Condition(), ResetMap.identity(2)),
+        Transition("L0", "L2", t_rows((">=", 5.0), ("<=", 5.5)), ResetMap.identity(2)),
+        Transition("L2", "L1", t_rows((">=", 5.5)), ResetMap.identity(2)),
+    )
+    forbidden = Condition((LinearConstraint([1.0, 0.0], ">=", 5.0),))
+    settings = ReachSettings(10.0, 0.1, 2, forbidden, None, fixpoint)
+    automaton = HybridAutomaton("revisit", table, locations, transitions)
+    return ModelBundle(automaton, settings, InitialCondition("L0", Box([0.0, 0.0], [0.1, 0.0])))
+
+
+def merge_overflow_bundle() -> ModelBundle:
+    """Frozen x in [-0.95e308, 0.8e308] jumps from a to b through x := x and x := x + 1e307.
+
+    The two successors are close enough to merge, but their hull is too wide
+    for its center and radius to be floats.
+    """
+    table = VariableTable(("x",))
+    locations = (Location("a", Condition(), AffineDynamics.zero(1)),
+                 Location("b", Condition(), AffineDynamics.zero(1)))
+    transitions = (Transition("a", "b", Condition(), ResetMap.identity(1)),
+                   Transition("a", "b", Condition(), ResetMap([[1.0]], [1e307])))
+    settings = ReachSettings(0.3, 0.1, 1, None, None, True)
+    automaton = HybridAutomaton("merge-overflow", table, locations, transitions)
+    return ModelBundle(automaton, settings, InitialCondition("a", Box([-0.95e308], [0.8e308])))
 
 
 class SegmentIndex:

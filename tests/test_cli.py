@@ -5,8 +5,9 @@ import pytest
 
 from hyra.cli import build_parser, main
 from hyra.corpus import benchmark_from_name, build
+from hyra.interchange import write_json
 
-from support import BAD_VALUES, CORPUS_DIR, bad_value_document
+from support import BAD_VALUES, CORPUS_DIR, bad_value_document, merge_overflow_bundle
 
 
 def run(capsys, *argv):
@@ -196,7 +197,6 @@ def test_json_bundle_drives_reach_directly(capsys):
 def test_engine_error_maps_to_exit_3(tmp_path, capsys):
     import numpy as np
 
-    from hyra.interchange import write_json
     from hyra.ir import (
         AffineDynamics,
         Condition,
@@ -248,6 +248,18 @@ def test_overflowing_first_interval_is_an_engine_error(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("engine error: ") and "floating-point range" in err
+    assert "Traceback" not in err
+
+
+def test_merged_hull_out_of_range_is_an_engine_error(tmp_path, capsys):
+    path = tmp_path / "merge.json"
+    path.write_text(write_json(merge_overflow_bundle()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning on the way
+        code, out, err = run(capsys, "check", str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("engine error: ") and "merged successors of location 'b'" in err
     assert "Traceback" not in err
 
 

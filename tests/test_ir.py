@@ -168,11 +168,11 @@ def ir_values():
     automaton = HybridAutomaton("ball", table, (loc,), (tr,), {"u": (0.0, 1.0)})
     initial = InitialCondition("fall", Box([1.0, 0.0], [2.0, 0.0]))
     settings = ReachSettings(4.0, 0.01, 2, cond, ("x",), True)
-    bundle = ModelBundle(automaton, settings, initial, "json")
+    bundle = ModelBundle(automaton, settings, initial)
     return [table, con, cond, dyn, reset, loc, tr, automaton, initial, settings, bundle]
 
 
-# every compared field of every IR class, with a value that differs from ir_values()
+# every field of every IR class, with a value that differs from ir_values()
 CHANGED_FIELDS = {
     VariableTable: {"state_vars": ("x", "w"), "input_vars": (), "constants": {"k": 0.25}},
     LinearConstraint: {"coeffs": [1.0, 1e-300], "relation": "<", "bound": 1.5,
@@ -204,16 +204,10 @@ def test_ir_values_compare_field_by_field_and_stay_unhashable(index):
     with pytest.raises(TypeError, match="unhashable"):
         hash(value)
     changed = CHANGED_FIELDS[cls]
-    compared = {f.name for f in dataclasses.fields(cls)} - ({"source_format"} if cls is ModelBundle else set())
-    assert set(changed) == compared
+    assert set(changed) == {f.name for f in dataclasses.fields(cls)}
     for name, other in changed.items():
         altered = dataclasses.replace(fresh, **{name: other})
         assert value != altered and altered != value, name
-
-
-def test_model_bundle_equality_ignores_the_source_format():
-    bundle = ir_values()[-1]
-    assert bundle == dataclasses.replace(bundle, source_format="builder")
 
 
 def test_equal_term_arrays_need_equal_shapes_and_entries():

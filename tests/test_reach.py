@@ -47,7 +47,7 @@ from hyra.sets import (
     reduce_order,
     translate,
 )
-from support import box_contains, sample_zonotope
+from support import box_contains, late_entry_bundle, merge_overflow_bundle, revisit_bundle, sample_zonotope
 
 reach_module = importlib.import_module("hyra.reach")
 
@@ -334,7 +334,7 @@ def test_input_bound_overflow_is_a_non_finite_flowpipe():
 
 
 def test_flowpipe_frozen_dynamics_identical_segments():
-    init = Box([0.0, 0.0], [1.0, 1.0]).to_zonotope()
+    init = Box([0.0, 0.0], [1.0, 1.0])
     pipe = flowpipe(frozen_location(), init, None, 0.1, 1.0, discretized={})
     assert len(pipe.segments) == 10
     first = pipe.segments[0].box()
@@ -358,7 +358,7 @@ def test_flowpipe_truncates_at_invariant_exit():
     bundle = build_bouncing_ball()
     automaton = bundle.automaton.resolved()
     pipe = flowpipe(
-        automaton.location("always"), bundle.initial.box.to_zonotope(), None, 0.01, 40.0, discretized={}
+        automaton.location("always"), bundle.initial.box, None, 0.01, 40.0, discretized={}
     )
     # no retained segment lies entirely below ground
     for seg in pipe.segments:
@@ -372,7 +372,7 @@ def test_flowpipe_truncates_at_invariant_exit():
 def test_flowpipe_rejects_init_outside_invariant():
     bundle = build_bouncing_ball()
     automaton = bundle.automaton.resolved()
-    below_ground = Box([-1.0, 0.0, 5.0, 0.0], [-0.5, 0.0, 5.0, 0.0]).to_zonotope()
+    below_ground = Box([-1.0, 0.0, 5.0, 0.0], [-0.5, 0.0, 5.0, 0.0])
     with pytest.raises(InitOutsideInvariant):
         flowpipe(automaton.location("always"), below_ground, None, 0.01, 1.0, discretized={})
 
@@ -389,7 +389,7 @@ def first_flowpipe_and_reference(bundle):
     s = bundle.settings
     init = bundle.initial.box.to_zonotope()
     input_box = automaton.input_box()
-    pipe = flowpipe(location, init, input_box, s.step, s.horizon, discretized={})
+    pipe = flowpipe(location, bundle.initial.box, input_box, s.step, s.horizon, discretized={})
     disc = Discretization(location.dynamics, input_box, s.step)
     omega, _ = discretize(disc, init)
     v_set, phi = disc.v_set, disc.phi
@@ -624,7 +624,7 @@ def ball_pipe_and_transitions():
     bundle = build_bouncing_ball()
     automaton = bundle.automaton.resolved()
     pipe = flowpipe(
-        automaton.location("always"), bundle.initial.box.to_zonotope(), None, 0.01, 40.0, discretized={}
+        automaton.location("always"), bundle.initial.box, None, 0.01, 40.0, discretized={}
     )
     return pipe, automaton.transitions
 
@@ -633,8 +633,7 @@ def test_ball_bounce_window_resets_velocity():
     pipe, transitions = ball_pipe_and_transitions()
     successors = jump_successors(pipe.raw, transitions[0])
     assert len(successors) == 1
-    succ, entry, width = successors[0]
-    box = box_hull(succ)
+    box, entry, width = successors[0]
     # hit speeds near sqrt(2 g h0) scaled by the restitution
     slowest = 0.75 * math.sqrt(2 * GRAVITY * 10.0)
     fastest = 0.75 * math.sqrt(2 * GRAVITY * 10.2)
@@ -669,15 +668,15 @@ def test_identity_reset_returns_the_clamped_window():
     )
     successors = jump_successors(pipe.raw, touch)
     assert successors
-    succ, _, _ = successors[0]
+    box, _, _ = successors[0]
     agg = None
     for seg in pipe.raw:
         clamped = intersect_condition(seg.box(), touch.guard)
         if clamped is not None:
             agg = clamped if agg is None else agg.hull(clamped)
     assert agg is not None
-    assert np.array_equal(box_hull(succ).lo, agg.lo)
-    assert np.array_equal(box_hull(succ).hi, agg.hi)
+    assert np.array_equal(box.lo, agg.lo)
+    assert np.array_equal(box.hi, agg.hi)
 
 
 def reference_successors(segments, transition):
@@ -703,10 +702,11 @@ def test_jump_successors_equal_the_checked_reference_on_every_corpus_call(build)
     for segments, transition in calls:
         got, want = jump_successors(segments, transition), reference_successors(segments, transition)
         assert len(got) == len(want)
-        for (succ, entry, width), (ref, ref_entry, ref_width) in zip(got, want):
+        for (box, entry, width), (ref, ref_entry, ref_width) in zip(got, want):
             assert (entry, width) == (ref_entry, ref_width)
-            assert np.array_equal(succ.center, ref.center) and np.array_equal(succ.generators, ref.generators)
-            assert np.array_equal(np.signbit(succ.center), np.signbit(ref.center))
+            ref = box_hull(ref)
+            for side, ref_side in ((box.lo, ref.lo), (box.hi, ref.hi)):
+                assert np.array_equal(side, ref_side) and np.array_equal(np.signbit(side), np.signbit(ref_side))
         found += len(got)
     assert found > 0
 
@@ -758,7 +758,7 @@ def reset_jump_bundle(lo: float, hi: float, scale: float) -> ModelBundle:
 
 def test_reset_out_of_range_raises_from_jump_successors():
     bundle = reset_jump_bundle(1e307, 2e307, 20.0)
-    pipe = flowpipe(bundle.automaton.locations[0], bundle.initial.box.to_zonotope(), None, 0.1, 0.3,
+    pipe = flowpipe(bundle.automaton.locations[0], bundle.initial.box, None, 0.1, 0.3,
                     discretized={})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -779,11 +779,11 @@ def test_reach_raises_on_a_successor_out_of_range_instead_of_dropping_it(lo, hi,
 
 def test_tail_segment_out_of_range_raises_instead_of_being_dropped():
     # a finite first-interval enclosure whose box hull overflows: the x0
-    # generators sum to 0.48 * max, the input bloat adds 2e308
+    # radius is 0.48 * max, the input bloat adds 2e308
     big = np.finfo(float).max
     location = Location("t", Condition((LinearConstraint([1.0], ">=", -big),)),
                         AffineDynamics(np.zeros((1, 1)), np.full((1, 1), 1e10), np.zeros(1)))
-    init = Zonotope(np.zeros(1), np.full((1, 2), 0.24 * big))
+    init = Box([-0.48 * big], [0.48 * big])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteFlowpipe, match="location 't' left the floating-point range"):
@@ -797,7 +797,7 @@ def test_segment_box_wider_than_the_float_range_raises():
     big = np.finfo(float).max
     location = Location("t", Condition((LinearConstraint([1.0], ">=", -big),)),
                         AffineDynamics(np.zeros((1, 1)), np.full((1, 1), 1e10), np.zeros(1)))
-    init = Zonotope(np.zeros(1), np.full((1, 2), 0.24 * big))
+    init = Box([-0.48 * big], [0.48 * big])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteFlowpipe, match="location 't' left the floating-point range"):
@@ -851,27 +851,6 @@ def test_forbidden_set_of_the_wrong_dimension_is_an_engine_error():
         reach(bundle)
 
 
-def late_entry_bundle() -> ModelBundle:
-    """L1 is entered at t in [7.9, 10] from L0 and, through L2, at t = 0 with y = 9."""
-    from hyra.ir import ResetMap, Transition
-
-    table = VariableTable(("x", "y"))
-    y_at_most = lambda bound: Condition((LinearConstraint([0.0, 1.0], "<=", bound),))
-    wait = AffineDynamics(np.zeros((2, 2)), np.zeros((2, 0)), [0.0, 1.0])
-    locations = (Location("L0", y_at_most(10.0), wait),
-                 Location("L1", Condition(), AffineDynamics(np.zeros((2, 2)), np.zeros((2, 0)), [1.0, 1.0])),
-                 Location("L2", y_at_most(10.0), wait))
-    transitions = (
-        Transition("L0", "L1", Condition((LinearConstraint([0.0, 1.0], ">=", 8.0),)), ResetMap.identity(2)),
-        Transition("L0", "L2", y_at_most(1.0), ResetMap.identity(2)),
-        Transition("L2", "L1", y_at_most(1.0), ResetMap(np.diag([1.0, 0.0]), [0.0, 9.0])),
-    )
-    forbidden = Condition((LinearConstraint([1.0, 0.0], ">=", 5.0),))
-    settings = ReachSettings(10.0, 0.1, 2, forbidden, None, True)
-    automaton = HybridAutomaton("late-entry", table, locations, transitions)
-    return ModelBundle(automaton, settings, InitialCondition("L0", Box([0.0, 0.0], [0.1, 0.0])))
-
-
 def test_fixpoint_check_keeps_a_task_that_enters_before_its_cover():
     # The L1 task from L2 has its box inside that of the earlier L1 task from
     # L0, but enters about 8 s sooner: with the horizon left, x reaches 10.
@@ -879,6 +858,43 @@ def test_fixpoint_check_keeps_a_task_that_enters_before_its_cover():
     assert result.verdict == Verdict.POSSIBLY_UNSAFE
     assert result.stats.discarded == 0
     assert float(result.segments.hi[:, 0].max()) > 9.9
+
+
+@pytest.mark.parametrize("fixpoint, flowpipes, discarded, termination", [
+    (True, 3, 1, Termination.FIXPOINT_REACHED),
+    (False, 4, 0, None),
+], ids=["fixpoint", "no-fixpoint"])
+def test_fixpoint_check_discards_a_revisit_inside_an_earlier_entry(fixpoint, flowpipes, discarded, termination):
+    # the L1 task from L2 enters in [5.5, 5.6], inside the window [0, 10] of
+    # the L1 task from L0, with its box inside that task's box
+    result = reach(revisit_bundle(fixpoint))
+    assert result.verdict == Verdict.SAFE_PROVED
+    stats = result.stats
+    assert (stats.flowpipes, stats.discarded, stats.termination) == (flowpipes, discarded, termination)
+
+
+def test_merged_hull_out_of_range_is_a_named_engine_error():
+    # the two successors in b are close, but their hull spans 1.85e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteFlowpipe, match="the hull of the merged successors of location 'b' at t=0 "
+                                                    "is too wide for the floating-point range"):
+            reach(merge_overflow_bundle())
+
+
+@pytest.mark.parametrize("build", CORPUS_BUILDS, ids=lambda b: b.__name__[6:])
+def test_intersect_condition_equals_the_public_constructor_on_every_corpus_call(build):
+    calls = recorded_calls("intersect_condition", build)
+    assert calls
+    for box, condition in calls:
+        got = intersect_condition(box, condition)
+        lo, hi, ok = clamp_boxes(box.lo[None, :], box.hi[None, :], condition.halfspaces())
+        if not ok[0]:
+            assert got is None
+            continue
+        want = Box(lo[0], hi[0])
+        for side, want_side in ((got.lo, want.lo), (got.hi, want.hi)):
+            assert side.tobytes() == want_side.tobytes() and not side.flags.writeable
 
 
 def test_platoon_exploration_stops_at_the_jump_bound():

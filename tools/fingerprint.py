@@ -5,11 +5,13 @@ The lines cover the reach CSV (with the verdict) at the shipped settings
 and at the deeper jump bounds of the reach-deep benchmark (ball at 3 and 5
 jumps, tank3 at 16 and 24 jumps over 10 and 15 s), and the trajectory and
 event CSVs of three seeded ``simulate`` runs with Heun and Euler at the
-shipped step and at step/10. Reader lines cover ``write_json`` and
-``emit_flowstar`` of ``read_json`` on each corpus ``bundle.json`` and the
-rejection message of each ``BAD_VALUES`` document of the test suite. Two
-source trees print the same lines exactly when all of these outputs are
-byte-identical:
+shipped step and at step/10. Two models of the test suite add reach lines
+with the fixpoint check on and off: one whose check discards a revisit,
+one whose check must keep an earlier entry. Reader lines cover
+``write_json`` and ``emit_flowstar`` of ``read_json`` on each corpus
+``bundle.json`` and the rejection message of each ``BAD_VALUES`` document
+of the test suite. Two source trees print the same lines exactly when all
+of these outputs are byte-identical:
 
     PYTHONPATH=src python3 tools/fingerprint.py > after.txt
     PYTHONPATH=/path/to/other/src python3 tools/fingerprint.py > before.txt
@@ -83,17 +85,32 @@ def digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def reader_lines():
+def suite_support():
+    """The test suite's helper module, ``tests/support.py``."""
     sys.path.insert(0, str(REPO_ROOT / "tests"))
-    from support import BAD_VALUES, bad_value_document
+    import support
 
+    return support
+
+
+def fixpoint_configs():
+    """(model, label, bundle) of the test suite's fixpoint models, with the check on and off."""
+    support = suite_support()
+    for make in (support.revisit_bundle, support.late_entry_bundle):
+        for fixpoint in (True, False):
+            bundle = make(fixpoint)
+            yield bundle.automaton.name, f"reach fixpoint={'on' if fixpoint else 'off'}", bundle
+
+
+def reader_lines():
+    support = suite_support()
     for bench in corpus.all_benchmarks():
         model = bench.value
         text = (REPO_ROOT / "corpus" / model / "bundle.json").read_text()
         yield f"{digest(write_json(read_json(text)))}  {model} read_json write_json"
         yield f"{digest(emit_flowstar(read_json(text)))}  {model} read_json emit_flowstar"
-    for case in sorted(BAD_VALUES):
-        yield f"{digest(rejection(bad_value_document(case)))}  bouncing-ball read_json {case}"
+    for case in sorted(support.BAD_VALUES):
+        yield f"{digest(rejection(support.bad_value_document(case)))}  bouncing-ball read_json {case}"
 
 
 def lines():
@@ -107,6 +124,8 @@ def lines():
                                 lambda b=bundle, k=kind, h=step: simulate_text(b, k, h)))
         for label, make in configs:
             yield f"{digest(make())}  {model} {label}"
+    for model, label, bundle in fixpoint_configs():
+        yield f"{digest(reach_text(bundle))}  {model} {label}"
     yield from reader_lines()
 
 

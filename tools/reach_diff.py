@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Compare hyra's reach results with those of another source tree.
 
-For each reach configuration of ``tools/fingerprint.py`` the script prints
+For each reach configuration of ``tools/fingerprint.py`` (the corpus
+configurations and the fixpoint models of the test suite) the script prints
 the segment count and verdict of both trees, the largest relative
 difference between their box bounds, and the largest ratio of a box width
 in this tree to the same box's width in the other. Where the fingerprint
@@ -31,19 +32,19 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 
 def dump(path: str) -> None:
     """Write the verdict, the segment count and the box bounds of every configuration."""
-    from fingerprint import reach_configs
+    from fingerprint import fixpoint_configs, reach_configs
 
     from hyra import corpus
     from hyra.reach import reach
 
+    configs = [(bench.value, label, bundle) for bench in corpus.all_benchmarks()
+               for label, bundle in reach_configs(bench.value, corpus.build(bench))]
     arrays, heads = {}, {}
-    for bench in corpus.all_benchmarks():
-        model = bench.value
-        for label, bundle in reach_configs(model, corpus.build(bench)):
-            key = f"{model} {label}"
-            result = reach(bundle)
-            heads[key] = [result.verdict.value, len(result.segments)]
-            arrays[f"{key}|lo"], arrays[f"{key}|hi"] = result.segments.lo, result.segments.hi
+    for model, label, bundle in [*configs, *fixpoint_configs()]:
+        key = f"{model} {label}"
+        result = reach(bundle)
+        heads[key] = [result.verdict.value, len(result.segments)]
+        arrays[f"{key}|lo"], arrays[f"{key}|hi"] = result.segments.lo, result.segments.hi
     np.savez(path, heads=json.dumps(heads), **arrays)
 
 
