@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import orjson
 
-from .errors import ExpressionSyntaxError, NonlinearUnsupported, UnknownIdentifier
+from .errors import ExpressionSyntaxError, NonlinearUnsupported, UnknownIdentifier, UnsupportedFeature
 from .ir import Condition, LinearConstraint, VariableTable
 
 # ---------------------------------------------------------------------------
@@ -213,7 +213,10 @@ def parse_expression(text: str, table: VariableTable | None = None):
     if not text.strip():
         return Conjunction(())
     parser = _Parser(text, table)
-    ast = parser.parse_conjunction()
+    try:
+        ast = parser.parse_conjunction()
+    except RecursionError as exc:
+        raise ExpressionSyntaxError("expression nests too deeply", parser.peek()[2]) from exc
     kind, value, pos = parser.peek()
     if kind != "end":
         raise ExpressionSyntaxError(f"trailing input {value!r}", pos)
@@ -288,6 +291,13 @@ def linear_form(ast, table: VariableTable, allow_inputs: bool = True) -> LinForm
     Constants become symbolic scalar terms; a product of two variable-bearing
     subexpressions (or division by one) raises NonlinearUnsupported.
     """
+    try:
+        return _linear_form(ast, table, allow_inputs)
+    except RecursionError as exc:
+        raise UnsupportedFeature("expression nests too deeply to linearize") from exc
+
+
+def _linear_form(ast, table: VariableTable, allow_inputs: bool) -> LinForm:
     if isinstance(ast, Num):
         return LinForm(SymScalar(ast.value))
     if isinstance(ast, Ident):
@@ -302,22 +312,22 @@ def linear_form(ast, table: VariableTable, allow_inputs: bool = True) -> LinForm
             return LinForm(coeffs={name: SymScalar(1.0)})
         raise UnknownIdentifier(f"unknown identifier {name!r}")
     if isinstance(ast, Neg):
-        return -linear_form(ast.operand, table, allow_inputs)
+        return -_linear_form(ast.operand, table, allow_inputs)
     if isinstance(ast, Add):
-        return linear_form(ast.left, table, allow_inputs) + linear_form(ast.right, table, allow_inputs)
+        return _linear_form(ast.left, table, allow_inputs) + _linear_form(ast.right, table, allow_inputs)
     if isinstance(ast, Sub):
-        return linear_form(ast.left, table, allow_inputs) - linear_form(ast.right, table, allow_inputs)
+        return _linear_form(ast.left, table, allow_inputs) - _linear_form(ast.right, table, allow_inputs)
     if isinstance(ast, Mul):
-        left = linear_form(ast.left, table, allow_inputs)
-        right = linear_form(ast.right, table, allow_inputs)
+        left = _linear_form(ast.left, table, allow_inputs)
+        right = _linear_form(ast.right, table, allow_inputs)
         if left.coeffs and right.coeffs:
             raise NonlinearUnsupported("product of two variable expressions is not affine")
         if left.coeffs:
             return left.scaled(right.const)
         return right.scaled(left.const)
     if isinstance(ast, Div):
-        left = linear_form(ast.left, table, allow_inputs)
-        right = linear_form(ast.right, table, allow_inputs)
+        left = _linear_form(ast.left, table, allow_inputs)
+        right = _linear_form(ast.right, table, allow_inputs)
         if right.coeffs or not right.const.is_number:
             raise NonlinearUnsupported("division is only supported by a numeric literal")
         if right.const.base == 0.0:

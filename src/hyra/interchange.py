@@ -5,15 +5,12 @@ round-trip floats via json); ``read_json`` validates against the shipped
 schema (data/bundle.schema.json) before building IR objects, so malformed
 documents fail with SchemaViolation instead of deep attribute errors.
 
-A read checks the document once. ``jsonschema`` walks it against an
-envelope of the shipped schema, derived in code when the validator is
-built: the ``vector``, ``matrix``, ``vectorTerms`` and ``matrixTerms``
-definitions become bare arrays and objects, so the schema walks the
-structure and not every matrix entry. One pass over the number arrays
-then checks what those definitions asked: each vector a list of ints and
-floats (no booleans), each matrix a list of such lists. A document that
-fails either check is validated once more with the full shipped schema,
-and its message is the full schema's, so the accepted documents and every
+A read checks the document once. When the validator is built, the shipped
+schema is also compiled (``_compile``) into one plain-Python predicate that
+takes exact types (a bool is no number, a float no integer) and raises on a
+keyword it has no check for. A document the predicate accepts needs no
+``jsonschema`` walk; any other is walked with the full schema, which
+decides and words the message, so the accepted documents and every
 rejection message are those of plain ``jsonschema.validate``.
 
 Values the schema admits but the IR rejects (non-finite or empty initial
@@ -21,8 +18,8 @@ boxes, a NaN step, an initial location the model lacks, a forbidden set
 over the wrong number of variables, output variables that are not state
 variables, an integer too large for a float) fail the same way.
 The shipped schema itself is checked against its meta-schema once per
-process, on the first read; every read then validates with the validators
-built at that point.
+process, on the first read; every read then validates with the predicate
+and validator built at that point.
 write_json(read_json(s)) == s holds for any canonical s.
 """
 
@@ -30,8 +27,9 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from importlib import resources
-from itertools import chain
+from types import SimpleNamespace
 
 import jsonschema
 import numpy as np
@@ -59,82 +57,88 @@ def _schema() -> dict:
     return json.loads(resources.files("hyra.data").joinpath("bundle.schema.json").read_text())
 
 
-# The number-array definitions of the shipped schema, relaxed in the envelope.
-_RELAXED = {"vector": "array", "matrix": "array", "vectorTerms": "object", "matrixTerms": "object"}
+# The Python types each schema type name admits in the compiled check: exact
+# types, so a bool is no number, a float no integer and a list subclass no array.
+_TYPES = {"null": {type(None)}, "boolean": {bool}, "integer": {int}, "number": {int, float},
+          "string": {str}, "array": {list}, "object": {dict}}
+_COMPILED = {"type", "const", "enum", "required", "properties", "additionalProperties", "items",
+             "minItems", "maxItems", "minimum", "exclusiveMinimum", "oneOf", "$ref"}
+_ANNOTATIONS = {"$schema", "title", "description", "$defs"}
 
 
-def _envelope(schema: dict) -> dict:
-    """The shipped schema with its number-array definitions reduced to their
-    outer type and every ``$ref`` replaced by the definition it names, which
-    spares the validator a reference lookup per object."""
-    defs = {**schema["$defs"], **{name: {"type": kind} for name, kind in _RELAXED.items()}}
+def _types(node: dict, defs: dict) -> set:
+    while "$ref" in node and "type" not in node:
+        node = defs[node["$ref"].removeprefix("#/$defs/")]
+    names = node["type"]
+    return set().union(*(_TYPES[name] for name in ([names] if isinstance(names, str) else names)))
 
-    def inline(node):
-        if isinstance(node, dict):
-            if "$ref" in node:
-                return inline(defs[node["$ref"].removeprefix("#/$defs/")])
-            return {key: inline(value) for key, value in node.items() if key != "$defs"}
-        if isinstance(node, list):
-            return [inline(value) for value in node]
-        return node
 
-    return inline(schema)
+def _compile(node, defs: dict):
+    """A predicate that accepts only what the schema ``node`` accepts and may
+    reject more (a float 1.0 for ``const`` 1, a NaN). It raises on a keyword it
+    has no check for, and on a list or object ``const`` or ``enum`` value."""
+    if isinstance(node, bool):
+        return lambda v: node
+    unknown = node.keys() - _COMPILED - _ANNOTATIONS
+    if unknown:
+        raise ValueError(f"no compiled check for schema keywords {sorted(unknown)}")
+    checks, implied = [], []  # implied: the types a check below already asks for
+    if "$ref" in node:
+        checks.append(_compile(defs[node["$ref"].removeprefix("#/$defs/")], defs))
+    for key in node.keys() & {"const", "enum"}:
+        pairs = {(type(e), e) for e in (node["enum"] if key == "enum" else [node["const"]])}
+        checks.append(lambda v, pairs=pairs: any(type(v) is t and v == e for t, e in pairs))
+    if node.keys() & {"required", "properties", "additionalProperties"}:
+        props = {key: _compile(sub, defs) for key, sub in node.get("properties", {}).items()}
+        rest, required = _compile(node.get("additionalProperties", True), defs), set(node.get("required", ()))
+        checks.append(lambda v: type(v) is dict and required <= v.keys()
+                      and all(props.get(key, rest)(x) for key, x in v.items()))
+        implied.append({dict})
+    if node.keys() & {"items", "minItems", "maxItems"}:
+        item, lo, hi = node.get("items", True), node.get("minItems", 0), node.get("maxItems", math.inf)
+        if isinstance(item, dict) and item.keys() == {"type"}:  # e.g. a number vector: one pass over the types
+            item_types = _types(item, defs)
+            checks.append(lambda v: type(v) is list and lo <= len(v) <= hi and set(map(type, v)) <= item_types)
+        else:
+            item_check = _compile(item, defs)
+            checks.append(lambda v: type(v) is list and lo <= len(v) <= hi and all(map(item_check, v)))
+        implied.append({list})
+    if node.keys() & {"minimum", "exclusiveMinimum"}:
+        low, above = node.get("minimum", -math.inf), node.get("exclusiveMinimum", -math.inf)
+        checks.append(lambda v: type(v) in (int, float) and v >= low and v > above)
+        implied.append({int, float})
+    if "oneOf" in node:
+        # branches of pairwise disjoint types: at most one accepts, so any() is exact
+        kinds = [_types(sub, defs) for sub in node["oneOf"]]
+        if sum(map(len, kinds)) != len(set().union(*kinds)):
+            raise ValueError("oneOf branches must admit disjoint types")
+        branches = [_compile(sub, defs) for sub in node["oneOf"]]
+        checks.append(lambda v: any(branch(v) for branch in branches))
+    if "type" in node:
+        types = _types(node, defs)
+        if not any(kind <= types for kind in implied):
+            checks.append(lambda v: type(v) in types)
+    return checks[0] if len(checks) == 1 else lambda v: all(check(v) for check in checks)
 
 
 class _ShippedSchema:
     """``cls`` for ``jsonschema.validate``: the first ``check_schema`` runs the
-    meta-schema check and builds the validators of the envelope and of the
-    full schema for the schema's draft; later calls skip both, and the
-    constructor hands back the envelope validator."""
+    meta-schema check and builds the full schema's validator and the compiled
+    predicate; later calls skip all three. ``validator.iter_errors`` yields
+    nothing for a document the predicate accepts, else the validator's errors."""
 
     validator = None
-    full = None
 
     @classmethod
     def check_schema(cls, schema: dict) -> None:
         if cls.validator is None:
             kind = jsonschema.validators.validator_for(schema)
             kind.check_schema(schema)
-            cls.full = kind(schema)
-            cls.validator = kind(_envelope(schema))
+            full, accepts = kind(schema), _compile(schema, schema.get("$defs", {}))
+            cls.validator = SimpleNamespace(iter_errors=lambda doc: () if accepts(doc) else full.iter_errors(doc))
 
     def __new__(cls, schema: dict):
         return cls.validator
-
-
-# (array key, terms key, dimensions) of the number arrays in each object kind.
-_FLOW = (("a", "a_terms", 2), ("b", "b_terms", 2), ("c", "c_terms", 1))
-_RESET = (("matrix", "matrix_terms", 2), ("offset", "offset_terms", 1))
-_CONSTRAINT = (("coeffs", "coeff_terms", 1),)
-
-
-def _plain_numbers(data: dict) -> bool:
-    """Whether every number array of a document the envelope accepted is what
-    the full schema asks: a vector is a list of ints and floats, a matrix a
-    list of vectors."""
-    vectors, matrices = [], []
-
-    def collect(obj: dict, spec: tuple) -> None:
-        for key, terms_key, ndim in spec:
-            out = vectors if ndim == 1 else matrices
-            out.append(obj[key])
-            out.extend(obj.get(terms_key, {}).values())
-
-    conditions = [data["settings"]["forbidden"] or []]
-    for loc in data["locations"]:
-        collect(loc["flow"], _FLOW)
-        conditions.append(loc["invariant"])
-    for tr in data["transitions"]:
-        collect(tr["reset"], _RESET)
-        conditions.append(tr["guard"])
-    for con in chain.from_iterable(conditions):
-        collect(con, _CONSTRAINT)
-    # outer lists first: a terms entry the envelope let through may be no list at all
-    if not set(map(type, chain(vectors, matrices))) <= {list}:
-        return False
-    rows = list(chain.from_iterable(matrices))
-    numbers = chain.from_iterable(vectors + rows)
-    return set(map(type, rows)) <= {list} and set(map(type, numbers)) <= {int, float}
 
 
 def _terms_out(terms: dict) -> dict:
@@ -250,13 +254,8 @@ def _condition_in(data: list) -> Condition:
 def bundle_from_dict(data: dict) -> ModelBundle:
     try:
         jsonschema.validate(data, _schema(), cls=_ShippedSchema)
-        plain = _plain_numbers(data)
-    except jsonschema.ValidationError:
-        plain = False
-    if not plain:
-        error = jsonschema.exceptions.best_match(_ShippedSchema.full.iter_errors(data))
-        if error is not None:
-            raise SchemaViolation(f"bundle document rejected: {error.message}") from error
+    except jsonschema.ValidationError as error:
+        raise SchemaViolation(f"bundle document rejected: {error.message}") from error
     try:
         return _build_bundle(data)
     except (ValueError, OverflowError) as exc:
@@ -336,6 +335,6 @@ def _build_bundle(data: dict) -> ModelBundle:
 def read_json(text: str) -> ModelBundle:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaViolation(f"not valid JSON: {exc}") from exc
     return bundle_from_dict(data)

@@ -404,8 +404,9 @@ class ReachSettings:
             raise ValueError("need 0 < step <= horizon")
         if not np.isfinite(self.horizon):
             raise ValueError("horizon must be finite")
-        if self.max_jumps < 0:
-            raise ValueError("max_jumps must be >= 0")
+        if isinstance(self.max_jumps, bool) or self.max_jumps % 1 != 0 or self.max_jumps < 0:
+            raise ValueError(f"max_jumps must be an integer >= 0, not {self.max_jumps!r}")
+        object.__setattr__(self, "max_jumps", int(self.max_jumps))
         if self.output_vars is not None:
             object.__setattr__(self, "output_vars", tuple(self.output_vars))
 

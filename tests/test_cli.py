@@ -385,3 +385,36 @@ def test_in_process_calls_match_fresh_parsers(tmp_path, capsys):
     assert reused[1][0] == ("exit", 2)
     assert reused[3][1] == (CORPUS_DIR / "tank3" / "bundle.json").read_text()
     assert out_path.read_text() == reused[3][1]
+
+
+@pytest.mark.parametrize("command", ["validate", "check"])
+def test_deeply_nested_json_is_an_input_error(command, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: not valid JSON: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("forbidden, message", [
+    ("(" * 3000 + "v" + ")" * 3000 + " >= 10.7", "expression nests too deeply (at position "),
+    ("+".join(["v"] * 3000) + " >= 10.7", "expression nests too deeply to linearize"),
+], ids=["parentheses", "long-sum"])
+def test_deeply_nested_expression_is_an_input_error(forbidden, message, tmp_path, capsys):
+    cfg = (CORPUS_DIR / "bouncing-ball" / "config.cfg").read_text()
+    path = tmp_path / "deep.cfg"
+    path.write_text(cfg.replace("forbidden = v >= 10.7", "forbidden = " + forbidden))
+    code, out, err = run(capsys, "check", str(CORPUS_DIR / "bouncing-ball" / "model.xml"), str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + message) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("to, line", [("json", '    "max_jumps": 2,\n'), ("flowstar", "  max jumps 2\n")])
+def test_integral_float_max_jumps_is_written_as_an_integer(to, line, tmp_path, capsys):
+    data = json.loads((CORPUS_DIR / "bouncing-ball" / "bundle.json").read_text())
+    data["settings"]["max_jumps"] = 2.0
+    path = tmp_path / "ball.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "translate", str(path), "--to", to)
+    assert code == 0
+    assert line in out and "max_jumps\": 2.0" not in out and "max jumps 2.0" not in out

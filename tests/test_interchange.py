@@ -4,6 +4,7 @@ import random
 import re
 
 import jsonschema
+import numpy as np
 import pytest
 
 from hyra import interchange
@@ -265,7 +266,128 @@ def test_read_json_matches_the_full_schema_on_mutated_bundles():
     assert accepted == {True, False}
 
 
+# -- the compiled predicate --------------------------------------------------
+
+_DRAFT = jsonschema.validators.validator_for(_SHIPPED)
+
+
+class _List(list):
+    pass
+
+
+# (schema, documents the predicate accepts, documents it rejects)
+_KEYWORD_CASES = {
+    "type-name": ({"type": "string"}, ["a", ""], [1, None, ["a"]]),
+    "type-list": ({"type": ["string", "null"]}, ["a", None], [1, False, {}]),
+    "type-number": ({"type": "number"}, [0, -3, 2.5, 2**70], [True, "1", None, [1.0]]),
+    "type-integer": ({"type": "integer"}, [0, 7], [False, 2.5, "7"]),
+    "type-boolean": ({"type": "boolean"}, [True, False], [0, 1, None]),
+    "type-object": ({"type": "object"}, [{}, {"a": 1}], [[], "a"]),
+    "type-array": ({"type": "array"}, [[], [1, "a"]], [{}, "a"]),
+    "const": ({"const": 1}, [1], [2, True, "1", None]),
+    "enum": ({"enum": ["<=", "<"]}, ["<=", "<"], ["=<", ">", 1, None]),
+    "required": ({"required": ["a", "b"]}, [{"a": 1, "b": 2}, {"a": 1, "b": 2, "c": 3}], [{"a": 1}, {}]),
+    "properties": ({"properties": {"a": {"type": "string"}}}, [{"a": "x"}, {"b": 1}, {}],
+                   [{"a": 1}, {"a": None, "b": 1}]),
+    "additional-false": ({"properties": {"a": {}}, "additionalProperties": False}, [{"a": 1}, {}],
+                         [{"b": 1}, {"a": 1, "b": 2}]),
+    "additional-schema": ({"properties": {"a": {}}, "additionalProperties": {"type": "number"}},
+                          [{"a": "x", "k": 1.5}, {}], [{"k": "x"}, {"a": 1, "k": True}]),
+    "items": ({"items": {"type": "number"}}, [[], [1, 2.5]], [[1, True], ["1"], [None]]),
+    "items-schema": ({"items": {"items": {"type": "number"}}}, [[], [[1], []]], [[[True]], [1], [[1], "a"]]),
+    "min-items": ({"minItems": 2}, [[1, 2], [1, 2, 3]], [[], [1]]),
+    "max-items": ({"maxItems": 2}, [[], [1, 2]], [[1, 2, 3]]),
+    "minimum": ({"minimum": 0}, [0, 0.0, 3, 2**70], [-1, -1e-300, -(2**70)]),
+    "exclusive-minimum": ({"exclusiveMinimum": 0}, [1e-300, 1, 2**70], [0, 0.0, -1]),
+    "one-of": ({"oneOf": [{"type": "null"}, {"type": "array", "items": {"type": "string"}}]},
+               [None, [], ["a"]], ["x", [1], {}, False]),
+    "ref": ({"$ref": "#/$defs/name"}, ["a"], [1, None]),
+}
+_DEFS = {"name": {"type": "string"}}
+# documents jsonschema accepts and the predicate is too strict for
+_STRICTER = [
+    ({"type": "integer"}, 2.0),
+    ({"const": 1}, 1.0),
+    ({"enum": [1]}, 1.0),
+    ({"type": "array"}, _List([1])),
+    ({"items": {"type": "number"}}, [np.float64(1.0)]),
+    ({"type": "number"}, np.float64(1.0)),
+    ({"exclusiveMinimum": 0}, math.nan),
+]
+
+
+@pytest.mark.parametrize("case", sorted(_KEYWORD_CASES))
+def test_compiled_keyword_accepts_and_rejects(case):
+    schema, accepted, rejected = _KEYWORD_CASES[case]
+    accepts = interchange._compile(schema, _DEFS)
+    full = _DRAFT({**schema, "$defs": _DEFS})
+    assert [accepts(doc) for doc in accepted] == [True] * len(accepted)
+    assert [accepts(doc) for doc in rejected] == [False] * len(rejected)
+    assert all(full.is_valid(doc) for doc in accepted)
+
+
+@pytest.mark.parametrize("schema, doc", _STRICTER, ids=lambda v: type(v).__name__)
+def test_compiled_predicate_is_stricter_than_jsonschema(schema, doc):
+    assert _DRAFT(schema).is_valid(doc)
+    assert not interchange._compile(schema, {})(doc)
+
+
+@pytest.mark.parametrize("schema", [
+    {"type": "string", "pattern": "^a"},
+    {"properties": {"a": {"type": "number", "maximum": 1}}},
+    {"items": {"anyOf": [{"type": "string"}]}},
+    {"$defs": {"v": {"type": "string", "format": "date"}}, "$ref": "#/$defs/v"},
+], ids=["pattern", "nested-maximum", "items-anyOf", "ref-format"])
+def test_a_keyword_without_a_compiled_check_raises(schema):
+    with pytest.raises(ValueError, match="no compiled check for schema keywords"):
+        interchange._compile(schema, schema.get("$defs", {}))
+
+
+@pytest.mark.parametrize("schema", [
+    {"oneOf": [{"type": "number"}, {"type": "integer"}]},
+    {"oneOf": [{"type": ["string", "null"]}, {"type": "null"}]},
+], ids=["number-integer", "null-twice"])
+def test_one_of_with_overlapping_branch_types_raises(schema):
+    with pytest.raises(ValueError, match="disjoint"):
+        interchange._compile(schema, {})
+
+
+def test_a_list_const_raises():
+    with pytest.raises(TypeError):
+        interchange._compile({"const": [1]}, {})
+
+
 @pytest.mark.parametrize("model", ["bouncing-ball", "linswitch4", "platoon6", "tank3"])
-def test_corpus_number_arrays_pass_the_plain_number_check(model):
+def test_compiled_schema_accepts_every_corpus_bundle(model):
     data = json.loads((CORPUS_DIR / model / "bundle.json").read_text())
-    assert interchange._plain_numbers(data)
+    assert interchange._compile(_SHIPPED, _SHIPPED["$defs"])(data)
+
+
+def test_corpus_reads_skip_the_jsonschema_walk(monkeypatch):
+    walks = []
+    real = _DRAFT.iter_errors
+
+    def iter_errors(self, instance, *args, **kwargs):
+        if instance is not interchange._schema():  # not the meta-schema check
+            walks.append(instance)
+        return real(self, instance, *args, **kwargs)
+
+    monkeypatch.setattr(interchange._ShippedSchema, "validator", None)
+    monkeypatch.setattr(_DRAFT, "iter_errors", iter_errors)
+    for model in ("bouncing-ball", "linswitch4", "platoon6", "tank3"):
+        read_json((CORPUS_DIR / model / "bundle.json").read_text())
+    assert walks == []
+    with pytest.raises(SchemaViolation):
+        read_json(json.dumps(_invalid_documents()["wrong-type"]))
+    assert len(walks) == 1
+
+
+def test_whatever_the_compiled_schema_accepts_the_full_schema_accepts():
+    accepts = interchange._compile(_SHIPPED, _SHIPPED["$defs"])
+    verdicts = []
+    for text in _documents():
+        data = json.loads(text)
+        verdicts.append(accepts(data))
+        if verdicts[-1]:
+            assert _FULL.is_valid(data), text
+    assert set(verdicts) == {True, False}

@@ -156,6 +156,18 @@ def test_ir_values_are_immutable():
         automaton.locations[0].dynamics.a[0, 0] = 5.0
 
 
+@pytest.mark.parametrize("value", [2.5, True, -1, -2.0, float("nan"), float("inf")])
+def test_max_jumps_must_be_an_integer_at_least_zero(value):
+    with pytest.raises(ValueError, match="max_jumps must be an integer >= 0"):
+        ReachSettings(1, 0.1, value)
+
+
+@pytest.mark.parametrize("value", [2, 2.0, np.int64(2), np.float64(2.0)])
+def test_integral_max_jumps_is_stored_as_an_int(value):
+    assert type(ReachSettings(1, 0.1, value).max_jumps) is int
+    assert ReachSettings(1, 0.1, value).max_jumps == 2
+
+
 def ir_values():
     """One value of each IR class, built afresh on every call (no shared arrays)."""
     table = VariableTable(("x", "v"), ("u",), {"k": 0.5})
