@@ -17,7 +17,7 @@ import numpy as np
 import orjson
 
 from .errors import ExpressionSyntaxError, NonlinearUnsupported, UnknownIdentifier, UnsupportedFeature
-from .ir import Condition, LinearConstraint, VariableTable
+from .ir import AffineDynamics, Condition, LinearConstraint, ResetMap, VariableTable
 
 # ---------------------------------------------------------------------------
 # AST
@@ -336,17 +336,58 @@ def _linear_form(ast, table: VariableTable, allow_inputs: bool) -> LinForm:
     raise NonlinearUnsupported(f"{type(ast).__name__} is not an arithmetic expression")
 
 
-def _constraint_from_compare(cmp: Compare, table: VariableTable) -> LinearConstraint:
-    form = linear_form(cmp.left, table, allow_inputs=False) - linear_form(cmp.right, table, allow_inputs=False)
-    coeffs = np.zeros(table.n)
+def affine_row(form: LinForm, names) -> tuple:
+    """``form`` as one dense row over ``names``: (coeffs, coeff_terms, const, const_terms).
+
+    ``coeff_terms`` maps each named constant to its row of multipliers and
+    ``const_terms`` to its multiplier of the constant part; a name that
+    ``form`` lacks has coefficient 0.
+    """
+    coeffs = np.zeros(len(names))
     coeff_terms: dict = {}
     for name, scalar in form.coeffs.items():
-        idx = table.state_index(name)
-        coeffs[idx] = scalar.base
+        i = names.index(name)
+        coeffs[i] = scalar.base
         for sym, mult in scalar.terms.items():
-            coeff_terms.setdefault(sym, np.zeros(table.n))[idx] = mult
+            coeff_terms.setdefault(sym, np.zeros(len(names)))[i] = mult
+    return coeffs, coeff_terms, form.const.base, form.const.terms
+
+
+def _stacked_rows(forms: dict, table: VariableTable, names, default: np.ndarray) -> tuple:
+    """The ``affine_row`` over ``names`` of each state variable's form in ``forms``, stacked into
+    (matrix, matrix terms, vector, vector terms); a variable without a form keeps its row of ``default``."""
+    matrix, vector, matrix_terms, vector_terms = default.copy(), np.zeros(table.n), {}, {}
+    for var, form in forms.items():
+        coeffs, coeff_terms, const, const_terms = affine_row(form, names)
+        i = table.state_index(var)
+        matrix[i], vector[i] = coeffs, const
+        for sym, row in coeff_terms.items():
+            matrix_terms.setdefault(sym, np.zeros_like(default))[i] = row
+        for sym, mult in const_terms.items():
+            vector_terms.setdefault(sym, np.zeros(table.n))[i] = mult
+    return matrix, matrix_terms, vector, vector_terms
+
+
+def dynamics_from_forms(forms: dict, table: VariableTable) -> AffineDynamics:
+    """``x' = A x + B u + c`` whose row of each state variable in ``forms`` is its form; other rows are 0."""
+    n, names = table.n, table.state_vars + table.input_vars
+    ab, ab_terms, c, c_terms = _stacked_rows(forms, table, names, np.zeros((n, len(names))))
+    a_terms = {sym: t[:, :n] for sym, t in ab_terms.items() if np.count_nonzero(t[:, :n])}
+    b_terms = {sym: t[:, n:] for sym, t in ab_terms.items() if np.count_nonzero(t[:, n:])}
+    return AffineDynamics(ab[:, :n], ab[:, n:], c, a_terms, b_terms, c_terms)
+
+
+def reset_from_forms(forms: dict, table: VariableTable) -> ResetMap:
+    """``x' = R x + r`` whose row of each state variable in ``forms`` is its form; other rows keep x."""
+    r_matrix, m_terms, r_offset, r_terms = _stacked_rows(forms, table, table.state_vars, np.eye(table.n))
+    return ResetMap(r_matrix, r_offset, m_terms, r_terms)
+
+
+def _constraint_from_compare(cmp: Compare, table: VariableTable) -> LinearConstraint:
+    form = linear_form(cmp.left, table, allow_inputs=False) - linear_form(cmp.right, table, allow_inputs=False)
+    coeffs, coeff_terms, _, _ = affine_row(form, table.state_vars)
     bound = -form.const
-    return LinearConstraint(coeffs, cmp.relation, bound.base, coeff_terms, dict(bound.terms))
+    return LinearConstraint(coeffs, cmp.relation, bound.base, coeff_terms, bound.terms)
 
 
 def _as_compare(node) -> Compare:
@@ -428,64 +469,66 @@ def format_rows(values) -> list:
     return text[2:-2].split("],[") if len(a) else []
 
 
-def _append_term(parts: list, scalar_text: str, sign: float):
-    if not parts:
-        parts.append(scalar_text if sign >= 0 else f"-{scalar_text}")
-    else:
-        parts.append(f"+ {scalar_text}" if sign >= 0 else f"- {scalar_text}")
-
-
-def format_scalar(base: float, terms: dict | None = None) -> str:
-    """Render float + symbolic-constant combination, e.g. ``0.5 + 2*c``."""
-    parts: list = []
-    if base != 0.0:
-        _append_term(parts, format_number(abs(base)), base)
-    for name in sorted(terms or {}):
-        mult = (terms or {})[name]
-        if mult == 0.0:
-            continue
-        mag = name if abs(mult) == 1.0 else f"{format_number(abs(mult))}*{name}"
-        _append_term(parts, mag, mult)
-    if not parts:
-        return "0"
-    return " ".join(parts)
-
-
 def format_linear(names, coeffs, coeff_terms=None, const: float = 0.0, const_terms=None) -> str:
-    """Render an affine row like ``1505*e1 + 4.668*e1dot - 9.81``.
+    """Render an affine row like ``1505*e1 + 4.668*e1dot - 9.81`` or ``0.5 + 2*c``.
 
-    Term order follows ``names``; symbolic coefficient parts render as
-    ``mult*constname*var``. Returns "0" for the all-zero row.
+    Term order follows ``names``, each coefficient followed by its symbolic
+    parts (``mult*constname*var``, constants in name order), then the
+    constant and its symbolic parts. Zero terms are left out, and the
+    all-zero row is "0".
     """
-    coeffs = np.asarray(coeffs, dtype=float)
-    coeff_terms = coeff_terms or {}
+    pairs = list(zip(np.asarray(coeffs, dtype=float).tolist(), names))
+    if coeff_terms:
+        sym_rows = [(sym, np.asarray(coeff_terms[sym]).tolist()) for sym in sorted(coeff_terms)]
+        plain, pairs = pairs, []
+        for i, (value, var) in enumerate(plain):
+            pairs.append((value, var))
+            for sym, row in sym_rows:
+                if row[i] != 0.0:
+                    pairs.append((row[i], f"{sym}*{var}"))
+    pairs.append((float(const), ""))
+    pairs.extend((float(const_terms[sym]), sym) for sym in sorted(const_terms or {}))
     parts: list = []
+    for value, name in pairs:
+        if value != 0.0:
+            text = format_number(abs(value))
+            if name:
+                text = name if text == "1" else f"{text}*{name}"
+            if parts:
+                parts.append(f"+ {text}" if value >= 0 else f"- {text}")
+            else:
+                parts.append(text if value >= 0 else f"-{text}")
+    return " ".join(parts) if parts else "0"
+
+
+def flow_rows(dyn: AffineDynamics, table: VariableTable) -> list:
+    """``(var, rhs)`` of each state variable: the text of its row of ``A x + B u + c``."""
+    names = table.state_vars + table.input_vars
+    rows = np.hstack([dyn.a, dyn.b])
+    terms = {sym: np.hstack([dyn.a_terms.get(sym, np.zeros_like(dyn.a)), dyn.b_terms.get(sym, np.zeros_like(dyn.b))])
+             for sym in dyn.a_terms.keys() | dyn.b_terms.keys()}
+    return [(var, format_linear(names, rows[i], {sym: t[i] for sym, t in terms.items()}, dyn.c[i],
+                                {sym: v[i] for sym, v in dyn.c_terms.items()}))
+            for i, var in enumerate(table.state_vars)]
+
+
+def reset_rows(reset: ResetMap, names) -> list:
+    """``(var, rhs)`` of each variable whose row of ``R x + r`` is not ``var`` itself."""
+    if reset.is_identity():
+        return []
+    eye = np.eye(len(names))
+    out = []
     for i, var in enumerate(names):
-        if coeffs[i] != 0.0:
-            mag = var if abs(coeffs[i]) == 1.0 else f"{format_number(abs(coeffs[i]))}*{var}"
-            _append_term(parts, mag, coeffs[i])
-        for sym in sorted(coeff_terms):
-            mult = float(np.asarray(coeff_terms[sym])[i])
-            if mult == 0.0:
-                continue
-            mag = f"{sym}*{var}" if abs(mult) == 1.0 else f"{format_number(abs(mult))}*{sym}*{var}"
-            _append_term(parts, mag, mult)
-    if const != 0.0:
-        _append_term(parts, format_number(abs(const)), const)
-    for sym in sorted(const_terms or {}):
-        mult = (const_terms or {})[sym]
-        if mult == 0.0:
-            continue
-        mag = sym if abs(mult) == 1.0 else f"{format_number(abs(mult))}*{sym}"
-        _append_term(parts, mag, mult)
-    if not parts:
-        return "0"
-    return " ".join(parts)
+        coeff_terms = {sym: t[i] for sym, t in reset.matrix_terms.items() if t[i].any()}
+        const_terms = {sym: v[i] for sym, v in reset.offset_terms.items() if v[i] != 0.0}
+        if coeff_terms or const_terms or reset.r_offset[i] != 0.0 or not np.array_equal(reset.r_matrix[i], eye[i]):
+            out.append((var, format_linear(names, reset.r_matrix[i], coeff_terms, reset.r_offset[i], const_terms)))
+    return out
 
 
 def format_constraint(con: LinearConstraint, names) -> str:
     lhs = format_linear(names, con.coeffs, con.coeff_terms)
-    rhs = format_scalar(con.bound, con.bound_terms)
+    rhs = format_linear((), (), None, con.bound, con.bound_terms)
     return f"{lhs} {con.relation} {rhs}"
 
 

@@ -11,9 +11,7 @@ tool compatibility.
 
 from __future__ import annotations
 
-import numpy as np
-
-from .expressions import format_linear, format_number
+from .expressions import flow_rows, format_linear, format_number, reset_rows
 from .ir import Condition, ModelBundle
 
 _SETTING_TAIL = (
@@ -69,12 +67,7 @@ def emit_flowstar(bundle: ModelBundle) -> str:
         lines.append("  {")
         lines.append("   lti ode")
         lines.append("   {")
-        dyn = loc.dynamics
-        all_names = list(names) + list(table.input_vars)
-        for i, var in enumerate(names):
-            coeffs = np.concatenate([dyn.a[i], dyn.b[i]])
-            rhs = format_linear(all_names, coeffs, None, float(dyn.c[i]))
-            lines.append(f"    {var}' = {rhs}")
+        lines.extend(f"    {var}' = {rhs}" for var, rhs in flow_rows(loc.dynamics, table))
         lines.append("   }")
         lines.append("   inv")
         lines.append("   {")
@@ -89,13 +82,7 @@ def emit_flowstar(bundle: ModelBundle) -> str:
         lines.append(f"  {tr.source} -> {tr.target}")
         guard_terms = _constraint_lines(tr.guard, names, "")
         lines.append(f"  guard {{ {'   '.join(guard_terms)} }}" if guard_terms else "  guard { }")
-        reset_terms = []
-        eye = np.eye(table.n)
-        for i, var in enumerate(names):
-            if np.array_equal(tr.reset.r_matrix[i], eye[i]) and tr.reset.r_offset[i] == 0.0:
-                continue
-            rhs = format_linear(names, tr.reset.r_matrix[i], None, float(tr.reset.r_offset[i]))
-            reset_terms.append(f"{var}' := {rhs}")
+        reset_terms = [f"{var}' := {rhs}" for var, rhs in reset_rows(tr.reset, names)]
         lines.append(f"  reset {{ {'   '.join(reset_terms)} }}" if reset_terms else "  reset { }")
         lines.append("  interval aggregation")
     lines.append(" }")

@@ -532,12 +532,12 @@ def jump_successors(segments: Segments, transition):
     """Aggregated successors of one transition over a segment table.
 
     Consecutive segments whose boxes meet the guard form one crossing
-    window; the guard-clamped boxes hull into a single box, the reset maps
-    its zonotope, and the box of the image is reported with the window's
-    start time and width. Returns a list of (box_pre_invariant, entry_time,
-    window_width), each box with finite bounds. A window too wide for its
-    center or radius, or a reset that maps it out of the floating-point
-    range, raises ``NonFiniteFlowpipe``.
+    window; the guard-clamped boxes hull into a single box, whose image
+    under the reset ``R x + r`` is the box of center ``R c + r`` and radius
+    ``|R| rad``, reported with the window's start time and width. Returns
+    a list of (box_pre_invariant, entry_time, window_width), each box with
+    finite bounds. A window too wide for its center or radius, or a reset
+    that maps it out of the floating-point range, raises ``NonFiniteFlowpipe``.
     """
     lo, hi, hit = clamp_boxes(segments.lo, segments.hi, transition.guard.halfspaces())
     hits = np.flatnonzero(hit)
@@ -553,10 +553,12 @@ def jump_successors(segments: Segments, transition):
                               f"the guard window of the jump {transition.source!r} -> "
                               f"{transition.target!r} at t={entry_time:g}")
         with np.errstate(over="ignore", invalid="ignore"):
-            succ = box_hull(translate(linear_map(reset.r_matrix, window.to_zonotope()), reset.r_offset))
+            center = reset.r_matrix @ window.center + reset.r_offset
+            radius = np.abs(reset.r_matrix) @ window.radius
+            succ_lo, succ_hi = center - radius, center + radius
         # the clamp that follows would read infinities as an empty box
-        _require_finite_successor(transition, entry_time, succ.lo, succ.hi)
-        out.append((succ, entry_time, window_width))
+        _require_finite_successor(transition, entry_time, succ_lo, succ_hi)
+        out.append((Box._trusted(succ_lo, succ_hi), entry_time, window_width))
     return out
 
 

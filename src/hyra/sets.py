@@ -19,11 +19,14 @@ Sets are checked where they enter: the public ``Box(...)`` and
 ``Zonotope(...)`` constructors convert to float and reject non-finite
 entries, ``lo > hi`` and shape mismatches. The set operations build their
 results with ``_trusted``, which only freezes the arrays they just computed
-(``Box.to_zonotope`` after one test that the box's center and radius are
+(``Box.to_zonotope``, which ``reach.flowpipe`` calls once on the box a
+task starts from, after one test that the box's center and radius are
 finite, ``intersect_condition``, whose clamp of a finite box is finite
 with lo <= hi, and ``reach.jump_successors`` for its guard windows, which
-hull clamped rows of a finite segment table); finite operands can still
-overflow, so the engine checks finiteness wherever a result goes on: both
+hull clamped rows of a finite segment table, and for their images under
+a reset ``R x + r``, mapped as boxes: center ``R c + r``, radius
+``|R| rad``); finite operands can still overflow, so the engine checks
+finiteness wherever a result goes on: both
 Omega0 forms of ``reach.discretize`` (the chord zonotope and the sub-step
 box hull, whose boxes come from the propagation kernel
 ``reach._box_chunks``), each chunk of that kernel in ``reach._propagate``,

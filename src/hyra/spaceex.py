@@ -12,19 +12,20 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 
-import numpy as np
-
 from .errors import UnsupportedFeature, XmlMalformed
 from .expressions import (
     Compare,
     Conjunction,
     Ident,
+    dynamics_from_forms,
+    flow_rows,
     format_condition,
-    format_linear,
     format_number,
     linear_form,
     parse_condition,
     parse_expression,
+    reset_from_forms,
+    reset_rows,
     split_conjuncts,
 )
 from .ir import (
@@ -153,64 +154,28 @@ def parse_spaceex(xml_text: str, validated: bool = True) -> HybridAutomaton:
     return automaton
 
 
-def _flow_parts(ast):
-    if isinstance(ast, Conjunction):
-        return ast.parts
-    return (ast,)
-
-
 def _parse_flow(text: str, table: VariableTable) -> AffineDynamics:
-    """Flow text is a conjunction of ``x' == affine-expr`` rows.
-
-    A state variable without a row gets derivative zero.
-    """
-    n, m = table.n, table.m
-    dyn_a = np.zeros((n, n))
-    dyn_b = np.zeros((n, m))
-    dyn_c = np.zeros(n)
-    a_terms: dict = {}
-    b_terms: dict = {}
-    c_terms: dict = {}
-    seen: set = set()
+    """Flow text: ``x' == affine-expr`` rows joined by &, one per variable at most; a missing row is x' == 0."""
     ast = parse_expression(text, table)
-    if text.strip():
-        for part in _flow_parts(ast):
-            if not isinstance(part, Compare) or part.relation != "==" or not isinstance(part.left, Ident):
-                raise XmlMalformed("flow rows must look like \"x' == expr\"")
-            lhs = part.left.name
-            if not lhs.endswith("'"):
-                raise XmlMalformed(f"flow assigns to unprimed {lhs!r}")
-            var = lhs.rstrip("'")
-            if var not in table.state_vars:
-                raise XmlMalformed(f"flow assigns to non-state {var!r}")
-            if var in seen:
-                raise XmlMalformed(f"duplicate flow row for {var!r}")
-            seen.add(var)
-            row = table.state_index(var)
-            form = linear_form(part.right, table, allow_inputs=True)
-            for vname, scalar in form.coeffs.items():
-                if vname in table.state_vars:
-                    dyn_a[row, table.state_index(vname)] = scalar.base
-                    for sym, mult in scalar.terms.items():
-                        a_terms.setdefault(sym, np.zeros((n, n)))[row, table.state_index(vname)] = mult
-                else:
-                    col = table.input_vars.index(vname)
-                    dyn_b[row, col] = scalar.base
-                    for sym, mult in scalar.terms.items():
-                        b_terms.setdefault(sym, np.zeros((n, m)))[row, col] = mult
-            dyn_c[row] = form.const.base
-            for sym, mult in form.const.terms.items():
-                c_terms.setdefault(sym, np.zeros(n))[row] = mult
-    return AffineDynamics(dyn_a, dyn_b, dyn_c, a_terms, b_terms, c_terms)
+    forms: dict = {}
+    for part in (ast.parts if isinstance(ast, Conjunction) else (ast,)):
+        if not isinstance(part, Compare) or part.relation != "==" or not isinstance(part.left, Ident):
+            raise XmlMalformed("flow rows must look like \"x' == expr\"")
+        lhs = part.left.name
+        if not lhs.endswith("'"):
+            raise XmlMalformed(f"flow assigns to unprimed {lhs!r}")
+        var = lhs.rstrip("'")
+        if var not in table.state_vars:
+            raise XmlMalformed(f"flow assigns to non-state {var!r}")
+        if var in forms:
+            raise XmlMalformed(f"duplicate flow row for {var!r}")
+        forms[var] = linear_form(part.right, table, allow_inputs=True)
+    return dynamics_from_forms(forms, table)
 
 
 def _parse_assignment(text: str, table: VariableTable) -> ResetMap:
-    """Assignment text: ``x := expr`` statements joined by &; default identity."""
-    n = table.n
-    reset_m = np.eye(n)
-    reset_r = np.zeros(n)
-    m_terms: dict = {}
-    r_terms: dict = {}
+    """Assignment text: ``x := expr`` statements joined by &, one per variable at most; default identity."""
+    forms: dict = {}
     for stmt in split_conjuncts(text):
         if ":=" not in stmt:
             raise XmlMalformed(f"assignment {stmt!r} is not of the form x := expr")
@@ -218,22 +183,10 @@ def _parse_assignment(text: str, table: VariableTable) -> ResetMap:
         var = lhs_text.strip().rstrip("'")
         if var not in table.state_vars:
             raise XmlMalformed(f"assignment to non-state {var!r}")
-        row = table.state_index(var)
-        form = linear_form(parse_expression(rhs_text, table), table, allow_inputs=False)
-        reset_m[row, :] = 0.0
-        for sym in m_terms:
-            m_terms[sym][row, :] = 0.0
-        for sym in r_terms:
-            r_terms[sym][row] = 0.0
-        for vname, scalar in form.coeffs.items():
-            col = table.state_index(vname)
-            reset_m[row, col] = scalar.base
-            for sym, mult in scalar.terms.items():
-                m_terms.setdefault(sym, np.zeros((n, n)))[row, col] = mult
-        reset_r[row] = form.const.base
-        for sym, mult in form.const.terms.items():
-            r_terms.setdefault(sym, np.zeros(n))[row] = mult
-    return ResetMap(reset_m, reset_r, m_terms, r_terms)
+        if var in forms:
+            raise XmlMalformed(f"duplicate assignment to {var!r}")
+        forms[var] = linear_form(parse_expression(rhs_text, table), table, allow_inputs=False)
+    return reset_from_forms(forms, table)
 
 
 # ---------------------------------------------------------------------------
@@ -242,49 +195,6 @@ def _parse_assignment(text: str, table: VariableTable) -> ResetMap:
 
 def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-
-
-def _flow_text(dyn: AffineDynamics, table: VariableTable) -> str:
-    rows = []
-    names = list(table.state_vars) + list(table.input_vars)
-    for i, var in enumerate(table.state_vars):
-        coeffs = np.concatenate([dyn.a[i], dyn.b[i]])
-        coeff_terms = {}
-        for sym, mat in dyn.a_terms.items():
-            merged = np.concatenate([np.asarray(mat)[i], np.zeros(table.m)])
-            if merged.any():
-                coeff_terms[sym] = merged
-        for sym, mat in dyn.b_terms.items():
-            merged = coeff_terms.get(sym, np.zeros(table.n + table.m)).copy()
-            merged[table.n :] += np.asarray(mat)[i]
-            if merged.any():
-                coeff_terms[sym] = merged
-        const_terms = {sym: float(np.asarray(vec)[i]) for sym, vec in dyn.c_terms.items()}
-        rhs = format_linear(names, coeffs, coeff_terms, float(dyn.c[i]), const_terms)
-        rows.append(f"{var}' == {rhs}")
-    return " & ".join(rows)
-
-
-def _reset_text(reset: ResetMap, table: VariableTable) -> str:
-    if reset.is_identity():
-        return ""
-    statements = []
-    names = table.state_vars
-    eye = np.eye(table.n)
-    for i, var in enumerate(names):
-        row_plain = np.array_equal(reset.r_matrix[i], eye[i]) and reset.r_offset[i] == 0.0
-        row_symbolic = any(np.asarray(m)[i].any() for m in reset.matrix_terms.values()) or any(
-            float(np.asarray(v)[i]) != 0.0 for v in reset.offset_terms.values()
-        )
-        if row_plain and not row_symbolic:
-            continue
-        coeff_terms = {
-            sym: np.asarray(mat)[i] for sym, mat in reset.matrix_terms.items() if np.asarray(mat)[i].any()
-        }
-        const_terms = {sym: float(np.asarray(vec)[i]) for sym, vec in reset.offset_terms.items()}
-        rhs = format_linear(names, reset.r_matrix[i], coeff_terms, float(reset.r_offset[i]), const_terms)
-        statements.append(f"{var} := {rhs}")
-    return " & ".join(statements)
 
 
 def emit_spaceex(model) -> str:
@@ -319,7 +229,7 @@ def emit_spaceex(model) -> str:
         if not loc.invariant.is_true:
             inv = format_condition(loc.invariant, table.state_vars)
             lines.append(f"      <invariant>{_escape(inv)}</invariant>")
-        flow = _flow_text(loc.dynamics, table)
+        flow = " & ".join(f"{var}' == {rhs}" for var, rhs in flow_rows(loc.dynamics, table))
         if flow:
             lines.append(f"      <flow>{_escape(flow)}</flow>")
         lines.append("    </location>")
@@ -332,7 +242,7 @@ def emit_spaceex(model) -> str:
         if not tr.guard.is_true:
             guard = format_condition(tr.guard, table.state_vars)
             lines.append(f"      <guard>{_escape(guard)}</guard>")
-        reset = _reset_text(tr.reset, table)
+        reset = " & ".join(f"{var} := {rhs}" for var, rhs in reset_rows(tr.reset, table.state_vars))
         if reset:
             lines.append(f"      <assignment>{_escape(reset)}</assignment>")
         lines.append("    </transition>")

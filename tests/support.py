@@ -100,6 +100,82 @@ def merge_overflow_bundle() -> ModelBundle:
     return ModelBundle(automaton, settings, InitialCondition("a", Box([-0.95e308], [0.8e308])))
 
 
+# Coefficient values of generated automata: +-1 (written without a factor),
+# integers, decimals and exponents on both sides of format_number's notation switch.
+_VALUES = (1.0, -1.0, 2.0, -0.75, 9.81, 1505.0, 1e-05, -2.5e-07, 3e+22, 0.1)
+_RELATIONS = ("<=", "<", ">=", ">", "==")
+GENERATED_SEEDS = range(30)
+
+
+def _values(rng, shape, density: float) -> np.ndarray:
+    """Entries nonzero with probability ``density``, from ``_VALUES`` or uniform on [-5, 5]."""
+    picks = np.where(rng.random(shape) < 0.5, rng.choice(_VALUES, shape), rng.uniform(-5.0, 5.0, shape))
+    return np.where(rng.random(shape) < density, picks, 0.0)
+
+
+def _terms(rng, shape) -> dict:
+    """Multipliers of some of the constants ``g`` and ``k``, each with a nonzero entry."""
+    terms = {}
+    for sym in ("g", "k"):
+        if rng.random() < 0.6:
+            mult = _values(rng, shape, 0.4)
+            mult.flat[rng.integers(mult.size)] = rng.choice(_VALUES)
+            terms[sym] = mult
+    return terms
+
+
+def _condition(rng, n: int, rows: int) -> Condition:
+    constraints = []
+    for _ in range(rows):
+        coeffs = _values(rng, n, 0.5)
+        coeffs[rng.integers(n)] = rng.choice(_VALUES)
+        bound_terms = {sym: float(mult) for sym, mult in _terms(rng, ()).items()}
+        constraints.append(LinearConstraint(coeffs, str(rng.choice(_RELATIONS)), float(_values(rng, (), 0.8)),
+                                            _terms(rng, n), bound_terms))
+    return Condition(tuple(constraints))
+
+
+def generated_bundle(seed: int) -> ModelBundle:
+    """A small seeded automaton with one input and named constants in every coefficient kind.
+
+    1-3 state variables, the input ``u`` and the constants ``g`` and ``k``;
+    1-3 locations and 1-3 transitions. The constants appear in A, B and c,
+    in reset matrices and offsets, and in the coefficients and bounds of
+    invariants, guards and the forbidden set.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 4))
+    names = tuple(f"x{i}" for i in range(n))
+    table = VariableTable(names, ("u",), {"g": float(rng.choice(_VALUES)), "k": float(rng.uniform(-5.0, 5.0))})
+    locations = tuple(
+        Location(f"q{i}", _condition(rng, n, int(rng.integers(0, 3))),
+                 AffineDynamics(_values(rng, (n, n), 0.6), _values(rng, (n, 1), 0.7), _values(rng, n, 0.7),
+                                _terms(rng, (n, n)), _terms(rng, (n, 1)), _terms(rng, n)))
+        for i in range(int(rng.integers(1, 4)))
+    )
+    transitions = []
+    for _ in range(int(rng.integers(1, 4))):
+        source, target = (loc.name for loc in rng.choice(locations, 2))
+        if rng.random() < 0.3:
+            reset = ResetMap.identity(n)
+        else:
+            assigned = rng.random(n) < 0.6
+            reset = ResetMap(np.where(assigned[:, None], _values(rng, (n, n), 0.6), np.eye(n)),
+                             np.where(assigned, _values(rng, n, 0.5), 0.0), _terms(rng, (n, n)), _terms(rng, n))
+        label = "jump" if rng.random() < 0.5 else None
+        transitions.append(Transition(source, target, _condition(rng, n, int(rng.integers(0, 3))), reset, label))
+    lo = rng.uniform(-5.0, 5.0, n)
+    horizon = float(rng.uniform(1.0, 10.0))
+    settings = ReachSettings(horizon, horizon / int(rng.integers(10, 1000)), int(rng.integers(0, 6)),
+                             _condition(rng, n, int(rng.integers(1, 3))) if rng.random() < 0.7 else None,
+                             tuple(rng.choice(names, 2)) if rng.random() < 0.5 else None, bool(rng.random() < 0.5))
+    initial = InitialCondition(str(rng.choice(locations).name),
+                               Box(lo, lo + np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0.0, 2.0, n))))
+    automaton = HybridAutomaton(f"gen{seed}", table, locations, tuple(transitions),
+                                {"u": (-float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 1.0)))})
+    return ModelBundle(automaton, settings, initial)
+
+
 class SegmentIndex:
     """Fast point-in-flowpipe queries over a segment list."""
 

@@ -4,6 +4,8 @@ import pytest
 from hyra.errors import ExpressionSyntaxError, NonlinearUnsupported, UnknownIdentifier
 from hyra.expressions import (
     Conjunction,
+    affine_row,
+    flow_rows,
     format_condition,
     format_linear,
     format_number,
@@ -11,8 +13,9 @@ from hyra.expressions import (
     linear_form,
     parse_condition,
     parse_expression,
+    reset_rows,
 )
-from hyra.ir import VariableTable
+from hyra.ir import AffineDynamics, ResetMap, VariableTable
 
 TABLE = VariableTable(("x", "v"), ("u",), {"c": 0.75})
 
@@ -161,6 +164,33 @@ def test_format_linear_readable_rows():
     text = format_linear(("x", "v"), [1505.0, -1.0], None, -9.81)
     assert text == "1505*x - v - 9.81"
     assert format_linear(("x",), [0.0]) == "0"
+
+
+def test_format_linear_writes_symbolic_parts_after_each_term():
+    text = format_linear(("x", "v"), [0.0, 2.0], {"k": [1.0, 0.0], "c": [0.0, -0.5]}, 1.0, {"c": -1.0, "k": 0.0})
+    assert text == "k*x + 2*v - 0.5*c*v + 1 - c"
+    assert format_linear((), (), None, 0.5, {"c": 2.0}) == "0.5 + 2*c"
+    assert format_linear((), (), None, 0.0, {"c": -1.0}) == "-c"
+    assert format_linear((), (), None, -0.0) == "0"
+
+
+def test_affine_row_puts_each_coefficient_in_its_column():
+    form = linear_form(parse_expression("2*c*v - u + 3*x - 1 + c", TABLE), TABLE)
+    coeffs, coeff_terms, const, const_terms = affine_row(form, TABLE.state_vars + TABLE.input_vars)
+    assert coeffs.tolist() == [3.0, 0.0, -1.0]
+    assert {sym: row.tolist() for sym, row in coeff_terms.items()} == {"c": [0.0, 2.0, 0.0]}
+    assert (const, const_terms) == (-1.0, {"c": 1.0})
+
+
+def test_flow_rows_write_every_row_and_reset_rows_the_changed_ones():
+    dyn = AffineDynamics([[0.0, 1.0], [0.0, 0.0]], [[0.0], [2.0]], [0.0, -9.81],
+                         {"c": [[0.0, 0.0], [1.0, 0.0]]}, {"c": [[1.0], [0.0]]})
+    assert flow_rows(dyn, TABLE) == [("x", "v + c*u"), ("v", "c*x + 2*u - 9.81")]
+    assert flow_rows(AffineDynamics.zero(2, 1), TABLE) == [("x", "0"), ("v", "0")]
+    reset = ResetMap(np.eye(2), [0.0, 0.0], {}, {"c": [0.0, -1.0]})
+    assert reset_rows(reset, TABLE.state_vars) == [("v", "v - c")]
+    assert reset_rows(ResetMap([[1.0, 0.0], [0.0, -0.75]], [0.0, 0.0]), TABLE.state_vars) == [("v", "-0.75*v")]
+    assert reset_rows(ResetMap.identity(2), TABLE.state_vars) == []
 
 
 def test_condition_formatting_roundtrips_through_parser():

@@ -107,3 +107,31 @@ def test_symbolic_constants_survive_the_roundtrip():
     assert "-c*v" in text
     again = parse_spaceex(text)
     assert again.transitions[0].reset.matrix_terms["c"][1, 1] == -1.0
+
+
+@pytest.mark.parametrize("assignment", ["v := c*v &amp; v := v", "v := v &amp; v' := 0", "v := 1 &amp; x := 0 &amp; v := 2"])
+def test_a_second_assignment_to_one_variable_is_rejected(assignment):
+    xml = BALL_XML.replace("v := -0.75*v", assignment).replace(
+        '<param name="x"', '<param name="c" type="real" dynamics="const" value="0.75" />\n    <param name="x"')
+    with pytest.raises(XmlMalformed, match="duplicate assignment to 'v'"):
+        parse_spaceex(xml)
+
+
+def test_duplicate_flow_row_is_rejected():
+    xml = BALL_XML.replace("x' == v &amp; v' == -9.81", "x' == v &amp; x' == 0")
+    with pytest.raises(XmlMalformed, match="duplicate flow row for 'x'"):
+        parse_spaceex(xml)
+
+
+def test_symbolic_input_coefficients_split_into_a_and_b_terms():
+    xml = BALL_XML.replace(
+        '<param name="x"',
+        '<param name="u" type="real" dynamics="any" controlled="false" min="-1" max="1" />\n'
+        '    <param name="c" type="real" dynamics="const" value="0.5" />\n    <param name="x"',
+    ).replace("v' == -9.81", "v' == 2*c*v - c*u + 3*u - 9.81 + c")
+    dyn = parse_spaceex(xml).locations[0].dynamics
+    assert np.array_equal(dyn.a_terms["c"], [[0.0, 0.0], [0.0, 2.0]])
+    assert np.array_equal(dyn.b_terms["c"], [[0.0], [-1.0]])
+    assert np.array_equal(dyn.b, [[0.0], [3.0]])
+    assert np.array_equal(dyn.c, [0.0, -9.81]) and np.array_equal(dyn.c_terms["c"], [0.0, 1.0])
+    assert "v' == 2*c*v + 3*u - c*u - 9.81 + c" in emit_spaceex(parse_spaceex(xml))

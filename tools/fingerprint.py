@@ -10,8 +10,11 @@ with the fixpoint check on and off: one whose check discards a revisit,
 one whose check must keep an earlier entry. Reader lines cover
 ``write_json`` and ``emit_flowstar`` of ``read_json`` on each corpus
 ``bundle.json`` and the rejection message of each ``BAD_VALUES`` document
-of the test suite. Two source trees print the same lines exactly when all
-of these outputs are byte-identical:
+of the test suite. Translation lines cover ``emit_spaceex`` and
+``emit_config`` of each corpus model, ``write_json`` of each parsed
+``model.xml`` with its ``config.cfg``, and every format's text of the test
+suite's generated symbolic automata. Two source trees print the same lines
+exactly when all of these outputs are byte-identical:
 
     PYTHONPATH=src python3 tools/fingerprint.py > after.txt
     PYTHONPATH=/path/to/other/src python3 tools/fingerprint.py > before.txt
@@ -23,12 +26,14 @@ import sys
 from pathlib import Path
 
 from hyra import corpus
+from hyra.config import emit_config, parse_config
 from hyra.errors import SchemaViolation
 from hyra.flowstar import emit_flowstar
 from hyra.interchange import read_json, write_json
 from hyra.ir import ModelBundle, ReachSettings
 from hyra.reach import reach, segments_to_csv
 from hyra.simulate import Integrator, SimOptions, events_to_csv, sample_initial, simulate, trajectory_to_csv
+from hyra.spaceex import emit_spaceex, parse_spaceex
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -113,6 +118,27 @@ def reader_lines():
         yield f"{digest(rejection(support.bad_value_document(case)))}  bouncing-ball read_json {case}"
 
 
+def config_text(bundle) -> str:
+    return emit_config(bundle.settings, bundle.initial, bundle.automaton.vars, bundle.automaton.name)
+
+
+def translation_lines():
+    for bench in corpus.all_benchmarks():
+        model = bench.value
+        bundle = corpus.build(bench)
+        yield f"{digest(emit_spaceex(bundle))}  {model} emit_spaceex"
+        yield f"{digest(config_text(bundle))}  {model} emit_config"
+        automaton = parse_spaceex((REPO_ROOT / "corpus" / model / "model.xml").read_text())
+        parsed = parse_config((REPO_ROOT / "corpus" / model / "config.cfg").read_text(), automaton.vars)
+        from_files = ModelBundle(automaton, parsed.settings, parsed.initial)
+        yield f"{digest(write_json(from_files))}  {model} parse_spaceex parse_config write_json"
+    support = suite_support()
+    generated = [support.generated_bundle(seed) for seed in support.GENERATED_SEEDS]
+    for name, emit in (("emit_spaceex", emit_spaceex), ("emit_config", config_text),
+                       ("write_json", write_json), ("emit_flowstar", emit_flowstar)):
+        yield f"{digest(''.join(map(emit, generated)))}  generated x{len(generated)} {name}"
+
+
 def lines():
     for bench in corpus.all_benchmarks():
         model = bench.value
@@ -127,6 +153,7 @@ def lines():
     for model, label, bundle in fixpoint_configs():
         yield f"{digest(reach_text(bundle))}  {model} {label}"
     yield from reader_lines()
+    yield from translation_lines()
 
 
 def main() -> int:
