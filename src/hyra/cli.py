@@ -13,15 +13,18 @@ import functools
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import corpus
 from .config import parse_config
 from .errors import EngineError, HyraError, ModelFormatError
+from .expressions import format_table
 from .flowstar import emit_flowstar
 from .interchange import read_json, write_json
 from .ir import ModelBundle, validate
 from .plot import project_csv, projection_to_csv, projection_to_svg
 from .reach import Verdict, reach, segments_to_csv
-from .simulate import Integrator, SimOptions, sample_initial, simulate, trajectory_to_csv
+from .simulate import Integrator, SimOptions, sample_initial, simulate
 from .spaceex import emit_spaceex, parse_spaceex
 
 EXIT_OK = 0
@@ -136,25 +139,27 @@ def cmd_check(args, bundle: ModelBundle | None = None) -> int:
 
 
 def cmd_simulate(args, bundle: ModelBundle | None = None) -> int:
-    """Seeded runs: one RUN line each on stdout, all samples to ``--out`` as CSV."""
+    """Seeded runs: one RUN line each on stdout, all samples to ``--out`` as one ``format_table``."""
     bundle = bundle or _load_bundle(args.model, args.cfg, None)
     kind = Integrator.EULER if args.integrator == "euler" else Integrator.HEUN
     options = SimOptions(step=args.step if args.step is not None else bundle.settings.step / 10.0)
     points = sample_initial(bundle.initial.box, args.seeds, args.seed)
-    state_vars = bundle.automaton.vars.state_vars
-    chunks = []
+    trajs = []
     for run, x0 in enumerate(points):
         traj = simulate(bundle, x0, kind, options)
         print(
             f"RUN {run} samples={traj.sample_count} events={len(traj.events)} "
             f"zeno={'true' if traj.zeno else 'false'}"
         )
-        body = trajectory_to_csv(traj, state_vars).splitlines()
-        if run == 0:
-            chunks.append("run," + body[0])
-        chunks.extend(f"{run},{line}" for line in body[1:])
+        trajs.append(traj)
     if args.out:
-        Path(args.out).write_text("\n".join(chunks) + "\n")
+        header = ("run", "time", "location", *bundle.automaton.vars.state_vars)
+        Path(args.out).write_text(format_table(header, [
+            [str(run) for run, traj in enumerate(trajs) for _ in traj.locations],
+            np.concatenate([traj.times for traj in trajs]).reshape(-1, 1),
+            [loc for traj in trajs for loc in traj.locations],
+            np.concatenate([traj.states for traj in trajs]),
+        ]))
     return EXIT_OK
 
 

@@ -438,13 +438,15 @@ def format_rows(values) -> list:
     """The CSV row texts of a 2-d array: each row's ``format_number`` cells joined by ``,``.
 
     One ``orjson.dumps`` call writes every value as its shortest round-trip
-    digits, the same digits ``repr`` picks. Whole-text fix-ups then turn
-    orjson's notation into ``format_number``'s, each run only when a mask
-    shows a value that needs it: integral values lose ``.0``, and positive
-    exponents gain their ``+``. Cells whose text differs in more than that
-    are written as ``null`` and filled in with ``format_number``:
-    non-finite values, and 1e-9 <= |x| < 1e-4, where orjson writes
-    ``0.000015`` or ``1.5e-7`` and ``repr`` ``1.5e-05`` or ``1.5e-07``.
+    digits, the same digits ``repr`` picks. Positive exponents gain their
+    ``+`` in whole-text passes, run only when some value needs it. Cells
+    whose text differs in more than that are written as ``null`` and filled
+    in with ``format_number``: non-finite values, and 1e-9 <= |x| < 1e-4,
+    where orjson writes ``0.000015`` or ``1.5e-7`` and ``repr`` ``1.5e-05``
+    or ``1.5e-07``. The text is split into rows once. Only the rows that
+    hold an integral value then lose its ``.0``, and each ``null`` gets its
+    fill in its own row. orjson writes ``.0`` at the end of integral values
+    only, so ``.0,`` and a final ``.0`` mark exactly those cells.
     """
     a = np.ascontiguousarray(values, dtype=np.float64) + 0.0  # + 0.0 turns -0.0 into 0.0
     mag = np.abs(a)
@@ -454,19 +456,37 @@ def format_rows(values) -> list:
     a[special] = np.nan
     integral = (a == np.trunc(a)) & (mag < 1e16)
     text = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)
-    if integral[:, :-1].any():
-        text = text.replace(b".0,", b",")
-    if integral[:, -1:].any():
-        text = text.replace(b".0]", b"]")
     if np.any(finite & (mag >= 1e16)):
         text = text.replace(b"e", b"e+")
         if np.any((mag > 0.0) & (mag < 1e-9)):
             text = text.replace(b"e+-", b"e-")
-    text = text.decode()
-    if fills:
-        parts = text.split("null")
-        text = "".join([s for pair in zip(parts, fills) for s in pair]) + parts[-1]
-    return text[2:-2].split("],[") if len(a) else []
+    rows = str(memoryview(text)[2:-2], "ascii").split("],[") if len(a) else []  # a view: no copy for the slice
+    width = max(a.shape[1], 1)  # a flat cell index // width is its row
+    if integral.any():
+        for i in dict.fromkeys((np.flatnonzero(integral) // width).tolist()):
+            row = rows[i].replace(".0,", ",")
+            rows[i] = row[:-2] if row.endswith(".0") else row
+    if fills:  # flatnonzero lists the cells in the order a[special] gave the fills
+        for i, fill in zip((np.flatnonzero(special) // width).tolist(), fills):
+            rows[i] = rows[i].replace("null", fill, 1)
+    return rows
+
+
+def format_table(header, blocks) -> str:
+    """The CSV text of a table: the ``header`` names, then one line per row.
+
+    ``blocks`` are row-aligned groups of columns, left to right. A numpy
+    array is a 2-d block of numbers, written by ``format_rows``; any other
+    sequence holds one label text per row. The text is one join over the
+    row pieces and their separators.
+    """
+    columns = [format_rows(b) if isinstance(b, np.ndarray) else b for b in blocks]
+    line = [None, ","] * (len(columns) - 1) + [None, "\n"]
+    parts = line * len(columns[0])
+    for j, column in enumerate(columns):
+        parts[2 * j::len(line)] = column
+    parts.insert(0, ",".join(header) + "\n")
+    return "".join(parts)
 
 
 def format_linear(names, coeffs, coeff_terms=None, const: float = 0.0, const_terms=None) -> str:

@@ -232,23 +232,11 @@ def write_json(bundle: ModelBundle) -> str:
     return json.dumps(bundle_to_dict(bundle), indent=2) + "\n"
 
 
-def _terms_in(data: dict | None) -> dict:
-    return {name: np.asarray(arr, dtype=float) for name, arr in (data or {}).items()}
-
-
 def _condition_in(data: list) -> Condition:
-    constraints = []
-    for entry in data:
-        constraints.append(
-            LinearConstraint(
-                np.asarray(entry["coeffs"], dtype=float),
-                entry["relation"],
-                entry["bound"],
-                _terms_in(entry.get("coeff_terms")),
-                dict(entry.get("bound_terms") or {}),
-            )
-        )
-    return Condition(tuple(constraints))
+    return Condition(tuple(
+        LinearConstraint(e["coeffs"], e["relation"], e["bound"], e.get("coeff_terms"), e.get("bound_terms") or {})
+        for e in data
+    ))
 
 
 def bundle_from_dict(data: dict) -> ModelBundle:
@@ -263,6 +251,7 @@ def bundle_from_dict(data: dict) -> ModelBundle:
 
 
 def _build_bundle(data: dict) -> ModelBundle:
+    """The IR of a schema-checked document; the IR constructors convert its arrays and drop zero terms."""
     variables = data["variables"]
     table = VariableTable(
         tuple(variables["state"]), tuple(variables["input"]), dict(variables["constants"])
@@ -270,23 +259,13 @@ def _build_bundle(data: dict) -> ModelBundle:
     locations = []
     for entry in data["locations"]:
         flow = entry["flow"]
-        dynamics = AffineDynamics(
-            np.asarray(flow["a"], dtype=float),
-            np.asarray(flow["b"], dtype=float),
-            np.asarray(flow["c"], dtype=float),
-            _terms_in(flow.get("a_terms")),
-            _terms_in(flow.get("b_terms")),
-            _terms_in(flow.get("c_terms")),
-        )
+        dynamics = AffineDynamics(flow["a"], flow["b"], flow["c"],
+                                  flow.get("a_terms"), flow.get("b_terms"), flow.get("c_terms"))
         locations.append(Location(entry["name"], _condition_in(entry["invariant"]), dynamics))
     transitions = []
     for entry in data["transitions"]:
-        reset = ResetMap(
-            np.asarray(entry["reset"]["matrix"], dtype=float),
-            np.asarray(entry["reset"]["offset"], dtype=float),
-            _terms_in(entry["reset"].get("matrix_terms")),
-            _terms_in(entry["reset"].get("offset_terms")),
-        )
+        r = entry["reset"]
+        reset = ResetMap(r["matrix"], r["offset"], r.get("matrix_terms"), r.get("offset_terms"))
         transitions.append(
             Transition(entry["source"], entry["target"], _condition_in(entry["guard"]), reset, entry.get("label"))
         )

@@ -31,7 +31,9 @@ def _freeze(a, dtype=float) -> np.ndarray:
 
 
 def _freeze_terms(terms) -> dict:
-    return {name: _freeze(arr) for name, arr in sorted((terms or {}).items())}
+    """Frozen symbolic term arrays by name; an all-zero array is no term, so every reader drops it."""
+    frozen = {name: _freeze(arr) for name, arr in sorted((terms or {}).items())}
+    return {name: arr for name, arr in frozen.items() if arr.any()}
 
 
 def _terms_equal(t1: dict, t2: dict) -> bool:
@@ -118,7 +120,7 @@ class LinearConstraint:
         object.__setattr__(self, "coeffs", _freeze(self.coeffs))
         object.__setattr__(self, "bound", float(self.bound))
         object.__setattr__(self, "coeff_terms", _freeze_terms(self.coeff_terms))
-        object.__setattr__(self, "bound_terms", {name: float(v) for name, v in sorted(self.bound_terms.items())})
+        object.__setattr__(self, "bound_terms", {name: float(v) for name, v in sorted(self.bound_terms.items()) if v})
 
     __eq__ = _fields_equal
 

@@ -50,7 +50,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import HyraError, InitOutsideInvariant, NonFiniteFlowpipe, StepTooLarge
-from .expressions import format_number, format_rows
+from .expressions import format_number, format_table
 from .ir import Condition, ModelBundle, validate
 from .sets import (
     Box,
@@ -732,18 +732,14 @@ def reach(bundle: ModelBundle) -> ReachResult:
 
 
 def segments_to_csv(result: ReachResult, state_vars) -> str:
+    """One ``format_table`` line per segment: time span, location, jump depth, each variable's lo and hi."""
     segments = result.segments
     header = ["time_lo", "time_hi", "location", "jump_depth"]
-    for var in state_vars:
-        header.append(f"lo_{var}")
-        header.append(f"hi_{var}")
+    header += [f"{side}_{var}" for var in state_vars for side in ("lo", "hi")]
     bounds = np.empty((len(segments), 2 * len(state_vars)))
     bounds[:, 0::2] = segments.lo
     bounds[:, 1::2] = segments.hi
-    times = format_rows(np.column_stack((segments.time_lo, segments.time_hi)))
-    lines = [",".join(header)] + [
-        f"{t},{loc},{depth},{b}" for t, loc, depth, b in zip(
-            times, segments.location.tolist(), segments.depth.tolist(), format_rows(bounds)
-        )
-    ]
-    return "\n".join(lines) + "\n"
+    depths = segments.depth.tolist()
+    depth_text = {d: str(d) for d in set(depths)}  # a few distinct depths, one str() each
+    return format_table(header, [np.column_stack((segments.time_lo, segments.time_hi)), segments.location.tolist(),
+                                 [depth_text[d] for d in depths], bounds])

@@ -39,7 +39,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import EngineError, InitOutsideInvariant, MaxEventsExceeded
-from .expressions import format_rows
+from .expressions import format_table
 from .ir import AffineDynamics, Condition, ModelBundle, Transition
 from .sets import Box
 
@@ -474,21 +474,16 @@ def sample_initial(box: Box, k: int, seed: int) -> list:
 
 
 def trajectory_to_csv(traj: Trajectory, state_vars) -> str:
-    times = format_rows(np.reshape(traj.times, (-1, 1)))
-    lines = ["time,location," + ",".join(state_vars)] + [
-        f"{t},{loc},{row}" for t, loc, row in zip(times, traj.locations, format_rows(traj.states))
-    ]
-    return "\n".join(lines) + "\n"
+    """One ``format_table`` line per sample: time, location, state."""
+    return format_table(("time", "location", *state_vars),
+                        [np.reshape(traj.times, (-1, 1)), traj.locations, traj.states])
 
 
 def events_to_csv(traj: Trajectory, state_vars) -> str:
-    pre = ",".join(f"pre_{v}" for v in state_vars)
-    post = ",".join(f"post_{v}" for v in state_vars)
+    """One ``format_table`` line per event: time, label, source, target, state before and after."""
     events = traj.events
-    times = format_rows(np.reshape([e.time for e in events], (-1, 1)))
-    rows = format_rows(np.reshape([np.concatenate((e.pre_state, e.post_state)) for e in events],
-                                  (len(events), 2 * len(state_vars))))
-    lines = [f"time,label,source,target,{pre},{post}"] + [
-        f"{t},{e.label or ''},{e.source},{e.target},{row}" for t, e, row in zip(times, events, rows)
-    ]
-    return "\n".join(lines) + "\n"
+    header = ["time", "label", "source", "target"]
+    header += [f"pre_{v}" for v in state_vars] + [f"post_{v}" for v in state_vars]
+    states = np.reshape([np.concatenate((e.pre_state, e.post_state)) for e in events], (len(events), 2 * len(state_vars)))
+    return format_table(header, [np.reshape([e.time for e in events], (-1, 1)), [e.label or "" for e in events],
+                                 [e.source for e in events], [e.target for e in events], states])

@@ -1,6 +1,8 @@
 """Shared helpers for the test suite."""
 
+import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +42,14 @@ def bad_value_document(case: str) -> str:
     data = json.loads((CORPUS_DIR / "bouncing-ball" / "bundle.json").read_text())
     BAD_VALUES[case](data)
     return json.dumps(data, indent=2)
+
+
+def with_leftover_tail(bundle: ModelBundle, tail: float) -> ModelBundle:
+    """The bundle with a horizon that ends ``tail`` of a step past a step
+    boundary, so every flowpipe that lives to the horizon has a leftover tail."""
+    settings = bundle.settings
+    horizon = (math.floor(settings.horizon / settings.step) - 1 + tail) * settings.step
+    return ModelBundle(bundle.automaton, dataclasses.replace(settings, horizon=horizon), bundle.initial)
 
 
 def late_entry_bundle(fixpoint: bool = True) -> ModelBundle:

@@ -5,7 +5,9 @@ import pytest
 
 from hyra.cli import build_parser, main
 from hyra.corpus import benchmark_from_name, build
+from hyra.expressions import format_number
 from hyra.interchange import write_json
+from hyra.simulate import Integrator, SimOptions, sample_initial, simulate
 
 from support import BAD_VALUES, CORPUS_DIR, bad_value_document, merge_overflow_bundle
 
@@ -84,6 +86,19 @@ def test_simulate_writes_runs(tmp_path, capsys):
     lines = out_csv.read_text().splitlines()
     assert lines[0] == "run,time,location,x1,x2,x3"
     assert {line.split(",")[0] for line in lines[1:]} == {"0", "1", "2"}
+
+
+@pytest.mark.parametrize("model", ["bouncing-ball", "linswitch4", "platoon6", "tank3"])
+def test_simulate_out_file_formats_every_value_like_format_number(model, tmp_path, capsys):
+    out_csv = tmp_path / "runs.csv"
+    assert run(capsys, "bench", model, "simulate", "--seeds", "3", "--out", str(out_csv))[0] == 0
+    bundle = build(benchmark_from_name(model))
+    lines = [",".join(("run", "time", "location", *bundle.automaton.vars.state_vars))]
+    for index, x0 in enumerate(sample_initial(bundle.initial.box, 3, 0)):
+        traj = simulate(bundle, x0, Integrator.HEUN, SimOptions(step=bundle.settings.step / 10.0))
+        for t, loc, state in zip(traj.times, traj.locations, traj.states):
+            lines.append(",".join([str(index), format_number(t), loc, *map(format_number, state)]))
+    assert out_csv.read_text() == "\n".join(lines) + "\n"
 
 
 def test_bench_simulate_matches_simulate_on_the_bundle_file(tmp_path, capsys):

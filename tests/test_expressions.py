@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from hyra.expressions import (
     format_linear,
     format_number,
     format_rows,
+    format_table,
     linear_form,
     parse_condition,
     parse_expression,
@@ -158,6 +161,60 @@ def test_format_rows_empty_and_single_column():
     assert format_rows(np.zeros((0, 1))) == []
     assert format_rows(np.zeros((2, 0))) == ["", ""]
     assert format_rows(np.array([[7.0], [0.5], [1e-7]])) == ["7", "0.5", "1e-07"]
+
+
+# cells whose orjson text needs a fix-up: integral ones lose ".0", special ones
+# are filled in, big ones gain "+" and tiny ones must keep their "-"
+FIXED_CELLS = {
+    "integral": [3.0, -12.0, 0.0, 1e15],
+    "special": [1.5e-5, float("nan"), -float("inf"), 2e-9],
+    "big": [1e22, -1.5e16],
+    "tiny": [1e-300, -5e-324],
+}
+
+
+@pytest.mark.parametrize("column", ["first", "last", "every"], ids=lambda c: f"{c}-column")
+@pytest.mark.parametrize("rows", ["no", "one", "every"], ids=lambda r: f"{r}-row")
+@pytest.mark.parametrize("kind", FIXED_CELLS)
+def test_format_rows_fixes_the_rows_that_hold_such_a_cell(kind, rows, column):
+    values = np.random.default_rng(5).integers(100, 900, (5, 4)) / 1000.0 + 5e-4  # no cell needs a fix-up
+    cells = itertools.cycle(FIXED_CELLS[kind])
+    for i in {"no": [], "one": [2], "every": range(5)}[rows]:
+        for j in {"first": [0], "last": [3], "every": range(4)}[column]:
+            values[i, j] = next(cells)
+    assert format_rows(values) == _reference_rows(values)
+
+
+def test_format_rows_mixed_rows_and_shapes():
+    values = np.array([
+        [float("nan"), 1.5e-5, -float("inf"), 2e-7],  # every cell special
+        [1e22, 1e-300, 0.5, -1.5e16],  # big and tiny cells in one row
+        [1.0, 2.0, -0.0, 1e15],  # every cell integral
+        [0.25, 3.0, 1e-5, 7.0],
+        [0.125, 0.5, 0.75, 0.875],  # nothing to fix
+    ])
+    assert format_rows(values) == _reference_rows(values) == [
+        "nan,1.5e-05,-inf,2e-07",
+        "1e+22,1e-300,0.5,-1.5e+16",
+        "1,2,0,1000000000000000",
+        "0.25,3,1e-05,7",
+        "0.125,0.5,0.75,0.875",
+    ]
+    for j in range(4):
+        assert format_rows(values[:, j:j + 1]) == _reference_rows(values[:, j:j + 1])
+    assert format_rows(values[:0]) == []
+    assert format_rows(values[:, :0]) == [""] * 5
+
+
+def test_format_table_joins_the_blocks_of_each_row():
+    times = np.array([[0.5], [2.0], [1e-7]])
+    states = np.array([[1e22, 1.5e-5], [3.0, -0.0], [0.1, float("nan")]])
+    text = format_table(["t", "name", "x", "y"], [times, ["a", "b", ""], states])
+    assert text == "t,name,x,y\n0.5,a,1e+22,1.5e-05\n2,b,3,0\n1e-07,,0.1,nan\n"
+    assert format_table(("x",), [times]) == "x\n0.5\n2\n1e-07\n"
+    assert format_table(["t", "name"], [np.zeros((0, 1)), []]) == "t,name\n"
+    with pytest.raises(ValueError):  # blocks of different lengths
+        format_table(["t", "name"], [times, ["a", "b"]])
 
 
 def test_format_linear_readable_rows():

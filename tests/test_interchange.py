@@ -11,6 +11,7 @@ from hyra import interchange
 from hyra.corpus import all_benchmarks, build, build_bouncing_ball
 from hyra.errors import SchemaViolation
 from hyra.interchange import bundle_to_dict, read_json, write_json
+from hyra.spaceex import emit_spaceex, parse_spaceex
 
 from support import BAD_VALUES, CORPUS_DIR, SCHEMA_PATH, bad_value_document
 
@@ -148,6 +149,22 @@ def test_integers_read_as_floats():
                bundle.settings.forbidden.constraints[0].bound_terms["c"])
     assert scalars == (2**70, 1, 2**70, 3)
     assert {type(v) for v in scalars} == {float}
+
+
+def test_all_zero_symbolic_terms_read_as_no_terms():
+    data = _ball_data()
+    data["transitions"][0]["reset"] = {"matrix": np.eye(4).tolist(), "offset": [0.0] * 4}
+    plain = read_json(json.dumps(data))
+    zeros = np.zeros((4, 4)).tolist()
+    data["transitions"][0]["reset"].update(matrix_terms={"c": zeros}, offset_terms={"c": [0.0] * 4})
+    data["locations"][0]["flow"].update(a_terms={"c": zeros}, b_terms={"c": [[]] * 4}, c_terms={"c": [-0.0] * 4})
+    data["locations"][0]["invariant"][0].update(coeff_terms={"c": [0.0] * 4}, bound_terms={"c": 0})
+    data["settings"]["forbidden"][0]["bound_terms"] = {"c": 0.0}
+    bundle = read_json(json.dumps(data))
+    assert bundle == plain
+    assert bundle.automaton.transitions[0].reset.is_identity()
+    assert parse_spaceex(emit_spaceex(bundle)) == bundle.automaton
+    assert write_json(bundle) == write_json(plain)  # the zero terms' keys are left out
 
 
 @pytest.mark.parametrize("edit", [

@@ -224,10 +224,11 @@ def test_ir_values_compare_field_by_field_and_stay_unhashable(index):
 
 def test_equal_term_arrays_need_equal_shapes_and_entries():
     dyn = AffineDynamics.zero(2)
-    assert dataclasses.replace(dyn, a_terms={"k": np.zeros((2, 2))}) == \
-        dataclasses.replace(dyn, a_terms={"k": [[0.0, -0.0], [0.0, 0.0]]})
-    assert dataclasses.replace(dyn, a_terms={"k": np.zeros((2, 2))}) != \
-        dataclasses.replace(dyn, a_terms={"k": np.zeros((1, 2, 2))})
+    term = np.array([[1.0, 0.0], [0.0, 0.0]])
+    assert dataclasses.replace(dyn, a_terms={"k": term}) == \
+        dataclasses.replace(dyn, a_terms={"k": [[1.0, -0.0], [0.0, 0.0]]})
+    assert dataclasses.replace(dyn, a_terms={"k": term}) != \
+        dataclasses.replace(dyn, a_terms={"k": term.reshape(1, 2, 2)})
     assert dataclasses.replace(dyn, a=np.full((2, 2), np.nan)) != dataclasses.replace(dyn, a=np.full((2, 2), np.nan))
 
 

@@ -47,7 +47,9 @@ from hyra.sets import (
     reduce_order,
     translate,
 )
-from support import box_contains, late_entry_bundle, merge_overflow_bundle, revisit_bundle, sample_zonotope
+from support import (
+    box_contains, late_entry_bundle, merge_overflow_bundle, revisit_bundle, sample_zonotope, with_leftover_tail,
+)
 
 reach_module = importlib.import_module("hyra.reach")
 
@@ -220,17 +222,9 @@ CORPUS_BUILDS = (build_bouncing_ball, build_tank, build_linswitch, build_platoon
 
 
 def recorded_calls(name: str, build, tail: float = 0.0) -> list:
-    """Arguments of every call to ``reach.<name>`` while reaching a corpus model.
-
-    With ``tail`` > 0 the horizon ends that fraction of a step past a step
-    boundary, so every flowpipe that lives to the horizon has a leftover tail.
-    """
-    bundle = build()
-    if tail:
-        settings = bundle.settings
-        horizon = (math.floor(settings.horizon / settings.step) - 1 + tail) * settings.step
-        bundle = ModelBundle(bundle.automaton, dataclasses.replace(settings, horizon=horizon),
-                             bundle.initial)
+    """Arguments of every call to ``reach.<name>`` while reaching a corpus model,
+    with a leftover tail (``with_leftover_tail``) when ``tail`` > 0."""
+    bundle = with_leftover_tail(build(), tail) if tail else build()
     calls = []
     original = getattr(reach_module, name)
 
@@ -1047,17 +1041,21 @@ def _empty_result():
     return ReachResult(segments, Verdict.SAFE_PROVED, ReachStats()), ("x", "v")
 
 
-def _corpus_result(build):
+def _corpus_result(build, tail: float = 0.0):
     def make():
-        bundle = build()
+        bundle = with_leftover_tail(build(), tail) if tail else build()
         return reach(bundle), bundle.automaton.vars.state_vars
     return make
 
 
+CORPUS_IDS = ["bouncing-ball", "tank3", "linswitch4", "platoon6"]
+
+
 @pytest.mark.parametrize("make", [
     _hand_made_result, _empty_result,
-    *(_corpus_result(b) for b in (build_bouncing_ball, build_tank, build_linswitch, build_platoon)),
-], ids=["hand-made", "empty", "bouncing-ball", "tank3", "linswitch4", "platoon6"])
+    *(_corpus_result(b) for b in CORPUS_BUILDS),
+    *(_corpus_result(b, tail=0.37) for b in CORPUS_BUILDS),
+], ids=["hand-made", "empty", *CORPUS_IDS, *(f"{m}-leftover-tail" for m in CORPUS_IDS)])
 def test_segment_csv_formats_every_value_like_format_number(make):
     result, state_vars = make()
     text = segments_to_csv(result, state_vars)

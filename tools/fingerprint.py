@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
 """Print one SHA-256 line per model and configuration of hyra's outputs.
 
-The lines cover the reach CSV (with the verdict) at the shipped settings
-and at the deeper jump bounds of the reach-deep benchmark (ball at 3 and 5
-jumps, tank3 at 16 and 24 jumps over 10 and 15 s), and the trajectory and
-event CSVs of three seeded ``simulate`` runs with Heun and Euler at the
-shipped step and at step/10. Two models of the test suite add reach lines
+The lines cover the reach CSV (with the verdict) at the shipped settings,
+at a horizon that leaves every flowpipe living to it a leftover tail step
+(as the test suite's ``with_leftover_tail`` builds it) and at the deeper
+jump bounds of the reach-deep benchmark (ball at 3 and 5 jumps, tank3 at 16
+and 24 jumps over 10 and 15 s), the trajectory and event CSVs of three
+seeded ``simulate`` runs with Heun and Euler at the shipped step and at
+step/10, and the file ``hyra bench <model> simulate --seeds 3 --out``
+writes. Two models of the test suite add reach lines
 with the fixpoint check on and off: one whose check discards a revisit,
 one whose check must keep an earlier entry. Reader lines cover
 ``write_json`` and ``emit_flowstar`` of ``read_json`` on each corpus
@@ -21,11 +24,15 @@ exactly when all of these outputs are byte-identical:
     diff before.txt after.txt
 """
 
+import contextlib
 import hashlib
+import io
 import sys
+import tempfile
 from pathlib import Path
 
 from hyra import corpus
+from hyra.cli import main as cli_main
 from hyra.config import emit_config, parse_config
 from hyra.errors import SchemaViolation
 from hyra.flowstar import emit_flowstar
@@ -42,6 +49,7 @@ DEEP = {
     "tank3": [(16, 10.0), (24, 10.0), (16, 15.0), (24, 15.0)],
 }
 SEEDS = 3
+TAIL = 0.37  # of a step: the leftover-tail horizon of the test suite
 
 
 def with_bound(bundle, max_jumps, horizon):
@@ -54,6 +62,7 @@ def with_bound(bundle, max_jumps, horizon):
 def reach_configs(model: str, bundle):
     """(label, bundle) of each reach configuration of a corpus model."""
     yield "reach shipped", bundle
+    yield f"reach leftover-tail={TAIL:g}", suite_support().with_leftover_tail(bundle, TAIL)
     for jumps, horizon in DEEP.get(model, []):
         label = f"reach jumps={jumps}" + (f" horizon={horizon:g}" if horizon else "")
         yield label, with_bound(bundle, jumps, horizon)
@@ -76,6 +85,15 @@ def simulate_text(bundle, kind, step) -> str:
             continue
         parts.append(trajectory_to_csv(traj, state_vars) + events_to_csv(traj, state_vars))
     return "".join(parts)
+
+
+def cli_simulate_text(model: str) -> str:
+    """The file of ``hyra bench <model> simulate --seeds 3 --out``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "runs.csv"
+        with contextlib.redirect_stdout(io.StringIO()):  # the RUN lines
+            cli_main(["bench", model, "simulate", "--seeds", str(SEEDS), "--out", str(out)])
+        return out.read_text()
 
 
 def rejection(text: str) -> str:
@@ -148,6 +166,7 @@ def lines():
             for step in (bundle.settings.step, bundle.settings.step / 10.0):
                 configs.append((f"simulate {kind.value} step={step:g}",
                                 lambda b=bundle, k=kind, h=step: simulate_text(b, k, h)))
+        configs.append((f"cli simulate --seeds {SEEDS} --out", lambda m=model: cli_simulate_text(m)))
         for label, make in configs:
             yield f"{digest(make())}  {model} {label}"
     for model, label, bundle in fixpoint_configs():
