@@ -15,7 +15,9 @@ location, ``simulate`` reads M and e off ``step`` (stepping the zero vector
 and the unit vectors), stacks M^1..M^K with their offsets for a chunk of
 K = 128 steps, and computes the next K states with one product. One more
 product evaluates every outgoing guard and the invariant on all of them.
-The chunk's leading steps are recorded as they are. The first step where a
+These tables are built once per resolved automaton, step and integrator,
+and every later run with the same three shares them (read-only). The
+chunk's leading steps are recorded as they are. The first step where a
 guard may cross, the invariant fails, the step is shortened by the horizon,
 or a constraint value lies too close to its threshold to be decided safely
 under rounding runs through the per-step path: one ``step``, then
@@ -250,6 +252,8 @@ class _Chunk:
     halfspace rows of the invariant and of inequality-only guards with slack
     ``_GUARD_SLACK``, and the first equality c.x == b of each crossing guard
     as the row (-c, -b) with slack 0, whose margin is its plain sign c.x - b.
+    The invariant's columns come first, then the crossings', then each
+    switching guard's. The arrays are read-only: runs share a chunk.
     """
 
     def __init__(self, dyn: AffineDynamics, invariant: Condition, transitions, u, h: float,
@@ -269,28 +273,27 @@ class _Chunk:
 
         columns = []  # (coeffs, bound, slack)
 
-        def tested(cond: Condition) -> list:
+        def tested(cond: Condition) -> slice:
             """Columns for the rows of a condition the per-step path checks with ``_GUARD_SLACK``."""
             rows = cond.halfspaces()
             start = len(columns)
             columns.extend((c, d, _GUARD_SLACK) for c, d in zip(rows.coeffs, rows.bounds))
-            return list(range(start, len(columns)))
+            return slice(start, len(columns))
 
         self.invariant = tested(invariant)
-        self.crossings = []
-        self.switches = []
-        for trans in transitions:
-            eqs, _ = _split_guard(trans.guard)
-            if eqs:
-                self.crossings.append(len(columns))
-                columns.append((-eqs[0].coeffs, -eqs[0].bound, 0.0))
-            elif not trans.guard.is_true:
-                self.switches.append(tested(trans.guard))
-        self.coeffs = np.array([c for c, _, _ in columns]).reshape(-1, n).T
+        guards = [(trans.guard, _split_guard(trans.guard)[0]) for trans in transitions]
+        columns.extend((-eqs[0].coeffs, -eqs[0].bound, 0.0) for _, eqs in guards if eqs)
+        self.crossings = slice(self.invariant.stop, len(columns))
+        # where each inequality-only guard's columns start; they run to the next guard's
+        self.switches = [tested(guard).start for guard, eqs in guards if not (eqs or guard.is_true)]
+        self.coeffs = np.array([c for c, _, _ in columns]).reshape(-1, n).T.copy()
         self.abs_coeffs = np.abs(self.coeffs)
-        self.bounds = np.array([d for _, d, _ in columns])
-        self.slack = np.array([s for _, _, s in columns])
+        self.bounds = np.array([d for _, d, _ in columns]).reshape(-1, 1)
+        self.slack = np.array([s for _, _, s in columns]).reshape(-1, 1)
         self.scale = np.abs(self.bounds) + self.slack
+        for table in (self.powers, self.offsets, self.steps, self.coeffs, self.abs_coeffs,
+                      self.bounds, self.slack, self.scale):
+            table.flags.writeable = False
 
     def advance(self, x, t: float, last_time: float, horizon: float) -> tuple:
         """(k, times, states) of the leading steps from (t, x) with nothing to decide.
@@ -299,24 +302,39 @@ class _Chunk:
         no guard may cross on it, it stays inside the invariant, and no
         tested value at either end is within rounding of its threshold.
         """
-        states = (self.powers @ x).reshape(_CHUNK, -1) + self.offsets
-        self.steps[0] = t
-        times = np.cumsum(self.steps)  # the same sums as t += h, one step at a time
-        plain = (times[:-1] < horizon - 1e-12) & (horizon - times[:-1] >= self.h)
-        plain &= times[1:] > np.concatenate(([last_time], times[1:-1]))
+        path = np.empty((_CHUNK + 1, len(x)))
+        path[0] = x
+        states = np.add((self.powers @ x).reshape(_CHUNK, -1), self.offsets, out=path[1:])
+        times = self.steps.copy()
+        times[0] = t
+        times = times.cumsum()  # the same sums as t += h, one step at a time
         if len(self.bounds):
-            path = np.concatenate((x[None], states))
-            margin = self.slack - (path @ self.coeffs - self.bounds)
-            band = _ROUNDING * (np.abs(path) @ self.abs_coeffs + self.scale)
-            clear = ~(np.abs(margin) <= band).any(axis=1)
+            # one row per column, so that every test below reduces over rows
+            margin, band = np.empty((2, len(self.bounds), _CHUNK + 1))
+            np.subtract((path @ self.coeffs).T, self.bounds, out=margin)
+            np.subtract(self.slack, margin, out=margin)  # slack - (path @ coeffs - bounds)
+            np.add((np.abs(path) @ self.abs_coeffs).T, self.scale, out=band)
+            band *= _ROUNDING
+            near = (np.abs(margin) <= band).any(axis=0)
             ok = margin >= 0.0
-            plain &= clear[:-1] & clear[1:] & ok[1:, self.invariant].all(axis=1)
-            for cols in self.switches:
-                holds = ok[:, cols].all(axis=1)
-                plain &= holds[:-1] | ~holds[1:]
-            if self.crossings:
-                above = ok[:, self.crossings]
-                plain &= (above[:-1] == above[1:]).all(axis=1)
+            plain = ~(near[:-1] | near[1:])
+            if self.invariant.stop:
+                plain &= ok[self.invariant, 1:].all(axis=0)
+            if self.switches:
+                holds = np.logical_and.reduceat(ok, self.switches, axis=0)
+                plain &= (holds[:, :-1] | ~holds[:, 1:]).all(axis=0)
+            if self.crossings.start < self.crossings.stop:
+                above = ok[self.crossings]
+                plain &= (above[:, :-1] == above[:, 1:]).all(axis=0)
+        else:
+            plain = np.ones(_CHUNK, dtype=bool)
+        # The times never decrease, so every step starts inside the horizon when
+        # the last one does; and a time that a step leaves unchanged stays so,
+        # so each step advances when h is at least the ulp of the last time.
+        if not (self.h >= math.ulp(times[-1]) and times[1] > last_time
+                and times[-2] < horizon - 1e-12 and horizon - times[-2] >= self.h):
+            plain &= (times[:-1] < horizon - 1e-12) & (horizon - times[:-1] >= self.h)
+            plain &= times[1:] > np.concatenate(([last_time], times[1:-1]))
         k = _CHUNK if plain.all() else int(np.argmin(plain))
         return k, times[1:k + 1], states[:k]
 
@@ -374,7 +392,9 @@ def simulate(bundle: ModelBundle, x0, kind: Integrator = Integrator.HEUN,
     t = 0.0
 
     outgoing = {l.name: automaton.transitions_from(l.name) for l in automaton.locations}
-    chunks: dict = {}
+    if automaton.__dict__.get("_chunks", (None,))[0] != (h, kind):  # kept like ``_resolved``
+        automaton.__dict__["_chunks"] = ((h, kind), {})
+    chunks = automaton.__dict__["_chunks"][1]
 
     while t < horizon - 1e-12:
         chunk = chunks.get(loc.name)

@@ -114,12 +114,19 @@ def _reference_rows(values):
     return [",".join(format_number(v) for v in row) for row in values]
 
 
+def _assert_same_rows(got: list, want: list) -> None:
+    """Every row equal, failing on the first row that differs rather than on a diff of the whole lists."""
+    first = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), None)
+    assert first is None, f"row {first}: {got[first]!r} != {want[first]!r}"
+    assert len(got) == len(want)
+
+
 def test_format_rows_matches_format_number_on_random_bit_patterns():
     rng = np.random.default_rng(20181)
     bits = rng.integers(0, 2**64, size=(40_000, 5), dtype=np.uint64)
     with np.errstate(invalid="ignore"):  # some patterns are signalling NaNs
         values = bits.view(np.float64)
-        assert format_rows(values) == _reference_rows(values)
+        _assert_same_rows(format_rows(values), _reference_rows(values))
 
 
 def test_format_rows_matches_format_number_on_decimal_like_values():
@@ -131,7 +138,7 @@ def test_format_rows_matches_format_number_on_decimal_like_values():
     values = np.array(
         [f"{s}{m}e{e}" for s, m, e in zip(signs, mantissas, exponents)], dtype=float
     ).reshape(-1, 6)
-    assert format_rows(values) == _reference_rows(values)
+    _assert_same_rows(format_rows(values), _reference_rows(values))
 
 
 EDGE_VALUES = [

@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from hyra.cli import main
 from hyra.corpus import build_bouncing_ball, build_linswitch, build_platoon, build_tank
 from hyra.errors import EngineError, InitOutsideInvariant, MaxEventsExceeded
 from hyra.expressions import format_number
@@ -21,6 +22,7 @@ from hyra.ir import (
     ResetMap,
     Transition,
     VariableTable,
+    bind_constant,
 )
 from hyra.sets import Box
 from hyra.simulate import (
@@ -45,6 +47,7 @@ from hyra.simulate import (
     step,
     trajectory_to_csv,
 )
+from support import CORPUS_DIR
 
 simulate_module = importlib.import_module("hyra.simulate")
 
@@ -769,3 +772,130 @@ def test_chunked_simulate_matches_the_per_step_loop(build):
     # relative per sample: the platoon runs diverge to about 1e23
     err = np.linalg.norm(got.states[same] - want.states[same], axis=1)
     assert np.all(err <= 1e-9 * np.linalg.norm(want.states[same], axis=1))
+
+
+# ---------------------------------------------------------------------------
+# chunk tables shared across runs
+
+
+def _counted_chunks(monkeypatch) -> list:
+    """The chunks ``simulate`` builds from now on, in order."""
+    built = []
+
+    class Counted(_Chunk):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(simulate_module, "_Chunk", Counted)
+    return built
+
+
+def test_runs_on_one_automaton_build_each_location_table_once(monkeypatch):
+    built = _counted_chunks(monkeypatch)
+    bundle = build_bouncing_ball()
+    options = SimOptions(step=bundle.settings.step / 10.0)
+    visited = set()
+    for x0 in sample_initial(bundle.initial.box, 3, seed=7):
+        visited |= set(simulate(bundle, x0, Integrator.HEUN, options).locations)
+    assert len(built) == len(visited) == 1
+
+
+def test_cli_seeds_build_each_visited_location_table_once(monkeypatch, tmp_path, capsys):
+    built = _counted_chunks(monkeypatch)
+    out = tmp_path / "runs.csv"
+    assert main(["simulate", str(CORPUS_DIR / "tank3" / "bundle.json"), "--seeds", "3", "--out", str(out)]) == 0
+    visited = {line.split(",")[2] for line in out.read_text().splitlines()[1:]}
+    assert len(capsys.readouterr().out.splitlines()) == 3
+    assert len(visited) > 1 and len(built) == len(visited)
+
+
+def test_another_step_integrator_or_automaton_builds_its_own_tables(monkeypatch):
+    built = _counted_chunks(monkeypatch)
+    bundle = build_bouncing_ball()
+    x0 = sample_initial(bundle.initial.box, 1, seed=7)[0]
+    h = bundle.settings.step / 10.0
+    rebound = ModelBundle(bind_constant(bundle.automaton, "c", 0.9), bundle.settings, bundle.initial)
+    runs = [(bundle, h, Integrator.HEUN), (bundle, h / 2, Integrator.HEUN),
+            (bundle, h / 2, Integrator.EULER), (rebound, h / 2, Integrator.EULER),
+            (bundle, h / 2, Integrator.EULER)]
+    counts = []
+    for b, step_h, kind in runs:
+        simulate(b, x0, kind, SimOptions(step=step_h, horizon=2.0))
+        counts.append(len(built))
+    assert counts == [1, 2, 3, 4, 4]
+    assert [(c.h, c.powers.shape) for c in built[1:3]] == [(h / 2, built[0].powers.shape)] * 2
+    assert not np.array_equal(built[1].offsets, built[2].offsets)  # Heun and Euler differ in e only here
+
+
+@pytest.mark.parametrize("build", [build_bouncing_ball, build_tank, build_linswitch, build_platoon])
+def test_a_run_on_shared_tables_writes_the_cold_runs_csv(build):
+    bundle = build()
+    names = bundle.automaton.vars.state_vars
+    x0 = sample_initial(bundle.initial.box, 1, seed=11)[0]
+    options = SimOptions(step=bundle.settings.step / 10.0)
+    texts = []
+    for _ in range(2):
+        traj = simulate(bundle, x0, Integrator.HEUN, options)
+        texts.append((trajectory_to_csv(traj, names), events_to_csv(traj, names)))
+    assert texts[1] == texts[0]
+
+
+def test_shared_tables_are_read_only(monkeypatch):
+    built = _counted_chunks(monkeypatch)
+    bundle = build_tank()
+    simulate(bundle, sample_initial(bundle.initial.box, 1, seed=7)[0], Integrator.HEUN, SimOptions(step=0.01))
+    tables = [value for chunk in built for value in vars(chunk).values() if isinstance(value, np.ndarray)]
+    assert built and len(tables) == 8 * len(built)
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table[...] = 0.0
+
+
+def _step_times(t, h) -> np.ndarray:
+    """t, t + h, (t + h) + h, ...: the chunk's step starts and its last step's end."""
+    steps = np.full(simulate_module._CHUNK + 1, h)
+    steps[0] = t
+    return np.cumsum(steps)
+
+
+def _plain_time_steps(t, last_time, horizon, h) -> tuple:
+    """(k, times) of the chunk's time tests, by the plain vector formula."""
+    times = _step_times(t, h)
+    plain = (times[:-1] < horizon - 1e-12) & (horizon - times[:-1] >= h)
+    plain &= times[1:] > np.concatenate(([last_time], times[1:-1]))
+    k = simulate_module._CHUNK if plain.all() else int(np.argmin(plain))
+    return k, times[1:k + 1]
+
+
+def _time_cases(seed: int) -> list:
+    """Seeded (t, last_time, horizon, h) around every premise of the shortcut."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(400):
+        t = float(rng.choice([0.0, 1.0, 1e3, 1e9, 1e15])) * float(rng.uniform(0.0, 2.0))
+        h = float(rng.choice([1e-1, 1e-3, 1e-6])) * float(rng.uniform(0.5, 2.0))
+        if rng.uniform() < 0.2:
+            h = np.spacing(t) * float(rng.choice([0.25, 0.5, 1.0, 2.0]))  # time stalls or barely moves
+        times = _step_times(t, h)
+        end = float(times[-1])  # the last step's end: the horizon one step past the chunk
+        inside = float(times[int(rng.integers(1, len(times)))])
+        for horizon in (math.inf, end, math.nextafter(end, -math.inf), math.nextafter(end, math.inf),
+                        float(times[-2]) + 1e-12, inside, inside + 0.5 * h, t):
+            for last_time in (t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf),
+                              float(times[0]), -1.0):
+                cases.append((t, last_time, horizon, h))
+    cases += [(-0.5, -0.5, 10.0, 1e-3), (-1e-3, -1.0, 1.0, 1e-3), (2.0, 2.0, 2.0 + 1e-3, 1e-3)]
+    return cases
+
+
+def test_chunk_time_shortcut_matches_the_plain_vector_test():
+    chunk = _Chunk(AffineDynamics.zero(1), Condition(), (), (), 1.0, Integrator.HEUN)
+    x = np.zeros(1)
+    for t, last_time, horizon, h in _time_cases(19):
+        chunk.h = h  # the time tests read only h and the step table
+        chunk.steps = np.full(simulate_module._CHUNK + 1, h)
+        k, times, states = chunk.advance(x, t, last_time, horizon)
+        want_k, want_times = _plain_time_steps(t, last_time, horizon, h)
+        assert k == want_k and len(states) == k, (t, last_time, horizon, h)
+        assert np.array_equal(times, want_times), (t, last_time, horizon, h)

@@ -20,3 +20,12 @@ def test_pair_ab_compares_this_tree_with_itself():
     assert summary is not None
     low, median, high = (float(summary[i]) for i in (2, 1, 3))
     assert 0.0 < low <= median <= high
+    assert all("; op-time gmean this " in line for line in lines[1:3])
+    op_summary = re.fullmatch(r"op-time gmean ratio other/this: median (\S+), IQR \[(\S+), (\S+)\], "
+                              r"this tree faster in (\d) of 2 pairs", lines[4])
+    assert op_summary is not None
+    low, median, high = (float(op_summary[i]) for i in (2, 1, 3))
+    assert 0.0 < low <= median <= high
+    medians = re.fullmatch(r"gmean of per-op median times: this (\S+) ms, other (\S+) ms, "
+                           r"ratio other/this (\S+)", lines[5])
+    assert medians is not None and all(float(medians[i]) > 0.0 for i in (1, 2, 3))

@@ -13,6 +13,10 @@ tree it runs pairs of whole passes, one pass per tree, and swaps which tree
 goes first from pair to pair. It prints, per pair, the two pass times and
 their ratio (other over this, above 1 when this tree is faster), then the
 median ratio, its interquartile range and the number of pairs this tree won.
+Pass time tracks the benchmark's ``ops_per_s``. Next to it, per pair and in
+the same summary, it prints the ratio of the two trees' geometric means of
+their operations' times, which tracks ``op_ms.gmean``; the summary's
+geometric means are taken over each operation's median time across pairs.
 
 Passes of the two trees that alternate within one process see the same
 drift of a shared machine, so their ratio spreads far less than the
@@ -48,11 +52,21 @@ def load_modules(package: str, package_dir: Path) -> SimpleNamespace:
     return SimpleNamespace(**{name: importlib.import_module(f"{package}.{name}") for name in names})
 
 
-def timed_pass(ops) -> float:
-    started = time.perf_counter()
+def timed_pass(ops) -> list:
+    """The time of each operation, in order."""
+    times = []
     for op in ops:
+        started = time.perf_counter()
         op.run()
-    return time.perf_counter() - started
+        times.append(time.perf_counter() - started)
+    return times
+
+
+def summary(name: str, ratios: list) -> str:
+    low, median, high = statistics.quantiles(ratios, n=4, method="inclusive") if len(ratios) > 1 else ratios * 3
+    wins = sum(r > 1.0 for r in ratios)
+    return (f"{name} other/this: median {median:.3f}, IQR [{low:.3f}, {high:.3f}], "
+            f"this tree faster in {wins} of {len(ratios)} pairs")
 
 
 def main(argv=None) -> int:
@@ -94,18 +108,28 @@ def main(argv=None) -> int:
             timed_pass(trees[label])  # warm-up
         print(f"{args.workload}, seed {args.seed}: {len(trees['this'])} operations per pass; "
               f"this tree {REPO_ROOT / 'src'}, other tree {args.other_src.resolve()}")
-        ratios = []
+        ratios, op_ratios = [], []
+        op_times = {"this": [], "other": []}  # per pair, each operation's time
         for pair in range(args.passes):
             order = ("this", "other") if pair % 2 == 0 else ("other", "this")
-            seconds = {label: timed_pass(trees[label]) for label in order}
+            times = {label: timed_pass(trees[label]) for label in order}
+            seconds = {label: sum(t) for label, t in times.items()}
+            gmeans = {label: statistics.geometric_mean(t) for label, t in times.items()}
+            for label, t in times.items():
+                op_times[label].append(t)
             ratios.append(seconds["other"] / seconds["this"])
+            op_ratios.append(gmeans["other"] / gmeans["this"])
             print(f"pair {pair}: {order[0]} first, this {1e3 * seconds['this']:.1f} ms, "
-                  f"other {1e3 * seconds['other']:.1f} ms, ratio {ratios[-1]:.3f}", flush=True)
+                  f"other {1e3 * seconds['other']:.1f} ms, ratio {ratios[-1]:.3f}; "
+                  f"op-time gmean this {1e3 * gmeans['this']:.3f} ms, other {1e3 * gmeans['other']:.3f} ms, "
+                  f"ratio {op_ratios[-1]:.3f}", flush=True)
 
-    low, median, high = statistics.quantiles(ratios, n=4, method="inclusive") if len(ratios) > 1 else ratios * 3
-    wins = sum(r > 1.0 for r in ratios)
-    print(f"ratio other/this: median {median:.3f}, IQR [{low:.3f}, {high:.3f}], "
-          f"this tree faster in {wins} of {len(ratios)} pairs")
+    print(summary("ratio", ratios))
+    print(summary("op-time gmean ratio", op_ratios))
+    medians = {label: statistics.geometric_mean(statistics.median(op) for op in zip(*t))
+               for label, t in op_times.items()}
+    print(f"gmean of per-op median times: this {1e3 * medians['this']:.3f} ms, "
+          f"other {1e3 * medians['other']:.3f} ms, ratio other/this {medians['other'] / medians['this']:.3f}")
     return 0
 
 
