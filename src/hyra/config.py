@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, MissingKey, UnknownKey
 from .expressions import format_condition, format_number, parse_condition, split_conjuncts
-from .ir import Condition, InitialCondition, ReachSettings, VariableTable
+from .ir import _ROW_SIGNS, Condition, InitialCondition, ReachSettings, VariableTable
 from .sets import Box
 
 _KNOWN_KEYS = (
@@ -62,16 +62,20 @@ def _parse_initially(text: str, table: VariableTable) -> InitialCondition:
         cond = parse_condition(conjunct, table)
         if len(cond.constraints) != 1:
             raise ConfigError(f"initially term {conjunct!r} must be a single constraint")
-        nz = np.flatnonzero(cond.constraints[0].coeffs)
+        con = cond.constraints[0]
+        coeffs = con.coeffs.tolist()
+        nz = [j for j, c in enumerate(coeffs) if c]
         if cond.symbols or len(nz) != 1:
             raise ConfigError(f"initially term {conjunct!r} is not an interval bound on one variable")
-        i = int(nz[0])
-        rows = cond.halfspaces()
-        for c, d in zip(rows.coeffs[:, i], rows.bounds):
-            if c > 0:
-                hi[i] = min(hi[i], d / c)
+        # Each halfspace row (sign c) x <= sign d bounds x above when sign c > 0,
+        # else below, at (sign d) / (sign c), which is bit for bit d / c.
+        i = nz[0]
+        value = con.bound / coeffs[i]
+        for sign in _ROW_SIGNS[con.relation]:
+            if sign * coeffs[i] > 0:
+                hi[i] = min(hi[i], value)
             else:
-                lo[i] = max(lo[i], d / c)
+                lo[i] = max(lo[i], value)
     if location is None:
         raise ConfigError("initially must name a location via loc() == <name>")
     unbounded = [table.state_vars[i] for i in range(table.n) if not (math.isfinite(lo[i]) and math.isfinite(hi[i]))]

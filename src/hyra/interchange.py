@@ -1,8 +1,9 @@
 """Canonical JSON interchange form for model bundles.
 
 ``write_json`` produces a canonical text (fixed key order, shortest
-round-trip floats via json); ``read_json`` validates against the shipped
-schema (data/bundle.schema.json) before building IR objects, so malformed
+round-trip floats in ``repr`` style, ASCII-escaped strings) in one
+``orjson`` pass; ``read_json`` validates against the shipped schema
+(data/bundle.schema.json) before building IR objects, so malformed
 documents fail with SchemaViolation instead of deep attribute errors.
 
 A read checks the document once. When the validator is built, the shipped
@@ -28,11 +29,13 @@ from __future__ import annotations
 import functools
 import json
 import math
+import re
 from importlib import resources
 from types import SimpleNamespace
 
 import jsonschema
 import numpy as np
+import orjson
 
 from .errors import SchemaViolation
 from .ir import (
@@ -221,15 +224,80 @@ def bundle_to_dict(bundle: ModelBundle) -> dict:
         "initial": {
             "location": bundle.initial.location,
             "box": {
-                var: [bundle.initial.box.lo[i], bundle.initial.box.hi[i]]
-                for i, var in enumerate(table.state_vars)
+                var: [lo, hi]
+                for var, lo, hi in zip(table.state_vars, bundle.initial.box.lo.tolist(), bundle.initial.box.hi.tolist())
             },
         },
     }
 
 
+# Number tokens whose orjson text differs from repr's. A number is the only
+# token that ends a line with digits (strings end in a quote and hold no raw
+# newline), so a match is never part of a name or a label.
+_EXPONENT = re.compile(rb"e(-?)(\d+)(?=,?\n)")  # repr: e+16, e-07
+_SMALL = re.compile(rb"0\.0000[1-9]\d*(?=,?\n)")  # 1e-5 <= |x| < 1e-4, repr: 1.5e-05
+_NULL = re.compile(rb"null(?=,?\n)")
+_NOT_ASCII = re.compile("[^\x00-\x7e]")  # what ensure_ascii escapes besides controls, quote and backslash
+
+
+def _exponent(m: re.Match) -> bytes:
+    sign, digits = m.groups()
+    if not sign:
+        return b"e+" + digits
+    return b"e-0" + digits if len(digits) == 1 else m[0]
+
+
+def _small(m: re.Match) -> bytes:
+    before = m.string[m.start() - 1]  # a digit when the match is the tail of a larger number
+    return repr(float(m[0])).encode() if before in b" -" else m[0]
+
+
+def _escape(m: re.Match) -> str:
+    code = ord(m[0])
+    if code <= 0xFFFF:
+        return f"\\u{code:04x}"
+    code -= 0x10000
+    return f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}"
+
+
+def _null_spellings(value, out: list) -> list:
+    """json's text of each value orjson writes as ``null`` (None, NaN, infinities), in document order."""
+    if isinstance(value, (dict, list)):
+        for item in value.values() if isinstance(value, dict) else value:
+            _null_spellings(item, out)
+    elif value is None:
+        out.append(b"null")
+    elif isinstance(value, float) and not math.isfinite(value):
+        out.append(b"NaN" if value != value else b"Infinity" if value > 0 else b"-Infinity")
+    return out
+
+
 def write_json(bundle: ModelBundle) -> str:
-    return json.dumps(bundle_to_dict(bundle), indent=2) + "\n"
+    """The canonical text of a bundle: ``json.dumps(bundle_to_dict(bundle), indent=2)`` and a newline.
+
+    One ``orjson`` pass writes the document. Its floats carry the shortest
+    round-trip digits, those ``repr`` picks, and differ from ``repr`` only in
+    notation; the same fix-ups as in ``expressions.format_rows`` rewrite
+    just those number tokens: exponents gain a ``+`` or a leading zero
+    (``1e+16``, ``1.5e-07``), and 1e-5 <= |x| < 1e-4 goes from ``0.00001`` to
+    ``1e-05``. ``.0`` and ``-0.0`` are kept. Non-finite numbers, which orjson
+    writes as ``null``, become ``NaN``/``Infinity`` only when the document
+    holds more ``null`` tokens than its None values. Non-ASCII characters
+    and DEL are escaped as ``ensure_ascii`` does, with surrogate pairs above
+    the BMP.
+    """
+    data = bundle_to_dict(bundle)
+    text = orjson.dumps(data, option=orjson.OPT_INDENT_2 | orjson.OPT_APPEND_NEWLINE)
+    text = _SMALL.sub(_small, _EXPONENT.sub(_exponent, text))
+    settings = bundle.settings
+    nones = (settings.forbidden is None) + (settings.output_vars is None)
+    nones += sum(tr.label is None for tr in bundle.automaton.transitions)
+    if text.count(b"null") > nones:  # a non-finite number, or "null" inside a string
+        spellings = iter(_null_spellings(data, []))
+        text = _NULL.sub(lambda m: next(spellings), text)
+    if text.isascii() and b"\x7f" not in text:
+        return text.decode("ascii")
+    return _NOT_ASCII.sub(_escape, text.decode())
 
 
 def _condition_in(data: list) -> Condition:

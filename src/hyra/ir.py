@@ -10,6 +10,7 @@ current constant values. All values are immutable after construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
@@ -464,14 +465,20 @@ class ValidationReport:
         return len(self.defects)
 
 
+def _all_finite(arrays) -> bool:
+    """Whether every entry of the arrays is finite: one numpy check over their entries stacked flat."""
+    return bool(np.isfinite(np.concatenate([a.ravel() for a in arrays] + [np.empty(0)])).all())
+
+
 def _check_condition(defects, cond: Condition, n: int, known_consts, where: str):
     for con in cond.constraints:
         if con.coeffs.shape != (n,):
             defects.append(Defect("dimension", f"{where}: constraint over {con.coeffs.shape[0]} variables, expected {n}"))
             continue
-        if not np.all(np.isfinite(con.coeffs)) or not np.isfinite(con.bound):
+        coeffs = con.coeffs.tolist()
+        if not (all(map(math.isfinite, coeffs)) and math.isfinite(con.bound)):
             defects.append(Defect("non-finite", f"{where}: constraint has non-finite entries"))
-        if not con.coeffs.any() and not con.coeff_terms:
+        if not any(coeffs) and not con.coeff_terms:
             defects.append(Defect("degenerate-constraint", f"{where}: constraint has no variable term"))
         for sym in con.symbols:
             if sym not in known_consts:
@@ -484,11 +491,19 @@ def validate(automaton: HybridAutomaton, forbidden: Condition | None = None) -> 
     Defects are data, not exceptions: dimension mismatches, dangling
     location names, duplicate names, non-finite entries, and references to
     undeclared constants all land in the report, also for a ``forbidden`` set.
+    A constraint's finiteness and all-zero checks run in plain Python over
+    its ``tolist()`` values. The dynamics and reset arrays of all locations
+    and transitions are checked for finiteness in one stacked numpy pass, and
+    one location or transition at a time only when that pass finds a
+    non-finite entry.
     """
     defects = []
     vt = automaton.vars
     n, m = vt.n, vt.m
     consts = set(vt.constants)
+    arrays_finite = _all_finite([arr for loc in automaton.locations
+                                 for arr in (loc.dynamics.a, loc.dynamics.b, loc.dynamics.c)]
+                                + [arr for tr in automaton.transitions for arr in (tr.reset.r_matrix, tr.reset.r_offset)])
 
     if n == 0:
         defects.append(Defect("no-state", "automaton declares no state variables"))
@@ -502,7 +517,7 @@ def validate(automaton: HybridAutomaton, forbidden: Condition | None = None) -> 
     if set(automaton.input_range) != set(vt.input_vars):
         defects.append(Defect("input-range", "input_range keys do not match declared inputs"))
     for var, (lo, hi) in automaton.input_range.items():
-        if not (np.isfinite(lo) and np.isfinite(hi)) or lo > hi:
+        if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
             defects.append(Defect("input-range", f"input {var!r} has a non-compact range"))
 
     loc_names = set()
@@ -517,10 +532,8 @@ def validate(automaton: HybridAutomaton, forbidden: Condition | None = None) -> 
             defects.append(Defect("dimension", f"location {loc.name!r}: B is {dyn.b.shape}, expected {(n, m)}"))
         if dyn.c.shape != (n,):
             defects.append(Defect("dimension", f"location {loc.name!r}: drift is {dyn.c.shape}, expected {(n,)}"))
-        for arr in (dyn.a, dyn.b, dyn.c):
-            if not np.all(np.isfinite(arr)):
-                defects.append(Defect("non-finite", f"location {loc.name!r}: dynamics entry not finite"))
-                break
+        if not arrays_finite and not _all_finite((dyn.a, dyn.b, dyn.c)):
+            defects.append(Defect("non-finite", f"location {loc.name!r}: dynamics entry not finite"))
         for sym in dyn.symbols:
             if sym not in consts:
                 defects.append(Defect("unknown-symbol", f"location {loc.name!r}: dynamics references undeclared constant {sym!r}"))
@@ -536,7 +549,7 @@ def validate(automaton: HybridAutomaton, forbidden: Condition | None = None) -> 
                 defects.append(Defect("dangling-name", f"{where}: {end} {val!r} is not a location"))
         if tr.reset.r_matrix.shape != (n, n) or tr.reset.r_offset.shape != (n,):
             defects.append(Defect("dimension", f"{where}: reset shaped {tr.reset.r_matrix.shape}/{tr.reset.r_offset.shape}"))
-        elif not (np.all(np.isfinite(tr.reset.r_matrix)) and np.all(np.isfinite(tr.reset.r_offset))):
+        elif not arrays_finite and not _all_finite((tr.reset.r_matrix, tr.reset.r_offset)):
             defects.append(Defect("non-finite", f"{where}: reset entry not finite"))
         for sym in tr.reset.symbols:
             if sym not in consts:

@@ -11,6 +11,7 @@ from hyra.errors import DimensionMismatch
 from hyra.ir import (
     AffineDynamics,
     Condition,
+    Defect,
     HybridAutomaton,
     InitialCondition,
     LinearConstraint,
@@ -19,6 +20,7 @@ from hyra.ir import (
     ReachSettings,
     ResetMap,
     Transition,
+    ValidationReport,
     VariableTable,
 )
 from hyra.sets import Box
@@ -184,6 +186,113 @@ def generated_bundle(seed: int) -> ModelBundle:
     automaton = HybridAutomaton(f"gen{seed}", table, locations, tuple(transitions),
                                 {"u": (-float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 1.0)))})
     return ModelBundle(automaton, settings, initial)
+
+
+def spelling_bundle(fixpoint: bool = False) -> ModelBundle:
+    """A valid bundle that holds every number and text spelling of the JSON writer.
+
+    Floats on both sides of ``repr``'s notation switches (1e-05, -2.5e-07,
+    1e-09, 9.99e-05, 0.0001, 1e+16, 3e+22, 1e15), decimals whose digits
+    after a leading 1 or 2 read like a small value (10.00001), the largest
+    and the smallest float, -0.0 and 2.0; an integer ``max_jumps``; ``null`` and
+    ``true``/``false`` settings; and non-ASCII, astral-plane, control and
+    DEL characters, a quote and a backslash in the automaton name, a
+    location name and a transition label.
+    """
+    table = VariableTable(("x", "y"), ("u",), {"big": 1e+16, "tiny": 5e-324})
+    dynamics = AffineDynamics([[1e-05, -2.5e-07], [1e-09, 9.99e-05]], [[0.0001], [-0.0]], [1e+16, -3e+22],
+                              {"big": [[2.0, 0.0], [0.0, 1e15]]}, {}, {"tiny": [-1e+16, 0.0]})
+    invariant = Condition((LinearConstraint([1.7976931348623157e+308, -0.0], "<=", 5e-324),))
+    guard = Condition((LinearConstraint([2.0, 1e15], ">=", -2.5e-07, {"tiny": [0.0, 1e-05]}, {"big": 1e-09}),
+                       LinearConstraint([-0.0, -1e-05], "==", 3e+22),
+                       LinearConstraint([10.00001, -20.00003], "<", 100.00002)))
+    locations = (Location("\u00e9tat-\U0001f600\x01", invariant, dynamics),
+                 Location("plain", Condition(), AffineDynamics.zero(2, 1)))
+    transitions = (
+        Transition("plain", "\u00e9tat-\U0001f600\x01", guard, ResetMap([[-0.0, 1.0], [1e-05, 2.0]], [3e+22, -0.0])),
+        Transition("\u00e9tat-\U0001f600\x01", "plain", Condition(), ResetMap.identity(2),
+                   'saut \u2192 \x1f\x7f "\\ null'),
+    )
+    settings = ReachSettings(1e15, 1e-05, 7, None, None, fixpoint)
+    automaton = HybridAutomaton("r\u00e9sum\u00e9 \U0001d11e\t\x00", table, locations, transitions,
+                                {"u": (-9.99e-05, 0.0001)})
+    return ModelBundle(automaton, settings, InitialCondition("plain", Box([-0.0, 1e-09], [2.0, 1e+16])))
+
+
+def validate_reference(automaton: HybridAutomaton, forbidden: Condition | None = None) -> ValidationReport:
+    """``hyra.ir.validate`` in its earlier form, one numpy reduction per constraint and per array.
+
+    Kept as the reference that the plain-Python checks must match defect
+    for defect, in order.
+    """
+
+    def check_condition(defects, cond, n, known_consts, where):
+        for con in cond.constraints:
+            if con.coeffs.shape != (n,):
+                defects.append(Defect("dimension", f"{where}: constraint over {con.coeffs.shape[0]} variables, expected {n}"))
+                continue
+            if not np.all(np.isfinite(con.coeffs)) or not np.isfinite(con.bound):
+                defects.append(Defect("non-finite", f"{where}: constraint has non-finite entries"))
+            if not con.coeffs.any() and not con.coeff_terms:
+                defects.append(Defect("degenerate-constraint", f"{where}: constraint has no variable term"))
+            for sym in con.symbols:
+                if sym not in known_consts:
+                    defects.append(Defect("unknown-symbol", f"{where}: references undeclared constant {sym!r}"))
+
+    defects = []
+    vt = automaton.vars
+    n, m = vt.n, vt.m
+    consts = set(vt.constants)
+    if n == 0:
+        defects.append(Defect("no-state", "automaton declares no state variables"))
+    seen = set()
+    for name in list(vt.state_vars) + list(vt.input_vars) + list(vt.constants):
+        if name in seen:
+            defects.append(Defect("duplicate-name", f"name {name!r} declared more than once"))
+        seen.add(name)
+    if set(automaton.input_range) != set(vt.input_vars):
+        defects.append(Defect("input-range", "input_range keys do not match declared inputs"))
+    for var, (lo, hi) in automaton.input_range.items():
+        if not (np.isfinite(lo) and np.isfinite(hi)) or lo > hi:
+            defects.append(Defect("input-range", f"input {var!r} has a non-compact range"))
+    loc_names = set()
+    for loc in automaton.locations:
+        if loc.name in loc_names:
+            defects.append(Defect("duplicate-location", f"location {loc.name!r} declared twice"))
+        loc_names.add(loc.name)
+        dyn = loc.dynamics
+        if dyn.a.shape != (n, n):
+            defects.append(Defect("dimension", f"location {loc.name!r}: A is {dyn.a.shape}, expected {(n, n)}"))
+        if dyn.b.shape != (n, m):
+            defects.append(Defect("dimension", f"location {loc.name!r}: B is {dyn.b.shape}, expected {(n, m)}"))
+        if dyn.c.shape != (n,):
+            defects.append(Defect("dimension", f"location {loc.name!r}: drift is {dyn.c.shape}, expected {(n,)}"))
+        for arr in (dyn.a, dyn.b, dyn.c):
+            if not np.all(np.isfinite(arr)):
+                defects.append(Defect("non-finite", f"location {loc.name!r}: dynamics entry not finite"))
+                break
+        for sym in dyn.symbols:
+            if sym not in consts:
+                defects.append(Defect("unknown-symbol", f"location {loc.name!r}: dynamics references undeclared constant {sym!r}"))
+        check_condition(defects, loc.invariant, n, consts, f"location {loc.name!r} invariant")
+    if not automaton.locations:
+        defects.append(Defect("no-location", "automaton has no locations"))
+    for i, tr in enumerate(automaton.transitions):
+        where = f"transition #{i} ({tr.source}->{tr.target})"
+        for end, val in (("source", tr.source), ("target", tr.target)):
+            if val not in loc_names:
+                defects.append(Defect("dangling-name", f"{where}: {end} {val!r} is not a location"))
+        if tr.reset.r_matrix.shape != (n, n) or tr.reset.r_offset.shape != (n,):
+            defects.append(Defect("dimension", f"{where}: reset shaped {tr.reset.r_matrix.shape}/{tr.reset.r_offset.shape}"))
+        elif not (np.all(np.isfinite(tr.reset.r_matrix)) and np.all(np.isfinite(tr.reset.r_offset))):
+            defects.append(Defect("non-finite", f"{where}: reset entry not finite"))
+        for sym in tr.reset.symbols:
+            if sym not in consts:
+                defects.append(Defect("unknown-symbol", f"{where}: reset references undeclared constant {sym!r}"))
+        check_condition(defects, tr.guard, n, consts, f"{where} guard")
+    if forbidden is not None:
+        check_condition(defects, forbidden, n, consts, "forbidden set")
+    return ValidationReport(tuple(defects))
 
 
 class SegmentIndex:

@@ -4,6 +4,7 @@ import pytest
 from hyra.config import emit_config, parse_config
 from hyra.corpus import all_benchmarks, build
 from hyra.errors import ConfigError, MissingKey, UnknownKey
+from hyra.expressions import parse_condition
 from hyra.ir import VariableTable
 
 TABLE = VariableTable(("x", "v"))
@@ -61,6 +62,51 @@ def test_initially_rejects_non_interval_terms():
         parse_config(
             "time-horizon = 1\ninitially = loc() == a & x + v <= 1 & x >= 0 & x <= 1", TABLE
         )
+
+
+def _halfspace_box(terms, table):
+    """The initial box of interval terms by the halfspace-row formula: a row c x <= d sets hi = d / c if c > 0, else lo."""
+    lo, hi = np.full(table.n, -np.inf), np.full(table.n, np.inf)
+    for term in terms:
+        cond = parse_condition(term, table)
+        i = int(np.flatnonzero(cond.constraints[0].coeffs)[0])
+        rows = cond.halfspaces()
+        for c, d in zip(rows.coeffs[:, i], rows.bounds):
+            if c > 0:
+                hi[i] = min(hi[i], d / c)
+            else:
+                lo[i] = max(lo[i], d / c)
+    return lo, hi
+
+
+@pytest.mark.parametrize("terms", [
+    ["x < 1", "x > -1"], ["x <= 1", "x >= -1"], ["x == 0.3"], ["0.9 <= x", "1.1 >= x"], ["0.3 == x"],
+    ["-x <= 1", "-x >= -0.7"], ["2*x >= 1", "3*x <= 1.9"], ["-3*x < 0.7", "-0.1*x > -0.3"], ["x/3 <= 0.1", "x/7 >= -0.1"],
+    ["7*x == -0.1"], ["-x == 1e-320"], ["x <= -0.0", "-x <= 0.0"], ["x >= 0", "x >= 0.5", "x >= 0.25", "x <= 9"],
+    ["x <= 1", "x <= 0.5", "x < 0.75", "x >= -9"], ["x >= 0.1", "x == 0.2", "x <= 0.3"], ["1e308*x <= 1e308", "-x <= 5e-324"],
+], ids=lambda terms: " & ".join(terms))
+def test_initially_bounds_are_those_of_the_halfspace_rows(terms):
+    text = f"time-horizon = 1\ninitially = loc() == a & {' & '.join(terms)} & v >= -2.5 & 4*v <= 3"
+    box = parse_config(text, TABLE).initial.box
+    lo, hi = _halfspace_box(terms + ["v >= -2.5", "4*v <= 3"], TABLE)
+    assert box.lo.tobytes() == lo.tobytes() and box.hi.tobytes() == hi.tobytes()
+
+
+@pytest.mark.parametrize("initially, message", [
+    ("loc() == a & x + v <= 1 & v == 0", "initially term 'x + v <= 1' is not an interval bound on one variable"),
+    ("loc() == a & 0*x <= 1 & v == 0", "initially term '0*x <= 1' is not an interval bound on one variable"),
+    ("loc() == a & x <= k & v == 0", "initially term 'x <= k' is not an interval bound on one variable"),
+    ("loc() == a & (x <= 1 & x >= 0) & v == 0", "initially term '(x <= 1 & x >= 0)' must be a single constraint"),
+    ("loc() = a & x == 0 & v == 0", "malformed location term 'loc() = a'"),
+    ("x == 0 & v == 0", "initially must name a location via loc() == <name>"),
+    ("loc() == a & x <= 1 & v == 0", "initially leaves variables unbounded: x"),
+    ("loc() == a & x >= 1 & x <= 0.5 & v == 0", "initially intervals are empty (lo > hi)"),
+])
+def test_initially_errors_keep_their_messages(initially, message):
+    table = VariableTable(("x", "v"), (), {"k": 1.0})
+    with pytest.raises(ConfigError) as error:
+        parse_config(f"time-horizon = 1\ninitially = {initially}", table)
+    assert str(error.value) == message
 
 
 def test_comments_blank_lines_and_quotes():

@@ -13,7 +13,15 @@ from hyra.errors import SchemaViolation
 from hyra.interchange import bundle_to_dict, read_json, write_json
 from hyra.spaceex import emit_spaceex, parse_spaceex
 
-from support import BAD_VALUES, CORPUS_DIR, SCHEMA_PATH, bad_value_document
+from support import (
+    BAD_VALUES,
+    CORPUS_DIR,
+    GENERATED_SEEDS,
+    SCHEMA_PATH,
+    bad_value_document,
+    generated_bundle,
+    spelling_bundle,
+)
 
 
 @pytest.mark.parametrize("bench", all_benchmarks(), ids=lambda b: b.value)
@@ -23,6 +31,51 @@ def test_write_read_identity_on_canonical_text(bench):
     again = read_json(text)
     assert again == bundle
     assert write_json(again) == text
+
+
+_WRITER_BUNDLES = {
+    **{f"spelling-fixpoint-{flag}": lambda flag=flag: spelling_bundle(flag) for flag in (False, True)},
+    **{b.value: lambda b=b: read_json((CORPUS_DIR / b.value / "bundle.json").read_text()) for b in all_benchmarks()},
+    "ascii-name-with-del": lambda: read_json((CORPUS_DIR / "tank3" / "bundle.json").read_text().replace(
+        '"name": "tank_3"', '"name": "tank\\u007f3"')),
+    **{f"generated-{seed}": lambda seed=seed: generated_bundle(seed) for seed in GENERATED_SEEDS},
+}
+
+
+@pytest.mark.parametrize("name", list(_WRITER_BUNDLES))
+def test_write_json_is_the_text_of_json_dumps(name):
+    bundle = _WRITER_BUNDLES[name]()
+    assert write_json(bundle) == json.dumps(bundle_to_dict(bundle), indent=2) + "\n"
+
+
+def test_the_spelling_bundle_reads_back_from_its_ascii_text():
+    bundle = spelling_bundle()
+    text = write_json(bundle)
+    assert text.isascii()
+    for spelling in ("1e-05", "-2.5e-07", "1e-09", "9.99e-05", "0.0001", "1e+16", "-3e+22", "10.00001", "-20.00003",
+                     "1.7976931348623157e+308", "5e-324", "-0.0", "2.0", "1000000000000000.0",
+                     '"max_jumps": 7', '"fixpoint": false', '"forbidden": null', '"label": null',
+                     "\\u00e9", "\\ud83d\\ude00", "\\u0001", "\\u007f", "\\t", '\\"\\\\ null'):
+        assert spelling in text, spelling
+    assert read_json(text) == bundle
+    assert write_json(read_json(text)) == text
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_write_json_spells_non_finite_numbers_as_json_dumps_does(value):
+    data = _ball_data()
+    data["variables"]["constants"]["c"] = value
+    data["transitions"][0]["reset"]["matrix_terms"]["c"][0][0] = value
+    data["transitions"][1]["label"] = None
+    for label, location in (("hit", "always"), ("null", "null,")):  # a "null" in a string is no null token
+        data["transitions"][0]["label"] = label
+        data["locations"][0]["name"] = data["initial"]["location"] = location
+        for tr in data["transitions"]:
+            tr["source"] = tr["target"] = location
+        bundle = read_json(json.dumps(data))
+        text = write_json(bundle)
+        assert text == json.dumps(bundle_to_dict(bundle), indent=2) + "\n"
+        assert text.count(json.dumps(value)) == 2
 
 
 def test_ball_json_lists_the_restitution_constant():

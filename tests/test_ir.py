@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hyra.corpus import build_bouncing_ball, build_platoon
+from hyra.corpus import all_benchmarks, build, build_bouncing_ball, build_platoon
 from hyra.errors import UnknownSymbol
 from hyra.ir import (
     AffineDynamics,
@@ -21,6 +21,8 @@ from hyra.ir import (
     validate,
 )
 from hyra.sets import Box
+
+from support import GENERATED_SEEDS, generated_bundle, validate_reference
 
 
 def _codes(report):
@@ -284,3 +286,140 @@ def test_halfspace_form_of_a_symbolic_condition_raises():
         check_safety(reach(ball).segments, symbolic)
     resolved = symbolic.resolve(ball.automaton.vars.constants)
     assert np.array_equal(resolved.halfspaces().coeffs, [-v_row]) and resolved.halfspaces().bounds[0] == -8.0
+
+
+# -- validate against the per-array numpy formulation it replaced --------------
+
+def _parity_base() -> HybridAutomaton:
+    """Two locations and two transitions with an input, a constant and symbolic terms; it validates clean."""
+    table = VariableTable(("x", "y"), ("u",), {"k": 2.0})
+    dyn = AffineDynamics([[0.0, 1.0], [-1.0, 0.0]], [[1.0], [0.0]], [0.0, -9.81], {"k": [[0.0, 1.0], [0.0, 0.0]]})
+    inv = Condition((LinearConstraint([1.0, 0.0], ">=", 0.0),
+                     LinearConstraint([0.0, 1.0], "<=", 5.0, bound_terms={"k": 1.0})))
+    guard = Condition((LinearConstraint([1.0, 0.0], "<=", 0.0),
+                       LinearConstraint([0.0, 1.0], "<", 0.0, {"k": [0.0, 1.0]})))
+    reset = ResetMap([[1.0, 0.0], [0.0, -0.75]], [0.0, 0.0], {"k": [[0.0, 0.0], [0.0, 1.0]]})
+    return HybridAutomaton("base", table, (Location("a", inv, dyn), Location("b", inv, dyn)),
+                           (Transition("a", "b", guard, reset, "hit"), Transition("b", "a", Condition(), ResetMap.identity(2))),
+                           {"u": (-1.0, 1.0)})
+
+
+def _entry(array, index, value) -> np.ndarray:
+    out = np.array(array)
+    out[index] = value
+    return out
+
+
+def _edit_location(automaton, i, **changes):
+    locations = list(automaton.locations)
+    locations[i] = dataclasses.replace(locations[i], **changes)
+    return dataclasses.replace(automaton, locations=tuple(locations))
+
+
+def _edit_dynamics(automaton, i, **changes):
+    return _edit_location(automaton, i, dynamics=dataclasses.replace(automaton.locations[i].dynamics, **changes))
+
+
+def _edit_transition(automaton, i, **changes):
+    transitions = list(automaton.transitions)
+    transitions[i] = dataclasses.replace(transitions[i], **changes)
+    return dataclasses.replace(automaton, transitions=tuple(transitions))
+
+
+def _edit_constraint(cond, j, **changes):
+    constraints = list(cond.constraints)
+    constraints[j] = dataclasses.replace(constraints[j], **changes)
+    return Condition(tuple(constraints))
+
+
+def _edit_invariant(automaton, i, j, **changes):
+    return _edit_location(automaton, i, invariant=_edit_constraint(automaton.locations[i].invariant, j, **changes))
+
+
+def _edit_guard(automaton, i, j, **changes):
+    return _edit_transition(automaton, i, guard=_edit_constraint(automaton.transitions[i].guard, j, **changes))
+
+
+def _edit_reset(automaton, i, **changes):
+    return _edit_transition(automaton, i, reset=dataclasses.replace(automaton.transitions[i].reset, **changes))
+
+
+_NAN, _INF = float("nan"), float("inf")
+_BASE = _parity_base()
+_DYN = _BASE.locations[0].dynamics
+_FORBIDDEN = Condition((LinearConstraint([1.0, 0.0], ">=", 3.0, bound_terms={"k": 0.5}),))
+# (expected defect code, automaton, forbidden set) per case; None expects a clean report.
+_DEFECT_CASES = {
+    "clean": (None, _BASE, _FORBIDDEN),
+    "nan-invariant-coeff": ("non-finite", _edit_invariant(_BASE, 0, 0, coeffs=[_NAN, 0.0]), None),
+    "inf-guard-coeff": ("non-finite", _edit_guard(_BASE, 0, 1, coeffs=[0.0, _INF]), None),
+    "nan-bound": ("non-finite", _edit_invariant(_BASE, 1, 1, bound=_NAN), None),
+    "-inf-bound": ("non-finite", _edit_guard(_BASE, 0, 0, bound=-_INF), None),
+    "nan-only-coeff": ("non-finite", _edit_invariant(_BASE, 0, 0, coeffs=[_NAN, -0.0]), None),
+    "nan-a": ("non-finite", _edit_dynamics(_BASE, 1, a=_entry(_DYN.a, (0, 1), _NAN)), None),
+    "inf-b": ("non-finite", _edit_dynamics(_BASE, 0, b=_entry(_DYN.b, (1, 0), _INF)), None),
+    "nan-c": ("non-finite", _edit_dynamics(_BASE, 0, c=_entry(_DYN.c, 1, _NAN)), None),
+    "nan-a-and-c": ("non-finite", _edit_dynamics(_BASE, 0, a=_entry(_DYN.a, 0, _NAN), c=[_INF, 0.0]), None),
+    "inf-reset-matrix": ("non-finite", _edit_reset(_BASE, 1, r_matrix=_entry(np.eye(2), (1, 1), -_INF)), None),
+    "nan-reset-offset": ("non-finite", _edit_reset(_BASE, 0, r_offset=[0.0, _NAN]), None),
+    "nan-reset-wrong-shape": ("dimension", _edit_reset(_BASE, 0, r_offset=[_NAN, 0.0, 0.0]), None),
+    "a-shape": ("dimension", _edit_dynamics(_BASE, 0, a=np.zeros((1, 2))), None),
+    "b-shape": ("dimension", _edit_dynamics(_BASE, 1, b=np.zeros((2, 2))), None),
+    "c-shape": ("dimension", _edit_dynamics(_BASE, 0, c=[0.0, 1.0, _NAN]), None),
+    "constraint-shape": ("dimension", _edit_guard(_BASE, 0, 0, coeffs=[1.0, 0.0, _NAN]), None),
+    "reset-shape": ("dimension", _edit_reset(_BASE, 1, r_matrix=np.eye(3)), None),
+    "zero-constraint": ("degenerate-constraint", _edit_invariant(_BASE, 0, 1, coeffs=[0.0, 0.0], bound_terms={}), None),
+    "negative-zero-constraint": ("degenerate-constraint", _edit_guard(_BASE, 0, 0, coeffs=[-0.0, -0.0]), None),
+    "zero-constraint-with-coeff-terms": (None, _edit_guard(_BASE, 0, 1, coeffs=[0.0, 0.0]), None),
+    "unknown-coeff-term": ("unknown-symbol", _edit_guard(_BASE, 0, 1, coeff_terms={"q": [1.0, 0.0]}), None),
+    "unknown-bound-terms": ("unknown-symbol", _edit_invariant(_BASE, 1, 1, bound_terms={"q": 1.0, "r": 2.0, "k": 1.0}), None),
+    "unknown-dynamics-terms": ("unknown-symbol", _edit_dynamics(_BASE, 1, b_terms={"q": [[1.0], [0.0]]},
+                                                                c_terms={"r": [1.0, 0.0]}), None),
+    "unknown-reset-term": ("unknown-symbol", _edit_reset(_BASE, 0, offset_terms={"q": [1.0, 0.0]}), None),
+    "duplicate-name": ("duplicate-name", dataclasses.replace(_BASE, vars=VariableTable(("x", "y"), ("u",), {"x": 1.0, "u": 2.0, "k": 2.0})), None),
+    "duplicate-location": ("duplicate-location", _edit_location(_BASE, 1, name="a"), None),
+    "dangling-source": ("dangling-name", _edit_transition(_BASE, 0, source="nowhere"), None),
+    "dangling-both": ("dangling-name", _edit_transition(_BASE, 1, source="p", target="q"), None),
+    "infinite-input": ("input-range", dataclasses.replace(_BASE, input_range={"u": (-_INF, 1.0)}), None),
+    "nan-input": ("input-range", dataclasses.replace(_BASE, input_range={"u": (0.0, _NAN)}), None),
+    "empty-input": ("input-range", dataclasses.replace(_BASE, input_range={"u": (2.0, 1.0)}), None),
+    "input-keys": ("input-range", dataclasses.replace(_BASE, input_range={}), None),
+    "no-state": ("no-state", dataclasses.replace(_BASE, vars=VariableTable((), ("u",), {"k": 2.0})), None),
+    "no-location": ("no-location", dataclasses.replace(_BASE, locations=()), None),
+    "forbidden-nan-bound": ("non-finite", _BASE, Condition((LinearConstraint([1.0, 0.0], "<=", _NAN),))),
+    "forbidden-inf-coeff": ("non-finite", _BASE, Condition((LinearConstraint([_INF, 0.0], "<=", 1.0),))),
+    "forbidden-dimension": ("dimension", _BASE, Condition((LinearConstraint([1.0], "<=", 1.0),))),
+    "forbidden-zero": ("degenerate-constraint", _BASE, Condition((LinearConstraint([0.0, 0.0], "<=", 1.0),))),
+    "forbidden-unknown": ("unknown-symbol", _BASE, Condition((LinearConstraint([1.0, 0.0], "<=", 1.0, {"q": [1.0, 0.0]}),))),
+}
+_MANY = _edit_reset(_edit_dynamics(_edit_guard(_edit_invariant(_DEFECT_CASES["duplicate-location"][1], 0, 0, coeffs=[_NAN, 0.0]),
+                                               0, 1, coeffs=[0.0, 0.0], coeff_terms={}, bound=_INF),
+                                   1, a=np.zeros((2, 3)), c=[_NAN, 0.0]), 0, r_matrix=[[_NAN, 0.0], [0.0, 1.0]])
+_DEFECT_CASES["many"] = ("non-finite", dataclasses.replace(_MANY, input_range={"u": (1.0, -1.0)}), _FORBIDDEN)
+
+
+def _parity_inputs():
+    for bench in all_benchmarks():
+        bundle = build(bench)
+        yield bench.value, bundle.automaton, bundle.settings.forbidden
+    for seed in GENERATED_SEEDS:
+        bundle = generated_bundle(seed)
+        yield f"generated-{seed}", bundle.automaton, bundle.settings.forbidden
+    for name, (_, automaton, forbidden) in _DEFECT_CASES.items():
+        yield name, automaton, forbidden
+
+
+@pytest.mark.parametrize("automaton, forbidden", [pytest.param(a, f, id=name) for name, a, f in _parity_inputs()])
+def test_validate_reports_the_defects_of_the_numpy_formulation(automaton, forbidden):
+    assert validate(automaton, forbidden).defects == validate_reference(automaton, forbidden).defects
+
+
+def test_the_parity_cases_hit_every_defect_code():
+    codes = set()
+    for name, (code, automaton, forbidden) in _DEFECT_CASES.items():
+        found = _codes(validate(automaton, forbidden))
+        assert (code in found) if code else not found, name
+        codes |= found
+    assert codes == {"no-state", "duplicate-name", "input-range", "duplicate-location", "dimension", "non-finite",
+                     "unknown-symbol", "no-location", "dangling-name", "degenerate-constraint"}
+    assert len(validate(*_DEFECT_CASES["many"][1:])) >= 8

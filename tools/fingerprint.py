@@ -15,9 +15,11 @@ one whose check must keep an earlier entry. Reader lines cover
 ``bundle.json`` and the rejection message of each ``BAD_VALUES`` document
 of the test suite. Translation lines cover ``emit_spaceex`` and
 ``emit_config`` of each corpus model, ``write_json`` of each parsed
-``model.xml`` with its ``config.cfg``, and every format's text of the test
-suite's generated symbolic automata. Two source trees print the same lines
-exactly when all of these outputs are byte-identical:
+``model.xml`` with its ``config.cfg``, every format's text of the test
+suite's generated symbolic automata, and ``write_json`` of the test suite's
+bundle that holds every number and text spelling of the JSON writer. Two
+source trees print the same lines exactly when all of these outputs are
+byte-identical:
 
     PYTHONPATH=src python3 tools/fingerprint.py > after.txt
     PYTHONPATH=/path/to/other/src python3 tools/fingerprint.py > before.txt
@@ -155,6 +157,7 @@ def translation_lines():
     for name, emit in (("emit_spaceex", emit_spaceex), ("emit_config", config_text),
                        ("write_json", write_json), ("emit_flowstar", emit_flowstar)):
         yield f"{digest(''.join(map(emit, generated)))}  generated x{len(generated)} {name}"
+    yield f"{digest(write_json(support.spelling_bundle()))}  spelling-bundle write_json"
 
 
 def lines():
