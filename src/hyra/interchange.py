@@ -15,9 +15,12 @@ decides and words the message, so the accepted documents and every
 rejection message are those of plain ``jsonschema.validate``.
 
 Values the schema admits but the IR rejects (non-finite or empty initial
-boxes, a NaN step, an initial location the model lacks, a forbidden set
-over the wrong number of variables, output variables that are not state
-variables, an integer too large for a float) fail the same way.
+boxes, a NaN step, non-finite constants or symbolic terms, an initial
+location the model lacks, a forbidden set over the wrong number of
+variables, output variables that are not state variables, an integer too
+large for a float, a ``max_jumps`` of 2**64 or more) fail the same way, and
+so does a string with a lone surrogate code point: ``write_json`` could not
+write either of the last two back.
 The shipped schema itself is checked against its meta-schema once per
 process, on the first read; every read then validates with the predicate
 and validator built at that point.
@@ -379,9 +382,38 @@ def _build_bundle(data: dict) -> ModelBundle:
     return ModelBundle(automaton, settings, initial)
 
 
+def _lone_surrogate(value):
+    """The first string of a JSON value (object keys included) that holds a lone surrogate, or None.
+
+    The reader turns an escaped surrogate pair into one character, so any
+    surrogate code point left in a ``str`` stands alone, and UTF-8, which
+    orjson writes, cannot encode it.
+    """
+    if isinstance(value, str):
+        try:
+            value.encode()
+        except UnicodeEncodeError:
+            return value
+        return None
+    if isinstance(value, (dict, list)):
+        for item in (*value.keys(), *value.values()) if isinstance(value, dict) else value:
+            found = _lone_surrogate(item)
+            if found is not None:
+                return found
+    return None
+
+
 def read_json(text: str) -> ModelBundle:
+    """The bundle of a JSON document; a ``SchemaViolation`` for any document
+    ``write_json`` could not write back: one that is not JSON, fails the schema
+    or the IR, or holds a string with a lone surrogate code point."""
     try:
         data = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaViolation(f"not valid JSON: {exc}") from exc
+    # only a \uXXXX escape or a non-ASCII text can spell a surrogate
+    if "\\u" in text or not text.isascii():
+        bad = _lone_surrogate(data)
+        if bad is not None:
+            raise SchemaViolation(f"bundle document rejected: {bad!r} holds a lone surrogate, which is not Unicode text")
     return bundle_from_dict(data)

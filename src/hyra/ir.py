@@ -410,6 +410,8 @@ class ReachSettings:
         if isinstance(self.max_jumps, bool) or self.max_jumps % 1 != 0 or self.max_jumps < 0:
             raise ValueError(f"max_jumps must be an integer >= 0, not {self.max_jumps!r}")
         object.__setattr__(self, "max_jumps", int(self.max_jumps))
+        if self.max_jumps >= 1 << 64:  # past what the JSON writer spells
+            raise ValueError(f"max_jumps must be below 2**64, not {self.max_jumps}")
         if self.output_vars is not None:
             object.__setattr__(self, "output_vars", tuple(self.output_vars))
 
@@ -470,13 +472,23 @@ def _all_finite(arrays) -> bool:
     return bool(np.isfinite(np.concatenate([a.ravel() for a in arrays] + [np.empty(0)])).all())
 
 
+def _dynamics_terms(dyn: AffineDynamics) -> list:
+    return [*dyn.a_terms.values(), *dyn.b_terms.values(), *dyn.c_terms.values()]
+
+
+def _reset_terms(reset: ResetMap) -> list:
+    return [*reset.matrix_terms.values(), *reset.offset_terms.values()]
+
+
 def _check_condition(defects, cond: Condition, n: int, known_consts, where: str):
     for con in cond.constraints:
         if con.coeffs.shape != (n,):
             defects.append(Defect("dimension", f"{where}: constraint over {con.coeffs.shape[0]} variables, expected {n}"))
             continue
         coeffs = con.coeffs.tolist()
-        if not (all(map(math.isfinite, coeffs)) and math.isfinite(con.bound)):
+        if not (all(map(math.isfinite, coeffs)) and math.isfinite(con.bound)
+                and all(map(math.isfinite, con.bound_terms.values()))
+                and (not con.coeff_terms or _all_finite(con.coeff_terms.values()))):
             defects.append(Defect("non-finite", f"{where}: constraint has non-finite entries"))
         if not any(coeffs) and not con.coeff_terms:
             defects.append(Defect("degenerate-constraint", f"{where}: constraint has no variable term"))
@@ -491,19 +503,21 @@ def validate(automaton: HybridAutomaton, forbidden: Condition | None = None) -> 
     Defects are data, not exceptions: dimension mismatches, dangling
     location names, duplicate names, non-finite entries, and references to
     undeclared constants all land in the report, also for a ``forbidden`` set.
-    A constraint's finiteness and all-zero checks run in plain Python over
-    its ``tolist()`` values. The dynamics and reset arrays of all locations
-    and transitions are checked for finiteness in one stacked numpy pass, and
-    one location or transition at a time only when that pass finds a
-    non-finite entry.
+    Named constants and the symbolic term arrays must be finite too. A
+    constraint's finiteness and all-zero checks run in plain Python over its
+    ``tolist()`` values. The dynamics and reset arrays and terms of all
+    locations and transitions are checked for finiteness in one stacked numpy
+    pass, and one location or transition at a time only when that pass finds
+    a non-finite entry.
     """
     defects = []
     vt = automaton.vars
     n, m = vt.n, vt.m
     consts = set(vt.constants)
     arrays_finite = _all_finite([arr for loc in automaton.locations
-                                 for arr in (loc.dynamics.a, loc.dynamics.b, loc.dynamics.c)]
-                                + [arr for tr in automaton.transitions for arr in (tr.reset.r_matrix, tr.reset.r_offset)])
+                                 for arr in (loc.dynamics.a, loc.dynamics.b, loc.dynamics.c, *_dynamics_terms(loc.dynamics))]
+                                + [arr for tr in automaton.transitions
+                                   for arr in (tr.reset.r_matrix, tr.reset.r_offset, *_reset_terms(tr.reset))])
 
     if n == 0:
         defects.append(Defect("no-state", "automaton declares no state variables"))
@@ -513,6 +527,9 @@ def validate(automaton: HybridAutomaton, forbidden: Condition | None = None) -> 
         if name in seen:
             defects.append(Defect("duplicate-name", f"name {name!r} declared more than once"))
         seen.add(name)
+    for name, value in vt.constants.items():
+        if not math.isfinite(value):
+            defects.append(Defect("non-finite", f"constant {name!r} is not finite"))
 
     if set(automaton.input_range) != set(vt.input_vars):
         defects.append(Defect("input-range", "input_range keys do not match declared inputs"))
@@ -534,6 +551,8 @@ def validate(automaton: HybridAutomaton, forbidden: Condition | None = None) -> 
             defects.append(Defect("dimension", f"location {loc.name!r}: drift is {dyn.c.shape}, expected {(n,)}"))
         if not arrays_finite and not _all_finite((dyn.a, dyn.b, dyn.c)):
             defects.append(Defect("non-finite", f"location {loc.name!r}: dynamics entry not finite"))
+        if not arrays_finite and not _all_finite(_dynamics_terms(dyn)):
+            defects.append(Defect("non-finite", f"location {loc.name!r}: dynamics term not finite"))
         for sym in dyn.symbols:
             if sym not in consts:
                 defects.append(Defect("unknown-symbol", f"location {loc.name!r}: dynamics references undeclared constant {sym!r}"))
@@ -551,6 +570,8 @@ def validate(automaton: HybridAutomaton, forbidden: Condition | None = None) -> 
             defects.append(Defect("dimension", f"{where}: reset shaped {tr.reset.r_matrix.shape}/{tr.reset.r_offset.shape}"))
         elif not arrays_finite and not _all_finite((tr.reset.r_matrix, tr.reset.r_offset)):
             defects.append(Defect("non-finite", f"{where}: reset entry not finite"))
+        if not arrays_finite and not _all_finite(_reset_terms(tr.reset)):
+            defects.append(Defect("non-finite", f"{where}: reset term not finite"))
         for sym in tr.reset.symbols:
             if sym not in consts:
                 defects.append(Defect("unknown-symbol", f"{where}: reset references undeclared constant {sym!r}"))

@@ -7,7 +7,10 @@ Phi = e^(A step). The drift part of V is the exact integral
 (int_0^step e^(A s) ds) u_c, so autonomous models with pure drift propagate
 without per-step bloat. All but Omega0 depends on the location alone
 (``Discretization``): ``reach`` builds it once per location and call, and
-every flowpipe through the location reuses it.
+every flowpipe through the location reuses it. Its (A, step) part
+(``PhiTables``) is built once per distinct A and step in a call, and
+shared by the locations and tail steps that have them. Nothing outlives
+the call.
 
 Boxes of such a recurrence come from one wrapping-free kernel,
 ``_box_chunks`` (Girard, Le Guernic & Maler, HSCC 2006; the box-template
@@ -15,7 +18,7 @@ case of the support-function scheme of Le Guernic & Girard). Instead of
 re-reducing a growing zonotope every step it carries Phi^k applied to the
 fixed generators of the first set plus a running sum of the row sums of
 |Phi^j W|, W being the generators of V; their sum is the exact box radius.
-It runs in chunks of _CHUNK steps on the location's powers P_j of Phi, and
+It runs in chunks of _CHUNK steps on the shared powers P_j of Phi, and
 sums a chunk's centers from its differences c_j - c_(j-1), which is the
 recurrence c_(k+1) = Phi c_k + c_V bit for bit only at Phi = I. Propagation
 stops at the first chunk whose invariant clamp empties; no order reduction
@@ -210,31 +213,32 @@ def _input_radius(delta: float, mu0: float, tau: float) -> float:
         return math.inf
 
 
-def _kernel(phi, v_set: Zonotope):
-    """``_box_chunks``' tables for Z_(k+1) = Phi Z_k (+) V: P_j = Phi^j (j <= _CHUNK),
-    P_(j+1) - P_j and P_j c_V (j < _CHUNK), and V's generators W."""
+def _powers(phi):
+    """P_j = Phi^j (j <= _CHUNK) and the differences P_(j+1) - P_j (j < _CHUNK)."""
     n = phi.shape[0]
     powers = np.empty((_CHUNK + 1, n, n))
     powers[0] = np.eye(n)
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(_CHUNK):
             powers[j + 1] = phi @ powers[j]
-        return powers, powers[1:] - powers[:-1], powers[:-1] @ v_set.center, v_set.generators
+        return powers, powers[1:] - powers[:-1]
 
 
-class Discretization:
-    """A location's discrete-time data for one step: all that ``discretize`` and
-    ``_propagate`` need besides the set (see the module docstring). ``kernel``,
-    the ``_box_chunks`` tables of (Phi, V), is built on first use."""
+def _kernel(powers, v_set: Zonotope):
+    """``_box_chunks``' tables for Z_(k+1) = Phi Z_k (+) V: the ``_powers`` of Phi,
+    P_j c_V (j < _CHUNK) and V's generators W."""
+    powers, diffs = powers
+    with np.errstate(over="ignore", invalid="ignore"):
+        return powers, diffs, powers[:-1] @ v_set.center, v_set.generators
 
-    def __init__(self, dyn, input_box: Box | None, step: float):
-        self.dyn, self.input_box, self.step = dyn, input_box, step
-        a, n = dyn.a, dyn.a.shape[0]
+
+class PhiTables:
+    """What a discretization reads of (A, step) alone: ||A||, the sub-steps and tau,
+    Phi, Phi1 = int_0^step e^(A s) ds and their sub-step forms, the curvature
+    factor, and the ``_powers`` of Phi and Phi_tau, built on first use."""
+
+    def __init__(self, a, step: float):
         self.delta = delta = float(np.linalg.norm(a, np.inf))
-        u_c, mu0 = dyn.c.copy(), 0.0  # the constant drift B u_center + c, the input radius bound
-        if dyn.m and input_box is not None:
-            u_c, mu0 = dyn.b @ input_box.center + dyn.c, float(np.max(np.abs(dyn.b) @ input_box.radius))
-        self.u_c, self.mu0 = u_c, mu0
         substeps = 1
         while substeps < _MAX_SUBSTEPS and (step / substeps) * delta > 0.5:
             substeps *= 2
@@ -245,24 +249,61 @@ class Discretization:
                 f"step {format_number(step)} with ||A|| = {delta:g} cannot be discretized; reduce the step"
             )
         self.phi, self.phi1 = phi, phi1 = exp_with_integral(a, step)
-        self.phi_tau, self.phi1_tau = phi_tau, phi1_tau = (phi, phi1) if substeps == 1 else exp_with_integral(a, tau)
-        self.curvature = curvature = 2.0 * (math.expm1(tau * delta) - tau * delta)  # chord factor, doubled
-        self.beta, self.beta_tau = beta, beta_tau = _input_radius(delta, mu0, step), _input_radius(delta, mu0, tau)
+        self.phi_tau, self.phi1_tau = (phi, phi1) if substeps == 1 else exp_with_integral(a, tau)
+        self.curvature = 2.0 * (math.expm1(tau * delta) - tau * delta)  # chord factor, doubled
+
+    @cached_property
+    def powers(self):
+        return _powers(self.phi)
+
+    @cached_property
+    def substep_powers(self):
+        return _powers(self.phi_tau)
+
+
+def _tables(discretized: dict, a, step: float) -> PhiTables:
+    """The ``PhiTables`` of (A, step), kept in ``discretized`` under (step, A's bytes); built when missing."""
+    key = (step, a.tobytes())
+    tables = discretized.get(key)
+    if tables is None:
+        tables = discretized[key] = PhiTables(a, step)
+    return tables
+
+
+class Discretization:
+    """A location's discrete-time data for one step: all that ``discretize`` and
+    ``_propagate`` need besides the set (see the module docstring). ``tables``
+    (new when None) holds the (A, step) part; the drift part (u_c, mu0, beta,
+    V) is built here. ``kernel``, the ``_box_chunks`` tables of (Phi, V), is
+    built on first use."""
+
+    def __init__(self, dyn, input_box: Box | None, step: float, tables: PhiTables | None = None):
+        self.dyn, self.input_box, self.step = dyn, input_box, step
+        self.tables = tables = PhiTables(dyn.a, step) if tables is None else tables
+        n = dyn.a.shape[0]
+        u_c, mu0 = dyn.c.copy(), 0.0  # the constant drift B u_center + c, the input radius bound
+        if dyn.m and input_box is not None:
+            u_c, mu0 = dyn.b @ input_box.center + dyn.c, float(np.max(np.abs(dyn.b) @ input_box.radius))
+        self.u_c, self.mu0 = u_c, mu0
+        delta, self.substeps, self.phi, self.curvature = tables.delta, tables.substeps, tables.phi, tables.curvature
+        self.beta, self.beta_tau = beta, beta_tau = _input_radius(delta, mu0, step), _input_radius(delta, mu0, tables.tau)
         if not (math.isfinite(beta) and math.isfinite(beta_tau)):
             raise NonFiniteFlowpipe(
                 f"the input bound over a step of {format_number(step)} left the floating-point "
                 "range; the input set or the dynamics are too large"
             )
-        self.drift_curv = curvature / delta * float(np.max(np.abs(u_c))) if delta > 0.0 else 0.0
+        self.drift_curv = tables.curvature / delta * float(np.max(np.abs(u_c))) if delta > 0.0 else 0.0
         with np.errstate(over="ignore", invalid="ignore"):
-            self.drift_tau = phi1_tau @ u_c
-            self.v_set = Zonotope._trusted(phi1 @ u_c, np.diag(np.full(n, beta))[:, np.full(n, beta) > 0])
-        self.substep_kernel = None if substeps == 1 else _kernel(phi_tau, Zonotope._trusted(
+            self.drift_tau = tables.phi1_tau @ u_c
+            self.v_set = Zonotope._trusted(tables.phi1 @ u_c, np.diag(np.full(n, beta))[:, np.full(n, beta) > 0])
+        # V's generators hold the finite beta; its center is checked here, once
+        self.v_finite = bool(np.isfinite(self.v_set.center).all())
+        self.substep_kernel = None if self.substeps == 1 else _kernel(tables.substep_powers, Zonotope._trusted(
             self.drift_tau, np.diag(np.full(n, beta_tau))[:, np.full(n, beta_tau) > 0]))
 
     @cached_property
     def kernel(self):
-        return _kernel(self.phi, self.v_set)
+        return _kernel(self.tables.powers, self.v_set)
 
 
 def discretize(disc: Discretization, x0: Zonotope):
@@ -282,11 +323,11 @@ def discretize(disc: Discretization, x0: Zonotope):
     try:
         with np.errstate(over="raise", invalid="raise"):
             x0_box = box_hull(x0)
-            radius0 = float(np.max(x0_box.radius))
-            bloat = curvature * x0_box.sup_norm() + drift_curv + beta_tau
+            radius0, sup = float(np.max(x0_box.radius)), x0_box.sup_norm()
+            bloat = curvature * sup + drift_curv + beta_tau
             # sanity abort: bloat dwarfing the set makes the flowpipe meaningless;
             # degenerate (point-like) sets compare against 1% of their magnitude
-            floor = max(radius0, 0.01 * max(1.0, x0_box.sup_norm()))
+            floor = max(radius0, 0.01 * max(1.0, sup))
             if bloat > 10.0 * floor:
                 raise StepTooLarge(
                     f"bloating radius {bloat:g} exceeds 10x the initial-set radius "
@@ -311,8 +352,8 @@ def discretize(disc: Discretization, x0: Zonotope):
                 omega = Zonotope._trusted(0.5 * (lo + hi), np.diag(0.5 * (hi - lo)))
     except FloatingPointError:
         omega = None
-    if omega is None or not all(np.isfinite(arr).all() for arr in (
-            omega.center, omega.generators, disc.v_set.center, disc.v_set.generators)):
+    if (omega is None or not disc.v_finite or not np.isfinite(omega.center).all()
+            or not np.isfinite(omega.generators).all()):
         raise NonFiniteFlowpipe(
             f"the first-interval enclosure over a step of {format_number(disc.step)} left the "
             "floating-point range; the initial set or the dynamics are too large"
@@ -351,27 +392,25 @@ class FlowpipeResult:
 
 
 def _require_finite(location, time: float, *arrays) -> None:
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise NonFiniteFlowpipe(
-            f"flowpipe of location {location.name!r} left the floating-point range "
-            f"before t={time:g}; the dynamics diverge over the horizon"
-        )
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise NonFiniteFlowpipe(
+                f"flowpipe of location {location.name!r} left the floating-point range "
+                f"before t={time:g}; the dynamics diverge over the horizon"
+            )
 
 
-def _require_finite_successor(transition, time: float, *arrays) -> None:
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise NonFiniteFlowpipe(
-            f"successor of the jump {transition.source!r} -> {transition.target!r} at t={time:g} "
-            "left the floating-point range; the reset maps the guard set out of range"
-        )
+def _too_wide(what: str) -> NonFiniteFlowpipe:
+    return NonFiniteFlowpipe(f"{what} is too wide for the floating-point range: its center or radius overflows")
 
 
-def _checked_box(box: Box, what: str) -> Box:
-    """``box``, whose center and radius must be floats; else a ``NonFiniteFlowpipe`` naming ``what``."""
+def _checked_box(box: Box, what: str, *args) -> Box:
+    """``box``, whose center and radius must be floats; else a ``NonFiniteFlowpipe``
+    naming ``what.format(*args)``, formatted only then."""
     with np.errstate(over="ignore"):
         if np.isfinite(box.center).all() and np.isfinite(box.radius).all():
             return box
-    raise NonFiniteFlowpipe(f"{what} is too wide for the floating-point range: its center or radius overflows")
+    raise _too_wide(what.format(*args))
 
 
 def _box_chunks(kernel, z0: Zonotope, steps: int):
@@ -458,7 +497,8 @@ def flowpipe(location, init: Box, input_box: Box | None, step: float, horizon: f
     ``init`` is a checked box (``_checked_box``); ``discretize`` reads its zonotope.
     ``window`` is the width of the guard-crossing window that produced
     ``init`` (zero for the model's initial set). ``discretized`` maps location
-    names to their ``Discretization`` for ``step``; a missing one is added.
+    names to their ``Discretization`` for ``step`` and (step, A's bytes) to
+    ``PhiTables``; a missing entry is added.
     """
     dyn = location.dynamics
     invariant = location.invariant
@@ -480,14 +520,16 @@ def flowpipe(location, init: Box, input_box: Box | None, step: float, horizon: f
     lo = hi = np.empty((0, n))
     last = init.to_zonotope()
     if full_steps > 0:
-        if location.name not in discretized:
-            discretized[location.name] = Discretization(dyn, input_box, step)
-        omega, alpha = discretize(disc := discretized[location.name], last)
+        disc = discretized.get(location.name)
+        if disc is None:
+            disc = discretized[location.name] = Discretization(dyn, input_box, step, _tables(discretized, dyn.a, step))
+        omega, alpha = discretize(disc, last)
         alpha_max = max(alpha_max, alpha)
         lo, hi, last = _propagate(location, omega, disc.kernel, full_steps, entry_time, step)
     if last is not None and (leftover > 0.0 or full_steps == 0):
         # partial tail segment from the set covering the last interval
-        omega_tail, alpha = discretize(Discretization(dyn, input_box, leftover), last)
+        omega_tail, alpha = discretize(
+            Discretization(dyn, input_box, leftover, _tables(discretized, dyn.a, leftover)), last)
         alpha_max = max(alpha_max, alpha)
         with np.errstate(over="ignore", invalid="ignore"):
             tail = box_hull(omega_tail)
@@ -501,26 +543,23 @@ def flowpipe(location, init: Box, input_box: Box | None, step: float, horizon: f
         return FlowpipeResult(Segments.empty(n), Segments.empty(n), alpha_max)
     total_steps = full_steps + (1 if leftover > 0.0 else 0)
     m = int(math.ceil(window / step - 1e-9)) if window > 0 else 0
-
-    def times(count):
-        k = np.arange(count)
-        t_hi = np.minimum(entry_time + (k + 1) * step, horizon)
-        t_hi[k == full_steps] = horizon
-        return entry_time + k * step, t_hi
-
-    raw = Segments.from_bounds(*times(raw_count), lo, hi, location.name, jump_depth)
-    if m == 0:
-        return FlowpipeResult(raw, raw, alpha_max)
     # Emitted segment k hulls raw boxes over elapsed [k-m, k]: a trajectory
     # that entered up to `window` later than the pipe start is elapsed-wise
     # behind by up to m segments. For the same reason the emission runs up
-    # to m segments past the raw pipe's death.
-    emit_count = min(raw_count + m, total_steps)
+    # to m segments past the raw pipe's death. The raw rows are a prefix of
+    # the emitted ones, and so are their time columns.
+    emit_count = min(raw_count + m, total_steps) if m else raw_count
+    k = np.arange(emit_count)
+    t_lo, t_hi = entry_time + k * step, np.minimum(entry_time + (k + 1) * step, horizon)
+    t_hi[k == full_steps] = horizon
+    raw = Segments.from_bounds(t_lo[:raw_count], t_hi[:raw_count], lo, hi, location.name, jump_depth)
+    if m == 0:
+        return FlowpipeResult(raw, raw, alpha_max)
     merged_lo, merged_hi = _sliding_hull(lo, hi, m, emit_count)
     clamped_lo, clamped_hi, ok = clamp_boxes(merged_lo, merged_hi, invariant.halfspaces())
     merged_lo = np.where(ok[:, None], clamped_lo, merged_lo)
     merged_hi = np.where(ok[:, None], clamped_hi, merged_hi)
-    segments = Segments.from_bounds(*times(emit_count), merged_lo, merged_hi, location.name, jump_depth)
+    segments = Segments.from_bounds(t_lo, t_hi, merged_lo, merged_hi, location.name, jump_depth)
     return FlowpipeResult(segments, raw, alpha_max)
 
 
@@ -548,16 +587,23 @@ def jump_successors(segments: Segments, transition):
     for run in np.split(hits, np.flatnonzero(np.diff(hits) > 1) + 1):
         entry_time = float(segments.time_lo[run[0]])
         window_width = float(segments.time_hi[run[-1]]) - entry_time
-        # the window hulls clamped rows of a finite table: no re-check
-        window = _checked_box(Box._trusted(lo[run].min(axis=0), hi[run].max(axis=0)),
-                              f"the guard window of the jump {transition.source!r} -> "
-                              f"{transition.target!r} at t={entry_time:g}")
+        # the window hulls clamped rows of a finite table: its bounds are
+        # finite, its center and radius (those of ``Box``) are checked here
+        window_lo, window_hi = lo[run].min(axis=0), hi[run].max(axis=0)
         with np.errstate(over="ignore", invalid="ignore"):
-            center = reset.r_matrix @ window.center + reset.r_offset
-            radius = np.abs(reset.r_matrix) @ window.radius
+            window_center, window_radius = 0.5 * (window_lo + window_hi), 0.5 * (window_hi - window_lo)
+            if not (np.isfinite(window_center).all() and np.isfinite(window_radius).all()):
+                raise _too_wide(f"the guard window of the jump {transition.source!r} -> "
+                                f"{transition.target!r} at t={entry_time:g}")
+            center = reset.r_matrix @ window_center + reset.r_offset
+            radius = np.abs(reset.r_matrix) @ window_radius
             succ_lo, succ_hi = center - radius, center + radius
         # the clamp that follows would read infinities as an empty box
-        _require_finite_successor(transition, entry_time, succ_lo, succ_hi)
+        if not (np.isfinite(succ_lo).all() and np.isfinite(succ_hi).all()):
+            raise NonFiniteFlowpipe(
+                f"successor of the jump {transition.source!r} -> {transition.target!r} at t={entry_time:g} "
+                "left the floating-point range; the reset maps the guard set out of range"
+            )
         out.append((Box._trusted(succ_lo, succ_hi), entry_time, window_width))
     return out
 
@@ -648,7 +694,7 @@ def _merge_level(tasks: list, step: float) -> list:
             entry = min(other.entry_time, task.entry_time)
             end = max(other.end_time, task.end_time)
             box = _checked_box(other.box.hull(task.box),
-                               f"the hull of the merged successors of location {task.location!r} at t={entry:g}")
+                               "the hull of the merged successors of location {!r} at t={:g}", task.location, entry)
             merged[i] = _Task(task.location, box, entry, end - entry)
             absorbed = True
             break
@@ -673,15 +719,16 @@ def reach(bundle: ModelBundle) -> ReachResult:
         raise HyraError("bundle does not validate: " + "; ".join(str(d) for d in report))
     input_box = automaton.input_box()
     locations = {loc.name: loc for loc in automaton.locations}
+    outgoing = {name: automaton.transitions_from(name) for name in locations}
 
     stats = ReachStats()
     parts: list = []
     alpha_max = 0.0
     jump_bound_cut = False
     processed: dict = {name: [] for name in locations}  # the tasks that ran, per location
-    discretized: dict = {}  # location name -> Discretization, shared by its flowpipes
+    discretized: dict = {}  # shared by the flowpipes of the call (see ``flowpipe``)
 
-    init = _checked_box(bundle.initial.box, f"the initial set of location {bundle.initial.location!r}")
+    init = _checked_box(bundle.initial.box, "the initial set of location {!r}", bundle.initial.location)
     level = [_Task(bundle.initial.location, init, 0.0, 0.0)]
     depth = 0
     while level and depth <= settings.max_jumps:
@@ -701,7 +748,7 @@ def reach(bundle: ModelBundle) -> ReachResult:
             parts.append(pipe.segments)
             if len(pipe.raw) == 0:
                 continue
-            for transition in automaton.transitions_from(task.location):
+            for transition in outgoing[task.location]:
                 successors = jump_successors(pipe.raw, transition)
                 if not successors:
                     continue
@@ -712,8 +759,8 @@ def reach(bundle: ModelBundle) -> ReachResult:
                     clamped = intersect_condition(succ, locations[transition.target].invariant)
                     if clamped is None:
                         continue
-                    box = _checked_box(clamped, f"the successor of the jump {transition.source!r} -> "
-                                                f"{transition.target!r} at t={t_entry:g}")
+                    box = _checked_box(clamped, "the successor of the jump {!r} -> {!r} at t={:g}",
+                                       transition.source, transition.target, t_entry)
                     # late jumpers inherit the parent's entry skew
                     next_level.append(_Task(transition.target, box, t_entry, w + task.window))
         level = _merge_level(next_level, settings.step)

@@ -31,8 +31,9 @@ Omega0 forms of ``reach.discretize`` (the chord zonotope and the sub-step
 box hull, whose boxes come from the propagation kernel
 ``reach._box_chunks``), each chunk of that kernel in ``reach._propagate``,
 the tail segment of ``reach.flowpipe``, and each successor box of
-``reach.jump_successors``. ``reach._checked_box`` tests the center and
-radius of each guard window and of each box a task starts from.
+``reach.jump_successors``. ``reach.jump_successors`` tests the center and
+radius of each guard window inline, where it computes them for the reset,
+and ``reach._checked_box`` those of each box a task starts from.
 """
 
 from __future__ import annotations

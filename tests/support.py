@@ -112,6 +112,38 @@ def merge_overflow_bundle() -> ModelBundle:
     return ModelBundle(automaton, settings, InitialCondition("a", Box([-0.95e308], [0.8e308])))
 
 
+def reset_jump_bundle(lo: float, hi: float, scale: float) -> ModelBundle:
+    """Frozen x in [lo, hi] jumps at once through x' = scale * x into x >= 0."""
+    table = VariableTable(("x",))
+    positive = Condition((LinearConstraint([1.0], ">=", 0.0),))
+    locations = (Location("a", Condition(), AffineDynamics.zero(1)),
+                 Location("b", positive, AffineDynamics.zero(1)))
+    jump = Transition("a", "b", Condition(), ResetMap([[scale]], [0.0]))
+    automaton = HybridAutomaton("blowup", table, locations, (jump,))
+    settings = ReachSettings(0.3, 0.1, 1, None, None, False)
+    return ModelBundle(automaton, settings, InitialCondition("a", Box([lo], [hi])))
+
+
+# (lo, hi, reset scale, drift of x in a) of each box too wide for its center or radius
+TOO_WIDE = {
+    "initial": (-1e308, 1e308, 1.0, 0.0),
+    # each drifting segment is 1.76e308 wide; the window of all five of them is wider than the float range
+    "window": (-0.9e308, 0.85e308, 1.0, 1e307),
+    # the reset widens a finite window to finite bounds 1.9e308 apart
+    "successor": (-0.9e308, 0.85e308, 1.1, 0.0),
+}
+
+
+def too_wide_bundle(case: str) -> ModelBundle:
+    """``reset_jump_bundle`` over 0.5 s, where x drifts in both locations, for a ``TOO_WIDE`` case."""
+    lo, hi, scale, drift = TOO_WIDE[case]
+    bundle = reset_jump_bundle(lo, hi, scale)
+    source = Location("a", Condition(), AffineDynamics([[0.0]], np.zeros((1, 0)), [drift]))
+    automaton = dataclasses.replace(bundle.automaton, locations=(source, Location("b", Condition(), source.dynamics)))
+    settings = dataclasses.replace(bundle.settings, horizon=0.5)
+    return ModelBundle(automaton, settings, bundle.initial)
+
+
 # Coefficient values of generated automata: +-1 (written without a factor),
 # integers, decimals and exponents on both sides of format_number's notation switch.
 _VALUES = (1.0, -1.0, 2.0, -0.75, 9.81, 1505.0, 1e-05, -2.5e-07, 3e+22, 0.1)

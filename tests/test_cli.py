@@ -433,3 +433,19 @@ def test_integral_float_max_jumps_is_written_as_an_integer(to, line, tmp_path, c
     code, out, _ = run(capsys, "translate", str(path), "--to", to)
     assert code == 0
     assert line in out and "max_jumps\": 2.0" not in out and "max jumps 2.0" not in out
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d["settings"].update(max_jumps=2**70),
+    lambda d: d.update(name="\ud800x"),
+], ids=["max-jumps", "lone-surrogate"])
+def test_translating_a_bundle_the_writer_cannot_write_is_an_input_error(edit, tmp_path, capsys):
+    data = json.loads((CORPUS_DIR / "bouncing-ball" / "bundle.json").read_text())
+    edit(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data, indent=2))
+    code, out, err = run(capsys, "translate", str(path), "--to", "json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bundle document rejected: ") and err.count("\n") == 1
+    assert "Traceback" not in err

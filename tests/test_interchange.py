@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -61,18 +62,29 @@ def test_the_spelling_bundle_reads_back_from_its_ascii_text():
     assert write_json(read_json(text)) == text
 
 
+def with_non_finite(bundle, value: float):
+    """``bundle`` (the ball) with its constant ``c`` and one entry of its first reset's ``c`` term set to
+    ``value``; ``read_json`` rejects such a bundle, so it is built in the IR."""
+    automaton = bundle.automaton
+    reset = automaton.transitions[0].reset
+    term = reset.matrix_terms["c"].copy()
+    term[0, 0] = value
+    first = dataclasses.replace(automaton.transitions[0], reset=dataclasses.replace(reset, matrix_terms={"c": term}))
+    table = dataclasses.replace(automaton.vars, constants={"c": value})
+    automaton = dataclasses.replace(automaton, vars=table, transitions=(first, *automaton.transitions[1:]))
+    return dataclasses.replace(bundle, automaton=automaton)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 def test_write_json_spells_non_finite_numbers_as_json_dumps_does(value):
     data = _ball_data()
-    data["variables"]["constants"]["c"] = value
-    data["transitions"][0]["reset"]["matrix_terms"]["c"][0][0] = value
     data["transitions"][1]["label"] = None
     for label, location in (("hit", "always"), ("null", "null,")):  # a "null" in a string is no null token
         data["transitions"][0]["label"] = label
         data["locations"][0]["name"] = data["initial"]["location"] = location
         for tr in data["transitions"]:
             tr["source"] = tr["target"] = location
-        bundle = read_json(json.dumps(data))
+        bundle = with_non_finite(read_json(json.dumps(data)), value)
         text = write_json(bundle)
         assert text == json.dumps(bundle_to_dict(bundle), indent=2) + "\n"
         assert text.count(json.dumps(value)) == 2
@@ -230,6 +242,73 @@ def test_an_integer_too_large_for_a_float_is_rejected(edit):
     edit(data)
     with pytest.raises(SchemaViolation, match="int too large to convert to float"):
         read_json(json.dumps(data))
+
+
+def unwritable_document(case: str) -> str:
+    """The ball's bundle with a value ``write_json`` cannot write: a ``max_jumps``
+    past 64 bits, or a lone surrogate in the name, as an escape or as a character."""
+    data = _ball_data()
+    if case == "max-jumps":
+        data["settings"]["max_jumps"] = 2**70
+        return json.dumps(data, indent=2)
+    data["name"] = "\ud800x"
+    return json.dumps(data, indent=2, ensure_ascii=case == "surrogate-escape")
+
+
+@pytest.mark.parametrize("case, message", [
+    ("max-jumps", "bundle document rejected: max_jumps must be below 2**64, not 1180591620717411303424"),
+    ("surrogate-escape", "bundle document rejected: '\\ud800x' holds a lone surrogate, which is not Unicode text"),
+    ("surrogate-character", "bundle document rejected: '\\ud800x' holds a lone surrogate, which is not Unicode text"),
+], ids=["max-jumps", "surrogate-escape", "surrogate-character"])
+def test_values_write_json_cannot_write_are_rejected_on_read(case, message):
+    text = unwritable_document(case)
+    assert ("\\ud800" in text) == (case == "surrogate-escape")
+    with pytest.raises(SchemaViolation) as error:
+        read_json(text)
+    assert str(error.value) == message
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d["settings"].update(max_jumps=2**64 - 1),
+    lambda d: d.update(name="pair \U0001f600 and \u00e9"),
+    lambda d: d["variables"]["constants"].update({"\U0001f600": 1.0}),
+], ids=["max-jumps", "surrogate-pair", "astral-key"])
+def test_the_largest_max_jumps_and_surrogate_pairs_read_and_write_back(edit):
+    data = _ball_data()
+    edit(data)
+    for text in (json.dumps(data, indent=2), json.dumps(data, indent=2, ensure_ascii=False)):
+        bundle = read_json(text)
+        assert read_json(write_json(bundle)) == bundle
+
+
+@pytest.mark.parametrize("key", ["name", "constant", "location", "label"])
+def test_a_lone_surrogate_anywhere_is_rejected(key):
+    data = _ball_data()
+    if key == "constant":
+        data["variables"]["constants"]["\udc00"] = data["variables"]["constants"].pop("c")
+    elif key == "location":
+        data["locations"][0]["name"] = "\udfff"
+    else:
+        (data if key == "name" else data["transitions"][0])[key] = "a\udbff"
+    with pytest.raises(SchemaViolation, match="holds a lone surrogate"):
+        read_json(json.dumps(data))
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("where", ["constant", "terms"])
+def test_non_finite_constants_and_terms_are_rejected_on_read(where, value):
+    data = _ball_data()
+    if where == "constant":
+        data["variables"]["constants"]["c"] = float(value.replace("Infinity", "inf"))
+        defect = "[non-finite] constant 'c' is not finite"
+    else:
+        data["transitions"][0]["reset"]["matrix_terms"]["c"][1][1] = float(value.replace("Infinity", "inf"))
+        defect = "[non-finite] transition #0 (always->always): reset term not finite"
+    text = json.dumps(data, indent=2)
+    assert value in text
+    with pytest.raises(SchemaViolation) as error:
+        read_json(text)
+    assert str(error.value) == "bundle does not validate: " + defect
 
 
 # -- read_json against plain jsonschema.validate plus _build_bundle ----------

@@ -164,6 +164,13 @@ def test_max_jumps_must_be_an_integer_at_least_zero(value):
         ReachSettings(1, 0.1, value)
 
 
+@pytest.mark.parametrize("value", [2**64, 2**70, 1e20])
+def test_max_jumps_must_be_below_two_to_the_64(value):
+    with pytest.raises(ValueError, match=r"max_jumps must be below 2\*\*64, not \d+$"):
+        ReachSettings(1, 0.1, value)
+    assert ReachSettings(1, 0.1, 2**64 - 1).max_jumps == 2**64 - 1
+
+
 @pytest.mark.parametrize("value", [2, 2.0, np.int64(2), np.float64(2.0)])
 def test_integral_max_jumps_is_stored_as_an_int(value):
     assert type(ReachSettings(1, 0.1, value).max_jumps) is int
@@ -423,3 +430,41 @@ def test_the_parity_cases_hit_every_defect_code():
     assert codes == {"no-state", "duplicate-name", "input-range", "duplicate-location", "dimension", "non-finite",
                      "unknown-symbol", "no-location", "dangling-name", "degenerate-constraint"}
     assert len(validate(*_DEFECT_CASES["many"][1:])) >= 8
+
+
+_NON_FINITE = [float("nan"), float("inf"), -float("inf")]
+
+
+def _with_term(automaton, where: str, value: float):
+    """``automaton`` (the ball, resolved or not) with one entry of a symbolic term of ``c`` set to ``value``."""
+    if where == "constant":
+        return dataclasses.replace(automaton, vars=VariableTable(automaton.vars.state_vars, automaton.vars.input_vars,
+                                                                 {"c": value}))
+    if where == "matrix_terms":
+        return _edit_reset(automaton, 0, matrix_terms={"c": _entry(np.zeros((4, 4)), (1, 1), value)})
+    if where == "c_terms":
+        return _edit_dynamics(automaton, 0, c_terms={"c": _entry(np.zeros(4), 1, value)})
+    if where == "coeff_terms":
+        return _edit_invariant(automaton, 0, 0, coeff_terms={"c": _entry(np.zeros(4), 0, value)})
+    return _edit_guard(automaton, 0, 0, bound_terms={"c": value})
+
+
+@pytest.mark.parametrize("value", _NON_FINITE, ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where, message", [
+    ("constant", "constant 'c' is not finite"),
+    ("matrix_terms", "transition #0 (always->always): reset term not finite"),
+    ("c_terms", "location 'always': dynamics term not finite"),
+    ("coeff_terms", "location 'always' invariant: constraint has non-finite entries"),
+    ("bound_terms", "transition #0 (always->always) guard: constraint has non-finite entries"),
+], ids=["constant", "matrix_terms", "c_terms", "coeff_terms", "bound_terms"])
+def test_non_finite_constants_and_terms_are_defects(where, message, value):
+    automaton = _with_term(build_bouncing_ball().automaton, where, value)
+    defects = [(d.code, d.message) for d in validate(automaton)]
+    assert ("non-finite", message) in defects
+    assert {code for code, _ in defects} == {"non-finite"}
+
+
+def test_the_corpus_and_the_generated_bundles_still_validate():
+    bundles = [build(bench) for bench in all_benchmarks()] + [generated_bundle(seed) for seed in GENERATED_SEEDS]
+    for bundle in bundles:
+        assert validate(bundle.automaton, bundle.settings.forbidden).ok

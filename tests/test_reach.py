@@ -48,7 +48,8 @@ from hyra.sets import (
     translate,
 )
 from support import (
-    box_contains, late_entry_bundle, merge_overflow_bundle, revisit_bundle, sample_zonotope, with_leftover_tail,
+    box_contains, late_entry_bundle, merge_overflow_bundle, reset_jump_bundle, revisit_bundle, sample_zonotope,
+    too_wide_bundle, with_leftover_tail,
 )
 
 reach_module = importlib.import_module("hyra.reach")
@@ -314,6 +315,18 @@ def test_discretize_overflow_is_a_non_finite_flowpipe():
 
 
 
+def test_an_input_set_out_of_range_is_a_non_finite_flowpipe():
+    # x' = x + 0.8e308 from around its rest point -0.8e308: the sub-step boxes
+    # and their hull are floats, V's center (e^2 - 1) * 0.8e308 is not
+    dyn = AffineDynamics([[1.0]], np.zeros((1, 0)), [0.8e308])
+    disc = Discretization(dyn, None, 2.0000004)
+    assert disc.substeps == 8 and not np.isfinite(disc.v_set.center).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteFlowpipe, match="first-interval enclosure over a step of 2.0000004 left the"):
+            discretize(disc, Box([-0.8e308 - 0.2e307], [-0.8e308 + 0.2e307]).to_zonotope())
+
+
 def test_input_bound_overflow_is_a_non_finite_flowpipe():
     # (e^(step ||A||) - 1) / ||A|| for ||A|| = 1000 over a step of 1 is past
     # the float range; sub-stepping bounds only tau ||A||
@@ -454,7 +467,7 @@ def box_chunks_by_recurrence(phi, z0: Zonotope, v_set: Zonotope, steps: int):
 
 def box_chunks(phi, z0: Zonotope, v_set: Zonotope, steps: int):
     """``_box_chunks`` on the tables of (phi, v_set): (lo, hi, after) over all ``steps``."""
-    chunks = list(reach_module._box_chunks(reach_module._kernel(phi, v_set), z0, steps))
+    chunks = list(reach_module._box_chunks(reach_module._kernel(reach_module._powers(phi), v_set), z0, steps))
     return np.concatenate([c[0] for c in chunks]), np.concatenate([c[1] for c in chunks]), chunks[-1][2]
 
 
@@ -519,13 +532,72 @@ def test_each_location_is_discretized_once_per_reach_call():
             result = reach(bundle)
             full = {id(d): d for d in calls["discretize"] if d.step == settings.step}
             tails = [d for d in calls["discretize"] if d.step != settings.step]
-            # A = 0 in every tank location: one sub-step, so one exp_with_integral per record
+            # one sub-step everywhere, so one exp_with_integral per distinct (A, step),
+            # tail steps included; A = 0 in every tank location and there is no tail
             assert all(d.substeps == 1 for d in calls["discretize"])
             assert len(full) == len(set(result.segments.location)) > 1
             assert result.stats.flowpipes > len(full)
-            assert calls["exp_with_integral"] == len(full) + len(tails)
+            distinct = {(d.step, d.dyn.a.tobytes()) for d in calls["discretize"]}
+            assert calls["exp_with_integral"] == len(distinct) == 1 and not tails
             records.append(full)
     assert not set(records[0]) & set(records[1])
+
+
+def test_linswitch_computes_one_exponential_per_location():
+    # four modes with four distinct A, one sub-step each
+    bundle = build_linswitch()
+    calls = recorded_calls("exp_with_integral", build_linswitch)
+    matrices = {loc.dynamics.a.tobytes() for loc in bundle.automaton.resolved().locations}
+    assert len(calls) == len(matrices) == 4
+
+
+def shared_a_bundle(scale: float) -> ModelBundle:
+    """Two locations whose flows are ``scale`` times x' = A x + c with one A and
+    different c (and B); ``a`` jumps to ``b`` at x >= 1."""
+    from hyra.ir import ResetMap, Transition
+
+    a = scale * np.array([[0.0, 1.0], [-1.0, 0.0]])  # turns about (1.5, 0) in a and (-1, 0) in b
+    locations = (Location("a", Condition(), AffineDynamics(a, np.zeros((2, 1)), [0.0, 1.5 * scale])),
+                 Location("b", Condition(), AffineDynamics(a, scale * np.array([[1.0], [0.0]]), [0.0, -scale])))
+    jump = Transition("a", "b", Condition((LinearConstraint([1.0, 0.0], ">=", 1.0),)), ResetMap.identity(2))
+    automaton = HybridAutomaton("shared-a", VariableTable(("x", "y"), ("u",)), locations, (jump,), {"u": (-0.1, 0.1)})
+    settings = ReachSettings(2.995, 0.01, 1, None, None, False)  # a tail step of half a step
+    return ModelBundle(automaton, settings, InitialCondition("a", Box([0.0, 0.0], [0.5, 0.5])))
+
+
+@pytest.mark.parametrize("scale", [1.0, 150.0], ids=["one-sub-step", "stiff"])
+def test_locations_with_one_a_share_its_tables_and_keep_their_own_drift(scale):
+    bundle = shared_a_bundle(scale)
+    recorded = []
+
+    def record(disc, x0):
+        recorded.append(disc)
+        return discretize(disc, x0)
+
+    def own_tables(discretized, a, step):
+        return reach_module.PhiTables(a, step)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reach_module, "discretize", record)
+        shared = reach(bundle)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reach_module, "_tables", own_tables)
+        separate = reach(bundle)
+    first, second = {id(d): d for d in recorded if d.step == bundle.settings.step}.values()
+    assert first.dyn is not second.dyn and first.tables is second.tables
+    assert (first.substeps > 1) == (scale > 1.0)
+    kernels = [(first.kernel, second.kernel)]
+    if first.substeps > 1:
+        kernels.append((first.substep_kernel, second.substep_kernel))
+    for mine, theirs in kernels:
+        assert mine[0] is theirs[0] and mine[1] is theirs[1]  # P_j and P_(j+1) - P_j
+        assert not np.array_equal(mine[2], theirs[2])  # P_j c_V
+    tails = [d for d in recorded if d.step != bundle.settings.step]
+    assert tails and all(d.tables is next(t for t in tails if t.step == d.step).tables for d in tails)
+    assert set(shared.segments.location) == {"a", "b"}
+    for column in ("time_lo", "time_hi", "center", "radius", "depth"):
+        assert getattr(shared.segments, column).tobytes() == getattr(separate.segments, column).tobytes()
+    assert shared.segments.location.tolist() == separate.segments.location.tolist()
 
 
 def sliding_hull_by_offsets(lo, hi, m, count):
@@ -718,36 +790,15 @@ def test_every_box_is_inside_the_condition_true():
 
 @pytest.mark.parametrize("case, message", [
     ("initial", "the initial set of location 'a' is too wide"),
-    # each drifting segment is 1.76e308 wide; the window of all five of them is wider than the float range
     ("window", "the guard window of the jump 'a' -> 'b' at t=0 is too wide"),
-    # the reset widens a finite window to finite bounds 1.9e308 apart
     ("successor", "the successor of the jump 'a' -> 'b' at t=0 is too wide"),
 ])
 def test_box_too_wide_for_its_radius_is_a_named_engine_error(case, message):
-    lo, hi, scale, drift = {"initial": (-1e308, 1e308, 1.0, 0.0), "window": (-0.9e308, 0.85e308, 1.0, 1e307),
-                            "successor": (-0.9e308, 0.85e308, 1.1, 0.0)}[case]
-    bundle = reset_jump_bundle(lo, hi, scale)
-    source = Location("a", Condition(), AffineDynamics([[0.0]], np.zeros((1, 0)), [drift]))
-    automaton = dataclasses.replace(bundle.automaton, locations=(source, Location("b", Condition(), source.dynamics)))
-    settings = dataclasses.replace(bundle.settings, horizon=0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NonFiniteFlowpipe, match=message):
-            reach(ModelBundle(automaton, settings, bundle.initial))
-
-
-def reset_jump_bundle(lo: float, hi: float, scale: float) -> ModelBundle:
-    """Frozen x in [lo, hi] jumps at once through x' = scale * x into x >= 0."""
-    from hyra.ir import ResetMap, Transition
-
-    table = VariableTable(("x",))
-    positive = Condition((LinearConstraint([1.0], ">=", 0.0),))
-    locations = (Location("a", Condition(), AffineDynamics.zero(1)),
-                 Location("b", positive, AffineDynamics.zero(1)))
-    jump = Transition("a", "b", Condition(), ResetMap([[scale]], [0.0]))
-    automaton = HybridAutomaton("blowup", table, locations, (jump,))
-    settings = ReachSettings(0.3, 0.1, 1, None, None, False)
-    return ModelBundle(automaton, settings, InitialCondition("a", Box([lo], [hi])))
+        with pytest.raises(NonFiniteFlowpipe) as error:
+            reach(too_wide_bundle(case))
+    assert str(error.value) == message + " for the floating-point range: its center or radius overflows"
 
 
 def test_reset_out_of_range_raises_from_jump_successors():
@@ -756,8 +807,10 @@ def test_reset_out_of_range_raises_from_jump_successors():
                     discretized={})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NonFiniteFlowpipe, match="jump 'a' -> 'b' at t=0 left the floating-point range"):
+        with pytest.raises(NonFiniteFlowpipe) as error:
             jump_successors(pipe.raw, bundle.automaton.transitions[0])
+    assert str(error.value) == ("successor of the jump 'a' -> 'b' at t=0 left the floating-point range; "
+                                "the reset maps the guard set out of range")
 
 
 @pytest.mark.parametrize("lo, hi, scale", [
@@ -871,9 +924,10 @@ def test_merged_hull_out_of_range_is_a_named_engine_error():
     # the two successors in b are close, but their hull spans 1.85e308
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NonFiniteFlowpipe, match="the hull of the merged successors of location 'b' at t=0 "
-                                                    "is too wide for the floating-point range"):
+        with pytest.raises(NonFiniteFlowpipe) as error:
             reach(merge_overflow_bundle())
+    assert str(error.value) == ("the hull of the merged successors of location 'b' at t=0 "
+                                "is too wide for the floating-point range: its center or radius overflows")
 
 
 @pytest.mark.parametrize("build", CORPUS_BUILDS, ids=lambda b: b.__name__[6:])

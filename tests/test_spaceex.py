@@ -135,3 +135,11 @@ def test_symbolic_input_coefficients_split_into_a_and_b_terms():
     assert np.array_equal(dyn.b, [[0.0], [3.0]])
     assert np.array_equal(dyn.c, [0.0, -9.81]) and np.array_equal(dyn.c_terms["c"], [0.0, 1.0])
     assert "v' == 2*c*v + 3*u - c*u - 9.81 + c" in emit_spaceex(parse_spaceex(xml))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_a_non_finite_constant_is_rejected(value):
+    xml = BALL_XML.replace("v := -0.75*v", "v := -c*v").replace(
+        '<param name="x"', f'<param name="c" type="real" dynamics="const" value="{value}" />\n    <param name="x"')
+    with pytest.raises(XmlMalformed, match=r"does not validate: \[non-finite\] constant 'c' is not finite"):
+        parse_spaceex(xml)

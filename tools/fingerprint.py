@@ -17,7 +17,10 @@ of the test suite. Translation lines cover ``emit_spaceex`` and
 ``emit_config`` of each corpus model, ``write_json`` of each parsed
 ``model.xml`` with its ``config.cfg``, every format's text of the test
 suite's generated symbolic automata, and ``write_json`` of the test suite's
-bundle that holds every number and text spelling of the JSON writer. Two
+bundle that holds every number and text spelling of the JSON writer. Error
+lines cover the ``Type: message`` text of the engine error that ``reach``
+raises on each overflow model of the test suite: the merged hull, the guard
+window and the reset successor too wide for their center or radius. Two
 source trees print the same lines exactly when all of these outputs are
 byte-identical:
 
@@ -36,7 +39,7 @@ from pathlib import Path
 from hyra import corpus
 from hyra.cli import main as cli_main
 from hyra.config import emit_config, parse_config
-from hyra.errors import SchemaViolation
+from hyra.errors import EngineError, SchemaViolation
 from hyra.flowstar import emit_flowstar
 from hyra.interchange import read_json, write_json
 from hyra.ir import ModelBundle, ReachSettings
@@ -160,6 +163,22 @@ def translation_lines():
     yield f"{digest(write_json(support.spelling_bundle()))}  spelling-bundle write_json"
 
 
+def error_text(bundle) -> str:
+    try:
+        reach(bundle)
+    except EngineError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return "no error"
+
+
+def error_lines():
+    support = suite_support()
+    cases = [("", support.merge_overflow_bundle())]
+    cases += [(f" {case}", support.too_wide_bundle(case)) for case in ("window", "successor")]
+    for label, bundle in cases:
+        yield f"{digest(error_text(bundle))}  {bundle.automaton.name} reach error{label}"
+
+
 def lines():
     for bench in corpus.all_benchmarks():
         model = bench.value
@@ -176,6 +195,7 @@ def lines():
         yield f"{digest(reach_text(bundle))}  {model} {label}"
     yield from reader_lines()
     yield from translation_lines()
+    yield from error_lines()
 
 
 def main() -> int:
