@@ -16,9 +16,10 @@ rejection message are those of plain ``jsonschema.validate``.
 
 Values the schema admits but the IR rejects (non-finite or empty initial
 boxes, a NaN step, non-finite constants or symbolic terms, an initial
-location the model lacks, a forbidden set over the wrong number of
-variables, output variables that are not state variables, an integer too
-large for a float, a ``max_jumps`` of 2**64 or more) fail the same way, and
+location the model lacks, a forbidden set that ``ir.validate`` rejects,
+such as one over the wrong number of variables or with a NaN bound,
+output variables that are not state variables, an integer too large for
+a float, a ``max_jumps`` of 2**64 or more) fail the same way, and
 so does a string with a lone surrogate code point: ``write_json`` could not
 write either of the last two back.
 The shipped schema itself is checked against its meta-schema once per
@@ -347,18 +348,11 @@ def _build_bundle(data: dict) -> ModelBundle:
         tuple(transitions),
         {name: tuple(rng) for name, rng in data.get("input_range", {}).items()},
     )
-    report = validate(automaton)
-    if not report.ok:
-        raise SchemaViolation("bundle does not validate: " + "; ".join(str(d) for d in report))
-
     s = data["settings"]
     forbidden = None if s["forbidden"] is None else _condition_in(s["forbidden"])
-    if forbidden is not None and not forbidden.symbols <= set(table.constants):
-        unknown = sorted(forbidden.symbols - set(table.constants))
-        raise SchemaViolation(f"forbidden references undeclared constants: {unknown}")
-    for con in () if forbidden is None else forbidden.constraints:
-        if con.coeffs.shape != (table.n,):
-            raise SchemaViolation(f"forbidden: constraint over {con.coeffs.size} variables, expected {table.n}")
+    report = validate(automaton, forbidden)
+    if not report.ok:
+        raise SchemaViolation("bundle does not validate: " + "; ".join(str(d) for d in report))
     for name in s.get("output_vars") or ():
         if name not in table.state_vars:
             raise SchemaViolation(f"output_vars: {name!r} is not a state variable")

@@ -59,6 +59,7 @@ from .sets import (
     Box,
     Zonotope,
     box_hull,
+    center_radius,
     clamp_boxes,
     exp_with_integral,
     hull_zonotope,
@@ -125,22 +126,22 @@ class Segments:
 
     @classmethod
     def from_bounds(cls, time_lo, time_hi, lo, hi, location: str, depth: int) -> "Segments":
-        """Rows of one flowpipe from box bounds, centered as ``Box`` does.
+        """Rows of one flowpipe from finite box bounds, centered as ``Box`` does.
 
-        A box too wide for its center or radius to be a float raises
-        ``NonFiniteFlowpipe``.
+        A box whose bounds read back out of the floating-point range (which
+        takes a bound at or next to the largest float) raises ``NonFiniteFlowpipe``.
         """
         count = lo.shape[0]
-        with np.errstate(over="ignore", invalid="ignore"):
-            center, radius = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        if not (np.isfinite(center).all() and np.isfinite(radius).all()):
-            first = np.argmin(np.isfinite(center).all(axis=1) & np.isfinite(radius).all(axis=1))
+        segments = cls(time_lo, time_hi, *center_radius(lo, hi),
+                       np.full(count, location, dtype=object), np.full(count, depth))
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(segments.lo).all(axis=1) & np.isfinite(segments.hi).all(axis=1)
+        if not finite.all():
             raise NonFiniteFlowpipe(
                 f"flowpipe of location {location!r} left the floating-point range before "
-                f"t={float(time_hi[first]):g}: a box is too wide to store as center and radius"
+                f"t={float(time_hi[np.argmin(finite)]):g}: a box does not read back from its center and radius"
             )
-        return cls(time_lo, time_hi, center, radius,
-                   np.full(count, location, dtype=object), np.full(count, depth))
+        return segments
 
     @classmethod
     def empty(cls, dim: int) -> "Segments":
@@ -349,7 +350,8 @@ def discretize(disc: Discretization, x0: Zonotope):
                 bloats = curvature * np.maximum(np.abs(lo[:-1]), np.abs(hi[:-1])).max(axis=1) + drift_curv + beta_tau
                 widen = np.maximum(np.append(bloats, bloats[-1]), np.insert(bloats, 0, bloats[0]))[:, None]
                 lo, hi = (lo - widen).min(axis=0), (hi + widen).max(axis=0)
-                omega = Zonotope._trusted(0.5 * (lo + hi), np.diag(0.5 * (hi - lo)))
+                center, radius = center_radius(lo, hi)
+                omega = Zonotope._trusted(center, np.diag(radius))
     except FloatingPointError:
         omega = None
     if (omega is None or not disc.v_finite or not np.isfinite(omega.center).all()
@@ -398,19 +400,6 @@ def _require_finite(location, time: float, *arrays) -> None:
                 f"flowpipe of location {location.name!r} left the floating-point range "
                 f"before t={time:g}; the dynamics diverge over the horizon"
             )
-
-
-def _too_wide(what: str) -> NonFiniteFlowpipe:
-    return NonFiniteFlowpipe(f"{what} is too wide for the floating-point range: its center or radius overflows")
-
-
-def _checked_box(box: Box, what: str, *args) -> Box:
-    """``box``, whose center and radius must be floats; else a ``NonFiniteFlowpipe``
-    naming ``what.format(*args)``, formatted only then."""
-    with np.errstate(over="ignore"):
-        if np.isfinite(box.center).all() and np.isfinite(box.radius).all():
-            return box
-    raise _too_wide(what.format(*args))
 
 
 def _box_chunks(kernel, z0: Zonotope, steps: int):
@@ -494,7 +483,7 @@ def flowpipe(location, init: Box, input_box: Box | None, step: float, horizon: f
     """Segments covering [entry_time, horizon] inside one location.
 
     Stops early when a segment's intersection with the invariant is empty.
-    ``init`` is a checked box (``_checked_box``); ``discretize`` reads its zonotope.
+    ``discretize`` reads the zonotope of the finite box ``init``.
     ``window`` is the width of the guard-crossing window that produced
     ``init`` (zero for the model's initial set). ``discretized`` maps location
     names to their ``Discretization`` for ``step`` and (step, A's bytes) to
@@ -575,8 +564,8 @@ def jump_successors(segments: Segments, transition):
     under the reset ``R x + r`` is the box of center ``R c + r`` and radius
     ``|R| rad``, reported with the window's start time and width. Returns
     a list of (box_pre_invariant, entry_time, window_width), each box with
-    finite bounds. A window too wide for its center or radius, or a reset
-    that maps it out of the floating-point range, raises ``NonFiniteFlowpipe``.
+    finite bounds. A reset that maps a window out of the floating-point
+    range raises ``NonFiniteFlowpipe``.
     """
     lo, hi, hit = clamp_boxes(segments.lo, segments.hi, transition.guard.halfspaces())
     hits = np.flatnonzero(hit)
@@ -587,14 +576,9 @@ def jump_successors(segments: Segments, transition):
     for run in np.split(hits, np.flatnonzero(np.diff(hits) > 1) + 1):
         entry_time = float(segments.time_lo[run[0]])
         window_width = float(segments.time_hi[run[-1]]) - entry_time
-        # the window hulls clamped rows of a finite table: its bounds are
-        # finite, its center and radius (those of ``Box``) are checked here
-        window_lo, window_hi = lo[run].min(axis=0), hi[run].max(axis=0)
+        # the window hulls clamped rows of a finite table, so its bounds are finite
+        window_center, window_radius = center_radius(lo[run].min(axis=0), hi[run].max(axis=0))
         with np.errstate(over="ignore", invalid="ignore"):
-            window_center, window_radius = 0.5 * (window_lo + window_hi), 0.5 * (window_hi - window_lo)
-            if not (np.isfinite(window_center).all() and np.isfinite(window_radius).all()):
-                raise _too_wide(f"the guard window of the jump {transition.source!r} -> "
-                                f"{transition.target!r} at t={entry_time:g}")
             center = reset.r_matrix @ window_center + reset.r_offset
             radius = np.abs(reset.r_matrix) @ window_radius
             succ_lo, succ_hi = center - radius, center + radius
@@ -648,7 +632,7 @@ def _fixpoint_covered(task: _Task, pool: list) -> bool:
 @dataclass
 class _Task:
     location: str
-    box: Box  # the start set, with float center and radius
+    box: Box  # the start set
     entry_time: float
     window: float
 
@@ -667,7 +651,7 @@ def _boxes_close(b1: Box, b2: Box) -> bool:
     hull_lo = np.minimum(b1.lo, b2.lo)
     hull_hi = np.maximum(b1.hi, b2.hi)
     scale = np.maximum(np.maximum(np.abs(hull_lo), np.abs(hull_hi)), 1.0)
-    # widths past the float range compare inf <= inf; the merged hull's check names them
+    # widths past the float range compare inf <= inf; the merged hull still has a center and radius
     with np.errstate(over="ignore", invalid="ignore"):
         width = np.maximum(b1.hi - b1.lo, b2.hi - b2.lo)
         return bool(np.all(hull_hi - hull_lo <= 1.5 * width + 1e-9 * scale))
@@ -693,9 +677,7 @@ def _merge_level(tasks: list, step: float) -> list:
                 continue
             entry = min(other.entry_time, task.entry_time)
             end = max(other.end_time, task.end_time)
-            box = _checked_box(other.box.hull(task.box),
-                               "the hull of the merged successors of location {!r} at t={:g}", task.location, entry)
-            merged[i] = _Task(task.location, box, entry, end - entry)
+            merged[i] = _Task(task.location, other.box.hull(task.box), entry, end - entry)
             absorbed = True
             break
         if not absorbed:
@@ -728,8 +710,7 @@ def reach(bundle: ModelBundle) -> ReachResult:
     processed: dict = {name: [] for name in locations}  # the tasks that ran, per location
     discretized: dict = {}  # shared by the flowpipes of the call (see ``flowpipe``)
 
-    init = _checked_box(bundle.initial.box, "the initial set of location {!r}", bundle.initial.location)
-    level = [_Task(bundle.initial.location, init, 0.0, 0.0)]
+    level = [_Task(bundle.initial.location, bundle.initial.box, 0.0, 0.0)]
     depth = 0
     while level and depth <= settings.max_jumps:
         next_level: list = []
@@ -759,10 +740,8 @@ def reach(bundle: ModelBundle) -> ReachResult:
                     clamped = intersect_condition(succ, locations[transition.target].invariant)
                     if clamped is None:
                         continue
-                    box = _checked_box(clamped, "the successor of the jump {!r} -> {!r} at t={:g}",
-                                       transition.source, transition.target, t_entry)
                     # late jumpers inherit the parent's entry skew
-                    next_level.append(_Task(transition.target, box, t_entry, w + task.window))
+                    next_level.append(_Task(transition.target, clamped, t_entry, w + task.window))
         level = _merge_level(next_level, settings.step)
         depth += 1
 

@@ -13,27 +13,24 @@ clamped on its one column, which for finite bounds is the general
 interval-propagation formula bit for bit (see ``clamp_boxes``). Every
 caller passes finite bounds: the propagation chunks and the tail segment
 after ``reach._require_finite``, emission windows over real rows, stored
-segment tables and checked boxes.
+segment tables and the boxes tasks start from. Every box center and
+radius comes from ``center_radius``, finite for any finite bounds.
 
 Sets are checked where they enter: the public ``Box(...)`` and
 ``Zonotope(...)`` constructors convert to float and reject non-finite
 entries, ``lo > hi`` and shape mismatches. The set operations build their
 results with ``_trusted``, which only freezes the arrays they just computed
-(``Box.to_zonotope``, which ``reach.flowpipe`` calls once on the box a
-task starts from, after one test that the box's center and radius are
-finite, ``intersect_condition``, whose clamp of a finite box is finite
-with lo <= hi, and ``reach.jump_successors`` for its guard windows, which
-hull clamped rows of a finite segment table, and for their images under
-a reset ``R x + r``, mapped as boxes: center ``R c + r``, radius
-``|R| rad``); finite operands can still overflow, so the engine checks
-finiteness wherever a result goes on: both
-Omega0 forms of ``reach.discretize`` (the chord zonotope and the sub-step
-box hull, whose boxes come from the propagation kernel
-``reach._box_chunks``), each chunk of that kernel in ``reach._propagate``,
-the tail segment of ``reach.flowpipe``, and each successor box of
-``reach.jump_successors``. ``reach.jump_successors`` tests the center and
-radius of each guard window inline, where it computes them for the reset,
-and ``reach._checked_box`` those of each box a task starts from.
+(``Box.to_zonotope``, ``intersect_condition``, whose clamp of a finite box
+is finite with lo <= hi, and ``reach.jump_successors`` for the images of
+its guard windows under a reset ``R x + r``, mapped as boxes: center
+``R c + r``, radius ``|R| rad``); finite operands can still overflow, so
+the engine checks finiteness wherever a result goes on: both Omega0 forms
+of ``reach.discretize`` (the chord zonotope and the sub-step box hull,
+whose boxes come from the propagation kernel ``reach._box_chunks``), each
+chunk of that kernel in ``reach._propagate``, the tail segment of
+``reach.flowpipe``, the bounds a stored segment reads back
+(``reach.Segments.from_bounds``) and each successor box of
+``reach.jump_successors``.
 """
 
 from __future__ import annotations
@@ -54,6 +51,18 @@ _EXPM_TRUNCATION = 1e-16
 _EXPM_NORM_LIMIT = 1e6
 
 DEFAULT_ORDER_CAP = 20
+
+
+def center_radius(lo, hi):
+    """Center and radius of the box [lo, hi]: (0.5 lo + 0.5 hi, 0.5 hi - 0.5 lo).
+
+    Halving first keeps both finite for every pair of finite bounds. Halving
+    a normal float is exact, so wherever 0.5 (lo + hi) and 0.5 (hi - lo) are
+    finite and neither they nor the halved bounds are subnormal, the two
+    forms are the same bit for bit.
+    """
+    half_lo, half_hi = 0.5 * lo, 0.5 * hi
+    return half_lo + half_hi, half_hi - half_lo
 
 
 def _as_float_array(a, name):
@@ -97,11 +106,11 @@ class Box:
 
     @property
     def center(self) -> np.ndarray:
-        return 0.5 * (self.lo + self.hi)
+        return center_radius(self.lo, self.hi)[0]
 
     @property
     def radius(self) -> np.ndarray:
-        return 0.5 * (self.hi - self.lo)
+        return center_radius(self.lo, self.hi)[1]
 
     def hull(self, other: "Box") -> "Box":
         if other.dim != self.dim:
@@ -109,15 +118,8 @@ class Box:
         return Box(np.minimum(self.lo, other.lo), np.maximum(self.hi, other.hi))
 
     def to_zonotope(self) -> "Zonotope":
-        """The box as a zonotope, one generator per non-flat axis.
-
-        A box too wide for its center or radius to be a float raises
-        ``ValueError``.
-        """
-        with np.errstate(over="ignore"):
-            c, r = self.center, self.radius
-        if not (np.isfinite(c).all() and np.isfinite(r).all()):
-            raise ValueError("box is too wide for its center and radius to be finite")
+        """The box as a zonotope, one generator per non-flat axis."""
+        c, r = center_radius(self.lo, self.hi)
         return Zonotope._trusted(c, np.diag(r)[:, r > 0])
 
     def sup_norm(self) -> float:
@@ -254,14 +256,11 @@ def hull_zonotope(z1: Zonotope, z2: Zonotope) -> Zonotope:
     if z1.dim != z2.dim:
         raise DimensionMismatch("hull dimension mismatch")
     p = max(z1.order, z2.order)
-    g1, g2 = _pad_columns(z1.generators, p), _pad_columns(z2.generators, p)
-    gens = np.empty((z1.dim, 2 * p + 1))  # [mid | shift | diff], halved in place
-    np.add(g1, g2, out=gens[:, :p])
-    np.subtract(z1.center, z2.center, out=gens[:, p])
-    np.subtract(g1, g2, out=gens[:, p + 1:])
-    gens *= 0.5
+    mid, diff = center_radius(_pad_columns(z2.generators, p), _pad_columns(z1.generators, p))
+    center, shift = center_radius(z2.center, z1.center)
+    gens = np.hstack([mid, shift[:, None], diff])
     keep = np.abs(gens).sum(axis=0) > 0.0
-    return Zonotope._trusted(0.5 * (z1.center + z2.center), gens[:, keep])
+    return Zonotope._trusted(center, gens[:, keep])
 
 
 def _pad_columns(g: np.ndarray, p: int) -> np.ndarray:

@@ -96,11 +96,12 @@ def revisit_bundle(fixpoint: bool = True) -> ModelBundle:
     return ModelBundle(automaton, settings, InitialCondition("L0", Box([0.0, 0.0], [0.1, 0.0])))
 
 
-def merge_overflow_bundle() -> ModelBundle:
-    """Frozen x in [-0.95e308, 0.8e308] jumps from a to b through x := x and x := x + 1e307.
+def merge_overflow_bundle(lo: float = -0.95e308, hi: float = 0.8e308) -> ModelBundle:
+    """Frozen x in [lo, hi] jumps from a to b through x := x and x := x + 1e307.
 
-    The two successors are close enough to merge, but their hull is too wide
-    for its center and radius to be floats.
+    The two successors are close enough to merge. At the default bounds their
+    hull [-0.95e308, 0.9e308] is wider than the largest float, so its center
+    0.5 (lo + hi) and radius 0.5 (hi - lo) would overflow if computed that way.
     """
     table = VariableTable(("x",))
     locations = (Location("a", Condition(), AffineDynamics.zero(1)),
@@ -109,7 +110,7 @@ def merge_overflow_bundle() -> ModelBundle:
                    Transition("a", "b", Condition(), ResetMap([[1.0]], [1e307])))
     settings = ReachSettings(0.3, 0.1, 1, None, None, True)
     automaton = HybridAutomaton("merge-overflow", table, locations, transitions)
-    return ModelBundle(automaton, settings, InitialCondition("a", Box([-0.95e308], [0.8e308])))
+    return ModelBundle(automaton, settings, InitialCondition("a", Box([lo], [hi])))
 
 
 def reset_jump_bundle(lo: float, hi: float, scale: float) -> ModelBundle:
@@ -124,8 +125,9 @@ def reset_jump_bundle(lo: float, hi: float, scale: float) -> ModelBundle:
     return ModelBundle(automaton, settings, InitialCondition("a", Box([lo], [hi])))
 
 
-# (lo, hi, reset scale, drift of x in a) of each box too wide for its center or radius
-TOO_WIDE = {
+# (lo, hi, reset scale, drift of x in a) of boxes whose bounds are finite but
+# farther apart than the largest float: the initial set, a guard window, a successor
+WIDE_BOXES = {
     "initial": (-1e308, 1e308, 1.0, 0.0),
     # each drifting segment is 1.76e308 wide; the window of all five of them is wider than the float range
     "window": (-0.9e308, 0.85e308, 1.0, 1e307),
@@ -134,9 +136,9 @@ TOO_WIDE = {
 }
 
 
-def too_wide_bundle(case: str) -> ModelBundle:
-    """``reset_jump_bundle`` over 0.5 s, where x drifts in both locations, for a ``TOO_WIDE`` case."""
-    lo, hi, scale, drift = TOO_WIDE[case]
+def wide_box_bundle(case: str) -> ModelBundle:
+    """``reset_jump_bundle`` over 0.5 s, where x drifts in both locations, for a ``WIDE_BOXES`` case."""
+    lo, hi, scale, drift = WIDE_BOXES[case]
     bundle = reset_jump_bundle(lo, hi, scale)
     source = Location("a", Condition(), AffineDynamics([[0.0]], np.zeros((1, 0)), [drift]))
     automaton = dataclasses.replace(bundle.automaton, locations=(source, Location("b", Condition(), source.dynamics)))

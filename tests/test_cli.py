@@ -266,20 +266,20 @@ def test_overflowing_first_interval_is_an_engine_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_merged_hull_out_of_range_is_an_engine_error(tmp_path, capsys):
+@pytest.mark.parametrize("lo, hi", [(-0.95e308, 0.8e308), (1e308, 1.5e308)], ids=["wide", "far-narrow"])
+def test_merged_hull_past_the_largest_float_is_checked(lo, hi, tmp_path, capsys):
+    # the merged hull in b is wider than the largest float, or narrow with a
+    # sum of bounds past it; either way it has a center and radius
     path = tmp_path / "merge.json"
-    path.write_text(write_json(merge_overflow_bundle()))
+    path.write_text(write_json(merge_overflow_bundle(lo, hi)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy overflow warning on the way
         code, out, err = run(capsys, "check", str(path))
-    assert code == 3
-    assert out == ""
-    assert err.startswith("engine error: ") and "merged successors of location 'b'" in err
-    assert "Traceback" not in err
+    assert (code, out, err) == (0, "VERDICT SafeProved jumps=1 segments=6 time=0.3\n", "")
 
 
 def wide_tank_files(tmp_path, capsys):
-    """A tank3 cfg whose x1 spans [-1e308, 1e308], a finite box whose radius overflows, and its JSON bundle."""
+    """A tank3 cfg whose x1 spans [-1e308, 1e308], outside the invariant and too wide to sample, and its JSON bundle."""
     cfg = (CORPUS_DIR / "tank3" / "config.cfg").read_text()
     assert cfg.count("x1 >= 0.48 & x1 <= 0.52") == 1
     path = tmp_path / "wide.cfg"
@@ -327,7 +327,7 @@ def test_bad_json_values_are_input_errors(case, command, tmp_path, capsys):
 
 @pytest.mark.parametrize("field, value, command, message", [
     ("forbidden", [{"coeffs": [0, 1], "relation": ">=", "bound": 10.7}], ("check",),
-     "forbidden: constraint over 2 variables, expected 4"),
+     "bundle does not validate: [dimension] forbidden set: constraint over 2 variables, expected 4"),
     ("output_vars", ["x", "nope"], ("translate", "--to", "flowstar"),
      "output_vars: 'nope' is not a state variable"),
 ], ids=["forbidden", "output_vars"])
@@ -340,6 +340,17 @@ def test_json_settings_that_do_not_fit_the_model_are_input_errors(field, value, 
     code, out, err = run(capsys, command[0], str(path), *command[1:])
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", [("check",), ("translate", "--to", "json")], ids=lambda c: c[0])
+def test_json_forbidden_bound_of_nan_is_an_input_error(command, tmp_path, capsys):
+    data = json.loads((CORPUS_DIR / "bouncing-ball" / "bundle.json").read_text())
+    data["settings"]["forbidden"][0]["bound"] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(data))  # writes the bound as NaN
+    code, out, err = run(capsys, command[0], str(path), *command[1:])
+    assert (code, out) == (2, "")
+    assert err == "error: bundle does not validate: [non-finite] forbidden set: constraint has non-finite entries\n"
 
 
 @pytest.mark.parametrize("model", ["bouncing-ball", "linswitch4", "platoon6", "tank3"])

@@ -49,7 +49,7 @@ from hyra.sets import (
 )
 from support import (
     box_contains, late_entry_bundle, merge_overflow_bundle, reset_jump_bundle, revisit_bundle, sample_zonotope,
-    too_wide_bundle, with_leftover_tail,
+    wide_box_bundle, with_leftover_tail,
 )
 
 reach_module = importlib.import_module("hyra.reach")
@@ -788,17 +788,26 @@ def test_every_box_is_inside_the_condition_true():
     assert reach_module._box_inside_condition(Box([-1e300, 0.0], [1e300, 0.0]), Condition())
 
 
-@pytest.mark.parametrize("case, message", [
-    ("initial", "the initial set of location 'a' is too wide"),
-    ("window", "the guard window of the jump 'a' -> 'b' at t=0 is too wide"),
-    ("successor", "the successor of the jump 'a' -> 'b' at t=0 is too wide"),
-])
-def test_box_too_wide_for_its_radius_is_a_named_engine_error(case, message):
+@pytest.mark.parametrize("case, a_bounds, b_bounds", [
+    ("initial", (-1e308, 1e308), (-1e308, 1e308)),
+    ("window", (-0.9e308, 0.9e308), (-0.9e308, 0.95e308)),  # a drifts 0.5e307 up
+    ("successor", (-0.9e308, 0.85e308), (-0.99e308, 0.935e308)),  # the reset scales by 1.1
+], ids=["initial", "window", "successor"])
+def test_box_wider_than_the_largest_float_reaches(case, a_bounds, b_bounds):
+    # the initial set, the guard window and the successor have finite bounds
+    # farther apart than the largest float; each still has a center and radius
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NonFiniteFlowpipe) as error:
-            reach(too_wide_bundle(case))
-    assert str(error.value) == message + " for the floating-point range: its center or radius overflows"
+        result = reach(wide_box_bundle(case))
+    assert (result.verdict, result.first_violation) == (Verdict.SAFE_PROVED, None)
+    stats = result.stats
+    assert (stats.segments, stats.flowpipes, stats.max_depth, stats.termination) == (10, 2, 1, None)
+    segments = result.segments
+    for location, (lo, hi) in (("a", a_bounds), ("b", b_bounds)):
+        rows = segments.location == location
+        assert rows.sum() == 5
+        assert segments.lo[rows].min() == pytest.approx(lo, rel=1e-15)
+        assert segments.hi[rows].max() == pytest.approx(hi, rel=1e-15)
 
 
 def test_reset_out_of_range_raises_from_jump_successors():
@@ -838,17 +847,41 @@ def test_tail_segment_out_of_range_raises_instead_of_being_dropped():
 
 
 
-def test_segment_box_wider_than_the_float_range_raises():
-    # the tail box [-1.36e308, 1.36e308] has finite bounds, but its radius
-    # 0.5 (hi - lo) is not a float
+def test_segment_box_wider_than_the_largest_float_is_stored():
+    # the tail box [-1.36e308, 1.36e308] has finite bounds whose difference
+    # is past the largest float; its radius is 1.36e308 all the same
     big = np.finfo(float).max
     location = Location("t", Condition((LinearConstraint([1.0], ">=", -big),)),
                         AffineDynamics(np.zeros((1, 1)), np.full((1, 1), 1e10), np.zeros(1)))
     init = Box([-0.48 * big], [0.48 * big])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NonFiniteFlowpipe, match="location 't' left the floating-point range"):
-            flowpipe(location, init, Box([-0.5e298], [0.5e298]), 1.0, 0.5, discretized={})
+        pipe = flowpipe(location, init, Box([-0.5e298], [0.5e298]), 1.0, 0.5, discretized={})
+    segments = pipe.segments
+    assert (len(segments), segments.time_lo.tolist(), segments.time_hi.tolist()) == (1, [0.0], [0.5])
+    assert segments.center.tolist() == [[0.0]]
+    assert segments.radius[0, 0] == segments.hi[0, 0] == -segments.lo[0, 0]
+    assert 0.75 * big < segments.radius[0, 0] < big
+
+
+@pytest.mark.parametrize("lo, hi", [(1e308, np.finfo(float).max), (-np.finfo(float).max, -1e308)],
+                         ids=["upper", "lower"])
+def test_segment_bound_at_the_largest_float_that_does_not_read_back_raises(lo, hi):
+    # center 1.39e308 and radius 0.40e308 are floats, but center + radius rounds to inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteFlowpipe) as error:
+            Segments.from_bounds(np.array([0.0, 0.1]), np.array([0.1, 0.2]), np.array([[0.0], [lo]]),
+                                 np.array([[1.0], [hi]]), "q", 0)
+    assert str(error.value) == ("flowpipe of location 'q' left the floating-point range before t=0.2: "
+                                "a box does not read back from its center and radius")
+
+
+def test_segment_bounds_of_the_whole_float_range_read_back():
+    big = np.finfo(float).max
+    lo, hi = np.array([[-big, 0.0, -big]]), np.array([[big, big, 0.0]])
+    segments = Segments.from_bounds(np.zeros(1), np.ones(1), lo, hi, "q", 0)
+    assert np.array_equal(segments.lo, lo) and np.array_equal(segments.hi, hi)
 
 # ---------------------------------------------------------------------------
 # reach + check_safety
@@ -920,14 +953,25 @@ def test_fixpoint_check_discards_a_revisit_inside_an_earlier_entry(fixpoint, flo
     assert (stats.flowpipes, stats.discarded, stats.termination) == (flowpipes, discarded, termination)
 
 
-def test_merged_hull_out_of_range_is_a_named_engine_error():
-    # the two successors in b are close, but their hull spans 1.85e308
+@pytest.mark.parametrize("lo, hi, b_hi", [
+    (-0.95e308, 0.8e308, 0.9e308),  # the hull in b spans 1.85e308, past the largest float
+    (1e308, 1.5e308, 1.6e308),  # narrow, but 0.5 (lo + hi) would overflow
+], ids=["wide", "far-narrow"])
+def test_merged_hull_past_the_largest_float_reaches(lo, hi, b_hi):
+    # the two successors in b merge into one task whose box has a center and radius
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NonFiniteFlowpipe) as error:
-            reach(merge_overflow_bundle())
-    assert str(error.value) == ("the hull of the merged successors of location 'b' at t=0 "
-                                "is too wide for the floating-point range: its center or radius overflows")
+        result = reach(merge_overflow_bundle(lo, hi))
+    assert (result.verdict, result.first_violation) == (Verdict.SAFE_PROVED, None)
+    stats = result.stats
+    assert (stats.segments, stats.flowpipes, stats.discarded, stats.max_depth) == (6, 2, 0, 1)
+    segments = result.segments
+    assert segments.location.tolist() == ["a"] * 3 + ["b"] * 3
+    # every row holds its box, and is no wider than rounding makes it
+    for rows, row_hi in ((slice(0, 3), hi), (slice(3, 6), b_hi)):
+        assert np.all(segments.lo[rows] <= lo) and np.all(segments.hi[rows] >= row_hi)
+        assert segments.lo[rows, 0].tolist() == [pytest.approx(lo, rel=1e-15)] * 3
+        assert segments.hi[rows, 0].tolist() == [pytest.approx(row_hi, rel=1e-15)] * 3
 
 
 @pytest.mark.parametrize("build", CORPUS_BUILDS, ids=lambda b: b.__name__[6:])

@@ -9,6 +9,7 @@ from hyra.sets import (
     Box,
     Zonotope,
     box_hull,
+    center_radius,
     clamp_boxes,
     exp_with_integral,
     hull_zonotope,
@@ -269,16 +270,52 @@ def test_support_of_unit_square():
     assert support_function(unit_square(), [1.0, 0.0]) == 1.0
 
 
-def test_to_zonotope_rejects_a_box_too_wide_for_its_radius_or_center():
+def test_to_zonotope_of_a_box_past_the_largest_float_is_finite():
+    # 0.5 (hi - lo) overflows on the first box, 0.5 (lo + hi) on the second
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for lo, hi in (([-1e308, 0.0], [1e308, 1.0]), ([1e308, 0.0], [1.7e308, 0.0])):
-            with pytest.raises(ValueError, match="too wide"):
-                Box(lo, hi).to_zonotope()
+        wide = Box([-1e308, 0.0], [1e308, 1.0]).to_zonotope()
+        far = Box([1e308, 0.0], [1.7e308, 0.0]).to_zonotope()
         z = Box([-1.0, 2.0, 0.5], [1.0, 2.0, 0.75]).to_zonotope()
+    assert wide.center.tolist() == [0.0, 0.5] and wide.generators.tolist() == [[1e308, 0.0], [0.0, 0.5]]
+    # the halves 0.5e308 and 0.85e308 are exact; their difference rounds below 0.35e308
+    assert far.center.tolist() == [1.35e308, 0.0] and far.generators.tolist() == [[0.85e308 - 0.5e308], [0.0]]
     assert np.array_equal(z.center, [0.0, 2.0, 0.625])
     assert np.array_equal(z.generators, [[1.0, 0.0], [0.0, 0.0], [0.0, 0.125]])
     assert not (z.center.flags.writeable or z.generators.flags.writeable)
+
+
+def random_bounds(rng, size):
+    """Finite floats of random sign and binary exponent over the whole float
+    range, with zeros, subnormals and +-the largest float among them."""
+    big = np.finfo(float).max
+    values = rng.choice([-1.0, 1.0], size) * rng.uniform(1.0, 2.0, size) * np.exp2(rng.integers(-1074, 1024, size))
+    specials = np.array([0.0, -0.0, big, -big, 5e-324, -5e-324, 1e308, -1e308])
+    values = np.where(rng.random(size) < 0.2, rng.choice(specials, size), values)
+    return np.where(np.isfinite(values), values, big)
+
+
+def test_center_radius_is_finite_and_the_halved_sum_and_difference_where_those_are():
+    rng = np.random.default_rng(29)
+    a, b = random_bounds(rng, 200_000), random_bounds(rng, 200_000)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        center, radius = center_radius(lo, hi)
+    assert np.isfinite(center).all() and np.isfinite(radius).all() and (radius >= 0.0).all()
+    with np.errstate(over="ignore"):
+        old_center, old_radius = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    tiny = np.finfo(float).tiny
+    normal = lambda x: (x == 0.0) | (np.abs(x) >= tiny)
+    halves_exact = (2.0 * (0.5 * lo) == lo) & (2.0 * (0.5 * hi) == hi)
+    same = (np.isfinite(old_center) & np.isfinite(old_radius) & normal(old_center) & normal(old_radius)
+            & halves_exact)
+    assert 0.5 < same.mean() < 1.0  # both sides of the condition are exercised
+    assert np.array_equal(center[same].view(np.int64), old_center[same].view(np.int64))
+    assert np.array_equal(radius[same].view(np.int64), old_radius[same].view(np.int64))
+    overflowed = ~(np.isfinite(old_center) & np.isfinite(old_radius))
+    assert overflowed.any()
+    assert np.array_equal(center_radius(-hi, -lo)[0], -center)  # symmetric on a mirrored box
 
 
 def test_box_hull_contains_samples_exactly():

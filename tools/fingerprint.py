@@ -17,11 +17,13 @@ of the test suite. Translation lines cover ``emit_spaceex`` and
 ``emit_config`` of each corpus model, ``write_json`` of each parsed
 ``model.xml`` with its ``config.cfg``, every format's text of the test
 suite's generated symbolic automata, and ``write_json`` of the test suite's
-bundle that holds every number and text spelling of the JSON writer. Error
-lines cover the ``Type: message`` text of the engine error that ``reach``
-raises on each overflow model of the test suite: the merged hull, the guard
-window and the reset successor too wide for their center or radius. Two
-source trees print the same lines exactly when all of these outputs are
+bundle that holds every number and text spelling of the JSON writer.
+Overflow lines cover the reach CSV (with the verdict) of the test suite's
+models whose boxes have finite bounds past the reach of 0.5 (lo + hi) or
+0.5 (hi - lo): the merged hull wider than the largest float, the same
+model from the narrow far box x in [1e308, 1.5e308], and the guard window
+and reset successor wider than the largest float. A run that raises an
+engine error prints its ``Type: message`` text instead. Two source trees print the same lines exactly when all of these outputs are
 byte-identical:
 
     PYTHONPATH=src python3 tools/fingerprint.py > after.txt
@@ -163,20 +165,19 @@ def translation_lines():
     yield f"{digest(write_json(support.spelling_bundle()))}  spelling-bundle write_json"
 
 
-def error_text(bundle) -> str:
+def overflow_text(bundle) -> str:
     try:
-        reach(bundle)
+        return reach_text(bundle)
     except EngineError as exc:
         return f"{type(exc).__name__}: {exc}"
-    return "no error"
 
 
-def error_lines():
+def overflow_lines():
     support = suite_support()
-    cases = [("", support.merge_overflow_bundle())]
-    cases += [(f" {case}", support.too_wide_bundle(case)) for case in ("window", "successor")]
+    cases = [("", support.merge_overflow_bundle()), (" far-narrow", support.merge_overflow_bundle(1e308, 1.5e308))]
+    cases += [(f" {case}", support.wide_box_bundle(case)) for case in ("window", "successor")]
     for label, bundle in cases:
-        yield f"{digest(error_text(bundle))}  {bundle.automaton.name} reach error{label}"
+        yield f"{digest(overflow_text(bundle))}  {bundle.automaton.name} reach overflow{label}"
 
 
 def lines():
@@ -195,7 +196,7 @@ def lines():
         yield f"{digest(reach_text(bundle))}  {model} {label}"
     yield from reader_lines()
     yield from translation_lines()
-    yield from error_lines()
+    yield from overflow_lines()
 
 
 def main() -> int:
