@@ -1,17 +1,23 @@
-"""Expression grammar shared by the model formats.
+"""Expression grammar shared by the model formats, compiled to affine rows.
 
-Recursive-descent parser with the precedence chain unary minus, then * and
-/, then + and -, then comparisons, then & / &&. Parsing yields a small AST;
-linearization turns arithmetic into an affine form over the declared
-variables (coefficients may carry symbolic constant factors) and turns
-comparisons into LinearConstraint rows. Parsing either returns an AST or
-raises a diagnostic carrying a character position; it never aborts.
+The tokenizer is one ``findall`` scan; token positions, which only error
+messages need, come from a second scan. A recursive-descent parser with the
+precedence chain unary minus, then * and /, then + and -, then comparisons,
+then & / && builds a tree of slotted nodes that compare equal field by
+field, or raises a diagnostic carrying a character position; it never aborts.
+
+Linearization is one walk over the tree, on plain ``(base, terms, coeffs)``
+values: each + / - chain adds into the form of its leftmost operand in
+place, and rows are written straight into preallocated arrays. Both passes
+keep one call per level of the left spine, and the parser a call before each
+descent that consumes a token, so the texts that nest too deeply (thousands
+of terms or parentheses) and the position such an error names stay those of
+the plain recursive grammar that docs/formats.md documents.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 import numpy as np
 import orjson
@@ -23,85 +29,97 @@ from .ir import AffineDynamics, Condition, LinearConstraint, ResetMap, VariableT
 # AST
 
 
-@dataclass(frozen=True)
-class Num:
-    value: float
+class _Node:
+    """An AST node: equal to a node of its own class whose fields are equal, like a dataclass."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__match_args__, self._fields()))
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class Ident:
-    name: str
+class Num(_Node):
+    __slots__ = __match_args__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: object
+class Ident(_Node):
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name):
+        self.name = name
 
 
-@dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
+class Neg(_Node):
+    __slots__ = __match_args__ = ("operand",)
+
+    def __init__(self, operand):
+        self.operand = operand
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
+class _Binary(_Node):
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left, right):
+        self.left, self.right = left, right
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: object
-    right: object
+Add, Sub, Mul, Div = (type(name, (_Binary,), {"__slots__": ()}) for name in ("Add", "Sub", "Mul", "Div"))
 
 
-@dataclass(frozen=True)
-class Div:
-    left: object
-    right: object
+class Compare(_Node):
+    __slots__ = __match_args__ = ("left", "relation", "right")
+
+    def __init__(self, left, relation, right):
+        self.left, self.relation, self.right = left, relation, right
 
 
-@dataclass(frozen=True)
-class Compare:
-    left: object
-    relation: str
-    right: object
+class Conjunction(_Node):
+    __slots__ = __match_args__ = ("parts",)
 
-
-@dataclass(frozen=True)
-class Conjunction:
-    parts: tuple
+    def __init__(self, parts):
+        self.parts = parts
 
 
 # ---------------------------------------------------------------------------
 # Tokenizer / parser
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:"
-    r"(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*'*)"
-    r"|(?P<op>&&|==|<=|>=|:=|[=<>+\-*/()&])"
-    r")"
-)
+_TOKEN = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|[A-Za-z_][A-Za-z0-9_]*'*|&&|==|<=|>=|:=|[=<>+\-*/()&]"
+_TOKEN_RE = re.compile(_TOKEN)
+_SCAN_RE = re.compile(rf"\s*(?:({_TOKEN})|(\S))")  # the second group: a character that starts no token
+_RELATIONS = {"==": "==", "=": "==", "<=": "<=", ">=": ">=", "<": "<", ">": ">"}
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None or match.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(text) - len(stripped)
-            raise ExpressionSyntaxError(f"unexpected character {text[at]!r}", at)
-        kind = match.lastgroup
-        tokens.append((kind, match.group(kind), match.start(kind)))
-        pos = match.end()
-    tokens.append(("end", "", len(text)))
+def _tokenize(text: str) -> list:
+    """The token texts of ``text`` and then "" for its end; ``findall`` skips what starts no token."""
+    tokens = _TOKEN_RE.findall(text)
+    if len("".join(tokens)) != len("".join(text.split())):
+        _token_starts(text)
+    tokens.append("")
     return tokens
+
+
+def _token_starts(text: str) -> list:
+    """The position of each token of ``text`` and then ``len(text)``; raises at a character that starts no token."""
+    starts = []
+    for match in _SCAN_RE.finditer(text):
+        if match.lastindex == 2:
+            raise ExpressionSyntaxError(f"unexpected character {match[2]!r}", match.start(2))
+        starts.append(match.start(1))
+    starts.append(len(text))
+    return starts
 
 
 class _Parser:
@@ -109,32 +127,19 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.idx = 0
-        self.table = table
         self.known = set(table.all_names()) if table is not None else None
 
-    def peek(self):
-        return self.tokens[self.idx]
-
-    def advance(self):
+    def advance(self) -> str:
+        """The next token, consumed; a call, so a descent nested past the recursion limit stops before it."""
         tok = self.tokens[self.idx]
         self.idx += 1
         return tok
 
-    def expect_op(self, op: str):
-        kind, value, pos = self.peek()
-        if kind != "op" or value != op:
-            raise ExpressionSyntaxError(f"expected {op!r}", pos)
-        return self.advance()
-
     def parse_conjunction(self):
         parts = [self.parse_comparison()]
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in ("&", "&&"):
-                self.advance()
-                parts.append(self.parse_comparison())
-            else:
-                break
+        while self.tokens[self.idx] in ("&", "&&"):
+            self.idx += 1
+            parts.append(self.parse_comparison())
         if len(parts) == 1:
             return parts[0]
         flat = []
@@ -144,63 +149,66 @@ class _Parser:
 
     def parse_comparison(self):
         left = self.parse_sum()
-        kind, value, _ = self.peek()
-        if kind == "op" and value in ("==", "=", "<=", ">=", "<", ">"):
-            self.advance()
-            relation = "==" if value in ("==", "=") else value
-            right = self.parse_sum()
-            return Compare(left, relation, right)
-        return left
+        relation = _RELATIONS.get(self.tokens[self.idx])
+        if relation is None:
+            return left
+        self.idx += 1
+        return Compare(left, relation, self.parse_sum())
 
     def parse_sum(self):
         node = self.parse_product()
         while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in ("+", "-"):
-                self.advance()
-                right = self.parse_product()
-                node = Add(node, right) if value == "+" else Sub(node, right)
+            tok = self.tokens[self.idx]
+            if tok == "+":
+                self.idx += 1
+                node = Add(node, self.parse_product())
+            elif tok == "-":
+                self.idx += 1
+                node = Sub(node, self.parse_product())
             else:
-                break
-        return node
+                return node
 
     def parse_product(self):
         node = self.parse_unary()
         while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in ("*", "/"):
-                self.advance()
-                right = self.parse_unary()
-                node = Mul(node, right) if value == "*" else Div(node, right)
+            tok = self.tokens[self.idx]
+            if tok == "*":
+                self.idx += 1
+                node = Mul(node, self.parse_unary())
+            elif tok == "/":
+                self.idx += 1
+                node = Div(node, self.parse_unary())
             else:
-                break
-        return node
+                return node
 
     def parse_unary(self):
-        kind, value, pos = self.peek()
-        if kind == "op" and value == "-":
+        tok = self.tokens[self.idx]
+        if tok == "-":
             self.advance()
             return Neg(self.parse_unary())
-        if kind == "op" and value == "+":
+        if tok == "+":
             self.advance()
             return self.parse_unary()
         return self.parse_atom()
 
     def parse_atom(self):
-        kind, value, pos = self.advance()
-        if kind == "number":
-            return Num(float(value))
-        if kind == "ident":
-            if self.known is not None:
-                base = value.rstrip("'")
-                if value not in self.known and base not in self.known:
-                    raise UnknownIdentifier(f"unknown identifier {value!r} at position {pos}")
-            return Ident(value)
-        if kind == "op" and value == "(":
+        tok = self.advance()
+        if tok == "(":
             inner = self.parse_conjunction()
-            self.expect_op(")")
+            if self.tokens[self.idx] != ")":
+                raise ExpressionSyntaxError("expected ')'", _token_starts(self.text)[self.idx])
+            self.idx += 1
             return inner
-        raise ExpressionSyntaxError(f"unexpected token {value!r}" if value else "unexpected end of input", pos)
+        if tok[:1].isalpha() or tok[:1] == "_":  # the tokenizer lets through ASCII letters only
+            known = self.known
+            if known is not None and tok not in known and tok.rstrip("'") not in known:
+                at = _token_starts(self.text)[self.idx - 1]
+                raise UnknownIdentifier(f"unknown identifier {tok!r} at position {at}")
+            return Ident(tok)
+        if tok[:1].isdecimal() or tok[:1] == ".":
+            return Num(float(tok))
+        message = f"unexpected token {tok!r}" if tok else "unexpected end of input"
+        raise ExpressionSyntaxError(message, _token_starts(self.text)[self.idx - 1])
 
 
 def parse_expression(text: str, table: VariableTable | None = None):
@@ -216,73 +224,132 @@ def parse_expression(text: str, table: VariableTable | None = None):
     try:
         ast = parser.parse_conjunction()
     except RecursionError as exc:
-        raise ExpressionSyntaxError("expression nests too deeply", parser.peek()[2]) from exc
-    kind, value, pos = parser.peek()
-    if kind != "end":
-        raise ExpressionSyntaxError(f"trailing input {value!r}", pos)
+        raise ExpressionSyntaxError("expression nests too deeply", _token_starts(text)[parser.idx]) from exc
+    if parser.tokens[parser.idx]:
+        raise ExpressionSyntaxError(f"trailing input {parser.tokens[parser.idx]!r}", _token_starts(text)[parser.idx])
     return ast
 
 
 # ---------------------------------------------------------------------------
 # Linearization
 
+
 class SymScalar:
-    """A float plus a linear combination of named constants."""
+    """A float plus a linear combination of named constants: ``base + sum(mult * name)`` over ``terms``."""
 
     __slots__ = ("base", "terms")
 
-    def __init__(self, base: float = 0.0, terms: dict | None = None):
-        self.base = float(base) + 0.0  # + 0.0 turns -0.0 (from negating 0) into 0.0
-        self.terms = {k: v for k, v in (terms or {}).items() if v != 0.0}
-
-    @property
-    def is_number(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "SymScalar") -> "SymScalar":
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            terms[k] = terms.get(k, 0.0) + v
-        return SymScalar(self.base + other.base, terms)
-
-    def __neg__(self) -> "SymScalar":
-        return SymScalar(-self.base, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other: "SymScalar") -> "SymScalar":
-        return self + (-other)
-
-    def mul(self, other: "SymScalar") -> "SymScalar":
-        if self.terms and other.terms:
-            raise NonlinearUnsupported("product of two symbolic constants is not affine")
-        if other.terms:
-            self, other = other, self
-        scale = other.base
-        return SymScalar(self.base * scale, {k: v * scale for k, v in self.terms.items()})
+    def __init__(self, base: float, terms: dict):
+        self.base, self.terms = base, terms
 
 
 class LinForm:
-    """Affine expression: constant part plus per-variable coefficients."""
+    """Affine expression: a SymScalar constant part plus a SymScalar coefficient per variable."""
 
     __slots__ = ("const", "coeffs")
 
-    def __init__(self, const: SymScalar | None = None, coeffs: dict | None = None):
-        self.const = const if const is not None else SymScalar()
-        self.coeffs = coeffs or {}
+    def __init__(self, const: SymScalar, coeffs: dict):
+        self.const, self.coeffs = const, coeffs
 
-    def __add__(self, other: "LinForm") -> "LinForm":
-        coeffs = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            coeffs[k] = coeffs[k] + v if k in coeffs else v
-        return LinForm(self.const + other.const, coeffs)
 
-    def __neg__(self) -> "LinForm":
-        return LinForm(-self.const, {k: -v for k, v in self.coeffs.items()})
+def _times(terms: dict, scale: float) -> dict:
+    """Each multiplier of ``terms`` times ``scale``, leaving out the products that are zero."""
+    return {k: w for k, v in terms.items() if (w := v * scale) != 0.0}
 
-    def __sub__(self, other: "LinForm") -> "LinForm":
-        return self + (-other)
 
-    def scaled(self, scalar: SymScalar) -> "LinForm":
-        return LinForm(self.const.mul(scalar), {k: v.mul(scalar) for k, v in self.coeffs.items()})
+def _scaled(form: tuple, scale: float, scale_terms: dict) -> tuple:
+    """``form * (scale + scale_terms)``, affine only if one factor holds no named constant; the factor
+    with them is the left operand of each product. Each base the walk writes ends in ``+ 0.0`` (no -0.0)."""
+    base, terms, coeffs = form
+    if scale_terms:
+        if terms or any(c.terms for c in coeffs.values()):
+            raise NonlinearUnsupported("product of two symbolic constants is not affine")
+        for c in coeffs.values():
+            c.base, c.terms = scale * c.base + 0.0, _times(scale_terms, c.base)
+        return scale * base + 0.0, _times(scale_terms, base), coeffs
+    for c in coeffs.values():
+        c.base = c.base * scale + 0.0
+        if c.terms:
+            c.terms = _times(c.terms, scale)
+    return base * scale + 0.0, _times(terms, scale) if terms else terms, coeffs
+
+
+def _negated(form: tuple) -> tuple:
+    base, terms, coeffs = form
+    for k, v in terms.items():
+        terms[k] = -v
+    for c in coeffs.values():
+        c.base = -c.base + 0.0
+        for k, v in c.terms.items():
+            c.terms[k] = -v
+    return -base + 0.0, terms, coeffs
+
+
+def _add_terms(terms: dict, other: dict) -> None:
+    for k, v in other.items():
+        total = terms.get(k, 0.0) + v
+        if total != 0.0:
+            terms[k] = total
+        else:
+            del terms[k]
+
+
+def _accumulate(form: tuple, other: tuple) -> tuple:
+    """``form + other``, added into the dicts and SymScalars of ``form``."""
+    base, terms, coeffs = form
+    _add_terms(terms, other[1])
+    for name, c in other[2].items():
+        mine = coeffs.get(name)
+        if mine is None:
+            coeffs[name] = c
+        else:
+            mine.base = mine.base + c.base + 0.0
+            if c.terms:
+                _add_terms(mine.terms, c.terms)
+    return base + other[0] + 0.0, terms, coeffs
+
+
+def _walk(node, table: VariableTable, allow_inputs: bool) -> tuple:
+    """``(base, terms, coeffs)`` of an arithmetic node, in new dicts and SymScalars the caller may change:
+    a + / - chain recurses down its left operands and adds each right operand into the leftmost form."""
+    cls = node.__class__
+    if cls is Ident:
+        name = node.name
+        if name in table.constants:
+            return 0.0, {name: 1.0}, {}
+        if name in table.state_vars or allow_inputs and name in table.input_vars:
+            return 0.0, {}, {name: SymScalar(1.0, {})}
+        if name in table.input_vars:
+            raise NonlinearUnsupported(f"input {name!r} cannot appear in a constraint")
+        raise UnknownIdentifier(f"unknown identifier {name!r}")
+    if cls is Num:
+        return node.value + 0.0, {}, {}
+    if cls is Add or cls is Sub:
+        form = _walk(node.left, table, allow_inputs)
+        other = _walk(node.right, table, allow_inputs)
+        return _accumulate(form, other if cls is Add else _negated(other))
+    if cls is Mul or cls is Div:
+        left = _walk(node.left, table, allow_inputs)
+        right = _walk(node.right, table, allow_inputs)
+        if cls is Mul:
+            if left[2] and right[2]:
+                raise NonlinearUnsupported("product of two variable expressions is not affine")
+            return _scaled(left, right[0], right[1]) if left[2] else _scaled(right, left[0], left[1])
+        if right[2] or right[1]:
+            raise NonlinearUnsupported("division is only supported by a numeric literal")
+        if right[0] == 0.0:
+            raise NonlinearUnsupported("division by zero")
+        return _scaled(left, 1.0 / right[0] + 0.0, {})
+    if cls is Neg:
+        return _negated(_walk(node.operand, table, allow_inputs))
+    raise NonlinearUnsupported(f"{cls.__name__} is not an arithmetic expression")
+
+
+def _linearize(ast, table: VariableTable, allow_inputs: bool) -> tuple:
+    try:
+        return _walk(ast, table, allow_inputs)
+    except RecursionError as exc:
+        raise UnsupportedFeature("expression nests too deeply to linearize") from exc
 
 
 def linear_form(ast, table: VariableTable, allow_inputs: bool = True) -> LinForm:
@@ -291,49 +358,19 @@ def linear_form(ast, table: VariableTable, allow_inputs: bool = True) -> LinForm
     Constants become symbolic scalar terms; a product of two variable-bearing
     subexpressions (or division by one) raises NonlinearUnsupported.
     """
-    try:
-        return _linear_form(ast, table, allow_inputs)
-    except RecursionError as exc:
-        raise UnsupportedFeature("expression nests too deeply to linearize") from exc
+    base, terms, coeffs = _linearize(ast, table, allow_inputs)
+    return LinForm(SymScalar(base, terms), coeffs)
 
 
-def _linear_form(ast, table: VariableTable, allow_inputs: bool) -> LinForm:
-    if isinstance(ast, Num):
-        return LinForm(SymScalar(ast.value))
-    if isinstance(ast, Ident):
-        name = ast.name
-        if name in table.constants:
-            return LinForm(SymScalar(0.0, {name: 1.0}))
-        if name in table.state_vars:
-            return LinForm(coeffs={name: SymScalar(1.0)})
-        if name in table.input_vars:
-            if not allow_inputs:
-                raise NonlinearUnsupported(f"input {name!r} cannot appear in a constraint")
-            return LinForm(coeffs={name: SymScalar(1.0)})
-        raise UnknownIdentifier(f"unknown identifier {name!r}")
-    if isinstance(ast, Neg):
-        return -_linear_form(ast.operand, table, allow_inputs)
-    if isinstance(ast, Add):
-        return _linear_form(ast.left, table, allow_inputs) + _linear_form(ast.right, table, allow_inputs)
-    if isinstance(ast, Sub):
-        return _linear_form(ast.left, table, allow_inputs) - _linear_form(ast.right, table, allow_inputs)
-    if isinstance(ast, Mul):
-        left = _linear_form(ast.left, table, allow_inputs)
-        right = _linear_form(ast.right, table, allow_inputs)
-        if left.coeffs and right.coeffs:
-            raise NonlinearUnsupported("product of two variable expressions is not affine")
-        if left.coeffs:
-            return left.scaled(right.const)
-        return right.scaled(left.const)
-    if isinstance(ast, Div):
-        left = _linear_form(ast.left, table, allow_inputs)
-        right = _linear_form(ast.right, table, allow_inputs)
-        if right.coeffs or not right.const.is_number:
-            raise NonlinearUnsupported("division is only supported by a numeric literal")
-        if right.const.base == 0.0:
-            raise NonlinearUnsupported("division by zero")
-        return left.scaled(SymScalar(1.0 / right.const.base))
-    raise NonlinearUnsupported(f"{type(ast).__name__} is not an arithmetic expression")
+def _write_row(coeffs: dict, index: dict, matrix: np.ndarray, matrix_terms: dict, i: int) -> None:
+    """Write ``coeffs`` into row ``i`` of ``matrix`` and of each named constant's array in ``matrix_terms``."""
+    for name, scalar in coeffs.items():
+        j = index[name]
+        matrix[i, j] = scalar.base
+        for sym, mult in scalar.terms.items():
+            if sym not in matrix_terms:
+                matrix_terms[sym] = np.zeros_like(matrix)
+            matrix_terms[sym][i, j] = mult
 
 
 def affine_row(form: LinForm, names) -> tuple:
@@ -343,28 +380,25 @@ def affine_row(form: LinForm, names) -> tuple:
     ``const_terms`` to its multiplier of the constant part; a name that
     ``form`` lacks has coefficient 0.
     """
-    coeffs = np.zeros(len(names))
-    coeff_terms: dict = {}
-    for name, scalar in form.coeffs.items():
-        i = names.index(name)
-        coeffs[i] = scalar.base
-        for sym, mult in scalar.terms.items():
-            coeff_terms.setdefault(sym, np.zeros(len(names)))[i] = mult
-    return coeffs, coeff_terms, form.const.base, form.const.terms
+    row, row_terms = np.zeros((1, len(names))), {}
+    _write_row(form.coeffs, {name: j for j, name in enumerate(names)}, row, row_terms, 0)
+    return row[0], {sym: t[0] for sym, t in row_terms.items()}, form.const.base, form.const.terms
 
 
 def _stacked_rows(forms: dict, table: VariableTable, names, default: np.ndarray) -> tuple:
-    """The ``affine_row`` over ``names`` of each state variable's form in ``forms``, stacked into
-    (matrix, matrix terms, vector, vector terms); a variable without a form keeps its row of ``default``."""
-    matrix, vector, matrix_terms, vector_terms = default.copy(), np.zeros(table.n), {}, {}
+    """The rows over ``names`` of each state variable's form in ``forms``, written into ``default`` and
+    returned as (matrix, matrix terms, vector, vector terms); a variable without a form keeps its row."""
+    index = {name: j for j, name in enumerate(names)}
+    matrix, vector, matrix_terms, vector_terms = default, np.zeros(table.n), {}, {}
     for var, form in forms.items():
-        coeffs, coeff_terms, const, const_terms = affine_row(form, names)
         i = table.state_index(var)
-        matrix[i], vector[i] = coeffs, const
-        for sym, row in coeff_terms.items():
-            matrix_terms.setdefault(sym, np.zeros_like(default))[i] = row
-        for sym, mult in const_terms.items():
-            vector_terms.setdefault(sym, np.zeros(table.n))[i] = mult
+        matrix[i] = 0.0
+        _write_row(form.coeffs, index, matrix, matrix_terms, i)
+        vector[i] = form.const.base
+        for sym, mult in form.const.terms.items():
+            if sym not in vector_terms:
+                vector_terms[sym] = np.zeros(table.n)
+            vector_terms[sym][i] = mult
     return matrix, matrix_terms, vector, vector_terms
 
 
@@ -372,8 +406,8 @@ def dynamics_from_forms(forms: dict, table: VariableTable) -> AffineDynamics:
     """``x' = A x + B u + c`` whose row of each state variable in ``forms`` is its form; other rows are 0."""
     n, names = table.n, table.state_vars + table.input_vars
     ab, ab_terms, c, c_terms = _stacked_rows(forms, table, names, np.zeros((n, len(names))))
-    a_terms = {sym: t[:, :n] for sym, t in ab_terms.items() if np.count_nonzero(t[:, :n])}
-    b_terms = {sym: t[:, n:] for sym, t in ab_terms.items() if np.count_nonzero(t[:, n:])}
+    a_terms = {sym: t[:, :n] for sym, t in ab_terms.items()}  # AffineDynamics drops the all-zero ones
+    b_terms = {sym: t[:, n:] for sym, t in ab_terms.items()}
     return AffineDynamics(ab[:, :n], ab[:, n:], c, a_terms, b_terms, c_terms)
 
 
@@ -383,24 +417,28 @@ def reset_from_forms(forms: dict, table: VariableTable) -> ResetMap:
     return ResetMap(r_matrix, r_offset, m_terms, r_terms)
 
 
-def _constraint_from_compare(cmp: Compare, table: VariableTable) -> LinearConstraint:
-    form = linear_form(cmp.left, table, allow_inputs=False) - linear_form(cmp.right, table, allow_inputs=False)
-    coeffs, coeff_terms, _, _ = affine_row(form, table.state_vars)
-    bound = -form.const
-    return LinearConstraint(coeffs, cmp.relation, bound.base, coeff_terms, bound.terms)
-
-
-def _as_compare(node) -> Compare:
-    if not isinstance(node, Compare):
+def _constraint_from_compare(cmp, table: VariableTable, index: dict, rows: np.ndarray, row_terms: dict,
+                             i: int) -> LinearConstraint:
+    """The constraint of ``cmp``, its coefficients written into row ``i`` of ``rows`` and ``row_terms``."""
+    if not isinstance(cmp, Compare):
         raise NonlinearUnsupported("expected a comparison, found a bare arithmetic expression")
-    return node
+    left = _linearize(cmp.left, table, False)
+    base, terms, coeffs = _accumulate(left, _negated(_linearize(cmp.right, table, False)))
+    _write_row(coeffs, index, rows, row_terms, i)
+    coeff_terms = {sym: t[i] for sym, t in row_terms.items()} if row_terms else {}
+    bound_terms = {k: -v for k, v in terms.items()} if terms else terms
+    return LinearConstraint(rows[i], cmp.relation, -base + 0.0, coeff_terms, bound_terms)
 
 
 def parse_condition(text: str, table: VariableTable) -> Condition:
-    """Parse condition text as a conjunction of linear constraints."""
+    """Parse condition text as a conjunction of linear constraints, their rows written into one array."""
     ast = parse_expression(text, table)
     parts = ast.parts if isinstance(ast, Conjunction) else (ast,)
-    return Condition(tuple(_constraint_from_compare(_as_compare(p), table) for p in parts))
+    index = {name: j for j, name in enumerate(table.state_vars)}
+    rows, row_terms, constraints = np.zeros((len(parts), table.n)), {}, []
+    for i, part in enumerate(parts):
+        constraints.append(_constraint_from_compare(part, table, index, rows, row_terms, i))
+    return Condition(tuple(constraints))
 
 
 def split_conjuncts(text: str) -> list:

@@ -40,10 +40,10 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import EngineError, InitOutsideInvariant, MaxEventsExceeded
+from .errors import InitOutsideInvariant, MaxEventsExceeded
 from .expressions import format_table
 from .ir import AffineDynamics, Condition, ModelBundle, Transition
-from .sets import Box
+from .sets import Box, center_radius
 
 _GUARD_SLACK = 1e-9
 _EVENT_CHECK_SLACK = 1e-6
@@ -473,7 +473,8 @@ def _invariant_exit(dyn, invariant, x, h, kind, u, x_after):
 
 
 def sample_initial(box: Box, k: int, seed: int) -> list:
-    """k deterministic points of the box; all corners come first when they fit."""
+    """k deterministic points of the box; all corners come first when they fit, then uniform draws:
+    ``center + radius * U(-1, 1)``, clipped to the box, where ``hi - lo`` passes the largest float."""
     if k < 1:
         raise ValueError("k must be >= 1")
     n = box.dim
@@ -484,12 +485,13 @@ def sample_initial(box: Box, k: int, seed: int) -> list:
                 [(idx >> d) & 1 for d in range(n)], box.hi, box.lo
             ).astype(float)
             points.append(corner)
-    with np.errstate(over="ignore"):
-        if len(points) < k and not np.isfinite(box.hi - box.lo).all():
-            raise EngineError("cannot sample the initial set: its width leaves the floating-point range")
     rng = np.random.default_rng(seed)
-    while len(points) < k:
-        points.append(rng.uniform(box.lo, box.hi))
+    with np.errstate(over="ignore"):
+        wide = not np.isfinite(box.hi - box.lo).all()
+        center, radius = center_radius(box.lo, box.hi)
+        while len(points) < k:  # center + radius may round past the largest float: the clip brings it back
+            points.append(np.clip(center + radius * rng.uniform(-1.0, 1.0, n), box.lo, box.hi) if wide
+                          else rng.uniform(box.lo, box.hi))
     return points[:k]
 
 

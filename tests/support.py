@@ -3,11 +3,19 @@
 import dataclasses
 import json
 import math
+import re
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from hyra.errors import DimensionMismatch
+from hyra.errors import (
+    DimensionMismatch,
+    ExpressionSyntaxError,
+    NonlinearUnsupported,
+    UnknownIdentifier,
+    UnsupportedFeature,
+)
 from hyra.ir import (
     AffineDynamics,
     Condition,
@@ -420,3 +428,393 @@ def sample_zonotope(z, count: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     coeffs = rng.uniform(-1.0, 1.0, size=(count, z.order))
     return z.center + coeffs @ z.generators.T
+
+
+# ---------------------------------------------------------------------------
+# Reference expression front end: hyra.expressions as it was before its
+# tokenizer, nodes and linearization were rebuilt, copied unchanged (frozen
+# dataclass nodes, one regex match per token, SymScalar/LinForm arithmetic
+# that copies a form at every operator). tests/test_expression_reference.py
+# requires the new front end to give the same forms, rows and errors.
+# ---------------------------------------------------------------------------
+# AST
+
+
+@dataclass(frozen=True)
+class Num:
+    value: float
+
+
+@dataclass(frozen=True)
+class Ident:
+    name: str
+
+
+@dataclass(frozen=True)
+class Neg:
+    operand: object
+
+
+@dataclass(frozen=True)
+class Add:
+    left: object
+    right: object
+
+
+@dataclass(frozen=True)
+class Sub:
+    left: object
+    right: object
+
+
+@dataclass(frozen=True)
+class Mul:
+    left: object
+    right: object
+
+
+@dataclass(frozen=True)
+class Div:
+    left: object
+    right: object
+
+
+@dataclass(frozen=True)
+class Compare:
+    left: object
+    relation: str
+    right: object
+
+
+@dataclass(frozen=True)
+class Conjunction:
+    parts: tuple
+
+
+# ---------------------------------------------------------------------------
+# Tokenizer / parser
+
+_TOKEN_RE = re.compile(
+    r"\s*(?:"
+    r"(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*'*)"
+    r"|(?P<op>&&|==|<=|>=|:=|[=<>+\-*/()&])"
+    r")"
+)
+
+
+def _tokenize(text: str):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        match = _TOKEN_RE.match(text, pos)
+        if match is None or match.end() == pos:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            at = len(text) - len(stripped)
+            raise ExpressionSyntaxError(f"unexpected character {text[at]!r}", at)
+        kind = match.lastgroup
+        tokens.append((kind, match.group(kind), match.start(kind)))
+        pos = match.end()
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, text: str, table: VariableTable | None):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.idx = 0
+        self.table = table
+        self.known = set(table.all_names()) if table is not None else None
+
+    def peek(self):
+        return self.tokens[self.idx]
+
+    def advance(self):
+        tok = self.tokens[self.idx]
+        self.idx += 1
+        return tok
+
+    def expect_op(self, op: str):
+        kind, value, pos = self.peek()
+        if kind != "op" or value != op:
+            raise ExpressionSyntaxError(f"expected {op!r}", pos)
+        return self.advance()
+
+    def parse_conjunction(self):
+        parts = [self.parse_comparison()]
+        while True:
+            kind, value, _ = self.peek()
+            if kind == "op" and value in ("&", "&&"):
+                self.advance()
+                parts.append(self.parse_comparison())
+            else:
+                break
+        if len(parts) == 1:
+            return parts[0]
+        flat = []
+        for p in parts:
+            flat.extend(p.parts if isinstance(p, Conjunction) else (p,))
+        return Conjunction(tuple(flat))
+
+    def parse_comparison(self):
+        left = self.parse_sum()
+        kind, value, _ = self.peek()
+        if kind == "op" and value in ("==", "=", "<=", ">=", "<", ">"):
+            self.advance()
+            relation = "==" if value in ("==", "=") else value
+            right = self.parse_sum()
+            return Compare(left, relation, right)
+        return left
+
+    def parse_sum(self):
+        node = self.parse_product()
+        while True:
+            kind, value, _ = self.peek()
+            if kind == "op" and value in ("+", "-"):
+                self.advance()
+                right = self.parse_product()
+                node = Add(node, right) if value == "+" else Sub(node, right)
+            else:
+                break
+        return node
+
+    def parse_product(self):
+        node = self.parse_unary()
+        while True:
+            kind, value, _ = self.peek()
+            if kind == "op" and value in ("*", "/"):
+                self.advance()
+                right = self.parse_unary()
+                node = Mul(node, right) if value == "*" else Div(node, right)
+            else:
+                break
+        return node
+
+    def parse_unary(self):
+        kind, value, pos = self.peek()
+        if kind == "op" and value == "-":
+            self.advance()
+            return Neg(self.parse_unary())
+        if kind == "op" and value == "+":
+            self.advance()
+            return self.parse_unary()
+        return self.parse_atom()
+
+    def parse_atom(self):
+        kind, value, pos = self.advance()
+        if kind == "number":
+            return Num(float(value))
+        if kind == "ident":
+            if self.known is not None:
+                base = value.rstrip("'")
+                if value not in self.known and base not in self.known:
+                    raise UnknownIdentifier(f"unknown identifier {value!r} at position {pos}")
+            return Ident(value)
+        if kind == "op" and value == "(":
+            inner = self.parse_conjunction()
+            self.expect_op(")")
+            return inner
+        raise ExpressionSyntaxError(f"unexpected token {value!r}" if value else "unexpected end of input", pos)
+
+
+def parse_expression(text: str, table: VariableTable | None = None):
+    """Parse expression text into an AST.
+
+    An empty (or whitespace-only) string parses to the trivially true
+    condition, represented as an empty Conjunction. Identifiers are checked
+    against the table when one is supplied.
+    """
+    if not text.strip():
+        return Conjunction(())
+    parser = _Parser(text, table)
+    try:
+        ast = parser.parse_conjunction()
+    except RecursionError as exc:
+        raise ExpressionSyntaxError("expression nests too deeply", parser.peek()[2]) from exc
+    kind, value, pos = parser.peek()
+    if kind != "end":
+        raise ExpressionSyntaxError(f"trailing input {value!r}", pos)
+    return ast
+
+
+# ---------------------------------------------------------------------------
+# Linearization
+
+class SymScalar:
+    """A float plus a linear combination of named constants."""
+
+    __slots__ = ("base", "terms")
+
+    def __init__(self, base: float = 0.0, terms: dict | None = None):
+        self.base = float(base) + 0.0  # + 0.0 turns -0.0 (from negating 0) into 0.0
+        self.terms = {k: v for k, v in (terms or {}).items() if v != 0.0}
+
+    @property
+    def is_number(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other: "SymScalar") -> "SymScalar":
+        terms = dict(self.terms)
+        for k, v in other.terms.items():
+            terms[k] = terms.get(k, 0.0) + v
+        return SymScalar(self.base + other.base, terms)
+
+    def __neg__(self) -> "SymScalar":
+        return SymScalar(-self.base, {k: -v for k, v in self.terms.items()})
+
+    def __sub__(self, other: "SymScalar") -> "SymScalar":
+        return self + (-other)
+
+    def mul(self, other: "SymScalar") -> "SymScalar":
+        if self.terms and other.terms:
+            raise NonlinearUnsupported("product of two symbolic constants is not affine")
+        if other.terms:
+            self, other = other, self
+        scale = other.base
+        return SymScalar(self.base * scale, {k: v * scale for k, v in self.terms.items()})
+
+
+class LinForm:
+    """Affine expression: constant part plus per-variable coefficients."""
+
+    __slots__ = ("const", "coeffs")
+
+    def __init__(self, const: SymScalar | None = None, coeffs: dict | None = None):
+        self.const = const if const is not None else SymScalar()
+        self.coeffs = coeffs or {}
+
+    def __add__(self, other: "LinForm") -> "LinForm":
+        coeffs = dict(self.coeffs)
+        for k, v in other.coeffs.items():
+            coeffs[k] = coeffs[k] + v if k in coeffs else v
+        return LinForm(self.const + other.const, coeffs)
+
+    def __neg__(self) -> "LinForm":
+        return LinForm(-self.const, {k: -v for k, v in self.coeffs.items()})
+
+    def __sub__(self, other: "LinForm") -> "LinForm":
+        return self + (-other)
+
+    def scaled(self, scalar: SymScalar) -> "LinForm":
+        return LinForm(self.const.mul(scalar), {k: v.mul(scalar) for k, v in self.coeffs.items()})
+
+
+def linear_form(ast, table: VariableTable, allow_inputs: bool = True) -> LinForm:
+    """Reduce an arithmetic AST to an affine form over the declared names.
+
+    Constants become symbolic scalar terms; a product of two variable-bearing
+    subexpressions (or division by one) raises NonlinearUnsupported.
+    """
+    try:
+        return _linear_form(ast, table, allow_inputs)
+    except RecursionError as exc:
+        raise UnsupportedFeature("expression nests too deeply to linearize") from exc
+
+
+def _linear_form(ast, table: VariableTable, allow_inputs: bool) -> LinForm:
+    if isinstance(ast, Num):
+        return LinForm(SymScalar(ast.value))
+    if isinstance(ast, Ident):
+        name = ast.name
+        if name in table.constants:
+            return LinForm(SymScalar(0.0, {name: 1.0}))
+        if name in table.state_vars:
+            return LinForm(coeffs={name: SymScalar(1.0)})
+        if name in table.input_vars:
+            if not allow_inputs:
+                raise NonlinearUnsupported(f"input {name!r} cannot appear in a constraint")
+            return LinForm(coeffs={name: SymScalar(1.0)})
+        raise UnknownIdentifier(f"unknown identifier {name!r}")
+    if isinstance(ast, Neg):
+        return -_linear_form(ast.operand, table, allow_inputs)
+    if isinstance(ast, Add):
+        return _linear_form(ast.left, table, allow_inputs) + _linear_form(ast.right, table, allow_inputs)
+    if isinstance(ast, Sub):
+        return _linear_form(ast.left, table, allow_inputs) - _linear_form(ast.right, table, allow_inputs)
+    if isinstance(ast, Mul):
+        left = _linear_form(ast.left, table, allow_inputs)
+        right = _linear_form(ast.right, table, allow_inputs)
+        if left.coeffs and right.coeffs:
+            raise NonlinearUnsupported("product of two variable expressions is not affine")
+        if left.coeffs:
+            return left.scaled(right.const)
+        return right.scaled(left.const)
+    if isinstance(ast, Div):
+        left = _linear_form(ast.left, table, allow_inputs)
+        right = _linear_form(ast.right, table, allow_inputs)
+        if right.coeffs or not right.const.is_number:
+            raise NonlinearUnsupported("division is only supported by a numeric literal")
+        if right.const.base == 0.0:
+            raise NonlinearUnsupported("division by zero")
+        return left.scaled(SymScalar(1.0 / right.const.base))
+    raise NonlinearUnsupported(f"{type(ast).__name__} is not an arithmetic expression")
+
+
+def affine_row(form: LinForm, names) -> tuple:
+    """``form`` as one dense row over ``names``: (coeffs, coeff_terms, const, const_terms).
+
+    ``coeff_terms`` maps each named constant to its row of multipliers and
+    ``const_terms`` to its multiplier of the constant part; a name that
+    ``form`` lacks has coefficient 0.
+    """
+    coeffs = np.zeros(len(names))
+    coeff_terms: dict = {}
+    for name, scalar in form.coeffs.items():
+        i = names.index(name)
+        coeffs[i] = scalar.base
+        for sym, mult in scalar.terms.items():
+            coeff_terms.setdefault(sym, np.zeros(len(names)))[i] = mult
+    return coeffs, coeff_terms, form.const.base, form.const.terms
+
+
+def _stacked_rows(forms: dict, table: VariableTable, names, default: np.ndarray) -> tuple:
+    """The ``affine_row`` over ``names`` of each state variable's form in ``forms``, stacked into
+    (matrix, matrix terms, vector, vector terms); a variable without a form keeps its row of ``default``."""
+    matrix, vector, matrix_terms, vector_terms = default.copy(), np.zeros(table.n), {}, {}
+    for var, form in forms.items():
+        coeffs, coeff_terms, const, const_terms = affine_row(form, names)
+        i = table.state_index(var)
+        matrix[i], vector[i] = coeffs, const
+        for sym, row in coeff_terms.items():
+            matrix_terms.setdefault(sym, np.zeros_like(default))[i] = row
+        for sym, mult in const_terms.items():
+            vector_terms.setdefault(sym, np.zeros(table.n))[i] = mult
+    return matrix, matrix_terms, vector, vector_terms
+
+
+def dynamics_from_forms(forms: dict, table: VariableTable) -> AffineDynamics:
+    """``x' = A x + B u + c`` whose row of each state variable in ``forms`` is its form; other rows are 0."""
+    n, names = table.n, table.state_vars + table.input_vars
+    ab, ab_terms, c, c_terms = _stacked_rows(forms, table, names, np.zeros((n, len(names))))
+    a_terms = {sym: t[:, :n] for sym, t in ab_terms.items() if np.count_nonzero(t[:, :n])}
+    b_terms = {sym: t[:, n:] for sym, t in ab_terms.items() if np.count_nonzero(t[:, n:])}
+    return AffineDynamics(ab[:, :n], ab[:, n:], c, a_terms, b_terms, c_terms)
+
+
+def reset_from_forms(forms: dict, table: VariableTable) -> ResetMap:
+    """``x' = R x + r`` whose row of each state variable in ``forms`` is its form; other rows keep x."""
+    r_matrix, m_terms, r_offset, r_terms = _stacked_rows(forms, table, table.state_vars, np.eye(table.n))
+    return ResetMap(r_matrix, r_offset, m_terms, r_terms)
+
+
+def _constraint_from_compare(cmp: Compare, table: VariableTable) -> LinearConstraint:
+    form = linear_form(cmp.left, table, allow_inputs=False) - linear_form(cmp.right, table, allow_inputs=False)
+    coeffs, coeff_terms, _, _ = affine_row(form, table.state_vars)
+    bound = -form.const
+    return LinearConstraint(coeffs, cmp.relation, bound.base, coeff_terms, bound.terms)
+
+
+def _as_compare(node) -> Compare:
+    if not isinstance(node, Compare):
+        raise NonlinearUnsupported("expected a comparison, found a bare arithmetic expression")
+    return node
+
+
+def parse_condition(text: str, table: VariableTable) -> Condition:
+    """Parse condition text as a conjunction of linear constraints."""
+    ast = parse_expression(text, table)
+    parts = ast.parts if isinstance(ast, Conjunction) else (ast,)
+    return Condition(tuple(_constraint_from_compare(_as_compare(p), table) for p in parts))

@@ -9,7 +9,7 @@ from hyra.expressions import format_number
 from hyra.interchange import write_json
 from hyra.simulate import Integrator, SimOptions, sample_initial, simulate
 
-from support import BAD_VALUES, CORPUS_DIR, bad_value_document, merge_overflow_bundle
+from support import BAD_VALUES, CORPUS_DIR, bad_value_document, merge_overflow_bundle, wide_box_bundle
 
 
 def run(capsys, *argv):
@@ -279,7 +279,8 @@ def test_merged_hull_past_the_largest_float_is_checked(lo, hi, tmp_path, capsys)
 
 
 def wide_tank_files(tmp_path, capsys):
-    """A tank3 cfg whose x1 spans [-1e308, 1e308], outside the invariant and too wide to sample, and its JSON bundle."""
+    """A tank3 cfg whose x1 spans [-1e308, 1e308], a box with a finite center and radius that leaves
+    the invariant x1 >= 0.4 of its location, and its JSON bundle."""
     cfg = (CORPUS_DIR / "tank3" / "config.cfg").read_text()
     assert cfg.count("x1 >= 0.48 & x1 <= 0.52") == 1
     path = tmp_path / "wide.cfg"
@@ -292,16 +293,37 @@ def wide_tank_files(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("source", ["cfg", "json"])
-@pytest.mark.parametrize("command", ["reach", "check", "simulate"])
-def test_initial_box_too_wide_for_its_radius_is_an_engine_error(command, source, tmp_path, capsys):
+@pytest.mark.parametrize("command, want", [
+    ("reach", (3, "", "engine error: initial set of location 'off_off_off' is not inside its invariant\n")),
+    ("check", (3, "", "engine error: initial set of location 'off_off_off' is not inside its invariant\n")),
+    ("simulate", (0, "RUN 0 samples=502 events=1 zeno=false\n", "")),
+], ids=["reach", "check", "simulate"])
+def test_initial_box_outside_its_invariant_stops_reach_and_check_not_simulate(command, want, source,
+                                                                              tmp_path, capsys):
     from_cfg, from_json = wide_tank_files(tmp_path, capsys)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out, err = run(capsys, command, *(from_cfg if source == "cfg" else from_json))
-    assert code == 3
-    assert out == ""
-    assert err.startswith("engine error: ") and "initial set" in err
-    assert "Traceback" not in err
+        assert run(capsys, command, *(from_cfg if source == "cfg" else from_json)) == want
+
+
+def test_simulate_samples_a_box_wider_than_the_largest_float_inside_it(tmp_path, capsys):
+    bundle = wide_box_bundle("initial")
+    lo, hi = float(bundle.initial.box.lo[0]), float(bundle.initial.box.hi[0])
+    assert hi - lo == float("inf")
+    path, out = tmp_path / "wide.json", tmp_path / "runs.csv"
+    path.write_text(write_json(bundle))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run(capsys, "simulate", str(path), "--seeds", "8", "--out", str(out))
+    assert (code, err) == (0, "")
+    assert stdout.count("RUN ") == 8
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    starts = {}
+    for run_id, _, _, x in rows:
+        starts.setdefault(run_id, float(x))
+    assert len(starts) == 8 and len(set(starts.values())) == 8
+    assert all(lo <= x <= hi for x in starts.values())
+    assert {starts["0"], starts["1"]} == {lo, hi}  # the two corners come first
 
 
 def test_invalid_step_override_is_an_input_error(capsys):

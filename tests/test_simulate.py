@@ -8,7 +8,7 @@ import pytest
 
 from hyra.cli import main
 from hyra.corpus import build_bouncing_ball, build_linswitch, build_platoon, build_tank
-from hyra.errors import EngineError, InitOutsideInvariant, MaxEventsExceeded
+from hyra.errors import InitOutsideInvariant, MaxEventsExceeded
 from hyra.expressions import format_number
 from hyra.ir import (
     AffineDynamics,
@@ -24,7 +24,7 @@ from hyra.ir import (
     VariableTable,
     bind_constant,
 )
-from hyra.sets import Box
+from hyra.sets import Box, center_radius
 from hyra.simulate import (
     _EVENT_CHECK_SLACK,
     _GUARD_SLACK,
@@ -52,6 +52,7 @@ from support import CORPUS_DIR
 simulate_module = importlib.import_module("hyra.simulate")
 
 GRAVITY = 9.81
+MAX = np.finfo(float).max
 
 DECAY = AffineDynamics([[-1.0]], np.zeros((1, 0)), [0.0])
 FALL = AffineDynamics([[0.0, 1.0], [0.0, 0.0]], np.zeros((2, 0)), [0.0, -GRAVITY])
@@ -545,13 +546,20 @@ def test_samples_of_a_box_are_the_corners_then_uniform_draws():
     assert all(np.array_equal(x, rng.uniform(box.lo, box.hi)) for x in corners[8:])
 
 
-def test_sampling_a_box_wider_than_the_float_range_is_an_engine_error():
+@pytest.mark.parametrize("lo, hi", [([-1e308, 0.0], [1e308, 1.0]), ([-MAX, -1.0], [MAX, 2.0]),
+                                    ([-1e308, 5.0], [MAX, 5.0])], ids=["wide", "whole-range", "to-max"])
+def test_sampling_a_box_wider_than_the_float_range_draws_center_plus_radius_inside_it(lo, hi):
+    box = Box(lo, hi)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(EngineError, match="initial set"):
-            sample_initial(Box([-1e308, 0.0], [1e308, 1.0]), 5, seed=0)
-        # the corners alone need no draw
-        assert len(sample_initial(Box([-1e308], [1e308]), 2, seed=0)) == 2
+        points = sample_initial(box, 40, seed=3)
+    rng = np.random.default_rng(3)
+    center, radius = center_radius(box.lo, box.hi)
+    with np.errstate(over="ignore"):
+        want = [np.clip(center + radius * rng.uniform(-1.0, 1.0, 2), box.lo, box.hi) for _ in range(36)]
+    assert all(np.array_equal(x, y) for x, y in zip(points[4:], want))
+    assert all(np.all(np.isfinite(p)) and np.all(box.lo <= p) and np.all(p <= box.hi) for p in points)
+    assert {tuple(p) for p in points[:4]} == {(x, y) for x in (lo[0], hi[0]) for y in (lo[1], hi[1])}
 
 
 def test_sampling_is_seed_deterministic():

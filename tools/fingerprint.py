@@ -23,8 +23,12 @@ models whose boxes have finite bounds past the reach of 0.5 (lo + hi) or
 0.5 (hi - lo): the merged hull wider than the largest float, the same
 model from the narrow far box x in [1e308, 1.5e308], and the guard window
 and reset successor wider than the largest float. A run that raises an
-engine error prints its ``Type: message`` text instead. Two source trees print the same lines exactly when all of these outputs are
-byte-identical:
+engine error prints its ``Type: message`` text instead. Rejection lines
+cover the ``Type: message`` text of each of about 40 malformed expression
+texts in ``MALFORMED``, read by ``parse_condition`` over the ball's
+variables and by ``parse_spaceex`` of the ball's ``model.xml`` with the
+text as the guard of its first transition. Two source trees print the
+same lines exactly when all of these outputs are byte-identical:
 
     PYTHONPATH=src python3 tools/fingerprint.py > after.txt
     PYTHONPATH=/path/to/other/src python3 tools/fingerprint.py > before.txt
@@ -33,6 +37,7 @@ byte-identical:
 
 import contextlib
 import hashlib
+import html
 import io
 import sys
 import tempfile
@@ -41,7 +46,8 @@ from pathlib import Path
 from hyra import corpus
 from hyra.cli import main as cli_main
 from hyra.config import emit_config, parse_config
-from hyra.errors import EngineError, SchemaViolation
+from hyra.errors import EngineError, HyraError, SchemaViolation
+from hyra.expressions import parse_condition
 from hyra.flowstar import emit_flowstar
 from hyra.interchange import read_json, write_json
 from hyra.ir import ModelBundle, ReachSettings
@@ -57,6 +63,19 @@ DEEP = {
 }
 SEEDS = 3
 TAIL = 0.37  # of a step: the leftover-tail horizon of the test suite
+BALL_GUARD = "<guard>x == 0 &amp; v &lt;= 0</guard>"
+# Expression texts each reader must reject: characters and tokens out of
+# place, names it does not know, terms that are not affine and nesting past
+# the recursion limit.
+MALFORMED = [
+    "x ? 1", "x <= 1 # 2", "x <= 1e5e", "x <= .", "x <= 1 @", "x \u00e9 1", "x <= 'v", "x : 1",
+    "x <=", "x <= 1 &", "& x <= 1", "x <= (1", "x <= 1)", "x <= ()", "(x <= 1", "x <== 1", "x <= 1 <= 2",
+    "x := 1", "x <= 1 v", "* x <= 1", "x <= 1 && && v >= 0",
+    "zz <= 1", "x + y <= 1", "x <= 1 & w >= 0", "x' <= 1", "v'' >= 0", "c' <= x",
+    "x*v <= 1", "c*c*x <= 1", "(x + 1)*(v - 1) <= 0", "x/v <= 1", "x/0 <= 1", "x/-0.0 <= 1", "x/(c - c) <= 1",
+    "x/c <= 1", "x + 1", "x <= (v <= 1)", "(x <= 1 & v >= 0) * 2 <= 1",
+    "(" * 3000 + "x" + ")" * 3000 + " <= 1", "+".join(["x"] * 3000) + " <= 1",
+]
 
 
 def with_bound(bundle, max_jumps, horizon):
@@ -165,6 +184,25 @@ def translation_lines():
     yield f"{digest(write_json(support.spelling_bundle()))}  spelling-bundle write_json"
 
 
+def rejection_text(read, text: str) -> str:
+    try:
+        read(text)
+    except HyraError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return "accepted"
+
+
+def rejection_lines():
+    model_xml = (REPO_ROOT / "corpus" / "bouncing-ball" / "model.xml").read_text()
+    assert model_xml.count(BALL_GUARD) == 1
+    table = parse_spaceex(model_xml).vars
+    for i, text in enumerate(MALFORMED):
+        xml = model_xml.replace(BALL_GUARD, f"<guard>{html.escape(text, quote=False)}</guard>")
+        condition = rejection_text(lambda t: parse_condition(t, table), text)
+        guard = rejection_text(parse_spaceex, xml)
+        yield f"{digest(condition + chr(10) + guard)}  bouncing-ball reject {i:02d} parse_condition parse_spaceex"
+
+
 def overflow_text(bundle) -> str:
     try:
         return reach_text(bundle)
@@ -197,6 +235,7 @@ def lines():
     yield from reader_lines()
     yield from translation_lines()
     yield from overflow_lines()
+    yield from rejection_lines()
 
 
 def main() -> int:
