@@ -47,19 +47,31 @@ def _strip_quotes(value: str) -> str:
     return value
 
 
+def _joined_constraints(terms: list, table: VariableTable):
+    """The constraint of each term from one ``parse_condition`` of their conjunction, which parses exactly
+    when each term does, into what each gives alone (no term holds an ``&`` outside parentheses); None
+    when it fails or gives more constraints than terms, so that parsing term by term words the error."""
+    try:
+        constraints = parse_condition(" & ".join(terms), table).constraints
+    except Exception:
+        return None
+    return iter(constraints) if len(constraints) == len(terms) else None
+
+
 def _parse_initially(text: str, table: VariableTable) -> InitialCondition:
     location = None
     lo = np.full(table.n, -math.inf)
     hi = np.full(table.n, math.inf)
-    for conjunct in split_conjuncts(text):
-        head = conjunct.replace(" ", "")
+    conjuncts = [(conjunct, conjunct.replace(" ", "")) for conjunct in split_conjuncts(text)]
+    joined = _joined_constraints([c for c, head in conjuncts if not head.startswith("loc(")], table)
+    for conjunct, head in conjuncts:
         if head.startswith("loc(") :
             close = head.find(")")
             if close < 0 or not head[close + 1 :].startswith("=="):
                 raise ConfigError(f"malformed location term {conjunct!r}")
             location = head[close + 3 :]
             continue
-        cond = parse_condition(conjunct, table)
+        cond = parse_condition(conjunct, table) if joined is None else Condition._trusted((next(joined),))
         if len(cond.constraints) != 1:
             raise ConfigError(f"initially term {conjunct!r} must be a single constraint")
         con = cond.constraints[0]
@@ -83,7 +95,7 @@ def _parse_initially(text: str, table: VariableTable) -> InitialCondition:
         raise ConfigError(f"initially leaves variables unbounded: {', '.join(unbounded)}")
     if np.any(lo > hi):
         raise ConfigError("initially intervals are empty (lo > hi)")
-    return InitialCondition(location, Box(lo, hi))
+    return InitialCondition._trusted(location, Box(lo, hi))
 
 
 def parse_config(text: str, table: VariableTable) -> ParsedConfig:

@@ -2,7 +2,9 @@
 
 Flowpipe rows project to outlined rectangles (the segment box hulls),
 trajectories to a polyline. The SVG writer is hand-rolled so output is a
-pure function of the input bytes: no timestamps, no generated ids.
+pure function of the input bytes: no timestamps, no generated ids. Both
+steps work in array passes: the CSV is checked and converted once, at the
+reader, and the SVG geometry is numpy arithmetic written by ``%`` templates.
 """
 
 from __future__ import annotations
@@ -38,14 +40,10 @@ def _parse_csv(text: str) -> tuple:
     return lines[0].split(","), lines[1:]
 
 
-def _cells(rows: list, columns) -> list:
-    """The text of each of ``columns`` over the data rows, one list per column.
-
-    Each row is split only up to the last of the columns; a row too short
-    for one of them raises IndexError.
-    """
-    split = list(map(str.split, rows, repeat(","), repeat(max(columns) + 1)))
-    return [list(map(itemgetter(col), split)) for col in columns]
+def _numbers(split: list, columns) -> list:
+    """The tuple of the numbers in ``columns`` of each split row, converted in one pass over the rows;
+    IndexError for a row too short for a column, ValueError for a cell that is no number."""
+    return list(zip(*[map(float, map(itemgetter(col), split)) for col in columns]))
 
 
 def _malformed(text: str, columns) -> ModelFormatError:
@@ -64,6 +62,8 @@ def _malformed(text: str, columns) -> ModelFormatError:
 
 
 def project_csv(text: str, x_name: str, y_name: str) -> Projection:
+    """The rectangles of a flowpipe CSV or the polyline of a trajectory CSV in ``x_name`` and ``y_name``:
+    each data row is split once, up to the last column needed, and those cells converted in one pass."""
     header, rows = _parse_csv(text)
     if header[:4] == ["time_lo", "time_hi", "location", "jump_depth"]:
         try:
@@ -76,7 +76,7 @@ def project_csv(text: str, x_name: str, y_name: str) -> Projection:
         except ValueError as exc:
             raise ModelFormatError(f"variable not present in flowpipe CSV: {exc}") from exc
         try:
-            rects = list(zip(*(map(float, cells) for cells in _cells(rows, columns))))
+            rects = _numbers(list(map(str.split, rows, repeat(","), repeat(max(columns) + 1))), columns)
         except (ValueError, IndexError):
             raise _malformed(text, columns) from None
         return Projection("flowpipe", x_name, y_name, rects, [])
@@ -86,9 +86,9 @@ def project_csv(text: str, x_name: str, y_name: str) -> Projection:
             yi = header.index(y_name)
         except ValueError as exc:
             raise ModelFormatError(f"variable not present in trajectory CSV: {exc}") from exc
+        split = list(map(str.split, rows, repeat(","), repeat(max(xi, yi) + 1)))
         try:
-            runs, xs, ys = _cells(rows, (0, xi, yi))
-            pairs = list(zip(map(float, xs), map(float, ys)))
+            pairs = _numbers(split, (xi, yi))
         except (ValueError, IndexError):
             raise _malformed(text, (xi, yi)) from None
         if header[0] != "run":
@@ -96,7 +96,7 @@ def project_csv(text: str, x_name: str, y_name: str) -> Projection:
         # multi-run exports break the polyline between runs
         points: list = []
         start = 0
-        for _, run in groupby(runs):
+        for _, run in groupby(map(itemgetter(0), split)):
             end = start + len(list(run))
             if start:
                 points.append(None)
@@ -122,21 +122,32 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+_RECT = ('<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" '
+         'fill="steelblue" fill-opacity="0.25" stroke="steelblue" stroke-width="0.5"/>')
+
+
+def _bounds(values: np.ndarray) -> tuple:
+    """``min`` and ``max`` of the values as the builtins give them over a list, which count a NaN only
+    when it comes first; the sign of a zero bound, which they may give otherwise, shows nowhere."""
+    if np.isnan(values).any():
+        listed = values.tolist()
+        return min(listed), max(listed)
+    return float(values.min()), float(values.max())
+
+
+@np.errstate(all="ignore")  # an overflow or inf - inf gives inf or NaN silently, as Python floats do
 def projection_to_svg(proj: Projection) -> str:
-    xs: list = []
-    ys: list = []
-    for xl, xh, yl, yh in proj.rects:
-        xs.extend((xl, xh))
-        ys.extend((yl, yh))
-    for point in proj.points:
-        if point is not None:
-            xs.append(point[0])
-            ys.append(point[1])
-    if not xs:
-        xs = [0.0, 1.0]
-        ys = [0.0, 1.0]
-    x_min, x_max = min(xs), max(xs)
-    y_min, y_max = min(ys), max(ys)
+    """The SVG of a projection, its geometry in array passes that take the IEEE operations of per-point
+    Python arithmetic in the same order, and every ``<rect>`` line from one ``%`` template."""
+    rects = np.fromiter(chain.from_iterable(proj.rects), float, 4 * len(proj.rects)).reshape(-1, 4)
+    kept = [p for p in proj.points if p is not None]
+    points = np.fromiter(chain.from_iterable(kept), float, 2 * len(kept)).reshape(-1, 2)
+    xs = np.concatenate([rects[:, :2].ravel(), points[:, 0]])
+    ys = np.concatenate([rects[:, 2:].ravel(), points[:, 1]])
+    if xs.size:
+        (x_min, x_max), (y_min, y_max) = _bounds(xs), _bounds(ys)
+    else:
+        x_min, x_max, y_min, y_max = 0.0, 1.0, 0.0, 1.0
     if x_max == x_min:
         x_max = x_min + 1.0
     if y_max == y_min:
@@ -150,10 +161,10 @@ def projection_to_svg(proj: Projection) -> str:
     sx = (_CANVAS_W - 2 * _MARGIN) / (x_max - x_min)
     sy = (_CANVAS_H - 2 * _MARGIN) / (y_max - y_min)
 
-    def px(x: float) -> float:
+    def px(x):
         return _MARGIN + (x - x_min) * sx
 
-    def py(y: float) -> float:
+    def py(y):
         return _CANVAS_H - _MARGIN - (y - y_min) * sy
 
     out = [
@@ -177,28 +188,17 @@ def projection_to_svg(proj: Projection) -> str:
         f'<text x="{_fmt(_MARGIN - 8)}" y="{_fmt(_MARGIN + 4)}" text-anchor="end" '
         f'font-family="monospace" font-size="11">{format_number(round(y_max, 6))}</text>',
     ]
-    for xl, xh, yl, yh in proj.rects:
-        x = px(xl)
-        y = py(yh)
-        w = max(px(xh) - px(xl), 0.2)
-        h = max(py(yl) - py(yh), 0.2)
-        out.append(
-            f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" height="{_fmt(h)}" '
-            f'fill="steelblue" fill-opacity="0.25" stroke="steelblue" stroke-width="0.5"/>'
-        )
-    if proj.points:
-        runs: list = [[]]
-        for point in proj.points:
-            if point is None:
-                runs.append([])
-            else:
-                runs[-1].append(point)
-        for run in runs:
-            if not run:
-                continue
-            coords = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in run)
-            out.append(
-                f'<polyline points="{coords}" fill="none" stroke="firebrick" stroke-width="1.2"/>'
-            )
+    if len(rects):
+        x_lo, x_hi, y_lo, y_hi = rects.T
+        geometry = (px(x_lo), py(y_hi), np.maximum(px(x_hi) - px(x_lo), 0.2), np.maximum(py(y_lo) - py(y_hi), 0.2))
+        out.append("\n".join([_RECT] * len(rects)) % tuple(np.column_stack(geometry).ravel().tolist()))
+    coords = np.column_stack((px(points[:, 0]), py(points[:, 1]))).ravel().tolist()
+    start = 0
+    for is_break, run in groupby(proj.points, lambda p: p is None):
+        if not is_break:
+            end = start + 2 * len(list(run))
+            text = " ".join(["%.2f,%.2f"] * ((end - start) // 2)) % tuple(coords[start:end])
+            out.append(f'<polyline points="{text}" fill="none" stroke="firebrick" stroke-width="1.2"/>')
+            start = end
     out.append("</svg>")
     return "\n".join(out) + "\n"

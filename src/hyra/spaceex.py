@@ -43,15 +43,18 @@ def _localname(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
-def _children(elem, name):
-    return [child for child in elem if _localname(child.tag) == name]
+def _children(elem) -> dict:
+    """The children of ``elem`` by local tag name, each name's in document order."""
+    out: dict = {}
+    for child in elem:
+        out.setdefault(_localname(child.tag), []).append(child)
+    return out
 
 
-def _text(elem, name) -> str | None:
-    nodes = _children(elem, name)
-    if not nodes:
-        return None
-    return nodes[0].text or ""
+def _text(children: dict, name) -> str | None:
+    """The text of the first of ``children`` named ``name``: "" when it has none, None when there is no such child."""
+    nodes = children.get(name)
+    return nodes[0].text or "" if nodes else None
 
 
 def parse_spaceex(xml_text: str, validated: bool = True) -> HybridAutomaton:
@@ -59,7 +62,7 @@ def parse_spaceex(xml_text: str, validated: bool = True) -> HybridAutomaton:
 
     With validated=False the structural validation step is skipped so a
     defective model can still be loaded for inspection (the validate
-    command relies on this).
+    command relies on this). Records are built with ``_trusted``; ``validate`` checks them.
     """
     try:
         root = ET.fromstring(xml_text)
@@ -68,13 +71,14 @@ def parse_spaceex(xml_text: str, validated: bool = True) -> HybridAutomaton:
 
     if _localname(root.tag) != "sspaceex":
         raise XmlMalformed(f"expected <sspaceex> root, found <{_localname(root.tag)}>")
-    components = _children(root, "component")
+    components = _children(root).get("component")
     if not components:
         raise XmlMalformed("no <component> element")
     if len(components) > 1:
         raise UnsupportedFeature("multiple components (networks) are not supported")
     comp = components[0]
-    if _children(comp, "bind"):
+    elements = _children(comp)
+    if elements.get("bind"):
         raise UnsupportedFeature("component bindings are not supported")
     name = comp.get("id") or "model"
 
@@ -82,7 +86,7 @@ def parse_spaceex(xml_text: str, validated: bool = True) -> HybridAutomaton:
     input_vars: list = []
     constants: dict = {}
     input_range: dict = {}
-    for param in _children(comp, "param"):
+    for param in elements.get("param", ()):
         pname = param.get("name")
         if not pname:
             raise XmlMalformed("param without a name")
@@ -106,46 +110,47 @@ def parse_spaceex(xml_text: str, validated: bool = True) -> HybridAutomaton:
         else:
             raise UnsupportedFeature(f"param dynamics {dynamics!r} is not supported")
 
-    table = VariableTable(tuple(state_vars), tuple(input_vars), constants)
+    table = VariableTable._trusted(tuple(state_vars), tuple(input_vars), constants)
+    identity = ResetMap.identity(table.n)
 
     locations: list = []
     id_to_name: dict = {}
-    for loc_elem in _children(comp, "location"):
+    for loc_elem in elements.get("location", ()):
         loc_id = loc_elem.get("id")
         loc_name = loc_elem.get("name") or loc_id
         if loc_id is None and loc_name is None:
             raise XmlMalformed("location without id or name")
         id_to_name[loc_id] = loc_name
         id_to_name[loc_name] = loc_name
+        children = _children(loc_elem)
         try:
-            invariant = parse_condition(_text(loc_elem, "invariant") or "", table)
-            dynamics = _parse_flow(_text(loc_elem, "flow") or "", table)
+            invariant = parse_condition(_text(children, "invariant") or "", table)
+            dynamics = _parse_flow(_text(children, "flow") or "", table)
         except XmlMalformed:
             raise
         except Exception as exc:
             raise XmlMalformed(f"location {loc_name!r}: {exc}") from exc
-        locations.append(Location(loc_name, invariant, dynamics))
+        locations.append(Location._trusted(loc_name, invariant, dynamics))
 
     transitions: list = []
-    for tr_elem in _children(comp, "transition"):
+    for tr_elem in elements.get("transition", ()):
         src = tr_elem.get("source")
         dst = tr_elem.get("target")
         if src is None or dst is None:
             raise XmlMalformed("transition missing source or target")
-        label = _text(tr_elem, "label")
+        children = _children(tr_elem)
+        label = _text(children, "label")
         label = label.strip() if label else None
         try:
-            guard = parse_condition(_text(tr_elem, "guard") or "", table)
-            reset = _parse_assignment(_text(tr_elem, "assignment") or "", table)
+            guard = parse_condition(_text(children, "guard") or "", table)
+            reset = _parse_assignment(_text(children, "assignment") or "", table, identity)
         except XmlMalformed:
             raise
         except Exception as exc:
             raise XmlMalformed(f"transition {src}->{dst}: {exc}") from exc
-        transitions.append(
-            Transition(id_to_name.get(src, src), id_to_name.get(dst, dst), guard, reset, label)
-        )
+        transitions.append(Transition._trusted(id_to_name.get(src, src), id_to_name.get(dst, dst), guard, reset, label))
 
-    automaton = HybridAutomaton(name, table, tuple(locations), tuple(transitions), input_range)
+    automaton = HybridAutomaton._trusted(name, table, tuple(locations), tuple(transitions), input_range)
     if validated:
         report = validate(automaton)
         if not report.ok:
@@ -173,8 +178,8 @@ def _parse_flow(text: str, table: VariableTable) -> AffineDynamics:
     return dynamics_from_forms(forms, table)
 
 
-def _parse_assignment(text: str, table: VariableTable) -> ResetMap:
-    """Assignment text: ``x := expr`` statements joined by &, one per variable at most; default identity."""
+def _parse_assignment(text: str, table: VariableTable, identity: ResetMap) -> ResetMap:
+    """Assignment text: ``x := expr`` statements joined by &, one per variable at most; ``identity`` if none."""
     forms: dict = {}
     for stmt in split_conjuncts(text):
         if ":=" not in stmt:
@@ -186,7 +191,7 @@ def _parse_assignment(text: str, table: VariableTable) -> ResetMap:
         if var in forms:
             raise XmlMalformed(f"duplicate assignment to {var!r}")
         forms[var] = linear_form(parse_expression(rhs_text, table), table, allow_inputs=False)
-    return reset_from_forms(forms, table)
+    return reset_from_forms(forms, table) if forms else identity
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 
 from hyra.config import emit_config, parse_config
 from hyra.corpus import all_benchmarks, build
-from hyra.errors import ConfigError, MissingKey, UnknownKey
+from hyra.errors import ConfigError, ExpressionSyntaxError, MissingKey, NonlinearUnsupported, UnknownIdentifier, UnknownKey
 from hyra.expressions import parse_condition
 from hyra.ir import VariableTable
 
@@ -130,3 +130,46 @@ def test_emit_parse_roundtrip(bench):
     assert parsed.settings == bundle.settings
     assert parsed.initial == bundle.initial
     assert parsed.system == bundle.automaton.name
+
+
+INITIALLY_TABLE = VariableTable(("x", "v"), ("u",), {"c": 2.0})
+# Each initially text and what parsing it gives: the box, or the error of the
+# first bad term in text order, worded and positioned for that term alone.
+INITIALLY_CASES = [
+    ("loc() == a & x >= 1 & x <= 2 & v == 0", ([1.0, 0.0], [2.0, 0.0])),
+    ("x <= 2 & loc() == a & 2*x >= 1 & -v <= 0.5 & v/2 <= 1 & x >= -1e308", ([0.5, -0.5], [2.0, 2.0])),
+    ("loc() == a & x >= 1 && x <= 2 & v == 0 & (v >= 0)", ([1.0, 0.0], [2.0, 0.0])),
+    ("loc() == a & (x >= 1 & x <= 2) & v == 0",
+     (ConfigError, "initially term '(x >= 1 & x <= 2)' must be a single constraint")),
+    ("loc() == a & x + v >= 1 & zz <= 2",
+     (ConfigError, "initially term 'x + v >= 1' is not an interval bound on one variable")),
+    ("loc(a & x >= 1 & x*v <= 1", (ConfigError, "malformed location term 'loc(a & x >= 1 & x*v <= 1'")),
+    ("x >= 1 & loc() = a & x*v <= 1", (ConfigError, "malformed location term 'loc() = a'")),
+    ("loc() == a & x >= 1 & x <= c", (ConfigError, "initially term 'x <= c' is not an interval bound on one variable")),
+    ("loc() == a & x >= 1 & x <= 2 & v >= 0 & v <= (1", (ExpressionSyntaxError, "expected ')' (at position 7)")),
+    ("loc() == a & x >= 1 & x <= 2 & v >= 0 & v <= 1 + ",
+     (ExpressionSyntaxError, "unexpected end of input (at position 8)")),
+    ("loc() == a & x >= 1 & x <= 2 & v == 0 & x <= 1 <= 2", (ExpressionSyntaxError, "trailing input '<=' (at position 7)")),
+    ("loc() == a & x >= 1 & x/0 <= 1 & v == 0", (NonlinearUnsupported, "division by zero")),
+    ("loc() == a & x >= 1 & u <= 1 & v == 0", (NonlinearUnsupported, "input 'u' cannot appear in a constraint")),
+    ("loc() == a & x >= 1 & x <= 2 & v == 0 & x",
+     (NonlinearUnsupported, "expected a comparison, found a bare arithmetic expression")),
+    ("loc() == a & x >= 1 & x <= 2 & v == 0 & x' <= 2", (UnknownIdentifier, "unknown identifier \"x'\"")),
+    ("loc() == a & x >= 1 & x <= 2 & v >= 0 & v <= 1 & x <= 0", (ConfigError, "initially intervals are empty (lo > hi)")),
+    ("loc() == a & x >= 1 & x <= 2", (ConfigError, "initially leaves variables unbounded: v")),
+    ("x >= 1 & x <= 2 & v == 0", (ConfigError, "initially must name a location via loc() == <name>")),
+]
+
+
+@pytest.mark.parametrize("text, want", INITIALLY_CASES, ids=[text for text, _ in INITIALLY_CASES])
+def test_initially_terms_parse_in_one_pass_with_each_terms_own_error(text, want):
+    config = f"time-horizon = 1\ninitially = {text}"
+    if isinstance(want[0], type):
+        error, message = want
+        with pytest.raises(error) as raised:
+            parse_config(config, INITIALLY_TABLE)
+        assert type(raised.value) is error and str(raised.value) == message
+    else:
+        initial = parse_config(config, INITIALLY_TABLE).initial
+        assert initial.location == "a"
+        assert (initial.box.lo.tolist(), initial.box.hi.tolist()) == want

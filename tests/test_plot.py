@@ -1,5 +1,11 @@
+import functools
+import math
+
 import pytest
 
+import support
+from hyra import corpus
+from hyra.cli import main as cli_main
 from hyra.corpus import build_tank
 from hyra.errors import ModelFormatError
 from hyra.expressions import format_number
@@ -77,24 +83,6 @@ def test_unrecognized_header_rejected():
         project_csv("a,b,c\n1,2,3\n", "a", "b")
 
 
-def _projection_by_rows(text, x_name, y_name):
-    """The row-by-row parse ``project_csv`` replaced, kept as its reference."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
-    if header[0] == "time_lo":
-        cols = [header.index(f"{end}_{name}") for name in (x_name, y_name) for end in ("lo", "hi")]
-        return Projection("flowpipe", x_name, y_name, [tuple(float(r[c]) for c in cols) for r in rows], [])
-    xi, yi = header.index(x_name), header.index(y_name)
-    points, last_run = [], None
-    for r in rows:
-        if header[0] == "run" and r[0] != last_run:
-            if last_run is not None:
-                points.append(None)
-            last_run = r[0]
-        points.append((float(r[xi]), float(r[yi])))
-    return Projection("trajectory", x_name, y_name, [], points)
-
-
 def _ragged(text):
     """The CSV with blank lines and rows of more, or fewer but enough, cells than the header."""
     lines = text.splitlines()
@@ -117,8 +105,122 @@ def _runs(text):
     (lambda: _runs(trajectory_csv()), "x2", "x3"),
 ], ids=["flowpipe", "flowpipe-ragged", "trajectory", "trajectory-ragged", "trajectory-runs"])
 def test_projection_matches_the_row_by_row_parse(make, x, y):
-    text = make()
-    proj, want = project_csv(text, x, y), _projection_by_rows(text, x, y)
-    assert proj == want
-    assert projection_to_svg(proj) == projection_to_svg(want)
-    assert projection_to_csv(proj) == projection_to_csv(want)
+    assert_as_reference(make(), x, y)
+
+
+# ---------------------------------------------------------------------------
+# The array passes against the former row-by-row projection and per-rectangle
+# SVG writer, kept unchanged in tests/support.py as the reference.
+
+MODELS = [bench.value for bench in corpus.all_benchmarks()]
+INF, NAN, TOP = math.inf, math.nan, 1.7976931348623157e308
+
+
+@functools.cache
+def corpus_csv(model: str) -> str:
+    bundle = corpus.build(corpus.BenchmarkId(model))
+    return segments_to_csv(reach(bundle), bundle.automaton.vars.state_vars)
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """Equal texts; else a failure naming the first line that differs, not a diff of the whole texts."""
+    if got != want:
+        pairs = enumerate(zip(got.splitlines(), want.splitlines()), 1)
+        pytest.fail(next((f"line {i}: {g!r} != {w!r}" for i, (g, w) in pairs if g != w), "the texts differ in length"))
+
+
+def assert_as_reference(text: str, x: str, y: str) -> None:
+    """``project_csv`` and both writers give what the reference gives, byte for byte, or the same error."""
+    try:
+        want = support.project_csv(text, x, y)
+    except ModelFormatError as exc:
+        with pytest.raises(ModelFormatError) as got:
+            project_csv(text, x, y)
+        assert str(got.value) == str(exc)
+        return
+    proj = project_csv(text, x, y)
+    assert_same_text(repr(proj), repr(want))  # repr tells NaN, -0.0 and 0.0 apart
+    assert_same_text(projection_to_svg(proj), support.projection_to_svg(want))
+    assert_same_text(projection_to_csv(proj), projection_to_csv(want))
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_every_corpus_csv_projects_and_draws_as_the_reference(model):
+    names = corpus.build(corpus.BenchmarkId(model)).automaton.vars.state_vars
+    for x, y in {names[:2], names[-2:], (names[-1], names[0]), (names[0], names[0])}:
+        assert_as_reference(corpus_csv(model), x, y)
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_trajectory_and_multi_run_csvs_draw_as_the_reference(model, tmp_path):
+    bundle = corpus.build(corpus.BenchmarkId(model))
+    names = bundle.automaton.vars.state_vars
+    traj = simulate(bundle, bundle.initial.box.lo, Integrator.HEUN, SimOptions(step=bundle.settings.step))
+    runs = tmp_path / "runs.csv"
+    assert cli_main(["bench", model, "simulate", "--seeds", "3", "--out", str(runs)]) == 0
+    for text in (trajectory_to_csv(traj, names), runs.read_text()):
+        assert_as_reference(text, names[0], names[1])
+        assert_as_reference(text, names[-1], names[0])
+    assert projection_to_svg(project_csv(runs.read_text(), *names[:2])).count("<polyline") == 3
+
+
+EDGE_PROJECTIONS = {
+    "no-rectangles": ([], []),
+    "single-rectangle": ([(1.0, 2.0, 3.0, 4.0)], []),
+    "zero-width-x": ([(1.0, 1.0, 0.0, 5.0), (1.0, 1.0, 2.0, 3.0)], []),
+    "zero-width-y": ([(0.0, 5.0, 2.0, 2.0)], []),
+    "single-point-rectangle": ([(3.0, 3.0, -1.0, -1.0)], []),
+    "below-0.2-px": ([(0.0, 1000.0, 0.0, 1000.0), (1.0, 1.0001, 2.0, 2.00001), (5.0, 5.0, 7.0, 7.0)], []),
+    "near-max-float": ([(-1e308, 1e308, -TOP, TOP), (1e308, 1.5e308, -1.5e308, -1e308)], []),
+    "narrow-far": ([(1e308, 1.5e308, -1.5e308, -1e308), (1.2e308, 1.3e308, -1.2e308, -1.1e308)], []),
+    "at-max-float": ([(TOP, TOP, 0.0, 1.0), (-TOP, -TOP, 0.0, 1.0)], []),
+    "signed-zeros": ([(0.0, 1.0, -0.0, 0.0), (-0.0, 0.0, 0.0, -0.0)], []),
+    "negative-zero-first": ([(-0.0, 0.0, -0.0, 0.0)], []),
+    "nan-first": ([(NAN, 1.0, 0.0, 1.0), (0.0, NAN, NAN, 2.0)], []),
+    "nan-later": ([(0.0, 1.0, 0.0, 1.0), (NAN, 2.0, 0.0, INF)], []),
+    "infinite": ([(-INF, INF, 0.0, 1.0)], []),
+    "polyline-breaks": ([], [(0.0, 0.0), None, (1.0, 2.0), (3.0, -1.0), None, None, (5.0, 5.0)]),
+    "leading-break": ([], [None, (1.0, 2.0), (1.0, 2.0)]),
+    "only-breaks": ([], [None, None]),
+    "single-point": ([], [(1.0, 1.0)]),
+    "rectangles-and-points": ([(0.0, 1.0, 0.0, 1.0)], [(2.0, -3.0), None, (-0.0, 1e-9)]),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(EDGE_PROJECTIONS))
+def test_edge_projections_draw_as_the_reference(case):
+    rects, points = EDGE_PROJECTIONS[case]
+    proj = Projection("flowpipe" if rects else "trajectory", "x", "y", rects, points)
+    assert_same_text(projection_to_svg(proj), support.projection_to_svg(proj))
+
+
+def test_narrow_rectangles_get_the_minimum_size():
+    svg = projection_to_svg(Projection("flowpipe", "x", "y", EDGE_PROJECTIONS["below-0.2-px"][0], []))
+    assert svg.count('width="0.20" height="0.20"') == 2
+
+
+FLOWPIPE_HEADER = "time_lo,time_hi,location,jump_depth,lo_x,hi_x,lo_y,hi_y"
+MALFORMED_CSVS = {
+    "empty": "",
+    "blank": "\n  \n\t\n",
+    "unknown-header": "a,b,c\n1,2,3\n",
+    "missing-variable": FLOWPIPE_HEADER + "\n0,1,q,0,1,2,3,4\n",
+    "short-row": FLOWPIPE_HEADER + "\n0,1,q,0,1,2,3,4\n\n0,1,q,0,1,2\n",
+    "not-a-number": FLOWPIPE_HEADER + "\n0,1,q,0,1,2,3,4\n0,1,q,0,1,two,3,4\n",
+    "number-after-short-row": FLOWPIPE_HEADER + "\n0,1,q,0,1\n0,1,q,0,x,2,3,4\n",
+    "trajectory-short-row": "time,location,x,y\n0,q,1,2\n0.5,q\n",
+    "trajectory-not-a-number": "time,location,x,y\n0,q,1,2\n0.5,q,1,nope\n",
+    "runs-not-a-number": "run,time,location,x,y\n0,0,q,1,2\n1,0,q,--1,2\n",
+    "near-max-float": FLOWPIPE_HEADER + "\n0,1,q,0,-1e308,1e308,-1.7e308,1.7976931348623157e308\n",
+    "numbers-python-reads": FLOWPIPE_HEADER + "\n0,1,q,0, 1_0,1e1 ,nan,-inf\n0,1,q,0,infinity,-0,+.5,1E-320\n",
+    "header-only": FLOWPIPE_HEADER + "\n",
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(MALFORMED_CSVS))
+def test_small_and_malformed_csvs_give_the_reference_projection_or_message(case):
+    text = MALFORMED_CSVS[case]
+    for x, y in (("x", "y"), ("y", "x"), ("x", "z")):
+        assert_as_reference(text, x, y)

@@ -27,8 +27,12 @@ engine error prints its ``Type: message`` text instead. Rejection lines
 cover the ``Type: message`` text of each of about 40 malformed expression
 texts in ``MALFORMED``, read by ``parse_condition`` over the ball's
 variables and by ``parse_spaceex`` of the ball's ``model.xml`` with the
-text as the guard of its first transition. Two source trees print the
-same lines exactly when all of these outputs are byte-identical:
+text as the guard of its first transition. Plot lines cover the SVG and
+the ``projection_to_csv`` text of ``hyra plot``'s projection of each corpus
+model's reach CSV at the shipped settings, onto its output variables, and
+of the ball's trajectory CSV of one seeded Heun run and its multi-run CSV
+of ``hyra bench bouncing-ball simulate --seeds 3 --out``. Two source trees
+print the same lines exactly when all of these outputs are byte-identical:
 
     PYTHONPATH=src python3 tools/fingerprint.py > after.txt
     PYTHONPATH=/path/to/other/src python3 tools/fingerprint.py > before.txt
@@ -51,6 +55,7 @@ from hyra.expressions import parse_condition
 from hyra.flowstar import emit_flowstar
 from hyra.interchange import read_json, write_json
 from hyra.ir import ModelBundle, ReachSettings
+from hyra.plot import project_csv, projection_to_csv, projection_to_svg
 from hyra.reach import reach, segments_to_csv
 from hyra.simulate import Integrator, SimOptions, events_to_csv, sample_initial, simulate, trajectory_to_csv
 from hyra.spaceex import emit_spaceex, parse_spaceex
@@ -218,6 +223,24 @@ def overflow_lines():
         yield f"{digest(overflow_text(bundle))}  {bundle.automaton.name} reach overflow{label}"
 
 
+def plot_lines():
+    def plot(label, text, x_name, y_name):
+        proj = project_csv(text, x_name, y_name)
+        yield f"{digest(projection_to_svg(proj))}  {label} svg"
+        yield f"{digest(projection_to_csv(proj))}  {label} csv"
+
+    for bench in corpus.all_benchmarks():
+        bundle = corpus.build(bench)
+        x_name, y_name = bundle.settings.output_vars or bundle.automaton.vars.state_vars[:2]
+        yield from plot(f"{bench.value} plot reach", reach_text(bundle).split("\n", 1)[1], x_name, y_name)
+    ball = corpus.build(corpus.BenchmarkId("bouncing-ball"))
+    state_vars = ball.automaton.vars.state_vars
+    x0 = sample_initial(ball.initial.box, 1, 0)[0]
+    traj = simulate(ball, x0, Integrator.HEUN, SimOptions(step=ball.settings.step))
+    yield from plot("bouncing-ball plot trajectory", trajectory_to_csv(traj, state_vars), "x", "v")
+    yield from plot(f"bouncing-ball plot cli simulate --seeds {SEEDS}", cli_simulate_text("bouncing-ball"), "x", "v")
+
+
 def lines():
     for bench in corpus.all_benchmarks():
         model = bench.value
@@ -236,6 +259,7 @@ def lines():
     yield from translation_lines()
     yield from overflow_lines()
     yield from rejection_lines()
+    yield from plot_lines()
 
 
 def main() -> int:
