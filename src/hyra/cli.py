@@ -17,11 +17,11 @@ import numpy as np
 
 from . import corpus
 from .config import parse_config
-from .errors import EngineError, HyraError, ModelFormatError
+from .errors import ConfigError, EngineError, HyraError, ModelFormatError
 from .expressions import format_table
 from .flowstar import emit_flowstar
 from .interchange import read_json, write_json
-from .ir import ModelBundle, validate
+from .ir import ModelBundle, condition_defects, validate
 from .plot import project_csv, projection_to_csv, projection_to_svg
 from .reach import Verdict, reach, segments_to_csv
 from .simulate import Integrator, SimOptions, sample_initial, simulate
@@ -63,6 +63,9 @@ def _load_bundle(model_path: str, cfg_path: str | None, step_override: float | N
             )
         if parsed.initial.location not in automaton.location_names():
             raise ModelFormatError(f"initial location {parsed.initial.location!r} not in model")
+        defects = condition_defects(parsed.settings.forbidden, automaton.vars, "forbidden set")
+        if defects:
+            raise ConfigError("bundle does not validate: " + "; ".join(map(str, defects)))
         bundle = ModelBundle(automaton, parsed.settings, parsed.initial)
     if step_override is not None:
         try:

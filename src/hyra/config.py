@@ -71,7 +71,7 @@ def _parse_initially(text: str, table: VariableTable) -> InitialCondition:
                 raise ConfigError(f"malformed location term {conjunct!r}")
             location = head[close + 3 :]
             continue
-        cond = parse_condition(conjunct, table) if joined is None else Condition._trusted((next(joined),))
+        cond = parse_condition(conjunct, table) if joined is None else Condition((next(joined),))
         if len(cond.constraints) != 1:
             raise ConfigError(f"initially term {conjunct!r} must be a single constraint")
         con = cond.constraints[0]
@@ -95,7 +95,7 @@ def _parse_initially(text: str, table: VariableTable) -> InitialCondition:
         raise ConfigError(f"initially leaves variables unbounded: {', '.join(unbounded)}")
     if np.any(lo > hi):
         raise ConfigError("initially intervals are empty (lo > hi)")
-    return InitialCondition._trusted(location, Box(lo, hi))
+    return InitialCondition(location, Box(lo, hi))
 
 
 def parse_config(text: str, table: VariableTable) -> ParsedConfig:

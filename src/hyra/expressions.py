@@ -23,8 +23,7 @@ import numpy as np
 import orjson
 
 from .errors import ExpressionSyntaxError, NonlinearUnsupported, UnknownIdentifier, UnsupportedFeature
-from .ir import (AffineDynamics, Condition, LinearConstraint, ResetMap, VariableTable, _bound_terms, _frozen,
-                 _frozen_terms)
+from .ir import AffineDynamics, Condition, LinearConstraint, ResetMap, VariableTable
 
 # ---------------------------------------------------------------------------
 # AST
@@ -408,30 +407,26 @@ def dynamics_from_forms(forms: dict, table: VariableTable) -> AffineDynamics:
     A and B (and each term's blocks) are the column blocks of one array of rows over states and inputs."""
     n, names = table.n, table.state_vars + table.input_vars
     ab, ab_terms, c, c_terms = _stacked_rows(forms, table, names, np.zeros((n, len(names))))
-    return AffineDynamics._trusted(_frozen(ab[:, :n]), _frozen(ab[:, n:]), _frozen(c),
-                                   _frozen_terms({sym: t[:, :n] for sym, t in ab_terms.items()}),
-                                   _frozen_terms({sym: t[:, n:] for sym, t in ab_terms.items()}),
-                                   _frozen_terms(c_terms))
+    return AffineDynamics(ab[:, :n], ab[:, n:], c, {sym: t[:, :n] for sym, t in ab_terms.items()},
+                          {sym: t[:, n:] for sym, t in ab_terms.items()}, c_terms)
 
 
 def reset_from_forms(forms: dict, table: VariableTable) -> ResetMap:
     """``x' = R x + r`` whose row of each state variable in ``forms`` is its form; other rows keep x."""
     r_matrix, m_terms, r_offset, r_terms = _stacked_rows(forms, table, table.state_vars, np.eye(table.n))
-    return ResetMap._trusted(_frozen(r_matrix), _frozen(r_offset), _frozen_terms(m_terms), _frozen_terms(r_terms))
+    return ResetMap(r_matrix, r_offset, m_terms, r_terms)
 
 
 def _constraint_from_compare(cmp, table: VariableTable, index: dict, rows: np.ndarray, row_terms: dict,
                              i: int) -> LinearConstraint:
-    """The constraint of ``cmp``, its coefficients written into row ``i`` of ``rows`` and ``row_terms``
-    and frozen there: the constraint holds row ``i`` of each array."""
+    """The constraint of ``cmp``, its coefficients written into row ``i`` of ``rows`` and ``row_terms``."""
     if not isinstance(cmp, Compare):
         raise NonlinearUnsupported("expected a comparison, found a bare arithmetic expression")
     left = _linearize(cmp.left, table, False)
     base, terms, coeffs = _accumulate(left, _negated(_linearize(cmp.right, table, False)))
     _write_row(coeffs, index, rows, row_terms, i)
-    coeff_terms = _frozen_terms({sym: t[i] for sym, t in row_terms.items()}) if row_terms else {}
-    bound_terms = _bound_terms({k: -v for k, v in terms.items()})
-    return LinearConstraint._trusted(_frozen(rows[i]), cmp.relation, -base + 0.0, coeff_terms, bound_terms)
+    return LinearConstraint(rows[i], cmp.relation, -base + 0.0, {sym: t[i] for sym, t in row_terms.items()},
+                            {k: -v for k, v in terms.items()})
 
 
 def parse_condition(text: str, table: VariableTable) -> Condition:
@@ -442,7 +437,7 @@ def parse_condition(text: str, table: VariableTable) -> Condition:
     rows, row_terms, constraints = np.zeros((len(parts), table.n)), {}, []
     for i, part in enumerate(parts):
         constraints.append(_constraint_from_compare(part, table, index, rows, row_terms, i))
-    return Condition._trusted(tuple(constraints))
+    return Condition(constraints)
 
 
 def split_conjuncts(text: str) -> list:

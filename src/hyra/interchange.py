@@ -54,9 +54,6 @@ from .ir import (
     ResetMap,
     Transition,
     VariableTable,
-    _bound_terms,
-    _freeze,
-    _freeze_terms,
     validate,
 )
 from .sets import Box
@@ -308,12 +305,9 @@ def write_json(bundle: ModelBundle) -> str:
 
 
 def _condition_in(data: list) -> Condition:
-    """The condition of a schema-checked list of constraints, converted in the public constructors' order."""
-    return Condition._trusted(tuple(
-        LinearConstraint._trusted(_freeze(e["coeffs"]), e["relation"], float(e["bound"]),
-                                  _freeze_terms(e.get("coeff_terms")), _bound_terms(e.get("bound_terms")))
-        for e in data
-    ))
+    """The condition of a schema-checked list of constraints."""
+    return Condition([LinearConstraint(e["coeffs"], e["relation"], e["bound"], e.get("coeff_terms"),
+                                       e.get("bound_terms")) for e in data])
 
 
 def bundle_from_dict(data: dict) -> ModelBundle:
@@ -328,27 +322,23 @@ def bundle_from_dict(data: dict) -> ModelBundle:
 
 
 def _build_bundle(data: dict) -> ModelBundle:
-    """The IR of a schema-checked document, built with ``_trusted`` from the arrays and floats converted
-    here in the public constructors' order, so a value that does not convert raises the error they would."""
+    """The IR of a schema-checked document, built through the IR's public constructors, whose
+    conversion errors (``ValueError``, ``OverflowError``) ``bundle_from_dict`` words as rejections."""
     variables = data["variables"]
-    table = VariableTable._trusted(tuple(variables["state"]), tuple(variables["input"]),
-                                   {name: float(v) for name, v in variables["constants"].items()})
+    table = VariableTable(variables["state"], variables["input"], variables["constants"])
     locations = []
     for entry in data["locations"]:
         flow = entry["flow"]
-        dynamics = AffineDynamics._trusted(_freeze(flow["a"]), _freeze(flow["b"]), _freeze(flow["c"]),
-                                           _freeze_terms(flow.get("a_terms")), _freeze_terms(flow.get("b_terms")),
-                                           _freeze_terms(flow.get("c_terms")))
-        locations.append(Location._trusted(entry["name"], _condition_in(entry["invariant"]), dynamics))
+        dynamics = AffineDynamics(flow["a"], flow["b"], flow["c"],
+                                  flow.get("a_terms"), flow.get("b_terms"), flow.get("c_terms"))
+        locations.append(Location(entry["name"], _condition_in(entry["invariant"]), dynamics))
     transitions = []
     for entry in data["transitions"]:
         r = entry["reset"]
-        reset = ResetMap._trusted(_freeze(r["matrix"]), _freeze(r["offset"]),
-                                  _freeze_terms(r.get("matrix_terms")), _freeze_terms(r.get("offset_terms")))
-        transitions.append(Transition._trusted(entry["source"], entry["target"], _condition_in(entry["guard"]),
-                                               reset, entry.get("label")))
-    input_range = {name: (float(lo), float(hi)) for name, (lo, hi) in data.get("input_range", {}).items()}
-    automaton = HybridAutomaton._trusted(data["name"], table, tuple(locations), tuple(transitions), input_range)
+        reset = ResetMap(r["matrix"], r["offset"], r.get("matrix_terms"), r.get("offset_terms"))
+        transitions.append(Transition(entry["source"], entry["target"], _condition_in(entry["guard"]),
+                                      reset, entry.get("label")))
+    automaton = HybridAutomaton(data["name"], table, locations, transitions, data.get("input_range"))
     s = data["settings"]
     forbidden = None if s["forbidden"] is None else _condition_in(s["forbidden"])
     report = validate(automaton, forbidden)
@@ -373,7 +363,7 @@ def _build_bundle(data: dict) -> ModelBundle:
         raise SchemaViolation(f"initial box misses variables: {', '.join(missing)}")
     lo = np.array([init["box"][v][0] for v in table.state_vars], dtype=float)
     hi = np.array([init["box"][v][1] for v in table.state_vars], dtype=float)
-    initial = InitialCondition._trusted(init["location"], Box(lo, hi))
+    initial = InitialCondition(init["location"], Box(lo, hi))
     return ModelBundle(automaton, settings, initial)
 
 

@@ -7,17 +7,17 @@ matrix/vector has an optional overlay mapping a constant name to an array of
 per-entry multipliers, and ``resolved()`` folds the overlays using the
 current constant values. All values are immutable after construction.
 
-Records are checked once, at the reader. The public constructors convert,
-copy and normalize what a caller hands them; the readers (``spaceex``,
-``config``, ``interchange``) hand ``_trusted`` what they just made, as
-``sets.Box._trusted`` does for sets, with no second copy, and ``validate``
-is the one semantic check of what a reader builds.
+Each record that converts a field has one hand-written constructor, which
+every caller goes through, the readers (``spaceex``, ``config``,
+``interchange``) included: it converts, copies, normalizes and freezes each
+field once, so every array a record holds is a read-only float copy owned
+by no caller. ``validate`` is the one semantic check of what a reader builds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -33,24 +33,13 @@ _ROW_SIGNS = {"<=": (1.0,), "<": (1.0,), "==": (1.0, -1.0), ">=": (-1.0,), ">": 
 
 def _freeze(a, dtype=float) -> np.ndarray:
     out = np.array(a, dtype=dtype)  # a copy: freezing must not reach the caller's array
-    out.flags.writeable = False
+    out.setflags(write=False)  # cheaper than assigning flags.writeable
     return out
 
 
 def _freeze_terms(terms) -> dict:
-    """Frozen symbolic term arrays by name; an all-zero array is no term, so every reader drops it."""
-    return _frozen_terms({name: _freeze(arr) for name, arr in sorted(terms.items())}) if terms else {}
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """A float array its maker hands over and keeps no hold on, made read-only in place: no copy."""
-    a.flags.writeable = False
-    return a
-
-
-def _frozen_terms(terms: dict) -> dict:
-    """Term arrays their maker hands over, in name order, all-zero ones dropped, frozen in place."""
-    return {name: _frozen(arr) for name, arr in sorted(terms.items()) if arr.any()}
+    """Frozen symbolic term arrays by name, in name order; an all-zero array is no term, so it is dropped."""
+    return {name: arr for name in sorted(terms) if (arr := _freeze(terms[name])).any()} if terms else {}
 
 
 def _bound_terms(terms: dict) -> dict:
@@ -58,51 +47,30 @@ def _bound_terms(terms: dict) -> dict:
     return {name: float(v) for name, v in sorted(terms.items()) if v} if terms else {}
 
 
-def _terms_equal(t1: dict, t2: dict) -> bool:
-    if t1.keys() != t2.keys():
-        return False
-    return all(np.array_equal(t1[k], t2[k]) for k in t1)
-
-
-def _fields_equal(self, other) -> bool:
-    """Field-wise equality of two IR values of the same class.
-
-    Arrays compare with ``np.array_equal``, dicts (symbolic terms, constants,
-    input ranges) entry by entry with ``_terms_equal``, boxes by their bounds
-    and everything else with ``==``. A class that sets ``__eq__`` to this and
-    no ``__hash__`` is unhashable, like its arrays.
-    """
-    if not isinstance(other, type(self)):
-        return False
-    for f in fields(self):
-        mine, theirs = getattr(self, f.name), getattr(other, f.name)
-        if isinstance(mine, np.ndarray):
-            same = np.array_equal(mine, theirs)
-        elif isinstance(mine, dict):
-            same = _terms_equal(mine, theirs)
-        elif isinstance(mine, Box):
-            same = np.array_equal(mine.lo, theirs.lo) and np.array_equal(mine.hi, theirs.hi)
-        else:
-            same = mine == theirs
-        if not same:
-            return False
-    return True
-
-
 class _Record:
-    """An IR record: equal field by field (see ``_fields_equal``), and built by a reader with ``_trusted``."""
+    def __eq__(self, other) -> bool:
+        """An IR record equals one of its own class whose fields are equal.
 
-    __eq__ = _fields_equal
-
-    @classmethod
-    def _trusted(cls, *values):
-        """The record of ``values``, every field in order, as the public constructor would make them
-        (``_frozen`` arrays, ``_frozen_terms`` and ``_bound_terms`` dicts, floats, tuples): no copy or check.
-        Set one by one, as ``__init__`` does, fields read 3.5x faster than after a ``__dict__.update``."""
-        record = object.__new__(cls)
-        for name, value in zip(cls.__match_args__, values):
-            object.__setattr__(record, name, value)
-        return record
+        Arrays compare with ``np.array_equal``, dicts (symbolic terms,
+        constants, input ranges) by key set, then entry by entry, boxes by
+        their bounds and everything else with ``==``. A record class sets no
+        ``__hash__``, so it is unhashable, like its arrays.
+        """
+        if not isinstance(other, type(self)):
+            return False
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            if isinstance(mine, np.ndarray):
+                same = np.array_equal(mine, theirs)
+            elif isinstance(mine, dict):
+                same = mine.keys() == theirs.keys() and all(np.array_equal(mine[k], theirs[k]) for k in mine)
+            elif isinstance(mine, Box):
+                same = np.array_equal(mine.lo, theirs.lo) and np.array_equal(mine.hi, theirs.hi)
+            else:
+                same = mine == theirs
+            if not same:
+                return False
+        return True
 
 
 def _apply_terms(base: np.ndarray, terms: dict, constants: dict) -> np.ndarray:
@@ -112,18 +80,18 @@ def _apply_terms(base: np.ndarray, terms: dict, constants: dict) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class VariableTable(_Record):
     """Ordered state/input variable names plus named constant values."""
 
     state_vars: tuple
-    input_vars: tuple = ()
-    constants: dict = field(default_factory=dict)
+    input_vars: tuple
+    constants: dict
 
-    def __post_init__(self):
-        object.__setattr__(self, "state_vars", tuple(self.state_vars))
-        object.__setattr__(self, "input_vars", tuple(self.input_vars))
-        object.__setattr__(self, "constants", {name: float(v) for name, v in self.constants.items()})
+    def __init__(self, state_vars, input_vars=(), constants=None):
+        object.__setattr__(self, "state_vars", tuple(state_vars))
+        object.__setattr__(self, "input_vars", tuple(input_vars))
+        object.__setattr__(self, "constants", {name: float(v) for name, v in constants.items()} if constants else {})
 
     @property
     def n(self) -> int:
@@ -140,23 +108,24 @@ class VariableTable(_Record):
         return self.state_vars + self.input_vars + tuple(self.constants)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class LinearConstraint(_Record):
     """coeffs . x <relation> bound over the state variables."""
 
     coeffs: np.ndarray
     relation: str
     bound: float
-    coeff_terms: dict = field(default_factory=dict)
-    bound_terms: dict = field(default_factory=dict)
+    coeff_terms: dict
+    bound_terms: dict
 
-    def __post_init__(self):
-        if self.relation not in _ROW_SIGNS:
-            raise ValueError(f"unknown relation {self.relation!r}")
-        object.__setattr__(self, "coeffs", _freeze(self.coeffs))
-        object.__setattr__(self, "bound", float(self.bound))
-        object.__setattr__(self, "coeff_terms", _freeze_terms(self.coeff_terms))
-        object.__setattr__(self, "bound_terms", _bound_terms(self.bound_terms))
+    def __init__(self, coeffs, relation, bound, coeff_terms=None, bound_terms=None):
+        if relation not in _ROW_SIGNS:
+            raise ValueError(f"unknown relation {relation!r}")
+        object.__setattr__(self, "coeffs", _freeze(coeffs))
+        object.__setattr__(self, "relation", relation)
+        object.__setattr__(self, "bound", float(bound))
+        object.__setattr__(self, "coeff_terms", _freeze_terms(coeff_terms))
+        object.__setattr__(self, "bound_terms", _bound_terms(bound_terms))
 
     @property
     def symbols(self) -> set:
@@ -195,14 +164,14 @@ class Halfspaces(NamedTuple):
         return self._replace(bounds=np.where(self.equality, self.bounds + slack, self.bounds))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Condition(_Record):
     """Conjunction of linear constraints; an empty list means `true`."""
 
-    constraints: tuple = ()
+    constraints: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "constraints", tuple(self.constraints))
+    def __init__(self, constraints=()):
+        object.__setattr__(self, "constraints", tuple(constraints))
 
     @property
     def is_true(self) -> bool:
@@ -242,24 +211,24 @@ class Condition(_Record):
         return form
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class AffineDynamics(_Record):
     """x' = A x + B u + c with optional symbolic-constant overlays."""
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    a_terms: dict = field(default_factory=dict)
-    b_terms: dict = field(default_factory=dict)
-    c_terms: dict = field(default_factory=dict)
+    a_terms: dict
+    b_terms: dict
+    c_terms: dict
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", _freeze(self.a))
-        object.__setattr__(self, "b", _freeze(self.b))
-        object.__setattr__(self, "c", _freeze(self.c))
-        object.__setattr__(self, "a_terms", _freeze_terms(self.a_terms))
-        object.__setattr__(self, "b_terms", _freeze_terms(self.b_terms))
-        object.__setattr__(self, "c_terms", _freeze_terms(self.c_terms))
+    def __init__(self, a, b, c, a_terms=None, b_terms=None, c_terms=None):
+        object.__setattr__(self, "a", _freeze(a))
+        object.__setattr__(self, "b", _freeze(b))
+        object.__setattr__(self, "c", _freeze(c))
+        object.__setattr__(self, "a_terms", _freeze_terms(a_terms))
+        object.__setattr__(self, "b_terms", _freeze_terms(b_terms))
+        object.__setattr__(self, "c_terms", _freeze_terms(c_terms))
 
     @classmethod
     def zero(cls, n: int, m: int = 0) -> "AffineDynamics":
@@ -285,25 +254,25 @@ class AffineDynamics(_Record):
         )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class ResetMap(_Record):
-    """Post-jump update x' = R x + r; defaults to the identity."""
+    """Post-jump update x' = R x + r; ``identity`` builds x' = x."""
 
     r_matrix: np.ndarray
     r_offset: np.ndarray
-    matrix_terms: dict = field(default_factory=dict)
-    offset_terms: dict = field(default_factory=dict)
+    matrix_terms: dict
+    offset_terms: dict
 
-    def __post_init__(self):
-        object.__setattr__(self, "r_matrix", _freeze(self.r_matrix))
-        object.__setattr__(self, "r_offset", _freeze(self.r_offset))
-        object.__setattr__(self, "matrix_terms", _freeze_terms(self.matrix_terms))
-        object.__setattr__(self, "offset_terms", _freeze_terms(self.offset_terms))
+    def __init__(self, r_matrix, r_offset, matrix_terms=None, offset_terms=None):
+        object.__setattr__(self, "r_matrix", _freeze(r_matrix))
+        object.__setattr__(self, "r_offset", _freeze(r_offset))
+        object.__setattr__(self, "matrix_terms", _freeze_terms(matrix_terms))
+        object.__setattr__(self, "offset_terms", _freeze_terms(offset_terms))
 
     @classmethod
     def identity(cls, n: int) -> "ResetMap":
         """x' = x over n variables; a reader shares one between the transitions of a parse that assign nothing."""
-        return cls._trusted(_frozen(np.eye(n)), _frozen(np.zeros(n)), {}, {})
+        return cls(np.eye(n), np.zeros(n))
 
     @property
     def symbols(self) -> set:
@@ -346,18 +315,21 @@ class Transition(_Record):
 
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class HybridAutomaton(_Record):
     name: str
     vars: VariableTable
     locations: tuple
     transitions: tuple
-    input_range: dict = field(default_factory=dict)
+    input_range: dict
 
-    def __post_init__(self):
-        object.__setattr__(self, "locations", tuple(self.locations))
-        object.__setattr__(self, "transitions", tuple(self.transitions))
-        object.__setattr__(self, "input_range", {k: (float(v[0]), float(v[1])) for k, v in dict(self.input_range).items()})
+    def __init__(self, name, vars, locations, transitions, input_range=None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "vars", vars)
+        object.__setattr__(self, "locations", tuple(locations))
+        object.__setattr__(self, "transitions", tuple(transitions))
+        object.__setattr__(self, "input_range",
+                           {k: (float(v[0]), float(v[1])) for k, v in dict(input_range).items()} if input_range else {})
 
     def location(self, name: str) -> Location:
         for loc in self.locations:
@@ -496,8 +468,12 @@ def _reset_terms(reset: ResetMap) -> list:
     return [*reset.matrix_terms.values(), *reset.offset_terms.values()]
 
 
-def _check_condition(defects, cond: Condition, n: int, known_consts, where: str):
-    for con in cond.constraints:
+def condition_defects(cond: Condition | None, table: VariableTable, where: str) -> list:
+    """The defects of a condition over ``table``'s state variables and constants, each message led by
+    ``where``: a constraint over the wrong number of variables, with a non-finite entry, with no
+    variable term or naming an undeclared constant. ``None``, no condition, has none."""
+    defects, n = [], table.n
+    for con in cond.constraints if cond is not None else ():
         if con.coeffs.shape != (n,):
             defects.append(Defect("dimension", f"{where}: constraint over {con.coeffs.shape[0]} variables, expected {n}"))
             continue
@@ -509,8 +485,9 @@ def _check_condition(defects, cond: Condition, n: int, known_consts, where: str)
         if not any(coeffs) and not con.coeff_terms:
             defects.append(Defect("degenerate-constraint", f"{where}: constraint has no variable term"))
         for sym in con.symbols:
-            if sym not in known_consts:
+            if sym not in table.constants:
                 defects.append(Defect("unknown-symbol", f"{where}: references undeclared constant {sym!r}"))
+    return defects
 
 
 def validate(automaton: HybridAutomaton, forbidden: Condition | None = None) -> ValidationReport:
@@ -572,7 +549,7 @@ def validate(automaton: HybridAutomaton, forbidden: Condition | None = None) -> 
         for sym in dyn.symbols:
             if sym not in consts:
                 defects.append(Defect("unknown-symbol", f"location {loc.name!r}: dynamics references undeclared constant {sym!r}"))
-        _check_condition(defects, loc.invariant, n, consts, f"location {loc.name!r} invariant")
+        defects += condition_defects(loc.invariant, vt, f"location {loc.name!r} invariant")
 
     if not automaton.locations:
         defects.append(Defect("no-location", "automaton has no locations"))
@@ -591,9 +568,8 @@ def validate(automaton: HybridAutomaton, forbidden: Condition | None = None) -> 
         for sym in tr.reset.symbols:
             if sym not in consts:
                 defects.append(Defect("unknown-symbol", f"{where}: reset references undeclared constant {sym!r}"))
-        _check_condition(defects, tr.guard, n, consts, f"{where} guard")
-    if forbidden is not None:
-        _check_condition(defects, forbidden, n, consts, "forbidden set")
+        defects += condition_defects(tr.guard, vt, f"{where} guard")
+    defects += condition_defects(forbidden, vt, "forbidden set")
 
     return ValidationReport(tuple(defects))
 

@@ -135,6 +135,17 @@ def _bounds(values: np.ndarray) -> tuple:
     return float(values.min()), float(values.max())
 
 
+def _widened(lo: float, hi: float) -> tuple:
+    """An axis range from ``lo`` to ``hi`` that is not empty: one value v widens to [v, v + 1], or, where
+    v + 1.0 is v (|v| >= 2**53), toward zero by |v| / 2**50, a few units in the last place, so that
+    neither the widening nor the 5% padding of the range passes the largest float."""
+    if hi != lo:
+        return lo, hi
+    if lo + 1.0 - lo != 0.0:  # an infinity gives NaN here and keeps [inf, inf], as it always has
+        return lo, lo + 1.0
+    return (lo - lo * 2**-50, lo) if lo > 0 else (lo, lo - lo * 2**-50)
+
+
 @np.errstate(all="ignore")  # an overflow or inf - inf gives inf or NaN silently, as Python floats do
 def projection_to_svg(proj: Projection) -> str:
     """The SVG of a projection, its geometry in array passes that take the IEEE operations of per-point
@@ -148,10 +159,7 @@ def projection_to_svg(proj: Projection) -> str:
         (x_min, x_max), (y_min, y_max) = _bounds(xs), _bounds(ys)
     else:
         x_min, x_max, y_min, y_max = 0.0, 1.0, 0.0, 1.0
-    if x_max == x_min:
-        x_max = x_min + 1.0
-    if y_max == y_min:
-        y_max = y_min + 1.0
+    (x_min, x_max), (y_min, y_max) = _widened(x_min, x_max), _widened(y_min, y_max)
     pad_x = 0.05 * (x_max - x_min)
     pad_y = 0.05 * (y_max - y_min)
     x_min -= pad_x

@@ -62,7 +62,7 @@ def parse_spaceex(xml_text: str, validated: bool = True) -> HybridAutomaton:
 
     With validated=False the structural validation step is skipped so a
     defective model can still be loaded for inspection (the validate
-    command relies on this). Records are built with ``_trusted``; ``validate`` checks them.
+    command relies on this). Records are built through the IR's public constructors; ``validate`` checks them.
     """
     try:
         root = ET.fromstring(xml_text)
@@ -110,7 +110,7 @@ def parse_spaceex(xml_text: str, validated: bool = True) -> HybridAutomaton:
         else:
             raise UnsupportedFeature(f"param dynamics {dynamics!r} is not supported")
 
-    table = VariableTable._trusted(tuple(state_vars), tuple(input_vars), constants)
+    table = VariableTable(state_vars, input_vars, constants)
     identity = ResetMap.identity(table.n)
 
     locations: list = []
@@ -130,7 +130,7 @@ def parse_spaceex(xml_text: str, validated: bool = True) -> HybridAutomaton:
             raise
         except Exception as exc:
             raise XmlMalformed(f"location {loc_name!r}: {exc}") from exc
-        locations.append(Location._trusted(loc_name, invariant, dynamics))
+        locations.append(Location(loc_name, invariant, dynamics))
 
     transitions: list = []
     for tr_elem in elements.get("transition", ()):
@@ -148,9 +148,9 @@ def parse_spaceex(xml_text: str, validated: bool = True) -> HybridAutomaton:
             raise
         except Exception as exc:
             raise XmlMalformed(f"transition {src}->{dst}: {exc}") from exc
-        transitions.append(Transition._trusted(id_to_name.get(src, src), id_to_name.get(dst, dst), guard, reset, label))
+        transitions.append(Transition(id_to_name.get(src, src), id_to_name.get(dst, dst), guard, reset, label))
 
-    automaton = HybridAutomaton._trusted(name, table, tuple(locations), tuple(transitions), input_range)
+    automaton = HybridAutomaton(name, table, locations, transitions, input_range)
     if validated:
         report = validate(automaton)
         if not report.ok:

@@ -375,6 +375,23 @@ def test_json_forbidden_bound_of_nan_is_an_input_error(command, tmp_path, capsys
     assert err == "error: bundle does not validate: [non-finite] forbidden set: constraint has non-finite entries\n"
 
 
+@pytest.mark.parametrize("forbidden, defect", [
+    ("v >= 1e999", "[non-finite] forbidden set: constraint has non-finite entries"),
+    ("1e999*v >= 0", "[non-finite] forbidden set: constraint has non-finite entries"),
+    ("0 >= 1", "[degenerate-constraint] forbidden set: constraint has no variable term"),
+], ids=["bound", "coefficient", "no-variable"])
+@pytest.mark.parametrize("command", [("translate", "--to", "json"), ("translate", "--to", "flowstar"),
+                                     ("translate", "--to", "spaceex"), ("check",)], ids=lambda c: c[-1])
+def test_cfg_forbidden_set_that_ir_validate_rejects_is_an_input_error(forbidden, defect, command, tmp_path, capsys):
+    cfg = (CORPUS_DIR / "bouncing-ball" / "config.cfg").read_text()
+    assert cfg.count("forbidden = v >= 10.7\n") == 1
+    path = tmp_path / "config.cfg"
+    path.write_text(cfg.replace("forbidden = v >= 10.7", "forbidden = " + forbidden))
+    code, out, err = run(capsys, command[0], str(CORPUS_DIR / "bouncing-ball" / "model.xml"), str(path), *command[1:])
+    assert (code, out) == (2, "")
+    assert err == f"error: bundle does not validate: {defect}\n"
+
+
 @pytest.mark.parametrize("model", ["bouncing-ball", "linswitch4", "platoon6", "tank3"])
 def test_bench_commands_match_the_file_commands(model, tmp_path, capsys):
     xml = str(CORPUS_DIR / model / "model.xml")

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 
 import pytest
 
@@ -170,6 +171,7 @@ EDGE_PROJECTIONS = {
     "zero-width-x": ([(1.0, 1.0, 0.0, 5.0), (1.0, 1.0, 2.0, 3.0)], []),
     "zero-width-y": ([(0.0, 5.0, 2.0, 2.0)], []),
     "single-point-rectangle": ([(3.0, 3.0, -1.0, -1.0)], []),
+    "one-value-below-2**53": ([(2.0**53 - 1, 2.0**53 - 1, -(2.0**53 - 1), -(2.0**53 - 1))], []),
     "below-0.2-px": ([(0.0, 1000.0, 0.0, 1000.0), (1.0, 1.0001, 2.0, 2.00001), (5.0, 5.0, 7.0, 7.0)], []),
     "near-max-float": ([(-1e308, 1e308, -TOP, TOP), (1e308, 1.5e308, -1.5e308, -1e308)], []),
     "narrow-far": ([(1e308, 1.5e308, -1.5e308, -1e308), (1.2e308, 1.3e308, -1.2e308, -1.1e308)], []),
@@ -201,6 +203,33 @@ def test_narrow_rectangles_get_the_minimum_size():
 
 
 FLOWPIPE_HEADER = "time_lo,time_hi,location,jump_depth,lo_x,hi_x,lo_y,hi_y"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", ["1e308", "-1e308", "9007199254740992", repr(TOP), repr(-TOP)])
+@pytest.mark.parametrize("axis", ["x", "y"])
+@pytest.mark.parametrize("kind", ["flowpipe", "trajectory"])
+def test_one_value_where_adding_one_changes_nothing_still_draws(kind, axis, value, tmp_path):
+    def row(other):
+        return (value, other) if axis == "x" else (other, value)
+
+    if kind == "flowpipe":
+        (x_lo, y_lo), (x_hi, y_hi) = row("0"), row("1")
+        text = FLOWPIPE_HEADER + f"\n0,1,q,0,{x_lo},{x_hi},{y_lo},{y_hi}\n"
+    else:
+        text = "time,location,x,y\n" + "".join(f"{t},q,{','.join(row(other))}\n" for t, other in ((0, "2"), (1, "3")))
+    path, out = tmp_path / "in.csv", tmp_path / "out.svg"
+    path.write_text(text)
+    assert cli_main(["plot", str(path), "--x", "x", "--y", "y", "--out", str(out)]) == 0
+    svg = out.read_text()
+    assert "nan" not in svg and "inf" not in svg
+    x_min, x_max, y_min, y_max = (float(v) for v in re.findall(r'font-size="11">([^<]*)<', svg))
+    assert x_min < x_max and y_min < y_max
+    drawn = svg.split("<rect")[2:] if kind == "flowpipe" else [svg.split("<polyline points=")[1]]
+    assert len(drawn) == 1
+    numbers = [float(v) for v in re.findall(r"-?\d+\.\d\d", drawn[0])]
+    assert numbers and all(0.0 <= v <= 800.0 for v in numbers)
+
 MALFORMED_CSVS = {
     "empty": "",
     "blank": "\n  \n\t\n",

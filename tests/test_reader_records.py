@@ -1,9 +1,12 @@
-"""The records the readers build with ``_trusted`` against those of the public constructors.
+"""The records the readers build, against those of the public constructors.
 
-For the XML+cfg and the JSON reading of every corpus model and generated
-symbolic automaton, the IR must equal, bit for bit and key order for key
-order, the IR the public constructors build from the same values, and every
-array it holds must be read-only.
+Each IR record that converts a field has one constructor, which the
+readers go through too. For the XML+cfg and the JSON reading of every corpus
+model and generated symbolic automaton, the IR must equal, bit for bit and
+key order for key order, the IR the public constructors rebuild from its
+field values, and every array it holds must be read-only. The constructors
+themselves normalize the same way however a record is built: positionally,
+by keyword or by ``dataclasses.replace``.
 """
 
 import dataclasses
@@ -14,7 +17,8 @@ import pytest
 from hyra import corpus
 from hyra.config import emit_config, parse_config
 from hyra.interchange import read_json, write_json
-from hyra.ir import LinearConstraint, ModelBundle, ResetMap
+from hyra.ir import (AffineDynamics, Condition, HybridAutomaton, LinearConstraint, Location, ModelBundle,
+                     ResetMap, Transition, VariableTable)
 from hyra.spaceex import emit_spaceex, parse_spaceex
 from support import CORPUS_DIR, GENERATED_SEEDS, generated_bundle
 
@@ -150,3 +154,71 @@ def test_public_constructors_copy_the_callers_arrays():
     reset = ResetMap(matrix, np.zeros(2))
     matrix[0, 0] = 3.0
     assert reset.is_identity() and matrix.flags.writeable
+
+
+def raw_fields():
+    """The fields of each record that converts one, as a caller may hand them: lists, ints,
+    term dicts out of name order with all-zero terms, input ranges as pairs."""
+    reset = ([[1, 0], [0, -1]], [0, 0], {"k": [[0, 0], [0, 1]], "j": [[0, 0], [0, 0]]}, {"b": [1, 0], "a": [0, 1]})
+    location = Location("fall", Condition(), AffineDynamics.zero(2, 1))
+    return {
+        VariableTable: (["x", "v"], ["u"], {"k": 2, "c": 1}),
+        LinearConstraint: ([1, 0], "<=", 3, {"k": [0, 1], "j": [0, 0]}, {"k": 2, "j": 0, "a": -1}),
+        Condition: ([LinearConstraint([1, 0], ">=", 0)],),
+        AffineDynamics: ([[0, 1], [0, 0]], [[0], [1]], [0, -9.8], {"k": [[0, 0], [1, 0]], "j": [[0, 0], [0, 0]]},
+                         {"z": [[0], [0]]}, {"k": [1, 0], "a": [0, 2]}),
+        ResetMap: reset,
+        HybridAutomaton: ("ball", VariableTable(("x", "v"), ("u",)), [location],
+                          [Transition("fall", "fall", Condition(), ResetMap(*reset))], [("u", (0, 1))]),
+    }
+
+
+def assert_normalized(record):
+    """Every array read-only float64, every number a float, every sequence a tuple, every ``*_terms`` dict
+    in name order with no all-zero term."""
+    assert not any(a.flags.writeable for a in arrays(record))
+    assert all(a.dtype == np.float64 for a in arrays(record))
+    for f in dataclasses.fields(record):
+        value = getattr(record, f.name)
+        assert not isinstance(value, (list, int)), f.name
+        if f.name.endswith("_terms"):
+            assert list(value) == sorted(value) and all(np.any(item) for item in value.values()), f.name
+        if isinstance(value, dict):
+            numbers = [v for item in value.values() for v in (item if isinstance(item, tuple) else [item])]
+            assert all(isinstance(v, np.ndarray) or type(v) is float for v in numbers), f.name
+
+
+@pytest.mark.parametrize("cls", list(raw_fields()), ids=lambda cls: cls.__name__)
+def test_positional_keyword_and_replace_construction_normalize_alike(cls):
+    raw = raw_fields()[cls]
+    names = [f.name for f in dataclasses.fields(cls)]
+    positional = cls(*raw)
+    assert_normalized(positional)
+    keyword = cls(**dict(zip(names, raw)))
+    assert keyword == positional and bits(keyword) == bits(positional)
+    replaced = dataclasses.replace(positional, **dict(zip(names, raw)))
+    assert replaced == positional and bits(replaced) == bits(positional)
+    for name, value in zip(names, raw):  # one field at a time, from the normalized record
+        one = dataclasses.replace(positional, **{name: value})
+        assert_normalized(one)
+        assert bits(one) == bits(positional), name
+
+
+def test_replace_drops_all_zero_terms_and_converts_bounds():
+    con = LinearConstraint([1.0, 0.0], "<=", 1.0)
+    replaced = dataclasses.replace(con, coeffs=[0, 2], bound=4, coeff_terms={"k": [0, 0], "b": [1, 0]},
+                                   bound_terms={"z": 1, "a": 0})
+    assert replaced.coeffs.tolist() == [0.0, 2.0] and not replaced.coeffs.flags.writeable
+    assert type(replaced.bound) is float and replaced.bound == 4.0
+    assert list(replaced.coeff_terms) == ["b"] and replaced.bound_terms == {"z": 1.0}
+    assert type(replaced.bound_terms["z"]) is float
+
+
+@pytest.mark.parametrize("build", [
+    lambda: LinearConstraint([1.0], "=<", 0.0),
+    lambda: LinearConstraint(coeffs=[1.0], relation="!=", bound=0.0),
+    lambda: dataclasses.replace(LinearConstraint([1.0], "<=", 0.0), relation="="),
+], ids=["positional", "keyword", "replace"])
+def test_an_unknown_relation_still_raises(build):
+    with pytest.raises(ValueError, match="unknown relation"):
+        build()

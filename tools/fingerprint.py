@@ -31,7 +31,13 @@ text as the guard of its first transition. Plot lines cover the SVG and
 the ``projection_to_csv`` text of ``hyra plot``'s projection of each corpus
 model's reach CSV at the shipped settings, onto its output variables, and
 of the ball's trajectory CSV of one seeded Heun run and its multi-run CSV
-of ``hyra bench bouncing-ball simulate --seeds 3 --out``. Two source trees
+of ``hyra bench bouncing-ball simulate --seeds 3 --out``, and the SVG (or
+the ``Type: message`` of the error) of the projection of one-row flowpipe
+CSVs whose x range is one value, 1e308, -1e308 or 3. Forbidden-set lines
+cover the exit code and the ``Type: message`` of the error (or the stdout)
+of ``hyra translate --to json`` and ``hyra check`` on the ball's
+``model.xml`` with its ``config.cfg`` whose forbidden set reads
+``v >= 1e999``. Two source trees
 print the same lines exactly when all of these outputs are byte-identical:
 
     PYTHONPATH=src python3 tools/fingerprint.py > after.txt
@@ -48,7 +54,7 @@ import tempfile
 from pathlib import Path
 
 from hyra import corpus
-from hyra.cli import main as cli_main
+from hyra.cli import build_parser, main as cli_main
 from hyra.config import emit_config, parse_config
 from hyra.errors import EngineError, HyraError, SchemaViolation
 from hyra.expressions import parse_condition
@@ -241,6 +247,43 @@ def plot_lines():
     yield from plot(f"bouncing-ball plot cli simulate --seeds {SEEDS}", cli_simulate_text("bouncing-ball"), "x", "v")
 
 
+def degenerate_plot_lines():
+    header = "time_lo,time_hi,location,jump_depth,lo_x,hi_x,lo_y,hi_y"
+    for value in ("1e308", "-1e308", "3"):
+        text = f"{header}\n0,1,q,0,{value},{value},0,1\n"
+        try:
+            svg = projection_to_svg(project_csv(text, "x", "y"))
+        except Exception as exc:  # a crash is an output too
+            svg = f"{type(exc).__name__}: {exc}"
+        yield f"{digest(svg)}  one-row flowpipe x={value} plot svg"
+
+
+def cli_outcome(argv) -> str:
+    """``exit <code>`` of ``hyra <argv>``, then the ``Type: message`` of the error it reports, or its stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli_main(argv)
+    args = build_parser().parse_args(argv)
+    try:  # once more without main's handler, which words the error without its type
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            args.func(args)
+    except HyraError as exc:
+        return f"exit {code}\n{type(exc).__name__}: {exc}\n"
+    return f"exit {code}\n{out.getvalue()}"
+
+
+def forbidden_lines():
+    folder = REPO_ROOT / "corpus" / "bouncing-ball"
+    cfg = (folder / "config.cfg").read_text()
+    assert cfg.count("forbidden = v >= 10.7\n") == 1
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.cfg"
+        path.write_text(cfg.replace("forbidden = v >= 10.7", "forbidden = v >= 1e999"))
+        for command in (["translate", "--to", "json"], ["check"]):
+            outcome = cli_outcome([command[0], str(folder / "model.xml"), str(path), *command[1:]])
+            yield f"{digest(outcome)}  bouncing-ball forbidden=1e999 {' '.join(command)}"
+
+
 def lines():
     for bench in corpus.all_benchmarks():
         model = bench.value
@@ -260,6 +303,8 @@ def lines():
     yield from overflow_lines()
     yield from rejection_lines()
     yield from plot_lines()
+    yield from degenerate_plot_lines()
+    yield from forbidden_lines()
 
 
 def main() -> int:
