@@ -143,9 +143,14 @@ def cmd_check(args, bundle: ModelBundle | None = None) -> int:
 
 def cmd_simulate(args, bundle: ModelBundle | None = None) -> int:
     """Seeded runs: one RUN line each on stdout, all samples to ``--out`` as one ``format_table``."""
+    if args.seeds < 1:
+        raise ModelFormatError(f"--seeds: need at least 1 run, not {args.seeds}")
     bundle = bundle or _load_bundle(args.model, args.cfg, None)
     kind = Integrator.EULER if args.integrator == "euler" else Integrator.HEUN
-    options = SimOptions(step=args.step if args.step is not None else bundle.settings.step / 10.0)
+    try:
+        options = SimOptions(step=args.step if args.step is not None else bundle.settings.step / 10.0)
+    except ValueError as exc:
+        raise ModelFormatError(f"--step: {exc}") from exc
     points = sample_initial(bundle.initial.box, args.seeds, args.seed)
     trajs = []
     for run, x0 in enumerate(points):

@@ -16,15 +16,18 @@ and the unit vectors), stacks M^1..M^K with their offsets for a chunk of
 K = 128 steps, and computes the next K states with one product. One more
 product evaluates every outgoing guard and the invariant on all of them.
 These tables are built once per resolved automaton, step and integrator,
-and every later run with the same three shares them (read-only). The
-chunk's leading steps are recorded as they are. The first step where a
-guard may cross, the invariant fails, the step is shortened by the horizon,
-or a constraint value lies too close to its threshold to be decided safely
-under rounding runs through the per-step path: one ``step``, then
-``detect_event`` on every outgoing transition and the invariant check, both
-given that step's end state. A crossing
-between two recorded samples is therefore never skipped: the sign test of a
-chunk runs on exactly the states it records.
+and every later run with the same three shares them (read-only). After two
+fully plain chunks in a row, one call chains up to ``_CHAIN`` chunks, each
+from the last state of the one before, until the next per-step step. Runs
+record into one time array and one state array, sized from horizon / step
+and doubled when full. The chunk's leading steps are recorded as they are.
+The first step where a guard may cross, the invariant fails, the step is
+shortened by the horizon, or a constraint value lies too close to its
+threshold to be decided safely under rounding runs through the per-step
+path: one ``step``, then ``detect_event`` on every outgoing transition and
+the invariant check, both given that step's end state. A crossing between
+two recorded samples is therefore never skipped: the sign test of a chunk
+runs on exactly the states it records.
 
 Transition guards fire on a crossing: a guard already satisfied when a
 location is entered does not auto-fire (trivially-true "spontaneous"
@@ -48,6 +51,7 @@ from .sets import Box, center_radius
 _GUARD_SLACK = 1e-9
 _EVENT_CHECK_SLACK = 1e-6
 _CHUNK = 128  # steps per chunk; a power of two, since the powers of M are built by doubling
+_CHAIN = 8  # most chunks one ``_Chunk.advance`` call chains through a long flight
 # A chunk hands a step to the per-step path when a constraint value lies
 # within this fraction of its magnitude of the threshold, so that the
 # chunk's product and the per-step dot products cannot decide differently.
@@ -66,6 +70,12 @@ class SimOptions:
     zeno_count: int = 10
     max_events: int = 10_000
     horizon: float | None = None
+
+    def __post_init__(self):
+        if not (math.isfinite(self.step) and self.step > 0.0):
+            raise ValueError(f"need a finite step > 0, not {self.step!r}")
+        if self.horizon is not None and not (math.isfinite(self.horizon) and self.horizon > 0.0):
+            raise ValueError(f"need a finite horizon > 0, not {self.horizon!r}")
 
 
 @dataclass(frozen=True)
@@ -107,8 +117,10 @@ def step(dyn: AffineDynamics, x, u, h: float, kind: Integrator) -> np.ndarray:
     return _substep(dyn.a, _drive(dyn, u), np.asarray(x, dtype=float), h, kind)
 
 
-def _substep(a_mat, drive, x, tau: float, kind: Integrator) -> np.ndarray:
-    f0 = a_mat @ x + drive
+def _substep(a_mat, drive, x, tau: float, kind: Integrator, f0=None) -> np.ndarray:
+    """x advanced by tau; ``f0``, when given, is the slope ``a_mat @ x + drive`` at x."""
+    if f0 is None:
+        f0 = a_mat @ x + drive
     if kind == Integrator.EULER:
         return x + tau * f0
     f1 = a_mat @ (x + tau * f0) + drive
@@ -165,27 +177,42 @@ def _locate(a_mat, drive, x0, x1, kind: Integrator, h: float, tol: float, rows, 
     and fails at its upper one. Where the predicate changes once over the
     step, the bisection would have reached that same cell. Without a
     confirmed root (tangency, rounding, a predicate that changes more than
-    once) the halving evaluates ``inside`` on the ``_substep`` state at
-    each midpoint. Returns (a, x_a, b, x_b).
+    once) ``_bisect`` halves the step on ``inside`` itself. Returns
+    (a, x_a, b, x_b).
     """
     f0 = a_mat @ x0 + drive
     curve = a_mat @ f0 if kind == Integrator.HEUN else np.zeros_like(f0)
     roots = (_first_root(float(c @ x0) - level, float(c @ f0), float(c @ curve), h) for c, level in rows)
-    for r in sorted(r for r in roots if r is not None) + [None]:
-        a, b, x_a, x_b = 0.0, h, x0, x1
+    for r in sorted(r for r in roots if r is not None):
+        a, b = 0.0, h
         while b - a > tol:
             mid = 0.5 * (a + b)
-            x_mid = None if r is not None else _substep(a_mat, drive, x0, mid, kind)
-            if (mid < r) if r is not None else inside(x_mid):
-                a, x_a = mid, x_mid
+            if mid < r:
+                a = mid
             else:
-                b, x_b = mid, x_mid
-        if r is None:
-            return a, x_a, b, x_b
-        x_a = x0 if a == 0.0 else _substep(a_mat, drive, x0, a, kind)
-        x_b = x1 if b == h else _substep(a_mat, drive, x0, b, kind)
+                b = mid
+        x_a = x0 if a == 0.0 else _substep(a_mat, drive, x0, a, kind, f0)
+        x_b = x1 if b == h else _substep(a_mat, drive, x0, b, kind, f0)
         if inside(x_a) and not inside(x_b):
             return a, x_a, b, x_b
+    return _bisect(a_mat, drive, x0, f0, x1, kind, h, tol, inside)
+
+
+def _bisect(a_mat, drive, x0, f0, x1, kind: Integrator, h: float, tol: float, inside) -> tuple:
+    """``_locate``'s fallback: halve [0, h] on ``inside`` at each midpoint's sub-step state.
+
+    Where ``inside`` switches more than once within the step, this may
+    settle on a later switch than the first.
+    """
+    a, b, x_a, x_b = 0.0, h, x0, x1
+    while b - a > tol:
+        mid = 0.5 * (a + b)
+        x_mid = _substep(a_mat, drive, x0, mid, kind, f0)
+        if inside(x_mid):
+            a, x_a = mid, x_mid
+        else:
+            b, x_b = mid, x_mid
+    return a, x_a, b, x_b
 
 
 def _levels(cond: Condition, slack: float) -> list:
@@ -269,7 +296,6 @@ class _Chunk:
         self.h = h
         self.powers = powers.reshape(_CHUNK * n, n)
         self.offsets = offsets
-        self.steps = np.full(_CHUNK + 1, h)
 
         columns = []  # (coeffs, bound, slack)
 
@@ -291,29 +317,37 @@ class _Chunk:
         self.bounds = np.array([d for _, d, _ in columns]).reshape(-1, 1)
         self.slack = np.array([s for _, _, s in columns]).reshape(-1, 1)
         self.scale = np.abs(self.bounds) + self.slack
-        for table in (self.powers, self.offsets, self.steps, self.coeffs, self.abs_coeffs,
-                      self.bounds, self.slack, self.scale):
+        for table in (self.powers, self.offsets, self.coeffs, self.abs_coeffs, self.bounds, self.slack,
+                      self.scale):
             table.flags.writeable = False
 
-    def advance(self, x, t: float, last_time: float, horizon: float) -> tuple:
-        """(k, times, states) of the leading steps from (t, x) with nothing to decide.
+    def advance(self, times, states, i: int, t: float, horizon: float, chunks: int) -> int:
+        """Count k of the leading steps from sample i, at time t, with nothing to decide.
 
-        Such a step is a full step of length h, its recorded time advances,
-        no guard may cross on it, it stays inside the invariant, and no
-        tested value at either end is within rounding of its threshold.
+        Writes ``chunks`` chunks of steps after sample i of the run's arrays,
+        each from the last state of the one before by the product a one-chunk
+        call makes, and tests them at once. Such a step is a full step of
+        length h, its recorded time advances (``times[i]`` is sample i's), no
+        guard may cross on it, it stays inside the invariant, and no tested
+        value at either end is within rounding of its threshold.
         """
-        path = np.empty((_CHUNK + 1, len(x)))
-        path[0] = x
-        states = np.add((self.powers @ x).reshape(_CHUNK, -1), self.offsets, out=path[1:])
-        times = self.steps.copy()
+        end = i + 1 + _CHUNK * chunks
+        path = states[i:end]
+        for j in range(i, end - 1, _CHUNK):
+            block = states[j + 1:j + 1 + _CHUNK]
+            np.matmul(self.powers, states[j], block.reshape(-1))
+            np.add(block, self.offsets, block)
+        last_time = times[i]
+        times = times[i:end]
+        times.fill(self.h)
         times[0] = t
-        times = times.cumsum()  # the same sums as t += h, one step at a time
+        np.add.accumulate(times, out=times)  # the same sums as t += h, one step at a time
         if len(self.bounds):
             # one row per column, so that every test below reduces over rows
-            margin, band = np.empty((2, len(self.bounds), _CHUNK + 1))
-            np.subtract((path @ self.coeffs).T, self.bounds, out=margin)
-            np.subtract(self.slack, margin, out=margin)  # slack - (path @ coeffs - bounds)
-            np.add((np.abs(path) @ self.abs_coeffs).T, self.scale, out=band)
+            margin, band = np.empty((2, len(self.bounds), len(path)))
+            np.subtract((path @ self.coeffs).T, self.bounds, margin)
+            np.subtract(self.slack, margin, margin)  # slack - (path @ coeffs - bounds)
+            np.add((np.abs(path) @ self.abs_coeffs).T, self.scale, band)
             band *= _ROUNDING
             near = (np.abs(margin) <= band).any(axis=0)
             ok = margin >= 0.0
@@ -327,16 +361,17 @@ class _Chunk:
                 above = ok[self.crossings]
                 plain &= (above[:, :-1] == above[:, 1:]).all(axis=0)
         else:
-            plain = np.ones(_CHUNK, dtype=bool)
+            plain = np.ones(len(path) - 1, dtype=bool)
         # The times never decrease, so every step starts inside the horizon when
         # the last one does; and a time that a step leaves unchanged stays so,
         # so each step advances when h is at least the ulp of the last time.
         if not (self.h >= math.ulp(times[-1]) and times[1] > last_time
                 and times[-2] < horizon - 1e-12 and horizon - times[-2] >= self.h):
             plain &= (times[:-1] < horizon - 1e-12) & (horizon - times[:-1] >= self.h)
-            plain &= times[1:] > np.concatenate(([last_time], times[1:-1]))
-        k = _CHUNK if plain.all() else int(np.argmin(plain))
-        return k, times[1:k + 1], states[:k]
+            times[0] = last_time
+            plain &= times[1:] > times[:-1]
+        times[0] = last_time
+        return len(plain) if plain.all() else int(np.argmin(plain))
 
 
 def _zeno_estimate(events: list) -> float:
@@ -380,16 +415,15 @@ def simulate(bundle: ModelBundle, x0, kind: Integrator = Integrator.HEUN,
     horizon = options.horizon if options.horizon is not None else bundle.settings.horizon
     h = options.step
 
-    # samples are kept as blocks: times (k,), states (k, n)
-    times = [np.zeros(1)]
+    # The samples go into one time array and one state array, sized for a run
+    # with no events (at most 2**20 steps at first) and doubled when full.
+    times = np.empty(int(min(horizon / h, 2**20)) + 2 * _CHUNK)
+    states = np.empty((len(times), table.n))
+    times[0], states[0], count = 0.0, x, 1
     locs = [loc.name]
-    states = [x[None]]
     events: list = []
-    zeno = False
-    zeno_time = None
-    truncated = None
-    streak = 0
-    t = 0.0
+    zeno, zeno_time, truncated = False, None, None
+    streak, plain_run, t = 0, 0, 0.0  # plain_run: chunks in a row plain to their last step
 
     outgoing = {l.name: automaton.transitions_from(l.name) for l in automaton.locations}
     if automaton.__dict__.get("_chunks", (None,))[0] != (h, kind):  # kept like ``_resolved``
@@ -400,13 +434,19 @@ def simulate(bundle: ModelBundle, x0, kind: Integrator = Integrator.HEUN,
         chunk = chunks.get(loc.name)
         if chunk is None:
             chunk = chunks[loc.name] = _Chunk(loc.dynamics, loc.invariant, outgoing[loc.name], u, h, kind)
-        k, block_times, block_states = chunk.advance(x, t, times[-1][-1], horizon)
+        # a long flight chains chunks, up to the horizon; its first two go one at a time
+        chain = 1 if plain_run < 2 else int(min(_CHAIN, (horizon - t) / (_CHUNK * h) + 1.0))
+        if count + _CHUNK * chain > len(times):
+            size = max(2 * len(times), count + _CHUNK * chain)
+            times, states = (np.concatenate((a[:count], np.empty((size - count, *a.shape[1:]))))
+                             for a in (times, states))
+        k = chunk.advance(times, states, count - 1, t, horizon, chain)
+        plain_run = plain_run + chain if k == _CHUNK * chain else 0
         if k:
-            times.append(block_times)
-            states.append(block_states)
             locs.extend([loc.name] * k)
-            t, x = float(block_times[-1]), block_states[-1]
-            if k == _CHUNK or not t < horizon - 1e-12:
+            count += k
+            t, x = float(times[count - 1]), states[count - 1]
+            if plain_run or not t < horizon - 1e-12:
                 continue
 
         # the per-step path, for the one step the chunk could not take plainly
@@ -428,7 +468,19 @@ def simulate(bundle: ModelBundle, x0, kind: Integrator = Integrator.HEUN,
             if len(events) > options.max_events:
                 raise MaxEventsExceeded(f"more than {options.max_events} events without Zeno accumulation")
             loc, x, t = automaton.location(trans.target), x_post, t_event
-            _append_sample(times, locs, states, t, loc.name, x)
+        elif not loc.invariant.satisfied(x_next, _GUARD_SLACK):
+            tau, x = _invariant_exit(loc.dynamics, loc.invariant, x, step_h, kind, u, x_next)
+            t += tau
+            truncated = f"invariant of {loc.name!r} blocks continuation with no enabled transition"
+        else:
+            t += step_h
+            x = x_next
+        _append_sample(times, states, count, t, x)
+        locs.append(loc.name)
+        count += 1
+        if truncated is not None:
+            break
+        if best is not None:
             if not loc.invariant.satisfied(x, 1e-7):
                 truncated = f"reset lands outside invariant of {loc.name!r}"
                 break
@@ -438,27 +490,18 @@ def simulate(bundle: ModelBundle, x0, kind: Integrator = Integrator.HEUN,
                 zeno = True
                 zeno_time = _zeno_estimate(events)
                 break
-            continue
-        if not loc.invariant.satisfied(x_next, _GUARD_SLACK):
-            tau, x_edge = _invariant_exit(loc.dynamics, loc.invariant, x, step_h, kind, u, x_next)
-            t += tau
-            x = x_edge
-            _append_sample(times, locs, states, t, loc.name, x)
-            truncated = f"invariant of {loc.name!r} blocks continuation with no enabled transition"
-            break
-        t += step_h
-        x = x_next
-        _append_sample(times, locs, states, t, loc.name, x)
 
-    return Trajectory(np.concatenate(times), locs, np.concatenate(states), events, zeno, zeno_time, truncated)
+    if 2 * count < len(times):  # a run that ended early keeps arrays of its own size
+        times, states = times[:count].copy(), states[:count].copy()
+    return Trajectory(times[:count], locs, states[:count], events, zeno, zeno_time, truncated)
 
 
-def _append_sample(times, locs, states, t, loc_name, x):
-    if t <= times[-1][-1]:
-        t = math.nextafter(times[-1][-1], math.inf)
-    times.append(np.array([t]))
-    locs.append(loc_name)
-    states.append(np.array(x, dtype=float, ndmin=2))
+def _append_sample(times, states, count: int, t: float, x):
+    """Write sample ``count``; a time that does not pass the last one moves just past it."""
+    if t <= times[count - 1]:
+        t = math.nextafter(times[count - 1], math.inf)
+    times[count] = t
+    states[count] = x
 
 
 def _invariant_exit(dyn, invariant, x, h, kind, u, x_after):

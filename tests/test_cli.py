@@ -334,6 +334,25 @@ def test_invalid_step_override_is_an_input_error(capsys):
     assert "--step" in err
 
 
+@pytest.mark.parametrize("step", ["0", "-0.01", "nan", "inf", "-inf", "1e999"])
+def test_simulate_step_that_is_not_finite_and_positive_is_an_input_error(step, capsys):
+    # a zero or negative step never advanced the run's time: the loop did not return
+    code, out, err = run(capsys, "simulate", str(CORPUS_DIR / "tank3" / "model.xml"),
+                         str(CORPUS_DIR / "tank3" / "config.cfg"), f"--step={step}")
+    assert (code, out) == (2, "")
+    assert err == f"error: --step: need a finite step > 0, not {float(step)!r}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", str(CORPUS_DIR / "tank3" / "model.xml"), "--seeds", "0"),
+    ("simulate", str(CORPUS_DIR / "tank3" / "bundle.json"), "--seeds", "-1"),
+    ("bench", "tank3", "simulate", "--seeds", "0"),
+], ids=["zero", "negative", "bench"])
+def test_simulate_seeds_below_one_is_an_input_error(argv, capsys):
+    seeds = argv[-1]
+    assert run(capsys, *argv) == (2, "", f"error: --seeds: need at least 1 run, not {seeds}\n")
+
+
 @pytest.mark.parametrize("case", sorted(BAD_VALUES))
 @pytest.mark.parametrize(
     "command", [("validate",), ("translate", "--to", "flowstar"), ("check",)], ids=lambda c: c[0]

@@ -390,9 +390,9 @@ def test_each_per_step_path_step_runs_one_full_step(monkeypatch):
     # which then runs no full-length _substep of its own
     full, starts = [], []
 
-    def counted(a_mat, drive, x, tau, kind):
+    def counted(a_mat, drive, x, tau, kind, f0=None):
         full.append((x.tobytes(), tau))
-        return _substep(a_mat, drive, x, tau, kind)
+        return _substep(a_mat, drive, x, tau, kind, f0)
 
     def traced(dyn, transition, x_before, t, h, *rest):
         starts.append((np.asarray(x_before, dtype=float).tobytes(), h))
@@ -410,6 +410,42 @@ def test_each_per_step_path_step_runs_one_full_step(monkeypatch):
         assert traj.events and len(steps) >= len(traj.events)
         calls = Counter(full)
         assert all(calls[key] == 1 for key in steps)
+
+
+def test_simulate_benchmark_runs_never_fall_back_to_the_plain_bisection(monkeypatch):
+    # Tripwire: ``_bisect`` may settle on a later switch than the first. The
+    # benchmark's runs (Heun at step/10 from three seeded starts per model)
+    # and Euler's (one start for the ball: about 0.5 s and 10,000 ``_locate``
+    # calls) must each confirm a closed-form root instead.
+    where, located, fallbacks = {}, [], []
+    detect, locate, bisect = detect_event, simulate_module._locate, simulate_module._bisect
+
+    def traced(dyn, transition, x_before, t, *rest):
+        where["t"] = t
+        return detect(dyn, transition, x_before, t, *rest)
+
+    def counted(*args):
+        located.append(None)
+        return locate(*args)
+
+    def fell_back(*args):
+        fallbacks.append((where["model"], where["kind"], where["t"]))
+        return bisect(*args)
+
+    monkeypatch.setattr(simulate_module, "detect_event", traced)
+    monkeypatch.setattr(simulate_module, "_locate", counted)
+    monkeypatch.setattr(simulate_module, "_bisect", fell_back)
+    for build in (build_bouncing_ball, build_tank, build_linswitch, build_platoon):
+        bundle = build()
+        options = SimOptions(step=bundle.settings.step / 10.0)
+        for kind in Integrator:
+            starts = sample_initial(bundle.initial.box, 3, seed=5)
+            for x0 in starts[:1] if build is build_bouncing_ball and kind == Integrator.EULER else starts:
+                where.update(model=bundle.automaton.name, kind=kind.value)
+                simulate(bundle, x0, kind, options)
+    assert not fallbacks, f"fallback bisection at (model, integrator, step start): {fallbacks}"
+    assert len(located) > 5000
+
 
 # ---------------------------------------------------------------------------
 # whole runs
@@ -501,6 +537,19 @@ def test_simulation_is_deterministic():
     assert np.array_equal(a.times, b.times)
     assert np.array_equal(a.states, b.states)
     assert [e.time for e in a.events] == [e.time for e in b.events]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("step", 0.0), ("step", -0.01), ("step", math.nan), ("step", math.inf), ("step", -math.inf),
+    ("horizon", 0.0), ("horizon", -1.0), ("horizon", math.nan), ("horizon", math.inf),
+])
+def test_options_reject_a_step_or_horizon_that_is_not_finite_and_positive(field, value):
+    with pytest.raises(ValueError, match=f"need a finite {field} > 0"):
+        SimOptions(**{field: value})
+
+
+def test_options_keep_zero_dwell_and_an_unset_horizon():
+    assert SimOptions(step=1e-3, zeno_dwell=0.0).horizon is None
 
 
 def test_start_outside_invariant_rejected():
@@ -749,8 +798,8 @@ def test_values_within_rounding_of_a_threshold_go_to_the_per_step_path():
     guard = Condition((LinearConstraint([1.0, -1.0], "==", 0.0),))
     chunk = _Chunk(dyn, Condition(), (Transition("a", "a", guard, ResetMap.identity(2)),), (), 0.1,
                    Integrator.HEUN)
-    assert chunk.advance(np.array([1.0, 1.0 + 1e-9]), 0.0, 0.0, 100.0)[0] > 0
-    assert chunk.advance(np.array([1.0, 1.0 + 1e-15]), 0.0, 0.0, 100.0)[0] == 0
+    assert _advance(chunk, [1.0, 1.0 + 1e-9], 0.0, 0.0, 100.0)[0] > 0
+    assert _advance(chunk, [1.0, 1.0 + 1e-15], 0.0, 0.0, 100.0)[0] == 0
 
 
 @pytest.mark.parametrize(
@@ -759,9 +808,22 @@ def test_values_within_rounding_of_a_threshold_go_to_the_per_step_path():
 def test_chunked_simulate_matches_the_per_step_loop(build):
     bundle = build()
     x0 = sample_initial(bundle.initial.box, 1, seed=0)[0]
-    options = SimOptions(step=bundle.settings.step / 10.0)
-    got = simulate(bundle, x0, Integrator.HEUN, options)
-    want = reference_simulate(bundle, x0, Integrator.HEUN, options)
+    _assert_matches_the_per_step_loop(bundle, x0, Integrator.HEUN, SimOptions(step=bundle.settings.step / 10.0))
+
+
+def test_a_run_that_outgrows_its_first_arrays_matches_the_per_step_loop():
+    # Euler's ball bounces about 900 times in 40 s at the shipped step: its
+    # samples outgrow the horizon / step + 256 that a run holds at first
+    bundle = build_bouncing_ball()
+    x0 = sample_initial(bundle.initial.box, 1, seed=0)[0]
+    options = SimOptions(step=bundle.settings.step)
+    assert _assert_matches_the_per_step_loop(bundle, x0, Integrator.EULER, options) > 4256
+
+
+def _assert_matches_the_per_step_loop(bundle, x0, kind, options) -> int:
+    """The run's sample count, after checking it against ``reference_simulate``."""
+    got = simulate(bundle, x0, kind, options)
+    want = reference_simulate(bundle, x0, kind, options)
     assert got.sample_count == want.sample_count
     assert got.locations == want.locations
     assert (got.zeno, got.truncated is None) == (want.zeno, want.truncated is None)
@@ -780,6 +842,85 @@ def test_chunked_simulate_matches_the_per_step_loop(build):
     # relative per sample: the platoon runs diverge to about 1e23
     err = np.linalg.norm(got.states[same] - want.states[same], axis=1)
     assert np.all(err <= 1e-9 * np.linalg.norm(want.states[same], axis=1))
+    return got.sample_count
+
+
+def _run_key(traj) -> tuple:
+    """Everything a run records, in bytes where it is an array."""
+    events = [(e.time, e.label, e.source, e.target, e.pre_state.tobytes(), e.post_state.tobytes())
+              for e in traj.events]
+    return (traj.times.tobytes(), traj.states.tobytes(), traj.locations, events, traj.zeno, traj.zeno_time,
+            traj.truncated)
+
+
+def test_chained_chunks_record_what_one_chunk_calls_record(monkeypatch):
+    # two seeded starts per model, Heun and Euler, at the shipped step and at step/10
+    chained, advance = [], _Chunk.advance
+
+    def counted(chunk, times, states, i, t, horizon, chunks):
+        chained.append(chunks > 1)
+        return advance(chunk, times, states, i, t, horizon, chunks)
+
+    runs = 0
+    for build in (build_bouncing_ball, build_tank, build_linswitch, build_platoon, _sawtooth_bundle, _ramp_bundle):
+        bundle = build()
+        for kind in Integrator:
+            for h in (bundle.settings.step, bundle.settings.step / 10.0):
+                for x0 in sample_initial(bundle.initial.box, 2, seed=runs):
+                    runs += 1
+                    # Euler's balls gain height at each bounce and never settle: over
+                    # the shipped 40 s they bounce about 9,000 times, so they stop at 10 s
+                    euler_ball = build is build_bouncing_ball and kind == Integrator.EULER
+                    options = SimOptions(step=h, horizon=10.0 if euler_ball else None)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(simulate_module, "_CHAIN", 1)
+                        want = simulate(bundle, x0, kind, options)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(_Chunk, "advance", counted)
+                        got = simulate(bundle, x0, kind, options)
+                    assert _run_key(got) == _run_key(want), (bundle.automaton.name, kind, h, x0)
+    assert runs == 48 and sum(chained) > 50
+
+
+def _one_chunk_calls(chunk, x, t, horizon, chunks) -> tuple:
+    """(k, times, states) of up to ``chunks`` one-chunk calls, each from the last one's end."""
+    ks, times, states, last_time = [], [np.empty(0)], [np.empty((0, len(x)))], t
+    while len(ks) < chunks and (not ks or ks[-1] == simulate_module._CHUNK):
+        k, block_times, block_states = _advance(chunk, x, t, last_time, horizon)
+        ks.append(k)
+        times.append(block_times)
+        states.append(block_states)
+        if k:
+            x, t, last_time = block_states[-1], float(block_times[-1]), float(block_times[-1])
+    return sum(ks), np.concatenate(times), np.concatenate(states)
+
+
+@pytest.mark.parametrize("chunks", [2, 3, 8])
+def test_advance_over_chained_chunks_matches_one_chunk_calls(chunks):
+    # x' = -1 down to the crossing x == 0 and x' = 1 up to the invariant x <= 1:
+    # starts that reach the threshold, or come within rounding of it, in any chunk
+    h = 0.01
+    down = _Chunk(_line(-1.0), Condition(), (_crossing("==", 0.0),), (), h, Integrator.HEUN)
+    up = _Chunk(_line(1.0), Condition((LinearConstraint([1.0], "<=", 1.0),)), (), (), h, Integrator.EULER)
+    whole = simulate_module._CHUNK * chunks
+    span = whole * h
+    cases = []
+    for steps in (0, 5, 127, 128, 129, *range(190, whole, simulate_module._CHUNK), whole - 1, whole + 3):
+        for off in (0.0, 1e-15, -1e-15, 1e-13, 4e-12, 1e-9):
+            cases.append((down, [steps * h + off], 0.0, 1e3))
+            cases.append((up, [1.0 - steps * h + off], 0.0, 1e3))
+    for end in (0.3 * span, span - 0.5 * h, span - 1e-13, span, span + 1e-13, 2.0 * span):
+        cases.append((down, [1e3], 7.0, 7.0 + end))  # the horizon ends inside the last chunk, or past it
+    chunk = _Chunk(FALL, Condition((LinearConstraint([1.0, 0.0], ">=", 0.0),)), (), (), 1e-3, Integrator.HEUN)
+    cases += [(chunk, [height, 0.0], 0.0, 1e3) for height in (0.0, 1e-12, 0.5, 2.0, 5.0, 20.0)]
+    reached = set()
+    for chunk, x, t, horizon in cases:
+        k, times, states = _advance(chunk, np.array(x), t, t, horizon, chunks)
+        want_k, want_times, want_states = _one_chunk_calls(chunk, np.array(x), t, horizon, chunks)
+        assert k == want_k and len(times) == len(states) == k, (x, t, horizon)
+        assert np.array_equal(times, want_times) and np.array_equal(states, want_states), (x, t, horizon)
+        reached.add(k // simulate_module._CHUNK)
+    assert reached == set(range(chunks + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -854,10 +995,20 @@ def test_shared_tables_are_read_only(monkeypatch):
     bundle = build_tank()
     simulate(bundle, sample_initial(bundle.initial.box, 1, seed=7)[0], Integrator.HEUN, SimOptions(step=0.01))
     tables = [value for chunk in built for value in vars(chunk).values() if isinstance(value, np.ndarray)]
-    assert built and len(tables) == 8 * len(built)
+    assert built and len(tables) == 7 * len(built)
     for table in tables:
         with pytest.raises(ValueError, match="read-only"):
             table[...] = 0.0
+
+
+def _advance(chunk, x, t, last_time, horizon, chunks=1) -> tuple:
+    """(k, times, states) of ``chunk.advance`` from a run whose last sample is (last_time, x)."""
+    times = np.full(1 + simulate_module._CHUNK * chunks, np.nan)
+    states = np.full((len(times), len(x)), np.nan)
+    times[0], states[0] = last_time, x
+    k = chunk.advance(times, states, 0, t, horizon, chunks)
+    assert times[0] == last_time and np.array_equal(states[0], x)
+    return k, times[1:k + 1], states[1:k + 1]
 
 
 def _step_times(t, h) -> np.ndarray:
@@ -901,9 +1052,8 @@ def test_chunk_time_shortcut_matches_the_plain_vector_test():
     chunk = _Chunk(AffineDynamics.zero(1), Condition(), (), (), 1.0, Integrator.HEUN)
     x = np.zeros(1)
     for t, last_time, horizon, h in _time_cases(19):
-        chunk.h = h  # the time tests read only h and the step table
-        chunk.steps = np.full(simulate_module._CHUNK + 1, h)
-        k, times, states = chunk.advance(x, t, last_time, horizon)
+        chunk.h = h  # the time tests read only h
+        k, times, states = _advance(chunk, x, t, last_time, horizon)
         want_k, want_times = _plain_time_steps(t, last_time, horizon, h)
         assert k == want_k and len(states) == k, (t, last_time, horizon, h)
         assert np.array_equal(times, want_times), (t, last_time, horizon, h)

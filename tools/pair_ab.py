@@ -17,6 +17,10 @@ Pass time tracks the benchmark's ``ops_per_s``. Next to it, per pair and in
 the same summary, it prints the ratio of the two trees' geometric means of
 their operations' times, which tracks ``op_ms.gmean``; the summary's
 geometric means are taken over each operation's median time across pairs.
+Last comes one line per group of operations (a model, an instance or a
+command, as the workload groups them) with the median over pairs of that
+group's time ratio, so a change that helps one model and slows another
+shows.
 
 Passes of the two trees that alternate within one process see the same
 drift of a shared machine, so their ratio spreads far less than the
@@ -106,6 +110,7 @@ def main(argv=None) -> int:
             workdir.mkdir()
             trees[label] = workloads.WORKLOADS[args.workload]().setup(mods, args.seed, root, workdir)
             timed_pass(trees[label])  # warm-up
+        groups = [op.group for op in trees["this"]]
         print(f"{args.workload}, seed {args.seed}: {len(trees['this'])} operations per pass; "
               f"this tree {REPO_ROOT / 'src'}, other tree {args.other_src.resolve()}")
         ratios, op_ratios = [], []
@@ -130,6 +135,13 @@ def main(argv=None) -> int:
                for label, t in op_times.items()}
     print(f"gmean of per-op median times: this {1e3 * medians['this']:.3f} ms, "
           f"other {1e3 * medians['other']:.3f} ms, ratio other/this {medians['other'] / medians['this']:.3f}")
+    for group in dict.fromkeys(groups):
+        seconds = {label: [sum(s for s, g in zip(pass_times, groups) if g == group) for pass_times in t]
+                   for label, t in op_times.items()}
+        group_ratios = [other / this for this, other in zip(seconds["this"], seconds["other"])]
+        print(f"group {group}: median ratio other/this {statistics.median(group_ratios):.3f}, "
+              f"this {1e3 * statistics.median(seconds['this']):.3f} ms, "
+              f"other {1e3 * statistics.median(seconds['other']):.3f} ms per pass")
     return 0
 
 
