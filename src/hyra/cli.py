@@ -17,7 +17,7 @@ import numpy as np
 
 from . import corpus
 from .config import parse_config
-from .errors import ConfigError, EngineError, HyraError, ModelFormatError
+from .errors import BundleDefects, ConfigError, EngineError, HyraError, ModelFormatError
 from .expressions import format_table
 from .flowstar import emit_flowstar
 from .interchange import read_json, write_json
@@ -77,10 +77,15 @@ def _load_bundle(model_path: str, cfg_path: str | None, step_override: float | N
 
 
 def _write_output(text: str, out: str | None):
-    if out:
-        Path(out).write_text(text)
-    else:
+    """Write ``text`` to the file ``out``, or to stdout without one; a file that cannot be written is an
+    input error. Commands call this before they print anything else, so a failed write prints nothing."""
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        raise ModelFormatError(f"cannot write {out}: {exc}") from exc
 
 
 def _verdict_line(result) -> str:
@@ -95,17 +100,21 @@ def _verdict_line(result) -> str:
 
 
 def cmd_validate(args, bundle: ModelBundle | None = None) -> int:
+    """``OK``, or one ``DEFECT`` line per defect; a JSON bundle's are those its read found."""
     if bundle is not None:
-        automaton = bundle.automaton
+        defects = validate(bundle.automaton).defects
     elif Path(args.model).suffix == ".json":
-        automaton = read_json(_read_text(args.model)).automaton
+        try:
+            read_json(_read_text(args.model))
+            defects = ()
+        except BundleDefects as exc:
+            defects = exc.defects
     else:
-        automaton = parse_spaceex(_read_text(args.model), validated=False)
-    report = validate(automaton)
-    if report.ok:
+        defects = validate(parse_spaceex(_read_text(args.model), validated=False)).defects
+    if not defects:
         print("OK")
         return EXIT_OK
-    for defect in report:
+    for defect in defects:
         print(f"DEFECT {defect.code} {defect.message}")
     return EXIT_INPUT
 
@@ -125,12 +134,12 @@ def cmd_translate(args, bundle: ModelBundle | None = None) -> int:
 def cmd_reach(args, bundle: ModelBundle | None = None) -> int:
     bundle = bundle or _load_bundle(args.model, args.cfg, args.step)
     result = reach(bundle)
+    if args.out:
+        _write_output(segments_to_csv(result, bundle.automaton.vars.state_vars), args.out)
     print(_verdict_line(result))
     if result.stats.termination is not None:
         print(f"note: exploration ended via {result.stats.termination.value}", file=sys.stderr)
     print(f"note: wall time {result.stats.wall_time:.3f}s", file=sys.stderr)
-    if args.out:
-        Path(args.out).write_text(segments_to_csv(result, bundle.automaton.vars.state_vars))
     return EXIT_OK if result.verdict == Verdict.SAFE_PROVED else EXIT_UNSAFE
 
 
@@ -145,29 +154,25 @@ def cmd_simulate(args, bundle: ModelBundle | None = None) -> int:
     """Seeded runs: one RUN line each on stdout, all samples to ``--out`` as one ``format_table``."""
     if args.seeds < 1:
         raise ModelFormatError(f"--seeds: need at least 1 run, not {args.seeds}")
+    if args.seed < 0:
+        raise ModelFormatError(f"--seed: need a seed of at least 0, not {args.seed}")
     bundle = bundle or _load_bundle(args.model, args.cfg, None)
     kind = Integrator.EULER if args.integrator == "euler" else Integrator.HEUN
     try:
         options = SimOptions(step=args.step if args.step is not None else bundle.settings.step / 10.0)
     except ValueError as exc:
         raise ModelFormatError(f"--step: {exc}") from exc
-    points = sample_initial(bundle.initial.box, args.seeds, args.seed)
-    trajs = []
-    for run, x0 in enumerate(points):
-        traj = simulate(bundle, x0, kind, options)
-        print(
-            f"RUN {run} samples={traj.sample_count} events={len(traj.events)} "
-            f"zeno={'true' if traj.zeno else 'false'}"
-        )
-        trajs.append(traj)
+    trajs = [simulate(bundle, x0, kind, options) for x0 in sample_initial(bundle.initial.box, args.seeds, args.seed)]
     if args.out:
         header = ("run", "time", "location", *bundle.automaton.vars.state_vars)
-        Path(args.out).write_text(format_table(header, [
+        _write_output(format_table(header, [
             [str(run) for run, traj in enumerate(trajs) for _ in traj.locations],
             np.concatenate([traj.times for traj in trajs]).reshape(-1, 1),
             [loc for traj in trajs for loc in traj.locations],
             np.concatenate([traj.states for traj in trajs]),
-        ]))
+        ]), args.out)
+    for run, traj in enumerate(trajs):
+        print(f"RUN {run} samples={traj.sample_count} events={len(traj.events)} zeno={str(traj.zeno).lower()}")
     return EXIT_OK
 
 

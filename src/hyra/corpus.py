@@ -1,20 +1,21 @@
 """Builders for the four built-in benchmark models.
 
-Each builder returns a complete ModelBundle (automaton + reach settings +
-initial set) and validates cleanly. Matrix-valued benchmarks load their
+Each builder takes no arguments and returns the shipped ModelBundle
+(automaton + reach settings + initial set), which validates cleanly; vary
+one with ``ir.bind_constant`` on its symbolic constants (the ball's ``c``,
+the tank's ``Q0``..``QC``). Matrix-valued benchmarks load their
 coefficients from the transcription files under data/, which record the
 printed figures entry-by-entry together with the documented reading
 decisions, so a transcription correction is a one-line diff there.
 
-Tank flow rates and switching thresholds are corpus parameters chosen so
-the default run stays in sensible ranges (verified by the test suite), not
+Tank flow rates and switching thresholds are corpus values chosen so the
+shipped run stays in sensible ranges (verified by the test suite), not
 claims about the source material.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 
@@ -82,18 +83,15 @@ def _axis_constraint(n: int, index: int, relation: str, bound: float) -> LinearC
 # Two bouncing balls
 
 
-def build_bouncing_ball(restitution: float = 0.75) -> ModelBundle:
+def build_bouncing_ball() -> ModelBundle:
     """Two independent identical balls in one 4-d automaton (x, v, x1, v1).
 
     One location with invariant x >= 0 and x1 >= 0; one transition per ball
-    with guard "height zero, moving down" and reset v := -c*v where c stays
-    a symbolic constant bound to ``restitution``. Both balls start at rest
+    with guard "height zero, moving down" and reset v := -c*v, where the
+    restitution c stays a symbolic constant, 0.75. Both balls start at rest
     from heights in [10, 10.2].
     """
-    if not 0.0 <= restitution <= 1.0:
-        raise ValueError("restitution must lie in [0, 1]")
-
-    table = VariableTable(("x", "v", "x1", "v1"), (), {"c": restitution})
+    table = VariableTable(("x", "v", "x1", "v1"), (), {"c": 0.75})
     n = 4
     a = np.zeros((n, n))
     a[0, 1] = 1.0
@@ -149,115 +147,57 @@ def build_bouncing_ball(restitution: float = 0.75) -> ModelBundle:
 # Six-vehicle platoon
 
 
-def _platoon_matrices() -> tuple:
-    data = load_transcription("platoon")
-
-    def read(mode: dict) -> tuple:
-        rows = mode["rows"][:18]
-        a = np.zeros((18, 18))
-        b = np.zeros((18, 1))
-        for i, row in enumerate(rows):
-            for j, value in enumerate(row):
-                if j < 18:
-                    a[i, j] = value
-                elif j == 18:
-                    b[i, 0] = value
-                # columns beyond 19 stay recorded in the file only
-        return a, b
-
-    a_comm, b_comm = read(data["communication"])
-    a_nocomm, b_nocomm = read(data["no_communication"])
-    return a_comm, b_comm, a_nocomm, b_nocomm, tuple(data["state_order"])
-
-
-def build_platoon(bind_lead_accel: bool = True, switching: str = "spontaneous") -> ModelBundle:
+def build_platoon() -> ModelBundle:
     """Two-mode 18-d platoon: communication intact (q_c) vs disrupted (q_n).
 
-    Switching is spontaneous (guard-free transitions) by default; the
-    "clock" variant adds a clock variable with a 2 s dwell guard. The lead
-    acceleration input is bound to zero unless bind_lead_accel=False.
+    Switching is spontaneous (guard-free transitions), and the lead
+    acceleration input aL is bound to zero. Each mode's A and B are the
+    first 19 columns of its transcribed rows; a further column stays
+    recorded in the file only.
     """
-    if switching not in ("spontaneous", "clock"):
-        raise ValueError("switching must be 'spontaneous' or 'clock'")
-    a_comm, b_comm, a_nocomm, b_nocomm, state_order = _platoon_matrices()
-    clock = switching == "clock"
-    state_vars = state_order + (("clk",) if clock else ())
+    data = load_transcription("platoon")
+    state_vars = tuple(data["state_order"])
     n = len(state_vars)
-    table = VariableTable(state_vars, ("aL",), {})
 
-    def pad(a: np.ndarray, b: np.ndarray) -> tuple:
-        if not clock:
-            return a, b
-        a2 = np.zeros((n, n))
-        a2[:18, :18] = a
-        b2 = np.zeros((n, 1))
-        b2[:18] = b
-        return a2, b2
-
-    a_c, b_c = pad(a_comm, b_comm)
-    a_n, b_n = pad(a_nocomm, b_nocomm)
-    drift = np.zeros(n)
-    if clock:
-        drift[18] = 1.0  # clk' = 1
-
-    loc_c = Location("q_c", Condition(), AffineDynamics(a_c, b_c, drift))
-    loc_n = Location("q_n", Condition(), AffineDynamics(a_n, b_n, drift))
-
-    if clock:
-        dwell_guard = Condition((_axis_constraint(n, 18, ">=", 2.0),))
-        reset_m = np.eye(n)
-        reset_m[18, 18] = 0.0
-        reset = ResetMap(reset_m, np.zeros(n))
-        transitions = (
-            Transition("q_c", "q_n", dwell_guard, reset, "drop"),
-            Transition("q_n", "q_c", dwell_guard, reset, "restore"),
-        )
-    else:
-        transitions = (
-            Transition("q_c", "q_n", Condition(), ResetMap.identity(n), "drop"),
-            Transition("q_n", "q_c", Condition(), ResetMap.identity(n), "restore"),
-        )
+    def location(name: str, mode: str) -> Location:
+        rows = np.array(data[mode]["rows"], dtype=float)
+        return Location(name, Condition(), AffineDynamics(rows[:, :n], rows[:, n:n + 1], np.zeros(n)))
 
     automaton = HybridAutomaton(
-        "platoon_6", table, (loc_c, loc_n), transitions, {"aL": (0.0, 0.0)}
+        "platoon_6",
+        VariableTable(state_vars, ("aL",)),
+        (location("q_c", "communication"), location("q_n", "no_communication")),
+        (Transition("q_c", "q_n", Condition(), ResetMap.identity(n), "drop"),
+         Transition("q_n", "q_c", Condition(), ResetMap.identity(n), "restore")),
+        {"aL": (0.0, 0.0)},
     )
-    if bind_lead_accel:
-        automaton = bind_constant(automaton, "aL", 0.0)
-
-    forbidden = Condition((_axis_constraint(n, 0, ">=", 1.7),))
     settings = ReachSettings(
         horizon=12.0,
         step=0.02,
         max_jumps=2,
-        forbidden=forbidden,
+        forbidden=Condition((_axis_constraint(n, 0, ">=", 1.7),)),
         output_vars=("e1", "e1dot"),
         fixpoint_check=True,
     )
-    lo = np.full(n, 0.9)
-    hi = np.full(n, 1.1)
-    if clock:
-        lo[18] = hi[18] = 0.0
-    initial = InitialCondition("q_c", Box(lo, hi))
-    return ModelBundle(automaton, settings, initial)
+    initial = InitialCondition("q_c", Box(np.full(n, 0.9), np.full(n, 1.1)))
+    return ModelBundle(bind_constant(automaton, "aL", 0.0), settings, initial)
 
 
 # ---------------------------------------------------------------------------
 # Three-tank system
 
 
-@dataclass(frozen=True)
-class TankFlows:
-    """Constant flow rates; all must be positive."""
+# Constant flow rates, the values of the model's symbolic constants.
+_TANK_FLOWS = {
+    "Q0": 0.10,  # continuous inflow into tank 1
+    "Q1": 0.15,  # valve1-gated inflow into tank 1
+    "QA": 0.20,  # tank 1 -> tank 2 drain
+    "QB": 0.10,  # pump outflow from tank 2
+    "Q2": 0.15,  # valve2-gated drain from tank 2
+    "QC": 0.08,  # valve3-gated tank 2 -> tank 3 drain
+}
 
-    q0: float = 0.10   # continuous inflow into tank 1
-    q1: float = 0.15   # valve1-gated inflow into tank 1
-    qa: float = 0.20   # tank 1 -> tank 2 drain
-    qb: float = 0.10   # pump outflow from tank 2
-    q2: float = 0.15   # valve2-gated drain from tank 2
-    qc: float = 0.08   # valve3-gated tank 2 -> tank 3 drain
-
-
-# Valve toggle thresholds (corpus parameters; see module docstring).
+# Valve toggle thresholds (corpus values; see module docstring).
 _TANK_V1_ON = 0.4    # valve1 opens when tank 1 drops to this level
 _TANK_V1_OFF = 0.55  # valve1 closes when tank 1 rises back to this level
 _TANK_V2_ON = 0.6    # valve2 opens when tank 2 reaches this level
@@ -266,7 +206,7 @@ _TANK_V3_ON = 0.5    # valve3 opens when tank 2 reaches this level
 _TANK_V3_OFF = 0.35
 
 
-def build_tank(flows: TankFlows = TankFlows()) -> ModelBundle:
+def build_tank() -> ModelBundle:
     """Eight-mode (2^3 valve states) three-tank automaton.
 
     Level dynamics per mode, with [vi] = 1 when valve i is open:
@@ -276,12 +216,8 @@ def build_tank(flows: TankFlows = TankFlows()) -> ModelBundle:
     Valves 1 and 2 toggle on their own tank's level, valve 3 on tank 2's
     level. Flow rates stay symbolic constants in the model.
     """
-    values = {"Q0": flows.q0, "Q1": flows.q1, "QA": flows.qa, "QB": flows.qb, "Q2": flows.q2, "QC": flows.qc}
-    for name, value in values.items():
-        if value <= 0.0:
-            raise ValueError(f"flow coefficient {name} must be positive")
     n = 3
-    table = VariableTable(("x1", "x2", "x3"), (), values)
+    table = VariableTable(("x1", "x2", "x3"), (), _TANK_FLOWS)
 
     def mode_name(v1: bool, v2: bool, v3: bool) -> str:
         return "_".join("on" if v else "off" for v in (v1, v2, v3))
@@ -357,9 +293,6 @@ _LINSWITCH_GUARDS = (
     ("q4", "q1", ">=", 0.5),
 )
 
-_LINSWITCH_INPUT_RANGE = (-0.1, 0.1)
-
-
 def build_linswitch() -> ModelBundle:
     """Four stable-in-intent modes cycling on x1 threshold crossings.
 
@@ -383,7 +316,7 @@ def build_linswitch() -> ModelBundle:
         for src, dst, relation, bound in _LINSWITCH_GUARDS
     )
     automaton = HybridAutomaton(
-        "linear_switch_4", table, tuple(locations), transitions, {"u": _LINSWITCH_INPUT_RANGE}
+        "linear_switch_4", table, tuple(locations), transitions, {"u": (-0.1, 0.1)}
     )
     settings = ReachSettings(
         horizon=1.2,

@@ -55,6 +55,14 @@ class SchemaViolation(ModelFormatError):
     """JSON interchange document does not match the shipped schema."""
 
 
+class BundleDefects(SchemaViolation):
+    """JSON bundle whose model or forbidden set ``ir.validate`` rejects; ``defects`` lists why."""
+
+    def __init__(self, defects):
+        super().__init__("bundle does not validate: " + "; ".join(map(str, defects)))
+        self.defects = tuple(defects)
+
+
 class UnknownSymbol(ModelFormatError):
     """bind_constant target is neither a constant nor an input."""
 

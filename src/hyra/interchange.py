@@ -41,7 +41,7 @@ import jsonschema
 import numpy as np
 import orjson
 
-from .errors import SchemaViolation
+from .errors import BundleDefects, SchemaViolation
 from .ir import (
     AffineDynamics,
     Condition,
@@ -343,7 +343,7 @@ def _build_bundle(data: dict) -> ModelBundle:
     forbidden = None if s["forbidden"] is None else _condition_in(s["forbidden"])
     report = validate(automaton, forbidden)
     if not report.ok:
-        raise SchemaViolation("bundle does not validate: " + "; ".join(str(d) for d in report))
+        raise BundleDefects(report)
     for name in s.get("output_vars") or ():
         if name not in table.state_vars:
             raise SchemaViolation(f"output_vars: {name!r} is not a state variable")

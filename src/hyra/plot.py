@@ -9,6 +9,8 @@ reader, and the SVG geometry is numpy arithmetic written by ``%`` templates.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from itertools import chain, groupby, repeat
 from operator import itemgetter
@@ -146,6 +148,22 @@ def _widened(lo: float, hi: float) -> tuple:
     return (lo - lo * 2**-50, lo) if lo > 0 else (lo, lo - lo * 2**-50)
 
 
+def _axis(lo: float, hi: float, length: float) -> tuple:
+    """The labels of an axis over values from ``lo`` to ``hi``, 5% wider on each side, and ``k``, ``start``
+    and ``scale`` that draw a value v at (v * k - start) * scale along ``length``. k is 1 unless finite
+    values pad past the largest float; then k is 1/4, where no step overflows, and the axis stops at
+    the largest float."""
+    lo, hi = _widened(lo, hi)
+    pad = 0.05 * (hi - lo)
+    start, end = lo - pad, hi + pad
+    if math.isfinite(end - start) or not (math.isfinite(lo) and math.isfinite(hi)):
+        return start, end, 1.0, start, length / (end - start)
+    lo, hi = 0.25 * lo, 0.25 * hi
+    pad = 0.05 * (hi - lo)
+    start, end = max(lo - pad, -0.25 * sys.float_info.max), min(hi + pad, 0.25 * sys.float_info.max)
+    return 4.0 * start, 4.0 * end, 0.25, start, length / (end - start)
+
+
 @np.errstate(all="ignore")  # an overflow or inf - inf gives inf or NaN silently, as Python floats do
 def projection_to_svg(proj: Projection) -> str:
     """The SVG of a projection, its geometry in array passes that take the IEEE operations of per-point
@@ -159,21 +177,14 @@ def projection_to_svg(proj: Projection) -> str:
         (x_min, x_max), (y_min, y_max) = _bounds(xs), _bounds(ys)
     else:
         x_min, x_max, y_min, y_max = 0.0, 1.0, 0.0, 1.0
-    (x_min, x_max), (y_min, y_max) = _widened(x_min, x_max), _widened(y_min, y_max)
-    pad_x = 0.05 * (x_max - x_min)
-    pad_y = 0.05 * (y_max - y_min)
-    x_min -= pad_x
-    x_max += pad_x
-    y_min -= pad_y
-    y_max += pad_y
-    sx = (_CANVAS_W - 2 * _MARGIN) / (x_max - x_min)
-    sy = (_CANVAS_H - 2 * _MARGIN) / (y_max - y_min)
+    x_min, x_max, kx, x0, sx = _axis(x_min, x_max, _CANVAS_W - 2 * _MARGIN)
+    y_min, y_max, ky, y0, sy = _axis(y_min, y_max, _CANVAS_H - 2 * _MARGIN)
 
     def px(x):
-        return _MARGIN + (x - x_min) * sx
+        return _MARGIN + (x * kx - x0) * sx
 
     def py(y):
-        return _CANVAS_H - _MARGIN - (y - y_min) * sy
+        return _CANVAS_H - _MARGIN - (y * ky - y0) * sy
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(_CANVAS_W)}" height="{int(_CANVAS_H)}" '

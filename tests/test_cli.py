@@ -353,6 +353,73 @@ def test_simulate_seeds_below_one_is_an_input_error(argv, capsys):
     assert run(capsys, *argv) == (2, "", f"error: --seeds: need at least 1 run, not {seeds}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", str(CORPUS_DIR / "tank3" / "model.xml"), "--seed", "-1"),
+    ("bench", "ball", "simulate", "--seed", "-1"),
+], ids=["file", "bench"])
+def test_simulate_negative_seed_is_an_input_error(argv, capsys):
+    assert run(capsys, *argv) == (2, "", "error: --seed: need a seed of at least 0, not -1\n")
+
+
+BALL = CORPUS_DIR / "bouncing-ball"
+OUT_COMMANDS = {
+    "translate": ("translate", str(BALL / "model.xml"), "--to", "json"),
+    "reach": ("reach", str(BALL / "bundle.json")),
+    "simulate": ("simulate", str(BALL / "model.xml"), "--seeds", "2"),
+    "plot": ("plot", "{csv}", "--x", "x", "--y", "v"),
+    "bench-translate": ("bench", "ball", "translate"),
+    "bench-reach": ("bench", "ball", "reach"),
+    "bench-simulate": ("bench", "ball", "simulate"),
+    "bench-plot": ("bench", "ball", "plot", "--format", "csv"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_out_that_cannot_be_written_is_an_input_error(command, where, tmp_path, capsys):
+    csv = tmp_path / "pipe.csv"
+    csv.write_text("time_lo,time_hi,location,jump_depth,lo_x,hi_x,lo_v,hi_v\n0,1,always,0,1,2,3,4\n")
+    out = tmp_path / "missing" / "out.txt" if where == "missing-directory" else tmp_path
+    argv = [a.replace("{csv}", str(csv)) for a in OUT_COMMANDS[command]]
+    code, stdout, err = run(capsys, *argv, "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+
+
+def _dangling_target(fmt: str, tmp_path) -> str:
+    """The ball's model file in ``fmt`` with its first transition's target a location that does not exist."""
+    if fmt == "xml":
+        text = (BALL / "model.xml").read_text().replace('target="1"', 'target="9"', 1)
+    else:
+        data = json.loads((BALL / "bundle.json").read_text())
+        data["transitions"][0]["target"] = "9"
+        text = json.dumps(data)
+    path = tmp_path / f"bad.{fmt}"
+    path.write_text(text)
+    return str(path)
+
+
+def test_validate_prints_the_same_defect_lines_for_xml_and_json(tmp_path, capsys):
+    want = "DEFECT dangling-name transition #0 (always->9): target '9' is not a location\n"
+    assert run(capsys, "validate", _dangling_target("xml", tmp_path)) == (2, want, "")
+    assert run(capsys, "validate", _dangling_target("json", tmp_path)) == (2, want, "")
+
+
+def test_validate_prints_the_defects_of_a_json_forbidden_set(tmp_path, capsys):
+    data = json.loads((BALL / "bundle.json").read_text())
+    data["transitions"][0]["target"] = "9"
+    data["settings"]["forbidden"] = [{"coeffs": [0, 1], "relation": ">=", "bound": 10.7},
+                                     {"coeffs": [0, 1, 0, 0], "relation": ">=", "bound": float("nan")}]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert run(capsys, "validate", str(path)) == (2, (
+        "DEFECT dangling-name transition #0 (always->9): target '9' is not a location\n"
+        "DEFECT dimension forbidden set: constraint over 2 variables, expected 4\n"
+        "DEFECT non-finite forbidden set: constraint has non-finite entries\n"
+    ), "")
+
+
 @pytest.mark.parametrize("case", sorted(BAD_VALUES))
 @pytest.mark.parametrize(
     "command", [("validate",), ("translate", "--to", "flowstar"), ("check",)], ids=lambda c: c[0]

@@ -6,7 +6,6 @@ import pytest
 from hyra.config import emit_config
 from hyra.corpus import (
     BenchmarkId,
-    TankFlows,
     all_benchmarks,
     benchmark_from_name,
     build,
@@ -18,7 +17,7 @@ from hyra.corpus import (
 )
 from hyra.flowstar import emit_flowstar
 from hyra.interchange import read_json, write_json
-from hyra.ir import validate
+from hyra.ir import ModelBundle, bind_constant, validate
 from hyra.reach import reach
 from hyra.simulate import Integrator, SimOptions, simulate
 from hyra.spaceex import emit_spaceex, parse_spaceex
@@ -41,20 +40,20 @@ def test_ball_defaults_match_settings():
     assert bundle.automaton.vars.constants["c"] == 0.75
 
 
-def test_ball_restitution_bounds_checked():
-    with pytest.raises(ValueError):
-        build_bouncing_ball(restitution=1.5)
+def _ball_with_restitution(c: float) -> ModelBundle:
+    ball = build_bouncing_ball()
+    return ModelBundle(bind_constant(ball.automaton, "c", c), ball.settings, ball.initial)
 
 
 def test_dead_stop_restitution():
-    bundle = build_bouncing_ball(restitution=0.0)
+    bundle = _ball_with_restitution(0.0)
     traj = simulate(bundle, [5.0, 0.0, 5.0, 0.0], Integrator.HEUN, SimOptions(step=1e-3, horizon=2.0))
     assert traj.events
     assert traj.events[0].post_state[1] == 0.0
 
 
 def test_energy_conserving_restitution():
-    bundle = build_bouncing_ball(restitution=1.0)
+    bundle = _ball_with_restitution(1.0)
     traj = simulate(bundle, [5.0, 0.0, 5.0, 0.0], Integrator.HEUN, SimOptions(step=1e-4, horizon=2.0))
     event = traj.events[0]
     assert abs(event.post_state[1]) == pytest.approx(abs(event.pre_state[1]), rel=1e-9)
@@ -85,16 +84,6 @@ def test_platoon_matrices_follow_the_transcription():
     assert q_c.a[0, 1] == 1.0
     rows = data["communication"]["rows"]
     assert q_c.a[5, 5] == rows[5][5] == -2.9396
-
-
-def test_platoon_clock_variant_adds_dwell_clock():
-    bundle = build_platoon(switching="clock")
-    automaton = bundle.automaton
-    assert automaton.vars.state_vars[-1] == "clk"
-    assert automaton.vars.n == 19
-    (drop, restore) = automaton.transitions
-    assert not drop.guard.is_true
-    assert drop.reset.r_matrix[18, 18] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -128,11 +117,6 @@ def test_tank_topology_valve_gating():
     assert on_all.c_terms["Q1"][0] == 1.0
     assert on_all.c_terms["Q2"][1] == -1.0
     assert on_all.c_terms["QC"][1] == -1.0 and on_all.c_terms["QC"][2] == 1.0
-
-
-def test_tank_rejects_nonpositive_coefficients():
-    with pytest.raises(ValueError):
-        build_tank(TankFlows(q0=0.0))
 
 
 def test_tank_default_run_stays_in_range():

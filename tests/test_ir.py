@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hyra.corpus import all_benchmarks, build, build_bouncing_ball, build_platoon
+from hyra.corpus import all_benchmarks, build, build_bouncing_ball, build_linswitch, build_platoon
 from hyra.errors import UnknownSymbol
 from hyra.ir import (
     AffineDynamics,
@@ -86,19 +86,20 @@ def test_validate_is_idempotent():
 
 
 def test_bind_input_folds_column_into_drift():
-    bundle = build_platoon(bind_lead_accel=False)
+    bundle = build_linswitch()
     automaton = bundle.automaton
-    assert automaton.vars.input_vars == ("aL",)
-    bound = bind_constant(automaton, "aL", 0.0)
+    assert automaton.vars.input_vars == ("u",)
+    bound = bind_constant(automaton, "u", 0.0)
     assert bound.vars.input_vars == ()
     for loc in bound.locations:
-        assert loc.dynamics.b.shape == (18, 0)
-        assert not loc.dynamics.c.any()  # aL = 0 contributes nothing
+        assert loc.dynamics.b.shape == (4, 0)
+        assert not loc.dynamics.c.any()  # u = 0 contributes nothing
     # a nonzero binding lands in the drift where the input column was nonzero
-    bound2 = bind_constant(automaton, "aL", 2.0)
-    q_c = bound2.location("q_c")
-    src = automaton.location("q_c").dynamics.b[:, 0]
-    assert np.array_equal(q_c.dynamics.c, 2.0 * src)
+    bound2 = bind_constant(automaton, "u", 2.0)
+    q1 = bound2.location("q1")
+    src = automaton.location("q1").dynamics.b[:, 0]
+    assert src.any()
+    assert np.array_equal(q1.dynamics.c, 2.0 * src)
 
 
 def test_bind_constant_revalues_symbolic_reset():
@@ -140,9 +141,9 @@ def test_bind_unknown_symbol_raises():
 
 
 def test_bind_then_validate_adds_no_dimension_defects():
-    automaton = build_platoon(bind_lead_accel=False).automaton
+    automaton = build_linswitch().automaton
     assert validate(automaton).ok
-    assert validate(bind_constant(automaton, "aL", 0.0)).ok
+    assert validate(bind_constant(automaton, "u", 0.0)).ok
 
 
 def test_default_reset_is_exact_identity():

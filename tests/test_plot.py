@@ -130,6 +130,24 @@ def assert_same_text(got: str, want: str) -> None:
         pytest.fail(next((f"line {i}: {g!r} != {w!r}" for i, (g, w) in pairs if g != w), "the texts differ in length"))
 
 
+def assert_draws_as_reference(proj: Projection, want: Projection) -> None:
+    """``projection_to_svg`` gives the reference's SVG byte for byte, except where every value is finite
+    and the reference draws NaN or an infinity, because the padded range of an axis passes the largest
+    float: there the SVG differs only in its axis labels and geometry, which are finite and on the canvas."""
+    got, ref = projection_to_svg(proj), support.projection_to_svg(want)
+    values = [v for rect in proj.rects for v in rect] + [v for p in proj.points if p is not None for v in p]
+    if not (all(map(math.isfinite, values)) and re.search(r">-?inf<|\"-?(nan|inf)\"", ref)):
+        assert_same_text(got, ref)
+        return
+    got_lines, ref_lines = got.splitlines(), ref.splitlines()
+    assert "nan" not in got and "inf" not in got
+    assert len(got_lines) == len(ref_lines) and got_lines[:6] == ref_lines[:6] and got_lines[-1] == ref_lines[-1]
+    labels = [float(v) for v in re.findall(r'font-size="11">([^<]*)<', got)]
+    assert len(labels) == 4 and all(map(math.isfinite, labels))
+    numbers = [float(v) for v in re.findall(r'"(-?\d+\.\d\d)"', "\n".join(got_lines[10:]))]
+    assert numbers and all(0.0 <= v <= 800.0 for v in numbers)
+
+
 def assert_as_reference(text: str, x: str, y: str) -> None:
     """``project_csv`` and both writers give what the reference gives, byte for byte, or the same error."""
     try:
@@ -141,7 +159,7 @@ def assert_as_reference(text: str, x: str, y: str) -> None:
         return
     proj = project_csv(text, x, y)
     assert_same_text(repr(proj), repr(want))  # repr tells NaN, -0.0 and 0.0 apart
-    assert_same_text(projection_to_svg(proj), support.projection_to_svg(want))
+    assert_draws_as_reference(proj, want)
     assert_same_text(projection_to_csv(proj), projection_to_csv(want))
 
 
@@ -194,7 +212,7 @@ EDGE_PROJECTIONS = {
 def test_edge_projections_draw_as_the_reference(case):
     rects, points = EDGE_PROJECTIONS[case]
     proj = Projection("flowpipe" if rects else "trajectory", "x", "y", rects, points)
-    assert_same_text(projection_to_svg(proj), support.projection_to_svg(proj))
+    assert_draws_as_reference(proj, proj)
 
 
 def test_narrow_rectangles_get_the_minimum_size():
@@ -229,6 +247,25 @@ def test_one_value_where_adding_one_changes_nothing_still_draws(kind, axis, valu
     assert len(drawn) == 1
     numbers = [float(v) for v in re.findall(r"-?\d+\.\d\d", drawn[0])]
     assert numbers and all(0.0 <= v <= 800.0 for v in numbers)
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_values_spanning_the_whole_float_range_draw_finite(axis, tmp_path, capsys):
+    lo_x, hi_x, lo_y, hi_y = (repr(-TOP), repr(TOP), "0", "1") if axis == "x" else ("0", "1", repr(-TOP), repr(TOP))
+    path = tmp_path / "in.csv"
+    path.write_text(FLOWPIPE_HEADER + f"\n0,1,q,0,{lo_x},{hi_x},{lo_y},{hi_y}\n")
+    assert cli_main(["plot", str(path), "--x", "x", "--y", "y"]) == 0
+    svg = capsys.readouterr().out
+    assert "nan" not in svg and "inf" not in svg
+    labels = re.findall(r'font-size="11">([^<]*)<', svg)
+    full = ["-1.7976931348623157e+308", "1.7976931348623157e+308"]
+    assert labels[:2] == (full if axis == "x" else ["-0.05", "1.05"])
+    assert labels[2:] == (full if axis == "y" else ["-0.05", "1.05"])
+    (rect,) = svg.split("<rect")[2:]
+    x, y, width, height = (float(v) for v in re.findall(r'"(-?\d+\.\d\d)"', rect)[:4])
+    drawn = (x, width) if axis == "x" else (y, height)
+    assert drawn == (60.0, 680.0 if axis == "x" else 480.0)
+
 
 MALFORMED_CSVS = {
     "empty": "",

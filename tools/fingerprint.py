@@ -37,7 +37,14 @@ CSVs whose x range is one value, 1e308, -1e308 or 3. Forbidden-set lines
 cover the exit code and the ``Type: message`` of the error (or the stdout)
 of ``hyra translate --to json`` and ``hyra check`` on the ball's
 ``model.xml`` with its ``config.cfg`` whose forbidden set reads
-``v >= 1e999``. Two source trees
+``v >= 1e999``. Input-error lines cover the exit code and the stdout, or
+the first stderr line when stdout is empty, of ``hyra translate``,
+``reach``, ``simulate`` and ``plot`` with ``--out`` a fixed path under a
+missing directory, of ``hyra simulate --seed -1`` on tank3's ``model.xml``
+and of ``hyra validate`` on the ball's ``bundle.json`` with its first
+transition's target a missing location; one more plot line covers the SVG
+of a one-row flowpipe CSV whose x range is the whole float range, from
+-1.7976931348623157e308 to 1.7976931348623157e308. Two source trees
 print the same lines exactly when all of these outputs are byte-identical:
 
     PYTHONPATH=src python3 tools/fingerprint.py > after.txt
@@ -49,6 +56,7 @@ import contextlib
 import hashlib
 import html
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -75,6 +83,8 @@ DEEP = {
 SEEDS = 3
 TAIL = 0.37  # of a step: the leftover-tail horizon of the test suite
 BALL_GUARD = "<guard>x == 0 &amp; v &lt;= 0</guard>"
+MISSING_OUT = "/nonexistent/hyra-fingerprint/out.txt"  # under a directory that does not exist
+FLOWPIPE_HEADER = "time_lo,time_hi,location,jump_depth,lo_x,hi_x,lo_y,hi_y"
 # Expression texts each reader must reject: characters and tokens out of
 # place, names it does not know, terms that are not affine and nesting past
 # the recursion limit.
@@ -248,9 +258,8 @@ def plot_lines():
 
 
 def degenerate_plot_lines():
-    header = "time_lo,time_hi,location,jump_depth,lo_x,hi_x,lo_y,hi_y"
     for value in ("1e308", "-1e308", "3"):
-        text = f"{header}\n0,1,q,0,{value},{value},0,1\n"
+        text = f"{FLOWPIPE_HEADER}\n0,1,q,0,{value},{value},0,1\n"
         try:
             svg = projection_to_svg(project_csv(text, "x", "y"))
         except Exception as exc:  # a crash is an output too
@@ -284,6 +293,38 @@ def forbidden_lines():
             yield f"{digest(outcome)}  bouncing-ball forbidden=1e999 {' '.join(command)}"
 
 
+def cli_text(argv) -> str:
+    """``exit <code>`` of ``hyra <argv>``, then its stdout, or its first stderr line when stdout is empty."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    return f"exit {code}\n{out.getvalue() or err.getvalue().split(chr(10), 1)[0]}\n"
+
+
+def input_error_lines():
+    folder = REPO_ROOT / "corpus" / "bouncing-ball"
+    with tempfile.TemporaryDirectory() as tmp:
+        csv, dangling = Path(tmp) / "pipe.csv", Path(tmp) / "dangling.json"
+        csv.write_text(f"{FLOWPIPE_HEADER}\n0,1,q,0,1,2,3,4\n")
+        data = json.loads((folder / "bundle.json").read_text())
+        data["transitions"][0]["target"] = "nowhere"
+        dangling.write_text(json.dumps(data))
+        commands = [
+            ("bouncing-ball cli translate", ["translate", str(folder / "model.xml"), "--to", "json"]),
+            ("bouncing-ball cli reach", ["reach", str(folder / "bundle.json")]),
+            ("bouncing-ball cli simulate", ["simulate", str(folder / "model.xml")]),
+            ("one-row flowpipe cli plot", ["plot", str(csv), "--x", "x", "--y", "y"]),
+        ]
+        for label, argv in commands:
+            yield f"{digest(cli_text([*argv, '--out', MISSING_OUT]))}  {label} --out missing-directory"
+        tank = REPO_ROOT / "corpus" / "tank3" / "model.xml"
+        yield f"{digest(cli_text(['simulate', str(tank), '--seed', '-1']))}  tank3 cli simulate --seed -1"
+        yield f"{digest(cli_text(['validate', str(dangling)]))}  bouncing-ball cli validate dangling-target json"
+    top = repr(sys.float_info.max)
+    svg = projection_to_svg(project_csv(f"{FLOWPIPE_HEADER}\n0,1,q,0,-{top},{top},0,1\n", "x", "y"))
+    yield f"{digest(svg)}  one-row flowpipe x=-{top}..{top} plot svg"
+
+
 def lines():
     for bench in corpus.all_benchmarks():
         model = bench.value
@@ -305,6 +346,7 @@ def lines():
     yield from plot_lines()
     yield from degenerate_plot_lines()
     yield from forbidden_lines()
+    yield from input_error_lines()
 
 
 def main() -> int:
