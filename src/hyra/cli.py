@@ -17,7 +17,7 @@ import numpy as np
 
 from . import corpus
 from .config import parse_config
-from .errors import BundleDefects, ConfigError, EngineError, HyraError, ModelFormatError
+from .errors import BundleDefects, ConfigError, EngineError, HyraError, ModelDefects, ModelFormatError
 from .expressions import format_table
 from .flowstar import emit_flowstar
 from .interchange import read_json, write_json
@@ -36,7 +36,7 @@ EXIT_ENGINE = 3
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ModelFormatError(f"cannot read {path}: {exc}") from exc
 
 
@@ -100,17 +100,16 @@ def _verdict_line(result) -> str:
 
 
 def cmd_validate(args, bundle: ModelBundle | None = None) -> int:
-    """``OK``, or one ``DEFECT`` line per defect; a JSON bundle's are those its read found."""
+    """``OK``, or one ``DEFECT`` line per defect; a file's are those its read found."""
     if bundle is not None:
-        defects = validate(bundle.automaton).defects
-    elif Path(args.model).suffix == ".json":
-        try:
-            read_json(_read_text(args.model))
-            defects = ()
-        except BundleDefects as exc:
-            defects = exc.defects
+        defects = validate(bundle.automaton)
     else:
-        defects = validate(parse_spaceex(_read_text(args.model), validated=False)).defects
+        read = read_json if Path(args.model).suffix == ".json" else parse_spaceex
+        try:
+            read(_read_text(args.model))
+            defects = ()
+        except (BundleDefects, ModelDefects) as exc:
+            defects = exc.defects
     if not defects:
         print("OK")
         return EXIT_OK

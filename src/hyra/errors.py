@@ -35,6 +35,14 @@ class XmlMalformed(ModelFormatError):
     """Model XML is not well-formed or misses required structure."""
 
 
+class ModelDefects(XmlMalformed):
+    """Model XML whose automaton ``ir.validate`` rejects; ``defects`` lists why."""
+
+    def __init__(self, defects):
+        super().__init__("model does not validate: " + "; ".join(map(str, defects)))
+        self.defects = tuple(defects)
+
+
 class UnsupportedFeature(ModelFormatError):
     """Model uses a construct outside the supported subset."""
 

@@ -243,15 +243,6 @@ class SymScalar:
         self.base, self.terms = base, terms
 
 
-class LinForm:
-    """Affine expression: a SymScalar constant part plus a SymScalar coefficient per variable."""
-
-    __slots__ = ("const", "coeffs")
-
-    def __init__(self, const: SymScalar, coeffs: dict):
-        self.const, self.coeffs = const, coeffs
-
-
 def _times(terms: dict, scale: float) -> dict:
     """Each multiplier of ``terms`` times ``scale``, leaving out the products that are zero."""
     return {k: w for k, v in terms.items() if (w := v * scale) != 0.0}
@@ -345,21 +336,18 @@ def _walk(node, table: VariableTable, allow_inputs: bool) -> tuple:
     raise NonlinearUnsupported(f"{cls.__name__} is not an arithmetic expression")
 
 
-def _linearize(ast, table: VariableTable, allow_inputs: bool) -> tuple:
+def linear_form(ast, table: VariableTable, allow_inputs: bool = True) -> tuple:
+    """Reduce an arithmetic AST to an affine form over the declared names: ``(base, terms, coeffs)``.
+
+    The constant part is ``base + sum(mult * name)`` over ``terms``, the named
+    constants' multipliers; ``coeffs`` maps each variable with a term to its
+    coefficient, a SymScalar. A product of two variable-bearing
+    subexpressions (or division by one) raises NonlinearUnsupported.
+    """
     try:
         return _walk(ast, table, allow_inputs)
     except RecursionError as exc:
         raise UnsupportedFeature("expression nests too deeply to linearize") from exc
-
-
-def linear_form(ast, table: VariableTable, allow_inputs: bool = True) -> LinForm:
-    """Reduce an arithmetic AST to an affine form over the declared names.
-
-    Constants become symbolic scalar terms; a product of two variable-bearing
-    subexpressions (or division by one) raises NonlinearUnsupported.
-    """
-    base, terms, coeffs = _linearize(ast, table, allow_inputs)
-    return LinForm(SymScalar(base, terms), coeffs)
 
 
 def _write_row(coeffs: dict, index: dict, matrix: np.ndarray, matrix_terms: dict, i: int) -> None:
@@ -373,29 +361,17 @@ def _write_row(coeffs: dict, index: dict, matrix: np.ndarray, matrix_terms: dict
             matrix_terms[sym][i, j] = mult
 
 
-def affine_row(form: LinForm, names) -> tuple:
-    """``form`` as one dense row over ``names``: (coeffs, coeff_terms, const, const_terms).
-
-    ``coeff_terms`` maps each named constant to its row of multipliers and
-    ``const_terms`` to its multiplier of the constant part; a name that
-    ``form`` lacks has coefficient 0.
-    """
-    row, row_terms = np.zeros((1, len(names))), {}
-    _write_row(form.coeffs, {name: j for j, name in enumerate(names)}, row, row_terms, 0)
-    return row[0], {sym: t[0] for sym, t in row_terms.items()}, form.const.base, form.const.terms
-
-
 def _stacked_rows(forms: dict, table: VariableTable, names, default: np.ndarray) -> tuple:
     """The rows over ``names`` of each state variable's form in ``forms``, written into ``default`` and
     returned as (matrix, matrix terms, vector, vector terms); a variable without a form keeps its row."""
     index = {name: j for j, name in enumerate(names)}
     matrix, vector, matrix_terms, vector_terms = default, np.zeros(table.n), {}, {}
-    for var, form in forms.items():
+    for var, (base, terms, coeffs) in forms.items():
         i = table.state_index(var)
         matrix[i] = 0.0
-        _write_row(form.coeffs, index, matrix, matrix_terms, i)
-        vector[i] = form.const.base
-        for sym, mult in form.const.terms.items():
+        _write_row(coeffs, index, matrix, matrix_terms, i)
+        vector[i] = base
+        for sym, mult in terms.items():
             if sym not in vector_terms:
                 vector_terms[sym] = np.zeros(table.n)
             vector_terms[sym][i] = mult
@@ -422,8 +398,8 @@ def _constraint_from_compare(cmp, table: VariableTable, index: dict, rows: np.nd
     """The constraint of ``cmp``, its coefficients written into row ``i`` of ``rows`` and ``row_terms``."""
     if not isinstance(cmp, Compare):
         raise NonlinearUnsupported("expected a comparison, found a bare arithmetic expression")
-    left = _linearize(cmp.left, table, False)
-    base, terms, coeffs = _accumulate(left, _negated(_linearize(cmp.right, table, False)))
+    left = linear_form(cmp.left, table, False)
+    base, terms, coeffs = _accumulate(left, _negated(linear_form(cmp.right, table, False)))
     _write_row(coeffs, index, rows, row_terms, i)
     return LinearConstraint(rows[i], cmp.relation, -base + 0.0, {sym: t[i] for sym, t in row_terms.items()},
                             {k: -v for k, v in terms.items()})

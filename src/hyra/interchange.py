@@ -341,9 +341,9 @@ def _build_bundle(data: dict) -> ModelBundle:
     automaton = HybridAutomaton(data["name"], table, locations, transitions, data.get("input_range"))
     s = data["settings"]
     forbidden = None if s["forbidden"] is None else _condition_in(s["forbidden"])
-    report = validate(automaton, forbidden)
-    if not report.ok:
-        raise BundleDefects(report)
+    defects = validate(automaton, forbidden)
+    if defects:
+        raise BundleDefects(defects)
     for name in s.get("output_vars") or ():
         if name not in table.state_vars:
             raise SchemaViolation(f"output_vars: {name!r} is not a state variable")

@@ -440,21 +440,6 @@ class Defect:
         return f"[{self.code}] {self.message}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    defects: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.defects
-
-    def __iter__(self):
-        return iter(self.defects)
-
-    def __len__(self):
-        return len(self.defects)
-
-
 def _all_finite(arrays) -> bool:
     """Whether every entry of the arrays is finite: one numpy check over their entries stacked flat."""
     return bool(np.isfinite(np.concatenate([a.ravel() for a in arrays] + [np.empty(0)])).all())
@@ -490,12 +475,12 @@ def condition_defects(cond: Condition | None, table: VariableTable, where: str) 
     return defects
 
 
-def validate(automaton: HybridAutomaton, forbidden: Condition | None = None) -> ValidationReport:
-    """Collect structural defects; an empty report means well-formed.
+def validate(automaton: HybridAutomaton, forbidden: Condition | None = None) -> tuple:
+    """The tuple of the automaton's structural defects; an empty one means well-formed.
 
     Defects are data, not exceptions: dimension mismatches, dangling
     location names, duplicate names, non-finite entries, and references to
-    undeclared constants all land in the report, also for a ``forbidden`` set.
+    undeclared constants are all returned, also for a ``forbidden`` set.
     Named constants and the symbolic term arrays must be finite too. A
     constraint's finiteness and all-zero checks run in plain Python over its
     ``tolist()`` values. The dynamics and reset arrays and terms of all
@@ -571,7 +556,7 @@ def validate(automaton: HybridAutomaton, forbidden: Condition | None = None) -> 
         defects += condition_defects(tr.guard, vt, f"{where} guard")
     defects += condition_defects(forbidden, vt, "forbidden set")
 
-    return ValidationReport(tuple(defects))
+    return tuple(defects)
 
 
 def bind_constant(automaton: HybridAutomaton, name: str, value: float) -> HybridAutomaton:

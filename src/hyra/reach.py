@@ -99,11 +99,6 @@ class FlowpipeSegment:
     def box(self) -> Box:
         return Box(self.center - self.radius, self.center + self.radius)
 
-    @property
-    def set(self) -> Zonotope:
-        """The box as a degenerate zonotope, one generator per non-flat axis."""
-        return Zonotope(self.center, np.diag(self.radius)[:, self.radius > 0])
-
 
 class Segments:
     """Flowpipe segments as a table: one row per segment.
@@ -273,14 +268,13 @@ def _tables(discretized: dict, a, step: float) -> PhiTables:
 
 class Discretization:
     """A location's discrete-time data for one step: all that ``discretize`` and
-    ``_propagate`` need besides the set (see the module docstring). ``tables``
-    (new when None) holds the (A, step) part; the drift part (u_c, mu0, beta,
-    V) is built here. ``kernel``, the ``_box_chunks`` tables of (Phi, V), is
-    built on first use."""
+    ``_propagate`` need besides the set (see the module docstring). ``tables``,
+    the ``PhiTables`` of (dyn.a, step), holds the (A, step) part; the drift
+    part (u_c, mu0, beta, V) is built here. ``kernel``, the ``_box_chunks``
+    tables of (Phi, V), is built on first use."""
 
-    def __init__(self, dyn, input_box: Box | None, step: float, tables: PhiTables | None = None):
-        self.dyn, self.input_box, self.step = dyn, input_box, step
-        self.tables = tables = PhiTables(dyn.a, step) if tables is None else tables
+    def __init__(self, dyn, input_box: Box | None, step: float, tables: PhiTables):
+        self.dyn, self.input_box, self.step, self.tables = dyn, input_box, step, tables
         n = dyn.a.shape[0]
         u_c, mu0 = dyn.c.copy(), 0.0  # the constant drift B u_center + c, the input radius bound
         if dyn.m and input_box is not None:
@@ -696,9 +690,9 @@ def reach(bundle: ModelBundle) -> ReachResult:
     bundle = bundle.resolved()
     automaton = bundle.automaton
     settings = bundle.settings
-    report = validate(automaton, settings.forbidden)
-    if not report.ok:
-        raise HyraError("bundle does not validate: " + "; ".join(str(d) for d in report))
+    defects = validate(automaton, settings.forbidden)
+    if defects:
+        raise HyraError("bundle does not validate: " + "; ".join(str(d) for d in defects))
     input_box = automaton.input_box()
     locations = {loc.name: loc for loc in automaton.locations}
     outgoing = {name: automaton.transitions_from(name) for name in locations}

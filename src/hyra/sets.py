@@ -163,11 +163,6 @@ class Zonotope:
     def order(self) -> int:
         return self.generators.shape[1]
 
-    @classmethod
-    def point(cls, x) -> "Zonotope":
-        x = np.asarray(x, dtype=float)
-        return cls(x, np.zeros((x.shape[0], 0)))
-
 
 def matrix_exponential(a, t: float = 1.0) -> np.ndarray:
     """e^(A t) by scaling-and-squaring with a truncated Taylor series.

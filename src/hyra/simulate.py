@@ -56,6 +56,12 @@ _CHAIN = 8  # most chunks one ``_Chunk.advance`` call chains through a long flig
 # within this fraction of its magnitude of the threshold, so that the
 # chunk's product and the per-step dot products cannot decide differently.
 _ROUNDING = 1e-12
+# A run halts on Zeno once ``_ZENO_COUNT`` inter-event gaps in a row fall below
+# ``_ZENO_DWELL`` seconds; more than ``_MAX_EVENTS`` events without that halt is
+# an engine error.
+_ZENO_DWELL = 1e-4
+_ZENO_COUNT = 10
+_MAX_EVENTS = 10_000
 
 
 class Integrator(str, Enum):
@@ -66,9 +72,6 @@ class Integrator(str, Enum):
 @dataclass(frozen=True)
 class SimOptions:
     step: float = 1e-3
-    zeno_dwell: float = 1e-4
-    zeno_count: int = 10
-    max_events: int = 10_000
     horizon: float | None = None
 
     def __post_init__(self):
@@ -127,10 +130,9 @@ def _substep(a_mat, drive, x, tau: float, kind: Integrator, f0=None) -> np.ndarr
     return x + 0.5 * tau * (f0 + f1)
 
 
-def _split_guard(guard: Condition):
-    eqs = [c for c in guard.constraints if c.relation == "=="]
-    ineqs = [c for c in guard.constraints if c.relation != "=="]
-    return eqs, ineqs
+def _first_equality(guard: Condition):
+    """The guard's first ``==`` constraint, its crossing surface, or None."""
+    return next((c for c in guard.constraints if c.relation == "=="), None)
 
 
 def _guard_holds(guard: Condition, x, eq_slack: float) -> bool:
@@ -240,10 +242,9 @@ def detect_event(dyn: AffineDynamics, transition: Transition, x_before, t: float
     x0 = np.asarray(x_before, dtype=float)
     drive = _drive(dyn, u)
     tol = 1e-9 * max(1.0, t)
-    eqs, _ = _split_guard(guard)
+    con = _first_equality(guard)
 
-    if eqs:
-        con = eqs[0]
+    if con is not None:
         g0 = float(con.coeffs @ x0) - con.bound
         g1 = float(con.coeffs @ x_after) - con.bound
         if g0 * g1 > 0.0:
@@ -307,11 +308,11 @@ class _Chunk:
             return slice(start, len(columns))
 
         self.invariant = tested(invariant)
-        guards = [(trans.guard, _split_guard(trans.guard)[0]) for trans in transitions]
-        columns.extend((-eqs[0].coeffs, -eqs[0].bound, 0.0) for _, eqs in guards if eqs)
+        guards = [(trans.guard, _first_equality(trans.guard)) for trans in transitions]
+        columns.extend((-eq.coeffs, -eq.bound, 0.0) for _, eq in guards if eq is not None)
         self.crossings = slice(self.invariant.stop, len(columns))
         # where each inequality-only guard's columns start; they run to the next guard's
-        self.switches = [tested(guard).start for guard, eqs in guards if not (eqs or guard.is_true)]
+        self.switches = [tested(guard).start for guard, eq in guards if eq is None and not guard.is_true]
         self.coeffs = np.array([c for c, _, _ in columns]).reshape(-1, n).T.copy()
         self.abs_coeffs = np.abs(self.coeffs)
         self.bounds = np.array([d for _, d, _ in columns]).reshape(-1, 1)
@@ -465,8 +466,8 @@ def simulate(bundle: ModelBundle, x0, kind: Integrator = Integrator.HEUN,
             x_post = trans.reset.apply(x_cross)
             events.append(SimEvent(t_event, trans.label, trans.source, trans.target,
                                    x_cross.copy(), x_post.copy()))
-            if len(events) > options.max_events:
-                raise MaxEventsExceeded(f"more than {options.max_events} events without Zeno accumulation")
+            if len(events) > _MAX_EVENTS:
+                raise MaxEventsExceeded(f"more than {_MAX_EVENTS} events without Zeno accumulation")
             loc, x, t = automaton.location(trans.target), x_post, t_event
         elif not loc.invariant.satisfied(x_next, _GUARD_SLACK):
             tau, x = _invariant_exit(loc.dynamics, loc.invariant, x, step_h, kind, u, x_next)
@@ -485,8 +486,8 @@ def simulate(bundle: ModelBundle, x0, kind: Integrator = Integrator.HEUN,
                 truncated = f"reset lands outside invariant of {loc.name!r}"
                 break
             gap = t_event - events[-2].time if len(events) >= 2 else math.inf
-            streak = streak + 1 if gap < options.zeno_dwell else 0
-            if streak >= options.zeno_count:
+            streak = streak + 1 if gap < _ZENO_DWELL else 0
+            if streak >= _ZENO_COUNT:
                 zeno = True
                 zeno_time = _zeno_estimate(events)
                 break

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 
-from .errors import UnsupportedFeature, XmlMalformed
+from .errors import ModelDefects, UnsupportedFeature, XmlMalformed
 from .expressions import (
     Compare,
     Conjunction,
@@ -57,12 +57,12 @@ def _text(children: dict, name) -> str | None:
     return nodes[0].text or "" if nodes else None
 
 
-def parse_spaceex(xml_text: str, validated: bool = True) -> HybridAutomaton:
+def parse_spaceex(xml_text: str) -> HybridAutomaton:
     """Parse the supported XML subset into a validated automaton.
 
-    With validated=False the structural validation step is skipped so a
-    defective model can still be loaded for inspection (the validate
-    command relies on this). Records are built through the IR's public constructors; ``validate`` checks them.
+    Records are built through the IR's public constructors; ``validate``
+    checks them, and an automaton with defects raises ``ModelDefects``,
+    which carries them.
     """
     try:
         root = ET.fromstring(xml_text)
@@ -151,11 +151,9 @@ def parse_spaceex(xml_text: str, validated: bool = True) -> HybridAutomaton:
         transitions.append(Transition(id_to_name.get(src, src), id_to_name.get(dst, dst), guard, reset, label))
 
     automaton = HybridAutomaton(name, table, locations, transitions, input_range)
-    if validated:
-        report = validate(automaton)
-        if not report.ok:
-            details = "; ".join(str(d) for d in report)
-            raise XmlMalformed(f"model does not validate: {details}")
+    defects = validate(automaton)
+    if defects:
+        raise ModelDefects(defects)
     return automaton
 
 
@@ -202,13 +200,11 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def emit_spaceex(model) -> str:
-    """Deterministic XML for the supported subset; same input, same bytes.
+def emit_spaceex(automaton: HybridAutomaton) -> str:
+    """Deterministic XML of an automaton in the supported subset; same input, same bytes.
 
-    Accepts an automaton or a whole bundle; the XML form carries the
-    automaton only (settings and the initial set live in the cfg format).
+    Settings and the initial set live in the cfg format.
     """
-    automaton = model.automaton if hasattr(model, "automaton") else model
     table = automaton.vars
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',

@@ -31,7 +31,6 @@ from hyra.ir import (
     ReachSettings,
     ResetMap,
     Transition,
-    ValidationReport,
     VariableTable,
 )
 from hyra.expressions import format_number
@@ -266,7 +265,7 @@ def spelling_bundle(fixpoint: bool = False) -> ModelBundle:
     return ModelBundle(automaton, settings, InitialCondition("plain", Box([-0.0, 1e-09], [2.0, 1e+16])))
 
 
-def validate_reference(automaton: HybridAutomaton, forbidden: Condition | None = None) -> ValidationReport:
+def validate_reference(automaton: HybridAutomaton, forbidden: Condition | None = None) -> tuple:
     """``hyra.ir.validate`` in its earlier form, one numpy reduction per constraint and per array.
 
     Kept as the reference that the plain-Python checks must match defect
@@ -339,7 +338,7 @@ def validate_reference(automaton: HybridAutomaton, forbidden: Condition | None =
         check_condition(defects, tr.guard, n, consts, f"{where} guard")
     if forbidden is not None:
         check_condition(defects, forbidden, n, consts, "forbidden set")
-    return ValidationReport(tuple(defects))
+    return tuple(defects)
 
 
 class SegmentIndex:

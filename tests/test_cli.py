@@ -420,6 +420,52 @@ def test_validate_prints_the_defects_of_a_json_forbidden_set(tmp_path, capsys):
     ), "")
 
 
+def _defective_ball_xml(tmp_path) -> str:
+    """The ball's model.xml with its constant c not finite and its first transition's target missing."""
+    text = (BALL / "model.xml").read_text().replace('target="1"', 'target="9"', 1)
+    path = tmp_path / "bad.xml"
+    path.write_text(text.replace('name="c" type="real" dynamics="const" value="0.75"',
+                                 'name="c" type="real" dynamics="const" value="nan"', 1))
+    return str(path)
+
+
+BALL_DEFECTS = (("non-finite", "constant 'c' is not finite"),
+                ("dangling-name", "transition #0 (always->9): target '9' is not a location"))
+
+
+@pytest.mark.parametrize("command", [("validate",), ("check",), ("translate", "--to", "json")], ids=lambda c: c[0])
+def test_a_model_xml_with_defects_prints_its_defect_lines_or_its_error_line(command, tmp_path, capsys):
+    got = run(capsys, command[0], _defective_ball_xml(tmp_path), *command[1:])
+    if command[0] == "validate":
+        assert got == (2, "".join(f"DEFECT {code} {message}\n" for code, message in BALL_DEFECTS), "")
+    else:
+        details = "; ".join(f"[{code}] {message}" for code, message in BALL_DEFECTS)
+        assert got == (2, "", f"error: model does not validate: {details}\n")
+
+
+NOT_UTF8 = bytes([0xFF, 0xFE, 0x00])  # a UTF-16 byte-order mark; the byte 0xff never occurs in UTF-8
+# each command with its non-UTF-8 file ``{bad}``, whose suffix ends the command's name
+NOT_UTF8_COMMANDS = {
+    "validate-xml": ("validate", "{bad}"),
+    "validate-json": ("validate", "{bad}"),
+    "check-xml": ("check", "{bad}"),
+    "check-cfg": ("check", str(BALL / "model.xml"), "{bad}"),
+    "reach-json": ("reach", "{bad}"),
+    "translate-cfg": ("translate", str(BALL / "model.xml"), "{bad}", "--to", "json"),
+    "simulate-xml": ("simulate", "{bad}"),
+    "plot-csv": ("plot", "{bad}", "--x", "a", "--y", "b"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(NOT_UTF8_COMMANDS))
+def test_a_file_that_is_not_utf8_is_an_input_error(command, tmp_path, capsys):
+    bad = tmp_path / f"bad.{command.split('-')[1]}"
+    bad.write_bytes(NOT_UTF8)
+    code, out, err = run(capsys, *(a.replace("{bad}", str(bad)) for a in NOT_UTF8_COMMANDS[command]))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {bad}: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("case", sorted(BAD_VALUES))
 @pytest.mark.parametrize(
     "command", [("validate",), ("translate", "--to", "flowstar"), ("check",)], ids=lambda c: c[0]

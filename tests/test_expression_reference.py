@@ -46,9 +46,15 @@ def _array_terms_key(terms: dict) -> list:
     return [(k, _array_key(v)) for k, v in terms.items()]
 
 
+def _form_parts(form) -> tuple:
+    """``(base, terms, coeffs)`` of a form of either side: the reference's ``LinForm`` or the triple itself."""
+    return (form.const.base, form.const.terms, form.coeffs) if isinstance(form, ref.LinForm) else form
+
+
 def _form_key(form) -> tuple:
-    return (_bits(form.const.base), _scalar_terms_key(form.const.terms),
-            [(name, _bits(s.base), _scalar_terms_key(s.terms)) for name, s in form.coeffs.items()])
+    base, terms, coeffs = _form_parts(form)
+    return (_bits(base), _scalar_terms_key(terms),
+            [(name, _bits(s.base), _scalar_terms_key(s.terms)) for name, s in coeffs.items()])
 
 
 def _condition_key(cond) -> list:
@@ -66,7 +72,10 @@ def _reset_key(reset) -> tuple:
             _array_terms_key(reset.matrix_terms), _array_terms_key(reset.offset_terms))
 
 
-def _row_key(row) -> tuple:
+def _row_key(form) -> tuple:
+    """The reference ``affine_row`` of a form of either side over the states and inputs, its values as given."""
+    base, terms, coeffs = _form_parts(form)
+    row = ref.affine_row(ref.LinForm(new.SymScalar(base, terms), coeffs), TABLE.state_vars + TABLE.input_vars)
     coeffs, coeff_terms, const, const_terms = row
     return _array_key(coeffs), _array_terms_key(coeff_terms), _bits(const), _scalar_terms_key(const_terms)
 
@@ -116,8 +125,7 @@ def assert_same(text: str) -> None:
 
 def _stacked_outcomes(module, sides: list) -> list:
     """The ``affine_row`` of each side's form, then the flow and the reset whose rows are the first sides."""
-    names = TABLE.state_vars + TABLE.input_vars
-    out = [_outcome(lambda: module.affine_row(module.linear_form(side, TABLE), names), _row_key) for side in sides]
+    out = [_outcome(lambda: module.linear_form(side, TABLE), _row_key) for side in sides]
     rows = dict(zip(STATE, sides))
     out.append(_outcome(lambda: module.dynamics_from_forms(
         {var: module.linear_form(side, TABLE, True) for var, side in rows.items()}, TABLE), _dynamics_key))

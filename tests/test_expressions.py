@@ -6,7 +6,7 @@ import pytest
 from hyra.errors import ExpressionSyntaxError, NonlinearUnsupported, UnknownIdentifier
 from hyra.expressions import (
     Conjunction,
-    affine_row,
+    dynamics_from_forms,
     flow_rows,
     format_condition,
     format_linear,
@@ -70,9 +70,9 @@ def test_double_ampersand_and_parentheses():
 def test_precedence_and_division():
     # unary minus binds tighter than *, / folds constants
     ast = parse_expression("-x*2 + 6/3", TABLE)
-    form = linear_form(ast, TABLE)
-    assert form.coeffs["x"].base == -2.0
-    assert form.const.base == 2.0
+    base, _, coeffs = linear_form(ast, TABLE)
+    assert coeffs["x"].base == -2.0
+    assert base == 2.0
 
 
 def test_constants_stay_symbolic_in_coefficients():
@@ -96,8 +96,8 @@ def test_division_by_variable_rejected():
 
 
 def test_inputs_allowed_in_flows_only():
-    form = linear_form(parse_expression("x + 2*u", TABLE), TABLE, allow_inputs=True)
-    assert form.coeffs["u"].base == 2.0
+    _, _, coeffs = linear_form(parse_expression("x + 2*u", TABLE), TABLE, allow_inputs=True)
+    assert coeffs["u"].base == 2.0
     with pytest.raises(NonlinearUnsupported):
         parse_condition("u <= 1", TABLE)
 
@@ -238,9 +238,13 @@ def test_format_linear_writes_symbolic_parts_after_each_term():
     assert format_linear((), (), None, -0.0) == "0"
 
 
-def test_affine_row_puts_each_coefficient_in_its_column():
+def test_a_flow_row_puts_each_coefficient_in_its_column():
     form = linear_form(parse_expression("2*c*v - u + 3*x - 1 + c", TABLE), TABLE)
-    coeffs, coeff_terms, const, const_terms = affine_row(form, TABLE.state_vars + TABLE.input_vars)
+    dyn = dynamics_from_forms({"x": form}, TABLE)
+    coeffs = np.hstack((dyn.a, dyn.b))[0]
+    coeff_terms = {sym: np.hstack((dyn.a_terms.get(sym, np.zeros((2, 2))), dyn.b_terms.get(sym, np.zeros((2, 1)))))[0]
+                   for sym in {*dyn.a_terms, *dyn.b_terms}}
+    const, const_terms = dyn.c[0], {sym: t[0] for sym, t in dyn.c_terms.items()}
     assert coeffs.tolist() == [3.0, 0.0, -1.0]
     assert {sym: row.tolist() for sym, row in coeff_terms.items()} == {"c": [0.0, 2.0, 0.0]}
     assert (const, const_terms) == (-1.0, {"c": 1.0})

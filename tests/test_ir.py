@@ -25,14 +25,14 @@ from hyra.sets import Box
 from support import GENERATED_SEEDS, generated_bundle, validate_reference
 
 
-def _codes(report):
-    return {d.code for d in report}
+def _codes(defects):
+    return {d.code for d in defects}
 
 
 def test_ball_automaton_validates_clean():
-    report = validate(build_bouncing_ball().automaton)
-    assert report.ok
-    assert len(report) == 0
+    defects = validate(build_bouncing_ball().automaton)
+    assert not defects
+    assert len(defects) == 0
 
 
 def test_single_ball_one_location_one_transition_clean():
@@ -49,7 +49,7 @@ def test_single_ball_one_location_one_transition_clean():
         (Location("always", inv, dyn),),
         (Transition("always", "always", guard, reset),),
     )
-    assert validate(automaton).ok
+    assert not validate(automaton)
 
 
 def test_dangling_transition_target_is_reported():
@@ -58,8 +58,8 @@ def test_dangling_transition_target_is_reported():
     loc = Location("a", Condition(), dyn)
     bad = Transition("a", "missing", Condition(), ResetMap.identity(1))
     automaton = HybridAutomaton("m", table, (loc,), (bad,))
-    report = validate(automaton)
-    assert "dangling-name" in _codes(report)
+    defects = validate(automaton)
+    assert "dangling-name" in _codes(defects)
 
 
 def test_wrong_matrix_shape_is_a_dimension_defect():
@@ -82,7 +82,7 @@ def test_validate_flags_unknown_symbol_and_duplicates():
 
 def test_validate_is_idempotent():
     automaton = build_platoon().automaton
-    assert validate(automaton).defects == validate(automaton).defects
+    assert validate(automaton) == validate(automaton)
 
 
 def test_bind_input_folds_column_into_drift():
@@ -142,8 +142,8 @@ def test_bind_unknown_symbol_raises():
 
 def test_bind_then_validate_adds_no_dimension_defects():
     automaton = build_linswitch().automaton
-    assert validate(automaton).ok
-    assert validate(bind_constant(automaton, "u", 0.0)).ok
+    assert not validate(automaton)
+    assert not validate(bind_constant(automaton, "u", 0.0))
 
 
 def test_default_reset_is_exact_identity():
@@ -419,7 +419,7 @@ def _parity_inputs():
 
 @pytest.mark.parametrize("automaton, forbidden", [pytest.param(a, f, id=name) for name, a, f in _parity_inputs()])
 def test_validate_reports_the_defects_of_the_numpy_formulation(automaton, forbidden):
-    assert validate(automaton, forbidden).defects == validate_reference(automaton, forbidden).defects
+    assert validate(automaton, forbidden) == validate_reference(automaton, forbidden)
 
 
 def test_the_parity_cases_hit_every_defect_code():
@@ -468,4 +468,4 @@ def test_non_finite_constants_and_terms_are_defects(where, message, value):
 def test_the_corpus_and_the_generated_bundles_still_validate():
     bundles = [build(bench) for bench in all_benchmarks()] + [generated_bundle(seed) for seed in GENERATED_SEEDS]
     for bundle in bundles:
-        assert validate(bundle.automaton, bundle.settings.forbidden).ok
+        assert not validate(bundle.automaton, bundle.settings.forbidden)

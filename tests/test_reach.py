@@ -22,6 +22,7 @@ from hyra.ir import (
 )
 from hyra.reach import (
     Discretization,
+    PhiTables,
     ReachResult,
     ReachStats,
     Segments,
@@ -75,7 +76,8 @@ def frozen_location(n: int = 2) -> Location:
 
 def test_discretize_frozen_dynamics_is_exact():
     x0 = Box([0.0, 1.0], [1.0, 2.0]).to_zonotope()
-    disc = Discretization(AffineDynamics.zero(2), None, 0.1)
+    dyn = AffineDynamics.zero(2)
+    disc = Discretization(dyn, None, 0.1, PhiTables(dyn.a, 0.1))
     omega, alpha = discretize(disc, x0)
     v_set, phi = disc.v_set, disc.phi
     assert np.array_equal(box_hull(omega).lo, [0.0, 1.0])
@@ -88,7 +90,7 @@ def test_discretize_frozen_dynamics_is_exact():
 @pytest.mark.parametrize("step", [0.1, 0.01])
 def test_discretize_decay_encloses_first_interval(step):
     dyn = AffineDynamics([[-1.0]], np.zeros((1, 0)), [0.0])
-    omega, _ = discretize(Discretization(dyn, None, step), Zonotope.point([1.0]))
+    omega, _ = discretize(Discretization(dyn, None, step, PhiTables(dyn.a, step)), Box([1.0], [1.0]).to_zonotope())
     box = box_hull(omega)
     assert box.lo[0] <= math.exp(-step)
     assert box.hi[0] >= 1.0
@@ -99,7 +101,8 @@ def test_discretize_free_fall_contains_analytic_states():
     dyn = AffineDynamics([[0.0, 1.0], [0.0, 0.0]], np.zeros((2, 0)), [0.0, -GRAVITY])
     step = 0.01
     x0 = 10.1
-    omega, _ = discretize(Discretization(dyn, None, step), Zonotope.point([x0, 0.0]))
+    omega, _ = discretize(Discretization(dyn, None, step, PhiTables(dyn.a, step)),
+                          Box([x0, 0.0], [x0, 0.0]).to_zonotope())
     box = box_hull(omega)
     for t in (0.0, step / 2.0, step):
         state = np.array([x0 - 0.5 * GRAVITY * t * t, -GRAVITY * t])
@@ -110,7 +113,7 @@ def test_discretize_step_too_large():
     # ||A|| so extreme that even maximal sub-stepping cannot discretize it
     dyn = AffineDynamics([[0.0, 1e5], [-1e5, 0.0]], np.zeros((2, 0)), [0.0, 0.0])
     with pytest.raises(StepTooLarge):
-        discretize(Discretization(dyn, None, 1.0), Zonotope.point([1.0, 0.0]))
+        discretize(Discretization(dyn, None, 1.0, PhiTables(dyn.a, 1.0)), Box([1.0, 0.0], [1.0, 0.0]).to_zonotope())
 
 
 def discretize_with_checked_boxes(dyn, x0, input_box, step):
@@ -272,7 +275,7 @@ def test_sub_stepped_discretize_encloses_the_flow_on_random_systems_with_inputs(
         x0 = Zonotope(center, rng.uniform(-0.5, 0.5, size=(n, int(rng.integers(1, 30)))))
         step = float(rng.uniform(0.6, 2.0)) / np.linalg.norm(a, np.inf)
         try:
-            disc = Discretization(dyn, input_box, step)
+            disc = Discretization(dyn, input_box, step, PhiTables(dyn.a, step))
             assert_discretize_encloses_the_flow_inside_the_reference(disc, x0, compared)
         except StepTooLarge:
             continue
@@ -285,7 +288,7 @@ def test_sub_stepped_discretize_encloses_the_flow_its_inputs_push_across_sub_ste
     # radius 0.02 stay below what the inputs add up to over the step (0.245)
     dyn = AffineDynamics([[-4.0]], [[1.0]], [0.0])
     assert_discretize_encloses_the_flow_inside_the_reference(
-        Discretization(dyn, Box([-1.0], [1.0]), 1.0), Box([-0.02], [0.02]).to_zonotope(), 0)
+        Discretization(dyn, Box([-1.0], [1.0]), 1.0, PhiTables(dyn.a, 1.0)), Box([-0.02], [0.02]).to_zonotope(), 0)
 
 
 def test_platoon_flowpipe_is_nowhere_wider_than_with_the_checked_box_loop():
@@ -311,7 +314,8 @@ def test_discretize_overflow_is_a_non_finite_flowpipe():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteFlowpipe, match="floating-point range"):
-            discretize(Discretization(location.dynamics, None, 0.02), box.to_zonotope())
+            discretize(Discretization(location.dynamics, None, 0.02, PhiTables(location.dynamics.a, 0.02)),
+                       box.to_zonotope())
 
 
 
@@ -319,7 +323,7 @@ def test_an_input_set_out_of_range_is_a_non_finite_flowpipe():
     # x' = x + 0.8e308 from around its rest point -0.8e308: the sub-step boxes
     # and their hull are floats, V's center (e^2 - 1) * 0.8e308 is not
     dyn = AffineDynamics([[1.0]], np.zeros((1, 0)), [0.8e308])
-    disc = Discretization(dyn, None, 2.0000004)
+    disc = Discretization(dyn, None, 2.0000004, PhiTables(dyn.a, 2.0000004))
     assert disc.substeps == 8 and not np.isfinite(disc.v_set.center).all()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -334,7 +338,8 @@ def test_input_bound_overflow_is_a_non_finite_flowpipe():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteFlowpipe, match="input bound over a step of 1 left the floating-point"):
-            discretize(Discretization(dyn, Box([0.0], [0.1]), 1.0), Zonotope.point([1.0]))
+            discretize(Discretization(dyn, Box([0.0], [0.1]), 1.0, PhiTables(dyn.a, 1.0)),
+                       Box([1.0], [1.0]).to_zonotope())
 
 # ---------------------------------------------------------------------------
 # flowpipe
@@ -397,7 +402,7 @@ def first_flowpipe_and_reference(bundle):
     init = bundle.initial.box.to_zonotope()
     input_box = automaton.input_box()
     pipe = flowpipe(location, bundle.initial.box, input_box, s.step, s.horizon, discretized={})
-    disc = Discretization(location.dynamics, input_box, s.step)
+    disc = Discretization(location.dynamics, input_box, s.step, PhiTables(location.dynamics.a, s.step))
     omega, _ = discretize(disc, init)
     v_set, phi = disc.v_set, disc.phi
     ref_lo, ref_hi = [], []
@@ -476,7 +481,8 @@ def random_recurrence(rng, n: int, identity: bool):
     a = np.zeros((n, n)) if identity else rng.uniform(-1.0, 1.0, size=(n, n))
     dyn = AffineDynamics(a, rng.uniform(-1.0, 1.0, size=(n, 2)), rng.uniform(-1.0, 1.0, size=n))
     u_lo = rng.uniform(-0.2, 0.0, size=2)
-    disc = Discretization(dyn, Box(u_lo, u_lo + 0.05), float(rng.uniform(0.001, 0.05)))
+    step = float(rng.uniform(0.001, 0.05))
+    disc = Discretization(dyn, Box(u_lo, u_lo + 0.05), step, PhiTables(a, step))
     z0 = Zonotope(rng.uniform(-2.0, 2.0, size=n), rng.uniform(-0.1, 0.1, size=(n, int(rng.integers(1, 6)))))
     return disc.phi, z0, disc.v_set
 
@@ -501,7 +507,8 @@ def test_box_chunks_sum_the_centers_of_the_recurrence_and_keep_its_radii():
         n, steps = int(rng.integers(1, 7)), int(rng.integers(1, 300))
         phi, z0, v_set = random_recurrence(rng, n, identity=False)
         centers, radii, _ = box_chunks_by_recurrence(phi, z0, v_set, steps)
-        lo, hi, _ = box_chunks(phi, Zonotope.point(z0.center), Zonotope.point(v_set.center), steps)
+        point, drift = Box(z0.center, z0.center).to_zonotope(), Box(v_set.center, v_set.center).to_zonotope()
+        lo, hi, _ = box_chunks(phi, point, drift, steps)
         assert lo.tobytes() == hi.tobytes()
         assert np.all(np.abs(lo - centers) <= 1e-13 * np.abs(centers).max())  # relative to the run's scale
         zero = np.zeros(n)
@@ -1062,8 +1069,8 @@ def test_reach_is_bitwise_deterministic():
     for a, b in zip(first.segments, second.segments):
         assert a.time_lo == b.time_lo and a.time_hi == b.time_hi
         assert a.location == b.location and a.jump_depth == b.jump_depth
-        assert np.array_equal(a.set.center, b.set.center)
-        assert np.array_equal(a.set.generators, b.set.generators)
+        assert np.array_equal(a.center, b.center)
+        assert np.array_equal(a.radius, b.radius)
 
 
 def test_random_affine_systems_contain_their_simulations():

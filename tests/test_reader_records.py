@@ -90,7 +90,7 @@ def readings():
         yield model, texts, (folder / "bundle.json").read_text()
     for seed in GENERATED_SEEDS:
         bundle = generated_bundle(seed)
-        yield f"gen{seed}", (emit_spaceex(bundle), _cfg(bundle)), write_json(bundle)
+        yield f"gen{seed}", (emit_spaceex(bundle.automaton), _cfg(bundle)), write_json(bundle)
 
 
 READINGS = {label: (xml_cfg, json_text) for label, xml_cfg, json_text in readings()}

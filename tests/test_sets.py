@@ -243,7 +243,7 @@ def test_linear_map_dimension_mismatch():
 
 def test_minkowski_identity_element():
     z = unit_square()
-    summed = minkowski_sum(z, Zonotope.point([0.0, 0.0]))
+    summed = minkowski_sum(z, Box([0.0, 0.0], [0.0, 0.0]).to_zonotope())
     assert np.array_equal(summed.center, z.center)
     assert np.array_equal(summed.generators, z.generators)
 

@@ -34,10 +34,10 @@ from hyra.simulate import (
     Trajectory,
     _Chunk,
     _drive,
+    _first_equality,
     _first_root,
     _guard_holds,
     _invariant_exit,
-    _split_guard,
     _substep,
     _zeno_estimate,
     detect_event,
@@ -161,9 +161,8 @@ def bisect_event(dyn, transition, x_before, t, h, kind, u):
     drive = _drive(dyn, u)
     x1 = _substep(dyn.a, drive, x0, h, kind)
     tol = 1e-9 * max(1.0, t)
-    eqs, _ = _split_guard(guard)
-    if eqs:
-        con = eqs[0]
+    con = _first_equality(guard)
+    if con is not None:
         g0 = float(con.coeffs @ x0) - con.bound
         g1 = float(con.coeffs @ x1) - con.bound
         if g0 * g1 > 0.0 or (g0 == 0.0 and g1 == 0.0):
@@ -548,8 +547,8 @@ def test_options_reject_a_step_or_horizon_that_is_not_finite_and_positive(field,
         SimOptions(**{field: value})
 
 
-def test_options_keep_zero_dwell_and_an_unset_horizon():
-    assert SimOptions(step=1e-3, zeno_dwell=0.0).horizon is None
+def test_options_keep_an_unset_horizon():
+    assert SimOptions(step=1e-3).horizon is None
 
 
 def test_start_outside_invariant_rejected():
@@ -558,11 +557,12 @@ def test_start_outside_invariant_rejected():
         simulate(bundle, [-1.0, 0.0, 10.0, 0.0], Integrator.HEUN, SimOptions(step=1e-3))
 
 
-def test_event_cap_raises_when_zeno_detection_is_off():
+def test_event_cap_raises_when_zeno_detection_is_off(monkeypatch):
     bundle = build_bouncing_ball()
-    options = SimOptions(step=1e-3, zeno_dwell=0.0, max_events=5)
+    monkeypatch.setattr(simulate_module, "_ZENO_DWELL", 0.0)
+    monkeypatch.setattr(simulate_module, "_MAX_EVENTS", 5)
     with pytest.raises(MaxEventsExceeded):
-        simulate(bundle, [10.0, 0.0, 10.0, 0.0], Integrator.HEUN, options)
+        simulate(bundle, [10.0, 0.0, 10.0, 0.0], Integrator.HEUN, SimOptions(step=1e-3))
 
 
 # ---------------------------------------------------------------------------
@@ -743,7 +743,7 @@ def reference_simulate(bundle, x0, kind, options):
                 t_event = math.nextafter(events[-1].time, math.inf)
             x = trans.reset.apply(x_cross)
             events.append(SimEvent(t_event, trans.label, trans.source, trans.target, x_cross, x))
-            if len(events) > options.max_events:
+            if len(events) > simulate_module._MAX_EVENTS:
                 raise MaxEventsExceeded("event cap")
             loc, t = automaton.location(trans.target), t_event
             record(t, x)
@@ -751,8 +751,8 @@ def reference_simulate(bundle, x0, kind, options):
                 truncated = "reset"
                 break
             gap = t_event - events[-2].time if len(events) >= 2 else math.inf
-            streak = streak + 1 if gap < options.zeno_dwell else 0
-            if streak >= options.zeno_count:
+            streak = streak + 1 if gap < simulate_module._ZENO_DWELL else 0
+            if streak >= simulate_module._ZENO_COUNT:
                 zeno = True
                 break
             continue

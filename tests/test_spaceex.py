@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from hyra.corpus import all_benchmarks, build
-from hyra.errors import UnsupportedFeature, XmlMalformed
+from hyra.errors import ModelDefects, UnsupportedFeature, XmlMalformed
+from hyra.ir import VariableTable, validate
 from hyra.spaceex import emit_spaceex, parse_spaceex
 
 BALL_XML = """<?xml version="1.0" encoding="UTF-8"?>
@@ -95,11 +98,6 @@ def test_emission_roundtrip_is_structural_identity(bench):
     assert emit_spaceex(again) == text
 
 
-def test_emit_accepts_a_whole_bundle():
-    bundle = build(all_benchmarks()[0])
-    assert emit_spaceex(bundle) == emit_spaceex(bundle.automaton)
-
-
 def test_symbolic_constants_survive_the_roundtrip():
     automaton = build(all_benchmarks()[0]).automaton  # bouncing ball
     text = emit_spaceex(automaton)
@@ -143,3 +141,19 @@ def test_a_non_finite_constant_is_rejected(value):
         '<param name="x"', f'<param name="c" type="real" dynamics="const" value="{value}" />\n    <param name="x"')
     with pytest.raises(XmlMalformed, match=r"does not validate: \[non-finite\] constant 'c' is not finite"):
         parse_spaceex(xml)
+
+
+def test_a_model_with_defects_raises_them_with_the_message_it_always_had():
+    constant = '<param name="c" type="real" dynamics="const" value="{}" />\n    <param name="x"'
+    xml = BALL_XML.replace('target="1"', 'target="9"').replace('<param name="x"', constant.format("nan"))
+    with pytest.raises(ModelDefects) as error:
+        parse_spaceex(xml)
+    assert isinstance(error.value, XmlMalformed)
+    assert str(error.value) == ("model does not validate: [non-finite] constant 'c' is not finite; "
+                                "[dangling-name] transition #0 (always->9): target '9' is not a location")
+    clean = parse_spaceex(BALL_XML.replace('<param name="x"', constant.format("0.75")))
+    automaton = dataclasses.replace(
+        clean, vars=VariableTable(clean.vars.state_vars, clean.vars.input_vars, {"c": float("nan")}),
+        transitions=(dataclasses.replace(clean.transitions[0], target="9"),))
+    assert error.value.defects == validate(automaton)
+    assert [d.code for d in error.value.defects] == ["non-finite", "dangling-name"]

@@ -33,7 +33,7 @@ def test_generated_automata_put_constants_in_every_coefficient_kind():
 
 def test_generated_automata_round_trip_through_spaceex():
     for bundle in BUNDLES:
-        text = emit_spaceex(bundle)
+        text = emit_spaceex(bundle.automaton)
         again = parse_spaceex(text)
         assert again == bundle.automaton, bundle.automaton.name
         assert emit_spaceex(again) == text

@@ -44,7 +44,11 @@ missing directory, of ``hyra simulate --seed -1`` on tank3's ``model.xml``
 and of ``hyra validate`` on the ball's ``bundle.json`` with its first
 transition's target a missing location; one more plot line covers the SVG
 of a one-row flowpipe CSV whose x range is the whole float range, from
--1.7976931348623157e308 to 1.7976931348623157e308. Two source trees
+-1.7976931348623157e308 to 1.7976931348623157e308. Decoding lines cover
+the exit code and the first stderr line, its temporary directory written
+as ``<tmp>``, of ``hyra validate`` and ``hyra check`` on a ``model.xml`` and
+of ``hyra plot`` on a CSV file that each hold the bytes ``ff fe 00``, which
+are not UTF-8. Two source trees
 print the same lines exactly when all of these outputs are byte-identical:
 
     PYTHONPATH=src python3 tools/fingerprint.py > after.txt
@@ -85,6 +89,7 @@ TAIL = 0.37  # of a step: the leftover-tail horizon of the test suite
 BALL_GUARD = "<guard>x == 0 &amp; v &lt;= 0</guard>"
 MISSING_OUT = "/nonexistent/hyra-fingerprint/out.txt"  # under a directory that does not exist
 FLOWPIPE_HEADER = "time_lo,time_hi,location,jump_depth,lo_x,hi_x,lo_y,hi_y"
+NOT_UTF8 = bytes([0xFF, 0xFE, 0x00])
 # Expression texts each reader must reject: characters and tokens out of
 # place, names it does not know, terms that are not affine and nesting past
 # the recursion limit.
@@ -191,7 +196,7 @@ def translation_lines():
     for bench in corpus.all_benchmarks():
         model = bench.value
         bundle = corpus.build(bench)
-        yield f"{digest(emit_spaceex(bundle))}  {model} emit_spaceex"
+        yield f"{digest(emit_spaceex(bundle.automaton))}  {model} emit_spaceex"
         yield f"{digest(config_text(bundle))}  {model} emit_config"
         automaton = parse_spaceex((REPO_ROOT / "corpus" / model / "model.xml").read_text())
         parsed = parse_config((REPO_ROOT / "corpus" / model / "config.cfg").read_text(), automaton.vars)
@@ -199,7 +204,7 @@ def translation_lines():
         yield f"{digest(write_json(from_files))}  {model} parse_spaceex parse_config write_json"
     support = suite_support()
     generated = [support.generated_bundle(seed) for seed in support.GENERATED_SEEDS]
-    for name, emit in (("emit_spaceex", emit_spaceex), ("emit_config", config_text),
+    for name, emit in (("emit_spaceex", lambda bundle: emit_spaceex(bundle.automaton)), ("emit_config", config_text),
                        ("write_json", write_json), ("emit_flowstar", emit_flowstar)):
         yield f"{digest(''.join(map(emit, generated)))}  generated x{len(generated)} {name}"
     yield f"{digest(write_json(support.spelling_bundle()))}  spelling-bundle write_json"
@@ -325,6 +330,16 @@ def input_error_lines():
     yield f"{digest(svg)}  one-row flowpipe x=-{top}..{top} plot svg"
 
 
+def not_utf8_lines():
+    with tempfile.TemporaryDirectory() as tmp:
+        model, csv = Path(tmp) / "model.xml", Path(tmp) / "pipe.csv"
+        for path in (model, csv):
+            path.write_bytes(NOT_UTF8)
+        for label, argv in (("validate", ["validate", str(model)]), ("check", ["check", str(model)]),
+                            ("plot", ["plot", str(csv), "--x", "x", "--y", "y"])):
+            yield f"{digest(cli_text(argv).replace(tmp, '<tmp>'))}  not-utf8 cli {label}"
+
+
 def lines():
     for bench in corpus.all_benchmarks():
         model = bench.value
@@ -347,6 +362,7 @@ def lines():
     yield from degenerate_plot_lines()
     yield from forbidden_lines()
     yield from input_error_lines()
+    yield from not_utf8_lines()
 
 
 def main() -> int:
