@@ -34,8 +34,9 @@ EXIT_ENGINE = 3
 
 
 def _read_text(path: str) -> str:
+    """The file's text, read as UTF-8 whatever the locale."""
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ModelFormatError(f"cannot read {path}: {exc}") from exc
 
@@ -77,13 +78,17 @@ def _load_bundle(model_path: str, cfg_path: str | None, step_override: float | N
 
 
 def _write_output(text: str, out: str | None):
-    """Write ``text`` to the file ``out``, or to stdout without one; a file that cannot be written is an
-    input error. Commands call this before they print anything else, so a failed write prints nothing."""
+    """Write ``text`` to the file ``out`` as UTF-8, or to stdout without one; a file that cannot be written,
+    or text that stdout cannot encode, is an input error. Commands call this before they print anything
+    else, so a failed write prints nothing."""
     if not out:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+        except UnicodeEncodeError as exc:
+            raise ModelFormatError(f"cannot write to stdout: {exc}") from exc
         return
     try:
-        Path(out).write_text(text)
+        Path(out).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise ModelFormatError(f"cannot write {out}: {exc}") from exc
 
@@ -110,12 +115,8 @@ def cmd_validate(args, bundle: ModelBundle | None = None) -> int:
             defects = ()
         except (BundleDefects, ModelDefects) as exc:
             defects = exc.defects
-    if not defects:
-        print("OK")
-        return EXIT_OK
-    for defect in defects:
-        print(f"DEFECT {defect.code} {defect.message}")
-    return EXIT_INPUT
+    _write_output("".join(f"DEFECT {d.code} {d.message}\n" for d in defects) or "OK\n", None)
+    return EXIT_INPUT if defects else EXIT_OK
 
 
 def cmd_translate(args, bundle: ModelBundle | None = None) -> int:

@@ -69,7 +69,7 @@ def benchmark_from_name(name: str) -> BenchmarkId:
 
 
 def load_transcription(name: str) -> dict:
-    text = resources.files("hyra.data").joinpath(f"{name}_transcription.json").read_text()
+    text = resources.files("hyra.data").joinpath(f"{name}_transcription.json").read_text(encoding="utf-8")
     return json.loads(text)
 
 

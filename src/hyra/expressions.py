@@ -3,8 +3,8 @@
 The tokenizer is one ``findall`` scan; token positions, which only error
 messages need, come from a second scan. A recursive-descent parser with the
 precedence chain unary minus, then * and /, then + and -, then comparisons,
-then & / && builds a tree of slotted nodes that compare equal field by
-field, or raises a diagnostic carrying a character position; it never aborts.
+then & / && builds a tree of slotted dataclass nodes, or raises a
+diagnostic carrying a character position; it never aborts.
 
 Linearization is one walk over the tree, on plain ``(base, terms, coeffs)``
 values: each + / - chain adds into the form of its leftmost operand in
@@ -18,6 +18,7 @@ the plain recursive grammar that docs/formats.md documents.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 
 import numpy as np
 import orjson
@@ -29,68 +30,40 @@ from .ir import AffineDynamics, Condition, LinearConstraint, ResetMap, VariableT
 # AST
 
 
-class _Node:
-    """An AST node: equal to a node of its own class whose fields are equal, like a dataclass."""
-
-    __slots__ = ()
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__match_args__)
-
-    def __eq__(self, other):
-        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__match_args__, self._fields()))
-        return f"{type(self).__name__}({fields})"
+@dataclass(slots=True, unsafe_hash=True)
+class Num:
+    value: float
 
 
-class Num(_Node):
-    __slots__ = __match_args__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
+@dataclass(slots=True, unsafe_hash=True)
+class Ident:
+    name: str
 
 
-class Ident(_Node):
-    __slots__ = __match_args__ = ("name",)
-
-    def __init__(self, name):
-        self.name = name
+@dataclass(slots=True, unsafe_hash=True)
+class Neg:
+    operand: object
 
 
-class Neg(_Node):
-    __slots__ = __match_args__ = ("operand",)
-
-    def __init__(self, operand):
-        self.operand = operand
-
-
-class _Binary(_Node):
-    __slots__ = __match_args__ = ("left", "right")
-
-    def __init__(self, left, right):
-        self.left, self.right = left, right
+@dataclass(slots=True, unsafe_hash=True)
+class _Binary:
+    left: object
+    right: object
 
 
 Add, Sub, Mul, Div = (type(name, (_Binary,), {"__slots__": ()}) for name in ("Add", "Sub", "Mul", "Div"))
 
 
-class Compare(_Node):
-    __slots__ = __match_args__ = ("left", "relation", "right")
+@dataclass(slots=True, unsafe_hash=True)
+class Compare:
+    left: object
+    relation: str
+    right: object
 
-    def __init__(self, left, relation, right):
-        self.left, self.relation, self.right = left, relation, right
 
-
-class Conjunction(_Node):
-    __slots__ = __match_args__ = ("parts",)
-
-    def __init__(self, parts):
-        self.parts = parts
+@dataclass(slots=True, unsafe_hash=True)
+class Conjunction:
+    parts: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -234,13 +207,12 @@ def parse_expression(text: str, table: VariableTable | None = None):
 # Linearization
 
 
+@dataclass(slots=True, eq=False)
 class SymScalar:
     """A float plus a linear combination of named constants: ``base + sum(mult * name)`` over ``terms``."""
 
-    __slots__ = ("base", "terms")
-
-    def __init__(self, base: float, terms: dict):
-        self.base, self.terms = base, terms
+    base: float
+    terms: dict
 
 
 def _times(terms: dict, scale: float) -> dict:
@@ -547,7 +519,7 @@ def flow_rows(dyn: AffineDynamics, table: VariableTable) -> list:
 
 def reset_rows(reset: ResetMap, names) -> list:
     """``(var, rhs)`` of each variable whose row of ``R x + r`` is not ``var`` itself."""
-    if reset.is_identity():
+    if reset.is_identity:
         return []
     eye = np.eye(len(names))
     out = []

@@ -35,7 +35,7 @@ def _constraint_lines(cond: Condition, names, indent: str) -> list:
 
 
 def emit_flowstar(bundle: ModelBundle) -> str:
-    bundle = bundle.resolved()
+    bundle = bundle.resolved
     automaton = bundle.automaton
     table = automaton.vars
     settings = bundle.settings

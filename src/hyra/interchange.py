@@ -61,7 +61,7 @@ from .sets import Box
 
 @functools.cache
 def _schema() -> dict:
-    return json.loads(resources.files("hyra.data").joinpath("bundle.schema.json").read_text())
+    return json.loads(resources.files("hyra.data").joinpath("bundle.schema.json").read_text(encoding="utf-8"))
 
 
 # The Python types each schema type name admits in the compiled check: exact

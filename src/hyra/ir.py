@@ -4,8 +4,10 @@ A location carries affine dynamics x' = A x + B u + c and a conjunctive
 invariant; transitions carry a conjunctive guard and an affine reset
 x' = R x + r. Coefficients may reference named constants symbolically: every
 matrix/vector has an optional overlay mapping a constant name to an array of
-per-entry multipliers, and ``resolved()`` folds the overlays using the
-current constant values. All values are immutable after construction.
+per-entry multipliers, and ``bundle.resolved`` folds the overlays using the
+current constant values. All values are immutable after construction, so
+what a record derives (``bundle.resolved``, ``cond.halfspaces``,
+``reset.is_identity``) is a ``cached_property``, built once on first use.
 
 Each record that converts a field has one hand-written constructor, which
 every caller goes through, the readers (``spaceex``, ``config``,
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -190,25 +193,21 @@ class Condition(_Record):
     def satisfied(self, x, slack: float = 0.0) -> bool:
         return all(c.satisfied(x, slack) for c in self.constraints)
 
+    @cached_property
     def halfspaces(self) -> Halfspaces:
         """The rows c . x <= d of the constraints in order (see ``_ROW_SIGNS``), built once.
 
         A condition with symbolic terms has no numeric rows: it raises ``ValueError``.
         """
-        cached = self.__dict__.get("_halfspaces")
-        if cached is not None:
-            return cached
         if self.symbols:
             raise ValueError(f"condition references constants {sorted(self.symbols)}; resolve it first")
         rows = [(con, sign) for con in self.constraints for sign in _ROW_SIGNS[con.relation]]
         n = self.constraints[0].coeffs.shape[0] if self.constraints else 0
         coeffs = _freeze(np.reshape([sign * con.coeffs for con, sign in rows], (len(rows), n)))
         nonzero = [np.flatnonzero(row) for row in coeffs]
-        form = Halfspaces(coeffs, _freeze([sign * con.bound for con, sign in rows]),
+        return Halfspaces(coeffs, _freeze([sign * con.bound for con, sign in rows]),
                           _freeze([con.relation == "==" for con, _ in rows], bool),
                           _freeze([cols[0] if cols.size == 1 else -1 for cols in nonzero], int))
-        object.__setattr__(self, "_halfspaces", form)
-        return form
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -278,14 +277,11 @@ class ResetMap(_Record):
     def symbols(self) -> set:
         return set(self.matrix_terms) | set(self.offset_terms)
 
+    @cached_property
     def is_identity(self) -> bool:
         """Whether the reset is x' = x with no symbolic terms, decided once: the record is frozen."""
-        cached = self.__dict__.get("_is_identity")
-        if cached is None:
-            cached = (not self.matrix_terms and not self.offset_terms
-                      and np.array_equal(self.r_matrix, np.eye(self.r_matrix.shape[0])) and not self.r_offset.any())
-            object.__setattr__(self, "_is_identity", cached)
-        return cached
+        return (not self.matrix_terms and not self.offset_terms
+                and np.array_equal(self.r_matrix, np.eye(self.r_matrix.shape[0])) and not self.r_offset.any())
 
     def resolve(self, constants: dict) -> "ResetMap":
         return ResetMap(
@@ -350,6 +346,7 @@ class HybridAutomaton(_Record):
         hi = np.array([self.input_range[v][1] for v in self.vars.input_vars])
         return Box(lo, hi)
 
+    @cached_property
     def resolved(self) -> "HybridAutomaton":
         """Fold symbolic constant references into plain numbers.
 
@@ -357,9 +354,6 @@ class HybridAutomaton(_Record):
         result resolves to itself. ``bind_constant`` returns a new automaton,
         which resolves afresh.
         """
-        cached = self.__dict__.get("_resolved")
-        if cached is not None:
-            return cached
         consts = self.vars.constants
         locations = tuple(
             Location(l.name, l.invariant.resolve(consts), l.dynamics.resolve(consts))
@@ -370,8 +364,7 @@ class HybridAutomaton(_Record):
             for t in self.transitions
         )
         result = HybridAutomaton(self.name, self.vars, locations, transitions, self.input_range)
-        object.__setattr__(result, "_resolved", result)
-        object.__setattr__(self, "_resolved", result)
+        result.__dict__["resolved"] = result
         return result
 
 
@@ -416,18 +409,15 @@ class ModelBundle(_Record):
     settings: ReachSettings
     initial: InitialCondition
 
+    @cached_property
     def resolved(self) -> "ModelBundle":
         """The bundle with its automaton and forbidden set resolved by the same constants, built once."""
-        cached = self.__dict__.get("_resolved")
-        if cached is not None:
-            return cached
-        automaton = self.automaton.resolved()
+        automaton = self.automaton.resolved
         settings = self.settings
         if settings.forbidden is not None:
             settings = replace(settings, forbidden=settings.forbidden.resolve(automaton.vars.constants))
         result = ModelBundle(automaton, settings, self.initial)
-        object.__setattr__(result, "_resolved", result)
-        object.__setattr__(self, "_resolved", result)
+        result.__dict__["resolved"] = result
         return result
 
 

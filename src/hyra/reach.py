@@ -100,6 +100,7 @@ class FlowpipeSegment:
         return Box(self.center - self.radius, self.center + self.radius)
 
 
+@dataclass(eq=False)
 class Segments:
     """Flowpipe segments as a table: one row per segment.
 
@@ -110,14 +111,12 @@ class Segments:
     ``FlowpipeSegment`` rows, built on first use.
     """
 
-    def __init__(self, time_lo, time_hi, center, radius, location, depth):
-        self.time_lo = time_lo
-        self.time_hi = time_hi
-        self.center = center
-        self.radius = radius
-        self.location = location
-        self.depth = depth
-        self._rows = None
+    time_lo: np.ndarray
+    time_hi: np.ndarray
+    center: np.ndarray
+    radius: np.ndarray
+    location: np.ndarray
+    depth: np.ndarray
 
     @classmethod
     def from_bounds(cls, time_lo, time_hi, lo, hi, location: str, depth: int) -> "Segments":
@@ -157,21 +156,19 @@ class Segments:
     def hi(self) -> np.ndarray:
         return self.center + self.radius
 
+    @cached_property
     def rows(self) -> list:
-        if self._rows is None:
-            self._rows = list(map(FlowpipeSegment, self.time_lo.tolist(), self.time_hi.tolist(),
-                                  self.center, self.radius, self.location.tolist(),
-                                  self.depth.tolist()))
-        return self._rows
+        return list(map(FlowpipeSegment, self.time_lo.tolist(), self.time_hi.tolist(),
+                        self.center, self.radius, self.location.tolist(), self.depth.tolist()))
 
     def __len__(self) -> int:
         return self.time_lo.shape[0]
 
     def __getitem__(self, index: int) -> FlowpipeSegment:
-        return self.rows()[index]
+        return self.rows[index]
 
     def __iter__(self):
-        return iter(self.rows())
+        return iter(self.rows)
 
 
 @dataclass
@@ -363,7 +360,7 @@ def discretize(disc: Discretization, x0: Zonotope):
 
 def _box_inside_condition(box: Box, cond: Condition, slack: float = _CONTAIN_SLACK) -> bool:
     """Whether max over the box of c . x <= d + slack holds on every halfspace row."""
-    rows = cond.halfspaces()
+    rows = cond.halfspaces
     if rows.bounds.size == 0:
         return True
     c = rows.coeffs
@@ -433,7 +430,7 @@ def _propagate(location, omega0: Zonotope, kernel, steps: int, entry_time: float
             # finite centers and radii can still sum out of range; the clamp
             # would read those infinities as an empty box and cut the pipe
             _require_finite(location, entry_time + min((chunk + 1) * _CHUNK, steps) * step, lo, hi)
-            lo, hi, ok = clamp_boxes(lo, hi, location.invariant.halfspaces())
+            lo, hi, ok = clamp_boxes(lo, hi, location.invariant.halfspaces)
             cut = lo.shape[0] if ok.all() else int(np.argmin(ok))
             los.append(lo[:cut])
             his.append(hi[:cut])
@@ -517,7 +514,7 @@ def flowpipe(location, init: Box, input_box: Box | None, step: float, horizon: f
         with np.errstate(over="ignore", invalid="ignore"):
             tail = box_hull(omega_tail)
         _require_finite(location, horizon, tail.lo, tail.hi)
-        tail_lo, tail_hi, ok = clamp_boxes(tail.lo[None, :], tail.hi[None, :], invariant.halfspaces())
+        tail_lo, tail_hi, ok = clamp_boxes(tail.lo[None, :], tail.hi[None, :], invariant.halfspaces)
         if ok[0]:
             lo, hi = np.vstack([lo, tail_lo]), np.vstack([hi, tail_hi])
 
@@ -539,7 +536,7 @@ def flowpipe(location, init: Box, input_box: Box | None, step: float, horizon: f
     if m == 0:
         return FlowpipeResult(raw, raw, alpha_max)
     merged_lo, merged_hi = _sliding_hull(lo, hi, m, emit_count)
-    clamped_lo, clamped_hi, ok = clamp_boxes(merged_lo, merged_hi, invariant.halfspaces())
+    clamped_lo, clamped_hi, ok = clamp_boxes(merged_lo, merged_hi, invariant.halfspaces)
     merged_lo = np.where(ok[:, None], clamped_lo, merged_lo)
     merged_hi = np.where(ok[:, None], clamped_hi, merged_hi)
     segments = Segments.from_bounds(t_lo, t_hi, merged_lo, merged_hi, location.name, jump_depth)
@@ -561,7 +558,7 @@ def jump_successors(segments: Segments, transition):
     finite bounds. A reset that maps a window out of the floating-point
     range raises ``NonFiniteFlowpipe``.
     """
-    lo, hi, hit = clamp_boxes(segments.lo, segments.hi, transition.guard.halfspaces())
+    lo, hi, hit = clamp_boxes(segments.lo, segments.hi, transition.guard.halfspaces)
     hits = np.flatnonzero(hit)
     if hits.size == 0:
         return []
@@ -601,7 +598,7 @@ def check_safety(segments, forbidden: Condition | None, eq_slack: float = 1e-9):
     """
     if forbidden is None or len(segments) == 0:
         return Verdict.SAFE_PROVED, None
-    rows = forbidden.halfspaces().widened(max(eq_slack, 1e-9))
+    rows = forbidden.halfspaces.widened(max(eq_slack, 1e-9))
     _, _, hit = clamp_boxes(segments.lo, segments.hi, rows)
     offenders = np.flatnonzero(hit)
     if offenders.size == 0:
@@ -687,7 +684,7 @@ def reach(bundle: ModelBundle) -> ReachResult:
     is recorded in stats.termination (the jump bound first).
     """
     started = time.perf_counter()
-    bundle = bundle.resolved()
+    bundle = bundle.resolved
     automaton = bundle.automaton
     settings = bundle.settings
     defects = validate(automaton, settings.forbidden)

@@ -6,7 +6,7 @@ objects and never mutate their inputs, and every array a set holds is
 read-only. ``clamp_boxes`` is the array form of box-by-condition
 intersection that the flowpipe engine runs over whole segment tables.
 Conditions are evaluated through one halfspace form, the rows c . x <= d of
-``Condition.halfspaces()``: invariant and guard clamps, containment, the
+``Condition.halfspaces``: invariant and guard clamps, containment, the
 safety check and the simulator's chunk margins all read those rows. A row
 with a single nonzero coefficient (every row of the shipped models) is
 clamped on its one column, which for finite bounds is the general
@@ -290,7 +290,7 @@ def reduce_order(z: Zonotope, max_order: int = DEFAULT_ORDER_CAP) -> Zonotope:
 def clamp_boxes(lo, hi, rows):
     """Clamp every row of (K, n) bound arrays against halfspace rows.
 
-    ``rows`` is a condition's halfspace form (``Condition.halfspaces()``):
+    ``rows`` is a condition's halfspace form (``Condition.halfspaces``):
     rows c . x <= d, each tightening every coordinate with a nonzero
     coefficient by interval propagation (exact for a single halfspace, sound
     for the conjunction). Returns (lo, hi, ok): new bound arrays and a
@@ -335,5 +335,5 @@ def clamp_boxes(lo, hi, rows):
 
 def intersect_condition(box: Box, condition) -> Box | None:
     """One-row ``clamp_boxes`` against a condition: the clamped box, or None when it is empty."""
-    lo, hi, ok = clamp_boxes(box.lo[None, :], box.hi[None, :], condition.halfspaces())
+    lo, hi, ok = clamp_boxes(box.lo[None, :], box.hi[None, :], condition.halfspaces)
     return Box._trusted(lo[0], hi[0]) if ok[0] else None

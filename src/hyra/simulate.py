@@ -219,7 +219,7 @@ def _bisect(a_mat, drive, x0, f0, x1, kind: Integrator, h: float, tol: float, in
 
 def _levels(cond: Condition, slack: float) -> list:
     """(coeffs, level) rows at which ``cond.satisfied(x, slack)`` may switch: (c, d + slack)."""
-    rows = cond.halfspaces()
+    rows = cond.halfspaces
     return list(zip(rows.coeffs, rows.bounds + slack))
 
 
@@ -302,7 +302,7 @@ class _Chunk:
 
         def tested(cond: Condition) -> slice:
             """Columns for the rows of a condition the per-step path checks with ``_GUARD_SLACK``."""
-            rows = cond.halfspaces()
+            rows = cond.halfspaces
             start = len(columns)
             columns.extend((c, d, _GUARD_SLACK) for c, d in zip(rows.coeffs, rows.bounds))
             return slice(start, len(columns))
@@ -402,7 +402,7 @@ def simulate(bundle: ModelBundle, x0, kind: Integrator = Integrator.HEUN,
     invariant is violated with no enabled transition (truncated). Among
     simultaneously enabled transitions the one declared first wins.
     """
-    automaton = bundle.automaton.resolved()
+    automaton = bundle.automaton.resolved
     table = automaton.vars
     loc = automaton.location(bundle.initial.location)
     x = np.asarray(x0, dtype=float).copy()
@@ -427,7 +427,7 @@ def simulate(bundle: ModelBundle, x0, kind: Integrator = Integrator.HEUN,
     streak, plain_run, t = 0, 0, 0.0  # plain_run: chunks in a row plain to their last step
 
     outgoing = {l.name: automaton.transitions_from(l.name) for l in automaton.locations}
-    if automaton.__dict__.get("_chunks", (None,))[0] != (h, kind):  # kept like ``_resolved``
+    if automaton.__dict__.get("_chunks", (None,))[0] != (h, kind):  # keyed by step and integrator: no cached_property
         automaton.__dict__["_chunks"] = ((h, kind), {})
     chunks = automaton.__dict__["_chunks"][1]
 

@@ -198,7 +198,7 @@ def test_criterion_8_corpus_structure_matches_source():
     ball = build_bouncing_ball()
     assert ball.settings.horizon == 40.0
     assert ball.automaton.vars.constants["c"] == 0.75
-    assert ball.automaton.resolved().transitions[0].reset.r_matrix[1, 1] == -0.75
+    assert ball.automaton.resolved.transitions[0].reset.r_matrix[1, 1] == -0.75
     print("PASS criterion 8: 8 tank modes, 4+4 switching, 2 platoon modes (T=12, jumps=2), ball T=40/c=0.75")
 
 

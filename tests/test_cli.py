@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -9,7 +12,7 @@ from hyra.expressions import format_number
 from hyra.interchange import write_json
 from hyra.simulate import Integrator, SimOptions, sample_initial, simulate
 
-from support import BAD_VALUES, CORPUS_DIR, bad_value_document, merge_overflow_bundle, wide_box_bundle
+from support import BAD_VALUES, CORPUS_DIR, REPO_ROOT, bad_value_document, merge_overflow_bundle, wide_box_bundle
 
 
 def run(capsys, *argv):
@@ -631,3 +634,47 @@ def test_translating_a_bundle_the_writer_cannot_write_is_an_input_error(edit, tm
     assert out == ""
     assert err.startswith("error: bundle document rejected: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+# An ASCII locale: Python reads and writes text in the locale's encoding unless told otherwise.
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+def _run_in_ascii_locale(*argv, cwd):
+    env = dict(os.environ, **ASCII_LOCALE, PYTHONPATH=str(REPO_ROOT / "src"))
+    env.pop("PYTHONIOENCODING", None)  # it would set stdout's encoding apart from the locale
+    done = subprocess.run([sys.executable, "-m", "hyra.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, timeout=120)
+    return done.returncode, done.stdout, done.stderr.decode("ascii")
+
+
+def _ball_with_a_non_ascii_location(tmp_path):
+    """The ball's files with its location named ``état``, and ``defective.xml`` whose first transition's
+    target is missing; returns the bytes of model.xml."""
+    for name in ("model.xml", "config.cfg"):
+        text = (BALL / name).read_text(encoding="utf-8").replace("always", "état")
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    model = (tmp_path / "model.xml").read_bytes()
+    (tmp_path / "defective.xml").write_bytes(model.replace(b'target="1"', b'target="9"', 1))
+    return model
+
+
+def test_files_are_read_and_written_as_utf8_in_an_ascii_locale(tmp_path):
+    model = _ball_with_a_non_ascii_location(tmp_path)
+    assert _run_in_ascii_locale("validate", "model.xml", cwd=tmp_path) == (0, b"OK\n", "")
+    code, out, err = _run_in_ascii_locale("translate", "model.xml", "--to", "spaceex", "--out", "out.xml",
+                                          cwd=tmp_path)
+    assert (code, out, err) == (0, b"", "")
+    assert (tmp_path / "out.xml").read_bytes() == model
+    code, out, _ = _run_in_ascii_locale("reach", "model.xml", "--out", "pipe.csv", cwd=tmp_path)
+    assert code == 0 and out.startswith(b"VERDICT SafeProved ")
+    assert b"\n0,0.01,\xc3\xa9tat,0," in (tmp_path / "pipe.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", [("translate", "model.xml", "--to", "spaceex"), ("validate", "defective.xml")],
+                         ids=lambda c: c[0])
+def test_text_stdout_cannot_encode_is_an_input_error(command, tmp_path):
+    _ball_with_a_non_ascii_location(tmp_path)
+    code, out, err = _run_in_ascii_locale(*command, cwd=tmp_path)
+    assert (code, out) == (2, b"")
+    assert err.startswith("error: cannot write to stdout: 'ascii' codec can't encode") and err.count("\n") == 1

@@ -70,7 +70,7 @@ def _halfspace_box(terms, table):
     for term in terms:
         cond = parse_condition(term, table)
         i = int(np.flatnonzero(cond.constraints[0].coeffs)[0])
-        rows = cond.halfspaces()
+        rows = cond.halfspaces
         for c, d in zip(rows.coeffs[:, i], rows.bounds):
             if c > 0:
                 hi[i] = min(hi[i], d / c)

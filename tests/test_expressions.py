@@ -5,7 +5,14 @@ import pytest
 
 from hyra.errors import ExpressionSyntaxError, NonlinearUnsupported, UnknownIdentifier
 from hyra.expressions import (
+    Add,
+    Compare,
     Conjunction,
+    Ident,
+    Mul,
+    Neg,
+    Num,
+    Sub,
     dynamics_from_forms,
     flow_rows,
     format_condition,
@@ -35,6 +42,22 @@ def test_empty_text_is_the_true_condition():
     cond = parse_condition("", TABLE)
     assert cond.is_true
     assert parse_expression("   ") == Conjunction(())
+
+
+def test_ast_nodes_compare_hash_print_and_match_by_their_fields():
+    x, three = Ident("x"), Num(3.0)
+    assert Sub(x, three) == Sub(Ident("x"), Num(3.0)) and hash(Sub(x, three)) == hash(Sub(Ident("x"), Num(3.0)))
+    assert Add(x, three) != Sub(x, three) and Neg(x) != x
+    assert {Sub(x, three): 1}[parse_expression("x - 3")] == 1
+    assert repr(Sub(x, three)) == "Sub(left=Ident(name='x'), right=Num(value=3.0))"
+    assert repr(Conjunction(())) == "Conjunction(parts=())"
+    match parse_expression("2 * v <= x"):
+        case Compare(Mul(Num(2.0), Ident("v")), "<=", Ident(name)):
+            assert name == "x"
+        case other:
+            pytest.fail(f"{other!r} matches no Compare pattern")
+    with pytest.raises(AttributeError):
+        x.other = 1  # slotted
 
 
 def test_variable_product_is_rejected():

@@ -227,7 +227,7 @@ def test_all_zero_symbolic_terms_read_as_no_terms():
     data["settings"]["forbidden"][0]["bound_terms"] = {"c": 0.0}
     bundle = read_json(json.dumps(data))
     assert bundle == plain
-    assert bundle.automaton.transitions[0].reset.is_identity()
+    assert bundle.automaton.transitions[0].reset.is_identity
     assert parse_spaceex(emit_spaceex(bundle.automaton)) == bundle.automaton
     assert write_json(bundle) == write_json(plain)  # the zero terms' keys are left out
 

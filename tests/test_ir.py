@@ -105,24 +105,39 @@ def test_bind_input_folds_column_into_drift():
 def test_bind_constant_revalues_symbolic_reset():
     bundle = build_bouncing_ball()
     rebound = bind_constant(bundle.automaton, "c", 0.9)
-    resolved = rebound.resolved()
+    resolved = rebound.resolved
     assert resolved.transitions[0].reset.r_matrix[1, 1] == -0.9
     # original object untouched (values are immutable)
     assert bundle.automaton.vars.constants["c"] == 0.75
-    assert bundle.automaton.resolved().transitions[0].reset.r_matrix[1, 1] == -0.75
+    assert bundle.automaton.resolved.transitions[0].reset.r_matrix[1, 1] == -0.75
 
 
 def test_resolved_is_computed_once_and_rebinding_resolves_afresh():
     ball = build_bouncing_ball().automaton
-    resolved = ball.resolved()
-    assert ball.resolved() is resolved
-    assert resolved.resolved() is resolved
+    resolved = ball.resolved
+    assert ball.resolved is resolved
+    assert resolved.resolved is resolved
     fresh = HybridAutomaton(ball.name, ball.vars, ball.locations, ball.transitions, ball.input_range)
-    assert fresh.resolved() is not resolved and fresh.resolved() == resolved
+    assert fresh.resolved is not resolved and fresh.resolved == resolved
     rebound = bind_constant(ball, "c", 0.9)
-    assert rebound.resolved() is not resolved
-    assert rebound.resolved().transitions[0].reset.r_matrix[1, 1] == -0.9
-    assert ball.resolved().transitions[0].reset.r_matrix[1, 1] == -0.75
+    assert rebound.resolved is not resolved
+    assert rebound.resolved.transitions[0].reset.r_matrix[1, 1] == -0.9
+    assert ball.resolved.transitions[0].reset.r_matrix[1, 1] == -0.75
+
+
+def test_derived_forms_are_attributes_kept_on_the_record():
+    bundle = build_bouncing_ball()
+    assert bundle.resolved is bundle.resolved
+    assert bundle.resolved.resolved is bundle.resolved
+    assert bundle.resolved.automaton is bundle.automaton.resolved
+    copy = dataclasses.replace(bundle)
+    assert copy.resolved is not bundle.resolved and copy.resolved == bundle.resolved
+    cond = bundle.resolved.automaton.transitions[0].guard
+    assert cond.halfspaces is cond.halfspaces
+    reset = bundle.resolved.automaton.transitions[0].reset
+    assert reset.is_identity is reset.is_identity is False
+    # a kept form is no field: it leaves equality alone
+    assert Condition(cond.constraints) == cond and "halfspaces" not in Condition(cond.constraints).__dict__
 
 
 def test_ir_constructors_leave_the_callers_arrays_writable():
@@ -150,7 +165,7 @@ def test_default_reset_is_exact_identity():
     reset = ResetMap.identity(3)
     x = np.array([1.25, -7.5, 0.3])
     assert np.array_equal(reset.apply(x), x)
-    assert reset.is_identity()
+    assert reset.is_identity
 
 
 def test_ir_values_are_immutable():
@@ -267,7 +282,7 @@ def test_halfspace_rows_agree_with_the_relations(relation):
         constraints = [LinearConstraint(rng.normal(size=n) * (rng.uniform(size=n) < 0.7), rel, float(rng.normal()))
                        for rel in (relation, rng.choice(["<=", ">=", "=="]))]
         cond = Condition(constraints)
-        rows = cond.halfspaces()
+        rows = cond.halfspaces
         assert rows.coeffs.shape == (len(rows.bounds), n)
         assert rows.equality.sum() == 2 * sum(c.relation == "==" for c in constraints)
         x = rng.normal(size=n) * 2.0
@@ -289,11 +304,11 @@ def test_halfspace_form_of_a_symbolic_condition_raises():
     v_row = np.array([0.0, 1.0, 0.0, 0.0])
     symbolic = Condition((LinearConstraint(v_row, ">=", 14.0, bound_terms={"c": -8.0}),))
     with pytest.raises(ValueError, match="resolve"):
-        symbolic.halfspaces()
+        symbolic.halfspaces
     with pytest.raises(ValueError, match="resolve"):
         check_safety(reach(ball).segments, symbolic)
     resolved = symbolic.resolve(ball.automaton.vars.constants)
-    assert np.array_equal(resolved.halfspaces().coeffs, [-v_row]) and resolved.halfspaces().bounds[0] == -8.0
+    assert np.array_equal(resolved.halfspaces.coeffs, [-v_row]) and resolved.halfspaces.bounds[0] == -8.0
 
 
 # -- validate against the per-array numpy formulation it replaced --------------

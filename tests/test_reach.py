@@ -309,7 +309,7 @@ def test_platoon_flowpipe_is_nowhere_wider_than_with_the_checked_box_loop():
 
 
 def test_discretize_overflow_is_a_non_finite_flowpipe():
-    location = build_platoon().automaton.resolved().locations[0]
+    location = build_platoon().automaton.resolved.locations[0]
     box = Box(np.full(18, 1e306), np.full(18, 5e306))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -368,7 +368,7 @@ def test_flowpipe_decay_box_at_one_second():
 
 def test_flowpipe_truncates_at_invariant_exit():
     bundle = build_bouncing_ball()
-    automaton = bundle.automaton.resolved()
+    automaton = bundle.automaton.resolved
     pipe = flowpipe(
         automaton.location("always"), bundle.initial.box, None, 0.01, 40.0, discretized={}
     )
@@ -383,7 +383,7 @@ def test_flowpipe_truncates_at_invariant_exit():
 
 def test_flowpipe_rejects_init_outside_invariant():
     bundle = build_bouncing_ball()
-    automaton = bundle.automaton.resolved()
+    automaton = bundle.automaton.resolved
     below_ground = Box([-1.0, 0.0, 5.0, 0.0], [-0.5, 0.0, 5.0, 0.0])
     with pytest.raises(InitOutsideInvariant):
         flowpipe(automaton.location("always"), below_ground, None, 0.01, 1.0, discretized={})
@@ -396,7 +396,7 @@ def first_flowpipe_and_reference(bundle):
     Omega_k (+) V), clamped to the invariant and stopped at the first empty
     clamp, built here from the set primitives alone.
     """
-    automaton = bundle.automaton.resolved()
+    automaton = bundle.automaton.resolved
     location = automaton.location(bundle.initial.location)
     s = bundle.settings
     init = bundle.initial.box.to_zonotope()
@@ -554,7 +554,7 @@ def test_linswitch_computes_one_exponential_per_location():
     # four modes with four distinct A, one sub-step each
     bundle = build_linswitch()
     calls = recorded_calls("exp_with_integral", build_linswitch)
-    matrices = {loc.dynamics.a.tobytes() for loc in bundle.automaton.resolved().locations}
+    matrices = {loc.dynamics.a.tobytes() for loc in bundle.automaton.resolved.locations}
     assert len(calls) == len(matrices) == 4
 
 
@@ -695,7 +695,7 @@ def test_tank_guard_windows_on_invariant_boundaries_are_pinned():
 
 def ball_pipe_and_transitions():
     bundle = build_bouncing_ball()
-    automaton = bundle.automaton.resolved()
+    automaton = bundle.automaton.resolved
     pipe = flowpipe(
         automaton.location("always"), bundle.initial.box, None, 0.01, 40.0, discretized={}
     )
@@ -754,7 +754,7 @@ def test_identity_reset_returns_the_clamped_window():
 
 def reference_successors(segments, transition):
     """``jump_successors`` through the public constructors and the n-column clamp formula."""
-    rows = transition.guard.halfspaces()
+    rows = transition.guard.halfspaces
     lo, hi, hit = clamp_boxes(segments.center - segments.radius, segments.center + segments.radius,
                               rows._replace(axis=np.full(len(rows.bounds), -1)))
     hits = np.flatnonzero(hit)
@@ -987,7 +987,7 @@ def test_intersect_condition_equals_the_public_constructor_on_every_corpus_call(
     assert calls
     for box, condition in calls:
         got = intersect_condition(box, condition)
-        lo, hi, ok = clamp_boxes(box.lo[None, :], box.hi[None, :], condition.halfspaces())
+        lo, hi, ok = clamp_boxes(box.lo[None, :], box.hi[None, :], condition.halfspaces)
         if not ok[0]:
             assert got is None
             continue

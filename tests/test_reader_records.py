@@ -121,7 +121,7 @@ def test_assignment_free_transitions_of_one_parse_share_one_frozen_identity(labe
     (xml, _), _ = READINGS[label]
     automaton = parse_spaceex(xml)
     resets = [tr.reset for tr in automaton.transitions]
-    shared = [r for r in resets if r.is_identity()]
+    shared = [r for r in resets if r.is_identity]
     assert all(r is shared[0] for r in shared)
     for reset in shared:
         assert not (reset.r_matrix.flags.writeable or reset.r_offset.flags.writeable)
@@ -136,11 +136,11 @@ def test_the_corpus_readings_share_identities():
 def test_is_identity_is_decided_once_per_record():
     identity, scaled = ResetMap.identity(2), ResetMap([[2.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
     for reset, want in ((identity, True), (scaled, False)):
-        assert reset.is_identity() is want
-        assert reset.__dict__["_is_identity"] is want
-        assert reset.is_identity() is want
+        assert reset.is_identity is want
+        assert reset.__dict__["is_identity"] is want
+        assert reset.is_identity is want
     assert not identity.r_matrix.flags.writeable
-    assert not ResetMap(np.eye(2), np.zeros(2), {"k": np.ones((2, 2))}).is_identity()
+    assert not ResetMap(np.eye(2), np.zeros(2), {"k": np.ones((2, 2))}).is_identity
 
 
 def test_public_constructors_copy_the_callers_arrays():
@@ -153,7 +153,7 @@ def test_public_constructors_copy_the_callers_arrays():
     matrix = np.eye(2)
     reset = ResetMap(matrix, np.zeros(2))
     matrix[0, 0] = 3.0
-    assert reset.is_identity() and matrix.flags.writeable
+    assert reset.is_identity and matrix.flags.writeable
 
 
 def raw_fields():

@@ -435,9 +435,9 @@ def test_clamp_boxes_matches_intersect_condition_row_by_row(relations):
             coeffs = rng.normal(size=n) * (rng.uniform(size=n) < 0.6)
             constraints.append(LinearConstraint(coeffs, relation, float(rng.normal())))
         cond = Condition(tuple(constraints))
-        out_lo, out_hi, ok = clamp_boxes(lo, hi, cond.halfspaces())
+        out_lo, out_hi, ok = clamp_boxes(lo, hi, cond.halfspaces)
         # the equality-slack case: the rows check_safety clamps against
-        wide_lo, wide_hi, wide_ok = clamp_boxes(lo, hi, cond.halfspaces().widened(0.3))
+        wide_lo, wide_hi, wide_ok = clamp_boxes(lo, hi, cond.halfspaces.widened(0.3))
         for k in range(len(lo)):
             single = intersect_condition(Box(lo[k], hi[k]), cond)
             oracle = scalar_clamp(lo[k], hi[k], cond)
@@ -490,7 +490,7 @@ COLUMN_CASES = {
 def column_case_boxes(cond, rng, count: int = 400):
     """Boxes whose bounds are drawn from each column's limits d / c, signed zeros and random values,
     so boxes touch the limits exactly, are flat (lo == hi) and straddle zero."""
-    rows = cond.halfspaces()
+    rows = cond.halfspaces
     values = []
     for col in range(3):
         on_col = rows.axis == col
@@ -510,7 +510,7 @@ def column_case_boxes(cond, rng, count: int = 400):
 @pytest.mark.parametrize("slack", [None, 0.25], ids=["plain", "widened"])
 def test_column_clamp_equals_the_general_formula_and_the_scalar_oracle_bitwise(case, slack):
     cond = COLUMN_CASES[case]
-    rows = cond.halfspaces() if slack is None else cond.halfspaces().widened(slack)
+    rows = cond.halfspaces if slack is None else cond.halfspaces.widened(slack)
     assert (rows.axis >= 0).any()
     lo, hi = column_case_boxes(cond, np.random.default_rng(sorted(COLUMN_CASES).index(case)))
     out_lo, out_hi, ok = clamp_boxes(lo, hi, rows)
@@ -528,7 +528,7 @@ def test_column_clamp_equals_the_general_formula_and_the_scalar_oracle_bitwise(c
 
 
 def test_column_clamp_keeps_a_box_at_the_exact_limit_and_zero_signs():
-    rows = rows_of(([3.0], "<=", 1.0), ([-2.0], "<=", -0.0)).halfspaces()
+    rows = rows_of(([3.0], "<=", 1.0), ([-2.0], "<=", -0.0)).halfspaces
     lo = np.array([[1.0 / 3.0], [-0.0], [0.0], [0.0], [0.2]])
     hi = np.array([[1.0 / 3.0], [0.0], [0.0], [1.0], [0.3]])
     out_lo, out_hi, ok = clamp_boxes(lo, hi, rows)
@@ -551,7 +551,7 @@ def test_halfspace_axis_marks_the_rows_with_one_nonzero_coefficient():
             coeffs = rng.normal(size=n) * (rng.uniform(size=n) < 0.4)
             coeffs[rng.uniform(size=n) < 0.2] = -0.0
             constraints.append(LinearConstraint(coeffs, str(rng.choice(["<=", ">=", "==", "<"])), rng.normal()))
-        rows = Condition(tuple(constraints)).halfspaces()
+        rows = Condition(tuple(constraints)).halfspaces
         assert rows.axis.shape == rows.bounds.shape
         nonzero = rows.coeffs != 0.0
         single = nonzero.sum(axis=1) == 1
@@ -560,18 +560,18 @@ def test_halfspace_axis_marks_the_rows_with_one_nonzero_coefficient():
         assert np.array_equal(rows.widened(0.5).axis, rows.axis)
         seen |= set(nonzero.sum(axis=1).tolist())
     assert {0, 1, 2} <= seen
-    assert Condition().halfspaces().axis.shape == (0,)
+    assert Condition().halfspaces.axis.shape == (0,)
 
 
 def test_halfspaces_need_every_field():
-    rows = rows_of(([1.0, 0.0], "<=", 1.0)).halfspaces()
+    rows = rows_of(([1.0, 0.0], "<=", 1.0)).halfspaces
     with pytest.raises(TypeError):
         Halfspaces(rows.coeffs, rows.bounds, rows.equality)
 
 
 def test_column_clamp_does_not_empty_a_box_whose_row_minimum_overflows():
     # 3 x <= 1 over x in [-1e308, 0]: the n-column formula reads inf - inf there
-    rows = rows_of(([3.0, 0.0], "<=", 1.0)).halfspaces()
+    rows = rows_of(([3.0, 0.0], "<=", 1.0)).halfspaces
     with np.errstate(over="ignore"):
         lo, hi, ok = clamp_boxes(np.array([[-1e308, 0.0]]), np.array([[0.0, 1.0]]), rows)
     assert ok[0] and lo[0, 0] == -1e308 and hi[0, 0] == 0.0

@@ -117,7 +117,7 @@ def test_ball_first_event_time_matches_closed_form():
 
 def test_no_crossing_means_no_event():
     bundle = build_bouncing_ball()
-    automaton = bundle.automaton.resolved()
+    automaton = bundle.automaton.resolved
     dyn = automaton.location("always").dynamics
     trans = automaton.transitions[0]
     x0 = np.array([10.0, 0.0, 10.0, 0.0])
@@ -367,7 +367,7 @@ def test_first_root(g0, d1, d2, h, root):
 def test_a_confirmed_seed_leaves_the_bisection_nothing_to_halve(monkeypatch):
     # the ball's impact step: the two bracket edges, no midpoints; the full
     # step comes from the caller
-    automaton = build_bouncing_ball().automaton.resolved()
+    automaton = build_bouncing_ball().automaton.resolved
     dyn, trans = automaton.location("always").dynamics, automaton.transitions[0]
     x0 = np.array([0.004, -9.0, 5.0, 0.0])  # lands at about tau = 4.4e-4
     x_after = step(dyn, x0, (), 1e-3, Integrator.HEUN)
@@ -513,7 +513,7 @@ def test_event_times_strictly_increase():
 def test_events_satisfy_their_guards():
     bundle = build_tank()
     traj = simulate(bundle, [0.5, 0.25, 0.2], Integrator.HEUN, SimOptions(step=0.01))
-    automaton = bundle.automaton.resolved()
+    automaton = bundle.automaton.resolved
     by_key = {(t.source, t.target): t for t in automaton.transitions}
     assert traj.events
     for event in traj.events:
@@ -715,7 +715,7 @@ def test_leaving_the_invariant_truncates_at_its_boundary(kind):
 
 def reference_simulate(bundle, x0, kind, options):
     """The plain per-step loop: step(), then detect_event on every transition."""
-    automaton = bundle.automaton.resolved()
+    automaton = bundle.automaton.resolved
     loc = automaton.location(bundle.initial.location)
     x = np.asarray(x0, dtype=float)
     u = np.zeros(0) if not automaton.vars.m else automaton.input_box().center

@@ -23,7 +23,7 @@ def test_generated_automata_put_constants_in_every_coefficient_kind():
     for kind in ("a_terms", "b_terms", "c_terms"):
         assert any(getattr(d, kind) for d in dynamics), kind
     assert any(r.matrix_terms for r in resets) and any(r.offset_terms for r in resets)
-    assert any(r.is_identity() for r in resets) and not all(r.is_identity() for r in resets)
+    assert any(r.is_identity for r in resets) and not all(r.is_identity for r in resets)
     assert any(c.coeff_terms for c in constraints) and any(c.bound_terms for c in constraints)
     assert {c.relation for c in constraints} == {"<=", "<", ">=", ">", "=="}
     assert all(b.automaton.vars.input_vars == ("u",) for b in BUNDLES)
@@ -60,6 +60,6 @@ def test_generated_bundles_round_trip_through_json():
 def test_flowstar_emission_is_that_of_the_resolved_bundle():
     for bundle in BUNDLES:
         text = emit_flowstar(bundle)
-        assert text == emit_flowstar(bundle.resolved()), bundle.automaton.name
+        assert text == emit_flowstar(bundle.resolved), bundle.automaton.name
         body = text.split(" modes\n")[1]
         assert not {"g", "k"} & set(body.replace("*", " ").split())

@@ -42,13 +42,15 @@ def main() -> int:
         bundle = corpus.build(bench)
         out = root / bench.value
         out.mkdir(parents=True, exist_ok=True)
-        (out / "model.xml").write_text(emit_spaceex(bundle.automaton))
-        (out / "config.cfg").write_text(
-            emit_config(bundle.settings, bundle.initial, bundle.automaton.vars, bundle.automaton.name)
-        )
-        (out / "model.model").write_text(emit_flowstar(bundle))
-        (out / "bundle.json").write_text(write_json(bundle))
-        (out / "expected.json").write_text(expected_metadata(bundle))
+        texts = {
+            "model.xml": emit_spaceex(bundle.automaton),
+            "config.cfg": emit_config(bundle.settings, bundle.initial, bundle.automaton.vars, bundle.automaton.name),
+            "model.model": emit_flowstar(bundle),
+            "bundle.json": write_json(bundle),
+            "expected.json": expected_metadata(bundle),
+        }
+        for name, text in texts.items():
+            (out / name).write_text(text, encoding="utf-8")
         print(f"wrote {out}")
     return 0
 
