@@ -40,15 +40,32 @@ time.
 ``reach`` explores jumps breadth-first. A task's start set is one box (the
 initial set, a reset guard window clamped to the target's invariant, or a
 merged hull) until ``flowpipe`` builds the zonotope ``discretize`` reads.
+
+Each level runs its tasks in groups that share a location. ``_merge_level``
+orders a level by location, so a group is a run of the level's tasks, and
+the order of the level is kept. ``flowpipe`` takes a group: each task keeps
+its own first-interval enclosure, propagation chunks, tail step and
+emission window, and the invariant clamp of each chunk index, the read-back
+of the rows and the emission clamp run once over the rows of the whole
+group. ``jump_successors`` reads the group's raw rows once per transition
+and splits guard runs where one task's rows end. Rows are independent in
+all of these, so every bit is what one flowpipe per task gives: the
+segments come level by level and task by task, each task's rows in time
+order, and so do the successor tasks. When a group raises, the level runs
+again one task at a time, so the error raised is that of the level's
+earliest failing task, as a task-by-task loop raises it.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import groupby, islice
+from operator import attrgetter
 
 import numpy as np
 
@@ -129,8 +146,9 @@ class Segments:
         segments = cls(time_lo, time_hi, *center_radius(lo, hi),
                        np.full(count, location, dtype=object), np.full(count, depth))
         with np.errstate(over="ignore"):
-            finite = np.isfinite(segments.lo).all(axis=1) & np.isfinite(segments.hi).all(axis=1)
-        if not finite.all():
+            read_lo, read_hi = segments.lo, segments.hi
+        if not (np.isfinite(read_lo).all() and np.isfinite(read_hi).all()):
+            finite = np.isfinite(read_lo).all(axis=1) & np.isfinite(read_hi).all(axis=1)
             raise NonFiniteFlowpipe(
                 f"flowpipe of location {location!r} left the floating-point range before "
                 f"t={float(time_hi[np.argmin(finite)]):g}: a box does not read back from its center and radius"
@@ -147,6 +165,7 @@ class Segments:
     def concat(cls, parts: list) -> "Segments":
         return cls(*(np.concatenate([getattr(p, f) for p in parts]) for f in
                      ("time_lo", "time_hi", "center", "radius", "location", "depth")))
+
 
     @cached_property
     def lo(self) -> np.ndarray:
@@ -188,6 +207,8 @@ class ReachResult:
     verdict: Verdict
     stats: ReachStats
     first_violation: int | None = None  # index into segments
+    margin: float | None = None  # see ``safety_margin``; None without a forbidden set or segments
+    margin_segment: int | None = None  # index into segments of the box that attains the margin
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +286,7 @@ def _tables(discretized: dict, a, step: float) -> PhiTables:
 
 class Discretization:
     """A location's discrete-time data for one step: all that ``discretize`` and
-    ``_propagate`` need besides the set (see the module docstring). ``tables``,
+    ``flowpipe``'s propagation need besides the set (see the module docstring). ``tables``,
     the ``PhiTables`` of (dyn.a, step), holds the (A, step) part; the drift
     part (u_c, mu0, beta, V) is built here. ``kernel``, the ``_box_chunks``
     tables of (Phi, V), is built on first use."""
@@ -368,19 +389,39 @@ def _box_inside_condition(box: Box, cond: Condition, slack: float = _CONTAIN_SLA
 
 
 @dataclass
-class FlowpipeResult:
-    """Emitted (skew-widened) segments plus the raw per-interval boxes.
+class Task:
+    """A flowpipe to run: its location, start box, entry time and the width of its entry window."""
 
-    ``segments`` are what the flowpipe reports: each box hulled with the
-    preceding ceil(window/step) raw boxes so a trajectory that entered the
-    location anywhere in its jump window stays covered by the segment whose
-    time label contains the query time. ``raw`` keeps the unslid boxes:
-    guard detection works on those (states are elapsed-faithful there), with
-    the entry skew accounted for in the successor's window width instead.
+    location: str
+    box: Box  # the start set
+    entry_time: float
+    window: float
+
+    @property
+    def end_time(self) -> float:
+        return self.entry_time + self.window
+
+
+@dataclass
+class FlowpipeResult:
+    """Emitted (skew-widened) segments plus the raw per-interval boxes of a group of tasks.
+
+    ``segments`` are what the flowpipes report: each box hulled with the
+    preceding ceil(window/step) raw boxes of its task, so a trajectory that
+    entered the location anywhere in its jump window stays covered by the
+    segment whose time label contains the query time. ``raw`` keeps the
+    unslid boxes: guard detection works on those (states are elapsed-faithful
+    there), with the entry skew accounted for in the successor's window
+    width instead. Both tables hold the rows of the group's tasks one task
+    after the other: ``raw_ends[i]`` counts the raw rows of tasks 0 to i, so
+    task i's raw rows run from ``raw_ends[i - 1]`` (0 for the first task) up
+    to ``raw_ends[i]``. ``alpha`` is the largest curvature bloat radius of
+    the group.
     """
 
     segments: Segments
     raw: Segments
+    raw_ends: list
     alpha: float
 
 
@@ -405,41 +446,16 @@ def _box_chunks(kernel, z0: Zonotope, steps: int):
     input_radius = np.zeros(z0.dim)  # row sums of |Phi^j W| over j < k
     for k in range(0, steps, _CHUNK):
         size = min(_CHUNK, steps - k)
-        centers = np.cumsum(np.vstack([center, diffs[:size] @ center + drift[:size]]), axis=0)
+        centers = np.cumsum(np.concatenate([center[None], diffs[:size] @ center + drift[:size]]), axis=0)
         center, centers = centers[size], centers[:size]
         radius = np.abs(powers[:size] @ gens).sum(axis=2)
         if inputs.shape[1]:
             running = input_radius + np.cumsum(np.abs(powers[:size] @ inputs).sum(axis=2), axis=0)
-            radius += np.vstack([input_radius, running[:-1]])
+            radius += np.concatenate([input_radius[None], running[:-1]])
             input_radius = running[-1]
             inputs = powers[size] @ inputs
         gens = powers[size] @ gens
         yield centers - radius, centers + radius, (center, gens, input_radius)
-
-
-def _propagate(location, omega0: Zonotope, kernel, steps: int, entry_time: float, step: float):
-    """Invariant-clamped boxes of Omega_0 .. Omega_(steps-1), wrapping-free.
-
-    Returns (lo, hi, last): (K, n) bounds of the boxes up to the first one
-    whose clamp empties, and the zonotope Omega_steps when all ``steps``
-    boxes stayed inside the invariant (None otherwise).
-    """
-    los, his = [], []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for chunk, (lo, hi, after) in enumerate(_box_chunks(kernel, omega0, steps)):
-            # finite centers and radii can still sum out of range; the clamp
-            # would read those infinities as an empty box and cut the pipe
-            _require_finite(location, entry_time + min((chunk + 1) * _CHUNK, steps) * step, lo, hi)
-            lo, hi, ok = clamp_boxes(lo, hi, location.invariant.halfspaces)
-            cut = lo.shape[0] if ok.all() else int(np.argmin(ok))
-            los.append(lo[:cut])
-            his.append(hi[:cut])
-            if cut < lo.shape[0]:
-                return np.concatenate(los), np.concatenate(his), None
-    center, gens, input_radius = after
-    _require_finite(location, entry_time + steps * step, center, gens, input_radius)
-    last = Zonotope(center, np.hstack([gens, np.diag(input_radius)[:, input_radius > 0]]))
-    return np.concatenate(los), np.concatenate(his), last
 
 
 def _sliding_hull(lo, hi, m: int, count: int):
@@ -468,118 +484,193 @@ def _sliding_hull(lo, hi, m: int, count: int):
     return out_lo, out_hi
 
 
-def flowpipe(location, init: Box, input_box: Box | None, step: float, horizon: float,
-             entry_time: float = 0.0, jump_depth: int = 0, window: float = 0.0, *,
-             discretized: dict) -> "FlowpipeResult":
-    """Segments covering [entry_time, horizon] inside one location.
+def _join(parts: list, width: int = 2) -> tuple:
+    """The first ``width`` columns of tuples of arrays, each joined along its first axis;
+    a lone tuple gives its own."""
+    if len(parts) == 1:
+        return parts[0][:width]
+    return tuple(np.concatenate(column) for column in islice(zip(*parts), width))
 
-    Stops early when a segment's intersection with the invariant is empty.
-    ``discretize`` reads the zonotope of the finite box ``init``.
-    ``window`` is the width of the guard-crossing window that produced
-    ``init`` (zero for the model's initial set). ``discretized`` maps location
-    names to their ``Discretization`` for ``step`` and (step, A's bytes) to
-    ``PhiTables``; a missing entry is added.
+
+def _guard_runs(hits: np.ndarray, ends: list):
+    """(task position, rows) of each run of consecutive rows in ``hits`` that belong to one task."""
+    for run in np.split(hits, np.flatnonzero(np.diff(hits) > 1) + 1):
+        owner = bisect_right(ends, run[0])
+        while run[-1] >= ends[owner]:  # the run reaches into the rows of a later task
+            cut = ends[owner] - run[0]
+            yield owner, run[:cut]
+            run = run[cut:]
+            owner = bisect_right(ends, run[0])
+        yield owner, run
+
+
+def flowpipe(location, tasks: list, input_box: Box | None, step: float, horizon: float,
+             jump_depth: int = 0, *, discretized: dict) -> FlowpipeResult:
+    """Segments covering [task.entry_time, horizon] inside one location, for each ``Task``.
+
+    Every task starts in ``location``; its flowpipe stops early when a
+    segment's intersection with the invariant is empty. ``discretize`` reads
+    the zonotope of the finite box ``task.box``. ``task.window`` is the width
+    of the guard-crossing window that produced it (zero for the model's
+    initial set). Each task has its own first-interval enclosure,
+    propagation chunks, tail step and emission windows; the invariant clamp
+    of each chunk index, the read-back of the rows and the emission clamp
+    run once over the rows of all tasks. Rows are independent in all three,
+    so every bit is the one a call per task gives. ``discretized`` maps
+    location names to their ``Discretization`` for ``step`` and (step, A's
+    bytes) to ``PhiTables``; a missing entry is added.
     """
     dyn = location.dynamics
     invariant = location.invariant
-    n = init.dim
-    if not _box_inside_condition(init, invariant):
-        raise InitOutsideInvariant(
-            f"initial set of location {location.name!r} is not inside its invariant"
-        )
-    remaining = horizon - entry_time
-    if remaining <= 1e-12:
-        return FlowpipeResult(Segments.empty(n), Segments.empty(n), 0.0)
-
-    full_steps = int(math.floor(remaining / step + 1e-9))
-    leftover = remaining - full_steps * step
-    if leftover < 1e-9 * max(1.0, step):
-        leftover = 0.0
-
+    rows = invariant.halfspaces
+    blocks = [[] for _ in tasks]  # per task, its raw (lo, hi) row blocks in time order
+    lasts = []  # per task, the set covering its last interval while it lives
+    steps, leftovers = [], []
+    live = []  # (task position, chunk generator) of the tasks still propagating
     alpha_max = 0.0
-    lo = hi = np.empty((0, n))
-    last = init.to_zonotope()
-    if full_steps > 0:
+    least_leftover = 1e-9 * max(1.0, step)
+    for i, task in enumerate(tasks):
+        if not _box_inside_condition(task.box, invariant):
+            raise InitOutsideInvariant(
+                f"initial set of location {location.name!r} is not inside its invariant"
+            )
+        remaining = horizon - task.entry_time
+        full_steps = int(math.floor(remaining / step + 1e-9))
+        leftover = remaining - full_steps * step
+        steps.append(full_steps)
+        leftovers.append(0.0 if leftover < least_leftover else leftover)
+        if remaining <= 1e-12 or full_steps == 0:
+            lasts.append(task.box.to_zonotope() if remaining > 1e-12 else None)
+            continue
+        lasts.append(None)
         disc = discretized.get(location.name)
         if disc is None:
             disc = discretized[location.name] = Discretization(dyn, input_box, step, _tables(discretized, dyn.a, step))
-        omega, alpha = discretize(disc, last)
+        omega, alpha = discretize(disc, task.box.to_zonotope())
         alpha_max = max(alpha_max, alpha)
-        lo, hi, last = _propagate(location, omega, disc.kernel, full_steps, entry_time, step)
-    if last is not None and (leftover > 0.0 or full_steps == 0):
-        # partial tail segment from the set covering the last interval
-        omega_tail, alpha = discretize(
-            Discretization(dyn, input_box, leftover, _tables(discretized, dyn.a, leftover)), last)
-        alpha_max = max(alpha_max, alpha)
-        with np.errstate(over="ignore", invalid="ignore"):
-            tail = box_hull(omega_tail)
-        _require_finite(location, horizon, tail.lo, tail.hi)
-        tail_lo, tail_hi, ok = clamp_boxes(tail.lo[None, :], tail.hi[None, :], invariant.halfspaces)
-        if ok[0]:
-            lo, hi = np.vstack([lo, tail_lo]), np.vstack([hi, tail_hi])
+        live.append((i, _box_chunks(disc.kernel, omega, full_steps)))
 
-    raw_count = lo.shape[0]
-    if raw_count == 0:
-        return FlowpipeResult(Segments.empty(n), Segments.empty(n), alpha_max)
-    total_steps = full_steps + (1 if leftover > 0.0 else 0)
-    m = int(math.ceil(window / step - 1e-9)) if window > 0 else 0
+    # Invariant-clamped boxes of Omega_0 .. Omega_(steps-1), wrapping-free: chunk
+    # index by chunk index, one clamp over the chunks of every task still alive.
+    chunk_end = _CHUNK  # the step after the current chunk index
+    with np.errstate(over="ignore", invalid="ignore"):
+        while live:
+            chunks = [next(gen) for _, gen in live]
+            lo, hi = _join(chunks)
+            # finite centers and radii can still sum out of range; the clamp
+            # would read those infinities as an empty box and cut the pipe
+            if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+                for (i, _), (chunk_lo, chunk_hi, _) in zip(live, chunks):
+                    time_at = tasks[i].entry_time + min(chunk_end, steps[i]) * step
+                    _require_finite(location, time_at, chunk_lo, chunk_hi)
+            lo, hi, ok = clamp_boxes(lo, hi, rows)
+            still, stop = [], 0
+            for (i, gen), (chunk_lo, _, after) in zip(live, chunks):
+                start, stop = stop, stop + chunk_lo.shape[0]
+                cut = stop if ok[start:stop].all() else start + int(np.argmin(ok[start:stop]))
+                blocks[i].append((lo[start:cut], hi[start:cut]))
+                if cut < stop:
+                    continue  # the clamp emptied: the pipe ends here, no set follows
+                if chunk_end < steps[i]:
+                    still.append((i, gen))
+                    continue
+                center, gens, input_radius = after
+                _require_finite(location, tasks[i].entry_time + steps[i] * step, center, gens, input_radius)
+                lasts[i] = Zonotope(center, np.hstack([gens, np.diag(input_radius)[:, input_radius > 0]]))
+            live = still
+            chunk_end += _CHUNK
+
     # Emitted segment k hulls raw boxes over elapsed [k-m, k]: a trajectory
     # that entered up to `window` later than the pipe start is elapsed-wise
     # behind by up to m segments. For the same reason the emission runs up
     # to m segments past the raw pipe's death. The raw rows are a prefix of
     # the emitted ones, and so are their time columns.
-    emit_count = min(raw_count + m, total_steps) if m else raw_count
-    k = np.arange(emit_count)
-    t_lo, t_hi = entry_time + k * step, np.minimum(entry_time + (k + 1) * step, horizon)
-    t_hi[k == full_steps] = horizon
-    raw = Segments.from_bounds(t_lo[:raw_count], t_hi[:raw_count], lo, hi, location.name, jump_depth)
-    if m == 0:
-        return FlowpipeResult(raw, raw, alpha_max)
-    merged_lo, merged_hi = _sliding_hull(lo, hi, m, emit_count)
-    clamped_lo, clamped_hi, ok = clamp_boxes(merged_lo, merged_hi, invariant.halfspaces)
+    raw_parts, emit_parts = [], []  # (t_lo, t_hi, lo, hi) of each task with rows
+    raw_ends, windowed = [], []
+    raw_rows = 0
+    for i, task in enumerate(tasks):
+        last, leftover = lasts[i], leftovers[i]
+        if last is not None and (leftover > 0.0 or steps[i] == 0):
+            # partial tail segment from the set covering the last interval
+            omega_tail, alpha = discretize(
+                Discretization(dyn, input_box, leftover, _tables(discretized, dyn.a, leftover)), last)
+            alpha_max = max(alpha_max, alpha)
+            with np.errstate(over="ignore", invalid="ignore"):
+                tail = box_hull(omega_tail)
+            _require_finite(location, horizon, tail.lo, tail.hi)
+            tail_lo, tail_hi, ok = clamp_boxes(tail.lo[None, :], tail.hi[None, :], rows)
+            if ok[0]:
+                blocks[i].append((tail_lo, tail_hi))
+        lo, hi = _join(blocks[i]) if blocks[i] else (np.empty((0, dyn.a.shape[0])),) * 2
+        raw_count = lo.shape[0]
+        raw_rows += raw_count
+        raw_ends.append(raw_rows)
+        if raw_count == 0:
+            continue
+        m = math.ceil(task.window / step - 1e-9) if task.window > 0 else 0
+        windowed.append(m > 0)
+        emit_count = min(raw_count + m, steps[i] + (leftover > 0.0)) if m else raw_count
+        k = np.arange(emit_count)
+        t_lo, t_hi = task.entry_time + k * step, np.minimum(task.entry_time + (k + 1) * step, horizon)
+        t_hi[k == steps[i]] = horizon
+        raw_parts.append((t_lo[:raw_count], t_hi[:raw_count], lo, hi))
+        # a task without a window emits its raw rows, which are clamped already
+        emit_parts.append((t_lo, t_hi, *_sliding_hull(lo, hi, m, emit_count)) if m else raw_parts[-1])
+    if not raw_parts:
+        empty = Segments.empty(dyn.a.shape[0])
+        return FlowpipeResult(empty, empty, raw_ends, alpha_max)
+    raw = Segments.from_bounds(*_join(raw_parts, 4), location.name, jump_depth)
+    if not any(windowed):
+        return FlowpipeResult(raw, raw, raw_ends, alpha_max)
+    t_lo, t_hi, merged_lo, merged_hi = _join(emit_parts, 4)
+    clamped_lo, clamped_hi, ok = clamp_boxes(merged_lo, merged_hi, rows)
+    if not all(windowed):  # keep raw rows as they are: a second pass over coupled rows can tighten them
+        ok &= np.repeat(windowed, [part[0].shape[0] for part in emit_parts])
     merged_lo = np.where(ok[:, None], clamped_lo, merged_lo)
     merged_hi = np.where(ok[:, None], clamped_hi, merged_hi)
     segments = Segments.from_bounds(t_lo, t_hi, merged_lo, merged_hi, location.name, jump_depth)
-    return FlowpipeResult(segments, raw, alpha_max)
+    return FlowpipeResult(segments, raw, raw_ends, alpha_max)
 
 
 # ---------------------------------------------------------------------------
 # Discrete successors
 
 
-def jump_successors(segments: Segments, transition):
-    """Aggregated successors of one transition over a segment table.
+def jump_successors(pipe: FlowpipeResult, transition) -> list:
+    """Aggregated successors of one transition over the raw rows of a flowpipe group.
 
-    Consecutive segments whose boxes meet the guard form one crossing
-    window; the guard-clamped boxes hull into a single box, whose image
-    under the reset ``R x + r`` is the box of center ``R c + r`` and radius
-    ``|R| rad``, reported with the window's start time and width. Returns
-    a list of (box_pre_invariant, entry_time, window_width), each box with
-    finite bounds. A reset that maps a window out of the floating-point
-    range raises ``NonFiniteFlowpipe``.
+    Consecutive raw rows of one task whose boxes meet the guard form one
+    crossing window; the guard-clamped boxes hull into a single box, whose
+    image under the reset ``R x + r`` is the box of center ``R c + r`` and
+    radius ``|R| rad``, reported with the window's start time and width.
+    Returns one list per task of the group, each of (box_pre_invariant,
+    entry_time, window_width), each box with finite bounds. A reset that
+    maps a window out of the floating-point range raises ``NonFiniteFlowpipe``.
     """
+    segments = pipe.raw
     lo, hi, hit = clamp_boxes(segments.lo, segments.hi, transition.guard.halfspaces)
+    out: list = [[] for _ in pipe.raw_ends]
     hits = np.flatnonzero(hit)
     if hits.size == 0:
-        return []
+        return out
     reset = transition.reset
-    out = []
-    for run in np.split(hits, np.flatnonzero(np.diff(hits) > 1) + 1):
-        entry_time = float(segments.time_lo[run[0]])
-        window_width = float(segments.time_hi[run[-1]]) - entry_time
-        # the window hulls clamped rows of a finite table, so its bounds are finite
-        window_center, window_radius = center_radius(lo[run].min(axis=0), hi[run].max(axis=0))
-        with np.errstate(over="ignore", invalid="ignore"):
-            center = reset.r_matrix @ window_center + reset.r_offset
-            radius = np.abs(reset.r_matrix) @ window_radius
+    r_matrix, r_offset, r_abs = reset.r_matrix, reset.r_offset, np.abs(reset.r_matrix)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for owner, run in _guard_runs(hits, pipe.raw_ends):
+            entry_time = float(segments.time_lo[run[0]])
+            window_width = float(segments.time_hi[run[-1]]) - entry_time
+            # the window hulls clamped rows of a finite table, so its bounds are finite
+            window_center, window_radius = center_radius(lo[run].min(axis=0), hi[run].max(axis=0))
+            center = r_matrix @ window_center + r_offset
+            radius = r_abs @ window_radius
             succ_lo, succ_hi = center - radius, center + radius
-        # the clamp that follows would read infinities as an empty box
-        if not (np.isfinite(succ_lo).all() and np.isfinite(succ_hi).all()):
-            raise NonFiniteFlowpipe(
-                f"successor of the jump {transition.source!r} -> {transition.target!r} at t={entry_time:g} "
-                "left the floating-point range; the reset maps the guard set out of range"
-            )
-        out.append((Box._trusted(succ_lo, succ_hi), entry_time, window_width))
+            # the clamp that follows would read infinities as an empty box
+            if not (np.isfinite(succ_lo).all() and np.isfinite(succ_hi).all()):
+                raise NonFiniteFlowpipe(
+                    f"successor of the jump {transition.source!r} -> {transition.target!r} at t={entry_time:g} "
+                    "left the floating-point range; the reset maps the guard set out of range"
+                )
+            out[owner].append((Box._trusted(succ_lo, succ_hi), entry_time, window_width))
     return out
 
 
@@ -606,8 +697,38 @@ def check_safety(segments, forbidden: Condition | None, eq_slack: float = 1e-9):
     return Verdict.POSSIBLY_UNSAFE, int(offenders[np.argmin(segments.time_lo[offenders])])
 
 
-def _fixpoint_covered(task: _Task, pool: list) -> bool:
-    """Whether one earlier ``_Task`` in ``pool`` covers ``task``: its entry window holds the
+def safety_margin(segments, forbidden: Condition | None, eq_slack: float = 1e-9):
+    """Signed distance from the segment boxes to the forbidden set, and the box that attains it.
+
+    On the rows ``check_safety`` clamps (equalities widened by ``eq_slack``
+    to a slab), a box's value is its largest row value (min over the box of
+    c . x - d) / ||c||: where it is positive, that row separates the box
+    from the set by at least that distance, and the clamp finds the box
+    outside the set. The minimum over the box is summed as ``clamp_boxes``
+    sums it. The margin is the smallest value over the boxes, the lowest
+    index winning ties. A set with no rows (``true``) holds every box, so
+    every value is -inf. Returns (margin, index), or (None, None) without a
+    forbidden set or segments.
+    """
+    if forbidden is None or len(segments) == 0:
+        return None, None
+    rows = forbidden.halfspaces.widened(max(eq_slack, 1e-9))
+    lo, hi = segments.lo, segments.hi
+    values = np.full(len(segments), -np.inf)
+    for coeffs, bound, axis in zip(rows.coeffs, rows.bounds.tolist(), rows.axis.tolist()):
+        if axis >= 0:  # one coefficient c: the row is c x_i <= d
+            c = float(coeffs[axis])
+            value = (c * (lo if c > 0 else hi)[:, axis] - bound) / abs(c)
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):  # a row without coefficients reads +-inf or nan
+                value = (np.where(coeffs >= 0, coeffs * lo, coeffs * hi).sum(axis=1) - bound) / np.linalg.norm(coeffs)
+        np.fmax(values, value, out=values)
+    index = int(np.argmin(values))
+    return float(values[index]), index
+
+
+def _fixpoint_covered(task: Task, pool: list) -> bool:
+    """Whether one earlier ``Task`` in ``pool`` covers ``task``: its entry window holds the
     task's and its box the task's box. A task that entered later has less horizon left."""
     box = task.box
     slack = _CONTAIN_SLACK * max(1.0, box.sup_norm())
@@ -618,18 +739,6 @@ def _fixpoint_covered(task: _Task, pool: list) -> bool:
 
 # ---------------------------------------------------------------------------
 # Top-level exploration
-
-
-@dataclass
-class _Task:
-    location: str
-    box: Box  # the start set
-    entry_time: float
-    window: float
-
-    @property
-    def end_time(self) -> float:
-        return self.entry_time + self.window
 
 
 def _boxes_close(b1: Box, b2: Box) -> bool:
@@ -668,7 +777,7 @@ def _merge_level(tasks: list, step: float) -> list:
                 continue
             entry = min(other.entry_time, task.entry_time)
             end = max(other.end_time, task.end_time)
-            merged[i] = _Task(task.location, other.box.hull(task.box), entry, end - entry)
+            merged[i] = Task(task.location, other.box.hull(task.box), entry, end - entry)
             absorbed = True
             break
         if not absorbed:
@@ -681,7 +790,8 @@ def reach(bundle: ModelBundle) -> ReachResult:
 
     The verdict is the safety answer (SafeProved / PossiblyUnsafe); when the
     jump bound cut exploration or the fixpoint check discarded a task, that
-    is recorded in stats.termination (the jump bound first).
+    is recorded in stats.termination (the jump bound first). Each level's
+    tasks run in groups that share a location (see the module docstring).
     """
     started = time.perf_counter()
     bundle = bundle.resolved
@@ -692,7 +802,9 @@ def reach(bundle: ModelBundle) -> ReachResult:
         raise HyraError("bundle does not validate: " + "; ".join(str(d) for d in defects))
     input_box = automaton.input_box()
     locations = {loc.name: loc for loc in automaton.locations}
-    outgoing = {name: automaton.transitions_from(name) for name in locations}
+    outgoing: dict = {name: [] for name in locations}  # in the automaton's order, as transitions_from gives them
+    for transition in automaton.transitions:
+        outgoing[transition.source].append(transition)
 
     stats = ReachStats()
     parts: list = []
@@ -701,43 +813,60 @@ def reach(bundle: ModelBundle) -> ReachResult:
     processed: dict = {name: [] for name in locations}  # the tasks that ran, per location
     discretized: dict = {}  # shared by the flowpipes of the call (see ``flowpipe``)
 
-    level = [_Task(bundle.initial.location, bundle.initial.box, 0.0, 0.0)]
+    def run(tasks: list):
+        """The flowpipes of tasks that share a location and, when they hold rows, their
+        successors per outgoing transition."""
+        location = locations[tasks[0].location]
+        pipe = flowpipe(location, tasks, input_box, settings.step, settings.horizon, depth,
+                        discretized=discretized)
+        successors = [jump_successors(pipe, t) for t in outgoing[location.name]] if len(pipe.raw) else []
+        return tasks, pipe, successors
+
+    level = [Task(bundle.initial.location, bundle.initial.box, 0.0, 0.0)]
     depth = 0
     while level and depth <= settings.max_jumps:
-        next_level: list = []
+        ran: list = []
         for task in level:
             if settings.fixpoint_check and _fixpoint_covered(task, processed[task.location]):
                 stats.discarded += 1
                 continue
             processed[task.location].append(task)
-            pipe = flowpipe(
-                locations[task.location], task.box, input_box, settings.step, settings.horizon,
-                task.entry_time, depth, task.window, discretized=discretized,
-            )
+            ran.append(task)
+        try:
+            # ``_merge_level`` orders a level by location, so its groups are runs of tasks
+            results = [run(list(tasks)) for _, tasks in groupby(ran, key=attrgetter("location"))]
+        except HyraError:
+            # A group raises the error of one of its tasks, which need not be the
+            # earliest task of the level that fails. One task at a time, in order,
+            # the first error raised is that one.
+            results = [run([task]) for task in ran]
+        if ran:
+            stats.flowpipes += len(ran)
+            stats.max_depth = depth
+        next_level: list = []
+        for tasks, pipe, successors in results:
             alpha_max = max(alpha_max, pipe.alpha)
-            stats.flowpipes += 1
-            stats.max_depth = max(stats.max_depth, depth)
             parts.append(pipe.segments)
-            if len(pipe.raw) == 0:
-                continue
-            for transition in outgoing[task.location]:
-                successors = jump_successors(pipe.raw, transition)
-                if not successors:
-                    continue
-                if depth >= settings.max_jumps:
-                    jump_bound_cut = True
-                    continue
-                for succ, t_entry, w in successors:
-                    clamped = intersect_condition(succ, locations[transition.target].invariant)
-                    if clamped is None:
+            for position, task in enumerate(tasks):
+                for transition, per_task in zip(outgoing[task.location], successors):
+                    if not per_task[position]:
                         continue
-                    # late jumpers inherit the parent's entry skew
-                    next_level.append(_Task(transition.target, clamped, t_entry, w + task.window))
+                    if depth >= settings.max_jumps:
+                        jump_bound_cut = True
+                        continue
+                    for succ, t_entry, w in per_task[position]:
+                        clamped = intersect_condition(succ, locations[transition.target].invariant)
+                        if clamped is None:
+                            continue
+                        # late jumpers inherit the parent's entry skew
+                        next_level.append(Task(transition.target, clamped, t_entry, w + task.window))
         level = _merge_level(next_level, settings.step)
         depth += 1
 
     segments = Segments.concat(parts)
-    verdict, first_violation = check_safety(segments, settings.forbidden, max(1e-9, alpha_max))
+    slack = max(1e-9, alpha_max)
+    verdict, first_violation = check_safety(segments, settings.forbidden, slack)
+    margin, margin_segment = safety_margin(segments, settings.forbidden, slack)
     stats.segments = len(segments)
     stats.covered_time = float(segments.time_hi.max()) if len(segments) else 0.0
     if jump_bound_cut:
@@ -745,7 +874,7 @@ def reach(bundle: ModelBundle) -> ReachResult:
     elif stats.discarded:
         stats.termination = Termination.FIXPOINT_REACHED
     stats.wall_time = time.perf_counter() - started
-    return ReachResult(segments, verdict, stats, first_violation)
+    return ReachResult(segments, verdict, stats, first_violation, margin, margin_segment)
 
 
 def segments_to_csv(result: ReachResult, state_vars) -> str:

@@ -27,7 +27,7 @@ its guard windows under a reset ``R x + r``, mapped as boxes: center
 the engine checks finiteness wherever a result goes on: both Omega0 forms
 of ``reach.discretize`` (the chord zonotope and the sub-step box hull,
 whose boxes come from the propagation kernel ``reach._box_chunks``), each
-chunk of that kernel in ``reach._propagate``, the tail segment of
+chunk of that kernel in ``reach.flowpipe``, the tail segment of
 ``reach.flowpipe``, the bounds a stored segment reads back
 (``reach.Segments.from_bounds``) and each successor box of
 ``reach.jump_successors``.

@@ -14,6 +14,7 @@ import numpy as np
 from hyra.errors import (
     DimensionMismatch,
     ExpressionSyntaxError,
+    HyraError,
     ModelFormatError,
     NonlinearUnsupported,
     UnknownIdentifier,
@@ -32,10 +33,24 @@ from hyra.ir import (
     ResetMap,
     Transition,
     VariableTable,
+    validate,
 )
 from hyra.expressions import format_number
 from hyra.plot import Projection
-from hyra.sets import Box
+from hyra.reach import (
+    ReachResult,
+    ReachStats,
+    Segments,
+    Task,
+    Termination,
+    _fixpoint_covered,
+    _merge_level,
+    check_safety,
+    flowpipe,
+    jump_successors,
+    safety_margin,
+)
+from hyra.sets import Box, intersect_condition
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CORPUS_DIR = REPO_ROOT / "corpus"
@@ -135,6 +150,26 @@ def reset_jump_bundle(lo: float, hi: float, scale: float) -> ModelBundle:
     automaton = HybridAutomaton("blowup", table, locations, (jump,))
     settings = ReachSettings(0.3, 0.1, 1, None, None, False)
     return ModelBundle(automaton, settings, InitialCondition("a", Box([lo], [hi])))
+
+
+def group_error_bundle() -> ModelBundle:
+    """Two tasks start in b at depth 1: x in [1, 2] and, through x' = 1e300 x, x in [1e300, 2e300].
+
+    In b, x' = x, so the second task's boxes leave the floating-point range
+    before the horizon of 20 s, and the jump from b to c, x' = 1e308 x, maps
+    the first task's boxes out of it. Task by task, the first task's
+    successor fails before the second task's flowpipe runs.
+    """
+    table = VariableTable(("x",))
+    frozen, growth = AffineDynamics.zero(1), AffineDynamics([[1.0]], np.zeros((1, 0)), [0.0])
+    locations = (Location("a", Condition(), frozen), Location("b", Condition(), growth),
+                 Location("c", Condition(), frozen))
+    transitions = (Transition("a", "b", Condition(), ResetMap.identity(1)),
+                   Transition("a", "b", Condition(), ResetMap([[1e300]], [0.0])),
+                   Transition("b", "c", Condition(), ResetMap([[1e308]], [0.0])))
+    settings = ReachSettings(20.0, 0.1, 2, None, None, False)
+    automaton = HybridAutomaton("group-error", table, locations, transitions)
+    return ModelBundle(automaton, settings, InitialCondition("a", Box([1.0], [2.0])))
 
 
 # (lo, hi, reset scale, drift of x in a) of boxes whose bounds are finite but
@@ -995,3 +1030,65 @@ def projection_to_svg(proj: Projection) -> str:
             )
     out.append("</svg>")
     return "\n".join(out) + "\n"
+
+
+def reference_reach(bundle: ModelBundle) -> ReachResult:
+    """``reach`` task by task: one ``flowpipe`` per task and, right after it, one
+    ``jump_successors`` per outgoing transition.
+
+    This is the exploration loop as it was before ``reach`` ran the tasks of a
+    level in groups that share a location; ``reach`` must give the same
+    result bit for bit, and raise the same first error.
+    """
+    bundle = bundle.resolved
+    automaton, settings = bundle.automaton, bundle.settings
+    defects = validate(automaton, settings.forbidden)
+    if defects:
+        raise HyraError("bundle does not validate: " + "; ".join(str(d) for d in defects))
+    input_box = automaton.input_box()
+    locations = {loc.name: loc for loc in automaton.locations}
+    stats = ReachStats()
+    parts, alpha_max, jump_bound_cut = [], 0.0, False
+    processed = {name: [] for name in locations}
+    discretized = {}
+    level = [Task(bundle.initial.location, bundle.initial.box, 0.0, 0.0)]
+    depth = 0
+    while level and depth <= settings.max_jumps:
+        next_level = []
+        for task in level:
+            if settings.fixpoint_check and _fixpoint_covered(task, processed[task.location]):
+                stats.discarded += 1
+                continue
+            processed[task.location].append(task)
+            pipe = flowpipe(locations[task.location], [task], input_box, settings.step, settings.horizon, depth,
+                            discretized=discretized)
+            alpha_max = max(alpha_max, pipe.alpha)
+            stats.flowpipes += 1
+            stats.max_depth = max(stats.max_depth, depth)
+            parts.append(pipe.segments)
+            if len(pipe.raw) == 0:
+                continue
+            for transition in automaton.transitions_from(task.location):
+                successors, = jump_successors(pipe, transition)
+                if not successors:
+                    continue
+                if depth >= settings.max_jumps:
+                    jump_bound_cut = True
+                    continue
+                for succ, t_entry, w in successors:
+                    clamped = intersect_condition(succ, locations[transition.target].invariant)
+                    if clamped is not None:
+                        next_level.append(Task(transition.target, clamped, t_entry, w + task.window))
+        level = _merge_level(next_level, settings.step)
+        depth += 1
+    segments = Segments.concat(parts)
+    slack = max(1e-9, alpha_max)
+    verdict, first_violation = check_safety(segments, settings.forbidden, slack)
+    margin, margin_segment = safety_margin(segments, settings.forbidden, slack)
+    stats.segments = len(segments)
+    stats.covered_time = float(segments.time_hi.max()) if len(segments) else 0.0
+    if jump_bound_cut:
+        stats.termination = Termination.JUMP_BOUND_HIT
+    elif stats.discarded:
+        stats.termination = Termination.FIXPOINT_REACHED
+    return ReachResult(segments, verdict, stats, first_violation, margin, margin_segment)

@@ -26,6 +26,7 @@ from hyra.reach import (
     ReachResult,
     ReachStats,
     Segments,
+    Task,
     Termination,
     Verdict,
     check_safety,
@@ -33,6 +34,7 @@ from hyra.reach import (
     flowpipe,
     jump_successors,
     reach,
+    safety_margin,
     segments_to_csv,
 )
 from hyra.sets import (
@@ -49,8 +51,9 @@ from hyra.sets import (
     translate,
 )
 from support import (
-    box_contains, late_entry_bundle, merge_overflow_bundle, reset_jump_bundle, revisit_bundle, sample_zonotope,
-    wide_box_bundle, with_leftover_tail,
+    GENERATED_SEEDS, WIDE_BOXES, box_contains, generated_bundle, group_error_bundle, late_entry_bundle,
+    merge_overflow_bundle, reference_reach, reset_jump_bundle, revisit_bundle, sample_zonotope, wide_box_bundle,
+    with_leftover_tail,
 )
 
 reach_module = importlib.import_module("hyra.reach")
@@ -347,7 +350,7 @@ def test_input_bound_overflow_is_a_non_finite_flowpipe():
 
 def test_flowpipe_frozen_dynamics_identical_segments():
     init = Box([0.0, 0.0], [1.0, 1.0])
-    pipe = flowpipe(frozen_location(), init, None, 0.1, 1.0, discretized={})
+    pipe = flowpipe(frozen_location(), [Task("still", init, 0.0, 0.0)], None, 0.1, 1.0, discretized={})
     assert len(pipe.segments) == 10
     first = pipe.segments[0].box()
     for seg in pipe.segments:
@@ -370,7 +373,8 @@ def test_flowpipe_truncates_at_invariant_exit():
     bundle = build_bouncing_ball()
     automaton = bundle.automaton.resolved
     pipe = flowpipe(
-        automaton.location("always"), bundle.initial.box, None, 0.01, 40.0, discretized={}
+        automaton.location("always"), [Task("always", bundle.initial.box, 0.0, 0.0)], None, 0.01, 40.0,
+        discretized={},
     )
     # no retained segment lies entirely below ground
     for seg in pipe.segments:
@@ -386,7 +390,34 @@ def test_flowpipe_rejects_init_outside_invariant():
     automaton = bundle.automaton.resolved
     below_ground = Box([-1.0, 0.0, 5.0, 0.0], [-0.5, 0.0, 5.0, 0.0])
     with pytest.raises(InitOutsideInvariant):
-        flowpipe(automaton.location("always"), below_ground, None, 0.01, 1.0, discretized={})
+        flowpipe(automaton.location("always"), [Task("always", below_ground, 0.0, 0.0)], None, 0.01, 1.0,
+                 discretized={})
+
+
+def coupled_location() -> Location:
+    """x + y <= 1, y >= 0.5 and x - y/2 <= 0.4: a clamp pass over these rows can tighten a box it clamped."""
+    rows = (LinearConstraint([1.0, 1.0], "<=", 1.0), LinearConstraint([0.0, 1.0], ">=", 0.5),
+            LinearConstraint([1.0, -0.5], "<=", 0.4))
+    return Location("q", Condition(rows), AffineDynamics([[0.3, 0.7], [0.2, -0.5]], np.zeros((2, 0)), [0.7, 0.0]))
+
+
+@pytest.mark.parametrize("location, box, step, horizon", [
+    (build_bouncing_ball().automaton.resolved.location("always"), build_bouncing_ball().initial.box, 0.01, 40.0),
+    (coupled_location(), Box([-0.14, 0.58], [-0.12, 0.7]), 0.05, 1.0),
+], ids=["one-variable-rows", "coupled-rows"])
+def test_a_flowpipe_group_equals_one_call_per_task(location, box, step, horizon):
+    # entries at different times, with and without an entry window, one at the horizon (no rows)
+    tasks = [Task(location.name, box, entry, window)
+             for entry, window in ((0.0, 0.0), (0.1, 0.25), (horizon, 0.1), (0.3, 0.0), (0.05, 0.031))]
+    group = flowpipe(location, tasks, None, step, horizon, 1, discretized={})
+    alone = [flowpipe(location, [task], None, step, horizon, 1, discretized={}) for task in tasks]
+    for table in ("segments", "raw"):
+        got, want = getattr(group, table), Segments.concat([getattr(pipe, table) for pipe in alone])
+        for column in ("time_lo", "time_hi", "center", "radius", "depth"):
+            assert getattr(got, column).tobytes() == getattr(want, column).tobytes()
+        assert got.location.tolist() == want.location.tolist()
+    assert group.raw_ends == np.cumsum([len(pipe.raw) for pipe in alone]).tolist()
+    assert group.alpha == max(pipe.alpha for pipe in alone)
 
 
 def first_flowpipe_and_reference(bundle):
@@ -401,7 +432,8 @@ def first_flowpipe_and_reference(bundle):
     s = bundle.settings
     init = bundle.initial.box.to_zonotope()
     input_box = automaton.input_box()
-    pipe = flowpipe(location, bundle.initial.box, input_box, s.step, s.horizon, discretized={})
+    pipe = flowpipe(location, [Task(location.name, bundle.initial.box, 0.0, 0.0)], input_box, s.step, s.horizon,
+                    discretized={})
     disc = Discretization(location.dynamics, input_box, s.step, PhiTables(location.dynamics.a, s.step))
     omega, _ = discretize(disc, init)
     v_set, phi = disc.v_set, disc.phi
@@ -697,14 +729,15 @@ def ball_pipe_and_transitions():
     bundle = build_bouncing_ball()
     automaton = bundle.automaton.resolved
     pipe = flowpipe(
-        automaton.location("always"), bundle.initial.box, None, 0.01, 40.0, discretized={}
+        automaton.location("always"), [Task("always", bundle.initial.box, 0.0, 0.0)], None, 0.01, 40.0,
+        discretized={},
     )
     return pipe, automaton.transitions
 
 
 def test_ball_bounce_window_resets_velocity():
     pipe, transitions = ball_pipe_and_transitions()
-    successors = jump_successors(pipe.raw, transitions[0])
+    successors, = jump_successors(pipe, transitions[0])
     assert len(successors) == 1
     box, entry, width = successors[0]
     # hit speeds near sqrt(2 g h0) scaled by the restitution
@@ -726,7 +759,7 @@ def test_disjoint_guard_gives_no_successors():
     unreachable = Transition(
         "always", "always", Condition((LinearConstraint(coeffs, ">=", 100.0),)), ResetMap.identity(table_n)
     )
-    assert jump_successors(pipe.raw, unreachable) == []
+    assert jump_successors(pipe, unreachable) == [[]]
 
 
 def test_identity_reset_returns_the_clamped_window():
@@ -739,7 +772,7 @@ def test_identity_reset_returns_the_clamped_window():
     touch = Transition(
         "always", "always", Condition((LinearConstraint(coeffs, "<=", 0.05),)), ResetMap.identity(4)
     )
-    successors = jump_successors(pipe.raw, touch)
+    successors, = jump_successors(pipe, touch)
     assert successors
     box, _, _ = successors[0]
     agg = None
@@ -768,20 +801,38 @@ def reference_successors(segments, transition):
     return out
 
 
-@pytest.mark.parametrize("build", CORPUS_BUILDS, ids=lambda b: b.__name__[6:])
+def task_rows(segments, start: int, stop: int) -> Segments:
+    """Rows ``start`` .. ``stop`` - 1 of a segment table, as a table."""
+    return Segments(*(getattr(segments, f)[start:stop]
+                      for f in ("time_lo", "time_hi", "center", "radius", "location", "depth")))
+
+
+def build_tank_at_15s_and_24_jumps():
+    bundle = build_tank()
+    return ModelBundle(bundle.automaton, dataclasses.replace(bundle.settings, horizon=15.0, max_jumps=24),
+                       bundle.initial)
+
+
+@pytest.mark.parametrize("build", [*CORPUS_BUILDS, build_tank_at_15s_and_24_jumps], ids=lambda b: b.__name__[6:])
 def test_jump_successors_equal_the_checked_reference_on_every_corpus_call(build):
+    # each call takes one group of tasks; each task's successors are those of its raw rows alone
     calls = recorded_calls("jump_successors", build)
     found = 0
-    for segments, transition in calls:
-        got, want = jump_successors(segments, transition), reference_successors(segments, transition)
-        assert len(got) == len(want)
-        for (box, entry, width), (ref, ref_entry, ref_width) in zip(got, want):
-            assert (entry, width) == (ref_entry, ref_width)
-            ref = box_hull(ref)
-            for side, ref_side in ((box.lo, ref.lo), (box.hi, ref.hi)):
-                assert np.array_equal(side, ref_side) and np.array_equal(np.signbit(side), np.signbit(ref_side))
-        found += len(got)
+    for pipe, transition in calls:
+        got = jump_successors(pipe, transition)
+        assert len(got) == len(pipe.raw_ends)
+        for task_got, start, stop in zip(got, [0, *pipe.raw_ends[:-1]], pipe.raw_ends):
+            want = reference_successors(task_rows(pipe.raw, start, stop), transition)
+            assert len(task_got) == len(want)
+            for (box, entry, width), (ref, ref_entry, ref_width) in zip(task_got, want):
+                assert (entry, width) == (ref_entry, ref_width)
+                ref = box_hull(ref)
+                for side, ref_side in ((box.lo, ref.lo), (box.hi, ref.hi)):
+                    assert np.array_equal(side, ref_side) and np.array_equal(np.signbit(side), np.signbit(ref_side))
+            found += len(task_got)
     assert found > 0
+    if build is build_tank_at_15s_and_24_jumps:
+        assert max(len(pipe.raw_ends) for pipe, _ in calls) >= 9
 
 
 def test_segment_bounds_are_computed_once_per_table():
@@ -819,12 +870,12 @@ def test_box_wider_than_the_largest_float_reaches(case, a_bounds, b_bounds):
 
 def test_reset_out_of_range_raises_from_jump_successors():
     bundle = reset_jump_bundle(1e307, 2e307, 20.0)
-    pipe = flowpipe(bundle.automaton.locations[0], bundle.initial.box, None, 0.1, 0.3,
+    pipe = flowpipe(bundle.automaton.locations[0], [Task("a", bundle.initial.box, 0.0, 0.0)], None, 0.1, 0.3,
                     discretized={})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteFlowpipe) as error:
-            jump_successors(pipe.raw, bundle.automaton.transitions[0])
+            jump_successors(pipe, bundle.automaton.transitions[0])
     assert str(error.value) == ("successor of the jump 'a' -> 'b' at t=0 left the floating-point range; "
                                 "the reset maps the guard set out of range")
 
@@ -850,7 +901,7 @@ def test_tail_segment_out_of_range_raises_instead_of_being_dropped():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteFlowpipe, match="location 't' left the floating-point range"):
-            flowpipe(location, init, Box([-1e298], [1e298]), 1.0, 0.5, discretized={})
+            flowpipe(location, [Task("t", init, 0.0, 0.0)], Box([-1e298], [1e298]), 1.0, 0.5, discretized={})
 
 
 
@@ -863,7 +914,7 @@ def test_segment_box_wider_than_the_largest_float_is_stored():
     init = Box([-0.48 * big], [0.48 * big])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        pipe = flowpipe(location, init, Box([-0.5e298], [0.5e298]), 1.0, 0.5, discretized={})
+        pipe = flowpipe(location, [Task("t", init, 0.0, 0.0)], Box([-0.5e298], [0.5e298]), 1.0, 0.5, discretized={})
     segments = pipe.segments
     assert (len(segments), segments.time_lo.tolist(), segments.time_hi.tolist()) == (1, [0.0], [0.5])
     assert segments.center.tolist() == [[0.0]]
@@ -1194,3 +1245,115 @@ def test_batched_flowpipe_index_agrees_with_the_scalar_query(build):
         assert batched.tolist() == [index.covers(t, x) for t, x in zip(traj.times, states)]
         answers += batched.tolist()
     assert set(answers) == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# reach by location groups against the task-by-task reference
+
+
+def sub_box(box: Box, seed: int) -> Box:
+    """A seeded sub-box of ``box``: each side 0.8 to 1 times as wide, at a seeded offset."""
+    rng = np.random.default_rng(seed)
+    width = box.hi - box.lo
+    side = rng.uniform(0.8, 1.0, width.shape) * width
+    lo = box.lo + rng.uniform(0.0, 1.0, width.shape) * (width - side)
+    return Box(lo, np.minimum(lo + side, box.hi))
+
+
+def deep_bundle(build, seed: int, max_jumps: int, horizon: float | None = None) -> ModelBundle:
+    """A corpus model from a seeded sub-box of its initial set, with a raised jump bound."""
+    bundle = build()
+    settings = dataclasses.replace(bundle.settings, max_jumps=max_jumps,
+                                   horizon=bundle.settings.horizon if horizon is None else horizon)
+    initial = InitialCondition(bundle.initial.location, sub_box(bundle.initial.box, seed))
+    return ModelBundle(bundle.automaton, settings, initial)
+
+
+REFERENCE_CASES = {
+    **dict(zip(CORPUS_IDS, CORPUS_BUILDS)),
+    **{f"{name}-leftover-tail": (lambda b=build: with_leftover_tail(b(), 0.37))
+       for name, build in zip(CORPUS_IDS, CORPUS_BUILDS)},
+    **{f"ball-{jumps}-jumps": (lambda j=jumps: deep_bundle(build_bouncing_ball, j, j)) for jumps in (3, 4, 5)},
+    **{f"tank3-{jumps}-jumps-{horizon}s": (lambda j=jumps, h=horizon: deep_bundle(build_tank, j, j, h))
+       for jumps, horizon in ((16, 10.0), (19, 12.5), (24, 15.0))},
+    "revisit": revisit_bundle,
+    "revisit-no-fixpoint": lambda: revisit_bundle(False),
+    "late-entry": late_entry_bundle,
+    **{f"generated-{seed}": (lambda s=seed: generated_bundle(s)) for seed in GENERATED_SEEDS},
+    "merge-overflow-wide": merge_overflow_bundle,
+    "merge-overflow-far-narrow": lambda: merge_overflow_bundle(1e308, 1.5e308),
+    **{f"wide-box-{case}": (lambda c=case: wide_box_bundle(c)) for case in WIDE_BOXES},
+    "reset-jump-center-overflow": lambda: reset_jump_bundle(1e307, 2e307, 20.0),
+    "reset-jump-hull-overflow": lambda: reset_jump_bundle(1e307, 2e307, 10.0),
+    "group-error": group_error_bundle,
+}
+
+
+def assert_same_reach(got: ReachResult, want: ReachResult) -> None:
+    for column in ("time_lo", "time_hi", "center", "radius", "depth"):
+        a, b = getattr(got.segments, column), getattr(want.segments, column)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), column  # sign bits too
+    assert got.segments.location.tolist() == want.segments.location.tolist()
+    assert (got.verdict, got.first_violation) == (want.verdict, want.first_violation)
+    assert (got.margin, got.margin_segment) == (want.margin, want.margin_segment)
+    got_stats, want_stats = dataclasses.asdict(got.stats), dataclasses.asdict(want.stats)
+    del got_stats["wall_time"], want_stats["wall_time"]
+    assert got_stats == want_stats
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES)
+def test_reach_equals_the_task_by_task_reference(case):
+    bundle = REFERENCE_CASES[case]()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            want = reference_reach(bundle)
+        except HyraError as error:
+            # the first error of a level is that of its earliest failing task
+            with pytest.raises(HyraError) as raised:
+                reach(bundle)
+            assert (type(raised.value), str(raised.value)) == (type(error), str(error))
+            return
+        got = reach(bundle)
+    assert_same_reach(got, want)
+    # a positive margin separates every box from the forbidden set
+    assert not (got.margin is not None and got.margin > 0 and got.verdict == Verdict.POSSIBLY_UNSAFE)
+
+
+def test_the_group_error_case_raises_the_earlier_task_error():
+    # both tasks of the depth-1 group fail; the earlier one in its successor step
+    with pytest.raises(NonFiniteFlowpipe, match="successor of the jump 'b' -> 'c' at t=0"):
+        reach(group_error_bundle())
+
+
+@pytest.mark.parametrize("build, margin, time_lo, depth", [
+    (build_bouncing_ball, 0.027707551960229893, 1.42, 1),
+    (build_tank, 0.879999999, 0.0, 0),  # the forbidden equality is a slab of half-width 1e-9
+    (build_linswitch, None, None, None),  # no forbidden set
+    (build_platoon, -1.0636882186424565e73, 11.98, 2),
+], ids=CORPUS_IDS)
+def test_verdict_margin_per_corpus_model(build, margin, time_lo, depth):
+    result = reach(build())
+    assert result.margin == margin
+    if margin is None:
+        assert result.margin_segment is None
+        return
+    index = result.margin_segment
+    assert (float(result.segments.time_lo[index]), int(result.segments.depth[index])) == (time_lo, depth)
+    # a positive margin separates every box from the forbidden set
+    assert (margin > 0) == (result.verdict == Verdict.SAFE_PROVED)
+
+
+def test_ball_margin_is_the_gap_below_the_forbidden_speed():
+    # the forbidden set is v >= 10.7: a box's value is 10.7 minus its largest v
+    result = reach(build_bouncing_ball())
+    v_hi = result.segments.hi[:, 1]
+    assert result.margin == 10.7 - v_hi.max()
+    assert result.margin_segment == int(np.argmax(v_hi))
+    assert float(v_hi.max()) == pytest.approx(10.672, abs=5e-4)
+
+
+def test_margin_of_the_forbidden_set_true_is_minus_infinity():
+    result = reach(decay_bundle(0.1))
+    assert safety_margin(result.segments, Condition()) == (-math.inf, 0)
+    assert safety_margin(result.segments, None) == (None, None)

@@ -29,10 +29,11 @@ def test_pair_ab_compares_this_tree_with_itself():
     medians = re.fullmatch(r"gmean of per-op median times: this (\S+) ms, other (\S+) ms, "
                            r"ratio other/this (\S+)", lines[5])
     assert medians is not None and all(float(medians[i]) > 0.0 for i in (1, 2, 3))
-    # one line per group of the workload, in the order of its operations
+    # one line per group of the workload, in the order of its operations, then the output comparison
     groups = [re.fullmatch(r"group (\S+): median ratio other/this (\S+), this (\S+) ms, other (\S+) ms per pass",
-                           line) for line in lines[6:]]
+                           line) for line in lines[6:-1]]
     assert all(groups)
     assert [g[1] for g in groups] == ["bouncing-ball.j3", "bouncing-ball.j4", "bouncing-ball.j5",
                                       "tank3.short", "tank3.mid", "tank3.long"]
     assert all(float(g[i]) > 0.0 for g in groups for i in (2, 3, 4))
+    assert lines[-1] == "outputs: identical"

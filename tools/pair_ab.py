@@ -22,6 +22,14 @@ command, as the workload groups them) with the median over pairs of that
 group's time ratio, so a change that helps one model and slows another
 shows.
 
+Then it runs every operation once more on each tree and compares the two
+outputs: reach results column by column, trajectories field by field and
+CLI runs by exit code, stdout and stderr. Numbers compare by their bits, so
+a sign of zero counts; fields that only one tree's records have, and the
+timing ``ReachStats.wall_time``, are left out. The last line is
+``outputs: identical``, or names the first operation whose outputs differ,
+and then the script exits with status 1.
+
 Passes of the two trees that alternate within one process see the same
 drift of a shared machine, so their ratio spreads far less than the
 ``ops_per_s`` of back-to-back benchmark runs. This sizes a change; the
@@ -37,14 +45,19 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import dataclasses
+import enum
 import importlib
 import shutil
 import statistics
+import struct
 import sys
 import tempfile
 import time
 from pathlib import Path
 from types import SimpleNamespace
+
+import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 OTHER_PACKAGE = "hyra_pair_ab_other"
@@ -64,6 +77,26 @@ def timed_pass(ops) -> list:
         op.run()
         times.append(time.perf_counter() - started)
     return times
+
+
+def same(a, b) -> bool:
+    """Whether two outputs of the trees are the same, bit for bit (see the module docstring)."""
+    if dataclasses.is_dataclass(a) and dataclasses.is_dataclass(b):
+        fields = {f.name for f in dataclasses.fields(b)}
+        return type(a).__name__ == type(b).__name__ and all(
+            same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
+            if f.name in fields and f.name != "wall_time")
+    if isinstance(a, enum.Enum) and isinstance(b, enum.Enum):
+        return a.value == b.value
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        if a.dtype == object or b.dtype == object:
+            return a.dtype == b.dtype and a.shape == b.shape and same(a.tolist(), b.tolist())
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if isinstance(a, (tuple, list)) and isinstance(b, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(same, a, b))
+    if isinstance(a, float) and isinstance(b, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    return type(a) is type(b) and a == b
 
 
 def summary(name: str, ratios: list) -> str:
@@ -128,6 +161,8 @@ def main(argv=None) -> int:
                   f"other {1e3 * seconds['other']:.1f} ms, ratio {ratios[-1]:.3f}; "
                   f"op-time gmean this {1e3 * gmeans['this']:.3f} ms, other {1e3 * gmeans['other']:.3f} ms, "
                   f"ratio {op_ratios[-1]:.3f}", flush=True)
+        differing = next((this.key for this, other in zip(trees["this"], trees["other"])
+                          if not same(this.run(), other.run())), None)
 
     print(summary("ratio", ratios))
     print(summary("op-time gmean ratio", op_ratios))
@@ -142,6 +177,10 @@ def main(argv=None) -> int:
         print(f"group {group}: median ratio other/this {statistics.median(group_ratios):.3f}, "
               f"this {1e3 * statistics.median(seconds['this']):.3f} ms, "
               f"other {1e3 * statistics.median(seconds['other']):.3f} ms per pass")
+    if differing is not None:
+        print(f"outputs: differ first at {differing}")
+        return 1
+    print("outputs: identical")
     return 0
 
 
