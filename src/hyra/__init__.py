@@ -32,7 +32,7 @@ from .ir import (
 from .reach import ReachResult, Termination, Verdict, check_safety, reach
 from .sets import Box, Zonotope, matrix_exponential
 from .simulate import Integrator, SimOptions, Trajectory, sample_initial, simulate
-from .spaceex import emit_spaceex, parse_spaceex
+from .spaceex import emit_spaceex, parse_assignment, parse_flow, parse_spaceex
 
 __version__ = "0.1.0"
 
@@ -70,9 +70,11 @@ __all__ = [
     "emit_flowstar",
     "emit_spaceex",
     "matrix_exponential",
+    "parse_assignment",
     "parse_condition",
     "parse_config",
     "parse_expression",
+    "parse_flow",
     "parse_spaceex",
     "reach",
     "read_json",

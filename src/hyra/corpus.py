@@ -3,10 +3,14 @@
 Each builder takes no arguments and returns the shipped ModelBundle
 (automaton + reach settings + initial set), which validates cleanly; vary
 one with ``ir.bind_constant`` on its symbolic constants (the ball's ``c``,
-the tank's ``Q0``..``QC``). Matrix-valued benchmarks load their
-coefficients from the transcription files under data/, which record the
-printed figures entry-by-entry together with the documented reading
-decisions, so a transcription correction is a one-line diff there.
+the tank's ``Q0``..``QC``). Invariants, guards, forbidden sets, flows and
+resets are stated in the condition, flow and assignment syntax of the
+SpaceEx XML and read through the same codec as ``parse_spaceex``:
+``parse_condition``, ``spaceex.parse_flow`` and ``spaceex.parse_assignment``.
+Matrix-valued benchmarks load their coefficients from the transcription
+files under data/, which record the printed figures entry-by-entry together
+with the documented reading decisions, so a transcription correction is a
+one-line diff there.
 
 Tank flow rates and switching thresholds are corpus values chosen so the
 shipped run stays in sensible ranges (verified by the test suite), not
@@ -21,12 +25,12 @@ from importlib import resources
 
 import numpy as np
 
+from .expressions import parse_condition
 from .ir import (
     AffineDynamics,
     Condition,
     HybridAutomaton,
     InitialCondition,
-    LinearConstraint,
     Location,
     ModelBundle,
     ReachSettings,
@@ -36,6 +40,7 @@ from .ir import (
     bind_constant,
 )
 from .sets import Box
+from .spaceex import parse_assignment, parse_flow
 
 GRAVITY = 9.81
 
@@ -73,12 +78,6 @@ def load_transcription(name: str) -> dict:
     return json.loads(text)
 
 
-def _axis_constraint(n: int, index: int, relation: str, bound: float) -> LinearConstraint:
-    coeffs = np.zeros(n)
-    coeffs[index] = 1.0
-    return LinearConstraint(coeffs, relation, bound)
-
-
 # ---------------------------------------------------------------------------
 # Two bouncing balls
 
@@ -92,53 +91,22 @@ def build_bouncing_ball() -> ModelBundle:
     from heights in [10, 10.2].
     """
     table = VariableTable(("x", "v", "x1", "v1"), (), {"c": 0.75})
-    n = 4
-    a = np.zeros((n, n))
-    a[0, 1] = 1.0
-    a[2, 3] = 1.0
-    c = np.array([0.0, -GRAVITY, 0.0, -GRAVITY])
-    dynamics = AffineDynamics(a, np.zeros((n, 0)), c)
-    invariant = Condition(
-        (
-            _axis_constraint(n, 0, ">=", 0.0),
-            _axis_constraint(n, 2, ">=", 0.0),
-        )
-    )
-    location = Location("always", invariant, dynamics)
+    dynamics = parse_flow(f"x' == v & v' == {-GRAVITY} & x1' == v1 & v1' == {-GRAVITY}", table)
+    location = Location("always", parse_condition("x >= 0 & x1 >= 0", table), dynamics)
 
-    def bounce(pos: int, vel: int, label: str) -> Transition:
-        guard = Condition(
-            (
-                _axis_constraint(n, pos, "==", 0.0),
-                _axis_constraint(n, vel, "<=", 0.0),
-            )
-        )
-        r_matrix = np.eye(n)
-        r_matrix[vel, vel] = 0.0
-        term = np.zeros((n, n))
-        term[vel, vel] = -1.0
-        reset = ResetMap(r_matrix, np.zeros(n), {"c": term}, {})
-        return Transition("always", "always", guard, reset, label)
+    def bounce(pos: str, vel: str, label: str) -> Transition:
+        guard = parse_condition(f"{pos} == 0 & {vel} <= 0", table)
+        return Transition("always", "always", guard, parse_assignment(f"{vel} := -c*{vel}", table), label)
 
-    automaton = HybridAutomaton(
-        "bouncing_ball_2",
-        table,
-        (location,),
-        (bounce(0, 1, "bounce"), bounce(2, 3, "bounce1")),
-    )
+    automaton = HybridAutomaton("bouncing_ball_2", table, (location,),
+                                (bounce("x", "v", "bounce"), bounce("x1", "v1", "bounce1")))
     # One jump per path: box-hull window aggregation provably overshoots the
     # 10.7 velocity threshold from the second bounce on (hulling a crossing
     # window decorrelates height from speed by the initial spread, and the
     # corner of that box rebounds above 10.7 at any step size), so deeper
     # exploration can never prove the stated bad set unreachable.
-    settings = ReachSettings(
-        horizon=40.0,
-        step=0.01,
-        max_jumps=1,
-        forbidden=Condition((_axis_constraint(n, 1, ">=", 10.7),)),
-        output_vars=("x", "v"),
-        fixpoint_check=True,
-    )
+    settings = ReachSettings(horizon=40.0, step=0.01, max_jumps=1, forbidden=parse_condition("v >= 10.7", table),
+                             output_vars=("x", "v"))
     initial = InitialCondition("always", Box([10.0, 0.0, 10.0, 0.0], [10.2, 0.0, 10.2, 0.0]))
     return ModelBundle(automaton, settings, initial)
 
@@ -158,6 +126,7 @@ def build_platoon() -> ModelBundle:
     data = load_transcription("platoon")
     state_vars = tuple(data["state_order"])
     n = len(state_vars)
+    table = VariableTable(state_vars, ("aL",))
 
     def location(name: str, mode: str) -> Location:
         rows = np.array(data[mode]["rows"], dtype=float)
@@ -165,20 +134,14 @@ def build_platoon() -> ModelBundle:
 
     automaton = HybridAutomaton(
         "platoon_6",
-        VariableTable(state_vars, ("aL",)),
+        table,
         (location("q_c", "communication"), location("q_n", "no_communication")),
         (Transition("q_c", "q_n", Condition(), ResetMap.identity(n), "drop"),
          Transition("q_n", "q_c", Condition(), ResetMap.identity(n), "restore")),
         {"aL": (0.0, 0.0)},
     )
-    settings = ReachSettings(
-        horizon=12.0,
-        step=0.02,
-        max_jumps=2,
-        forbidden=Condition((_axis_constraint(n, 0, ">=", 1.7),)),
-        output_vars=("e1", "e1dot"),
-        fixpoint_check=True,
-    )
+    settings = ReachSettings(horizon=12.0, step=0.02, max_jumps=2, forbidden=parse_condition("e1 >= 1.7", table),
+                             output_vars=("e1", "e1dot"))
     initial = InitialCondition("q_c", Box(np.full(n, 0.9), np.full(n, 1.1)))
     return ModelBundle(bind_constant(automaton, "aL", 0.0), settings, initial)
 
@@ -206,76 +169,52 @@ _TANK_V3_ON = 0.5    # valve3 opens when tank 2 reaches this level
 _TANK_V3_OFF = 0.35
 
 
+# Each mode's level dynamics, named by the states of valves 1, 2 and 3, in location order.
+_TANK_MODES = {
+    "off_off_off": "x1' == Q0 - QA & x2' == QA - QB & x3' == 0",
+    "off_off_on": "x1' == Q0 - QA & x2' == QA - QB - QC & x3' == QC",
+    "off_on_off": "x1' == Q0 - QA & x2' == QA - QB - Q2 & x3' == 0",
+    "off_on_on": "x1' == Q0 - QA & x2' == QA - QB - Q2 - QC & x3' == QC",
+    "on_off_off": "x1' == Q0 + Q1 - QA & x2' == QA - QB & x3' == 0",
+    "on_off_on": "x1' == Q0 + Q1 - QA & x2' == QA - QB - QC & x3' == QC",
+    "on_on_off": "x1' == Q0 + Q1 - QA & x2' == QA - QB - Q2 & x3' == 0",
+    "on_on_on": "x1' == Q0 + Q1 - QA & x2' == QA - QB - Q2 - QC & x3' == QC",
+}
+
+# One row per valve: the level that switches it, then its invariant's (relation, bound) while it
+# is open and while it is closed. Its guard is that bound with the relation reversed.
+_TANK_VALVES = (
+    ("x1", ("<=", _TANK_V1_OFF), (">=", _TANK_V1_ON)),
+    ("x2", (">=", _TANK_V2_OFF), ("<=", _TANK_V2_ON)),
+    ("x2", (">=", _TANK_V3_OFF), ("<=", _TANK_V3_ON)),
+)
+
+
 def build_tank() -> ModelBundle:
     """Eight-mode (2^3 valve states) three-tank automaton.
 
-    Level dynamics per mode, with [vi] = 1 when valve i is open:
-        x1' = Q0 + [v1] Q1 - QA
-        x2' = QA - QB - [v2] Q2 - [v3] QC
-        x3' = [v3] QC
-    Valves 1 and 2 toggle on their own tank's level, valve 3 on tank 2's
-    level. Flow rates stay symbolic constants in the model.
+    Each mode's flow is its text in ``_TANK_MODES``; each valve's invariants
+    and guards come from its row of ``_TANK_VALVES``. Valves 1 and 2 toggle
+    on their own tank's level, valve 3 on tank 2's level. Flow rates stay
+    symbolic constants in the model.
     """
-    n = 3
     table = VariableTable(("x1", "x2", "x3"), (), _TANK_FLOWS)
+    identity = ResetMap.identity(table.n)
+    locations, transitions = [], []
+    for mode, flow in _TANK_MODES.items():
+        states = mode.split("_")
+        sides = [(level, *(when_open if state == "on" else when_closed))
+                 for state, (level, when_open, when_closed) in zip(states, _TANK_VALVES)]
+        invariant = " & ".join(f"{level} {relation} {bound}" for level, relation, bound in sides)
+        locations.append(Location(mode, parse_condition(invariant, table), parse_flow(flow, table)))
+        for i, (level, relation, bound) in enumerate(sides):
+            target = "_".join(states[:i] + ["off" if states[i] == "on" else "on"] + states[i + 1:])
+            guard = parse_condition(f"{level} {'>=' if relation == '<=' else '<='} {bound}", table)
+            transitions.append(Transition(mode, target, guard, identity, f"valve{i + 1}"))
 
-    def mode_name(v1: bool, v2: bool, v3: bool) -> str:
-        return "_".join("on" if v else "off" for v in (v1, v2, v3))
-
-    def dynamics(v1: bool, v2: bool, v3: bool) -> AffineDynamics:
-        c_terms: dict = {}
-
-        def add(sym: str, row: int, sign: float):
-            c_terms.setdefault(sym, np.zeros(n))[row] += sign
-
-        add("Q0", 0, +1.0)
-        if v1:
-            add("Q1", 0, +1.0)
-        add("QA", 0, -1.0)
-        add("QA", 1, +1.0)
-        add("QB", 1, -1.0)
-        if v2:
-            add("Q2", 1, -1.0)
-        if v3:
-            add("QC", 1, -1.0)
-            add("QC", 2, +1.0)
-        return AffineDynamics(np.zeros((n, n)), np.zeros((n, 0)), np.zeros(n), {}, {}, c_terms)
-
-    def invariant(v1: bool, v2: bool, v3: bool) -> Condition:
-        cons = [
-            _axis_constraint(n, 0, "<=" if v1 else ">=", _TANK_V1_OFF if v1 else _TANK_V1_ON),
-            _axis_constraint(n, 1, ">=" if v2 else "<=", _TANK_V2_OFF if v2 else _TANK_V2_ON),
-            _axis_constraint(n, 1, ">=" if v3 else "<=", _TANK_V3_OFF if v3 else _TANK_V3_ON),
-        ]
-        return Condition(tuple(cons))
-
-    states = [(v1, v2, v3) for v1 in (False, True) for v2 in (False, True) for v3 in (False, True)]
-    locations = tuple(Location(mode_name(*s), invariant(*s), dynamics(*s)) for s in states)
-
-    transitions = []
-    for v1, v2, v3 in states:
-        src = mode_name(v1, v2, v3)
-        toggles = (
-            # (toggled valve state, guard index, relation, bound)
-            ((not v1, v2, v3), 0, ">=" if v1 else "<=", _TANK_V1_OFF if v1 else _TANK_V1_ON),
-            ((v1, not v2, v3), 1, "<=" if v2 else ">=", _TANK_V2_OFF if v2 else _TANK_V2_ON),
-            ((v1, v2, not v3), 1, "<=" if v3 else ">=", _TANK_V3_OFF if v3 else _TANK_V3_ON),
-        )
-        for i, (succ, idx, relation, bound) in enumerate(toggles):
-            guard = Condition((_axis_constraint(n, idx, relation, bound),))
-            transitions.append(
-                Transition(src, mode_name(*succ), guard, ResetMap.identity(n), f"valve{i + 1}")
-            )
-
-    automaton = HybridAutomaton("tank_3", table, locations, tuple(transitions))
-    settings = ReachSettings(
-        horizon=5.0,
-        step=0.1,
-        max_jumps=8,
-        forbidden=Condition((_axis_constraint(n, 2, "==", -0.7),)),
-        output_vars=("x2", "x3"),
-        fixpoint_check=True,
-    )
+    automaton = HybridAutomaton("tank_3", table, locations, transitions)
+    settings = ReachSettings(horizon=5.0, step=0.1, max_jumps=8, forbidden=parse_condition("x3 == -0.7", table),
+                             output_vars=("x2", "x3"))
     initial = InitialCondition("off_off_off", Box([0.48, 0.23, 0.18], [0.52, 0.27, 0.22]))
     return ModelBundle(automaton, settings, initial)
 
@@ -287,11 +226,12 @@ def build_tank() -> ModelBundle:
 # Mode-exit thresholds on x1, read off seeded simulations of the transcribed
 # dynamics (the switching logic of the source is heuristic).
 _LINSWITCH_GUARDS = (
-    ("q1", "q2", "<=", -0.3),
-    ("q2", "q3", "<=", -0.6),
-    ("q3", "q4", "<=", -1.0),
-    ("q4", "q1", ">=", 0.5),
+    ("q1", "q2", "x1 <= -0.3"),
+    ("q2", "q3", "x1 <= -0.6"),
+    ("q3", "q4", "x1 <= -1"),
+    ("q4", "q1", "x1 >= 0.5"),
 )
+
 
 def build_linswitch() -> ModelBundle:
     """Four stable-in-intent modes cycling on x1 threshold crossings.
@@ -304,28 +244,14 @@ def build_linswitch() -> ModelBundle:
     n = 4
     table = VariableTable(("x1", "x2", "x3", "x4"), ("u",))
     b = np.array(data["input_column_used"], dtype=float).reshape(n, 1)
-    locations = []
-    for mode in ("a1", "a2", "a3", "a4"):
-        a = np.array(data[mode], dtype=float)
-        locations.append(
-            Location(f"q{mode[1]}", Condition(), AffineDynamics(a, b, np.zeros(n)))
-        )
+    locations = tuple(Location(f"q{mode[1]}", Condition(), AffineDynamics(data[mode], b, np.zeros(n)))
+                      for mode in ("a1", "a2", "a3", "a4"))
     transitions = tuple(
-        Transition(src, dst, Condition((_axis_constraint(n, 0, relation, bound),)),
-                   ResetMap.identity(n), f"to_{dst}")
-        for src, dst, relation, bound in _LINSWITCH_GUARDS
+        Transition(src, dst, parse_condition(guard, table), ResetMap.identity(n), f"to_{dst}")
+        for src, dst, guard in _LINSWITCH_GUARDS
     )
-    automaton = HybridAutomaton(
-        "linear_switch_4", table, tuple(locations), transitions, {"u": (-0.1, 0.1)}
-    )
-    settings = ReachSettings(
-        horizon=1.2,
-        step=0.004,
-        max_jumps=4,
-        forbidden=None,
-        output_vars=("x1", "x2"),
-        fixpoint_check=True,
-    )
+    automaton = HybridAutomaton("linear_switch_4", table, locations, transitions, {"u": (-0.1, 0.1)})
+    settings = ReachSettings(horizon=1.2, step=0.004, max_jumps=4, output_vars=("x1", "x2"))
     initial = InitialCondition("q1", Box([0.95, 0.95, 0.95, 0.95], [1.05, 1.05, 1.05, 1.05]))
     return ModelBundle(automaton, settings, initial)
 

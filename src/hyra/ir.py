@@ -6,8 +6,9 @@ x' = R x + r. Coefficients may reference named constants symbolically: every
 matrix/vector has an optional overlay mapping a constant name to an array of
 per-entry multipliers, and ``bundle.resolved`` folds the overlays using the
 current constant values. All values are immutable after construction, so
-what a record derives (``bundle.resolved``, ``cond.halfspaces``,
-``reset.is_identity``) is a ``cached_property``, built once on first use.
+what a record derives (``bundle.resolved``, ``automaton.outgoing``,
+``cond.halfspaces``, ``reset.is_identity``) is a ``cached_property``, built
+once on first use.
 
 Each record that converts a field has one hand-written constructor, which
 every caller goes through, the readers (``spaceex``, ``config``,
@@ -336,8 +337,10 @@ class HybridAutomaton(_Record):
     def location_names(self) -> tuple:
         return tuple(loc.name for loc in self.locations)
 
-    def transitions_from(self, name: str) -> tuple:
-        return tuple(t for t in self.transitions if t.source == name)
+    @cached_property
+    def outgoing(self) -> dict:
+        """Each location's outgoing transitions by location name, in declared order, built once."""
+        return {loc.name: tuple(t for t in self.transitions if t.source == loc.name) for loc in self.locations}
 
     def input_box(self) -> Box | None:
         if not self.vars.input_vars:
@@ -391,6 +394,8 @@ class ReachSettings(_Record):
             raise ValueError("need 0 < step <= horizon")
         if not np.isfinite(self.horizon):
             raise ValueError("horizon must be finite")
+        if not math.isfinite(self.horizon / self.step):  # flowpipe takes int(remaining / step) steps
+            raise ValueError(f"step {self.step!r} is too small for horizon {self.horizon!r}: horizon / step overflows")
         if isinstance(self.max_jumps, bool) or self.max_jumps % 1 != 0 or self.max_jumps < 0:
             raise ValueError(f"max_jumps must be an integer >= 0, not {self.max_jumps!r}")
         object.__setattr__(self, "max_jumps", int(self.max_jumps))

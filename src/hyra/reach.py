@@ -802,9 +802,7 @@ def reach(bundle: ModelBundle) -> ReachResult:
         raise HyraError("bundle does not validate: " + "; ".join(str(d) for d in defects))
     input_box = automaton.input_box()
     locations = {loc.name: loc for loc in automaton.locations}
-    outgoing: dict = {name: [] for name in locations}  # in the automaton's order, as transitions_from gives them
-    for transition in automaton.transitions:
-        outgoing[transition.source].append(transition)
+    outgoing = automaton.outgoing
 
     stats = ReachStats()
     parts: list = []

@@ -426,7 +426,7 @@ def simulate(bundle: ModelBundle, x0, kind: Integrator = Integrator.HEUN,
     zeno, zeno_time, truncated = False, None, None
     streak, plain_run, t = 0, 0, 0.0  # plain_run: chunks in a row plain to their last step
 
-    outgoing = {l.name: automaton.transitions_from(l.name) for l in automaton.locations}
+    outgoing = automaton.outgoing
     if automaton.__dict__.get("_chunks", (None,))[0] != (h, kind):  # keyed by step and integrator: no cached_property
         automaton.__dict__["_chunks"] = ((h, kind), {})
     chunks = automaton.__dict__["_chunks"][1]

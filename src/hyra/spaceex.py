@@ -111,7 +111,7 @@ def parse_spaceex(xml_text: str) -> HybridAutomaton:
             raise UnsupportedFeature(f"param dynamics {dynamics!r} is not supported")
 
     table = VariableTable(state_vars, input_vars, constants)
-    identity = ResetMap.identity(table.n)
+    identity = ResetMap.identity(table.n)  # shared by the transitions that assign nothing
 
     locations: list = []
     id_to_name: dict = {}
@@ -125,7 +125,7 @@ def parse_spaceex(xml_text: str) -> HybridAutomaton:
         children = _children(loc_elem)
         try:
             invariant = parse_condition(_text(children, "invariant") or "", table)
-            dynamics = _parse_flow(_text(children, "flow") or "", table)
+            dynamics = parse_flow(_text(children, "flow") or "", table)
         except XmlMalformed:
             raise
         except Exception as exc:
@@ -143,7 +143,7 @@ def parse_spaceex(xml_text: str) -> HybridAutomaton:
         label = label.strip() if label else None
         try:
             guard = parse_condition(_text(children, "guard") or "", table)
-            reset = _parse_assignment(_text(children, "assignment") or "", table, identity)
+            reset = parse_assignment(_text(children, "assignment") or "", table) or identity
         except XmlMalformed:
             raise
         except Exception as exc:
@@ -157,7 +157,7 @@ def parse_spaceex(xml_text: str) -> HybridAutomaton:
     return automaton
 
 
-def _parse_flow(text: str, table: VariableTable) -> AffineDynamics:
+def parse_flow(text: str, table: VariableTable) -> AffineDynamics:
     """Flow text: ``x' == affine-expr`` rows joined by &, one per variable at most; a missing row is x' == 0."""
     ast = parse_expression(text, table)
     forms: dict = {}
@@ -176,8 +176,8 @@ def _parse_flow(text: str, table: VariableTable) -> AffineDynamics:
     return dynamics_from_forms(forms, table)
 
 
-def _parse_assignment(text: str, table: VariableTable, identity: ResetMap) -> ResetMap:
-    """Assignment text: ``x := expr`` statements joined by &, one per variable at most; ``identity`` if none."""
+def parse_assignment(text: str, table: VariableTable) -> ResetMap | None:
+    """Assignment text: ``x := expr`` statements joined by &, one per variable at most; None if none."""
     forms: dict = {}
     for stmt in split_conjuncts(text):
         if ":=" not in stmt:
@@ -189,7 +189,7 @@ def _parse_assignment(text: str, table: VariableTable, identity: ResetMap) -> Re
         if var in forms:
             raise XmlMalformed(f"duplicate assignment to {var!r}")
         forms[var] = linear_form(parse_expression(rhs_text, table), table, allow_inputs=False)
-    return reset_from_forms(forms, table) if forms else identity
+    return reset_from_forms(forms, table) if forms else None
 
 
 # ---------------------------------------------------------------------------

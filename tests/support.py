@@ -1068,7 +1068,7 @@ def reference_reach(bundle: ModelBundle) -> ReachResult:
             parts.append(pipe.segments)
             if len(pipe.raw) == 0:
                 continue
-            for transition in automaton.transitions_from(task.location):
+            for transition in automaton.outgoing[task.location]:
                 successors, = jump_successors(pipe, transition)
                 if not successors:
                     continue

@@ -337,6 +337,15 @@ def test_invalid_step_override_is_an_input_error(capsys):
     assert "--step" in err
 
 
+@pytest.mark.parametrize("command", ["reach", "check"])
+def test_step_too_small_to_count_its_horizon_is_an_input_error(command, capsys):
+    # horizon / step overflows to inf, which the flowpipe's step count cannot hold
+    code, out, err = run(capsys, command, str(CORPUS_DIR / "tank3" / "bundle.json"), "--step", "1e-320")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --step: ") and err.count("\n") == 1
+    assert "horizon / step overflows" in err
+
+
 @pytest.mark.parametrize("step", ["0", "-0.01", "nan", "inf", "-inf", "1e999"])
 def test_simulate_step_that_is_not_finite_and_positive_is_an_input_error(step, capsys):
     # a zero or negative step never advanced the run's time: the loop did not return

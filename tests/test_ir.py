@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hyra.corpus import all_benchmarks, build, build_bouncing_ball, build_linswitch, build_platoon
+from hyra.corpus import all_benchmarks, build, build_bouncing_ball, build_linswitch, build_platoon, build_tank
 from hyra.errors import UnknownSymbol
 from hyra.ir import (
     AffineDynamics,
@@ -140,6 +140,15 @@ def test_derived_forms_are_attributes_kept_on_the_record():
     assert Condition(cond.constraints) == cond and "halfspaces" not in Condition(cond.constraints).__dict__
 
 
+def test_outgoing_lists_each_locations_transitions_in_declared_order_once():
+    tank = build_tank().automaton
+    outgoing = tank.outgoing
+    assert tank.outgoing is outgoing and list(outgoing) == list(tank.location_names())
+    assert [t for loc in tank.locations for t in outgoing[loc.name]] == list(tank.transitions)
+    assert [t.label for t in outgoing["on_off_on"]] == ["valve1", "valve2", "valve3"]
+    assert build_platoon().automaton.outgoing["q_n"][0].label == "restore"
+
+
 def test_ir_constructors_leave_the_callers_arrays_writable():
     coeffs, a, b, c = np.array([1.0, 2.0]), np.eye(2), np.zeros((2, 1)), np.ones(2)
     con = LinearConstraint(coeffs, "<=", 1.0)
@@ -185,6 +194,13 @@ def test_max_jumps_must_be_below_two_to_the_64(value):
     with pytest.raises(ValueError, match=r"max_jumps must be below 2\*\*64, not \d+$"):
         ReachSettings(1, 0.1, value)
     assert ReachSettings(1, 0.1, 2**64 - 1).max_jumps == 2**64 - 1
+
+
+@pytest.mark.parametrize("step", [1e-320, 5e-324])
+def test_a_step_whose_count_over_the_horizon_overflows_is_rejected(step):
+    with pytest.raises(ValueError, match="too small for horizon 5.0: horizon / step overflows"):
+        ReachSettings(5.0, step)
+    assert ReachSettings(1.0, 1e-300).step == 1e-300  # a finite count, however large, is accepted
 
 
 @pytest.mark.parametrize("value", [2, 2.0, np.int64(2), np.float64(2.0)])

@@ -732,7 +732,7 @@ def reference_simulate(bundle, x0, kind, options):
         step_h = min(options.step, horizon - t)
         x_next = step(loc.dynamics, x, u, step_h, kind)
         best = None
-        for trans in automaton.transitions_from(loc.name):
+        for trans in automaton.outgoing[loc.name]:
             hit = detect_event(loc.dynamics, trans, x, t, step_h, kind, u, x_next)
             if hit is not None and (best is None or hit[0] < best[0]):
                 best = (hit[0], trans, hit[1])

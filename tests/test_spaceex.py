@@ -3,10 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hyra.corpus import all_benchmarks, build
+from hyra.corpus import all_benchmarks, build, build_bouncing_ball
 from hyra.errors import ModelDefects, UnsupportedFeature, XmlMalformed
-from hyra.ir import VariableTable, validate
-from hyra.spaceex import emit_spaceex, parse_spaceex
+from hyra.ir import AffineDynamics, ResetMap, VariableTable, validate
+from hyra.spaceex import emit_spaceex, parse_assignment, parse_flow, parse_spaceex
+
+from support import CORPUS_DIR
 
 BALL_XML = """<?xml version="1.0" encoding="UTF-8"?>
 <sspaceex version="0.2" math="SpaceEx">
@@ -157,3 +159,33 @@ def test_a_model_with_defects_raises_them_with_the_message_it_always_had():
         transitions=(dataclasses.replace(clean.transitions[0], target="9"),))
     assert error.value.defects == validate(automaton)
     assert [d.code for d in error.value.defects] == ["non-finite", "dangling-name"]
+
+
+def test_flow_and_assignment_readers_give_the_ball_records_built_by_hand():
+    table = VariableTable(("x", "v", "x1", "v1"), (), {"c": 0.75})
+    a = np.zeros((4, 4))
+    a[0, 1] = a[2, 3] = 1.0
+    dynamics = parse_flow("x' == v & v' == -9.81 & x1' == v1 & v1' == -9.81", table)
+    assert dynamics == AffineDynamics(a, np.zeros((4, 0)), [0.0, -9.81, 0.0, -9.81])
+    r_matrix, term = np.eye(4), np.zeros((4, 4))
+    r_matrix[1, 1], term[1, 1] = 0.0, -1.0
+    reset = parse_assignment("v := -c*v", table)
+    assert reset == ResetMap(r_matrix, np.zeros(4), {"c": term})
+    assert reset.matrix_terms["c"][1, 1] == -1.0 and not reset.offset_terms
+    ball = build_bouncing_ball().automaton
+    assert ball.locations[0].dynamics == dynamics and ball.transitions[0].reset == reset
+
+
+def test_an_empty_assignment_assigns_nothing():
+    table = VariableTable(("x", "v"))
+    assert parse_assignment("", table) is None
+    assert parse_assignment("  ", table) is None
+
+
+def test_transitions_that_assign_nothing_share_one_identity_reset():
+    text = (CORPUS_DIR / "tank3" / "model.xml").read_text()
+    assert "<assignment>" not in text
+    transitions = parse_spaceex(text).transitions
+    assert len(transitions) == 24
+    assert len({id(t.reset) for t in transitions}) == 1
+    assert transitions[0].reset.is_identity

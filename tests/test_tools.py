@@ -1,8 +1,20 @@
+import os
 import re
 import subprocess
 import sys
 
-from support import REPO_ROOT
+from support import CORPUS_DIR, REPO_ROOT
+
+
+def test_gen_corpus_writes_the_committed_fixtures_byte_for_byte(tmp_path):
+    path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, str(REPO_ROOT / "tools" / "gen_corpus.py"), str(tmp_path)],
+                   env={**os.environ, "PYTHONPATH": path}, capture_output=True, timeout=300, check=True)
+    written = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file())
+    assert written == sorted(p.relative_to(CORPUS_DIR) for p in CORPUS_DIR.rglob("*") if p.is_file())
+    assert len(written) == 20
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (CORPUS_DIR / name).read_bytes(), name
 
 
 def test_pair_ab_compares_this_tree_with_itself():
