@@ -159,7 +159,8 @@ def cmd_simulate(args, bundle: ModelBundle | None = None) -> int:
     bundle = bundle or _load_bundle(args.model, args.cfg, None)
     kind = Integrator.EULER if args.integrator == "euler" else Integrator.HEUN
     try:
-        options = SimOptions(step=args.step if args.step is not None else bundle.settings.step / 10.0)
+        step = args.step if args.step is not None else bundle.settings.step / 10.0
+        options = SimOptions(step, bundle.settings.horizon)  # the horizon checks the step count
     except ValueError as exc:
         raise ModelFormatError(f"--step: {exc}") from exc
     trajs = [simulate(bundle, x0, kind, options) for x0 in sample_initial(bundle.initial.box, args.seeds, args.seed)]

@@ -378,6 +378,12 @@ class InitialCondition(_Record):
 
 
 
+def check_step_count(horizon: float, step: float) -> None:
+    """Raise ``ValueError`` unless horizon / step, the count of steps to the horizon, is finite."""
+    if not math.isfinite(horizon / step):
+        raise ValueError(f"step {step!r} is too small for horizon {horizon!r}: horizon / step overflows")
+
+
 @dataclass(frozen=True, eq=False)
 class ReachSettings(_Record):
     horizon: float
@@ -394,8 +400,7 @@ class ReachSettings(_Record):
             raise ValueError("need 0 < step <= horizon")
         if not np.isfinite(self.horizon):
             raise ValueError("horizon must be finite")
-        if not math.isfinite(self.horizon / self.step):  # flowpipe takes int(remaining / step) steps
-            raise ValueError(f"step {self.step!r} is too small for horizon {self.horizon!r}: horizon / step overflows")
+        check_step_count(self.horizon, self.step)  # flowpipe takes int(remaining / step) steps
         if isinstance(self.max_jumps, bool) or self.max_jumps % 1 != 0 or self.max_jumps < 0:
             raise ValueError(f"max_jumps must be an integer >= 0, not {self.max_jumps!r}")
         object.__setattr__(self, "max_jumps", int(self.max_jumps))

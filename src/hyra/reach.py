@@ -30,8 +30,8 @@ dynamics take more sub-steps so the curvature term stays meaningful, and
 Omega0 is the hull of the kernel's boxes of the exact sub-step sets, each
 widened by the bloat of the sub-steps it bounds (the sub-step chords' box).
 
-Segments are stored as arrays (``Segments``): time bounds, box center and
-radius per row, location and jump depth. Successor flowpipes spawned from a
+Segments are stored as arrays (``Segments``): time bounds, box bounds per
+row, location and jump depth. Successor flowpipes spawned from a
 guard-crossing window of width W widen each emitted segment with the
 preceding ceil(W/step) segments, so a trajectory jumping anywhere in the
 window stays covered by the segment whose time interval contains the query
@@ -48,10 +48,10 @@ its own first-interval enclosure, propagation chunks, tail step and
 emission window, and the invariant clamp of each chunk index, the read-back
 of the rows and the emission clamp run once over the rows of the whole
 group. ``jump_successors`` reads the group's raw rows once per transition
-and splits guard runs where one task's rows end. Rows are independent in
-all of these, so every bit is what one flowpipe per task gives: the
-segments come level by level and task by task, each task's rows in time
-order, and so do the successor tasks. When a group raises, the level runs
+and splits guard runs where the task that owns the rows changes. Rows are
+independent in all of these, so every bit is what one flowpipe per task
+gives: the segments come level by level and task by task, each task's rows
+in time order, and so do the successor tasks. When a group raises, the level runs
 again one task at a time, so the error raised is that of the level's
 earliest failing task, as a task-by-task loop raises it.
 """
@@ -60,7 +60,6 @@ from __future__ import annotations
 
 import math
 import time
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -108,77 +107,62 @@ class FlowpipeSegment:
 
     time_lo: float
     time_hi: float
-    center: np.ndarray
-    radius: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
     location: str
     jump_depth: int
 
     def box(self) -> Box:
-        return Box(self.center - self.radius, self.center + self.radius)
+        return Box(self.lo, self.hi)
 
 
 @dataclass(eq=False)
 class Segments:
     """Flowpipe segments as a table: one row per segment.
 
-    ``time_lo``/``time_hi`` are (K,), ``center``/``radius`` are (K, n) box
-    centers and radii, ``location`` (str objects) and ``depth`` (int) are
-    (K,). Boxes read back as center -/+ radius, which is what a box turned
-    into a zonotope and hulled back gives. Indexing and iteration yield
-    ``FlowpipeSegment`` rows, built on first use.
+    ``time_lo``/``time_hi`` are (K,), ``lo``/``hi`` are (K, n) box bounds,
+    ``location`` (str objects) and ``depth`` (int) are (K,). Indexing and
+    iteration yield ``FlowpipeSegment`` rows, built on first use.
     """
 
     time_lo: np.ndarray
     time_hi: np.ndarray
-    center: np.ndarray
-    radius: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
     location: np.ndarray
     depth: np.ndarray
 
     @classmethod
     def from_bounds(cls, time_lo, time_hi, lo, hi, location: str, depth: int) -> "Segments":
-        """Rows of one flowpipe from finite box bounds, centered as ``Box`` does.
+        """Rows of one flowpipe from finite box bounds, read back from their center and radius.
 
-        A box whose bounds read back out of the floating-point range (which
-        takes a bound at or next to the largest float) raises ``NonFiniteFlowpipe``.
+        Each box is stored as center -/+ radius, the ``center_radius`` of its
+        bounds, which is what a box turned into a zonotope and hulled back
+        gives. A box whose bounds read back out of the floating-point range
+        (which takes a bound at or next to the largest float) raises
+        ``NonFiniteFlowpipe``.
         """
-        count = lo.shape[0]
-        segments = cls(time_lo, time_hi, *center_radius(lo, hi),
-                       np.full(count, location, dtype=object), np.full(count, depth))
+        center, radius = center_radius(lo, hi)
         with np.errstate(over="ignore"):
-            read_lo, read_hi = segments.lo, segments.hi
-        if not (np.isfinite(read_lo).all() and np.isfinite(read_hi).all()):
-            finite = np.isfinite(read_lo).all(axis=1) & np.isfinite(read_hi).all(axis=1)
+            lo, hi = center - radius, center + radius
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            finite = np.isfinite(lo).all(axis=1) & np.isfinite(hi).all(axis=1)
             raise NonFiniteFlowpipe(
                 f"flowpipe of location {location!r} left the floating-point range before "
                 f"t={float(time_hi[np.argmin(finite)]):g}: a box does not read back from its center and radius"
             )
-        return segments
-
-    @classmethod
-    def empty(cls, dim: int) -> "Segments":
-        none = np.empty(0)
-        return cls(none, none, np.empty((0, dim)), np.empty((0, dim)),
-                   np.empty(0, dtype=object), np.empty(0, dtype=int))
+        count = lo.shape[0]
+        return cls(time_lo, time_hi, lo, hi, np.full(count, location, dtype=object), np.full(count, depth))
 
     @classmethod
     def concat(cls, parts: list) -> "Segments":
         return cls(*(np.concatenate([getattr(p, f) for p in parts]) for f in
-                     ("time_lo", "time_hi", "center", "radius", "location", "depth")))
-
-
-    @cached_property
-    def lo(self) -> np.ndarray:
-        return self.center - self.radius
-
-    @cached_property
-    def hi(self) -> np.ndarray:
-        return self.center + self.radius
+                     ("time_lo", "time_hi", "lo", "hi", "location", "depth")))
 
     @cached_property
     def rows(self) -> list:
         return list(map(FlowpipeSegment, self.time_lo.tolist(), self.time_hi.tolist(),
-                        self.center, self.radius, self.location.tolist(), self.depth.tolist()))
+                        self.lo, self.hi, self.location.tolist(), self.depth.tolist()))
 
     def __len__(self) -> int:
         return self.time_lo.shape[0]
@@ -412,16 +396,16 @@ class FlowpipeResult:
     segment whose time label contains the query time. ``raw`` keeps the
     unslid boxes: guard detection works on those (states are elapsed-faithful
     there), with the entry skew accounted for in the successor's window
-    width instead. Both tables hold the rows of the group's tasks one task
-    after the other: ``raw_ends[i]`` counts the raw rows of tasks 0 to i, so
-    task i's raw rows run from ``raw_ends[i - 1]`` (0 for the first task) up
-    to ``raw_ends[i]``. ``alpha`` is the largest curvature bloat radius of
-    the group.
+    width instead. Both tables hold the rows of the group's ``tasks`` one
+    task after the other; ``owner`` is (K,), the position in ``tasks`` of
+    the task of each raw row. ``alpha`` is the largest curvature bloat
+    radius of the group.
     """
 
     segments: Segments
     raw: Segments
-    raw_ends: list
+    tasks: list
+    owner: np.ndarray
     alpha: float
 
 
@@ -490,18 +474,6 @@ def _join(parts: list, width: int = 2) -> tuple:
     if len(parts) == 1:
         return parts[0][:width]
     return tuple(np.concatenate(column) for column in islice(zip(*parts), width))
-
-
-def _guard_runs(hits: np.ndarray, ends: list):
-    """(task position, rows) of each run of consecutive rows in ``hits`` that belong to one task."""
-    for run in np.split(hits, np.flatnonzero(np.diff(hits) > 1) + 1):
-        owner = bisect_right(ends, run[0])
-        while run[-1] >= ends[owner]:  # the run reaches into the rows of a later task
-            cut = ends[owner] - run[0]
-            yield owner, run[:cut]
-            run = run[cut:]
-            owner = bisect_right(ends, run[0])
-        yield owner, run
 
 
 def flowpipe(location, tasks: list, input_box: Box | None, step: float, horizon: float,
@@ -586,8 +558,7 @@ def flowpipe(location, tasks: list, input_box: Box | None, step: float, horizon:
     # to m segments past the raw pipe's death. The raw rows are a prefix of
     # the emitted ones, and so are their time columns.
     raw_parts, emit_parts = [], []  # (t_lo, t_hi, lo, hi) of each task with rows
-    raw_ends, windowed = [], []
-    raw_rows = 0
+    raw_counts, windowed = [], []
     for i, task in enumerate(tasks):
         last, leftover = lasts[i], leftovers[i]
         if last is not None and (leftover > 0.0 or steps[i] == 0):
@@ -603,8 +574,7 @@ def flowpipe(location, tasks: list, input_box: Box | None, step: float, horizon:
                 blocks[i].append((tail_lo, tail_hi))
         lo, hi = _join(blocks[i]) if blocks[i] else (np.empty((0, dyn.a.shape[0])),) * 2
         raw_count = lo.shape[0]
-        raw_rows += raw_count
-        raw_ends.append(raw_rows)
+        raw_counts.append(raw_count)
         if raw_count == 0:
             continue
         m = math.ceil(task.window / step - 1e-9) if task.window > 0 else 0
@@ -616,12 +586,12 @@ def flowpipe(location, tasks: list, input_box: Box | None, step: float, horizon:
         raw_parts.append((t_lo[:raw_count], t_hi[:raw_count], lo, hi))
         # a task without a window emits its raw rows, which are clamped already
         emit_parts.append((t_lo, t_hi, *_sliding_hull(lo, hi, m, emit_count)) if m else raw_parts[-1])
-    if not raw_parts:
-        empty = Segments.empty(dyn.a.shape[0])
-        return FlowpipeResult(empty, empty, raw_ends, alpha_max)
+    owner = np.repeat(np.arange(len(tasks)), raw_counts)
+    if not raw_parts:  # no task has rows: one empty part
+        raw_parts.append((np.empty(0), np.empty(0), *(np.empty((0, dyn.a.shape[0])),) * 2))
     raw = Segments.from_bounds(*_join(raw_parts, 4), location.name, jump_depth)
     if not any(windowed):
-        return FlowpipeResult(raw, raw, raw_ends, alpha_max)
+        return FlowpipeResult(raw, raw, tasks, owner, alpha_max)
     t_lo, t_hi, merged_lo, merged_hi = _join(emit_parts, 4)
     clamped_lo, clamped_hi, ok = clamp_boxes(merged_lo, merged_hi, rows)
     if not all(windowed):  # keep raw rows as they are: a second pass over coupled rows can tighten them
@@ -629,7 +599,7 @@ def flowpipe(location, tasks: list, input_box: Box | None, step: float, horizon:
     merged_lo = np.where(ok[:, None], clamped_lo, merged_lo)
     merged_hi = np.where(ok[:, None], clamped_hi, merged_hi)
     segments = Segments.from_bounds(t_lo, t_hi, merged_lo, merged_hi, location.name, jump_depth)
-    return FlowpipeResult(segments, raw, raw_ends, alpha_max)
+    return FlowpipeResult(segments, raw, tasks, owner, alpha_max)
 
 
 # ---------------------------------------------------------------------------
@@ -639,24 +609,26 @@ def flowpipe(location, tasks: list, input_box: Box | None, step: float, horizon:
 def jump_successors(pipe: FlowpipeResult, transition) -> list:
     """Aggregated successors of one transition over the raw rows of a flowpipe group.
 
-    Consecutive raw rows of one task whose boxes meet the guard form one
-    crossing window; the guard-clamped boxes hull into a single box, whose
-    image under the reset ``R x + r`` is the box of center ``R c + r`` and
-    radius ``|R| rad``, reported with the window's start time and width.
+    Consecutive raw rows of one task (one ``owner``) whose boxes meet the
+    guard form one crossing window; the guard-clamped boxes hull into a
+    single box, whose image under the reset ``R x + r`` is the box of center
+    ``R c + r`` and radius ``|R| rad``, reported with the window's start
+    time and width.
     Returns one list per task of the group, each of (box_pre_invariant,
     entry_time, window_width), each box with finite bounds. A reset that
     maps a window out of the floating-point range raises ``NonFiniteFlowpipe``.
     """
     segments = pipe.raw
     lo, hi, hit = clamp_boxes(segments.lo, segments.hi, transition.guard.halfspaces)
-    out: list = [[] for _ in pipe.raw_ends]
+    out: list = [[] for _ in pipe.tasks]
     hits = np.flatnonzero(hit)
     if hits.size == 0:
         return out
+    owner = pipe.owner[hits]
     reset = transition.reset
     r_matrix, r_offset, r_abs = reset.r_matrix, reset.r_offset, np.abs(reset.r_matrix)
     with np.errstate(over="ignore", invalid="ignore"):
-        for owner, run in _guard_runs(hits, pipe.raw_ends):
+        for run in np.split(hits, np.flatnonzero((np.diff(hits) > 1) | (np.diff(owner) != 0)) + 1):
             entry_time = float(segments.time_lo[run[0]])
             window_width = float(segments.time_hi[run[-1]]) - entry_time
             # the window hulls clamped rows of a finite table, so its bounds are finite
@@ -670,7 +642,7 @@ def jump_successors(pipe: FlowpipeResult, transition) -> list:
                     f"successor of the jump {transition.source!r} -> {transition.target!r} at t={entry_time:g} "
                     "left the floating-point range; the reset maps the guard set out of range"
                 )
-            out[owner].append((Box._trusted(succ_lo, succ_hi), entry_time, window_width))
+            out[pipe.owner[run[0]]].append((Box._trusted(succ_lo, succ_hi), entry_time, window_width))
     return out
 
 
@@ -818,7 +790,7 @@ def reach(bundle: ModelBundle) -> ReachResult:
         pipe = flowpipe(location, tasks, input_box, settings.step, settings.horizon, depth,
                         discretized=discretized)
         successors = [jump_successors(pipe, t) for t in outgoing[location.name]] if len(pipe.raw) else []
-        return tasks, pipe, successors
+        return pipe, successors
 
     level = [Task(bundle.initial.location, bundle.initial.box, 0.0, 0.0)]
     depth = 0
@@ -842,10 +814,10 @@ def reach(bundle: ModelBundle) -> ReachResult:
             stats.flowpipes += len(ran)
             stats.max_depth = depth
         next_level: list = []
-        for tasks, pipe, successors in results:
+        for pipe, successors in results:
             alpha_max = max(alpha_max, pipe.alpha)
             parts.append(pipe.segments)
-            for position, task in enumerate(tasks):
+            for position, task in enumerate(pipe.tasks):
                 for transition, per_task in zip(outgoing[task.location], successors):
                     if not per_task[position]:
                         continue

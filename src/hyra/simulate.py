@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import InitOutsideInvariant, MaxEventsExceeded
 from .expressions import format_table
-from .ir import AffineDynamics, Condition, ModelBundle, Transition
+from .ir import AffineDynamics, Condition, ModelBundle, Transition, check_step_count
 from .sets import Box, center_radius
 
 _GUARD_SLACK = 1e-9
@@ -77,8 +77,10 @@ class SimOptions:
     def __post_init__(self):
         if not (math.isfinite(self.step) and self.step > 0.0):
             raise ValueError(f"need a finite step > 0, not {self.step!r}")
-        if self.horizon is not None and not (math.isfinite(self.horizon) and self.horizon > 0.0):
-            raise ValueError(f"need a finite horizon > 0, not {self.horizon!r}")
+        if self.horizon is not None:
+            if not (math.isfinite(self.horizon) and self.horizon > 0.0):
+                raise ValueError(f"need a finite horizon > 0, not {self.horizon!r}")
+            check_step_count(self.horizon, self.step)
 
 
 @dataclass(frozen=True)
@@ -415,6 +417,7 @@ def simulate(bundle: ModelBundle, x0, kind: Integrator = Integrator.HEUN,
 
     horizon = options.horizon if options.horizon is not None else bundle.settings.horizon
     h = options.step
+    check_step_count(horizon, h)
 
     # The samples go into one time array and one state array, sized for a run
     # with no events (at most 2**20 steps at first) and doubled when full.

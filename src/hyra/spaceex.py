@@ -57,6 +57,15 @@ def _text(children: dict, name) -> str | None:
     return nodes[0].text or "" if nodes else None
 
 
+def _number(param, attribute: str) -> float:
+    """A param's numeric attribute, 0 when absent."""
+    text = param.get(attribute, "0")
+    try:
+        return float(text)
+    except ValueError:
+        raise XmlMalformed(f"param {param.get('name')!r}: {attribute} {text!r} is not a number") from None
+
+
 def parse_spaceex(xml_text: str) -> HybridAutomaton:
     """Parse the supported XML subset into a validated automaton.
 
@@ -97,14 +106,11 @@ def parse_spaceex(xml_text: str) -> HybridAutomaton:
             continue  # plain transition labels; synchronization is rejected at bind level
         dynamics = param.get("dynamics", "any")
         if dynamics == "const":
-            constants[pname] = float(param.get("value", "0"))
+            constants[pname] = _number(param, "value")
         elif dynamics == "any":
             if param.get("controlled", "true") == "false":
                 input_vars.append(pname)
-                input_range[pname] = (
-                    float(param.get("min", "0")),
-                    float(param.get("max", "0")),
-                )
+                input_range[pname] = (_number(param, "min"), _number(param, "max"))
             else:
                 state_vars.append(pname)
         else:

@@ -346,6 +346,17 @@ def test_step_too_small_to_count_its_horizon_is_an_input_error(command, capsys):
     assert "horizon / step overflows" in err
 
 
+@pytest.mark.parametrize("argv", [("bundle.json",), ("model.xml", "config.cfg")], ids=["json", "xml"])
+def test_simulate_step_too_small_to_count_its_horizon_is_an_input_error(argv):
+    # the run stepped toward a horizon 5e320 steps away and never returned: a subprocess bounds the wait
+    files = [str(CORPUS_DIR / "tank3" / name) for name in argv]
+    done = subprocess.run([sys.executable, "-m", "hyra.cli", "simulate", *files, "--step", "1e-320"],
+                          env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")), capture_output=True, text=True,
+                          timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: --step: step 1e-320 is too small for horizon 5.0: horizon / step overflows\n"
+
+
 @pytest.mark.parametrize("step", ["0", "-0.01", "nan", "inf", "-inf", "1e999"])
 def test_simulate_step_that_is_not_finite_and_positive_is_an_input_error(step, capsys):
     # a zero or negative step never advanced the run's time: the loop did not return
@@ -453,6 +464,22 @@ def test_a_model_xml_with_defects_prints_its_defect_lines_or_its_error_line(comm
     else:
         details = "; ".join(f"[{code}] {message}" for code, message in BALL_DEFECTS)
         assert got == (2, "", f"error: model does not validate: {details}\n")
+
+
+@pytest.mark.parametrize("model, old, new, message", [
+    ("bouncing-ball", 'value="0.75"', 'value="abc"', "param 'c': value 'abc' is not a number"),
+    ("bouncing-ball", 'value="0.75"', 'value=""', "param 'c': value '' is not a number"),
+    ("linswitch4", 'min="-0.1"', 'min="lo"', "param 'u': min 'lo' is not a number"),
+    ("linswitch4", 'max="0.1"', 'max="0.1.2"', "param 'u': max '0.1.2' is not a number"),
+], ids=["value", "empty-value", "min", "max"])
+@pytest.mark.parametrize("command", ["validate", "check"])
+def test_a_param_attribute_that_is_not_a_number_is_an_input_error(model, old, new, message, command, tmp_path,
+                                                                   capsys):
+    text = (CORPUS_DIR / model / "model.xml").read_text()
+    assert text.count(old) == 1
+    path = tmp_path / "model.xml"
+    path.write_text(text.replace(old, new))
+    assert run(capsys, command, str(path)) == (2, "", f"error: {message}\n")
 
 
 NOT_UTF8 = bytes([0xFF, 0xFE, 0x00])  # a UTF-16 byte-order mark; the byte 0xff never occurs in UTF-8

@@ -41,6 +41,7 @@ from hyra.sets import (
     Box,
     Zonotope,
     box_hull,
+    center_radius,
     clamp_boxes,
     exp_with_integral,
     hull_zonotope,
@@ -307,8 +308,9 @@ def test_platoon_flowpipe_is_nowhere_wider_than_with_the_checked_box_loop():
         ref = reach(bundle)
     assert np.array_equal(new.segments.time_lo, ref.segments.time_lo)
     assert np.array_equal(new.segments.time_hi, ref.segments.time_hi)
-    assert np.all(new.segments.radius <= ref.segments.radius)
-    assert np.median(new.segments.radius) < np.median(ref.segments.radius)
+    new_width, ref_width = new.segments.hi - new.segments.lo, ref.segments.hi - ref.segments.lo
+    assert np.all(new_width <= ref_width)
+    assert np.median(new_width) < np.median(ref_width)
 
 
 def test_discretize_overflow_is_a_non_finite_flowpipe():
@@ -413,10 +415,11 @@ def test_a_flowpipe_group_equals_one_call_per_task(location, box, step, horizon)
     alone = [flowpipe(location, [task], None, step, horizon, 1, discretized={}) for task in tasks]
     for table in ("segments", "raw"):
         got, want = getattr(group, table), Segments.concat([getattr(pipe, table) for pipe in alone])
-        for column in ("time_lo", "time_hi", "center", "radius", "depth"):
+        for column in ("time_lo", "time_hi", "lo", "hi", "depth"):
             assert getattr(got, column).tobytes() == getattr(want, column).tobytes()
         assert got.location.tolist() == want.location.tolist()
-    assert group.raw_ends == np.cumsum([len(pipe.raw) for pipe in alone]).tolist()
+    assert group.tasks == tasks and len(alone[2].raw) == 0
+    assert group.owner.tolist() == [i for i, pipe in enumerate(alone) for _ in range(len(pipe.raw))]
     assert group.alpha == max(pipe.alpha for pipe in alone)
 
 
@@ -634,7 +637,7 @@ def test_locations_with_one_a_share_its_tables_and_keep_their_own_drift(scale):
     tails = [d for d in recorded if d.step != bundle.settings.step]
     assert tails and all(d.tables is next(t for t in tails if t.step == d.step).tables for d in tails)
     assert set(shared.segments.location) == {"a", "b"}
-    for column in ("time_lo", "time_hi", "center", "radius", "depth"):
+    for column in ("time_lo", "time_hi", "lo", "hi", "depth"):
         assert getattr(shared.segments, column).tobytes() == getattr(separate.segments, column).tobytes()
     assert shared.segments.location.tolist() == separate.segments.location.tolist()
 
@@ -788,8 +791,7 @@ def test_identity_reset_returns_the_clamped_window():
 def reference_successors(segments, transition):
     """``jump_successors`` through the public constructors and the n-column clamp formula."""
     rows = transition.guard.halfspaces
-    lo, hi, hit = clamp_boxes(segments.center - segments.radius, segments.center + segments.radius,
-                              rows._replace(axis=np.full(len(rows.bounds), -1)))
+    lo, hi, hit = clamp_boxes(segments.lo, segments.hi, rows._replace(axis=np.full(len(rows.bounds), -1)))
     hits = np.flatnonzero(hit)
     out = []
     for run in np.split(hits, np.flatnonzero(np.diff(hits) > 1) + 1) if hits.size else []:
@@ -801,10 +803,17 @@ def reference_successors(segments, transition):
     return out
 
 
-def task_rows(segments, start: int, stop: int) -> Segments:
-    """Rows ``start`` .. ``stop`` - 1 of a segment table, as a table."""
-    return Segments(*(getattr(segments, f)[start:stop]
-                      for f in ("time_lo", "time_hi", "center", "radius", "location", "depth")))
+def task_rows(segments, rows) -> Segments:
+    """The rows of a segment table that the index or mask ``rows`` selects, as a table."""
+    return Segments(*(getattr(segments, f)[rows] for f in ("time_lo", "time_hi", "lo", "hi", "location", "depth")))
+
+
+def guard_runs_across_tasks(pipe, transition) -> int:
+    """How many runs of consecutive guard-hitting raw rows of a flowpipe group hold rows of two tasks."""
+    _, _, hit = clamp_boxes(pipe.raw.lo, pipe.raw.hi, transition.guard.halfspaces)
+    hits = np.flatnonzero(hit)
+    runs = np.split(hits, np.flatnonzero(np.diff(hits) > 1) + 1) if hits.size else []
+    return sum(len(set(pipe.owner[run].tolist())) > 1 for run in runs)
 
 
 def build_tank_at_15s_and_24_jumps():
@@ -817,12 +826,13 @@ def build_tank_at_15s_and_24_jumps():
 def test_jump_successors_equal_the_checked_reference_on_every_corpus_call(build):
     # each call takes one group of tasks; each task's successors are those of its raw rows alone
     calls = recorded_calls("jump_successors", build)
-    found = 0
+    found = crossing = 0
     for pipe, transition in calls:
         got = jump_successors(pipe, transition)
-        assert len(got) == len(pipe.raw_ends)
-        for task_got, start, stop in zip(got, [0, *pipe.raw_ends[:-1]], pipe.raw_ends):
-            want = reference_successors(task_rows(pipe.raw, start, stop), transition)
+        assert len(got) == len(pipe.tasks)
+        crossing += guard_runs_across_tasks(pipe, transition)
+        for position, task_got in enumerate(got):
+            want = reference_successors(task_rows(pipe.raw, pipe.owner == position), transition)
             assert len(task_got) == len(want)
             for (box, entry, width), (ref, ref_entry, ref_width) in zip(task_got, want):
                 assert (entry, width) == (ref_entry, ref_width)
@@ -832,14 +842,18 @@ def test_jump_successors_equal_the_checked_reference_on_every_corpus_call(build)
             found += len(task_got)
     assert found > 0
     if build is build_tank_at_15s_and_24_jumps:
-        assert max(len(pipe.raw_ends) for pipe, _ in calls) >= 9
+        assert max(len(pipe.tasks) for pipe, _ in calls) >= 9
+        assert crossing >= 1  # a run the owner split cuts in two
 
 
-def test_segment_bounds_are_computed_once_per_table():
-    pipe, _ = ball_pipe_and_transitions()
-    assert pipe.raw.lo is pipe.raw.lo and pipe.raw.hi is pipe.raw.hi
-    assert np.array_equal(pipe.raw.lo, pipe.raw.center - pipe.raw.radius)
-    assert np.array_equal(pipe.raw.hi, pipe.raw.center + pipe.raw.radius)
+def test_segment_bounds_are_stored_as_read_back_from_their_center_and_radius():
+    # the bound 0.1 reads back as 0.10000000000000002 and -0.0 as 0.0
+    lo, hi = np.array([[0.1], [-0.0]]), np.array([[0.3], [0.0]])
+    segments = Segments.from_bounds(np.zeros(2), np.ones(2), lo, hi, "q", 0)
+    center, radius = center_radius(lo, hi)
+    assert segments.lo.tobytes() == (center - radius).tobytes()
+    assert segments.hi.tobytes() == (center + radius).tobytes()
+    assert segments.lo.tolist() == [[0.10000000000000002], [0.0]] and not np.signbit(segments.lo).any()
 
 
 def test_every_box_is_inside_the_condition_true():
@@ -917,9 +931,8 @@ def test_segment_box_wider_than_the_largest_float_is_stored():
         pipe = flowpipe(location, [Task("t", init, 0.0, 0.0)], Box([-0.5e298], [0.5e298]), 1.0, 0.5, discretized={})
     segments = pipe.segments
     assert (len(segments), segments.time_lo.tolist(), segments.time_hi.tolist()) == (1, [0.0], [0.5])
-    assert segments.center.tolist() == [[0.0]]
-    assert segments.radius[0, 0] == segments.hi[0, 0] == -segments.lo[0, 0]
-    assert 0.75 * big < segments.radius[0, 0] < big
+    assert segments.hi[0, 0] == -segments.lo[0, 0]
+    assert 0.75 * big < segments.hi[0, 0] < big
 
 
 @pytest.mark.parametrize("lo, hi", [(1e308, np.finfo(float).max), (-np.finfo(float).max, -1e308)],
@@ -1120,8 +1133,8 @@ def test_reach_is_bitwise_deterministic():
     for a, b in zip(first.segments, second.segments):
         assert a.time_lo == b.time_lo and a.time_hi == b.time_hi
         assert a.location == b.location and a.jump_depth == b.jump_depth
-        assert np.array_equal(a.center, b.center)
-        assert np.array_equal(a.radius, b.radius)
+        assert np.array_equal(a.lo, b.lo)
+        assert np.array_equal(a.hi, b.hi)
 
 
 def test_random_affine_systems_contain_their_simulations():
@@ -1185,7 +1198,7 @@ def _csv_by_format_number(segments, state_vars) -> str:
 def _hand_made_result():
     values = np.array([[-0.0, 1e22, 5e-324, 3.0], [2.0, -7.0, 0.1, -1e-300], [1.5e-5, -2e-7, 1e16, 1e-4]])
     segments = Segments(
-        np.array([0.0, 1.0, 2.5e-5]), np.array([1.0, 1e22, 3.0]), values, np.zeros_like(values),
+        np.array([0.0, 1.0, 2.5e-5]), np.array([1.0, 1e22, 3.0]), values, values + 0.0,  # hi of -0.0 reads 0.0
         np.array(["a", "b", "c"], dtype=object), np.array([0, 2, 1]),
     )
     return ReachResult(segments, Verdict.SAFE_PROVED, ReachStats()), ("w", "x", "y", "z")
@@ -1290,7 +1303,7 @@ REFERENCE_CASES = {
 
 
 def assert_same_reach(got: ReachResult, want: ReachResult) -> None:
-    for column in ("time_lo", "time_hi", "center", "radius", "depth"):
+    for column in ("time_lo", "time_hi", "lo", "hi", "depth"):
         a, b = getattr(got.segments, column), getattr(want.segments, column)
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), column  # sign bits too
     assert got.segments.location.tolist() == want.segments.location.tolist()

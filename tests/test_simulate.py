@@ -551,6 +551,18 @@ def test_options_keep_an_unset_horizon():
     assert SimOptions(step=1e-3).horizon is None
 
 
+def test_a_step_too_small_to_count_its_horizon_is_rejected_as_reach_rejects_it():
+    # horizon / step overflows to inf: the run would step toward a horizon 5e320 steps away
+    message = "step 1e-320 is too small for horizon 5.0: horizon / step overflows"
+    with pytest.raises(ValueError, match=message):
+        SimOptions(step=1e-320, horizon=5.0)
+    bundle = build_tank()  # its horizon is 5
+    x0 = sample_initial(bundle.initial.box, 1, seed=0)[0]
+    with pytest.raises(ValueError, match=message):
+        simulate(bundle, x0, Integrator.HEUN, SimOptions(step=1e-320))
+    assert SimOptions(step=1e-300, horizon=5.0).step == 1e-300  # a finite count, however large
+
+
 def test_start_outside_invariant_rejected():
     bundle = build_bouncing_ball()
     with pytest.raises(InitOutsideInvariant):

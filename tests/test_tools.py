@@ -1,3 +1,5 @@
+import dataclasses
+import importlib.util
 import os
 import re
 import subprocess
@@ -49,3 +51,19 @@ def test_pair_ab_compares_this_tree_with_itself():
                                       "tank3.short", "tank3.mid", "tank3.long"]
     assert all(float(g[i]) > 0.0 for g in groups for i in (2, 3, 4))
     assert lines[-1] == "outputs: identical"
+
+
+
+def test_pair_ab_compares_a_field_of_one_tree_with_a_property_of_the_other(monkeypatch):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # the script sets these when imported; the test puts them back
+    spec = importlib.util.spec_from_file_location("pair_ab", REPO_ROOT / "tools" / "pair_ab.py")
+    pair_ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pair_ab)
+    # one record of two trees: ``hi`` is a field of one and a property of the other
+    fields = dataclasses.make_dataclass("Bounds", ["lo", "hi"])
+    width = dataclasses.make_dataclass("Bounds", ["lo", "width"],
+                                       namespace={"hi": property(lambda self: self.lo + self.width)})
+    assert pair_ab.same(fields(0.0, 2.0), width(0.0, 2.0))
+    assert not pair_ab.same(fields(0.0, 1.0), width(0.0, 2.0))
+    assert not pair_ab.same(width(0.0, 2.0), fields(0.0, 1.0))

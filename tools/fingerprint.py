@@ -48,8 +48,11 @@ of a one-row flowpipe CSV whose x range is the whole float range, from
 the exit code and the first stderr line, its temporary directory written
 as ``<tmp>``, of ``hyra validate`` and ``hyra check`` on a ``model.xml`` and
 of ``hyra plot`` on a CSV file that each hold the bytes ``ff fe 00``, which
-are not UTF-8. Two source trees
-print the same lines exactly when all of these outputs are byte-identical:
+are not UTF-8. Param lines, last, cover the exit code and the first
+stderr line (or the ``Type: message`` of a crash) of ``hyra validate``
+and ``hyra check`` on the ball's ``model.xml`` whose constant ``c`` reads
+``value="abc"``. Two source trees print the same lines exactly when all
+of these outputs are byte-identical:
 
     PYTHONPATH=src python3 tools/fingerprint.py > after.txt
     PYTHONPATH=/path/to/other/src python3 tools/fingerprint.py > before.txt
@@ -340,6 +343,20 @@ def not_utf8_lines():
             yield f"{digest(cli_text(argv).replace(tmp, '<tmp>'))}  not-utf8 cli {label}"
 
 
+def param_lines():
+    text = (REPO_ROOT / "corpus" / "bouncing-ball" / "model.xml").read_text()
+    assert text.count('value="0.75"') == 1
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.xml"
+        path.write_text(text.replace('value="0.75"', 'value="abc"'))
+        for command in ("validate", "check"):
+            try:
+                outcome = cli_text([command, str(path)])
+            except Exception as exc:  # a crash is an output too
+                outcome = f"{type(exc).__name__}: {exc}"
+            yield f"{digest(outcome)}  bouncing-ball c=abc cli {command}"
+
+
 def lines():
     for bench in corpus.all_benchmarks():
         model = bench.value
@@ -363,6 +380,7 @@ def lines():
     yield from forbidden_lines()
     yield from input_error_lines()
     yield from not_utf8_lines()
+    yield from param_lines()
 
 
 def main() -> int:

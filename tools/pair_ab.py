@@ -25,8 +25,10 @@ shows.
 Then it runs every operation once more on each tree and compares the two
 outputs: reach results column by column, trajectories field by field and
 CLI runs by exit code, stdout and stderr. Numbers compare by their bits, so
-a sign of zero counts; fields that only one tree's records have, and the
-timing ``ReachStats.wall_time``, are left out. The last line is
+a sign of zero counts. A record compares on every field of either tree's
+record that both objects have as an attribute, so a field that the other
+tree computes as a property still counts; the rest, and the timing
+``ReachStats.wall_time``, are left out. The last line is
 ``outputs: identical``, or names the first operation whose outputs differ,
 and then the script exits with status 1.
 
@@ -82,10 +84,10 @@ def timed_pass(ops) -> list:
 def same(a, b) -> bool:
     """Whether two outputs of the trees are the same, bit for bit (see the module docstring)."""
     if dataclasses.is_dataclass(a) and dataclasses.is_dataclass(b):
-        fields = {f.name for f in dataclasses.fields(b)}
+        names = dict.fromkeys(f.name for record in (a, b) for f in dataclasses.fields(record))
         return type(a).__name__ == type(b).__name__ and all(
-            same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
-            if f.name in fields and f.name != "wall_time")
+            same(getattr(a, name), getattr(b, name)) for name in names
+            if name != "wall_time" and hasattr(a, name) and hasattr(b, name))
     if isinstance(a, enum.Enum) and isinstance(b, enum.Enum):
         return a.value == b.value
     if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
