@@ -41,40 +41,42 @@ def _read_text(path: str) -> str:
         raise ModelFormatError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_bundle(model_path: str, cfg_path: str | None, step_override: float | None) -> ModelBundle:
-    path = Path(model_path)
-    if path.suffix == ".json":
-        bundle = read_json(_read_text(model_path))
-    else:
-        automaton = parse_spaceex(_read_text(model_path))
-        if cfg_path is None:
-            sibling = path.with_name("config.cfg")
-            cfg_path = str(sibling) if sibling.exists() else None
-        if cfg_path is None:
-            raise ModelFormatError(
-                f"no configuration for {model_path}: pass one or place config.cfg next to the model"
-            )
-        parsed = parse_config(_read_text(cfg_path), automaton.vars)
-        if parsed.initial is None:
-            raise ModelFormatError("configuration does not define an initial set (key: initially)")
-        if parsed.system is not None and parsed.system != automaton.name:
-            print(
-                f"note: config system {parsed.system!r} differs from model name {automaton.name!r}",
-                file=sys.stderr,
-            )
-        if parsed.initial.location not in automaton.location_names():
-            raise ModelFormatError(f"initial location {parsed.initial.location!r} not in model")
-        defects = condition_defects(parsed.settings.forbidden, automaton.vars, "forbidden set")
-        if defects:
-            raise ConfigError("bundle does not validate: " + "; ".join(map(str, defects)))
-        bundle = ModelBundle(automaton, parsed.settings, parsed.initial)
-    if step_override is not None:
-        try:
-            settings = dataclasses.replace(bundle.settings, step=step_override)
-        except ValueError as exc:
-            raise ModelFormatError(f"--step: {exc}") from exc
-        bundle = dataclasses.replace(bundle, settings=settings)
-    return bundle
+def _read_model(path: str):
+    """The model a file holds: a JSON bundle by its suffix, otherwise a SpaceEx automaton that needs its cfg."""
+    read = read_json if Path(path).suffix == ".json" else parse_spaceex
+    return read(_read_text(path))
+
+
+def _load_bundle(model_path: str, cfg_path: str | None) -> ModelBundle:
+    model = _read_model(model_path)
+    if isinstance(model, ModelBundle):
+        return model
+    if cfg_path is None:
+        sibling = Path(model_path).with_name("config.cfg")
+        cfg_path = str(sibling) if sibling.exists() else None
+    if cfg_path is None:
+        raise ModelFormatError(f"no configuration for {model_path}: pass one or place config.cfg next to the model")
+    parsed = parse_config(_read_text(cfg_path), model.vars)
+    if parsed.initial is None:
+        raise ModelFormatError("configuration does not define an initial set (key: initially)")
+    if parsed.system is not None and parsed.system != model.name:
+        print(f"note: config system {parsed.system!r} differs from model name {model.name!r}", file=sys.stderr)
+    if parsed.initial.location not in model.location_names():
+        raise ModelFormatError(f"initial location {parsed.initial.location!r} not in model")
+    defects = condition_defects(parsed.settings.forbidden, model.vars, "forbidden set")
+    if defects:
+        raise ConfigError("bundle does not validate: " + "; ".join(map(str, defects)))
+    return ModelBundle(model, parsed.settings, parsed.initial)
+
+
+def _with_step(bundle: ModelBundle, step: float | None) -> ModelBundle:
+    """The bundle with its reach step set by ``--step``, for the file and bench forms alike."""
+    if step is None:
+        return bundle
+    try:
+        return dataclasses.replace(bundle, settings=dataclasses.replace(bundle.settings, step=step))
+    except ValueError as exc:
+        raise ModelFormatError(f"--step: {exc}") from exc
 
 
 def _write_output(text: str, out: str | None):
@@ -109,9 +111,8 @@ def cmd_validate(args, bundle: ModelBundle | None = None) -> int:
     if bundle is not None:
         defects = validate(bundle.automaton)
     else:
-        read = read_json if Path(args.model).suffix == ".json" else parse_spaceex
         try:
-            read(_read_text(args.model))
+            _read_model(args.model)
             defects = ()
         except (BundleDefects, ModelDefects) as exc:
             defects = exc.defects
@@ -120,7 +121,7 @@ def cmd_validate(args, bundle: ModelBundle | None = None) -> int:
 
 
 def cmd_translate(args, bundle: ModelBundle | None = None) -> int:
-    bundle = bundle or _load_bundle(args.model, args.cfg, None)
+    bundle = bundle or _load_bundle(args.model, args.cfg)
     if args.to == "flowstar":
         text = emit_flowstar(bundle)
     elif args.to == "spaceex":
@@ -132,7 +133,7 @@ def cmd_translate(args, bundle: ModelBundle | None = None) -> int:
 
 
 def cmd_reach(args, bundle: ModelBundle | None = None) -> int:
-    bundle = bundle or _load_bundle(args.model, args.cfg, args.step)
+    bundle = _with_step(bundle or _load_bundle(args.model, args.cfg), args.step)
     result = reach(bundle)
     if args.out:
         _write_output(segments_to_csv(result, bundle.automaton.vars.state_vars), args.out)
@@ -144,7 +145,7 @@ def cmd_reach(args, bundle: ModelBundle | None = None) -> int:
 
 
 def cmd_check(args, bundle: ModelBundle | None = None) -> int:
-    bundle = bundle or _load_bundle(args.model, args.cfg, args.step)
+    bundle = _with_step(bundle or _load_bundle(args.model, args.cfg), args.step)
     result = reach(bundle)
     print(_verdict_line(result))
     return EXIT_OK if result.verdict == Verdict.SAFE_PROVED else EXIT_UNSAFE
@@ -156,7 +157,7 @@ def cmd_simulate(args, bundle: ModelBundle | None = None) -> int:
         raise ModelFormatError(f"--seeds: need at least 1 run, not {args.seeds}")
     if args.seed < 0:
         raise ModelFormatError(f"--seed: need a seed of at least 0, not {args.seed}")
-    bundle = bundle or _load_bundle(args.model, args.cfg, None)
+    bundle = bundle or _load_bundle(args.model, args.cfg)
     kind = Integrator.EULER if args.integrator == "euler" else Integrator.HEUN
     try:
         step = args.step if args.step is not None else bundle.settings.step / 10.0
@@ -190,20 +191,50 @@ def cmd_plot(args, bundle: ModelBundle | None = None) -> int:
     return EXIT_OK
 
 
-_FILE_COMMANDS = {"check": cmd_check, "reach": cmd_reach, "validate": cmd_validate,
-                  "translate": cmd_translate, "simulate": cmd_simulate, "plot": cmd_plot}
-
-
 def cmd_bench(args) -> int:
     """Run a file command on a built-in benchmark's bundle instead of a file."""
     try:
         bench = corpus.benchmark_from_name(args.name)
     except KeyError as exc:
         raise ModelFormatError(str(exc.args[0])) from exc
-    return _FILE_COMMANDS[args.subcommand](args, corpus.build(bench))
+    return COMMANDS[args.subcommand][0](args, corpus.build(bench))
 
 
 # ---------------------------------------------------------------------------
+# Each argument is declared once, as (name, argparse keywords).
+
+_MODEL, _CFG, _CSV = ("model", {}), ("cfg", {"nargs": "?", "default": None}), ("csv", {})
+_TO = ("--to", {"choices": ("flowstar", "spaceex", "json"), "default": "flowstar", "required": True})
+_OUT = ("--out", {"default": None})
+_STEP = ("--step", {"type": float, "default": None})
+_INTEGRATOR = ("--integrator", {"choices": ("euler", "heun"), "default": "heun"})
+_SEEDS = ("--seeds", {"type": int, "default": 1})
+_SEED = ("--seed", {"type": int, "default": 0})
+_X = ("--x", {"default": None, "required": True})
+_Y = ("--y", {"default": None, "required": True})
+_FORMAT = ("--format", {"choices": ("svg", "csv"), "default": "svg"})
+
+# name: (function, help, file positionals, options). ``hyra <name>`` takes the positionals and options;
+# ``hyra bench NAME <name>`` takes the same options, none of them required, and hands the function a bundle.
+COMMANDS = {
+    "validate": (cmd_validate, "structural checks on a model file", (_MODEL,), ()),
+    "translate": (cmd_translate, "convert between model formats", (_MODEL, _CFG), (_TO, _OUT)),
+    "reach": (cmd_reach, "flowpipe reachability with verdict and CSV export", (_MODEL, _CFG), (_STEP, _OUT)),
+    "check": (cmd_check, "verdict only, scripting-friendly", (_MODEL, _CFG), (_STEP,)),
+    "simulate": (cmd_simulate, "seeded hybrid trajectories", (_MODEL, _CFG),
+                 (_INTEGRATOR, _SEEDS, _SEED, _STEP, _OUT)),
+    "plot": (cmd_plot, "project a CSV export to SVG or CSV", (_CSV,), (_X, _Y, _FORMAT, _OUT)),
+}
+
+
+def _add_commands(subparsers, bench: bool):
+    for name, (func, help_text, files, options) in COMMANDS.items():
+        p = subparsers.add_parser(name, help=help_text)
+        for arg, kwargs in () if bench else files:
+            p.add_argument(arg, **kwargs)
+        for flag, kwargs in options:
+            p.add_argument(flag, **(dict(kwargs, required=False) if bench else kwargs))
+        p.set_defaults(func=cmd_bench if bench else func)
 
 
 @functools.cache
@@ -215,65 +246,10 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="Option precedence: command-line flag > configuration file > built-in default.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="structural checks on a model file")
-    p.add_argument("model")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("translate", help="convert between model formats")
-    p.add_argument("model")
-    p.add_argument("cfg", nargs="?", default=None)
-    p.add_argument("--to", choices=("flowstar", "spaceex", "json"), required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_translate)
-
-    p = sub.add_parser("reach", help="flowpipe reachability with verdict and CSV export")
-    p.add_argument("model")
-    p.add_argument("cfg", nargs="?", default=None)
-    p.add_argument("--step", type=float, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_reach)
-
-    p = sub.add_parser("check", help="verdict only, scripting-friendly")
-    p.add_argument("model")
-    p.add_argument("cfg", nargs="?", default=None)
-    p.add_argument("--step", type=float, default=None)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("simulate", help="seeded hybrid trajectories")
-    p.add_argument("model")
-    p.add_argument("cfg", nargs="?", default=None)
-    p.add_argument("--integrator", choices=("euler", "heun"), default="heun")
-    p.add_argument("--seeds", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--step", type=float, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("plot", help="project a CSV export to SVG or CSV")
-    p.add_argument("csv")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.add_argument("--format", choices=("svg", "csv"), default="svg")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_plot)
-
+    _add_commands(sub, bench=False)
     p = sub.add_parser("bench", help="run a command against a built-in benchmark")
     p.add_argument("name")
-    p.add_argument(
-        "subcommand",
-        choices=tuple(_FILE_COMMANDS),
-    )
-    p.add_argument("--to", choices=("flowstar", "spaceex", "json"), default="flowstar")
-    p.add_argument("--integrator", choices=("euler", "heun"), default="heun")
-    p.add_argument("--seeds", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--x", default=None)
-    p.add_argument("--y", default=None)
-    p.add_argument("--format", choices=("svg", "csv"), default="svg")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_bench, step=None)
-
+    _add_commands(p.add_subparsers(dest="subcommand", required=True), bench=True)
     return parser
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -337,10 +338,14 @@ def test_invalid_step_override_is_an_input_error(capsys):
     assert "--step" in err
 
 
-@pytest.mark.parametrize("command", ["reach", "check"])
-def test_step_too_small_to_count_its_horizon_is_an_input_error(command, capsys):
+@pytest.mark.parametrize("argv", [
+    ("reach", str(CORPUS_DIR / "tank3" / "bundle.json")),
+    ("check", str(CORPUS_DIR / "tank3" / "bundle.json")),
+    ("bench", "ball", "reach"),
+], ids=["reach", "check", "bench-reach"])
+def test_step_too_small_to_count_its_horizon_is_an_input_error(argv, capsys):
     # horizon / step overflows to inf, which the flowpipe's step count cannot hold
-    code, out, err = run(capsys, command, str(CORPUS_DIR / "tank3" / "bundle.json"), "--step", "1e-320")
+    code, out, err = run(capsys, *argv, "--step", "1e-320")
     assert (code, out) == (2, "")
     assert err.startswith("error: --step: ") and err.count("\n") == 1
     assert "horizon / step overflows" in err
@@ -590,6 +595,70 @@ def test_bench_commands_match_the_file_commands(model, tmp_path, capsys):
             results.append((code, out, out_path.read_bytes() if out_path.exists() else None))
         assert results[0] == results[1], bench_args
         assert results[0][1] or results[0][2], bench_args
+
+
+def _subcommands(parser) -> dict:
+    """The parsers of a parser's subcommands, by name."""
+    action, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _option_strings(parser) -> list:
+    return sorted(flag for action in parser._actions for flag in action.option_strings)
+
+
+FILE_COMMANDS = [name for name in _subcommands(build_parser()) if name != "bench"]
+
+
+def test_the_usage_line_lists_the_file_commands_then_bench():
+    assert "{validate,translate,reach,check,simulate,plot,bench}" in build_parser().format_usage()
+
+
+@pytest.mark.parametrize("command", FILE_COMMANDS)
+def test_each_bench_command_takes_exactly_the_options_of_its_file_command(command):
+    commands = _subcommands(build_parser())
+    bench = _subcommands(commands["bench"])[command]
+    assert _option_strings(bench) == _option_strings(commands[command])
+    assert not any(action.required for action in bench._actions)
+
+
+@pytest.mark.parametrize("model", ["bouncing-ball", "linswitch4", "platoon6", "tank3"])
+@pytest.mark.parametrize("command", [("check",), ("reach", "--out", "{out}"),
+                                     ("simulate", "--seeds", "2", "--out", "{out}")], ids=lambda c: c[0])
+def test_bench_step_matches_the_file_command_step(model, command, tmp_path, capsys):
+    step = repr(build(benchmark_from_name(model)).settings.step / 2)
+    xml = str(CORPUS_DIR / model / "model.xml")
+    results = []
+    for side, argv in (("bench", ["bench", model, command[0]]), ("file", [command[0], xml])):
+        out_path = tmp_path / f"{side}.out"
+        args = [a.replace("{out}", str(out_path)) for a in (*argv, *command[1:], "--step", step)]
+        code, out, _ = run(capsys, *args)
+        results.append((code, out, out_path.read_bytes() if out_path.exists() else None))
+    assert results[0] == results[1]
+    assert results[0][1].startswith(("VERDICT ", "RUN "))
+    assert (results[0][2] is None) == (command[0] == "check")
+
+
+@pytest.mark.parametrize("argv", [("validate", "--to", "json"), ("check", "--out", "{out}")], ids=lambda a: a[0])
+def test_a_bench_form_rejects_an_option_its_command_does_not_take(argv, tmp_path, capsys):
+    out_path = tmp_path / "out.txt"
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "ball", *(a.replace("{out}", str(out_path)) for a in argv)])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert f"unrecognized arguments: {argv[1]}" in captured.err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv, code, out", [
+    (("validate", "corpus/bouncing-ball/model.xml"), 0, "OK\n"),
+    (("check", "corpus/platoon6/bundle.json"), 1, "VERDICT PossiblyUnsafe jumps=2 segments=1800 time=12\n"),
+], ids=["validate", "check"])
+def test_python_dash_m_hyra_runs_the_cli(argv, code, out):
+    done = subprocess.run([sys.executable, "-m", "hyra", *argv], cwd=REPO_ROOT,
+                          env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")), capture_output=True, text=True,
+                          timeout=120)
+    assert (done.returncode, done.stdout) == (code, out)
 
 
 def test_in_process_calls_match_fresh_parsers(tmp_path, capsys):

@@ -51,8 +51,12 @@ of ``hyra plot`` on a CSV file that each hold the bytes ``ff fe 00``, which
 are not UTF-8. Param lines, last, cover the exit code and the first
 stderr line (or the ``Type: message`` of a crash) of ``hyra validate``
 and ``hyra check`` on the ball's ``model.xml`` whose constant ``c`` reads
-``value="abc"``. Two source trees print the same lines exactly when all
-of these outputs are byte-identical:
+``value="abc"``. Bench lines, last, cover the exit code and stdout of
+``hyra bench <model> check --step`` at half each corpus model's shipped
+step, and the exit code and first stderr line (its stdout is empty) of
+``hyra bench bouncing-ball validate --to json``, which the parser rejects
+because ``validate`` takes no ``--to``. Two source trees print the same
+lines exactly when all of these outputs are byte-identical:
 
     PYTHONPATH=src python3 tools/fingerprint.py > after.txt
     PYTHONPATH=/path/to/other/src python3 tools/fingerprint.py > before.txt
@@ -302,10 +306,15 @@ def forbidden_lines():
 
 
 def cli_text(argv) -> str:
-    """``exit <code>`` of ``hyra <argv>``, then its stdout, or its first stderr line when stdout is empty."""
+    """``exit <code>`` of ``hyra <argv>``, then its stdout, or its first stderr line when stdout is empty.
+
+    A command line the parser rejects exits with the parser's code."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli_main(argv)
+        try:
+            code = cli_main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return f"exit {code}\n{out.getvalue() or err.getvalue().split(chr(10), 1)[0]}\n"
 
 
@@ -357,6 +366,15 @@ def param_lines():
             yield f"{digest(outcome)}  bouncing-ball c=abc cli {command}"
 
 
+def bench_lines():
+    for bench in corpus.all_benchmarks():
+        step = corpus.build(bench).settings.step / 2
+        outcome = cli_text(["bench", bench.value, "check", "--step", repr(step)])
+        yield f"{digest(outcome)}  {bench.value} cli bench check --step {step:g}"
+    outcome = cli_text(["bench", "bouncing-ball", "validate", "--to", "json"])
+    yield f"{digest(outcome)}  bouncing-ball cli bench validate --to json"
+
+
 def lines():
     for bench in corpus.all_benchmarks():
         model = bench.value
@@ -381,6 +399,7 @@ def lines():
     yield from input_error_lines()
     yield from not_utf8_lines()
     yield from param_lines()
+    yield from bench_lines()
 
 
 def main() -> int:
