@@ -65,11 +65,11 @@ def _parse_initially(text: str, table: VariableTable) -> InitialCondition:
     conjuncts = [(conjunct, conjunct.replace(" ", "")) for conjunct in split_conjuncts(text)]
     joined = _joined_constraints([c for c, head in conjuncts if not head.startswith("loc(")], table)
     for conjunct, head in conjuncts:
-        if head.startswith("loc(") :
-            close = head.find(")")
-            if close < 0 or not head[close + 1 :].startswith("=="):
+        if head.startswith("loc("):
+            tail = conjunct[conjunct.find(")") + 1 :].lstrip()  # the whole term when it has no ")"
+            if not tail.startswith("=="):
                 raise ConfigError(f"malformed location term {conjunct!r}")
-            location = head[close + 3 :]
+            location = tail[2:].strip()  # a name may hold spaces, as the XML's may
             continue
         cond = parse_condition(conjunct, table) if joined is None else Condition((next(joined),))
         if len(cond.constraints) != 1:

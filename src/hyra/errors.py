@@ -96,7 +96,7 @@ class StepTooLarge(EngineError):
 
 
 class NonFiniteFlowpipe(EngineError):
-    """Flowpipe bounds left the floating-point range (diverging dynamics)."""
+    """Flowpipe bounds or a simulated run left the floating-point range (diverging dynamics)."""
 
 
 class MaxEventsExceeded(EngineError):

@@ -140,14 +140,6 @@ class LinearConstraint(_Record):
         bound = self.bound + sum(constants[k] * v for k, v in self.bound_terms.items())
         return LinearConstraint(coeffs, self.relation, bound)
 
-    def satisfied(self, x, slack: float = 0.0) -> bool:
-        value = float(np.dot(self.coeffs, x))
-        if self.relation in ("<=", "<"):
-            return value <= self.bound + slack
-        if self.relation in (">=", ">"):
-            return value >= self.bound - slack
-        return abs(value - self.bound) <= slack
-
 
 class Halfspaces(NamedTuple):
     """A condition as rows ``coeffs[i] . x <= bounds[i]`` (``equality`` marks the rows of ``==``).
@@ -183,16 +175,20 @@ class Condition(_Record):
 
     @property
     def symbols(self) -> set:
-        out = set()
-        for con in self.constraints:
-            out |= con.symbols
-        return out
+        return set().union(*(con.symbols for con in self.constraints))
 
     def resolve(self, constants: dict) -> "Condition":
         return Condition(tuple(c.resolve(constants) for c in self.constraints))
 
     def satisfied(self, x, slack: float = 0.0) -> bool:
-        return all(c.satisfied(x, slack) for c in self.constraints)
+        """Whether each halfspace row c . x <= d holds at x within ``slack``; a symbolic condition raises ``ValueError``."""
+        if not self.constraints:
+            return True
+        rows = self.halfspaces
+        for value, bound in zip(rows.coeffs.dot(x).tolist(), rows.bounds.tolist()):
+            if not value <= bound + slack:
+                return False
+        return True
 
     @cached_property
     def halfspaces(self) -> Halfspaces:

@@ -43,7 +43,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InitOutsideInvariant, MaxEventsExceeded
+from .errors import InitOutsideInvariant, MaxEventsExceeded, NonFiniteFlowpipe
 from .expressions import format_table
 from .ir import AffineDynamics, Condition, ModelBundle, Transition, check_step_count
 from .sets import Box, center_radius
@@ -137,14 +137,6 @@ def _first_equality(guard: Condition):
     return next((c for c in guard.constraints if c.relation == "=="), None)
 
 
-def _guard_holds(guard: Condition, x, eq_slack: float) -> bool:
-    for con in guard.constraints:
-        slack = eq_slack if con.relation == "==" else _GUARD_SLACK
-        if not con.satisfied(x, slack):
-            return False
-    return True
-
-
 def _first_root(g0: float, d1: float, d2: float, h: float) -> float | None:
     """First root in [0, h] of g(tau) = g0 + d1 tau + (d2 / 2) tau^2, or None.
 
@@ -232,11 +224,13 @@ def detect_event(dyn: AffineDynamics, transition: Transition, x_before, t: float
     ``x_after`` is the state that ``step`` reaches at the end of the step.
     Equality constraints are crossing surfaces: the first one is located to
     time tolerance 1e-9 * max(1, t), then the whole conjunction is checked at
-    the crossing. Pure-inequality guards are located at the earliest point
-    where the conjunction switches from false to true. Both are located by
-    ``_locate``. Returns (tau, crossing_state) with tau relative to the step
-    start, or None when the guard is not crossed. A guard already satisfied
-    at the step start does not fire.
+    the crossing, every row with slack ``_EVENT_CHECK_SLACK``, since the
+    crossing state is known only to that tolerance. Pure-inequality guards
+    are located at the earliest point where the conjunction switches from
+    false to true. Both are located by ``_locate``. Returns (tau,
+    crossing_state) with tau relative to the step start, or None when the
+    guard is not crossed. A guard already satisfied at the step start does
+    not fire.
     """
     guard = transition.guard
     if guard.is_true:
@@ -249,10 +243,8 @@ def detect_event(dyn: AffineDynamics, transition: Transition, x_before, t: float
     if con is not None:
         g0 = float(con.coeffs @ x0) - con.bound
         g1 = float(con.coeffs @ x_after) - con.bound
-        if g0 * g1 > 0.0:
+        if g0 * g1 > 0.0 or g0 == g1 == 0.0:  # no crossing, or sliding along the surface
             return None
-        if g0 == 0.0 and g1 == 0.0:
-            return None  # sliding along the surface, not a crossing
 
         def before(xm) -> bool:
             """Strictly on the side of the surface where the step starts."""
@@ -262,15 +254,13 @@ def detect_event(dyn: AffineDynamics, transition: Transition, x_before, t: float
         a, xa, _, _ = _locate(dyn.a, drive, x0, x_after, kind, h, tol, [(con.coeffs, con.bound)], before)
         # report the bracket edge on the pre-crossing side: the state there
         # still satisfies the source invariant (e.g. x >= 0 for the ball)
-        if _guard_holds(guard, xa, _EVENT_CHECK_SLACK):
-            return a, xa
-        return None
+        return (a, xa) if guard.satisfied(xa, _EVENT_CHECK_SLACK) else None
 
     # inequality-only guard: the false->true switch
-    if _guard_holds(guard, x0, _GUARD_SLACK) or not _guard_holds(guard, x_after, _GUARD_SLACK):
+    if not guard.satisfied(x_after, _GUARD_SLACK) or guard.satisfied(x0, _GUARD_SLACK):
         return None
     _, _, b, xb = _locate(dyn.a, drive, x0, x_after, kind, h, tol, _levels(guard, _GUARD_SLACK),
-                          lambda x: not _guard_holds(guard, x, _GUARD_SLACK))
+                          lambda x: not guard.satisfied(x, _GUARD_SLACK))
     return b, xb
 
 
@@ -402,7 +392,8 @@ def simulate(bundle: ModelBundle, x0, kind: Integrator = Integrator.HEUN,
 
     Ends at the horizon, on Zeno accumulation (zeno flag set), or when the
     invariant is violated with no enabled transition (truncated). Among
-    simultaneously enabled transitions the one declared first wins.
+    simultaneously enabled transitions the one declared first wins. A run
+    whose last state is not finite raises ``NonFiniteFlowpipe``.
     """
     automaton = bundle.automaton.resolved
     table = automaton.vars
@@ -495,6 +486,9 @@ def simulate(bundle: ModelBundle, x0, kind: Integrator = Integrator.HEUN,
                 zeno_time = _zeno_estimate(events)
                 break
 
+    if not np.isfinite(states[count - 1]).all():  # steps and resets keep a non-finite state non-finite
+        first = times[np.argmin(np.isfinite(states[:count]).all(axis=1))]
+        raise NonFiniteFlowpipe(f"run left the floating-point range at t={first:g}; the dynamics diverge over the horizon")
     if 2 * count < len(times):  # a run that ended early keeps arrays of its own size
         times, states = times[:count].copy(), states[:count].copy()
     return Trajectory(times[:count], locs, states[:count], events, zeno, zeno_time, truncated)

@@ -203,7 +203,7 @@ def parse_assignment(text: str, table: VariableTable) -> ResetMap | None:
 
 
 def _escape(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
 
 
 def emit_spaceex(automaton: HybridAutomaton) -> str:

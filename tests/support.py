@@ -456,6 +456,16 @@ def support_function(z, direction) -> float:
     return float(d @ z.center + np.abs(d @ z.generators).sum())
 
 
+def condition_holds_reference(cond: Condition, point, slack: float) -> bool:
+    """Whether ``point`` meets each constraint within ``slack``, read from its relation, not its halfspace rows."""
+    for con in cond.constraints:
+        value = float(np.dot(con.coeffs, point))
+        below, above = value <= con.bound + slack, value >= con.bound - slack
+        if not {"<=": below, "<": below, ">=": above, ">": above, "==": below and above}[con.relation]:
+            return False
+    return True
+
+
 def box_contains(box, point, slack: float = 0.0) -> bool:
     """Whether ``point`` lies in ``box`` widened by ``slack`` on every side."""
     p = np.asarray(point, dtype=float)

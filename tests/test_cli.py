@@ -256,6 +256,21 @@ def test_diverging_flowpipe_is_an_engine_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_diverging_simulation_is_an_engine_error(tmp_path, capsys):
+    cfg = (CORPUS_DIR / "linswitch4" / "config.cfg").read_text()
+    assert "time-horizon = 1.2\n" in cfg
+    path, runs = tmp_path / "long.cfg", tmp_path / "runs.csv"
+    path.write_text(cfg.replace("time-horizon = 1.2\n", "time-horizon = 400\n"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow on the way out of range
+        code, out, err = run(capsys, "simulate", str(CORPUS_DIR / "linswitch4" / "model.xml"), str(path),
+                             "--seeds", "1", "--out", str(runs))
+    assert code == 3
+    assert out == "" and not runs.exists()
+    assert err.startswith("engine error: run left the floating-point range at t=") and err.count("\n") == 1
+    assert err.endswith("; the dynamics diverge over the horizon\n")
+
+
 def test_overflowing_first_interval_is_an_engine_error(tmp_path, capsys):
     cfg = (CORPUS_DIR / "platoon6" / "config.cfg").read_text()
     assert cfg.count(">= 0.9 ") == 18 and cfg.count("<= 1.1") == 18

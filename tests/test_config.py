@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from hyra.config import emit_config, parse_config
-from hyra.corpus import all_benchmarks, build
+from hyra.corpus import all_benchmarks, build, build_tank
 from hyra.errors import ConfigError, ExpressionSyntaxError, MissingKey, NonlinearUnsupported, UnknownIdentifier, UnknownKey
 from hyra.expressions import parse_condition
 from hyra.ir import VariableTable
@@ -130,6 +132,22 @@ def test_emit_parse_roundtrip(bench):
     assert parsed.settings == bundle.settings
     assert parsed.initial == bundle.initial
     assert parsed.system == bundle.automaton.name
+
+
+def test_a_start_location_with_spaces_survives_the_roundtrip():
+    bundle = build_tank()
+    assert bundle.initial.location == "off_off_off"
+    initial = dataclasses.replace(bundle.initial, location="off off off")
+    text = emit_config(bundle.settings, initial, bundle.automaton.vars, bundle.automaton.name)
+    assert "loc() == off off off &" in text
+    assert parse_config(text, bundle.automaton.vars).initial == initial
+
+
+@pytest.mark.parametrize("term, location", [("loc() == off off off", "off off off"), ("loc()==  a  b ", "a  b"),
+                                            ("loc ( ) ==q1", "q1"), ("loc() == \tq 1\t", "q 1")])
+def test_the_start_location_is_the_text_after_the_equals_stripped(term, location):
+    parsed = parse_config(f"time-horizon = 1\ninitially = {term} & x == 0 & v == 0", TABLE)
+    assert parsed.initial.location == location
 
 
 INITIALLY_TABLE = VariableTable(("x", "v"), ("u",), {"c": 2.0})

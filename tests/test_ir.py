@@ -22,7 +22,7 @@ from hyra.ir import (
 )
 from hyra.sets import Box
 
-from support import GENERATED_SEEDS, generated_bundle, validate_reference
+from support import GENERATED_SEEDS, condition_holds_reference, generated_bundle, validate_reference
 
 
 def _codes(defects):
@@ -304,13 +304,24 @@ def test_halfspace_rows_agree_with_the_relations(relation):
         x = rng.normal(size=n) * 2.0
         levels = [float(c.coeffs @ x) - c.bound for c in constraints]
         if all(abs(abs(g) - slack) > 1e-6 for g in levels):  # away from every boundary |g| = slack
-            holds = bool(np.all(rows.coeffs @ x <= rows.bounds + slack))
+            holds = condition_holds_reference(cond, x, slack)
             assert holds == cond.satisfied(x, slack)
             agreed[holds] += 1
         center, radius = rng.normal(size=n), rng.uniform(0.0, 1.0, size=n)
         box = Box(center - radius, center + radius)
         assert _box_inside_condition(box, cond, slack) == box_inside_reference(box, cond, slack)
     assert agreed[True] > 0 and agreed[False] > 0
+
+
+@pytest.mark.parametrize("coeffs, bound", [([2.0], -3.5), ([1.0, -2.0, 0.5], 4.25), ([0.0, 3.0, -1.0], -0.75)])
+def test_an_equality_holds_within_its_slack_of_a_nonzero_bound(coeffs, bound):
+    c = np.array(coeffs)
+    unit = c / (c @ c)  # a step of 1 along it moves c . x by 1
+    cond = Condition((LinearConstraint(c, "==", bound), LinearConstraint(np.ones(len(c)), ">=", -100.0)))
+    slack = 1e-6
+    for offset, inside in ((0.0, True), (0.999, True), (-0.999, True), (1.001, False), (-1.001, False)):
+        x = (bound + offset * slack) * unit
+        assert cond.satisfied(x, slack) == inside == condition_holds_reference(cond, x, slack), offset
 
 
 def test_halfspace_form_of_a_symbolic_condition_raises():
@@ -321,6 +332,8 @@ def test_halfspace_form_of_a_symbolic_condition_raises():
     symbolic = Condition((LinearConstraint(v_row, ">=", 14.0, bound_terms={"c": -8.0}),))
     with pytest.raises(ValueError, match="resolve"):
         symbolic.halfspaces
+    with pytest.raises(ValueError, match="resolve"):
+        symbolic.satisfied(np.zeros(4))
     with pytest.raises(ValueError, match="resolve"):
         check_safety(reach(ball).segments, symbolic)
     resolved = symbolic.resolve(ball.automaton.vars.constants)

@@ -8,7 +8,7 @@ import pytest
 
 from hyra.cli import main
 from hyra.corpus import build_bouncing_ball, build_linswitch, build_platoon, build_tank
-from hyra.errors import InitOutsideInvariant, MaxEventsExceeded
+from hyra.errors import InitOutsideInvariant, MaxEventsExceeded, NonFiniteFlowpipe
 from hyra.expressions import format_number
 from hyra.ir import (
     AffineDynamics,
@@ -36,7 +36,6 @@ from hyra.simulate import (
     _drive,
     _first_equality,
     _first_root,
-    _guard_holds,
     _invariant_exit,
     _substep,
     _zeno_estimate,
@@ -47,7 +46,7 @@ from hyra.simulate import (
     step,
     trajectory_to_csv,
 )
-from support import CORPUS_DIR
+from support import CORPUS_DIR, condition_holds_reference
 
 simulate_module = importlib.import_module("hyra.simulate")
 
@@ -176,14 +175,14 @@ def bisect_event(dyn, transition, x_before, t, h, kind, u):
                 a, xa = mid, xm
             else:
                 b = mid
-        return (a, xa) if _guard_holds(guard, xa, _EVENT_CHECK_SLACK) else None
-    if _guard_holds(guard, x0, _GUARD_SLACK) or not _guard_holds(guard, x1, _GUARD_SLACK):
+        return (a, xa) if condition_holds_reference(guard, xa, _EVENT_CHECK_SLACK) else None
+    if condition_holds_reference(guard, x0, _GUARD_SLACK) or not condition_holds_reference(guard, x1, _GUARD_SLACK):
         return None
     a, b, xb = 0.0, h, x1
     while b - a > tol:
         mid = 0.5 * (a + b)
         xm = _substep(dyn.a, drive, x0, mid, kind)
-        if _guard_holds(guard, xm, _GUARD_SLACK):
+        if condition_holds_reference(guard, xm, _GUARD_SLACK):
             b, xb = mid, xm
         else:
             a = mid
@@ -197,7 +196,7 @@ def bisect_invariant_exit(dyn, invariant, x, h, kind, u):
     while b - a > 1e-12 * max(1.0, h):
         mid = 0.5 * (a + b)
         xm = _substep(dyn.a, drive, x, mid, kind)
-        if invariant.satisfied(xm, _GUARD_SLACK):
+        if condition_holds_reference(invariant, xm, _GUARD_SLACK):
             a, xa = mid, xm
         else:
             b = mid
@@ -274,7 +273,7 @@ def test_inequality_guard_switches_match_the_plain_bisection(kind):
             hits += 1
             tau, state = got
             assert np.array_equal(state, _substep(dyn.a, dyn.c, x0, tau, kind))
-            assert _guard_holds(guard, state, _GUARD_SLACK)
+            assert condition_holds_reference(guard, state, _GUARD_SLACK)
     assert hits > 50 and same >= 0.95 * hits
 
 
@@ -519,6 +518,39 @@ def test_events_satisfy_their_guards():
     for event in traj.events:
         guard = by_key[(event.source, event.target)].guard
         assert guard.satisfied(event.pre_state, 1e-6)
+
+
+@pytest.mark.parametrize("v, fires", [(2e-9, True), (5e-7, True), (9e-7, True), (1.1e-6, False)])
+def test_an_equality_crossing_checks_every_guard_row_with_the_event_slack(v, fires):
+    # x' = v crosses x == 0 mid-step with v a little above 0: every row of the
+    # guard x == 0 & v <= 0 is read with slack 1e-6 at the crossing, not only
+    # the surface row
+    dyn = AffineDynamics([[0.0, 1.0], [0.0, 0.0]], np.zeros((2, 0)), [0.0, 0.0])
+    guard = Condition((LinearConstraint([1.0, 0.0], "==", 0.0), LinearConstraint([0.0, 1.0], "<=", 0.0)))
+    trans = Transition("a", "a", guard, ResetMap.identity(2))
+    h, x0 = 1e-3, np.array([-0.5e-3 * v, v])
+    hit = detect_event(dyn, trans, x0, 0.0, h, Integrator.HEUN, (), step(dyn, x0, (), h, Integrator.HEUN))
+    assert (hit is not None) == fires == (v <= _EVENT_CHECK_SLACK)
+    if fires:
+        assert hit[0] == pytest.approx(0.5 * h, abs=1e-9) and hit[1][1] == v
+
+
+@pytest.mark.parametrize("kind", list(Integrator))
+def test_a_run_that_leaves_the_float_range_raises(kind):
+    growth = HybridAutomaton("grow", VariableTable(("x",)),
+                             (Location("up", Condition(), AffineDynamics([[10.0]], np.zeros((1, 0)), [0.0])),), ())
+    bundle = ModelBundle(growth, ReachSettings(100.0, 0.1, 0, None, None, False),
+                         InitialCondition("up", Box([1.0], [1.0])))
+    h = 0.01
+    growth_per_step = 1.0 + 10.0 * h + (0.5 * (10.0 * h) ** 2 if kind == Integrator.HEUN else 0.0)
+    first = math.ceil(math.log(MAX) / math.log(growth_per_step)) * h  # the first sample past the largest float
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow on the way out
+        with pytest.raises(NonFiniteFlowpipe, match="^run left the floating-point range at t=") as info:
+            simulate(bundle, [1.0], kind, SimOptions(step=h))
+    reported = float(str(info.value).split("t=", 1)[1].split(";", 1)[0])
+    assert reported == pytest.approx(first, abs=2 * h)
+    assert str(info.value).endswith("; the dynamics diverge over the horizon")
 
 
 def test_linswitch_cycles_without_false_zeno():

@@ -100,6 +100,17 @@ def test_emission_roundtrip_is_structural_identity(bench):
     assert emit_spaceex(again) == text
 
 
+def test_names_with_quotes_survive_the_roundtrip():
+    automaton = build_bouncing_ball().automaton
+    (loc,) = automaton.locations
+    renamed = dataclasses.replace(automaton, name='ball "two"', locations=(dataclasses.replace(loc, name='al"ways'),),
+                                  transitions=tuple(dataclasses.replace(tr, source='al"ways', target='al"ways')
+                                                    for tr in automaton.transitions))
+    text = emit_spaceex(renamed)
+    assert '<component id="ball &quot;two&quot;">' in text and 'name="al&quot;ways"' in text
+    assert parse_spaceex(text) == renamed
+
+
 def test_symbolic_constants_survive_the_roundtrip():
     automaton = build(all_benchmarks()[0]).automaton  # bouncing ball
     text = emit_spaceex(automaton)

@@ -55,7 +55,13 @@ and ``hyra check`` on the ball's ``model.xml`` whose constant ``c`` reads
 ``hyra bench <model> check --step`` at half each corpus model's shipped
 step, and the exit code and first stderr line (its stdout is empty) of
 ``hyra bench bouncing-ball validate --to json``, which the parser rejects
-because ``validate`` takes no ``--to``. Two source trees print the same
+because ``validate`` takes no ``--to``. Generated-simulate lines, last of
+all, cover the trajectory and event CSVs of three seeded ``simulate`` runs
+with Heun and with Euler at the shipped step of each of the test suite's
+generated automata, whose guards and invariants span several variables and
+every relation. A run that leaves the floating-point range, by raising
+``NonFiniteFlowpipe`` or by returning a non-finite state, prints the fixed
+text ``non-finite run``. Two source trees print the same
 lines exactly when all of these outputs are byte-identical:
 
     PYTHONPATH=src python3 tools/fingerprint.py > after.txt
@@ -70,12 +76,15 @@ import io
 import json
 import sys
 import tempfile
+import warnings
 from pathlib import Path
+
+import numpy as np
 
 from hyra import corpus
 from hyra.cli import build_parser, main as cli_main
 from hyra.config import emit_config, parse_config
-from hyra.errors import EngineError, HyraError, SchemaViolation
+from hyra.errors import EngineError, HyraError, NonFiniteFlowpipe, SchemaViolation
 from hyra.expressions import parse_condition
 from hyra.flowstar import emit_flowstar
 from hyra.interchange import read_json, write_json
@@ -97,6 +106,7 @@ BALL_GUARD = "<guard>x == 0 &amp; v &lt;= 0</guard>"
 MISSING_OUT = "/nonexistent/hyra-fingerprint/out.txt"  # under a directory that does not exist
 FLOWPIPE_HEADER = "time_lo,time_hi,location,jump_depth,lo_x,hi_x,lo_y,hi_y"
 NOT_UTF8 = bytes([0xFF, 0xFE, 0x00])
+NON_FINITE = "non-finite run\n"  # a run out of the float range, whether it raises or returns its states
 # Expression texts each reader must reject: characters and tokens out of
 # place, names it does not know, terms that are not affine and nesting past
 # the recursion limit.
@@ -139,10 +149,14 @@ def simulate_text(bundle, kind, step) -> str:
     for x0 in sample_initial(bundle.initial.box, SEEDS, 0):
         try:
             traj = simulate(bundle, x0, kind, SimOptions(step=step))
+        except NonFiniteFlowpipe:
+            parts.append(NON_FINITE)
+            continue
         except Exception as exc:  # an engine error is an output too
             parts.append(f"{type(exc).__name__}: {exc}\n")
             continue
-        parts.append(trajectory_to_csv(traj, state_vars) + events_to_csv(traj, state_vars))
+        finite = np.isfinite(traj.states).all()
+        parts.append(trajectory_to_csv(traj, state_vars) + events_to_csv(traj, state_vars) if finite else NON_FINITE)
     return "".join(parts)
 
 
@@ -375,6 +389,17 @@ def bench_lines():
     yield f"{digest(outcome)}  bouncing-ball cli bench validate --to json"
 
 
+def generated_simulate_lines():
+    support = suite_support()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow in runs that leave the float range
+        for seed in support.GENERATED_SEEDS:
+            bundle = support.generated_bundle(seed)
+            for kind in (Integrator.HEUN, Integrator.EULER):
+                text = simulate_text(bundle, kind, bundle.settings.step)
+                yield f"{digest(text)}  {bundle.automaton.name} simulate {kind.value} step={bundle.settings.step:g}"
+
+
 def lines():
     for bench in corpus.all_benchmarks():
         model = bench.value
@@ -400,6 +425,7 @@ def lines():
     yield from not_utf8_lines()
     yield from param_lines()
     yield from bench_lines()
+    yield from generated_simulate_lines()
 
 
 def main() -> int:
