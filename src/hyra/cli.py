@@ -164,7 +164,8 @@ def cmd_simulate(args, bundle: ModelBundle | None = None) -> int:
         options = SimOptions(step, bundle.settings.horizon)  # the horizon checks the step count
     except ValueError as exc:
         raise ModelFormatError(f"--step: {exc}") from exc
-    trajs = [simulate(bundle, x0, kind, options) for x0 in sample_initial(bundle.initial.box, args.seeds, args.seed)]
+    with np.errstate(over="ignore", invalid="ignore"):  # a run out of the float range raises, without warnings
+        trajs = [simulate(bundle, x0, kind, options) for x0 in sample_initial(bundle.initial.box, args.seeds, args.seed)]
     if args.out:
         header = ("run", "time", "location", *bundle.automaton.vars.state_vars)
         _write_output(format_table(header, [

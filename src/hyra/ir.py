@@ -206,6 +206,15 @@ class Condition(_Record):
                           _freeze([con.relation == "==" for con, _ in rows], bool),
                           _freeze([cols[0] if cols.size == 1 else -1 for cols in nonzero], int))
 
+    @cached_property
+    def axis_rows(self) -> tuple | None:
+        """The ``halfspaces`` rows c x[axis] <= d as plain ``(axis, c, d)``, built once; None unless every row has one variable."""
+        rows = self.halfspaces
+        if (rows.axis < 0).any():
+            return None
+        coeffs = rows.coeffs[np.arange(rows.axis.size), rows.axis]
+        return tuple(zip(rows.axis.tolist(), coeffs.tolist(), rows.bounds.tolist()))
+
 
 @dataclass(frozen=True, eq=False, init=False)
 class AffineDynamics(_Record):

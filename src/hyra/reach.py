@@ -40,6 +40,10 @@ time.
 ``reach`` explores jumps breadth-first. A task's start set is one box (the
 initial set, a reset guard window clamped to the target's invariant, or a
 merged hull) until ``flowpipe`` builds the zonotope ``discretize`` reads.
+The decisions about one such box (the successor clamp, the start-set
+containment and the merge test) run in plain floats, on a condition's
+one-variable rows (``Condition.axis_rows``, built once) and on the bounds'
+``tolist()``; tables and multi-variable rows go through ``clamp_boxes``.
 
 Each level runs its tasks in groups that share a location. ``_merge_level``
 orders a level by location, so a group is a run of the level's tasks, and
@@ -365,6 +369,9 @@ def discretize(disc: Discretization, x0: Zonotope):
 
 def _box_inside_condition(box: Box, cond: Condition, slack: float = _CONTAIN_SLACK) -> bool:
     """Whether max over the box of c . x <= d + slack holds on every halfspace row."""
+    if cond.axis_rows is not None:  # in floats: a row's other terms are zeros, which add nothing
+        lo, hi = box.lo.tolist(), box.hi.tolist()
+        return all((c * hi[i] if c > 0 else c * lo[i]) <= d + slack for i, c, d in cond.axis_rows)
     rows = cond.halfspaces
     if rows.bounds.size == 0:
         return True
@@ -718,15 +725,16 @@ def _boxes_close(b1: Box, b2: Box) -> bool:
 
     Merging is only sound-AND-useful for near-coincident sets (e.g. the two
     orderings of near-simultaneous jumps); hulling sets in different phases
-    destroys correlations and blows the flowpipe up.
+    destroys correlations and blows the flowpipe up. Decided per axis in floats,
+    as numpy's minimum and maximum would: widths past the float range compare
+    inf <= inf, and the merged hull still has a center and radius.
     """
-    hull_lo = np.minimum(b1.lo, b2.lo)
-    hull_hi = np.maximum(b1.hi, b2.hi)
-    scale = np.maximum(np.maximum(np.abs(hull_lo), np.abs(hull_hi)), 1.0)
-    # widths past the float range compare inf <= inf; the merged hull still has a center and radius
-    with np.errstate(over="ignore", invalid="ignore"):
-        width = np.maximum(b1.hi - b1.lo, b2.hi - b2.lo)
-        return bool(np.all(hull_hi - hull_lo <= 1.5 * width + 1e-9 * scale))
+    for lo1, hi1, lo2, hi2 in zip(b1.lo.tolist(), b1.hi.tolist(), b2.lo.tolist(), b2.hi.tolist()):
+        lo, hi = lo1 if lo1 < lo2 else lo2, hi1 if hi1 > hi2 else hi2
+        w1, w2 = hi1 - lo1, hi2 - lo2
+        if not hi - lo <= 1.5 * (w1 if w1 > w2 else w2) + 1e-9 * max(abs(lo), abs(hi), 1.0):
+            return False
+    return True
 
 
 def _merge_level(tasks: list, step: float) -> list:

@@ -10,7 +10,10 @@ Conditions are evaluated through one halfspace form, the rows c . x <= d of
 safety check and the simulator's chunk margins all read those rows. A row
 with a single nonzero coefficient (every row of the shipped models) is
 clamped on its one column, which for finite bounds is the general
-interval-propagation formula bit for bit (see ``clamp_boxes``). Every
+interval-propagation formula bit for bit (see ``clamp_boxes``). One box
+against one-variable rows (``intersect_condition``) is clamped in plain
+floats from ``Condition.axis_rows``, built once per condition, by the same
+operations; tables and multi-variable rows go through ``clamp_boxes``. Every
 caller passes finite bounds: the propagation chunks and the tail segment
 after ``reach._require_finite``, emission windows over real rows, stored
 segment tables and the boxes tasks start from. Every box center and
@@ -334,6 +337,24 @@ def clamp_boxes(lo, hi, rows):
 
 
 def intersect_condition(box: Box, condition) -> Box | None:
-    """One-row ``clamp_boxes`` against a condition: the clamped box, or None when it is empty."""
-    lo, hi, ok = clamp_boxes(box.lo[None, :], box.hi[None, :], condition.halfspaces)
-    return Box._trusted(lo[0], hi[0]) if ok[0] else None
+    """One-row ``clamp_boxes`` against a condition: the clamped box, or None when it is empty.
+
+    On one-variable rows (``Condition.axis_rows``) it runs in floats: the same operations in the
+    same order, with numpy's choice of its second operand where minimum and maximum tie.
+    """
+    rows = condition.axis_rows
+    if rows is None:
+        lo, hi, ok = clamp_boxes(box.lo[None, :], box.hi[None, :], condition.halfspaces)
+        return Box._trusted(lo[0], hi[0]) if ok[0] else None
+    lo, hi = box.lo.tolist(), box.hi.tolist()
+    for i, c, bound in rows:
+        limit = bound / c
+        if c > 0:
+            meets = c * lo[i] <= bound
+            hi[i] = hi[i] if hi[i] < limit else limit
+        else:
+            meets = c * hi[i] <= bound
+            lo[i] = lo[i] if lo[i] > limit else limit
+        if not (meets and lo[i] <= hi[i]):
+            return None
+    return Box._trusted(np.array(lo), np.array(hi))

@@ -44,13 +44,12 @@ from hyra.reach import (
     Task,
     Termination,
     _fixpoint_covered,
-    _merge_level,
     check_safety,
     flowpipe,
     jump_successors,
     safety_margin,
 )
-from hyra.sets import Box, intersect_condition
+from hyra.sets import Box, clamp_boxes
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CORPUS_DIR = REPO_ROOT / "corpus"
@@ -464,6 +463,44 @@ def condition_holds_reference(cond: Condition, point, slack: float) -> bool:
         if not {"<=": below, "<": below, ">=": above, ">": above, "==": below and above}[con.relation]:
             return False
     return True
+
+
+def intersect_condition_array(box: Box, cond: Condition) -> Box | None:
+    """The box clamped by ``cond`` through the one-row ``clamp_boxes``, or None when it is empty."""
+    lo, hi, ok = clamp_boxes(box.lo[None, :], box.hi[None, :], cond.halfspaces)
+    return Box(lo[0], hi[0]) if ok[0] else None
+
+
+def box_inside_array(box: Box, cond: Condition, slack: float) -> bool:
+    """Whether max over the box of c . x <= d + slack holds on every halfspace row, as arrays."""
+    c = cond.halfspaces.coeffs
+    return not c.size or bool((np.where(c >= 0, c * box.hi, c * box.lo).sum(axis=1) <= cond.halfspaces.bounds + slack).all())
+
+
+def boxes_close_array(b1: Box, b2: Box) -> bool:
+    """The merge test of ``reach._merge_level`` as array formulas over the axes."""
+    hull_lo = np.minimum(b1.lo, b2.lo)
+    hull_hi = np.maximum(b1.hi, b2.hi)
+    scale = np.maximum(np.maximum(np.abs(hull_lo), np.abs(hull_hi)), 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        width = np.maximum(b1.hi - b1.lo, b2.hi - b2.lo)
+        return bool(np.all(hull_hi - hull_lo <= 1.5 * width + 1e-9 * scale))
+
+
+def merge_level_array(tasks: list, step: float) -> list:
+    """``reach._merge_level`` with the merge test of ``boxes_close_array``."""
+    merged: list = []
+    for task in sorted(tasks, key=lambda t: (t.location, t.entry_time, t.window)):
+        for i, other in enumerate(merged):
+            if (other.location == task.location and task.entry_time <= other.end_time + 0.5 * step
+                    and other.entry_time <= task.end_time + 0.5 * step and boxes_close_array(other.box, task.box)):
+                entry = min(other.entry_time, task.entry_time)
+                end = max(other.end_time, task.end_time)
+                merged[i] = Task(task.location, other.box.hull(task.box), entry, end - entry)
+                break
+        else:
+            merged.append(task)
+    return merged
 
 
 def box_contains(box, point, slack: float = 0.0) -> bool:
@@ -1047,8 +1084,10 @@ def reference_reach(bundle: ModelBundle) -> ReachResult:
     ``jump_successors`` per outgoing transition.
 
     This is the exploration loop as it was before ``reach`` ran the tasks of a
-    level in groups that share a location; ``reach`` must give the same
-    result bit for bit, and raise the same first error.
+    level in groups that share a location, with the successor clamp and the
+    merge test as array formulas (``intersect_condition_array``,
+    ``merge_level_array``) rather than ``reach``'s float decisions; ``reach``
+    must give the same result bit for bit, and raise the same first error.
     """
     bundle = bundle.resolved
     automaton, settings = bundle.automaton, bundle.settings
@@ -1086,10 +1125,10 @@ def reference_reach(bundle: ModelBundle) -> ReachResult:
                     jump_bound_cut = True
                     continue
                 for succ, t_entry, w in successors:
-                    clamped = intersect_condition(succ, locations[transition.target].invariant)
+                    clamped = intersect_condition_array(succ, locations[transition.target].invariant)
                     if clamped is not None:
                         next_level.append(Task(transition.target, clamped, t_entry, w + task.window))
-        level = _merge_level(next_level, settings.step)
+        level = merge_level_array(next_level, settings.step)
         depth += 1
     segments = Segments.concat(parts)
     slack = max(1e-9, alpha_max)

@@ -262,13 +262,25 @@ def test_diverging_simulation_is_an_engine_error(tmp_path, capsys):
     path, runs = tmp_path / "long.cfg", tmp_path / "runs.csv"
     path.write_text(cfg.replace("time-horizon = 1.2\n", "time-horizon = 400\n"))
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow on the way out of range
+        warnings.simplefilter("error")  # no numpy overflow warning on the way out of range
         code, out, err = run(capsys, "simulate", str(CORPUS_DIR / "linswitch4" / "model.xml"), str(path),
                              "--seeds", "1", "--out", str(runs))
     assert code == 3
     assert out == "" and not runs.exists()
     assert err.startswith("engine error: run left the floating-point range at t=") and err.count("\n") == 1
     assert err.endswith("; the dynamics diverge over the horizon\n")
+
+
+def test_diverging_simulation_prints_one_stderr_line_in_a_fresh_process(tmp_path):
+    cfg = (CORPUS_DIR / "linswitch4" / "config.cfg").read_text()
+    path = tmp_path / "long.cfg"
+    path.write_text(cfg.replace("time-horizon = 1.2\n", "time-horizon = 400\n"))
+    done = subprocess.run([sys.executable, "-m", "hyra", "simulate", str(CORPUS_DIR / "linswitch4" / "model.xml"),
+                           str(path), "--seeds", "1"], cwd=REPO_ROOT,
+                          env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")), capture_output=True, text=True,
+                          timeout=120)
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr.startswith("engine error: run left the floating-point range") and done.stderr.count("\n") == 1
 
 
 def test_overflowing_first_interval_is_an_engine_error(tmp_path, capsys):

@@ -20,7 +20,10 @@ from hyra.sets import (
     reduce_order,
     translate,
 )
-from support import box_contains, sample_zonotope, support_function
+from hyra.reach import _box_inside_condition, _boxes_close
+from support import (
+    box_contains, box_inside_array, boxes_close_array, intersect_condition_array, sample_zonotope, support_function,
+)
 
 
 def taylor_expm(a, t, terms=60):
@@ -484,6 +487,8 @@ COLUMN_CASES = {
     "mixed": rows_of(([0.5, 0.0, 0.0], "<=", 0.4), ([1.0, 1.0, 0.0], "<=", 0.3),
                      ([0.0, -1.0, 0.0], "<=", 0.2), ([-1.0, 0.0, 2.0], "<=", 1.0),
                      ([0.0, 0.0, 1.0], "<=", 0.6)),
+    # a bound that ties the box's own bound as a zero of the other sign: numpy keeps the limit's sign
+    "zero-tie": rows_of(([1.0, 0.0, 0.0], "<=", -0.0), ([0.0, 1.0, 0.0], ">=", 0.0)),
 }
 
 
@@ -525,6 +530,17 @@ def test_column_clamp_equals_the_general_formula_and_the_scalar_oracle_bitwise(c
     # the cases reach the exact limits and the zeros of both signs
     touched = (out_hi == hi) & (hi != lo)
     assert touched.any() and (np.signbit(out_lo) & (out_lo == 0.0)).any()
+    # the one-box decisions, in floats where every row has one variable, against their array forms
+    inside = set()
+    for k in range(len(lo)):
+        box = Box(lo[k], hi[k])
+        got, want = intersect_condition(box, cond), intersect_condition_array(box, cond)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert same_bits(got.lo, want.lo) and same_bits(got.hi, want.hi)
+        inside.add(_box_inside_condition(box, cond, slack or 0.0))
+        assert _box_inside_condition(box, cond, slack or 0.0) == box_inside_array(box, cond, slack or 0.0)
+    assert inside == {True, False}
 
 
 def test_column_clamp_keeps_a_box_at_the_exact_limit_and_zero_signs():
@@ -561,6 +577,54 @@ def test_halfspace_axis_marks_the_rows_with_one_nonzero_coefficient():
         seen |= set(nonzero.sum(axis=1).tolist())
     assert {0, 1, 2} <= seen
     assert Condition().halfspaces.axis.shape == (0,)
+
+
+def test_float_clamp_keeps_the_zero_sign_of_the_array_clamp():
+    # x in [-1, 0] by x <= -0.0 ends at -0.0, and x in [-0, 1] by x >= 0.0 starts at +0.0, as
+    # numpy's minimum and maximum give them; Python's min and max would keep the box's own zero
+    for box, cond, want_lo, want_hi in ((Box([-1.0], [0.0]), rows_of(([1.0], "<=", -0.0)), -1.0, -0.0),
+                                        (Box([-0.0], [1.0]), rows_of(([1.0], ">=", 0.0)), 0.0, 1.0)):
+        got, array = intersect_condition(box, cond), intersect_condition_array(box, cond)
+        assert same_bits(got.lo, [want_lo]) and same_bits(got.hi, [want_hi])
+        assert same_bits(array.lo, got.lo) and same_bits(array.hi, got.hi)
+
+
+def test_float_clamp_empties_a_box_past_the_limit_whose_product_rounds_onto_the_bound():
+    # 3 x <= 1 holds at the float just past 1/3, since 3 x rounds to 1.0, yet x's bound becomes 1/3 < x
+    past = np.nextafter(1.0 / 3.0, 1.0)
+    assert 3.0 * past == 1.0
+    box, cond = Box([past], [0.5]), rows_of(([3.0], "<=", 1.0))
+    assert intersect_condition(box, cond) is None and intersect_condition_array(box, cond) is None
+
+
+def test_axis_rows_are_built_once_and_only_for_one_variable_rows():
+    cond = rows_of(([0.0, -2.0], "==", 1.5), ([1.0, 0.0], "<", -0.0))
+    rows = cond.axis_rows
+    assert rows == ((1, -2.0, 1.5), (1, 2.0, -1.5), (0, 1.0, -0.0)) and cond.axis_rows is rows
+    assert all(type(i) is int and type(c) is float and type(d) is float for i, c, d in rows)
+    assert Condition().axis_rows == ()
+    assert rows_of(([1.0, 0.0], "<=", 1.0), ([1.0, 1.0], "<=", 1.0)).axis_rows is None
+    assert rows_of(([0.0, 0.0], "<=", 1.0)).axis_rows is None
+
+
+def test_boxes_close_equals_the_array_formula():
+    # ties, signed zeros, flat boxes and the merge-overflow magnitudes, whose widths pass the float range
+    values = [0.0, -0.0, 1.0, -1.0, 1.0 + 1e-9, 2.5, -0.95e308, 0.8e308, 0.9e308, 1e308, 1.5e308, -1.7e308]
+    rng = np.random.default_rng(11)
+    seen = {True: 0, False: 0}
+    overflowed = 0
+    for _ in range(3000):
+        n = int(rng.integers(1, 4))
+        a, b, c, d = (rng.choice(values, n) for _ in range(4))
+        flat = rng.uniform(size=(2, n)) < 0.25
+        b1 = Box(np.minimum(a, b), np.where(flat[0], np.minimum(a, b), np.maximum(a, b)))
+        b2 = Box(np.minimum(c, d), np.where(flat[1], np.minimum(c, d), np.maximum(c, d)))
+        close = _boxes_close(b1, b2)
+        assert close == boxes_close_array(b1, b2)
+        seen[close] += 1
+        with np.errstate(over="ignore"):
+            overflowed += bool(np.isinf(b1.hi - b1.lo).any())
+    assert min(seen.values()) > 100 and overflowed > 100
 
 
 def test_halfspaces_need_every_field():

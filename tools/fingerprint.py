@@ -55,14 +55,18 @@ and ``hyra check`` on the ball's ``model.xml`` whose constant ``c`` reads
 ``hyra bench <model> check --step`` at half each corpus model's shipped
 step, and the exit code and first stderr line (its stdout is empty) of
 ``hyra bench bouncing-ball validate --to json``, which the parser rejects
-because ``validate`` takes no ``--to``. Generated-simulate lines, last of
-all, cover the trajectory and event CSVs of three seeded ``simulate`` runs
+because ``validate`` takes no ``--to``. Generated-simulate lines cover the
+trajectory and event CSVs of three seeded ``simulate`` runs
 with Heun and with Euler at the shipped step of each of the test suite's
 generated automata, whose guards and invariants span several variables and
 every relation. A run that leaves the floating-point range, by raising
 ``NonFiniteFlowpipe`` or by returning a non-finite state, prints the fixed
-text ``non-finite run``. Two source trees print the same
-lines exactly when all of these outputs are byte-identical:
+text ``non-finite run``. Generated-reach lines, last of all, cover the
+reach CSV (with the verdict) of each generated automaton at its own
+settings, or the ``Type: message`` of the engine error reach raises, as
+most of them do (a start box outside its invariant, a step too large). Two
+source trees print the same lines exactly when all of these outputs are
+byte-identical:
 
     PYTHONPATH=src python3 tools/fingerprint.py > after.txt
     PYTHONPATH=/path/to/other/src python3 tools/fingerprint.py > before.txt
@@ -250,7 +254,8 @@ def rejection_lines():
         yield f"{digest(condition + chr(10) + guard)}  bouncing-ball reject {i:02d} parse_condition parse_spaceex"
 
 
-def overflow_text(bundle) -> str:
+def reach_outcome(bundle) -> str:
+    """The reach CSV with the verdict, or the ``Type: message`` of the engine error reach raises."""
     try:
         return reach_text(bundle)
     except EngineError as exc:
@@ -262,7 +267,7 @@ def overflow_lines():
     cases = [("", support.merge_overflow_bundle()), (" far-narrow", support.merge_overflow_bundle(1e308, 1.5e308))]
     cases += [(f" {case}", support.wide_box_bundle(case)) for case in ("window", "successor")]
     for label, bundle in cases:
-        yield f"{digest(overflow_text(bundle))}  {bundle.automaton.name} reach overflow{label}"
+        yield f"{digest(reach_outcome(bundle))}  {bundle.automaton.name} reach overflow{label}"
 
 
 def plot_lines():
@@ -400,6 +405,13 @@ def generated_simulate_lines():
                 yield f"{digest(text)}  {bundle.automaton.name} simulate {kind.value} step={bundle.settings.step:g}"
 
 
+def generated_reach_lines():
+    support = suite_support()
+    for seed in support.GENERATED_SEEDS:
+        bundle = support.generated_bundle(seed)
+        yield f"{digest(reach_outcome(bundle))}  {bundle.automaton.name} reach"
+
+
 def lines():
     for bench in corpus.all_benchmarks():
         model = bench.value
@@ -426,6 +438,7 @@ def lines():
     yield from param_lines()
     yield from bench_lines()
     yield from generated_simulate_lines()
+    yield from generated_reach_lines()
 
 
 def main() -> int:
