@@ -41,9 +41,9 @@ time.
 initial set, a reset guard window clamped to the target's invariant, or a
 merged hull) until ``flowpipe`` builds the zonotope ``discretize`` reads.
 The decisions about one such box (the successor clamp, the start-set
-containment and the merge test) run in plain floats, on a condition's
-one-variable rows (``Condition.axis_rows``, built once) and on the bounds'
-``tolist()``; tables and multi-variable rows go through ``clamp_boxes``.
+containment, the merge test) and its norms in ``discretize`` run in plain
+floats, on a condition's one-variable rows (``Condition.axis_rows``) and the
+bounds' ``tolist()``; tables and multi-variable rows go through ``clamp_boxes``.
 
 Each level runs its tasks in groups that share a location. ``_merge_level``
 orders a level by location, so a group is a run of the level's tasks, and
@@ -52,12 +52,12 @@ its own first-interval enclosure, propagation chunks, tail step and
 emission window, and the invariant clamp of each chunk index, the read-back
 of the rows and the emission clamp run once over the rows of the whole
 group. ``jump_successors`` reads the group's raw rows once per transition
-and splits guard runs where the task that owns the rows changes. Rows are
-independent in all of these, so every bit is what one flowpipe per task
-gives: the segments come level by level and task by task, each task's rows
-in time order, and so do the successor tasks. When a group raises, the level runs
-again one task at a time, so the error raised is that of the level's
-earliest failing task, as a task-by-task loop raises it.
+and splits guard runs where the task that owns the rows changes, hulling
+row slices. Rows are independent in all of these, so every bit is what one
+flowpipe per task gives: the segments come level by level and task by task,
+each task's rows in time order, and so do the successor tasks. When a group
+raises, the level runs again one task at a time, so the error raised is
+that of the level's earliest failing task, as a task-by-task loop raises it.
 """
 
 from __future__ import annotations
@@ -324,7 +324,7 @@ def discretize(disc: Discretization, x0: Zonotope):
     try:
         with np.errstate(over="raise", invalid="raise"):
             x0_box = box_hull(x0)
-            radius0, sup = float(np.max(x0_box.radius)), x0_box.sup_norm()
+            radius0, sup = x0_box.max_radius(), x0_box.sup_norm()
             bloat = curvature * sup + drift_curv + beta_tau
             # sanity abort: bloat dwarfing the set makes the flowpipe meaningless;
             # degenerate (point-like) sets compare against 1% of their magnitude
@@ -620,7 +620,8 @@ def jump_successors(pipe: FlowpipeResult, transition) -> list:
     guard form one crossing window; the guard-clamped boxes hull into a
     single box, whose image under the reset ``R x + r`` is the box of center
     ``R c + r`` and radius ``|R| rad``, reported with the window's start
-    time and width.
+    time and width. A run (rows a .. b) reduces the row slices ``lo[a:b + 1]``
+    and ``hi[a:b + 1]`` and reads its times at rows a and b, as Python floats.
     Returns one list per task of the group, each of (box_pre_invariant,
     entry_time, window_width), each box with finite bounds. A reset that
     maps a window out of the floating-point range raises ``NonFiniteFlowpipe``.
@@ -632,14 +633,18 @@ def jump_successors(pipe: FlowpipeResult, transition) -> list:
     if hits.size == 0:
         return out
     owner = pipe.owner[hits]
+    # hit row less its rank, plus owner: it never falls, and rises exactly where a run ends
+    key = hits - np.arange(hits.size) + owner
+    rows, owners, ends = hits.tolist(), owner.tolist(), np.flatnonzero(key[1:] != key[:-1]).tolist()
     reset = transition.reset
     r_matrix, r_offset, r_abs = reset.r_matrix, reset.r_offset, np.abs(reset.r_matrix)
     with np.errstate(over="ignore", invalid="ignore"):
-        for run in np.split(hits, np.flatnonzero((np.diff(hits) > 1) | (np.diff(owner) != 0)) + 1):
-            entry_time = float(segments.time_lo[run[0]])
-            window_width = float(segments.time_hi[run[-1]]) - entry_time
+        for first, last in zip([0, *(end + 1 for end in ends)], [*ends, len(rows) - 1]):
+            a, b = rows[first], rows[last]  # the run is rows a .. b, read as slices
+            entry_time = segments.time_lo.item(a)
+            window_width = segments.time_hi.item(b) - entry_time
             # the window hulls clamped rows of a finite table, so its bounds are finite
-            window_center, window_radius = center_radius(lo[run].min(axis=0), hi[run].max(axis=0))
+            window_center, window_radius = center_radius(lo[a:b + 1].min(axis=0), hi[a:b + 1].max(axis=0))
             center = r_matrix @ window_center + r_offset
             radius = r_abs @ window_radius
             succ_lo, succ_hi = center - radius, center + radius
@@ -649,7 +654,7 @@ def jump_successors(pipe: FlowpipeResult, transition) -> list:
                     f"successor of the jump {transition.source!r} -> {transition.target!r} at t={entry_time:g} "
                     "left the floating-point range; the reset maps the guard set out of range"
                 )
-            out[pipe.owner[run[0]]].append((Box._trusted(succ_lo, succ_hi), entry_time, window_width))
+            out[owners[first]].append((Box._trusted(succ_lo, succ_hi), entry_time, window_width))
     return out
 
 

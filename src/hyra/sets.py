@@ -125,9 +125,13 @@ class Box:
         c, r = center_radius(self.lo, self.hi)
         return Zonotope._trusted(c, np.diag(r)[:, r > 0])
 
+    def max_radius(self) -> float:
+        """Largest radius over the axes, in floats: max of 0.5 hi - 0.5 lo, as ``center_radius``."""
+        return max(0.5 * high - 0.5 * low for low, high in zip(self.lo.tolist(), self.hi.tolist()))
+
     def sup_norm(self) -> float:
-        """Largest infinity-norm over points of the box."""
-        return float(np.max(np.maximum(np.abs(self.lo), np.abs(self.hi))))
+        """Largest infinity-norm over points of the box, in floats: the largest |bound|."""
+        return max(map(abs, self.lo.tolist() + self.hi.tolist()))
 
 
 @dataclass(frozen=True)

@@ -822,28 +822,59 @@ def build_tank_at_15s_and_24_jumps():
                        bundle.initial)
 
 
+def successors_checked_against_the_reference(pipe, transition) -> list:
+    """``jump_successors`` of a flowpipe group; each task's successors are checked, bit for bit,
+    against the reference on the task's raw rows alone."""
+    got = jump_successors(pipe, transition)
+    assert len(got) == len(pipe.tasks)
+    for position, task_got in enumerate(got):
+        want = reference_successors(task_rows(pipe.raw, pipe.owner == position), transition)
+        assert len(task_got) == len(want)
+        for (box, entry, width), (ref, ref_entry, ref_width) in zip(task_got, want):
+            assert (entry, width) == (ref_entry, ref_width) and type(entry) is type(width) is float
+            ref = box_hull(ref)
+            for side, ref_side in ((box.lo, ref.lo), (box.hi, ref.hi)):
+                assert side.tobytes() == ref_side.tobytes()
+    return got
+
+
 @pytest.mark.parametrize("build", [*CORPUS_BUILDS, build_tank_at_15s_and_24_jumps], ids=lambda b: b.__name__[6:])
 def test_jump_successors_equal_the_checked_reference_on_every_corpus_call(build):
-    # each call takes one group of tasks; each task's successors are those of its raw rows alone
+    # each call takes one group of tasks
     calls = recorded_calls("jump_successors", build)
     found = crossing = 0
     for pipe, transition in calls:
-        got = jump_successors(pipe, transition)
-        assert len(got) == len(pipe.tasks)
         crossing += guard_runs_across_tasks(pipe, transition)
-        for position, task_got in enumerate(got):
-            want = reference_successors(task_rows(pipe.raw, pipe.owner == position), transition)
-            assert len(task_got) == len(want)
-            for (box, entry, width), (ref, ref_entry, ref_width) in zip(task_got, want):
-                assert (entry, width) == (ref_entry, ref_width)
-                ref = box_hull(ref)
-                for side, ref_side in ((box.lo, ref.lo), (box.hi, ref.hi)):
-                    assert np.array_equal(side, ref_side) and np.array_equal(np.signbit(side), np.signbit(ref_side))
-            found += len(task_got)
+        found += sum(map(len, successors_checked_against_the_reference(pipe, transition)))
     assert found > 0
     if build is build_tank_at_15s_and_24_jumps:
         assert max(len(pipe.tasks) for pipe, _ in calls) >= 9
         assert crossing >= 1  # a run the owner split cuts in two
+
+
+def test_jump_successors_equal_the_checked_reference_on_a_made_raw_table():
+    # 12 rows of 5 tasks, the third without rows; x >= 0 hits rows 0, 2-4, 6, 7, 10 and 11:
+    # a gap after row 0, a run of rows 2-4 that the owner splits after row 3, single-row
+    # runs at rows 6 and 7 (an owner change between them) and a run that ends at the last row
+    from hyra.ir import ResetMap, Transition
+    from hyra.reach import FlowpipeResult
+
+    owner = np.repeat(np.arange(5), [4, 3, 0, 3, 2])
+    x_lo = np.array([0.0, -3.0, -0.0, -1.0, 0.5, -2.0, 1e-300, -0.0, -5.0, -4.0, 2.0, -0.25])
+    x_hi = np.array([1.0, -1.0, 0.0, 2.0, 1.5, -0.5, 3.0, 0.0, -1.0, -3.5, 2.0, 4.0])
+    lo = np.column_stack([x_lo, [-1.0, 0.0, 2.0, -0.0, 1.0, 3.0, -2.0, 0.5, 0.0, 1.0, -1e300, 7.0]])
+    hi = np.column_stack([x_hi, [1.0, 0.5, 3.0, 0.0, 1.0, 4.0, 0.0, 0.5, 1.0, 2.0, 1e300, 9.0]])
+    times = np.arange(12) * 0.1
+    raw = Segments(times, times + 0.1, lo, hi, np.full(12, "a", dtype=object), np.zeros(12, dtype=int))
+    pipe = FlowpipeResult(raw, raw, [Task("a", Box([0.0, 0.0], [0.0, 0.0]), 0.0, 0.0)] * 5, owner, 0.0)
+    reset = ResetMap([[0.5, -1.0], [2.0, 0.0]], [1.0, -0.0])
+    guards = {"hit": [([1.0, 0.0], ">=", 0.0)], "two-variable": [([1.0, 0.0], ">=", 0.0), ([1.0, 1.0], "<=", 8.0)],
+              "none": [([1.0, 0.0], ">=", 100.0)]}
+    counts = {}
+    for name, rows in guards.items():
+        transition = Transition("a", "a", Condition(tuple(LinearConstraint(*row) for row in rows)), reset)
+        counts[name] = list(map(len, successors_checked_against_the_reference(pipe, transition)))
+    assert counts == {"hit": [2, 2, 0, 1, 1], "two-variable": [2, 2, 0, 1, 1], "none": [0] * 5}
 
 
 def test_segment_bounds_are_stored_as_read_back_from_their_center_and_radius():

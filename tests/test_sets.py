@@ -627,6 +627,31 @@ def test_boxes_close_equals_the_array_formula():
     assert min(seen.values()) > 100 and overflowed > 100
 
 
+def test_box_norms_equal_their_array_forms():
+    # signed zeros, flat axes and bounds near +-1e308, of boxes given by their bounds and of the
+    # hulls of zonotopes, as ``discretize`` reads them. Among equal values the float max keeps
+    # the first and numpy's reduction any; the radii differ in sign only at a zero radius of
+    # lo = 0.0, hi = -0.0, which center -/+ a radius of absolute values never gives
+    values = [0.0, -0.0, 1.0, -2.5, 3e-9, 5e-324, -5e-324, -0.95e308, 0.9e308, 1e308, -1e308, 1.7e308, -1.7e308]
+    rng = np.random.default_rng(37)
+    boxes = []
+    for _ in range(2000):
+        n = int(rng.integers(1, 7))
+        a, b = rng.choice(values, n), rng.choice(values, n)
+        lo, hi = np.where(a <= b, a, b), np.where(a <= b, b, a)
+        hi = np.where(rng.uniform(size=n) < 0.25, lo, hi)
+        boxes.append(Box(lo, hi))
+        generators = rng.choice([0.0, -0.0, 0.5, -3.0, 1e300], (n, int(rng.integers(0, 3))))
+        boxes.append(box_hull(Zonotope(rng.choice(values, n), generators)))
+    boxes = [box for box in boxes if np.isfinite(box.lo).all() and np.isfinite(box.hi).all()]
+    assert len(boxes) > 3000
+    for box in boxes:
+        assert same_bits(box.sup_norm(), np.max(np.maximum(np.abs(box.lo), np.abs(box.hi))))
+        if not ((box.lo == 0.0) & (box.hi == 0.0) & np.signbit(box.hi) & ~np.signbit(box.lo)).any():
+            assert same_bits(box.max_radius(), np.max(center_radius(box.lo, box.hi)[1]))
+    assert type(boxes[0].sup_norm()) is type(boxes[0].max_radius()) is float
+
+
 def test_halfspaces_need_every_field():
     rows = rows_of(([1.0, 0.0], "<=", 1.0)).halfspaces
     with pytest.raises(TypeError):
