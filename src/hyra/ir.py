@@ -56,8 +56,8 @@ class _Record:
         """An IR record equals one of its own class whose fields are equal.
 
         Arrays compare with ``np.array_equal``, dicts (symbolic terms,
-        constants, input ranges) by key set, then entry by entry, boxes by
-        their bounds and everything else with ``==``. A record class sets no
+        constants, input ranges) by key set, then entry by entry, and
+        everything else (boxes included) with ``==``. A record class sets no
         ``__hash__``, so it is unhashable, like its arrays.
         """
         if not isinstance(other, type(self)):
@@ -68,8 +68,6 @@ class _Record:
                 same = np.array_equal(mine, theirs)
             elif isinstance(mine, dict):
                 same = mine.keys() == theirs.keys() and all(np.array_equal(mine[k], theirs[k]) for k in mine)
-            elif isinstance(mine, Box):
-                same = np.array_equal(mine.lo, theirs.lo) and np.array_equal(mine.hi, theirs.hi)
             else:
                 same = mine == theirs
             if not same:
@@ -144,16 +142,16 @@ class LinearConstraint(_Record):
 class Halfspaces(NamedTuple):
     """A condition as rows ``coeffs[i] . x <= bounds[i]`` (``equality`` marks the rows of ``==``).
 
-    ``axis[i]`` is the column of row i's single nonzero coefficient, or -1
-    when the row has none or several: ``clamp_boxes`` clamps a one-variable
-    row on that column alone. Every field is required, so no row can be
+    ``axis[i]`` is ``(column, c)`` as a Python int and float when row i's one
+    nonzero coefficient is c, on that column, else None: such a row is
+    clamped on its column alone. Every field is required, so no row can be
     dropped by a shorter construction.
     """
 
     coeffs: np.ndarray  # (rows, n)
     bounds: np.ndarray  # (rows,)
     equality: np.ndarray  # (rows,) bool
-    axis: np.ndarray  # (rows,) int, -1 unless the row has exactly one nonzero
+    axis: tuple  # per row, (column, c) for a row of one nonzero coefficient, else None
 
     def widened(self, slack: float) -> "Halfspaces":
         """The rows with each equality read as a slab of half-width ``slack``."""
@@ -201,19 +199,10 @@ class Condition(_Record):
         rows = [(con, sign) for con in self.constraints for sign in _ROW_SIGNS[con.relation]]
         n = self.constraints[0].coeffs.shape[0] if self.constraints else 0
         coeffs = _freeze(np.reshape([sign * con.coeffs for con, sign in rows], (len(rows), n)))
-        nonzero = [np.flatnonzero(row) for row in coeffs]
+        nonzero = [[(i, c) for i, c in enumerate(row) if c] for row in coeffs.tolist()]
         return Halfspaces(coeffs, _freeze([sign * con.bound for con, sign in rows]),
                           _freeze([con.relation == "==" for con, _ in rows], bool),
-                          _freeze([cols[0] if cols.size == 1 else -1 for cols in nonzero], int))
-
-    @cached_property
-    def axis_rows(self) -> tuple | None:
-        """The ``halfspaces`` rows c x[axis] <= d as plain ``(axis, c, d)``, built once; None unless every row has one variable."""
-        rows = self.halfspaces
-        if (rows.axis < 0).any():
-            return None
-        coeffs = rows.coeffs[np.arange(rows.axis.size), rows.axis]
-        return tuple(zip(rows.axis.tolist(), coeffs.tolist(), rows.bounds.tolist()))
+                          tuple(terms[0] if len(terms) == 1 else None for terms in nonzero))
 
 
 @dataclass(frozen=True, eq=False, init=False)

@@ -42,8 +42,8 @@ initial set, a reset guard window clamped to the target's invariant, or a
 merged hull) until ``flowpipe`` builds the zonotope ``discretize`` reads.
 The decisions about one such box (the successor clamp, the start-set
 containment, the merge test) and its norms in ``discretize`` run in plain
-floats, on a condition's one-variable rows (``Condition.axis_rows``) and the
-bounds' ``tolist()``; tables and multi-variable rows go through ``clamp_boxes``.
+floats, on the one-variable rows' ``(column, c)`` (``Halfspaces.axis``) and
+the bounds' ``tolist()``; tables and multi-variable rows go through ``clamp_boxes``.
 
 Each level runs its tasks in groups that share a location. ``_merge_level``
 orders a level by location, so a group is a run of the level's tasks, and
@@ -369,12 +369,11 @@ def discretize(disc: Discretization, x0: Zonotope):
 
 def _box_inside_condition(box: Box, cond: Condition, slack: float = _CONTAIN_SLACK) -> bool:
     """Whether max over the box of c . x <= d + slack holds on every halfspace row."""
-    if cond.axis_rows is not None:  # in floats: a row's other terms are zeros, which add nothing
-        lo, hi = box.lo.tolist(), box.hi.tolist()
-        return all((c * hi[i] if c > 0 else c * lo[i]) <= d + slack for i, c, d in cond.axis_rows)
     rows = cond.halfspaces
-    if rows.bounds.size == 0:
-        return True
+    if None not in rows.axis:  # in floats: a row's other terms are zeros, which add nothing
+        lo, hi = box.lo.tolist(), box.hi.tolist()
+        return all((c * hi[i] if c > 0 else c * lo[i]) <= d + slack
+                   for (i, c), d in zip(rows.axis, rows.bounds.tolist()))
     c = rows.coeffs
     return bool((np.where(c >= 0, c * box.hi, c * box.lo).sum(axis=1) <= rows.bounds + slack).all())
 
@@ -699,10 +698,10 @@ def safety_margin(segments, forbidden: Condition | None, eq_slack: float = 1e-9)
     rows = forbidden.halfspaces.widened(max(eq_slack, 1e-9))
     lo, hi = segments.lo, segments.hi
     values = np.full(len(segments), -np.inf)
-    for coeffs, bound, axis in zip(rows.coeffs, rows.bounds.tolist(), rows.axis.tolist()):
-        if axis >= 0:  # one coefficient c: the row is c x_i <= d
-            c = float(coeffs[axis])
-            value = (c * (lo if c > 0 else hi)[:, axis] - bound) / abs(c)
+    for coeffs, bound, single in zip(rows.coeffs, rows.bounds.tolist(), rows.axis):
+        if single is not None:  # one coefficient c: the row is c x_i <= d
+            i, c = single
+            value = (c * (lo if c > 0 else hi)[:, i] - bound) / abs(c)
         else:
             with np.errstate(divide="ignore", invalid="ignore"):  # a row without coefficients reads +-inf or nan
                 value = (np.where(coeffs >= 0, coeffs * lo, coeffs * hi).sum(axis=1) - bound) / np.linalg.norm(coeffs)

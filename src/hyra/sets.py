@@ -12,7 +12,7 @@ with a single nonzero coefficient (every row of the shipped models) is
 clamped on its one column, which for finite bounds is the general
 interval-propagation formula bit for bit (see ``clamp_boxes``). One box
 against one-variable rows (``intersect_condition``) is clamped in plain
-floats from ``Condition.axis_rows``, built once per condition, by the same
+floats from each row's ``(column, c)`` in ``Halfspaces.axis`` by the same
 operations; tables and multi-variable rows go through ``clamp_boxes``. Every
 caller passes finite bounds: the propagation chunks and the tail segment
 after ``reach._require_finite``, emission windows over real rows, stored
@@ -75,9 +75,9 @@ def _as_float_array(a, name):
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Box:
-    """Axis-aligned box: per-dimension closed intervals [lo_i, hi_i]."""
+    """Axis-aligned box: per-dimension closed intervals [lo_i, hi_i]; compared by value, unhashable."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -102,6 +102,9 @@ class Box:
         box = object.__new__(cls)
         box.__dict__.update(lo=lo, hi=hi)
         return box
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Box) and np.array_equal(self.lo, other.lo) and np.array_equal(self.hi, other.hi)
 
     @property
     def dim(self) -> int:
@@ -134,9 +137,9 @@ class Box:
         return max(map(abs, self.lo.tolist() + self.hi.tolist()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Zonotope:
-    """Center vector plus an n x p generator matrix (p = 0 is a point)."""
+    """Center vector plus an n x p generator matrix (p = 0 is a point); compared by value, unhashable."""
 
     center: np.ndarray
     generators: np.ndarray
@@ -161,6 +164,10 @@ class Zonotope:
         z = object.__new__(cls)
         z.__dict__.update(center=center, generators=generators)
         return z
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Zonotope) and np.array_equal(self.center, other.center)
+                and np.array_equal(self.generators, other.generators))
 
     @property
     def dim(self) -> int:
@@ -304,20 +311,21 @@ def clamp_boxes(lo, hi, rows):
     per-row flag that is False where some interval emptied. Rows are
     independent; the bounds of a row whose flag is False are meaningless.
 
-    A row with one nonzero coefficient c, on column i (``rows.axis``), is
-    clamped on that column alone: the box meets it iff min(c x_i) <= d, and
-    x_i's bound becomes d / c. For finite bounds this is the general formula
-    bit for bit (the other terms are signed zeros, so the row minimum is
-    c x_i, the rest of the row sums to +0 and the limit is d / c exactly);
+    A row whose ``rows.axis`` entry is ``(i, c)``, one nonzero coefficient c
+    on column i, is clamped on that column alone: the box meets it iff
+    min(c x_i) <= d, and x_i's bound becomes d / c. For finite bounds this is
+    the general formula bit for bit (the other terms are signed zeros, so the
+    row minimum is c x_i, the rest sums to +0 and the limit is d / c exactly);
     every caller passes finite bounds. The two differ only where c x_i
     overflows to -inf: the general formula reads inf - inf and empties the box.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
     ok = np.ones(lo.shape[0], dtype=bool)
-    for coeffs, bound, axis in zip(rows.coeffs, rows.bounds.tolist(), rows.axis.tolist()):
-        if axis >= 0:
-            c, col_lo, col_hi = float(coeffs[axis]), lo[:, axis], hi[:, axis]  # views into lo, hi
+    for coeffs, bound, single in zip(rows.coeffs, rows.bounds.tolist(), rows.axis):
+        if single is not None:
+            i, c = single
+            col_lo, col_hi = lo[:, i], hi[:, i]  # views into lo, hi
             if c > 0:
                 ok &= c * col_lo <= bound
                 np.minimum(col_hi, bound / c, out=col_hi)
@@ -343,15 +351,16 @@ def clamp_boxes(lo, hi, rows):
 def intersect_condition(box: Box, condition) -> Box | None:
     """One-row ``clamp_boxes`` against a condition: the clamped box, or None when it is empty.
 
-    On one-variable rows (``Condition.axis_rows``) it runs in floats: the same operations in the
-    same order, with numpy's choice of its second operand where minimum and maximum tie.
+    When every row has one variable (``rows.axis`` holds no None) it runs in floats on each
+    ``(i, c)``: the same operations in the same order, with numpy's choice of its second
+    operand where minimum and maximum tie.
     """
-    rows = condition.axis_rows
-    if rows is None:
-        lo, hi, ok = clamp_boxes(box.lo[None, :], box.hi[None, :], condition.halfspaces)
+    rows = condition.halfspaces
+    if None in rows.axis:
+        lo, hi, ok = clamp_boxes(box.lo[None, :], box.hi[None, :], rows)
         return Box._trusted(lo[0], hi[0]) if ok[0] else None
     lo, hi = box.lo.tolist(), box.hi.tolist()
-    for i, c, bound in rows:
+    for (i, c), bound in zip(rows.axis, rows.bounds.tolist()):
         limit = bound / c
         if c > 0:
             meets = c * lo[i] <= bound

@@ -5,15 +5,16 @@ find its target; here it fails in the test suite. The traced half of a
 benchmark run comes after its untraced half, so it fails when a function that
 a workload ``exercised_by`` names records no call on a warm pass; the second
 test runs two short passes of each workload's kind of operations and checks
-the calls of the second one. The file is only read.
+the calls of the second one, counted by the traced run's own ``Tracer``
+(``benchmark/tracer.py``). Both files are only read.
 """
 
 import dataclasses
 import functools
 import importlib
+import importlib.util
 import io
 import json
-import sys
 from contextlib import redirect_stdout
 
 import pytest
@@ -100,30 +101,12 @@ WORKLOAD_OPS = {"reach-corpus": reach_corpus_ops, "reach-deep": reach_deep_ops,
                 "simulate-seeds": simulate_seeds_ops, "cli-files": cli_files_ops}
 
 
-def count_calls(monkeypatch, counts: dict) -> None:
-    """Wrap every layers.json target, and each alias of it in a hyra module, to count its calls.
-
-    Every target module is imported first: one imported while wrapping would
-    bind the wrappers of the modules it imports from, and keep them."""
-    owners = [importlib.import_module(entry["target"][0]) for entry in LAYERS]
-    hyra_modules = [m for name, m in list(sys.modules.items()) if name == "hyra" or name.startswith("hyra.")]
-    for entry, owner in zip(LAYERS, owners):
-        *parents, attr = entry["target"][1].split(".")
-        for part in parents:
-            owner = getattr(owner, part)
-        original = getattr(owner, attr)
-
-        @functools.wraps(original)
-        def wrapper(*args, __name=entry["name"], __original=original, **kwargs):
-            counts[__name] = counts.get(__name, 0) + 1
-            return __original(*args, **kwargs)
-
-        monkeypatch.setattr(owner, attr, wrapper)
-        if isinstance(owner, type(sys)):
-            for hyra_module in hyra_modules:
-                for alias, value in list(vars(hyra_module).items()):
-                    if value is original:
-                        monkeypatch.setattr(hyra_module, alias, wrapper)
+def load_tracer():
+    """``benchmark/tracer.py``, whose ``Tracer`` the traced run wraps the layers with, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("tracer", REPO_ROOT / "benchmark" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
 
 
 def test_the_workloads_are_the_ones_layers_names():
@@ -132,15 +115,23 @@ def test_the_workloads_are_the_ones_layers_names():
 
 
 @pytest.mark.parametrize("workload", WORKLOAD_OPS)
-def test_every_exercised_function_is_called_on_a_warm_pass(workload, monkeypatch, tmp_path):
+def test_every_exercised_function_is_called_on_a_warm_pass(workload, tmp_path):
     # nothing a pass leaves behind may keep the next one from calling a traced layer
     ops = WORKLOAD_OPS[workload](tmp_path)
-    counts: dict = {}
-    count_calls(monkeypatch, counts)
-    for op in ops:
-        op()
-    counts.clear()
-    for op in ops:
-        op()
-    silent = [e["name"] for e in LAYERS if workload in e["exercised_by"] and not counts.get(e["name"])]
+    # a module imported while wrapping would bind the wrappers of the modules it imports from, and keep them
+    for entry in LAYERS:
+        importlib.import_module(entry["target"][0])
+    tracer = load_tracer().Tracer()
+    try:
+        for entry in LAYERS:
+            tracer.wrap(entry["name"], *entry["target"])
+        for op in ops:
+            op()
+        cold = list(tracer.calls)
+        for op in ops:
+            op()
+    finally:
+        tracer.uninstall()
+    warm = {name: after - before for name, before, after in zip(tracer.names, cold, tracer.calls)}
+    silent = [e["name"] for e in LAYERS if workload in e["exercised_by"] and not warm[e["name"]]]
     assert silent == []

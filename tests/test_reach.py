@@ -791,7 +791,7 @@ def test_identity_reset_returns_the_clamped_window():
 def reference_successors(segments, transition):
     """``jump_successors`` through the public constructors and the n-column clamp formula."""
     rows = transition.guard.halfspaces
-    lo, hi, hit = clamp_boxes(segments.lo, segments.hi, rows._replace(axis=np.full(len(rows.bounds), -1)))
+    lo, hi, hit = clamp_boxes(segments.lo, segments.hi, rows._replace(axis=(None,) * len(rows.bounds)))
     hits = np.flatnonzero(hit)
     out = []
     for run in np.split(hits, np.flatnonzero(np.diff(hits) > 1) + 1) if hits.size else []:

@@ -1,10 +1,11 @@
+import types
 import warnings
 
 import numpy as np
 import pytest
 
 from hyra.errors import DimensionMismatch, MatrixOverflow
-from hyra.ir import Condition, Halfspaces, LinearConstraint
+from hyra.ir import Condition, Halfspaces, InitialCondition, LinearConstraint
 from hyra.sets import (
     Box,
     Zonotope,
@@ -20,7 +21,7 @@ from hyra.sets import (
     reduce_order,
     translate,
 )
-from hyra.reach import _box_inside_condition, _boxes_close
+from hyra.reach import Segments, _box_inside_condition, _boxes_close, safety_margin
 from support import (
     box_contains, box_inside_array, boxes_close_array, intersect_condition_array, sample_zonotope, support_function,
 )
@@ -210,6 +211,27 @@ def test_zonotope_constructor_leaves_the_callers_arrays_writable():
     z = Zonotope(center, generators)
     center[0], generators[0, 0] = 0.5, 3.0
     assert z.center.tolist() == [0.0, 0.0] and z.generators.tolist() == np.eye(2).tolist()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_boxes_and_zonotopes_compare_by_value_and_stay_unhashable(n):
+    lo, hi = np.arange(n) - 1.0, np.arange(n) + 0.5
+    box, same = Box(lo, hi), Box(lo.tolist(), hi.tolist())
+    wider, longer = Box(lo, hi + (np.arange(n) == n - 1)), Box(np.append(lo, 0.0), np.append(hi, 1.0))
+    assert box == same and same == box and not box != same
+    assert box != wider and wider != box and not box == wider
+    assert box != longer and box != object() and box != None  # noqa: E711
+    assert Box(np.zeros(n), hi) == Box(-np.zeros(n), hi)  # a signed zero is the same value, as in IR records
+    assert same in [wider, box] and box not in [wider, longer]
+    z = box.to_zonotope()
+    assert z == Zonotope(z.center.tolist(), z.generators.tolist()) and not z != box.to_zonotope()
+    assert z != Zonotope(z.center, z.generators[:, :-1]) and z != Zonotope(z.center + 1.0, z.generators)
+    assert z in [Zonotope(z.center, 2 * z.generators), box.to_zonotope()] and z != box
+    for value in (box, z):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
+    start = InitialCondition("fall", box)
+    assert start == InitialCondition("fall", same) and start != InitialCondition("fall", wider)
 
 
 def test_linear_map_rejects_a_non_finite_matrix():
@@ -467,7 +489,7 @@ def same_bits(a, b) -> bool:
 
 def general_rows(rows):
     """The same rows with no axis recorded: ``clamp_boxes`` runs the n-column formula on each."""
-    return rows._replace(axis=np.full(len(rows.bounds), -1))
+    return rows._replace(axis=(None,) * len(rows.bounds))
 
 
 def rows_of(*constraints):
@@ -498,8 +520,8 @@ def column_case_boxes(cond, rng, count: int = 400):
     rows = cond.halfspaces
     values = []
     for col in range(3):
-        on_col = rows.axis == col
-        limits = (rows.bounds[on_col] / rows.coeffs[on_col, col]).tolist()
+        limits = [d / single[1] for single, d in zip(rows.axis, rows.bounds.tolist())
+                  if single is not None and single[0] == col]
         limits += (np.asarray(limits) + 0.3).tolist() if limits else []
         values.append(np.array(limits + [0.0, -0.0, 0.1, -0.1] + rng.uniform(-1.5, 1.5, 6).tolist()))
     lo, hi = np.empty((count, 3)), np.empty((count, 3))
@@ -516,7 +538,7 @@ def column_case_boxes(cond, rng, count: int = 400):
 def test_column_clamp_equals_the_general_formula_and_the_scalar_oracle_bitwise(case, slack):
     cond = COLUMN_CASES[case]
     rows = cond.halfspaces if slack is None else cond.halfspaces.widened(slack)
-    assert (rows.axis >= 0).any()
+    assert any(single is not None for single in rows.axis)
     lo, hi = column_case_boxes(cond, np.random.default_rng(sorted(COLUMN_CASES).index(case)))
     out_lo, out_hi, ok = clamp_boxes(lo, hi, rows)
     ref_lo, ref_hi, ref_ok = clamp_boxes(lo, hi, general_rows(rows))
@@ -541,6 +563,35 @@ def test_column_clamp_equals_the_general_formula_and_the_scalar_oracle_bitwise(c
         inside.add(_box_inside_condition(box, cond, slack or 0.0))
         assert _box_inside_condition(box, cond, slack or 0.0) == box_inside_array(box, cond, slack or 0.0)
     assert inside == {True, False}
+
+
+def segment_table(lo, hi) -> Segments:
+    """A made segment table of the boxes (lo[k], hi[k]), one after another in time."""
+    times = np.arange(len(lo) + 1) * 0.1
+    return Segments(times[:-1], times[1:], lo, hi, np.full(len(lo), "loc", dtype=object), np.zeros(len(lo), int))
+
+
+@pytest.mark.parametrize("case", sorted(COLUMN_CASES))
+@pytest.mark.parametrize("eq_slack", [1e-9, 0.25], ids=["plain", "widened"])
+def test_safety_margin_of_column_rows_equals_the_general_formula(case, eq_slack):
+    cond = COLUMN_CASES[case]
+    # safety_margin reads nothing of the forbidden condition but its rows
+    general = types.SimpleNamespace(halfspaces=general_rows(cond.halfspaces))
+    lo, hi = column_case_boxes(cond, np.random.default_rng(100 + sorted(COLUMN_CASES).index(case)), 200)
+    values = {True: [], False: []}
+    for k in range(len(lo)):
+        box = segment_table(lo[k:k + 1], hi[k:k + 1])
+        for column, forbidden in ((True, cond), (False, general)):
+            margin, index = safety_margin(box, forbidden, eq_slack)
+            assert index == 0 and type(margin) is float
+            values[column].append(margin)
+    got, want = np.array(values[True]), np.array(values[False])
+    assert np.array_equal(got, want, equal_nan=True)  # == reads a zero of either sign as equal
+    assert (got > 0).any() and (got < 0).any()
+    table = segment_table(lo, hi)
+    margin, index = safety_margin(table, cond, eq_slack)
+    assert (margin, index) == safety_margin(table, general, eq_slack)
+    assert index == int(np.argmin(got)) and got[index] == margin
 
 
 def test_column_clamp_keeps_a_box_at_the_exact_limit_and_zero_signs():
@@ -568,15 +619,18 @@ def test_halfspace_axis_marks_the_rows_with_one_nonzero_coefficient():
             coeffs[rng.uniform(size=n) < 0.2] = -0.0
             constraints.append(LinearConstraint(coeffs, str(rng.choice(["<=", ">=", "==", "<"])), rng.normal()))
         rows = Condition(tuple(constraints)).halfspaces
-        assert rows.axis.shape == rows.bounds.shape
+        assert type(rows.axis) is tuple and len(rows.axis) == len(rows.bounds)
         nonzero = rows.coeffs != 0.0
         single = nonzero.sum(axis=1) == 1
-        assert np.array_equal(rows.axis == -1, ~single)
-        assert np.array_equal(rows.axis[single], nonzero[single].argmax(axis=1))
-        assert np.array_equal(rows.widened(0.5).axis, rows.axis)
+        assert [entry is None for entry in rows.axis] == (~single).tolist()
+        for entry, coeffs, columns in zip(rows.axis, rows.coeffs, nonzero):
+            if entry is not None:
+                col = int(columns.argmax())
+                assert entry == (col, float(coeffs[col])) and type(entry[0]) is int and type(entry[1]) is float
+        assert rows.widened(0.5).axis is rows.axis
         seen |= set(nonzero.sum(axis=1).tolist())
     assert {0, 1, 2} <= seen
-    assert Condition().halfspaces.axis.shape == (0,)
+    assert Condition().halfspaces.axis == ()
 
 
 def test_float_clamp_keeps_the_zero_sign_of_the_array_clamp():
@@ -597,14 +651,15 @@ def test_float_clamp_empties_a_box_past_the_limit_whose_product_rounds_onto_the_
     assert intersect_condition(box, cond) is None and intersect_condition_array(box, cond) is None
 
 
-def test_axis_rows_are_built_once_and_only_for_one_variable_rows():
+def test_halfspace_axis_is_built_once_as_plain_columns_and_coefficients():
     cond = rows_of(([0.0, -2.0], "==", 1.5), ([1.0, 0.0], "<", -0.0))
-    rows = cond.axis_rows
-    assert rows == ((1, -2.0, 1.5), (1, 2.0, -1.5), (0, 1.0, -0.0)) and cond.axis_rows is rows
-    assert all(type(i) is int and type(c) is float and type(d) is float for i, c, d in rows)
-    assert Condition().axis_rows == ()
-    assert rows_of(([1.0, 0.0], "<=", 1.0), ([1.0, 1.0], "<=", 1.0)).axis_rows is None
-    assert rows_of(([0.0, 0.0], "<=", 1.0)).axis_rows is None
+    rows = cond.halfspaces
+    assert rows.axis == ((1, -2.0), (1, 2.0), (0, 1.0)) and cond.halfspaces is rows
+    assert rows.bounds.tolist() == [1.5, -1.5, -0.0]
+    assert all(type(i) is int and type(c) is float for i, c in rows.axis)
+    assert Condition().halfspaces.axis == ()
+    assert rows_of(([1.0, 0.0], "<=", 1.0), ([1.0, 1.0], "<=", 1.0)).halfspaces.axis == ((0, 1.0), None)
+    assert rows_of(([0.0, 0.0], "<=", 1.0)).halfspaces.axis == (None,)
 
 
 def test_boxes_close_equals_the_array_formula():
