@@ -30,9 +30,6 @@ _KNOWN_KEYS = (
     "fixpoint",
 )
 
-DEFAULT_MAX_JUMPS = 10
-
-
 @dataclass(frozen=True)
 class ParsedConfig:
     settings: ReachSettings
@@ -133,7 +130,7 @@ def parse_config(text: str, table: VariableTable) -> ParsedConfig:
     else:
         step = horizon / 1000.0
 
-    max_jumps = DEFAULT_MAX_JUMPS
+    max_jumps = ReachSettings.max_jumps  # the field's default
     if "max-jumps" in values:
         try:
             max_jumps = int(values["max-jumps"])

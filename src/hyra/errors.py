@@ -88,7 +88,7 @@ class MatrixOverflow(EngineError):
 
 
 class InitOutsideInvariant(EngineError):
-    """Flowpipe seeded with a set not contained in the location invariant."""
+    """The model's initial set (``reach``) or a simulation's start state is not inside its location's invariant."""
 
 
 class StepTooLarge(EngineError):

@@ -40,10 +40,13 @@ time.
 ``reach`` explores jumps breadth-first. A task's start set is one box (the
 initial set, a reset guard window clamped to the target's invariant, or a
 merged hull) until ``flowpipe`` builds the zonotope ``discretize`` reads.
-The decisions about one such box (the successor clamp, the start-set
-containment, the merge test) and its norms in ``discretize`` run in plain
-floats, on the one-variable rows' ``(column, c)`` (``Halfspaces.axis``) and
-the bounds' ``tolist()``; tables and multi-variable rows go through ``clamp_boxes``.
+Only the initial set is tested against its invariant, once per call; the
+others are clamps or hulls of clamps, and where a box pokes out of a
+multi-variable invariant the flowpipe's own clamp cuts it. The successor
+clamp, the merge test and the norms in ``discretize`` of one box run in
+plain floats, on the one-variable rows' ``(column, c)`` (``Halfspaces.axis``)
+and the bounds' ``tolist()``; tables and multi-variable rows go through
+``clamp_boxes``.
 
 Each level runs its tasks in groups that share a location. ``_merge_level``
 orders a level by location, so a group is a run of the level's tasks, and
@@ -368,14 +371,11 @@ def discretize(disc: Discretization, x0: Zonotope):
 
 
 def _box_inside_condition(box: Box, cond: Condition, slack: float = _CONTAIN_SLACK) -> bool:
-    """Whether max over the box of c . x <= d + slack holds on every halfspace row."""
+    """Whether max over the box of c . x <= d + slack holds on every halfspace row; true without rows."""
     rows = cond.halfspaces
-    if None not in rows.axis:  # in floats: a row's other terms are zeros, which add nothing
-        lo, hi = box.lo.tolist(), box.hi.tolist()
-        return all((c * hi[i] if c > 0 else c * lo[i]) <= d + slack
-                   for (i, c), d in zip(rows.axis, rows.bounds.tolist()))
     c = rows.coeffs
-    return bool((np.where(c >= 0, c * box.hi, c * box.lo).sum(axis=1) <= rows.bounds + slack).all())
+    with np.errstate(over="ignore", invalid="ignore"):  # sums past the float range read inf or nan: outside
+        return not c.size or bool((np.where(c >= 0, c * box.hi, c * box.lo).sum(axis=1) <= rows.bounds + slack).all())
 
 
 @dataclass
@@ -488,19 +488,20 @@ def flowpipe(location, tasks: list, input_box: Box | None, step: float, horizon:
 
     Every task starts in ``location``; its flowpipe stops early when a
     segment's intersection with the invariant is empty. ``discretize`` reads
-    the zonotope of the finite box ``task.box``. ``task.window`` is the width
-    of the guard-crossing window that produced it (zero for the model's
-    initial set). Each task has its own first-interval enclosure,
-    propagation chunks, tail step and emission windows; the invariant clamp
-    of each chunk index, the read-back of the rows and the emission clamp
-    run once over the rows of all tasks. Rows are independent in all three,
-    so every bit is the one a call per task gives. ``discretized`` maps
-    location names to their ``Discretization`` for ``step`` and (step, A's
-    bytes) to ``PhiTables``; a missing entry is added.
+    the zonotope of the finite box ``task.box``, which is not tested against
+    the invariant here (``reach`` tests the model's initial set).
+    ``task.window`` is the width of the guard-crossing window that produced
+    it (zero for the model's initial set). Each task has its own
+    first-interval enclosure, propagation chunks, tail step and emission
+    windows; the invariant clamp of each chunk index, the read-back of the
+    rows and the emission clamp run once over the rows of all tasks. Rows
+    are independent in all three, so every bit is the one a call per task
+    gives. ``discretized`` maps location names to their ``Discretization``
+    for ``step`` and (step, A's bytes) to ``PhiTables``; a missing entry is
+    added.
     """
     dyn = location.dynamics
-    invariant = location.invariant
-    rows = invariant.halfspaces
+    rows = location.invariant.halfspaces
     blocks = [[] for _ in tasks]  # per task, its raw (lo, hi) row blocks in time order
     lasts = []  # per task, the set covering its last interval while it lives
     steps, leftovers = [], []
@@ -508,10 +509,6 @@ def flowpipe(location, tasks: list, input_box: Box | None, step: float, horizon:
     alpha_max = 0.0
     least_leftover = 1e-9 * max(1.0, step)
     for i, task in enumerate(tasks):
-        if not _box_inside_condition(task.box, invariant):
-            raise InitOutsideInvariant(
-                f"initial set of location {location.name!r} is not inside its invariant"
-            )
         remaining = horizon - task.entry_time
         full_steps = int(math.floor(remaining / step + 1e-9))
         leftover = remaining - full_steps * step
@@ -775,7 +772,8 @@ def reach(bundle: ModelBundle) -> ReachResult:
     The verdict is the safety answer (SafeProved / PossiblyUnsafe); when the
     jump bound cut exploration or the fixpoint check discarded a task, that
     is recorded in stats.termination (the jump bound first). Each level's
-    tasks run in groups that share a location (see the module docstring).
+    tasks run in groups that share a location (see the module docstring),
+    after the initial set's ``InitOutsideInvariant`` test.
     """
     started = time.perf_counter()
     bundle = bundle.resolved
@@ -787,6 +785,9 @@ def reach(bundle: ModelBundle) -> ReachResult:
     input_box = automaton.input_box()
     locations = {loc.name: loc for loc in automaton.locations}
     outgoing = automaton.outgoing
+    initial = bundle.initial
+    if not _box_inside_condition(initial.box, locations[initial.location].invariant):
+        raise InitOutsideInvariant(f"initial set of location {initial.location!r} is not inside its invariant")
 
     stats = ReachStats()
     parts: list = []
@@ -804,7 +805,7 @@ def reach(bundle: ModelBundle) -> ReachResult:
         successors = [jump_successors(pipe, t) for t in outgoing[location.name]] if len(pipe.raw) else []
         return pipe, successors
 
-    level = [Task(bundle.initial.location, bundle.initial.box, 0.0, 0.0)]
+    level = [Task(initial.location, initial.box, 0.0, 0.0)]
     depth = 0
     while level and depth <= settings.max_jumps:
         ran: list = []

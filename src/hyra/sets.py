@@ -6,14 +6,15 @@ objects and never mutate their inputs, and every array a set holds is
 read-only. ``clamp_boxes`` is the array form of box-by-condition
 intersection that the flowpipe engine runs over whole segment tables.
 Conditions are evaluated through one halfspace form, the rows c . x <= d of
-``Condition.halfspaces``: invariant and guard clamps, containment, the
-safety check and the simulator's chunk margins all read those rows. A row
-with a single nonzero coefficient (every row of the shipped models) is
-clamped on its one column, which for finite bounds is the general
-interval-propagation formula bit for bit (see ``clamp_boxes``). One box
-against one-variable rows (``intersect_condition``) is clamped in plain
-floats from each row's ``(column, c)`` in ``Halfspaces.axis`` by the same
-operations; tables and multi-variable rows go through ``clamp_boxes``. Every
+``Condition.halfspaces``: invariant and guard clamps, the initial set's
+containment test, the safety check and the simulator's chunk margins all
+read those rows. A row with a single nonzero coefficient (every row of the
+shipped models) is clamped on its one column, which for finite bounds is
+the general interval-propagation formula bit for bit (see
+``clamp_boxes``). One box against one-variable rows
+(``intersect_condition``) is clamped in plain floats from each row's
+``(column, c)`` in ``Halfspaces.axis`` by the same operations; tables and
+multi-variable rows go through ``clamp_boxes``. Every
 caller passes finite bounds: the propagation chunks and the tail segment
 after ``reach._require_finite``, emission windows over real rows, stored
 segment tables and the boxes tasks start from. Every box center and

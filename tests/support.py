@@ -15,6 +15,7 @@ from hyra.errors import (
     DimensionMismatch,
     ExpressionSyntaxError,
     HyraError,
+    InitOutsideInvariant,
     ModelFormatError,
     NonlinearUnsupported,
     UnknownIdentifier,
@@ -169,6 +170,23 @@ def group_error_bundle() -> ModelBundle:
     settings = ReachSettings(20.0, 0.1, 2, None, None, False)
     automaton = HybridAutomaton("group-error", table, locations, transitions)
     return ModelBundle(automaton, settings, InitialCondition("a", Box([1.0], [2.0])))
+
+
+def coupled_invariant_bundle() -> ModelBundle:
+    """x, y in [0, 0.5] start in a (x + y <= 2) and jump at x >= 1 to b (x + y <= 1.8); both flow x' = 1, y' = 0.
+
+    The successor box, clamped to b's invariant row by row, still holds
+    corners with x + y > 1.8: a start set of b that is not inside its
+    invariant, though no state that reaches b lies outside it.
+    """
+    table = VariableTable(("x", "y"))
+    sum_at_most = lambda bound: Condition((LinearConstraint([1.0, 1.0], "<=", bound),))
+    drift = AffineDynamics(np.zeros((2, 2)), np.zeros((2, 0)), [1.0, 0.0])
+    locations = (Location("a", sum_at_most(2.0), drift), Location("b", sum_at_most(1.8), drift))
+    jump = Transition("a", "b", Condition((LinearConstraint([1.0, 0.0], ">=", 1.0),)), ResetMap.identity(2))
+    settings = ReachSettings(2.0, 0.01, 1, Condition((LinearConstraint([1.0, 0.0], ">=", 2.5),)), None, True)
+    automaton = HybridAutomaton("coupled-invariant", table, locations, (jump,))
+    return ModelBundle(automaton, settings, InitialCondition("a", Box([0.0, 0.0], [0.5, 0.5])))
 
 
 # (lo, hi, reset scale, drift of x in a) of boxes whose bounds are finite but
@@ -1084,10 +1102,11 @@ def reference_reach(bundle: ModelBundle) -> ReachResult:
     ``jump_successors`` per outgoing transition.
 
     This is the exploration loop as it was before ``reach`` ran the tasks of a
-    level in groups that share a location, with the successor clamp and the
-    merge test as array formulas (``intersect_condition_array``,
-    ``merge_level_array``) rather than ``reach``'s float decisions; ``reach``
-    must give the same result bit for bit, and raise the same first error.
+    level in groups that share a location, with the initial set's
+    containment test, the successor clamp and the merge test as array
+    formulas (``box_inside_array``, ``intersect_condition_array``,
+    ``merge_level_array``) rather than ``reach``'s own; ``reach`` must give
+    the same result bit for bit, and raise the same first error.
     """
     bundle = bundle.resolved
     automaton, settings = bundle.automaton, bundle.settings
@@ -1096,11 +1115,14 @@ def reference_reach(bundle: ModelBundle) -> ReachResult:
         raise HyraError("bundle does not validate: " + "; ".join(str(d) for d in defects))
     input_box = automaton.input_box()
     locations = {loc.name: loc for loc in automaton.locations}
+    initial = bundle.initial
+    if not box_inside_array(initial.box, locations[initial.location].invariant, 1e-9):
+        raise InitOutsideInvariant(f"initial set of location {initial.location!r} is not inside its invariant")
     stats = ReachStats()
     parts, alpha_max, jump_bound_cut = [], 0.0, False
     processed = {name: [] for name in locations}
     discretized = {}
-    level = [Task(bundle.initial.location, bundle.initial.box, 0.0, 0.0)]
+    level = [Task(initial.location, initial.box, 0.0, 0.0)]
     depth = 0
     while level and depth <= settings.max_jumps:
         next_level = []

@@ -52,9 +52,9 @@ from hyra.sets import (
     translate,
 )
 from support import (
-    GENERATED_SEEDS, WIDE_BOXES, box_contains, generated_bundle, group_error_bundle, late_entry_bundle,
-    merge_overflow_bundle, reference_reach, reset_jump_bundle, revisit_bundle, sample_zonotope, wide_box_bundle,
-    with_leftover_tail,
+    GENERATED_SEEDS, WIDE_BOXES, box_contains, coupled_invariant_bundle, generated_bundle, group_error_bundle,
+    late_entry_bundle, merge_overflow_bundle, reference_reach, reset_jump_bundle, revisit_bundle, sample_zonotope,
+    simulation_inside_flowpipe, wide_box_bundle, with_leftover_tail,
 )
 
 reach_module = importlib.import_module("hyra.reach")
@@ -387,13 +387,39 @@ def test_flowpipe_truncates_at_invariant_exit():
     assert pipe.segments[-1].time_hi >= latest_impact - 0.01
 
 
-def test_flowpipe_rejects_init_outside_invariant():
-    bundle = build_bouncing_ball()
-    automaton = bundle.automaton.resolved
+def ball_below_ground() -> ModelBundle:
     below_ground = Box([-1.0, 0.0, 5.0, 0.0], [-0.5, 0.0, 5.0, 0.0])
-    with pytest.raises(InitOutsideInvariant):
-        flowpipe(automaton.location("always"), [Task("always", below_ground, 0.0, 0.0)], None, 0.01, 1.0,
-                 discretized={})
+    return dataclasses.replace(build_bouncing_ball(), initial=InitialCondition("always", below_ground))
+
+
+def wide_box_large_coefficient() -> ModelBundle:
+    """x in [-1e300, 1e300] in a, whose invariant 3e22 x <= 1e300 reads 3e22 * 1e300 past the float range."""
+    location = Location("a", Condition((LinearConstraint([3e22], "<=", 1e300),)), AffineDynamics.zero(1))
+    automaton = HybridAutomaton("wide", VariableTable(("x",)), (location,), ())
+    return ModelBundle(automaton, ReachSettings(1.0, 0.1, 0), InitialCondition("a", Box([-1e300], [1e300])))
+
+
+@pytest.mark.parametrize("make", [ball_below_ground, wide_box_large_coefficient], ids=["ball", "wide-box"])
+def test_reach_rejects_an_initial_set_outside_its_invariant(make):
+    bundle = make()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning too
+        with pytest.raises(InitOutsideInvariant) as raised:
+            reach(bundle)
+    assert str(raised.value) == f"initial set of location {bundle.initial.location!r} is not inside its invariant"
+
+
+@pytest.mark.parametrize("make, verdict", [
+    (coupled_invariant_bundle, Verdict.SAFE_PROVED),
+    (lambda: generated_bundle(193), Verdict.POSSIBLY_UNSAFE),
+], ids=["coupled-invariant", "generated-193"])
+def test_only_the_initial_set_is_tested_against_its_invariant(make, verdict):
+    # a clamped successor box may poke out of a multi-variable invariant; the flowpipe's clamp cuts it
+    bundle = make()
+    result = reach(bundle)
+    assert (result.verdict, result.stats.max_depth) == (verdict, 1)
+    checked, violations, _ = simulation_inside_flowpipe(bundle, result, 20, 0)
+    assert checked > 0 and violations == 0
 
 
 def coupled_location() -> Location:
@@ -1330,6 +1356,8 @@ REFERENCE_CASES = {
     "reset-jump-center-overflow": lambda: reset_jump_bundle(1e307, 2e307, 20.0),
     "reset-jump-hull-overflow": lambda: reset_jump_bundle(1e307, 2e307, 10.0),
     "group-error": group_error_bundle,
+    "coupled-invariant": coupled_invariant_bundle,
+    "generated-193": lambda: generated_bundle(193),
 }
 
 

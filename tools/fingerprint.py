@@ -10,7 +10,10 @@ seeded ``simulate`` runs with Heun and Euler at the shipped step and at
 step/10, and the file ``hyra bench <model> simulate --seeds 3 --out``
 writes. Two models of the test suite add reach lines
 with the fixpoint check on and off: one whose check discards a revisit,
-one whose check must keep an earlier entry. Reader lines cover
+one whose check must keep an earlier entry. One more adds the reach CSV
+(or the ``Type: message`` of the engine error) of a model whose jump
+successor, clamped to a multi-variable invariant, still pokes out of it.
+Reader lines cover
 ``write_json`` and ``emit_flowstar`` of ``read_json`` on each corpus
 ``bundle.json`` and the rejection message of each ``BAD_VALUES`` document
 of the test suite. Translation lines cover ``emit_spaceex`` and
@@ -426,6 +429,8 @@ def lines():
             yield f"{digest(make())}  {model} {label}"
     for model, label, bundle in fixpoint_configs():
         yield f"{digest(reach_text(bundle))}  {model} {label}"
+    coupled = suite_support().coupled_invariant_bundle()
+    yield f"{digest(reach_outcome(coupled))}  {coupled.automaton.name} reach"
     yield from reader_lines()
     yield from translation_lines()
     yield from overflow_lines()
