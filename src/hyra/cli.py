@@ -18,13 +18,12 @@ import numpy as np
 from . import corpus
 from .config import parse_config
 from .errors import BundleDefects, ConfigError, EngineError, HyraError, ModelDefects, ModelFormatError
-from .expressions import format_table
 from .flowstar import emit_flowstar
 from .interchange import read_json, write_json
 from .ir import ModelBundle, condition_defects, validate
 from .plot import project_csv, projection_to_csv, projection_to_svg
 from .reach import Verdict, reach, segments_to_csv
-from .simulate import Integrator, SimOptions, sample_initial, simulate
+from .simulate import Integrator, SimOptions, sample_initial, simulate, trajectory_to_csv
 from .spaceex import emit_spaceex, parse_spaceex
 
 EXIT_OK = 0
@@ -152,7 +151,7 @@ def cmd_check(args, bundle: ModelBundle | None = None) -> int:
 
 
 def cmd_simulate(args, bundle: ModelBundle | None = None) -> int:
-    """Seeded runs: one RUN line each on stdout, all samples to ``--out`` as one ``format_table``."""
+    """Seeded runs: one RUN line each on stdout, all samples to ``--out`` as one trajectory table."""
     if args.seeds < 1:
         raise ModelFormatError(f"--seeds: need at least 1 run, not {args.seeds}")
     if args.seed < 0:
@@ -167,13 +166,7 @@ def cmd_simulate(args, bundle: ModelBundle | None = None) -> int:
     with np.errstate(over="ignore", invalid="ignore"):  # a run out of the float range raises, without warnings
         trajs = [simulate(bundle, x0, kind, options) for x0 in sample_initial(bundle.initial.box, args.seeds, args.seed)]
     if args.out:
-        header = ("run", "time", "location", *bundle.automaton.vars.state_vars)
-        _write_output(format_table(header, [
-            [str(run) for run, traj in enumerate(trajs) for _ in traj.locations],
-            np.concatenate([traj.times for traj in trajs]).reshape(-1, 1),
-            [loc for traj in trajs for loc in traj.locations],
-            np.concatenate([traj.states for traj in trajs]),
-        ]), args.out)
+        _write_output(trajectory_to_csv(trajs, bundle.automaton.vars.state_vars), args.out)
     for run, traj in enumerate(trajs):
         print(f"RUN {run} samples={traj.sample_count} events={len(traj.events)} zeno={str(traj.zeno).lower()}")
     return EXIT_OK

@@ -117,7 +117,7 @@ def parse_config(text: str, table: VariableTable) -> ParsedConfig:
         values[key] = _strip_quotes(value)
 
     if "time-horizon" not in values:
-        raise MissingKey("time-horizon")
+        raise MissingKey("missing required key 'time-horizon'")
     try:
         horizon = float(values["time-horizon"])
     except ValueError as exc:

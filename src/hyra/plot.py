@@ -82,7 +82,7 @@ def project_csv(text: str, x_name: str, y_name: str) -> Projection:
         except (ValueError, IndexError):
             raise _malformed(text, columns) from None
         return Projection("flowpipe", x_name, y_name, rects, [])
-    if header[:2] == ["time", "location"] or header[:3] == ["run", "time", "location"]:
+    if header[:3] == ["run", "time", "location"]:
         try:
             xi = header.index(x_name)
             yi = header.index(y_name)
@@ -93,10 +93,7 @@ def project_csv(text: str, x_name: str, y_name: str) -> Projection:
             pairs = _numbers(split, (xi, yi))
         except (ValueError, IndexError):
             raise _malformed(text, (xi, yi)) from None
-        if header[0] != "run":
-            return Projection("trajectory", x_name, y_name, [], pairs)
-        # multi-run exports break the polyline between runs
-        points: list = []
+        points: list = []  # the polyline breaks between runs
         start = 0
         for _, run in groupby(map(itemgetter(0), split)):
             end = start + len(list(run))
@@ -105,7 +102,8 @@ def project_csv(text: str, x_name: str, y_name: str) -> Projection:
             points.extend(pairs[start:end])
             start = end
         return Projection("trajectory", x_name, y_name, [], points)
-    raise ModelFormatError("unrecognized CSV header; expected a flowpipe or trajectory export")
+    raise ModelFormatError("unrecognized CSV header; expected a flowpipe export"
+                           " (time_lo,time_hi,location,jump_depth,...) or a trajectory export (run,time,location,...)")
 
 
 def projection_to_csv(proj: Projection) -> str:

@@ -536,17 +536,11 @@ def sample_initial(box: Box, k: int, seed: int) -> list:
     return points[:k]
 
 
-def trajectory_to_csv(traj: Trajectory, state_vars) -> str:
-    """One ``format_table`` line per sample: time, location, state."""
-    return format_table(("time", "location", *state_vars),
-                        [np.reshape(traj.times, (-1, 1)), traj.locations, traj.states])
-
-
-def events_to_csv(traj: Trajectory, state_vars) -> str:
-    """One ``format_table`` line per event: time, label, source, target, state before and after."""
-    events = traj.events
-    header = ["time", "label", "source", "target"]
-    header += [f"pre_{v}" for v in state_vars] + [f"post_{v}" for v in state_vars]
-    states = np.reshape([np.concatenate((e.pre_state, e.post_state)) for e in events], (len(events), 2 * len(state_vars)))
-    return format_table(header, [np.reshape([e.time for e in events], (-1, 1)), [e.label or "" for e in events],
-                                 [e.source for e in events], [e.target for e in events], states])
+def trajectory_to_csv(trajs, state_vars) -> str:
+    """One ``format_table`` line per sample of each run, the runs in order: run, time, location, state."""
+    return format_table(("run", "time", "location", *state_vars), [
+        [str(run) for run, traj in enumerate(trajs) for _ in traj.locations],
+        np.concatenate([traj.times for traj in trajs]).reshape(-1, 1),
+        [loc for traj in trajs for loc in traj.locations],
+        np.concatenate([traj.states for traj in trajs]),
+    ])

@@ -123,6 +123,18 @@ def revisit_bundle(fixpoint: bool = True) -> ModelBundle:
     return ModelBundle(automaton, settings, InitialCondition("L0", Box([0.0, 0.0], [0.1, 0.0])))
 
 
+def emptied_jump_bundle() -> ModelBundle:
+    """x' = 1 in a jumps at x >= 1 through x := x + 10 into b, whose invariant x <= 5 leaves no successor."""
+    table = VariableTable(("x",))
+    locations = (Location("a", Condition(), AffineDynamics([[0.0]], np.zeros((1, 0)), [1.0])),
+                 Location("b", Condition((LinearConstraint([1.0], "<=", 5.0),)), AffineDynamics.zero(1)))
+    jump = Transition("a", "b", Condition((LinearConstraint([1.0], ">=", 1.0),)), ResetMap([[1.0]], [10.0]))
+    forbidden = Condition((LinearConstraint([1.0], ">=", 100.0),))
+    settings = ReachSettings(2.0, 0.01, 3, forbidden, None, True)
+    automaton = HybridAutomaton("emptied-jump", table, locations, (jump,))
+    return ModelBundle(automaton, settings, InitialCondition("a", Box([0.0], [0.5])))
+
+
 def merge_overflow_bundle(lo: float = -0.95e308, hi: float = 0.8e308) -> ModelBundle:
     """Frozen x in [lo, hi] jumps from a to b through x := x and x := x + 1e307.
 
@@ -985,7 +997,7 @@ def project_csv(text: str, x_name: str, y_name: str) -> Projection:
         except (ValueError, IndexError):
             raise _malformed(text, columns) from None
         return Projection("flowpipe", x_name, y_name, rects, [])
-    if header[:2] == ["time", "location"] or header[:3] == ["run", "time", "location"]:
+    if header[:3] == ["run", "time", "location"]:
         try:
             xi = header.index(x_name)
             yi = header.index(y_name)
@@ -996,9 +1008,7 @@ def project_csv(text: str, x_name: str, y_name: str) -> Projection:
             pairs = list(zip(map(float, xs), map(float, ys)))
         except (ValueError, IndexError):
             raise _malformed(text, (xi, yi)) from None
-        if header[0] != "run":
-            return Projection("trajectory", x_name, y_name, [], pairs)
-        # multi-run exports break the polyline between runs
+        # the polyline breaks between runs
         points: list = []
         start = 0
         for _, run in groupby(runs):
@@ -1008,7 +1018,8 @@ def project_csv(text: str, x_name: str, y_name: str) -> Projection:
             points.extend(pairs[start:end])
             start = end
         return Projection("trajectory", x_name, y_name, [], points)
-    raise ModelFormatError("unrecognized CSV header; expected a flowpipe or trajectory export")
+    raise ModelFormatError("unrecognized CSV header; expected a flowpipe export"
+                           " (time_lo,time_hi,location,jump_depth,...) or a trajectory export (run,time,location,...)")
 
 
 def _fmt(v: float) -> str:

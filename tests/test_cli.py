@@ -810,3 +810,47 @@ def test_text_stdout_cannot_encode_is_an_input_error(command, tmp_path):
     code, out, err = _run_in_ascii_locale(*command, cwd=tmp_path)
     assert (code, out) == (2, b"")
     assert err.startswith("error: cannot write to stdout: 'ascii' codec can't encode") and err.count("\n") == 1
+
+
+def test_plot_of_a_trajectory_csv_without_a_run_column_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "runs.csv"
+    path.write_text("time,location,x,v\n0,always,10,0\n0.1,always,9.95,-0.98\n")
+    assert run(capsys, "plot", str(path), "--x", "x", "--y", "v") == (2, "", (
+        "error: unrecognized CSV header; expected a flowpipe export (time_lo,time_hi,location,jump_depth,...)"
+        " or a trajectory export (run,time,location,...)\n"))
+
+
+def _ball_cfg(tmp_path, drop: str = "", **replace) -> str:
+    """The ball's model.xml next to its config.cfg with the lines starting ``drop`` left out and the text
+    ``old`` replaced by ``new`` for each ``old=new``; returns the model path."""
+    lines = [line for line in (BALL / "config.cfg").read_text().splitlines() if not (drop and line.startswith(drop))]
+    text = "\n".join(lines) + "\n"
+    for old, new in replace.items():
+        text = text.replace(old, new)
+    (tmp_path / "model.xml").write_text((BALL / "model.xml").read_text())
+    (tmp_path / "config.cfg").write_text(text)
+    return str(tmp_path / "model.xml")
+
+
+def test_a_cfg_without_a_time_horizon_names_the_missing_key(tmp_path, capsys):
+    model = _ball_cfg(tmp_path, drop="time-horizon")
+    assert run(capsys, "check", model, str(tmp_path / "config.cfg")) == (
+        2, "", "error: missing required key 'time-horizon'\n")
+
+
+@pytest.mark.parametrize("edit, err", [
+    pytest.param(None, "error: no configuration for {model}: pass one or place config.cfg next to the model\n",
+                 id="no-config"),
+    pytest.param({"drop": "initially"}, "error: configuration does not define an initial set (key: initially)\n",
+                 id="no-initially"),
+    pytest.param({"bouncing_ball_2": "other", "loc() == always": "loc() == nowhere"},
+                 "note: config system 'other' differs from model name 'bouncing_ball_2'\n"
+                 "error: initial location 'nowhere' not in model\n", id="other-system"),
+    pytest.param({"loc() == always": "loc() == nowhere"}, "error: initial location 'nowhere' not in model\n",
+                 id="unknown-location"),
+])
+def test_a_model_and_cfg_that_make_no_bundle_are_input_errors(edit, err, tmp_path, capsys):
+    model = _ball_cfg(tmp_path, **(edit or {}))
+    if edit is None:
+        (tmp_path / "config.cfg").unlink()
+    assert run(capsys, "translate", model, "--to", "json") == (2, "", err.format(model=model))

@@ -3,11 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+from hyra.cli import main
 from hyra.config import emit_config, parse_config
 from hyra.corpus import all_benchmarks, build, build_tank
 from hyra.errors import ConfigError, ExpressionSyntaxError, MissingKey, NonlinearUnsupported, UnknownIdentifier, UnknownKey
 from hyra.expressions import parse_condition
 from hyra.ir import VariableTable
+from support import CORPUS_DIR
 
 TABLE = VariableTable(("x", "v"))
 
@@ -191,3 +193,30 @@ def test_initially_terms_parse_in_one_pass_with_each_terms_own_error(text, want)
         initial = parse_config(config, INITIALLY_TABLE).initial
         assert initial.location == "a"
         assert (initial.box.lo.tolist(), initial.box.hi.tolist()) == want
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(("", "wibble\n"), "line 9: expected key = value", id="no-equals"),
+    pytest.param(("", "wibble = 3\n"), "line 9: unknown key 'wibble'", id="unknown-key"),
+    pytest.param(("", "max-jumps = 2\n"), "line 9: duplicate key 'max-jumps'", id="duplicate-key"),
+    pytest.param(("time-horizon = 40", "time-horizon = forty"),
+                 "time-horizon: could not convert string to float: 'forty'", id="horizon-not-a-number"),
+    pytest.param(("sampling-time = 0.01", "sampling-time = 1e"),
+                 "sampling-time: could not convert string to float: '1e'", id="step-not-a-number"),
+    pytest.param(("max-jumps = 1", "max-jumps = 1.5"),
+                 "max-jumps: invalid literal for int() with base 10: '1.5'", id="max-jumps-not-a-number"),
+    pytest.param(("fixpoint = true", "fixpoint = maybe"), "fixpoint: expected true/false, got 'maybe'",
+                 id="fixpoint-maybe"),
+    pytest.param(("output-variables = x, v", "output-variables = x, v, x1"),
+                 "output-variables must name exactly two variables", id="three-output-variables"),
+    pytest.param(("output-variables = x, v", "output-variables = x, c"),
+                 "output-variables: 'c' is not a state variable", id="output-variable-not-a-state"),
+])
+def test_a_cfg_that_parse_config_rejects_is_an_input_error(edit, message, tmp_path, capsys):
+    """The ball's cfg with ``old`` replaced by ``new``, or with ``new`` appended where ``old`` is empty."""
+    old, new = edit
+    text = (CORPUS_DIR / "bouncing-ball" / "config.cfg").read_text()
+    cfg = tmp_path / "config.cfg"
+    cfg.write_text(text.replace(old, new) if old else text + new)
+    assert main(["check", str(CORPUS_DIR / "bouncing-ball" / "model.xml"), str(cfg)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")

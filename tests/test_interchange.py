@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from hyra import interchange
+from hyra.cli import main
 from hyra.corpus import all_benchmarks, build, build_bouncing_ball
 from hyra.errors import SchemaViolation
 from hyra.interchange import bundle_to_dict, read_json, write_json
@@ -198,6 +199,17 @@ def test_meta_schema_check_runs_once_and_every_read_validates(monkeypatch):
 def test_values_the_ir_rejects_are_schema_violations(case, message):
     with pytest.raises(SchemaViolation, match=re.escape(message)):
         read_json(bad_value_document(case))
+
+
+@pytest.mark.parametrize("missing, names", [(("x",), "x"), (("v1", "x"), "x, v1")], ids=["one", "two"])
+def test_an_initial_box_that_misses_a_variable_is_an_input_error(missing, names, tmp_path, capsys):
+    data = json.loads((CORPUS_DIR / "bouncing-ball" / "bundle.json").read_text())
+    for name in missing:
+        del data["initial"]["box"][name]
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: initial box misses variables: {names}\n")
 
 
 def _ball_data() -> dict:

@@ -102,6 +102,25 @@ def test_bind_input_folds_column_into_drift():
     assert np.array_equal(q1.dynamics.c, 2.0 * src)
 
 
+@pytest.mark.parametrize("c_terms", [{}, {"k": [1.0, -1.0]}], ids=["no-drift-terms", "drift-terms"])
+def test_bind_input_folds_its_symbolic_column_into_the_drift_terms(c_terms):
+    table = VariableTable(("x", "y"), ("u", "w"), {"k": 0.5})
+    dyn = AffineDynamics([[0.0, 1.0], [-1.0, 0.0]], [[1.0, 0.0], [0.0, 2.0]], [0.25, 0.0],
+                         b_terms={"k": [[0.0, 3.0], [1.0, 4.0]]}, c_terms=c_terms)
+    automaton = HybridAutomaton("inputs", table, (Location("q", Condition(), dyn),), (),
+                                {"u": (-1.0, 1.0), "w": (0.0, 1.0)})
+    bound = bind_constant(automaton, "w", 2.0)
+    got = bound.location("q").dynamics
+    assert bound.vars.input_vars == ("u",) and bound.input_range == {"u": (-1.0, 1.0)}
+    assert np.array_equal(got.b, [[1.0], [0.0]]) and np.array_equal(got.c, [0.25, 4.0])
+    assert np.array_equal(got.b_terms["k"], [[0.0], [1.0]])
+    assert np.array_equal(got.c_terms["k"], np.add(c_terms.get("k", 0.0), [6.0, 8.0]))
+    # resolved, the bound automaton is the original one with w's column times 2 in the drift
+    want, resolved = automaton.resolved.location("q").dynamics, bound.resolved.location("q").dynamics
+    assert np.array_equal(resolved.b, want.b[:, :1])
+    assert np.array_equal(resolved.c, want.c + 2.0 * want.b[:, 1])
+
+
 def test_bind_constant_revalues_symbolic_reset():
     bundle = build_bouncing_ball()
     rebound = bind_constant(bundle.automaton, "c", 0.9)

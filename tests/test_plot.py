@@ -20,10 +20,10 @@ def flowpipe_csv():
     return segments_to_csv(reach(bundle), bundle.automaton.vars.state_vars)
 
 
-def trajectory_csv():
+def trajectory_csv(runs: int = 1):
     bundle = build_tank()
     traj = simulate(bundle, [0.5, 0.25, 0.2], Integrator.HEUN, SimOptions(step=0.05))
-    return trajectory_to_csv(traj, bundle.automaton.vars.state_vars)
+    return trajectory_to_csv([traj] * runs, bundle.automaton.vars.state_vars)
 
 
 def test_flowpipe_projection_to_rectangles():
@@ -58,11 +58,7 @@ def test_trajectory_projection_to_polyline():
 
 
 def test_multi_run_export_breaks_the_polyline():
-    body = trajectory_csv().splitlines()
-    merged = ["run," + body[0]]
-    merged += [f"0,{line}" for line in body[1:]]
-    merged += [f"1,{line}" for line in body[1:]]
-    proj = project_csv("\n".join(merged), "x1", "x2")
+    proj = project_csv(trajectory_csv(runs=2), "x1", "x2")
     svg = projection_to_svg(proj)
     assert svg.count("<polyline") == 2
 
@@ -80,7 +76,7 @@ def test_unknown_variable_rejected():
 
 
 def test_unrecognized_header_rejected():
-    with pytest.raises(ModelFormatError):
+    with pytest.raises(ModelFormatError, match="expected a flowpipe export .* or a trajectory export"):
         project_csv("a,b,c\n1,2,3\n", "a", "b")
 
 
@@ -94,8 +90,10 @@ def _ragged(text):
 
 
 def _runs(text):
+    """The one-run CSV repeated as runs 0, 1 and 1.0."""
     body = text.splitlines()
-    return "\n".join(["run," + body[0]] + [f"{run},{line}" for run in (0, 1, 1.0) for line in body[1:]]) + "\n"
+    rows = [line.partition(",")[2] for line in body[1:]]
+    return "\n".join([body[0]] + [f"{run},{row}" for run in (0, 1, 1.0) for row in rows]) + "\n"
 
 
 @pytest.mark.parametrize("make, x, y", [
@@ -177,7 +175,7 @@ def test_trajectory_and_multi_run_csvs_draw_as_the_reference(model, tmp_path):
     traj = simulate(bundle, bundle.initial.box.lo, Integrator.HEUN, SimOptions(step=bundle.settings.step))
     runs = tmp_path / "runs.csv"
     assert cli_main(["bench", model, "simulate", "--seeds", "3", "--out", str(runs)]) == 0
-    for text in (trajectory_to_csv(traj, names), runs.read_text()):
+    for text in (trajectory_to_csv([traj], names), runs.read_text()):
         assert_as_reference(text, names[0], names[1])
         assert_as_reference(text, names[-1], names[0])
     assert projection_to_svg(project_csv(runs.read_text(), *names[:2])).count("<polyline") == 3
@@ -235,7 +233,8 @@ def test_one_value_where_adding_one_changes_nothing_still_draws(kind, axis, valu
         (x_lo, y_lo), (x_hi, y_hi) = row("0"), row("1")
         text = FLOWPIPE_HEADER + f"\n0,1,q,0,{x_lo},{x_hi},{y_lo},{y_hi}\n"
     else:
-        text = "time,location,x,y\n" + "".join(f"{t},q,{','.join(row(other))}\n" for t, other in ((0, "2"), (1, "3")))
+        rows = "".join(f"0,{t},q,{','.join(row(other))}\n" for t, other in ((0, "2"), (1, "3")))
+        text = "run,time,location,x,y\n" + rows
     path, out = tmp_path / "in.csv", tmp_path / "out.svg"
     path.write_text(text)
     assert cli_main(["plot", str(path), "--x", "x", "--y", "y", "--out", str(out)]) == 0
@@ -275,8 +274,9 @@ MALFORMED_CSVS = {
     "short-row": FLOWPIPE_HEADER + "\n0,1,q,0,1,2,3,4\n\n0,1,q,0,1,2\n",
     "not-a-number": FLOWPIPE_HEADER + "\n0,1,q,0,1,2,3,4\n0,1,q,0,1,two,3,4\n",
     "number-after-short-row": FLOWPIPE_HEADER + "\n0,1,q,0,1\n0,1,q,0,x,2,3,4\n",
-    "trajectory-short-row": "time,location,x,y\n0,q,1,2\n0.5,q\n",
-    "trajectory-not-a-number": "time,location,x,y\n0,q,1,2\n0.5,q,1,nope\n",
+    "trajectory-short-row": "run,time,location,x,y\n0,0,q,1,2\n0,0.5,q\n",
+    "trajectory-not-a-number": "run,time,location,x,y\n0,0,q,1,2\n0,0.5,q,1,nope\n",
+    "trajectory-without-run-column": "time,location,x,y\n0,q,1,2\n",
     "runs-not-a-number": "run,time,location,x,y\n0,0,q,1,2\n1,0,q,--1,2\n",
     "near-max-float": FLOWPIPE_HEADER + "\n0,1,q,0,-1e308,1e308,-1.7e308,1.7976931348623157e308\n",
     "numbers-python-reads": FLOWPIPE_HEADER + "\n0,1,q,0, 1_0,1e1 ,nan,-inf\n0,1,q,0,infinity,-0,+.5,1E-320\n",

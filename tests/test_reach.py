@@ -52,9 +52,9 @@ from hyra.sets import (
     translate,
 )
 from support import (
-    GENERATED_SEEDS, WIDE_BOXES, box_contains, coupled_invariant_bundle, generated_bundle, group_error_bundle,
-    late_entry_bundle, merge_overflow_bundle, reference_reach, reset_jump_bundle, revisit_bundle, sample_zonotope,
-    simulation_inside_flowpipe, wide_box_bundle, with_leftover_tail,
+    GENERATED_SEEDS, WIDE_BOXES, box_contains, coupled_invariant_bundle, emptied_jump_bundle, generated_bundle,
+    group_error_bundle, late_entry_bundle, merge_overflow_bundle, reference_reach, reset_jump_bundle, revisit_bundle,
+    sample_zonotope, simulation_inside_flowpipe, wide_box_bundle, with_leftover_tail,
 )
 
 reach_module = importlib.import_module("hyra.reach")
@@ -1349,6 +1349,7 @@ REFERENCE_CASES = {
     "revisit": revisit_bundle,
     "revisit-no-fixpoint": lambda: revisit_bundle(False),
     "late-entry": late_entry_bundle,
+    "emptied-jump": emptied_jump_bundle,
     **{f"generated-{seed}": (lambda s=seed: generated_bundle(s)) for seed in GENERATED_SEEDS},
     "merge-overflow-wide": merge_overflow_bundle,
     "merge-overflow-far-narrow": lambda: merge_overflow_bundle(1e308, 1.5e308),
@@ -1390,6 +1391,14 @@ def test_reach_equals_the_task_by_task_reference(case):
     assert_same_reach(got, want)
     # a positive margin separates every box from the forbidden set
     assert not (got.margin is not None and got.margin > 0 and got.verdict == Verdict.POSSIBLY_UNSAFE)
+
+
+def test_a_jump_successor_its_target_invariant_empties_starts_no_flowpipe():
+    result = reach(emptied_jump_bundle())
+    stats = result.stats
+    assert result.verdict == Verdict.SAFE_PROVED
+    assert (stats.segments, stats.flowpipes, stats.max_depth, stats.termination) == (200, 1, 0, None)
+    assert set(result.segments.location.tolist()) == {"a"}
 
 
 def test_the_group_error_case_raises_the_earlier_task_error():

@@ -40,13 +40,12 @@ from hyra.simulate import (
     _substep,
     _zeno_estimate,
     detect_event,
-    events_to_csv,
     sample_initial,
     simulate,
     step,
     trajectory_to_csv,
 )
-from support import CORPUS_DIR, condition_holds_reference
+from support import CORPUS_DIR, condition_holds_reference, emptied_jump_bundle
 
 simulate_module = importlib.import_module("hyra.simulate")
 
@@ -667,67 +666,71 @@ def test_sampling_is_seed_deterministic():
 def test_csv_exports():
     bundle = build_tank()
     traj = simulate(bundle, [0.5, 0.25, 0.2], Integrator.HEUN, SimOptions(step=0.05))
-    table = bundle.automaton.vars.state_vars
-    csv = trajectory_to_csv(traj, table)
-    lines = csv.splitlines()
-    assert lines[0] == "time,location,x1,x2,x3"
+    lines = trajectory_to_csv([traj], bundle.automaton.vars.state_vars).splitlines()
+    assert lines[0] == "run,time,location,x1,x2,x3"
     assert len(lines) == 1 + traj.sample_count
-    events = events_to_csv(traj, table)
-    assert events.splitlines()[0].startswith("time,label,source,target,pre_x1")
-    assert len(events.splitlines()) == 1 + len(traj.events)
 
 
-def _trajectory_csv_by_format_number(traj, names) -> tuple:
-    """Both simulation CSVs written one ``format_number`` call per value."""
-    lines = ["time,location," + ",".join(names)]
-    for t, loc, row in zip(traj.times, traj.locations, traj.states):
-        lines.append(",".join([format_number(t), loc] + [format_number(v) for v in row]))
-    events = [",".join(["time,label,source,target"] + [f"pre_{v}" for v in names] + [f"post_{v}" for v in names])]
-    for e in traj.events:
-        values = [*e.pre_state, *e.post_state]
-        events.append(",".join([format_number(e.time), e.label or "", e.source, e.target] + [format_number(v) for v in values]))
-    return "\n".join(lines) + "\n", "\n".join(events) + "\n"
+def _trajectory_csv_by_format_number(trajs, names) -> str:
+    """The trajectory CSV of the runs written one ``format_number`` call per value."""
+    lines = ["run,time,location," + ",".join(names)]
+    for run, traj in enumerate(trajs):
+        for t, loc, row in zip(traj.times, traj.locations, traj.states):
+            lines.append(",".join([str(run), format_number(t), loc] + [format_number(v) for v in row]))
+    return "\n".join(lines) + "\n"
 
 
 def _hand_made_trajectory():
-    pre = np.array([-0.0, 1e22, 3.0])
-    post = np.array([2.0, -7.0, 0.1])
     states = np.array([[-0.0, 1e22, 3.0], [2.0, -1e-300, 5e-324], [math.nan, math.inf, -math.inf]])
-    event = SimEvent(1e22, None, "a", "b", pre, post)
-    return Trajectory(np.array([0.0, 1.0, 1.5e-5]), ["a", "b", "b"], states, [event]), ("x", "y", "z")
+    return Trajectory(np.array([0.0, 1.0, 1.5e-5]), ["a", "b", "b"], states, []), ("x", "y", "z")
 
 
-def _corpus_trajectory(build):
+def _hand_made_runs():
+    traj, names = _hand_made_trajectory()
+    return [traj], names
+
+
+def _corpus_runs(build, count: int = 1):
     def make():
         bundle = build()
-        x0 = sample_initial(bundle.initial.box, 1, seed=3)[0]
-        traj = simulate(bundle, x0, Integrator.HEUN, SimOptions(step=bundle.settings.step / 10.0))
-        return traj, bundle.automaton.vars.state_vars
+        options = SimOptions(step=bundle.settings.step / 10.0)
+        starts = sample_initial(bundle.initial.box, count, seed=3)
+        trajs = [simulate(bundle, x0, Integrator.HEUN, options) for x0 in starts]
+        return trajs, bundle.automaton.vars.state_vars
     return make
 
 
 @pytest.mark.parametrize("make", [
-    _hand_made_trajectory,
-    *(_corpus_trajectory(b) for b in (build_bouncing_ball, build_tank, build_linswitch, build_platoon)),
-], ids=["hand-made", "bouncing-ball", "tank3", "linswitch4", "platoon6"])
+    _hand_made_runs,
+    *(_corpus_runs(b) for b in (build_bouncing_ball, build_tank, build_linswitch, build_platoon)),
+    _corpus_runs(build_bouncing_ball, 3),
+], ids=["hand-made", "bouncing-ball", "tank3", "linswitch4", "platoon6", "bouncing-ball-3-runs"])
 def test_csv_exports_format_every_value_like_format_number(make):
-    traj, names = make()
-    assert (trajectory_to_csv(traj, names), events_to_csv(traj, names)) == _trajectory_csv_by_format_number(traj, names)
+    trajs, names = make()
+    assert trajectory_to_csv(trajs, names) == _trajectory_csv_by_format_number(trajs, names)
 
 
 def test_csv_exports_hand_made_rows():
     traj, names = _hand_made_trajectory()
-    lines = trajectory_to_csv(traj, names).splitlines()
-    assert lines[1] == "0,a,0,1e+22,3"
-    assert lines[3] == "1.5e-05,b,nan,inf,-inf"
-    rows = events_to_csv(traj, names).splitlines()
-    assert rows[1] == "1e+22,,a,b,0,1e+22,3,2,-7,0.1"
-    traj.events = []
-    assert events_to_csv(traj, names) == "time,label,source,target,pre_x,pre_y,pre_z,post_x,post_y,post_z\n"
+    lines = trajectory_to_csv([traj, traj], names).splitlines()
+    assert lines[1] == "0,0,a,0,1e+22,3"
+    assert lines[3] == "0,1.5e-05,b,nan,inf,-inf"
+    assert lines[4] == "1,0,a,0,1e+22,3"
 
 
 # ---------------------------------------------------------------------------
 # invariant exit and the per-step reference
+
+
+def test_a_reset_outside_the_target_invariant_ends_the_run_after_its_event():
+    traj = simulate(emptied_jump_bundle(), [0.2], Integrator.HEUN, SimOptions(step=0.01))
+    (event,) = traj.events
+    assert (event.source, event.target, event.post_state[0]) == ("a", "b", event.pre_state[0] + 10.0)
+    assert (event.time, event.pre_state[0]) == pytest.approx((0.8, 1.0), abs=1e-8)  # x = t + 0.2 meets x >= 1
+    assert traj.truncated == "reset lands outside invariant of 'b'"
+    assert (traj.sample_count, traj.locations[-1], traj.states[-1, 0], traj.times[-1]) == (
+        81, "b", event.post_state[0], event.time)
+    assert not traj.zeno
 
 
 def _ramp_bundle():
@@ -1030,7 +1033,9 @@ def test_a_run_on_shared_tables_writes_the_cold_runs_csv(build):
     texts = []
     for _ in range(2):
         traj = simulate(bundle, x0, Integrator.HEUN, options)
-        texts.append((trajectory_to_csv(traj, names), events_to_csv(traj, names)))
+        events = [(e.time, e.label, e.source, e.target, e.pre_state.tobytes(), e.post_state.tobytes())
+                  for e in traj.events]
+        texts.append((trajectory_to_csv([traj], names), events))
     assert texts[1] == texts[0]
 
 

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from hyra.cli import main
 from hyra.corpus import all_benchmarks, build, build_bouncing_ball
 from hyra.errors import ModelDefects, UnsupportedFeature, XmlMalformed
 from hyra.ir import AffineDynamics, ResetMap, VariableTable, validate
@@ -75,6 +76,40 @@ def test_two_components_rejected():
     )
     with pytest.raises(UnsupportedFeature):
         parse_spaceex(xml)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    pytest.param("</sspaceex>", "", "not well-formed XML: no element found: line 16, column 0", id="not-well-formed"),
+    pytest.param("sspaceex", "spaceex", "expected <sspaceex> root, found <spaceex>", id="root"),
+    pytest.param("component", "automaton", "no <component> element", id="no-component"),
+    pytest.param("</sspaceex>", '<component id="second"><param name="y" type="real"/></component></sspaceex>',
+                 "multiple components (networks) are not supported", id="two-components"),
+    pytest.param("</component>", '<bind component="other" as="sub" /></component>',
+                 "component bindings are not supported", id="bind"),
+    pytest.param('name="v" ', "", "param without a name", id="param-without-name"),
+    pytest.param('name="v" type="real"', 'name="v" type="int"', "param type 'int' is not supported",
+                 id="param-type"),
+    pytest.param('dynamics="any" />\n    <location', 'dynamics="linear" />\n    <location',
+                 "param dynamics 'linear' is not supported", id="param-dynamics"),
+    pytest.param('<location id="1" name="always">', "<location>", "location without id or name",
+                 id="location-without-id"),
+    pytest.param("x' == v &amp; v' == -9.81", "x' == v*v",
+                 "location 'always': product of two variable expressions is not affine", id="location-expression"),
+    pytest.param("x' == v &amp; v' == -9.81", "x' &lt;= v", "flow rows must look like \"x' == expr\"",
+                 id="flow-relation"),
+    pytest.param("x' == v &amp; v' == -9.81", "x == v", "flow assigns to unprimed 'x'", id="flow-unprimed"),
+    pytest.param(' target="1"', "", "transition missing source or target", id="transition-without-target"),
+    pytest.param("x == 0 &amp;", "x == x*x &amp;",
+                 "transition 1->1: product of two variable expressions is not affine", id="transition-expression"),
+    pytest.param("v := -0.75*v", "w := 1", "assignment to non-state 'w'", id="assignment-to-non-state"),
+    pytest.param("v := -0.75*v", "v = 1", "assignment 'v = 1' is not of the form x := expr", id="assignment-form"),
+])
+def test_a_model_xml_that_parse_spaceex_rejects_is_an_input_error(old, new, message, tmp_path, capsys):
+    assert old in BALL_XML
+    path = tmp_path / "model.xml"
+    path.write_text(BALL_XML.replace(old, new))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_expression_errors_carry_location_context():

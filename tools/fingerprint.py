@@ -5,9 +5,9 @@ The lines cover the reach CSV (with the verdict) at the shipped settings,
 at a horizon that leaves every flowpipe living to it a leftover tail step
 (as the test suite's ``with_leftover_tail`` builds it) and at the deeper
 jump bounds of the reach-deep benchmark (ball at 3 and 5 jumps, tank3 at 16
-and 24 jumps over 10 and 15 s), the trajectory and event CSVs of three
-seeded ``simulate`` runs with Heun and Euler at the shipped step and at
-step/10, and the file ``hyra bench <model> simulate --seeds 3 --out``
+and 24 jumps over 10 and 15 s), the run table and the event table of each
+of three seeded ``simulate`` runs with Heun and Euler at the shipped step
+and at step/10, and the file ``hyra bench <model> simulate --seeds 3 --out``
 writes. Two models of the test suite add reach lines
 with the fixpoint check on and off: one whose check discards a revisit,
 one whose check must keep an earlier entry. One more adds the reach CSV
@@ -33,7 +33,7 @@ variables and by ``parse_spaceex`` of the ball's ``model.xml`` with the
 text as the guard of its first transition. Plot lines cover the SVG and
 the ``projection_to_csv`` text of ``hyra plot``'s projection of each corpus
 model's reach CSV at the shipped settings, onto its output variables, and
-of the ball's trajectory CSV of one seeded Heun run and its multi-run CSV
+of the ball's run table of one seeded Heun run and its multi-run CSV
 of ``hyra bench bouncing-ball simulate --seeds 3 --out``, and the SVG (or
 the ``Type: message`` of the error) of the projection of one-row flowpipe
 CSVs whose x range is one value, 1e308, -1e308 or 3. Forbidden-set lines
@@ -59,7 +59,7 @@ and ``hyra check`` on the ball's ``model.xml`` whose constant ``c`` reads
 step, and the exit code and first stderr line (its stdout is empty) of
 ``hyra bench bouncing-ball validate --to json``, which the parser rejects
 because ``validate`` takes no ``--to``. Generated-simulate lines cover the
-trajectory and event CSVs of three seeded ``simulate`` runs
+run and event tables of three seeded ``simulate`` runs
 with Heun and with Euler at the shipped step of each of the test suite's
 generated automata, whose guards and invariants span several variables and
 every relation. A run that leaves the floating-point range, by raising
@@ -67,9 +67,13 @@ every relation. A run that leaves the floating-point range, by raising
 text ``non-finite run``. Generated-reach lines, last of all, cover the
 reach CSV (with the verdict) of each generated automaton at its own
 settings, or the ``Type: message`` of the engine error reach raises, as
-most of them do (a start box outside its invariant, a step too large). Two
-source trees print the same lines exactly when all of these outputs are
-byte-identical:
+most of them do (a start box outside its invariant, a step too large).
+The run table is the trajectory CSV that ``hyra simulate --out`` writes,
+and the event table lists each event's time, label, source, target and
+the state before and after it. The tool writes both itself with
+``hyra.expressions.format_table``, so it runs on older source trees too.
+Two source trees print the same lines exactly when all of these outputs
+are byte-identical:
 
     PYTHONPATH=src python3 tools/fingerprint.py > after.txt
     PYTHONPATH=/path/to/other/src python3 tools/fingerprint.py > before.txt
@@ -92,13 +96,13 @@ from hyra import corpus
 from hyra.cli import build_parser, main as cli_main
 from hyra.config import emit_config, parse_config
 from hyra.errors import EngineError, HyraError, NonFiniteFlowpipe, SchemaViolation
-from hyra.expressions import parse_condition
+from hyra.expressions import format_table, parse_condition
 from hyra.flowstar import emit_flowstar
 from hyra.interchange import read_json, write_json
 from hyra.ir import ModelBundle, ReachSettings
 from hyra.plot import project_csv, projection_to_csv, projection_to_svg
 from hyra.reach import reach, segments_to_csv
-from hyra.simulate import Integrator, SimOptions, events_to_csv, sample_initial, simulate, trajectory_to_csv
+from hyra.simulate import Integrator, SimOptions, sample_initial, simulate
 from hyra.spaceex import emit_spaceex, parse_spaceex
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -150,6 +154,26 @@ def reach_text(bundle) -> str:
     return head + segments_to_csv(result, bundle.automaton.vars.state_vars)
 
 
+def _run_table(trajs, state_vars) -> str:
+    """One line per sample of each run, the runs in order: run, time, location, state."""
+    return format_table(("run", "time", "location", *state_vars), [
+        [str(run) for run, traj in enumerate(trajs) for _ in traj.locations],
+        np.concatenate([traj.times for traj in trajs]).reshape(-1, 1),
+        [loc for traj in trajs for loc in traj.locations],
+        np.concatenate([traj.states for traj in trajs]),
+    ])
+
+
+def _event_table(traj, state_vars) -> str:
+    """One line per event: time, label, source, target, state before and after."""
+    events = traj.events
+    header = ["time", "label", "source", "target"]
+    header += [f"pre_{v}" for v in state_vars] + [f"post_{v}" for v in state_vars]
+    states = np.reshape([np.concatenate((e.pre_state, e.post_state)) for e in events], (len(events), 2 * len(state_vars)))
+    return format_table(header, [np.reshape([e.time for e in events], (-1, 1)), [e.label or "" for e in events],
+                                 [e.source for e in events], [e.target for e in events], states])
+
+
 def simulate_text(bundle, kind, step) -> str:
     state_vars = bundle.automaton.vars.state_vars
     parts = []
@@ -163,7 +187,7 @@ def simulate_text(bundle, kind, step) -> str:
             parts.append(f"{type(exc).__name__}: {exc}\n")
             continue
         finite = np.isfinite(traj.states).all()
-        parts.append(trajectory_to_csv(traj, state_vars) + events_to_csv(traj, state_vars) if finite else NON_FINITE)
+        parts.append(_run_table([traj], state_vars) + _event_table(traj, state_vars) if finite else NON_FINITE)
     return "".join(parts)
 
 
@@ -287,7 +311,7 @@ def plot_lines():
     state_vars = ball.automaton.vars.state_vars
     x0 = sample_initial(ball.initial.box, 1, 0)[0]
     traj = simulate(ball, x0, Integrator.HEUN, SimOptions(step=ball.settings.step))
-    yield from plot("bouncing-ball plot trajectory", trajectory_to_csv(traj, state_vars), "x", "v")
+    yield from plot("bouncing-ball plot trajectory", _run_table([traj], state_vars), "x", "v")
     yield from plot(f"bouncing-ball plot cli simulate --seeds {SEEDS}", cli_simulate_text("bouncing-ball"), "x", "v")
 
 
