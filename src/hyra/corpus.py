@@ -269,7 +269,3 @@ _BUILDERS = {
 
 def build(benchmark: BenchmarkId) -> ModelBundle:
     return _BUILDERS[benchmark]()
-
-
-def all_benchmarks() -> tuple:
-    return tuple(BenchmarkId)

@@ -96,11 +96,11 @@ def _token_starts(text: str) -> list:
 
 
 class _Parser:
-    def __init__(self, text: str, table: VariableTable | None):
+    def __init__(self, text: str, table: VariableTable):
         self.text = text
         self.tokens = _tokenize(text)
         self.idx = 0
-        self.known = set(table.all_names()) if table is not None else None
+        self.known = set(table.all_names())
 
     def advance(self) -> str:
         """The next token, consumed; a call, so a descent nested past the recursion limit stops before it."""
@@ -173,8 +173,7 @@ class _Parser:
             self.idx += 1
             return inner
         if tok[:1].isalpha() or tok[:1] == "_":  # the tokenizer lets through ASCII letters only
-            known = self.known
-            if known is not None and tok not in known and tok.rstrip("'") not in known:
+            if tok not in self.known and tok.rstrip("'") not in self.known:
                 at = _token_starts(self.text)[self.idx - 1]
                 raise UnknownIdentifier(f"unknown identifier {tok!r} at position {at}")
             return Ident(tok)
@@ -184,12 +183,11 @@ class _Parser:
         raise ExpressionSyntaxError(message, _token_starts(self.text)[self.idx - 1])
 
 
-def parse_expression(text: str, table: VariableTable | None = None):
-    """Parse expression text into an AST.
+def parse_expression(text: str, table: VariableTable):
+    """Parse expression text into an AST, its identifiers checked against the table.
 
     An empty (or whitespace-only) string parses to the trivially true
-    condition, represented as an empty Conjunction. Identifiers are checked
-    against the table when one is supplied.
+    condition, represented as an empty Conjunction.
     """
     if not text.strip():
         return Conjunction(())

@@ -371,11 +371,15 @@ class InitialCondition(_Record):
     box: Box
 
 
+MAX_STEP_COUNT = 2**20  # the most steps to the horizon of one flowpipe or simulated run
+
 
 def check_step_count(horizon: float, step: float) -> None:
-    """Raise ``ValueError`` unless horizon / step, the count of steps to the horizon, is finite."""
-    if not math.isfinite(horizon / step):
-        raise ValueError(f"step {step!r} is too small for horizon {horizon!r}: horizon / step overflows")
+    """Raise ``ValueError`` unless horizon / step, the count of steps to the horizon, is at most ``MAX_STEP_COUNT``."""
+    count = horizon / step
+    if not count <= MAX_STEP_COUNT:
+        reason = "overflows" if math.isinf(count) else f"is above {MAX_STEP_COUNT} steps"
+        raise ValueError(f"step {step!r} is too small for horizon {horizon!r}: horizon / step {reason}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -370,12 +370,12 @@ def discretize(disc: Discretization, x0: Zonotope):
 # Per-location flowpipe
 
 
-def _box_inside_condition(box: Box, cond: Condition, slack: float = _CONTAIN_SLACK) -> bool:
-    """Whether max over the box of c . x <= d + slack holds on every halfspace row; true without rows."""
+def _box_inside_condition(box: Box, cond: Condition) -> bool:
+    """Whether max over the box of c . x <= d + ``_CONTAIN_SLACK`` holds on every halfspace row; true without rows."""
     rows = cond.halfspaces
     c = rows.coeffs
     with np.errstate(over="ignore", invalid="ignore"):  # sums past the float range read inf or nan: outside
-        return not c.size or bool((np.where(c >= 0, c * box.hi, c * box.lo).sum(axis=1) <= rows.bounds + slack).all())
+        return not c.size or bool((np.where(c >= 0, c * box.hi, c * box.lo).sum(axis=1) <= rows.bounds + _CONTAIN_SLACK).all())
 
 
 @dataclass

@@ -282,17 +282,17 @@ def _pad_columns(g: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def reduce_order(z: Zonotope, max_order: int = DEFAULT_ORDER_CAP) -> Zonotope:
-    """Cap the generator count by boxing the smallest generators.
+def reduce_order(z: Zonotope) -> Zonotope:
+    """Cap the generator count at ``DEFAULT_ORDER_CAP`` by boxing the smallest generators.
 
-    The largest (max_order - n) generators by 1-norm are kept verbatim; the
+    The largest (DEFAULT_ORDER_CAP - n) generators by 1-norm are kept verbatim; the
     rest collapse into an axis-aligned block, which can only enlarge the
     set. Ties break on generator index so the result is deterministic.
     """
     n, p = z.dim, z.order
-    if p <= max_order:
+    if p <= DEFAULT_ORDER_CAP:
         return z
-    keep_count = max(max_order - n, 0)
+    keep_count = max(DEFAULT_ORDER_CAP - n, 0)
     norms = np.abs(z.generators).sum(axis=0)
     order_idx = np.lexsort((np.arange(p), -norms))
     keep = np.sort(order_idx[:keep_count])

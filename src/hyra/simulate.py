@@ -411,8 +411,8 @@ def simulate(bundle: ModelBundle, x0, kind: Integrator = Integrator.HEUN,
     check_step_count(horizon, h)
 
     # The samples go into one time array and one state array, sized for a run
-    # with no events (at most 2**20 steps at first) and doubled when full.
-    times = np.empty(int(min(horizon / h, 2**20)) + 2 * _CHUNK)
+    # with no events and doubled when full.
+    times = np.empty(int(horizon / h) + 2 * _CHUNK)
     states = np.empty((len(times), table.n))
     times[0], states[0], count = 0.0, x, 1
     locs = [loc.name]
@@ -537,10 +537,10 @@ def sample_initial(box: Box, k: int, seed: int) -> list:
 
 
 def trajectory_to_csv(trajs, state_vars) -> str:
-    """One ``format_table`` line per sample of each run, the runs in order: run, time, location, state."""
+    """One ``format_table`` line per sample of each run in order (run, time, location, state); no runs: the header."""
     return format_table(("run", "time", "location", *state_vars), [
         [str(run) for run, traj in enumerate(trajs) for _ in traj.locations],
-        np.concatenate([traj.times for traj in trajs]).reshape(-1, 1),
+        np.concatenate([np.empty(0), *(traj.times for traj in trajs)]).reshape(-1, 1),
         [loc for traj in trajs for loc in traj.locations],
-        np.concatenate([traj.states for traj in trajs]),
+        np.concatenate([np.empty((0, len(state_vars))), *(traj.states for traj in trajs)]),
     ])

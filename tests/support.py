@@ -323,7 +323,7 @@ def spelling_bundle(fixpoint: bool = False) -> ModelBundle:
         Transition("\u00e9tat-\U0001f600\x01", "plain", Condition(), ResetMap.identity(2),
                    'saut \u2192 \x1f\x7f "\\ null'),
     )
-    settings = ReachSettings(1e15, 1e-05, 7, None, None, fixpoint)
+    settings = ReachSettings(10.00001, 1e-05, 7, None, None, fixpoint)
     automaton = HybridAutomaton("r\u00e9sum\u00e9 \U0001d11e\t\x00", table, locations, transitions,
                                 {"u": (-9.99e-05, 0.0001)})
     return ModelBundle(automaton, settings, InitialCondition("plain", Box([-0.0, 1e-09], [2.0, 1e+16])))
@@ -638,12 +638,11 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, text: str, table: VariableTable | None):
+    def __init__(self, text: str, table: VariableTable):
         self.text = text
         self.tokens = _tokenize(text)
         self.idx = 0
-        self.table = table
-        self.known = set(table.all_names()) if table is not None else None
+        self.known = set(table.all_names())
 
     def peek(self):
         return self.tokens[self.idx]
@@ -724,10 +723,8 @@ class _Parser:
         if kind == "number":
             return Num(float(value))
         if kind == "ident":
-            if self.known is not None:
-                base = value.rstrip("'")
-                if value not in self.known and base not in self.known:
-                    raise UnknownIdentifier(f"unknown identifier {value!r} at position {pos}")
+            if value not in self.known and value.rstrip("'") not in self.known:
+                raise UnknownIdentifier(f"unknown identifier {value!r} at position {pos}")
             return Ident(value)
         if kind == "op" and value == "(":
             inner = self.parse_conjunction()
@@ -736,12 +733,11 @@ class _Parser:
         raise ExpressionSyntaxError(f"unexpected token {value!r}" if value else "unexpected end of input", pos)
 
 
-def parse_expression(text: str, table: VariableTable | None = None):
-    """Parse expression text into an AST.
+def parse_expression(text: str, table: VariableTable):
+    """Parse expression text into an AST, its identifiers checked against the table.
 
     An empty (or whitespace-only) string parses to the trivially true
-    condition, represented as an empty Conjunction. Identifiers are checked
-    against the table when one is supplied.
+    condition, represented as an empty Conjunction.
     """
     if not text.strip():
         return Conjunction(())

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from hyra.corpus import (
-    all_benchmarks,
+    BenchmarkId,
     build,
     build_bouncing_ball,
     build_linswitch,
@@ -162,7 +162,7 @@ def test_criterion_5_integrator_orders():
     )
 
 
-@pytest.mark.parametrize("bench", all_benchmarks(), ids=lambda b: b.value)
+@pytest.mark.parametrize("bench", BenchmarkId, ids=lambda b: b.value)
 def test_criterion_6_containment_soundness(bench):
     bundle = build(bench)
     result = reach(bundle)
@@ -174,7 +174,7 @@ def test_criterion_6_containment_soundness(bench):
 
 def test_criterion_7_translation_roundtrips_and_goldens():
     started = time.perf_counter()
-    for bench in all_benchmarks():
+    for bench in BenchmarkId:
         bundle = build(bench)
         assert parse_spaceex(emit_spaceex(bundle.automaton)) == bundle.automaton
         assert read_json(write_json(bundle)) == bundle

@@ -389,6 +389,17 @@ def test_simulate_step_too_small_to_count_its_horizon_is_an_input_error(argv):
     assert done.stderr == "error: --step: step 1e-320 is too small for horizon 5.0: horizon / step overflows\n"
 
 
+@pytest.mark.parametrize("model, command, horizon", [("tank3", "reach", "5.0"), ("bouncing-ball", "simulate", "40.0")])
+def test_a_step_count_above_the_bound_is_an_input_error(model, command, horizon):
+    # a finite count of 5e300 steps: reach never returned and simulate doubled its arrays past the memory
+    done = subprocess.run([sys.executable, "-m", "hyra.cli", "bench", model, command, "--step", "1e-300"],
+                          env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")), capture_output=True, text=True,
+                          timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"error: --step: step 1e-300 is too small for horizon {horizon}: " \
+                          "horizon / step is above 1048576 steps\n"
+
+
 @pytest.mark.parametrize("step", ["0", "-0.01", "nan", "inf", "-inf", "1e999"])
 def test_simulate_step_that_is_not_finite_and_positive_is_an_input_error(step, capsys):
     # a zero or negative step never advanced the run's time: the loop did not return

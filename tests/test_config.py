@@ -5,7 +5,7 @@ import pytest
 
 from hyra.cli import main
 from hyra.config import emit_config, parse_config
-from hyra.corpus import all_benchmarks, build, build_tank
+from hyra.corpus import BenchmarkId, build, build_tank
 from hyra.errors import ConfigError, ExpressionSyntaxError, MissingKey, NonlinearUnsupported, UnknownIdentifier, UnknownKey
 from hyra.expressions import parse_condition
 from hyra.ir import VariableTable
@@ -30,6 +30,11 @@ def test_forbidden_parses_to_condition():
     (con,) = parsed.settings.forbidden.constraints
     assert con.relation == ">=" and con.bound == 10.7
     assert np.array_equal(con.coeffs, [0.0, 1.0])
+
+
+def test_a_sampling_time_above_the_step_bound_is_an_error():
+    with pytest.raises(ConfigError, match="horizon / step is above 1048576 steps"):
+        parse_config("time-horizon = 5\nsampling-time = 1e-300", TABLE)
 
 
 def test_missing_horizon_is_an_error():
@@ -126,7 +131,7 @@ def test_output_variables_validated():
         parse_config("time-horizon = 1\noutput-variables = x, nope", TABLE)
 
 
-@pytest.mark.parametrize("bench", all_benchmarks(), ids=lambda b: b.value)
+@pytest.mark.parametrize("bench", BenchmarkId, ids=lambda b: b.value)
 def test_emit_parse_roundtrip(bench):
     bundle = build(bench)
     text = emit_config(bundle.settings, bundle.initial, bundle.automaton.vars, bundle.automaton.name)

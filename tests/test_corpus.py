@@ -6,7 +6,6 @@ import pytest
 from hyra.config import emit_config
 from hyra.corpus import (
     BenchmarkId,
-    all_benchmarks,
     benchmark_from_name,
     build,
     build_bouncing_ball,
@@ -171,19 +170,19 @@ def test_linswitch_input_column_reading():
 # cross-cutting corpus properties
 
 
-@pytest.mark.parametrize("bench", all_benchmarks(), ids=lambda b: b.value)
+@pytest.mark.parametrize("bench", BenchmarkId, ids=lambda b: b.value)
 def test_every_builder_validates_clean(bench):
     assert not validate(build(bench).automaton)
 
 
-@pytest.mark.parametrize("bench", all_benchmarks(), ids=lambda b: b.value)
+@pytest.mark.parametrize("bench", BenchmarkId, ids=lambda b: b.value)
 def test_every_builder_roundtrips(bench):
     bundle = build(bench)
     assert parse_spaceex(emit_spaceex(bundle.automaton)) == bundle.automaton
     assert read_json(write_json(bundle)) == bundle
 
 
-@pytest.mark.parametrize("bench", all_benchmarks(), ids=lambda b: b.value)
+@pytest.mark.parametrize("bench", BenchmarkId, ids=lambda b: b.value)
 def test_fixtures_are_byte_identical_to_fresh_emission(bench):
     bundle = build(bench)
     root = CORPUS_DIR / bench.value
@@ -196,7 +195,7 @@ def test_fixtures_are_byte_identical_to_fresh_emission(bench):
     assert (root / "config.cfg").read_text() == expected_cfg
 
 
-@pytest.mark.parametrize("bench", all_benchmarks(), ids=lambda b: b.value)
+@pytest.mark.parametrize("bench", BenchmarkId, ids=lambda b: b.value)
 def test_recorded_verdicts_match_a_fresh_run(bench):
     bundle = build(bench)
     expected = json.loads((CORPUS_DIR / bench.value / "expected.json").read_text())

@@ -41,17 +41,17 @@ def test_guard_conjunction_parses_to_two_constraints():
 def test_empty_text_is_the_true_condition():
     cond = parse_condition("", TABLE)
     assert cond.is_true
-    assert parse_expression("   ") == Conjunction(())
+    assert parse_expression("   ", TABLE) == Conjunction(())
 
 
 def test_ast_nodes_compare_hash_print_and_match_by_their_fields():
     x, three = Ident("x"), Num(3.0)
     assert Sub(x, three) == Sub(Ident("x"), Num(3.0)) and hash(Sub(x, three)) == hash(Sub(Ident("x"), Num(3.0)))
     assert Add(x, three) != Sub(x, three) and Neg(x) != x
-    assert {Sub(x, three): 1}[parse_expression("x - 3")] == 1
+    assert {Sub(x, three): 1}[parse_expression("x - 3", TABLE)] == 1
     assert repr(Sub(x, three)) == "Sub(left=Ident(name='x'), right=Num(value=3.0))"
     assert repr(Conjunction(())) == "Conjunction(parts=())"
-    match parse_expression("2 * v <= x"):
+    match parse_expression("2 * v <= x", TABLE):
         case Compare(Mul(Num(2.0), Ident("v")), "<=", Ident(name)):
             assert name == "x"
         case other:

@@ -10,7 +10,7 @@ import pytest
 
 from hyra import interchange
 from hyra.cli import main
-from hyra.corpus import all_benchmarks, build, build_bouncing_ball
+from hyra.corpus import BenchmarkId, build, build_bouncing_ball
 from hyra.errors import SchemaViolation
 from hyra.interchange import bundle_to_dict, read_json, write_json
 from hyra.spaceex import emit_spaceex, parse_spaceex
@@ -26,7 +26,7 @@ from support import (
 )
 
 
-@pytest.mark.parametrize("bench", all_benchmarks(), ids=lambda b: b.value)
+@pytest.mark.parametrize("bench", BenchmarkId, ids=lambda b: b.value)
 def test_write_read_identity_on_canonical_text(bench):
     bundle = build(bench)
     text = write_json(bundle)
@@ -37,7 +37,7 @@ def test_write_read_identity_on_canonical_text(bench):
 
 _WRITER_BUNDLES = {
     **{f"spelling-fixpoint-{flag}": lambda flag=flag: spelling_bundle(flag) for flag in (False, True)},
-    **{b.value: lambda b=b: read_json((CORPUS_DIR / b.value / "bundle.json").read_text()) for b in all_benchmarks()},
+    **{b.value: lambda b=b: read_json((CORPUS_DIR / b.value / "bundle.json").read_text()) for b in BenchmarkId},
     "ascii-name-with-del": lambda: read_json((CORPUS_DIR / "tank3" / "bundle.json").read_text().replace(
         '"name": "tank_3"', '"name": "tank\\u007f3"')),
     **{f"generated-{seed}": lambda seed=seed: generated_bundle(seed) for seed in GENERATED_SEEDS},
@@ -218,14 +218,21 @@ def _ball_data() -> dict:
 
 def test_integers_read_as_floats():
     data = _ball_data()
-    data["settings"].update(horizon=2**70, step=1)
+    data["settings"].update(horizon=2**70, step=2**60)
     data["variables"]["constants"]["c"] = 2**70
     data["settings"]["forbidden"][0]["bound_terms"] = {"c": 3}
     bundle = read_json(json.dumps(data))
     scalars = (bundle.settings.horizon, bundle.settings.step, bundle.automaton.vars.constants["c"],
                bundle.settings.forbidden.constraints[0].bound_terms["c"])
-    assert scalars == (2**70, 1, 2**70, 3)
+    assert scalars == (2**70, 2**60, 2**70, 3)
     assert {type(v) for v in scalars} == {float}
+
+
+def test_a_step_above_the_step_bound_is_a_schema_violation():
+    data = _ball_data()
+    data["settings"].update(step=1e-300)
+    with pytest.raises(SchemaViolation, match="horizon / step is above 1048576 steps"):
+        read_json(json.dumps(data))
 
 
 def test_all_zero_symbolic_terms_read_as_no_terms():

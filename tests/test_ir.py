@@ -3,9 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hyra.corpus import all_benchmarks, build, build_bouncing_ball, build_linswitch, build_platoon, build_tank
+from hyra.corpus import BenchmarkId, build, build_bouncing_ball, build_linswitch, build_platoon, build_tank
 from hyra.errors import UnknownSymbol
 from hyra.ir import (
+    MAX_STEP_COUNT,
     AffineDynamics,
     Condition,
     HybridAutomaton,
@@ -215,11 +216,14 @@ def test_max_jumps_must_be_below_two_to_the_64(value):
     assert ReachSettings(1, 0.1, 2**64 - 1).max_jumps == 2**64 - 1
 
 
-@pytest.mark.parametrize("step", [1e-320, 5e-324])
-def test_a_step_whose_count_over_the_horizon_overflows_is_rejected(step):
-    with pytest.raises(ValueError, match="too small for horizon 5.0: horizon / step overflows"):
+@pytest.mark.parametrize("step, reason", [
+    (1e-320, "overflows"), (5e-324, "overflows"),
+    (1e-300, "is above 1048576 steps"), (float(np.nextafter(5.0 / 2**20, 0.0)), "is above 1048576 steps"),
+])
+def test_a_step_whose_count_over_the_horizon_is_above_the_bound_is_rejected(step, reason):
+    with pytest.raises(ValueError, match=f"too small for horizon 5.0: horizon / step {reason}$"):
         ReachSettings(5.0, step)
-    assert ReachSettings(1.0, 1e-300).step == 1e-300  # a finite count, however large, is accepted
+    assert MAX_STEP_COUNT == 2**20 and ReachSettings(5.0, 5.0 / 2**20).step == 5.0 / 2**20  # the bound is accepted
 
 
 @pytest.mark.parametrize("value", [2, 2.0, np.int64(2), np.float64(2.0)])
@@ -307,7 +311,7 @@ def box_inside_reference(box, cond, slack):
 
 @pytest.mark.parametrize("relation", ["<=", "<", "==", ">=", ">"])
 def test_halfspace_rows_agree_with_the_relations(relation):
-    from hyra.reach import _box_inside_condition
+    from hyra.reach import _CONTAIN_SLACK, _box_inside_condition
 
     rng = np.random.default_rng(5)
     slack = 0.5
@@ -328,7 +332,7 @@ def test_halfspace_rows_agree_with_the_relations(relation):
             agreed[holds] += 1
         center, radius = rng.normal(size=n), rng.uniform(0.0, 1.0, size=n)
         box = Box(center - radius, center + radius)
-        assert _box_inside_condition(box, cond, slack) == box_inside_reference(box, cond, slack)
+        assert _box_inside_condition(box, cond) == box_inside_reference(box, cond, _CONTAIN_SLACK)
     assert agreed[True] > 0 and agreed[False] > 0
 
 
@@ -470,7 +474,7 @@ _DEFECT_CASES["many"] = ("non-finite", dataclasses.replace(_MANY, input_range={"
 
 
 def _parity_inputs():
-    for bench in all_benchmarks():
+    for bench in BenchmarkId:
         bundle = build(bench)
         yield bench.value, bundle.automaton, bundle.settings.forbidden
     for seed in GENERATED_SEEDS:
@@ -529,6 +533,6 @@ def test_non_finite_constants_and_terms_are_defects(where, message, value):
 
 
 def test_the_corpus_and_the_generated_bundles_still_validate():
-    bundles = [build(bench) for bench in all_benchmarks()] + [generated_bundle(seed) for seed in GENERATED_SEEDS]
+    bundles = [build(bench) for bench in BenchmarkId] + [generated_bundle(seed) for seed in GENERATED_SEEDS]
     for bundle in bundles:
         assert not validate(bundle.automaton, bundle.settings.forbidden)

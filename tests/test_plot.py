@@ -111,7 +111,7 @@ def test_projection_matches_the_row_by_row_parse(make, x, y):
 # The array passes against the former row-by-row projection and per-rectangle
 # SVG writer, kept unchanged in tests/support.py as the reference.
 
-MODELS = [bench.value for bench in corpus.all_benchmarks()]
+MODELS = [bench.value for bench in corpus.BenchmarkId]
 INF, NAN, TOP = math.inf, math.nan, 1.7976931348623157e308
 
 

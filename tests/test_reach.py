@@ -38,6 +38,7 @@ from hyra.reach import (
     segments_to_csv,
 )
 from hyra.sets import (
+    DEFAULT_ORDER_CAP,
     Box,
     Zonotope,
     box_hull,
@@ -244,6 +245,17 @@ def recorded_calls(name: str, build, tail: float = 0.0) -> list:
         patch.setattr(reach_module, name, recorder)
         reach(bundle)
     return calls
+
+
+def test_the_order_cap_reduces_each_linswitch_chord_and_no_other_shipped_one():
+    # each of linswitch4's six chord Omega0 zonotopes has 21 generators, one past the cap
+    chords = [z for (z,) in recorded_calls("reduce_order", build_linswitch)]
+    assert [z.order for z in chords] == [DEFAULT_ORDER_CAP + 1] * 6
+    assert all(reduce_order(z).order == DEFAULT_ORDER_CAP for z in chords)
+    # the ball's and tank3's chords stay within the cap, so their reduction returns them as they are
+    for build in (build_bouncing_ball, build_tank):
+        calls = recorded_calls("reduce_order", build)
+        assert calls and all(reduce_order(z) is z for (z,) in calls)
 
 
 @pytest.mark.parametrize("tail", [0.0, 0.37], ids=["shipped", "leftover-tail"])

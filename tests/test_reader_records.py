@@ -22,7 +22,7 @@ from hyra.ir import (AffineDynamics, Condition, HybridAutomaton, LinearConstrain
 from hyra.spaceex import emit_spaceex, parse_spaceex
 from support import CORPUS_DIR, GENERATED_SEEDS, generated_bundle
 
-MODELS = [bench.value for bench in corpus.all_benchmarks()]
+MODELS = [bench.value for bench in corpus.BenchmarkId]
 
 
 def public(value):

@@ -7,6 +7,7 @@ import pytest
 from hyra.errors import DimensionMismatch, MatrixOverflow
 from hyra.ir import Condition, Halfspaces, InitialCondition, LinearConstraint
 from hyra.sets import (
+    DEFAULT_ORDER_CAP,
     Box,
     Zonotope,
     box_hull,
@@ -21,7 +22,7 @@ from hyra.sets import (
     reduce_order,
     translate,
 )
-from hyra.reach import Segments, _box_inside_condition, _boxes_close, safety_margin
+from hyra.reach import _CONTAIN_SLACK, Segments, _box_inside_condition, _boxes_close, safety_margin
 from support import (
     box_contains, box_inside_array, boxes_close_array, intersect_condition_array, sample_zonotope, support_function,
 )
@@ -133,7 +134,7 @@ def set_operation_results(rng):
         "translate": translate(z1, rng.normal(size=3)),
         "minkowski_sum": minkowski_sum(z1, z2),
         "hull_zonotope": hull_zonotope(z2, z1),
-        "reduce_order": reduce_order(random_zonotope(rng, 3, 12), 5),
+        "reduce_order": reduce_order(random_zonotope(rng, 3, DEFAULT_ORDER_CAP + 7)),
         "box_hull": box_hull(z2),
     }
 
@@ -363,17 +364,17 @@ def test_hull_zonotope_contains_both_operands():
 
 
 def test_reduce_order_noop_when_within_cap():
-    z = Zonotope(np.zeros(2), np.ones((2, 3)))
-    assert reduce_order(z, 3) is z
+    z = Zonotope(np.zeros(2), np.ones((2, DEFAULT_ORDER_CAP)))
+    assert reduce_order(z) is z
 
 
 def test_reduce_order_containment_oracle():
     rng = np.random.default_rng(41)
     directions = rng.normal(size=(16, 3))
     for _ in range(100):
-        z = Zonotope(rng.normal(size=3), rng.normal(size=(3, 12)))
-        reduced = reduce_order(z, 4)
-        assert reduced.order <= max(4, 3)
+        z = Zonotope(rng.normal(size=3), rng.normal(size=(3, DEFAULT_ORDER_CAP + 10)))
+        reduced = reduce_order(z)
+        assert reduced.order <= DEFAULT_ORDER_CAP
         for d in directions:
             assert support_function(reduced, d) >= support_function(z, d) - 1e-12
 
@@ -560,8 +561,8 @@ def test_column_clamp_equals_the_general_formula_and_the_scalar_oracle_bitwise(c
         assert (got is None) == (want is None)
         if got is not None:
             assert same_bits(got.lo, want.lo) and same_bits(got.hi, want.hi)
-        inside.add(_box_inside_condition(box, cond, slack or 0.0))
-        assert _box_inside_condition(box, cond, slack or 0.0) == box_inside_array(box, cond, slack or 0.0)
+        inside.add(_box_inside_condition(box, cond))
+        assert _box_inside_condition(box, cond) == box_inside_array(box, cond, _CONTAIN_SLACK)
     assert inside == {True, False}
 
 

@@ -11,6 +11,7 @@ from hyra.corpus import build_bouncing_ball, build_linswitch, build_platoon, bui
 from hyra.errors import InitOutsideInvariant, MaxEventsExceeded, NonFiniteFlowpipe
 from hyra.expressions import format_number
 from hyra.ir import (
+    MAX_STEP_COUNT,
     AffineDynamics,
     Condition,
     HybridAutomaton,
@@ -582,16 +583,17 @@ def test_options_keep_an_unset_horizon():
     assert SimOptions(step=1e-3).horizon is None
 
 
-def test_a_step_too_small_to_count_its_horizon_is_rejected_as_reach_rejects_it():
-    # horizon / step overflows to inf: the run would step toward a horizon 5e320 steps away
-    message = "step 1e-320 is too small for horizon 5.0: horizon / step overflows"
+@pytest.mark.parametrize("step, reason", [(1e-320, "overflows"), (1e-300, "is above 1048576 steps")])
+def test_a_step_too_small_to_count_its_horizon_is_rejected_as_reach_rejects_it(step, reason):
+    # a horizon 5e320 steps away overflows the count; 5e300 steps would double the sample arrays past the memory
+    message = f"step {step!r} is too small for horizon 5.0: horizon / step {reason}"
     with pytest.raises(ValueError, match=message):
-        SimOptions(step=1e-320, horizon=5.0)
+        SimOptions(step=step, horizon=5.0)
     bundle = build_tank()  # its horizon is 5
     x0 = sample_initial(bundle.initial.box, 1, seed=0)[0]
     with pytest.raises(ValueError, match=message):
-        simulate(bundle, x0, Integrator.HEUN, SimOptions(step=1e-320))
-    assert SimOptions(step=1e-300, horizon=5.0).step == 1e-300  # a finite count, however large
+        simulate(bundle, x0, Integrator.HEUN, SimOptions(step=step))
+    assert SimOptions(step=5.0 / MAX_STEP_COUNT, horizon=5.0).step == 5.0 / MAX_STEP_COUNT  # the bound itself
 
 
 def test_start_outside_invariant_rejected():
@@ -716,6 +718,10 @@ def test_csv_exports_hand_made_rows():
     assert lines[1] == "0,0,a,0,1e+22,3"
     assert lines[3] == "0,1.5e-05,b,nan,inf,-inf"
     assert lines[4] == "1,0,a,0,1e+22,3"
+
+
+def test_no_runs_export_the_header_line_alone():
+    assert trajectory_to_csv([], ("x", "v")) == "run,time,location,x,v\n"
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hyra.cli import main
-from hyra.corpus import all_benchmarks, build, build_bouncing_ball
+from hyra.corpus import BenchmarkId, build, build_bouncing_ball
 from hyra.errors import ModelDefects, UnsupportedFeature, XmlMalformed
 from hyra.ir import AffineDynamics, ResetMap, VariableTable, validate
 from hyra.spaceex import emit_spaceex, parse_assignment, parse_flow, parse_spaceex
@@ -125,7 +125,7 @@ def test_nonstate_assignment_rejected():
         parse_spaceex(xml)
 
 
-@pytest.mark.parametrize("bench", all_benchmarks(), ids=lambda b: b.value)
+@pytest.mark.parametrize("bench", BenchmarkId, ids=lambda b: b.value)
 def test_emission_roundtrip_is_structural_identity(bench):
     automaton = build(bench).automaton
     text = emit_spaceex(automaton)
@@ -147,7 +147,7 @@ def test_names_with_quotes_survive_the_roundtrip():
 
 
 def test_symbolic_constants_survive_the_roundtrip():
-    automaton = build(all_benchmarks()[0]).automaton  # bouncing ball
+    automaton = build(BenchmarkId.BOUNCING_BALL2).automaton
     text = emit_spaceex(automaton)
     assert 'dynamics="const" value="0.75"' in text
     assert "-c*v" in text

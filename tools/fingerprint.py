@@ -231,7 +231,7 @@ def fixpoint_configs():
 
 def reader_lines():
     support = suite_support()
-    for bench in corpus.all_benchmarks():
+    for bench in corpus.BenchmarkId:
         model = bench.value
         text = (REPO_ROOT / "corpus" / model / "bundle.json").read_text()
         yield f"{digest(write_json(read_json(text)))}  {model} read_json write_json"
@@ -245,7 +245,7 @@ def config_text(bundle) -> str:
 
 
 def translation_lines():
-    for bench in corpus.all_benchmarks():
+    for bench in corpus.BenchmarkId:
         model = bench.value
         bundle = corpus.build(bench)
         yield f"{digest(emit_spaceex(bundle.automaton))}  {model} emit_spaceex"
@@ -303,7 +303,7 @@ def plot_lines():
         yield f"{digest(projection_to_svg(proj))}  {label} svg"
         yield f"{digest(projection_to_csv(proj))}  {label} csv"
 
-    for bench in corpus.all_benchmarks():
+    for bench in corpus.BenchmarkId:
         bundle = corpus.build(bench)
         x_name, y_name = bundle.settings.output_vars or bundle.automaton.vars.state_vars[:2]
         yield from plot(f"{bench.value} plot reach", reach_text(bundle).split("\n", 1)[1], x_name, y_name)
@@ -413,7 +413,7 @@ def param_lines():
 
 
 def bench_lines():
-    for bench in corpus.all_benchmarks():
+    for bench in corpus.BenchmarkId:
         step = corpus.build(bench).settings.step / 2
         outcome = cli_text(["bench", bench.value, "check", "--step", repr(step)])
         yield f"{digest(outcome)}  {bench.value} cli bench check --step {step:g}"
@@ -440,7 +440,7 @@ def generated_reach_lines():
 
 
 def lines():
-    for bench in corpus.all_benchmarks():
+    for bench in corpus.BenchmarkId:
         model = bench.value
         bundle = corpus.build(bench)
         configs = [(label, lambda b=b: reach_text(b)) for label, b in reach_configs(model, bundle)]

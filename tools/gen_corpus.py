@@ -28,9 +28,7 @@ def expected_metadata(bundle) -> str:
         "segments": result.stats.segments,
         "covered_time": result.stats.covered_time,
         "first_violation_time": (
-            None
-            if result.first_violation is None
-            else result.segments[result.first_violation].time_lo
+            None if result.first_violation is None else result.segments.time_lo[result.first_violation]
         ),
     }
     return json.dumps(data, indent=2) + "\n"
@@ -38,7 +36,7 @@ def expected_metadata(bundle) -> str:
 
 def main() -> int:
     root = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parents[1] / "corpus"
-    for bench in corpus.all_benchmarks():
+    for bench in corpus.BenchmarkId:
         bundle = corpus.build(bench)
         out = root / bench.value
         out.mkdir(parents=True, exist_ok=True)

@@ -37,7 +37,7 @@ def dump(path: str) -> None:
     from hyra import corpus
     from hyra.reach import reach
 
-    configs = [(bench.value, label, bundle) for bench in corpus.all_benchmarks()
+    configs = [(bench.value, label, bundle) for bench in corpus.BenchmarkId
                for label, bundle in reach_configs(bench.value, corpus.build(bench))]
     arrays, heads = {}, {}
     for model, label, bundle in [*configs, *fixpoint_configs()]:
